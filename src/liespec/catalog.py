@@ -107,10 +107,3 @@ def resolve_metric(descriptor: str):
 
     return NatRedMetric.from_json_dict(_load_json(descriptor))
 
-
-def builtin_names() -> dict:
-    return {
-        "lattices": sorted(BUILTIN_LATTICES),
-        "groups": sorted(BUILTIN_GROUPS),
-        "embeddings": sorted(BUILTIN_EMBEDDINGS),
-    }

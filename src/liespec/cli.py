@@ -4,12 +4,12 @@ One logical job per invocation.  Inputs are builtin names, inline JSON, or
 file paths; outputs are canonical JSON (sorted keys, rationals as "p/q"
 strings), CSV, or aligned pretty text.  Exit codes: 0 success, 2 domain
 errors (reported as a structured error object, never a stack trace),
-1 I/O errors.  Output bytes depend only on the inputs; --threads is
-accepted for interface stability but everything here is already exact and
-single-pass, and --seed is reserved for randomized property drivers.
+1 I/O errors.  Output bytes depend only on the inputs.
 
 Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk, keyed by the
-canonical input JSON; cached and fresh runs emit identical bytes.
+canonical input JSON; cached and fresh runs emit identical bytes.  Entries
+are written atomically, and an entry that does not parse as a valid table
+is treated as a miss and rewritten.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import catalog
-from .errors import LiespecError
+from .errors import DomainError, LiespecError
 from .groups import biinvariant_spectrum
 from .isolation import (
     finiteness_window,
@@ -42,8 +42,6 @@ class JobConfig:
     cutoff: object = None
     fmt: str = "json"
     out: str = None
-    threads: int = 1
-    seed: int = 0
 
 
 def _parse_weight(text: str) -> tuple:
@@ -99,12 +97,20 @@ def _cached_table(key_obj, builder) -> SpectrumTable:
     os.makedirs(cache, exist_ok=True)
     key = hashlib.sha256(canonical_json(key_obj).encode()).hexdigest()
     path = os.path.join(cache, key + ".json")
-    if os.path.exists(path):
+    try:
         with open(path, "r", encoding="utf-8") as fh:
             return SpectrumTable.from_json_dict(json.load(fh))
+    except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
+        pass  # a miss; a corrupt entry (JSONDecodeError is a ValueError) too
     table = builder()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(table.to_json())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(table.to_json())
+        os.replace(tmp, path)  # readers see the old state or the whole entry
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return table
 
 
@@ -277,8 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="fmt",
         )
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         if cutoff:
             p.add_argument("--cutoff", required=True)
 
@@ -345,8 +349,6 @@ def config_from_args(argv) -> JobConfig:
         cutoff=ns.pop("cutoff", None),
         fmt=ns.pop("fmt"),
         out=ns.pop("out"),
-        threads=ns.pop("threads"),
-        seed=ns.pop("seed"),
     )
     cfg.options = ns
     return cfg

@@ -1,11 +1,5 @@
 from .congruence import congruent
-from .enumeration import (
-    enumerate_gram,
-    force_pure,
-    kernel_name,
-    short_vectors,
-    systole,
-)
+from .enumeration import enumerate_gram, short_vectors, systole
 from .lattice import HERMITE_POWER, Lattice, dual, hermite_bound_ok
 from .reduction import lll_gram, reduce_basis, reduce_with_transform
 from .spectra import torus_lambda1, torus_spectrum
@@ -16,9 +10,7 @@ __all__ = [
     "congruent",
     "dual",
     "enumerate_gram",
-    "force_pure",
     "hermite_bound_ok",
-    "kernel_name",
     "lll_gram",
     "reduce_basis",
     "reduce_with_transform",

@@ -1,48 +1,31 @@
-"""Short-vector enumeration with kernel dispatch.
+"""Short-vector enumeration in exact integer arithmetic.
 
 The problem is first cleared of denominators: for a rational Gram matrix G
 and rational bound b, a vector satisfies x^T G x <= b iff x^T A x <= B for
 the integer matrix A = q*G (q the common denominator) and B = floor(q*b),
-because x^T A x is an integer.  The integer problem is solved either by the
-compiled kernel (when present and when the integer sizes fit its overflow
-envelope) or by the exact pure-Python kernel; both return identical output,
-which the test suite checks differentially.
+because x^T A x is an integer.
 
-Set LIESPEC_PURE=1 (or call force_pure) to disable the compiled kernel.
+The integer problem is solved by Fincke-Pohst enumeration (Math. Comp. 44,
+1985) on a fraction-free square completion.  Bareiss elimination of A gives
+integer pivots p_i (the leading minors, p_{-1} = 1) and integer rows r_ij
+with
+
+    L * x^T A x = sum_i w_i * (p_i x_i + sum_{j>i} r_ij x_j)^2,
+    w_i = L / (p_{i-1} p_i),  L = lcm of the p_{i-1} p_i,
+
+so every quantity is an integer.  Coordinates are fixed from the last one
+down; at level i, with R the part of L*B not yet used and C the tail sum,
+the admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i),
+an interval found with two floor divisions.  No float and no Fraction is
+involved.  Each emitted total must be a multiple of L, since x^T A x is an
+integer; that is checked with an explicit raise, which ``python -O`` keeps.
 """
 
-import os
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .. import linalg
 from ..errors import DomainError
-from . import _enum_py
 from .lattice import Lattice
-
-try:
-    from . import _enum_core
-except ImportError:  # extension not built; pure path covers everything
-    _enum_core = None
-
-_force_pure = os.environ.get("LIESPEC_PURE", "") not in ("", "0")
-
-_MAX_ENTRY = 1 << 40
-_MAX_BOUND = 1 << 46
-_MAX_ACCUM = 1 << 62
-
-
-def kernel_name() -> str:
-    """Which kernel answers enumeration calls right now."""
-    if _enum_core is None or _force_pure:
-        return "pure"
-    return "compiled"
-
-
-def force_pure(flag: bool) -> None:
-    """Force the pure kernel on or off (benchmarks and differential tests)."""
-    global _force_pure
-    _force_pure = bool(flag)
 
 
 def _integer_problem(gram, bound: Fraction):
@@ -53,38 +36,71 @@ def _integer_problem(gram, bound: Fraction):
     return a, b, scale
 
 
-def _compiled_fits(a, bound: int) -> bool:
-    """Overflow envelope for the compiled kernel, checked exactly."""
+def _completed_squares(a):
+    """Pivots p, rows r and weights w, L of the integer square completion."""
     m = len(a)
-    if m > 12 or bound > _MAX_BOUND:
-        return False
-    if max(abs(x) for row in a for x in row) > _MAX_ENTRY:
-        return False
-    inv = linalg.inverse(linalg.mat(a))
-    xmax = []
-    for i in range(m):
-        s = bound * inv[i][i]
-        xmax.append(isqrt(s.numerator // s.denominator) + 2)
-    accum = sum(
-        abs(a[i][j]) * xmax[i] * xmax[j] for i in range(m) for j in range(m)
-    )
-    return accum <= _MAX_ACCUM
+    work = [list(row) for row in a]
+    pivots = []
+    prev = 1
+    for k in range(m):
+        p = work[k][k]
+        if p <= 0:
+            raise ValueError("matrix is not positive definite")
+        for i in range(k + 1, m):
+            for j in range(i, m):
+                work[i][j] = (p * work[i][j] - work[k][i] * work[k][j]) // prev
+        pivots.append(p)
+        prev = p
+    denoms = [lo * hi for lo, hi in zip([1] + pivots, pivots)]
+    total = lcm(*denoms)
+    weights = [total // d for d in denoms]
+    return pivots, work, weights, total
+
+
+def _short_vectors_int(a, bound: int):
+    """Canonical-sign nonzero x with x^T a x <= bound, with exact values.
+
+    Canonical sign: the highest-index nonzero coordinate is positive.  The
+    vectors come in ascending order of (x_{m-1}, ..., x_0).
+    """
+    if bound < 0:
+        return []
+    m = len(a)
+    pivots, rows, weights, total = _completed_squares(a)
+    budget = total * bound
+    out = []
+    x = [0] * m
+
+    def rec(i, used, zerotail):
+        p, w, row = pivots[i], weights[i], rows[i]
+        c = sum(row[j] * x[j] for j in range(i + 1, m))
+        s = isqrt((budget - used) // w)
+        lo = -((s + c) // p)
+        if zerotail and lo < 0:
+            lo = 0
+        for xi in range(lo, (s - c) // p + 1):
+            t = p * xi + c
+            x[i] = xi
+            if i:
+                rec(i - 1, used + w * t * t, zerotail and xi == 0)
+            elif not (zerotail and xi == 0):
+                value, rest = divmod(used + w * t * t, total)
+                if rest:
+                    raise ArithmeticError("x^T A x is not an integer")
+                out.append((tuple(x), value))
+        x[i] = 0
+
+    rec(m - 1, 0, True)
+    return out
 
 
 def enumerate_gram(gram, bound: Fraction):
     """Canonical-sign vectors (coords, squared length) for x^T gram x <= bound."""
     a, b, scale = _integer_problem(gram, bound)
-    if b < 0:
-        return []
-    raw = None
-    if _enum_core is not None and not _force_pure and _compiled_fits(a, b):
-        try:
-            raw = _enum_core.short_vectors_int(a, b)
-        except RuntimeError:
-            raw = None  # numerical breakdown; the exact kernel takes over
-    if raw is None:
-        raw = _enum_py.short_vectors_int(a, b)
-    return [(coords, Fraction(value, scale)) for coords, value in raw]
+    return [
+        (coords, Fraction(value, scale))
+        for coords, value in _short_vectors_int(a, b)
+    ]
 
 
 def short_vectors(lat: Lattice, bound):

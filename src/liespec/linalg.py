@@ -100,10 +100,3 @@ def leading_minors(a: Matrix) -> list:
 def is_positive_definite(a: Matrix) -> bool:
     return is_symmetric(a) and all(d > 0 for d in leading_minors(a))
 
-
-def is_integer_matrix(a: Matrix) -> bool:
-    return all(x.denominator == 1 for row in a for x in row)
-
-
-def is_unimodular(a: Matrix) -> bool:
-    return is_integer_matrix(a) and abs(det(a)) == 1

@@ -16,6 +16,7 @@ same cutoff are isospectral-at-cutoff iff their entries are equal.
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,11 +49,7 @@ class SpectrumTable:
             prev = eig
 
     def multiplicity(self, eig) -> int:
-        eig = Fraction(eig)
-        for e, m in self.entries:
-            if e == eig:
-                return m
-        return 0
+        return dict(self.entries).get(Fraction(eig), 0)
 
     def contains(self, eig) -> bool:
         return self.multiplicity(eig) > 0
@@ -132,5 +129,5 @@ def table_from_pairs(pairs, unit, cutoff, complete) -> SpectrumTable:
 def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:
     """Multiset symmetric-difference count: sum of |mult_a - mult_b| over
     all eigenvalues appearing in either table (absent = 0)."""
-    eigs = {e for e, _ in a.entries} | {e for e, _ in b.entries}
-    return sum(abs(a.multiplicity(e) - b.multiplicity(e)) for e in eigs)
+    ca, cb = Counter(dict(a.entries)), Counter(dict(b.entries))
+    return sum(((ca - cb) + (cb - ca)).values())

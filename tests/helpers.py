@@ -1,8 +1,11 @@
-"""Shared test utilities: random lattice generators and the independent
-box-enumeration oracle used to cross-check torus spectra."""
+"""Shared test utilities: random lattice generators, the independent
+box-enumeration oracle used to cross-check torus spectra, and the
+Fraction-based short-vector kernel used as the exact reference for the
+library's integer kernel."""
 
 import math
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -95,3 +98,82 @@ def box_oracle_spectrum(lat: Lattice, cutoff: Fraction) -> dict:
             key = Fraction(int(v), scale)
             counts[key] = counts.get(key, 0) + int(c)
     return counts
+
+
+# Exact reference kernel: completes squares on a rational decomposition of
+# the integer Gram matrix and prunes each coordinate to an exact integer
+# interval with Fractions.  Same contract as the library kernel: nonzero
+# integer x with x^T a x <= bound whose highest-index nonzero coordinate is
+# positive, each with its exact value, in the same order.
+
+
+def _floor_center_plus_sqrt(c: Fraction, s: Fraction) -> int:
+    """Largest integer x with x <= -c + sqrt(s), for rational c and s >= 0."""
+    p, q = s.numerator, s.denominator
+    root = Fraction(isqrt(p * q), q)  # floor-ish lower bound for sqrt(s)
+    x = (-c + root).__floor__()
+    # fix up against the exact predicate x + c <= sqrt(s)
+    while (x + 1 + c) <= 0 or (x + 1 + c) ** 2 <= s:
+        x += 1
+    while not ((x + c) <= 0 or (x + c) ** 2 <= s):
+        x -= 1
+    return x
+
+
+def _ceil_center_minus_sqrt(c: Fraction, s: Fraction) -> int:
+    """Smallest integer x with x >= -c - sqrt(s)."""
+    return -_floor_center_plus_sqrt(-c, s)
+
+
+def decompose(a):
+    """Rational decomposition Q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2."""
+    m = len(a)
+    work = [[Fraction(x) for x in row] for row in a]
+    d = [Fraction(0)] * m
+    u = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        d[i] = work[i][i]
+        if d[i] <= 0:
+            raise ValueError("matrix is not positive definite")
+        for j in range(i + 1, m):
+            u[i][j] = work[i][j] / d[i]
+        for k in range(i + 1, m):
+            for l in range(k, m):
+                work[k][l] -= d[i] * u[i][k] * u[i][l]
+    return d, u
+
+
+def short_vectors_int(a, bound: int):
+    """All canonical-sign nonzero x with x^T a x <= bound, plus exact values."""
+    m = len(a)
+    if bound < 0:
+        return []
+    d, u = decompose(a)
+    big_b = Fraction(bound)
+    out = []
+    x = [0] * m
+
+    def rec(i: int, used: Fraction, zerotail: bool):
+        remaining = big_b - used
+        c = sum(u[i][j] * x[j] for j in range(i + 1, m)) if i + 1 < m else Fraction(0)
+        s = remaining / d[i]
+        lo = _ceil_center_minus_sqrt(c, s)
+        hi = _floor_center_plus_sqrt(c, s)
+        if zerotail and lo < 0:
+            lo = 0
+        for xi in range(lo, hi + 1):
+            zt = zerotail and xi == 0
+            total = used + d[i] * (xi + c) ** 2
+            if total > big_b:
+                continue
+            x[i] = xi
+            if i == 0:
+                if not zt:
+                    assert total.denominator == 1
+                    out.append((tuple(x), int(total)))
+            else:
+                rec(i - 1, total, zt)
+        x[i] = 0
+
+    rec(m - 1, Fraction(0), True)
+    return out

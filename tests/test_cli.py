@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -192,14 +194,36 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert fresh == first
 
 
-def test_determinism_and_inert_threads(capsys):
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
+    args = ("torus-spectrum", "--gram", "hexagonal", "--cutoff", "7")
+    code, fresh = run_cli(capsys, *args)
+    assert code == 0
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))
+    run_cli(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(fresh[: len(fresh) // 2])  # a half-written table
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    assert out == fresh
+    assert os.listdir(tmp_path) == [entry.name]
+    assert entry.read_text() == fresh
+    code, again = run_cli(capsys, *args)
+    assert again == fresh
+
+
+def test_determinism(capsys):
+    # a second, cold process with another hash seed prints the same bytes
     args = ("natred-spectrum", "--metric", METRIC, "--cutoff", "3")
-    outs = set()
-    for extra in ((), ("--threads", "4"), ("--threads", "2", "--seed", "7")):
-        code, out = run_cli(capsys, *(args + extra))
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
+    code, first = run_cli(capsys, *args)
+    assert code == 0
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED="7"
+    )
+    second = subprocess.run(
+        [sys.executable, "-m", "liespec.cli", *args],
+        env=env, capture_output=True, check=True,
+    ).stdout
+    assert second == first.encode()
 
 
 def test_file_descriptor_input(tmp_path, capsys):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import box_oracle_spectrum, random_rational_basis
+from helpers import (
+    box_oracle_spectrum,
+    random_rational_basis,
+    short_vectors_int,
+)
+from liespec import build
 from liespec.errors import DomainError, UnsupportedDimensionError
 from liespec.lattices import (
     HERMITE_POWER,
@@ -14,14 +19,12 @@ from liespec.lattices import (
     dual,
     enumerate_gram,
     hermite_bound_ok,
-    kernel_name,
     reduce_with_transform,
     short_vectors,
     systole,
     torus_lambda1,
     torus_spectrum,
 )
-from liespec.lattices import _enum_py
 from liespec.lattices.enumeration import _integer_problem
 from liespec.lattices.reduction import lll_gram
 from liespec.linalg import det, inverse, matmul, transpose
@@ -131,40 +134,24 @@ def test_oracle_agreement_small():
 
 
 def test_kernel_differential():
-    # compiled and pure kernels must agree vector for vector
+    # the integer kernel returns the Fraction reference's exact list, in order
     rng = random.Random(99)
+    problems = []
     for _ in range(30):
         m = rng.randint(1, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
-        bound = F(rng.randint(1, 40), rng.randint(1, 3))
-        a, b_int, scale = _integer_problem(lat.gram, bound)
-        pure = sorted(
-            (c, F(v, scale)) for c, v in _enum_py.short_vectors_int(a, b_int)
-        )
-        assert sorted(enumerate_gram(lat.gram, bound)) == pure
+        problems.append((lat.gram, F(rng.randint(1, 40), rng.randint(1, 3))))
+    problems.append((build("E8").cartan, F(6)))
+    for gram, bound in problems:
+        a, b_int, scale = _integer_problem(gram, bound)
+        reference = [
+            (c, F(v, scale)) for c, v in short_vectors_int(a, b_int)
+        ]
+        assert enumerate_gram(gram, bound) == reference
 
 
-def test_kernel_name_reports():
-    assert kernel_name() in ("compiled", "pure")
-
-
-def test_force_pure_switches_kernel():
-    from liespec.lattices.enumeration import force_pure
-
-    before = kernel_name()
-    try:
-        force_pure(True)
-        assert kernel_name() == "pure"
-        assert dict(torus_spectrum(HEX, F(4)).entries) == dict(
-            box_oracle_spectrum(HEX, F(4))
-        )
-    finally:
-        force_pure(before == "pure")
-    assert kernel_name() == before
-
-
-def test_overflow_envelope_falls_back_exactly():
-    # entries beyond the compiled kernel's envelope still enumerate right
+def test_large_entries_enumerate_exactly():
+    # entries far beyond 64-bit products still enumerate right
     big = 1 << 41
     lat = Lattice.from_gram(((F(big), F(0)), (F(0), F(big))))
     vecs = short_vectors(lat, F(4 * big))
