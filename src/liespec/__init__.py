@@ -15,11 +15,11 @@ from .branching import (
     branch,
     embedding_index,
     killing_ratio,
-    restriction_norm_bound_sq,
     spherical_mult,
     validate_embedding,
 )
 from .errors import (
+    CertificationError,
     DomainError,
     InadmissibleMetricError,
     LiespecError,
@@ -72,6 +72,7 @@ from .weights import (
 __all__ = [
     "BiInvariantOperator",
     "BranchingResult",
+    "CertificationError",
     "DomainError",
     "EmbeddingSpec",
     "GammaVector",
@@ -108,7 +109,6 @@ __all__ = [
     "natred_terms",
     "normal_quotient_spectrum",
     "reduce_basis",
-    "restriction_norm_bound_sq",
     "short_vectors",
     "spherical_mult",
     "systole",

@@ -253,36 +253,6 @@ def killing_ratio(emb: EmbeddingSpec) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
-def restriction_norm_bound_sq(emb: EmbeddingSpec) -> Fraction:
-    """Rational upper bound for the squared operator norm of the restriction.
-
-    The norm is taken between the <theta,theta>=2 forms on G- and K-weight
-    space.  The squared norm is the largest eigenvalue of
-    F_G^{-1} R^T F_K R, which the Gershgorin row bound dominates.
-    """
-    if emb.num_factors == 0:
-        return Fraction(0)
-    n = emb.ambient.rank
-    blocks = []
-    for f in emb.factors:
-        blocks.append(f.fund_form)
-    total = sum(f.rank for f in emb.factors)
-    fk = [[Fraction(0)] * total for _ in range(total)]
-    at = 0
-    for f, block in zip(emb.factors, blocks):
-        for i in range(f.rank):
-            for j in range(f.rank):
-                fk[at + i][at + j] = block[i][j]
-        at += f.rank
-    fk = tuple(tuple(row) for row in fk)
-    r = emb.restriction
-    rt_fk_r = linalg.matmul(linalg.transpose(r), linalg.matmul(fk, r))
-    fg_inv = linalg.inverse(emb.ambient.fund_form)
-    mat = linalg.matmul(fg_inv, rt_fk_r)
-    return max(sum(abs(x) for x in row) for row in mat)
-
-
 def contragredient_tuple(emb: EmbeddingSpec, tup) -> tuple:
     """Apply per-factor contragredient to a branching term label."""
     return tuple(

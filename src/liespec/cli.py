@@ -3,8 +3,9 @@
 One logical job per invocation.  Inputs are builtin names, inline JSON, or
 file paths; outputs are canonical JSON (sorted keys, rationals as "p/q"
 strings), CSV, or aligned pretty text.  Exit codes: 0 success, 2 domain
-errors (reported as a structured error object, never a stack trace),
-1 I/O errors.  Output bytes depend only on the inputs.
+and certification errors, 1 I/O, parse and usage errors (an unknown or
+missing flag); errors go to stdout as a structured error object, never a
+stack trace or usage text.  Output bytes depend only on the inputs.
 
 Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk, keyed by the
 canonical input JSON; cached and fresh runs emit identical bytes.  Entries
@@ -234,39 +235,39 @@ _RUNNERS = {
 }
 
 
+def _report_error(exc: Exception, code: int) -> int:
+    err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    sys.stdout.write(canonical_json(err))
+    return code
+
+
 def run(cfg: JobConfig) -> int:
     try:
         text = _RUNNERS[cfg.command](cfg)
     except LiespecError as exc:
-        err = {
-            "error": {"type": type(exc).__name__, "message": str(exc)}
-        }
-        sys.stdout.write(canonical_json(err))
-        return 2
+        return _report_error(exc, 2)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        err = {
-            "error": {"type": type(exc).__name__, "message": str(exc)}
-        }
-        sys.stdout.write(canonical_json(err))
-        return 1
+        return _report_error(exc, 1)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            sys.stdout.write(
-                canonical_json(
-                    {"error": {"type": "OSError", "message": str(exc)}}
-                )
-            )
-            return 1
+            return _report_error(exc, 1)
     else:
         sys.stdout.write(text)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liespec",
         description=(
             "Exact truncated Laplace spectra of flat tori and compact "
@@ -356,7 +357,11 @@ def config_from_args(argv) -> JobConfig:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    return run(config_from_args(argv))
+    try:
+        cfg = config_from_args(argv)
+    except argparse.ArgumentError as exc:
+        return _report_error(exc, 1)
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception taxonomy.
 
 Domain errors (bad mathematical input) are kept separate from I/O errors so
-the command line interface can map them to distinct exit codes.
+the command line interface can map them to distinct exit codes.  A failed
+certification check is a package error too, raised explicitly so that
+``python -O`` cannot remove it.
 """
 
 
@@ -23,3 +25,7 @@ class MalformedEmbeddingError(DomainError):
 
 class UnsupportedDimensionError(DomainError):
     """Operation only implemented up to a stated dimension or rank."""
+
+
+class CertificationError(LiespecError):
+    """A check that certifies a result (completeness, a lemma) failed."""

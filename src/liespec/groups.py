@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .branching import EmbeddingSpec, spherical_mult
-from .errors import DomainError
+from .errors import CertificationError, DomainError
 from .rational import fmt, rat
 from .rootdata import RootSystemData, build, casimir, check_weight
 from .spectrum import SpectrumTable, table_from_pairs
@@ -166,7 +166,8 @@ def factor_lambda1(rs: RootSystemData, scale):
         GroupSpec(factors=(rs,), scales=(scale,)), best[0]
     )
     nonzero = [e for e, _ in table.entries if e > 0]
-    assert nonzero and nonzero[0] == best[0]
+    if not nonzero or nonzero[0] != best[0]:
+        raise CertificationError("lambda1 is not at a fundamental weight")
     return best
 
 

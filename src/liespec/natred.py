@@ -22,8 +22,8 @@ dim(sigma) * [sigma : tau-bar] * dim(tau).
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
 so every eigenvalue is at least c(sigma) * min(1, t/max t_i) / t.  The code
-asserts the domination term by term, which makes every truncated table
-complete in both modes.
+checks the domination term by term and raises CertificationError if it
+fails, which makes every truncated table complete in both modes.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ from .branching import (
     contragredient_tuple,
     killing_ratio,
 )
-from .errors import DomainError, InadmissibleMetricError
+from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .groups import factor_lambda1
 from .rational import fmt, rat
 from .rootdata import RootSystemData, casimir, check_weight
@@ -194,7 +194,10 @@ def natred_terms(m: NatRedMetric, cutoff):
                 correction += (m.base_scale / t_i - 1) * c_part / j
                 dim_tau *= weyl_dim(f, part)
             # horizontal Laplacian positivity; certifies the budget
-            assert fiber_amb <= c_lam
+            if fiber_amb > c_lam:
+                raise CertificationError(
+                    f"horizontal positivity fails at sigma={lam}, tau={tau}"
+                )
             eig = (c_lam + correction) / m.base_scale
             if eig > cutoff:
                 continue
@@ -234,7 +237,8 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     ops = BiInvariantOperator(coeffs=m.fiber_scales)
     shifted = f_map(ops, m.base_scale)
     betas = beta_factors(m)
-    assert shifted.coeffs == betas
+    if shifted.coeffs != betas:
+        raise CertificationError("shifted fiber operator != beta factors")
     factor = m.emb.factors[factor_index]
     j = killing_ratio(m.emb)[factor_index]
     gamma, tau_p = factor_lambda1(

@@ -5,25 +5,33 @@ Weights live in fundamental-weight coordinates: an integer tuple
 j-th coordinate is the pairing with the j-th simple coroot.  Rows of the
 Cartan matrix are then exactly the simple roots in these coordinates.
 
-Two exact inner products are carried:
+Every Lie primitive reads integer tables built once per root system
+(Fractions appear only while they are built):
 
-* the normalized form ``ip_norm`` with <theta, theta> = 2 for the highest
-  root theta (the ``fund_form`` matrix equals the inverse Cartan matrix
-  times the symmetrizer, rescaled to this normalization);
-* the Killing-dual form ``killing_dual_ip`` = ip_norm / (2 h^vee), which is
-  the form induced on weights by the negative Killing form and the one the
-  Casimir eigenvalue is measured against:
+* ``coroots`` -- each positive coroot in simple-coroot coordinates, so
+  (lambda, beta^vee) = coroot . lambda; ``weyl_den`` = prod (rho, beta^vee);
+* ``form`` over ``form_den`` -- the normalized form ``ip_norm``,
+  <u, v> = u . form . v / form_den, with <theta, theta> = 2 for the
+  highest root theta;
+* ``cartan_adj`` over ``cartan_det`` -- the simple-root coordinates of a
+  weight w are cartan_adj . w / cartan_det.
 
-      casimir(lambda) = <lambda, lambda + 2 rho> / (2 h^vee).
+The Killing-dual form ``killing_dual_ip`` = ip_norm / (2 h^vee) is the
+form induced on weights by the negative Killing form and the one the
+Casimir eigenvalue is measured against:
+
+    casimir(lambda) = <lambda, lambda + 2 rho> / (2 h^vee).
 
 Everything is derived from the Cartan matrix at build time; the dual
-Coxeter number is recomputed as 1 + <rho, theta> and the stated diagram
-involution for -w0 is verified to permute the positive roots.
+Coxeter number is recomputed as 1 + <rho, theta>, every coroot is checked
+to be integral, and the stated diagram involution for -w0 is verified to
+permute the positive roots.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from . import linalg
 from .errors import DomainError
@@ -157,8 +165,12 @@ class RootSystemData:
     pos_roots_rootc: tuple
     highest_root: tuple
     rho: tuple
-    fund_form: tuple
-    symmetrizer: tuple
+    coroots: tuple
+    weyl_den: int
+    form: tuple
+    form_den: int
+    cartan_adj: tuple
+    cartan_det: int
     dual_coxeter: int
     dim_g: int
     minus_w0: tuple
@@ -219,6 +231,22 @@ def _build(name: str) -> RootSystemData:
     )
     if not linalg.is_symmetric(fund_form):
         raise DomainError("fundamental form failed symmetry; bad Cartan data")
+    form_den = lcm(*(x.denominator for row in fund_form for x in row))
+    form = tuple(tuple(int(x * form_den) for x in row) for row in fund_form)
+    det = linalg.det(linalg.mat(cartan))
+    cartan_adj = tuple(
+        tuple(int(cinv[j][i] * det) for j in range(n)) for i in range(n)
+    )
+
+    coroots = []
+    for f, rc in zip(fund_list, rootc_list):
+        # (lambda, beta) = vec . lambda and beta^vee = 2 beta / (beta, beta)
+        vec = [rc[k] * d[k] for k in range(n)]
+        beta_sq = sum(v * b for v, b in zip(vec, f))
+        co = [2 * x / beta_sq for x in vec]
+        if any(x.denominator != 1 for x in co):
+            raise DomainError("coroot is not integral; bad Cartan data")
+        coroots.append(tuple(int(x) for x in co))
 
     rho = tuple(1 for _ in range(n))
     rho_theta = sum(theta_rootc[k] * d[k] for k in range(n))
@@ -241,8 +269,12 @@ def _build(name: str) -> RootSystemData:
         pos_roots_rootc=rootc_list,
         highest_root=theta_fund,
         rho=rho,
-        fund_form=fund_form,
-        symmetrizer=tuple(d),
+        coroots=tuple(coroots),
+        weyl_den=prod(sum(co) for co in coroots),
+        form=form,
+        form_den=form_den,
+        cartan_adj=cartan_adj,
+        cartan_det=int(det),
         dual_coxeter=hvee,
         dim_g=2 * len(fund_list) + n,
         minus_w0=perm,
@@ -266,18 +298,13 @@ def is_dominant(weight) -> bool:
 
 def ip_norm(rs: RootSystemData, u, v) -> Fraction:
     """Inner product in the normalization <theta, theta> = 2."""
-    total = Fraction(0)
-    form = rs.fund_form
-    for i, ui in enumerate(u):
-        if ui:
-            row = form[i]
-            total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-    return total
+    return Fraction(linalg.form_value(rs.form, u, v), rs.form_den)
 
 
 def killing_dual_ip(rs: RootSystemData, u, v) -> Fraction:
     """Inner product induced by the negative Killing form on weights."""
-    return ip_norm(rs, u, v) / (2 * rs.dual_coxeter)
+    value = linalg.form_value(rs.form, u, v)
+    return Fraction(value, 2 * rs.dual_coxeter * rs.form_den)
 
 
 def casimir(rs: RootSystemData, weight) -> Fraction:

@@ -1,9 +1,10 @@
 """Weights and characters of irreducible representations.
 
-The three workhorses:
+All three run on the integer tables of ``rootdata``:
 
-* ``weyl_dim`` -- the Weyl dimension formula as a product of exact
-  rationals (the result is asserted to be an integer);
+* ``weyl_dim`` -- the Weyl dimension formula as an integer product over
+  the coroots, divided exactly by the Weyl denominator (a remainder, or a
+  quotient that is not positive, raises DomainError);
 * ``weight_diagram`` -- the full character of V_lambda: dominant weights
   are enumerated inside an exact norm box and their multiplicities are
   computed by the Freudenthal recursion, then Weyl orbits fill in the rest;
@@ -18,32 +19,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from . import linalg
 from .errors import DomainError
+from .linalg import dot, form_value, matvec
 from .rootdata import (
     RootSystemData,
     casimir,
     check_weight,
     contragredient_weight,
     dominant_rep,
-    ip_norm,
     is_dominant,
     weyl_orbit,
 )
-
-
-def _root_ip_vectors(rs: RootSystemData):
-    """For each positive root beta, the vector v with (mu, beta) = v . mu."""
-    vectors = []
-    for rc in rs.pos_roots_rootc:
-        vectors.append(
-            tuple(rc[k] * rs.symmetrizer[k] for k in range(rs.rank))
-        )
-    return vectors
-
-
-def _pairing(vec, weight) -> Fraction:
-    return sum(v * w for v, w in zip(vec, weight))
 
 
 def weyl_dim(rs: RootSystemData, weight) -> int:
@@ -52,57 +38,54 @@ def weyl_dim(rs: RootSystemData, weight) -> int:
     if not is_dominant(lam):
         raise DomainError("weyl_dim expects a dominant weight")
     shifted = tuple(x + 1 for x in lam)
-    num = Fraction(1)
-    den = Fraction(1)
-    for vec in _root_ip_vectors(rs):
-        num *= _pairing(vec, shifted)
-        den *= _pairing(vec, rs.rho)
-    value = num / den
-    if value.denominator != 1 or value <= 0:
+    num = 1
+    for co in rs.coroots:
+        num *= sum(c * x for c, x in zip(co, shifted))
+    value, rest = divmod(num, rs.weyl_den)
+    if rest or value <= 0:
         raise DomainError("Weyl dimension did not come out a positive integer")
-    return int(value)
+    return value
 
 
-def _floor_sqrt(value: Fraction) -> int:
-    if value < 0:
-        return -1
-    return isqrt(value.numerator // value.denominator)
+def _root_height(rs: RootSystemData, lam, mu):
+    """Height of lam - mu in the nonnegative root cone, or None outside it."""
+    diff = tuple(a - b for a, b in zip(lam, mu))
+    height = 0
+    det = rs.cartan_det
+    for row in rs.cartan_adj:
+        coeff, rest = divmod(sum(a * x for a, x in zip(row, diff)), det)
+        if rest or coeff < 0:
+            return None
+        height += coeff
+    return height
 
 
 def _dominant_candidates(rs: RootSystemData, lam):
-    """Dominant mu with lam - mu in the nonnegative root cone."""
-    n = rs.rank
-    lam_sq = ip_norm(rs, lam, lam)
-    box = []
-    for j in range(n):
-        box.append(range(_floor_sqrt(lam_sq / rs.fund_form[j][j]) + 1))
-    cinv_t = linalg.transpose(linalg.inverse(linalg.mat(rs.cartan)))
+    """Dominant mu with lam - mu in the nonnegative root cone, by height."""
+    lam_sq = form_value(rs.form, lam, lam)
+    box = [range(isqrt(lam_sq // rs.form[j][j]) + 1) for j in range(rs.rank)]
     out = []
     for mu in itertools.product(*box):
-        diff = tuple(Fraction(a - b) for a, b in zip(lam, mu))
-        coeffs = linalg.matvec(cinv_t, diff)
-        if all(c.denominator == 1 and c >= 0 for c in coeffs):
-            out.append((mu, sum(int(c) for c in coeffs)))
-    out.sort(key=lambda t: (t[1], t[0]))  # by height of lam - mu
+        height = _root_height(rs, lam, mu)
+        if height is not None:
+            out.append((mu, height))
+    out.sort(key=lambda t: (t[1], t[0]))
     return out
 
 
 @lru_cache(maxsize=None)
 def dominant_character(rs: RootSystemData, weight) -> tuple:
-    """((mu, mult), ...) over dominant weights of V_weight, Freudenthal."""
+    """((mu, mult), ...) over dominant weights of V_weight, Freudenthal.
+
+    Inner products are taken times form_den, which cancels in the ratio.
+    """
     lam = check_weight(rs, weight)
     if not is_dominant(lam):
         raise DomainError("character expects a dominant highest weight")
-    root_vecs = _root_ip_vectors(rs)
-    lam_shift_sq = ip_norm(
-        rs, tuple(x + 1 for x in lam), tuple(x + 1 for x in lam)
-    )
-    cinv_t = linalg.transpose(linalg.inverse(linalg.mat(rs.cartan)))
-
-    def in_cone(nu):
-        diff = tuple(Fraction(a - b) for a, b in zip(lam, nu))
-        coeffs = linalg.matvec(cinv_t, diff)
-        return all(c.denominator == 1 and c >= 0 for c in coeffs)
+    # (nu, beta) * form_den = nu . (form . beta)
+    root_vecs = [matvec(rs.form, beta) for beta in rs.pos_roots_fund]
+    lam_shift = tuple(x + 1 for x in lam)
+    lam_shift_sq = form_value(rs.form, lam_shift, lam_shift)
 
     mults = {}
     for mu, height in _dominant_candidates(rs, lam):
@@ -110,25 +93,25 @@ def dominant_character(rs: RootSystemData, weight) -> tuple:
             mults[mu] = 1
             continue
         mu_shift = tuple(x + 1 for x in mu)
-        denom = lam_shift_sq - ip_norm(rs, mu_shift, mu_shift)
-        total = Fraction(0)
+        denom = lam_shift_sq - form_value(rs.form, mu_shift, mu_shift)
+        total = 0
         for beta_fund, vec in zip(rs.pos_roots_fund, root_vecs):
             k = 1
             while True:
                 nu = tuple(m + k * b for m, b in zip(mu, beta_fund))
-                if not in_cone(nu):
+                if _root_height(rs, lam, nu) is None:
                     break
                 mult_nu = mults.get(dominant_rep(rs, nu), 0)
                 if mult_nu:
-                    total += mult_nu * _pairing(vec, nu)
+                    total += mult_nu * dot(vec, nu)
                 k += 1
         if total == 0:
             continue  # mu is not a weight of V_lambda
-        value = 2 * total / denom
-        if value.denominator != 1 or value < 0:
+        value, rest = divmod(2 * total, denom)
+        if rest or value < 0:
             raise DomainError("Freudenthal recursion produced a non-integer")
         if value:
-            mults[mu] = int(value)
+            mults[mu] = value
     return tuple(sorted(mults.items()))
 
 

@@ -1,16 +1,23 @@
 """Shared test utilities: random lattice generators, the independent
-box-enumeration oracle used to cross-check torus spectra, and the
+box-enumeration oracle used to cross-check torus spectra, the
 Fraction-based short-vector kernel used as the exact reference for the
-library's integer kernel."""
+library's integer kernel, and the Fraction-based Weyl dimension, Casimir
+and Freudenthal code used as the exact reference for the library's
+integer root-system tables."""
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
+from liespec import linalg
+from liespec.errors import DomainError
 from liespec.lattices import Lattice
 from liespec.linalg import inverse
+from liespec.rootdata import check_weight, dominant_rep, is_dominant
 
 
 def random_integer_basis(rng, m, lo=-2, hi=2):
@@ -177,3 +184,148 @@ def short_vectors_int(a, bound: int):
 
     rec(m - 1, Fraction(0), True)
     return out
+
+
+# Exact reference Lie primitives: the symmetrizer and the <theta,theta> = 2
+# fundamental form as Fractions, rebuilt from the Cartan matrix alone, and
+# Weyl dimension, Casimir and Freudenthal computed on them in Fractions.
+
+
+@lru_cache(maxsize=None)
+def fraction_tables(rs):
+    """(symmetrizer d, fundamental form) as Fractions, <theta,theta> = 2."""
+    cartan, n = rs.cartan, rs.rank
+    d = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
+                stack.append(j)
+    theta = rs.pos_roots_rootc[rs.pos_roots_fund.index(rs.highest_root)]
+    theta_sq = sum(
+        theta[i] * theta[j] * cartan[i][j] * d[j]
+        for i in range(n)
+        for j in range(n)
+    )
+    d = tuple(x * Fraction(2) / theta_sq for x in d)
+    cinv = linalg.inverse(linalg.mat(cartan))
+    fund_form = tuple(
+        tuple(cinv[i][j] * d[j] for j in range(n)) for i in range(n)
+    )
+    return d, fund_form
+
+
+def ref_ip_norm(rs, u, v) -> Fraction:
+    total = Fraction(0)
+    form = fraction_tables(rs)[1]
+    for i, ui in enumerate(u):
+        if ui:
+            row = form[i]
+            total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
+    return total
+
+
+def ref_casimir(rs, weight) -> Fraction:
+    lam = check_weight(rs, weight)
+    if not is_dominant(lam):
+        raise DomainError("casimir expects a dominant weight")
+    shifted = tuple(x + 2 for x in lam)
+    return ref_ip_norm(rs, lam, shifted) / (2 * rs.dual_coxeter)
+
+
+def _root_ip_vectors(rs):
+    d = fraction_tables(rs)[0]
+    return [
+        tuple(rc[k] * d[k] for k in range(rs.rank))
+        for rc in rs.pos_roots_rootc
+    ]
+
+
+def _pairing(vec, weight) -> Fraction:
+    return sum(v * w for v, w in zip(vec, weight))
+
+
+def ref_weyl_dim(rs, weight) -> int:
+    lam = check_weight(rs, weight)
+    if not is_dominant(lam):
+        raise DomainError("weyl_dim expects a dominant weight")
+    shifted = tuple(x + 1 for x in lam)
+    num = Fraction(1)
+    den = Fraction(1)
+    for vec in _root_ip_vectors(rs):
+        num *= _pairing(vec, shifted)
+        den *= _pairing(vec, rs.rho)
+    value = num / den
+    if value.denominator != 1 or value <= 0:
+        raise DomainError("Weyl dimension did not come out a positive integer")
+    return int(value)
+
+
+def _floor_sqrt(value: Fraction) -> int:
+    if value < 0:
+        return -1
+    return isqrt(value.numerator // value.denominator)
+
+
+def _dominant_candidates(rs, lam):
+    n = rs.rank
+    fund_form = fraction_tables(rs)[1]
+    lam_sq = ref_ip_norm(rs, lam, lam)
+    box = []
+    for j in range(n):
+        box.append(range(_floor_sqrt(lam_sq / fund_form[j][j]) + 1))
+    cinv_t = linalg.transpose(linalg.inverse(linalg.mat(rs.cartan)))
+    out = []
+    for mu in itertools.product(*box):
+        diff = tuple(Fraction(a - b) for a, b in zip(lam, mu))
+        coeffs = linalg.matvec(cinv_t, diff)
+        if all(c.denominator == 1 and c >= 0 for c in coeffs):
+            out.append((mu, sum(int(c) for c in coeffs)))
+    out.sort(key=lambda t: (t[1], t[0]))  # by height of lam - mu
+    return out
+
+
+def ref_dominant_character(rs, weight) -> tuple:
+    lam = check_weight(rs, weight)
+    if not is_dominant(lam):
+        raise DomainError("character expects a dominant highest weight")
+    root_vecs = _root_ip_vectors(rs)
+    lam_shift_sq = ref_ip_norm(
+        rs, tuple(x + 1 for x in lam), tuple(x + 1 for x in lam)
+    )
+    cinv_t = linalg.transpose(linalg.inverse(linalg.mat(rs.cartan)))
+
+    def in_cone(nu):
+        diff = tuple(Fraction(a - b) for a, b in zip(lam, nu))
+        coeffs = linalg.matvec(cinv_t, diff)
+        return all(c.denominator == 1 and c >= 0 for c in coeffs)
+
+    mults = {}
+    for mu, height in _dominant_candidates(rs, lam):
+        if height == 0:
+            mults[mu] = 1
+            continue
+        mu_shift = tuple(x + 1 for x in mu)
+        denom = lam_shift_sq - ref_ip_norm(rs, mu_shift, mu_shift)
+        total = Fraction(0)
+        for beta_fund, vec in zip(rs.pos_roots_fund, root_vecs):
+            k = 1
+            while True:
+                nu = tuple(m + k * b for m, b in zip(mu, beta_fund))
+                if not in_cone(nu):
+                    break
+                mult_nu = mults.get(dominant_rep(rs, nu), 0)
+                if mult_nu:
+                    total += mult_nu * _pairing(vec, nu)
+                k += 1
+        if total == 0:
+            continue  # mu is not a weight of V_lambda
+        value = 2 * total / denom
+        if value.denominator != 1 or value < 0:
+            raise DomainError("Freudenthal recursion produced a non-integer")
+        if value:
+            mults[mu] = int(value)
+    return tuple(sorted(mults.items()))

@@ -10,13 +10,12 @@ from liespec.branching import (
     contragredient_tuple,
     embedding_index,
     killing_ratio,
-    restriction_norm_bound_sq,
     spherical_mult,
     validate_embedding,
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve_embedding
 from liespec.errors import DomainError, MalformedEmbeddingError
-from liespec.rootdata import build, ip_norm
+from liespec.rootdata import build
 from liespec.weights import weyl_dim
 
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
@@ -67,7 +66,6 @@ def test_rank_zero_factor_list():
     assert branch(emb, (1, 1)).as_dict() == {(): 8}
     assert spherical_mult(emb, (1, 0)) == 3
     assert embedding_index(emb) == ()
-    assert restriction_norm_bound_sq(emb) == 0
 
 
 def test_dimension_identity_random():
@@ -171,20 +169,3 @@ def test_json_round_trip():
         assert back.restriction == emb.restriction
         assert back.name == emb.name == name
     assert resolve_embedding("a1-in-a2-standard") is STD
-
-
-def test_restriction_norm_bound():
-    rng = random.Random(11)
-    for emb in (STD, PRINC, SO4, IDA2):
-        bound = restriction_norm_bound_sq(emb)
-        assert bound > 0
-        for _ in range(20):
-            lam = tuple(rng.randint(-4, 4) for _ in range(emb.ambient.rank))
-            try:
-                parts = emb.restrict_weight(lam)
-            except MalformedEmbeddingError:
-                continue
-            pushed = sum(
-                ip_norm(f, p, p) for f, p in zip(emb.factors, parts)
-            )
-            assert pushed <= bound * ip_norm(emb.ambient, lam, lam)

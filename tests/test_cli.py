@@ -147,6 +147,65 @@ def test_domain_error_exits_two(capsys):
     assert code == 2
 
 
+def test_usage_errors_exit_one(capsys):
+    for argv in (
+        ("torus-spectrum", "--gram", "identity2", "--cutoff", "3",
+         "--threads", "2"),
+        ("torus-spectrum", "--gram", "identity2"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""  # no usage text
+        err = json.loads(captured.out)["error"]
+        assert err["type"] == "ArgumentError"
+        assert ("--threads" if "--threads" in argv else "--cutoff") in (
+            err["message"]
+        )
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "torus-spectrum" in capsys.readouterr().out
+
+
+# Runs under python -O, with a killing_ratio that breaks horizontal
+# positivity; prints what natred_terms raised and what cli.main returned.
+_FAULT_SCRIPT = """
+import contextlib, io, json
+from fractions import Fraction
+import liespec.natred as natred
+from liespec.cli import main
+from liespec.errors import CertificationError
+
+natred.killing_ratio = lambda emb: tuple(Fraction(1, 100) for _ in emb.factors)
+m = natred.NatRedMetric.from_json_dict(json.loads(METRIC))
+try:
+    natred.natred_terms(m, 1)
+    raised = None
+except CertificationError as exc:
+    raised = type(exc).__name__
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main(["natred-spectrum", "--metric", METRIC, "--cutoff", "1"])
+print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
+                  "out": buf.getvalue()}))
+"""
+
+
+def test_certification_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("LIESPEC_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         f"METRIC = {METRIC!r}\n" + _FAULT_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False  # asserts really are stripped
+    assert result["raised"] == "CertificationError"
+    assert result["code"] == 2
+    assert json.loads(result["out"])["error"]["type"] == "CertificationError"
+
+
 def test_csv_format(capsys):
     code, out = run_cli(
         capsys, "torus-spectrum", "--gram", "identity2", "--cutoff", "2",

@@ -134,3 +134,66 @@ def test_weights_lie_below_highest(name, lam):
     top = ip_norm(rs, lam, lam)
     for mu, _ in weight_diagram(rs, lam).mults:
         assert ip_norm(rs, mu, mu) <= top
+
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(3, 7)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_integer_tables_match_fraction_reference():
+    from helpers import (
+        ref_casimir,
+        ref_dominant_character,
+        ref_ip_norm,
+        ref_weyl_dim,
+    )
+    from liespec.rootdata import ip_norm, killing_dual_ip
+
+    rng = random.Random(2024)
+    for name in ALL_TYPES:
+        rs = build(name)
+        for _ in range(12):
+            lam = tuple(rng.randint(0, 4) for _ in range(rs.rank))
+            mu = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            assert weyl_dim(rs, lam) == ref_weyl_dim(rs, lam)
+            assert casimir(rs, lam) == ref_casimir(rs, lam)
+            assert ip_norm(rs, lam, mu) == ref_ip_norm(rs, lam, mu)
+            assert killing_dual_ip(rs, mu, lam) == ref_ip_norm(
+                rs, mu, lam
+            ) / (2 * rs.dual_coxeter)
+        # characters: distinct sparse nonzero weights, small enough for
+        # the Fraction reference
+        seen = set()
+        for _ in range(200):
+            lam = tuple(
+                rng.randint(1, 2) if rng.random() < 1.5 / rs.rank else 0
+                for _ in range(rs.rank)
+            )
+            if not any(lam) or lam in seen or weyl_dim(rs, lam) > 4000:
+                continue
+            seen.add(lam)
+            got = dominant_character(rs, lam)
+            assert got == ref_dominant_character(rs, lam)
+            assert all(type(m) is int for _, m in got)
+            if len(seen) == 3:
+                break
+        assert len(seen) >= 2
+
+
+def test_frozen_dimensions_and_highest_root():
+    e8 = build("E8")
+    fundamentals = [
+        tuple(1 if i == k else 0 for i in range(8)) for k in range(8)
+    ]
+    assert [weyl_dim(e8, w) for w in fundamentals] == [
+        3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248,
+    ]
+    for name in ALL_TYPES:
+        rs = build(name)
+        assert casimir(rs, rs.highest_root) == 1
+        assert weyl_dim(rs, rs.highest_root) == rs.dim_g
