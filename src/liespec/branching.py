@@ -2,14 +2,21 @@
 
 An embedding of K = K_1 x ... x K_r into a simple G is given by a rational
 restriction matrix carrying G-weight coordinates to concatenated K-weight
-coordinates (the transpose of the Cartan-subalgebra inclusion).  Branching
-pushes the full weight diagram of a G-irreducible through that matrix and
-peels highest weights: repeatedly take the surviving dominant tuple that is
-maximal by (total Casimir, then graded-lex) -- such a tuple is a maximal
-weight of the residual character, so subtracting its product diagram keeps
-the residue a genuine character -- and record its multiplicity.  Everything
-is exact, and malformed restriction data surfaces as a non-integer image or
-a negative residue, never as a wrong answer.
+coordinates (the transpose of the Cartan-subalgebra inclusion); it is held
+as an integer matrix over one common denominator, built once per embedding.
+Branching restricts the weight diagram of a G-irreducible once, checks that
+the restricted character is W_K-invariant (every weight tuple has the
+multiplicity of its per-factor dominant representative), and keeps only
+its K-dominant part.  That part is peeled in one pass, in descending order
+of (total Casimir, then graded-lex): subtracting the character of a K-type
+lowers only tuples of strictly smaller total Casimir, so each tuple's
+residue is final when the pass reaches it, and it is that K-type's
+multiplicity.  Each K-type's dominant part is the product of the factors'
+cached dominant characters; by the invariance check, the dominant part
+determines the whole residue.  Everything is exact, and malformed
+restriction data surfaces as a non-integer image, a non-invariant
+character, a negative residue or a dimension mismatch, never as a wrong
+answer.
 
 The Dynkin index of the embedding is computed by branching the adjoint
 representation: with I(lambda) = dim * <lambda, lambda+2rho>_norm / (2 dim_g)
@@ -23,9 +30,10 @@ Casimirs to ambient-Killing units.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .errors import DomainError, MalformedEmbeddingError
@@ -34,10 +42,11 @@ from .rootdata import (
     casimir,
     check_weight,
     contragredient_weight,
+    dominant_rep,
     ip_norm,
     is_dominant,
 )
-from .weights import weight_diagram, weyl_dim
+from .weights import dominant_character, weight_diagram, weyl_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +62,9 @@ class EmbeddingSpec:
     factors: tuple
     restriction: tuple
     name: str = None
+    # restriction = _int_rows / _den, split into one block per factor
+    _int_rows: tuple = field(init=False, repr=False)
+    _den: int = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = sum(f.rank for f in self.factors)
@@ -60,6 +72,15 @@ class EmbeddingSpec:
             raise DomainError("restriction row count != total factor rank")
         if any(len(r) != self.ambient.rank for r in self.restriction):
             raise DomainError("restriction column count != ambient rank")
+        rows_q = [[Fraction(x) for x in row] for row in self.restriction]
+        den = lcm(*(x.denominator for row in rows_q for x in row))
+        scaled = [tuple(int(x * den) for x in row) for row in rows_q]
+        blocks = []
+        for f in self.factors:
+            blocks.append(tuple(scaled[: f.rank]))
+            scaled = scaled[f.rank :]
+        object.__setattr__(self, "_int_rows", tuple(blocks))
+        object.__setattr__(self, "_den", den)
 
     @property
     def num_factors(self) -> int:
@@ -71,18 +92,21 @@ class EmbeddingSpec:
         Raises MalformedEmbeddingError if any image coordinate is not an
         integer.
         """
-        image = linalg.matvec(
-            self.restriction, tuple(Fraction(x) for x in weight)
-        )
-        if any(x.denominator != 1 for x in image):
-            raise MalformedEmbeddingError(
-                f"weight {tuple(weight)} restricts to non-integer coordinates"
-            )
+        den = self._den
         parts = []
-        at = 0
-        for f in self.factors:
-            parts.append(tuple(int(x) for x in image[at : at + f.rank]))
-            at += f.rank
+        for block in self._int_rows:
+            part = []
+            for row in block:
+                value, rest = divmod(
+                    sum(a * x for a, x in zip(row, weight)), den
+                )
+                if rest:
+                    raise MalformedEmbeddingError(
+                        f"weight {tuple(weight)} restricts to non-integer "
+                        "coordinates"
+                    )
+                part.append(value)
+            parts.append(tuple(part))
         return tuple(parts)
 
     def to_json_dict(self) -> dict:
@@ -151,29 +175,34 @@ def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
             source=lam, terms=(((), weyl_dim(emb.ambient, lam)),)
         )
 
-    residue = {}
+    restricted = {}
     for nu, mult in weight_diagram(emb.ambient, lam).mults:
         key = emb.restrict_weight(nu)
-        residue[key] = residue.get(key, 0) + mult
+        restricted[key] = restricted.get(key, 0) + mult
+    residue = {}
+    for key, mult in restricted.items():
+        top = tuple(
+            dominant_rep(f, part) for f, part in zip(emb.factors, key)
+        )
+        if restricted.get(top) != mult:
+            raise MalformedEmbeddingError(
+                "restricted character is not invariant under the Weyl "
+                "group of the subgroup"
+            )
+        if top == key:
+            residue[key] = mult
 
     terms = {}
-    while residue:
-        candidates = [
-            t for t in residue if all(is_dominant(part) for part in t)
-        ]
-        if not candidates:
-            raise MalformedEmbeddingError(
-                "residual character has no dominant weight tuple"
-            )
-        top = max(candidates, key=lambda t: _peel_key(emb, t))
+    for top in sorted(residue, key=lambda t: _peel_key(emb, t), reverse=True):
         mult = residue[top]
         if mult < 0:
             raise MalformedEmbeddingError("negative residue while peeling")
-        diagrams = [
-            weight_diagram(f, part).mults
-            for f, part in zip(emb.factors, top)
+        if not mult:
+            continue
+        characters = [
+            dominant_character(f, part) for f, part in zip(emb.factors, top)
         ]
-        for combo in itertools.product(*diagrams):
+        for combo in itertools.product(*characters):
             key = tuple(w for w, _ in combo)
             count = mult
             for _, m in combo:
@@ -181,10 +210,7 @@ def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
             value = residue.get(key, 0) - count
             if value < 0:
                 raise MalformedEmbeddingError("negative residue while peeling")
-            if value:
-                residue[key] = value
-            else:
-                residue.pop(key, None)
+            residue[key] = value
         terms[top] = mult
 
     dim_total = sum(

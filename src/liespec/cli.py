@@ -7,10 +7,12 @@ and certification errors, 1 I/O, parse and usage errors (an unknown or
 missing flag); errors go to stdout as a structured error object, never a
 stack trace or usage text.  Output bytes depend only on the inputs.
 
-Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk, keyed by the
-canonical input JSON; cached and fresh runs emit identical bytes.  Entries
-are written atomically, and an entry that does not parse as a valid table
-is treated as a miss and rewritten.
+Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk; cached and fresh
+runs emit identical bytes.  The cache key is the canonical JSON of the job
+together with the package version and the entry schema; each entry stores
+that key beside its table, and a read compares it.  Entries are written
+atomically, and an entry that does not parse, holds an invalid table or
+carries another key is treated as a miss and rewritten.
 """
 
 import argparse
@@ -20,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import catalog
+from . import __version__, catalog
 from .errors import DomainError, LiespecError
 from .groups import biinvariant_spectrum
 from .isolation import (
@@ -91,23 +93,32 @@ def _cache_dir():
     return os.environ.get("LIESPEC_CACHE_DIR")
 
 
+# names the layout of a cache entry; change it when that layout changes
+_CACHE_SCHEMA = "liespec-table-entry/2"
+
+
 def _cached_table(key_obj, builder) -> SpectrumTable:
     cache = _cache_dir()
     if not cache:
         return builder()
     os.makedirs(cache, exist_ok=True)
-    key = hashlib.sha256(canonical_json(key_obj).encode()).hexdigest()
-    path = os.path.join(cache, key + ".json")
+    key = {"schema": _CACHE_SCHEMA, "version": __version__, "job": key_obj}
+    key_text = canonical_json(key)
+    digest = hashlib.sha256(key_text.encode()).hexdigest()
+    path = os.path.join(cache, digest + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return SpectrumTable.from_json_dict(json.load(fh))
+            entry = json.load(fh)
+        if canonical_json(entry["key"]) == key_text:
+            return SpectrumTable.from_json_dict(entry["table"])
     except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
         pass  # a miss; a corrupt entry (JSONDecodeError is a ValueError) too
     table = builder()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(table.to_json())
+            entry = {"key": key, "table": table.to_json_dict()}
+            fh.write(canonical_json(entry))
         os.replace(tmp, path)  # readers see the old state or the whole entry
     finally:
         if os.path.exists(tmp):

@@ -9,7 +9,9 @@ invariants, and a constructive search that reconstructs all torus candidates
 whose invariants are drawn from a given finite value set.
 
 Everything compares exact rational tables; "isospectral at cutoff" means
-equality of truncated tables with zero tolerance.
+equality of truncated tables with zero tolerance.  The grid scan builds
+one metric-independent term catalogue, at a Casimir budget that covers
+every grid point, and evaluates each point's table from it.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from .errors import DomainError, UnsupportedDimensionError
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, systole
 from .linalg import det, inverse, is_positive_definite
-from .natred import NatRedMetric, natred_spectrum
+from .natred import NatRedMetric, term_catalogue
 from .rational import fmt, rat
 from .spectrum import SpectrumTable, table_distance
 
@@ -118,7 +120,12 @@ def isolation_scan(
     fiber_fills_group = (
         sum(f.dim_g for f in m.emb.factors) == m.group.dim_g
     )
-    center_table = natred_spectrum(m, cutoff)
+    # every grid scale is at most (1 + radius) times a center scale, so
+    # this budget covers the table of every point
+    catalogue = term_catalogue(
+        m.emb, cutoff * (1 + radius) * max(center_scales)
+    )
+    center_table = catalogue.spectrum(m, cutoff)
 
     neighbors = []
     skipped_inadmissible = []
@@ -144,7 +151,7 @@ def isolation_scan(
             base_scale=base,
             fiber_scales=fibers,
         )
-        table = natred_spectrum(point, cutoff)
+        table = catalogue.spectrum(point, cutoff)
         compared += 1
         if table.entries == center_table.entries:
             neighbors.append(

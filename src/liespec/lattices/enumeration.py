@@ -18,13 +18,14 @@ down; at level i, with R the part of L*B not yet used and C the tail sum,
 the admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i),
 an interval found with two floor divisions.  No float and no Fraction is
 involved.  Each emitted total must be a multiple of L, since x^T A x is an
-integer; that is checked with an explicit raise, which ``python -O`` keeps.
+integer; that is checked with an explicit CertificationError, which
+``python -O`` keeps.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-from ..errors import DomainError
+from ..errors import CertificationError, DomainError
 from .lattice import Lattice
 
 
@@ -86,7 +87,7 @@ def _short_vectors_int(a, bound: int):
             elif not (zerotail and xi == 0):
                 value, rest = divmod(used + w * t * t, total)
                 if rest:
-                    raise ArithmeticError("x^T A x is not an integer")
+                    raise CertificationError("x^T A x is not an integer")
                 out.append((tuple(x), value))
         x[i] = 0
 

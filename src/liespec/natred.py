@@ -19,15 +19,30 @@ ratio of the embedding, which converts factor Casimirs to ambient units
 Multiplicities follow the two-sided Peter-Weyl block structure:
 dim(sigma) * [sigma : tau-bar] * dim(tau).
 
+Neither the pairs nor c(sigma) and c_i(tau_i)/j_i depend on the metric,
+and the eigenvalue c(sigma)/t + sum_i (1/t_i - 1/t) * c_i(tau_i)/j_i is
+linear in the reciprocal scales.  So the terms are built once, as a
+``TermCatalogue`` for an embedding and a Casimir budget: integer rows
+(c(sigma), c_1(tau_1)/j_1, ...) over one common denominator, with equal
+rows merged.  A metric is then one pass over the rows: an integer dot
+product with the reciprocal scales over their own common denominator,
+compared with the scaled cutoff, and one Fraction per distinct eigenvalue.
+
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
-so every eigenvalue is at least c(sigma) * min(1, t/max t_i) / t.  The code
-checks the domination term by term and raises CertificationError if it
-fails, which makes every truncated table complete in both modes.
+so every eigenvalue is at least c(sigma) * min(1, t/max t_i) / t, and a
+metric's table needs only the terms with c(sigma) <= cutoff * max(t, t_i).
+The catalogue checks the domination on each of its terms and raises
+CertificationError if it fails; a metric whose budget exceeds the
+catalogue's is refused.  This makes every truncated table complete in both
+modes.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
 from .branching import (
     EmbeddingSpec,
@@ -39,7 +54,7 @@ from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .groups import factor_lambda1
 from .rational import fmt, rat
 from .rootdata import RootSystemData, casimir, check_weight
-from .spectrum import SpectrumTable, table_from_pairs
+from .spectrum import SpectrumTable
 from .weights import dominant_weights_up_to, weyl_dim
 
 
@@ -161,58 +176,145 @@ def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:
     return total / m.base_scale
 
 
-def natred_terms(m: NatRedMetric, cutoff):
-    """All (sigma, tau, multiplicity, eigenvalue) with eigenvalue <= cutoff.
-
-    tau is the per-factor contragredient of the branch label, matching the
-    restriction-contains-dual indexing; Casimirs are blind to the flip and
-    the containment below certifies the truncation budget.
-    """
-    cutoff = rat(cutoff)
+def _cutoff(value) -> Fraction:
+    cutoff = rat(value)
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
-    ratios = killing_ratio(m.emb)
-    # eigenvalue >= c(sigma) * min(1, t/max t_i) / t
-    shrink = min(
-        [Fraction(1)] + [m.base_scale / x for x in m.fiber_scales]
+    return cutoff
+
+
+def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
+    """Casimir budget of the metric's table at ``cutoff``.
+
+    Every eigenvalue is at least c(sigma) * min(1, t/max t_i) / t, so no
+    term with c(sigma) > cutoff * max(t, t_i) reaches the table.
+    """
+    return cutoff * max((m.base_scale,) + m.fiber_scales)
+
+
+@dataclass(frozen=True, eq=False)
+class TermCatalogue:
+    """Every (sigma, tau) term of one embedding with c(sigma) <= budget.
+
+    Nothing here depends on a metric.  ``terms`` lists (sigma, tau, mult,
+    row) in natred_terms order, where ``row`` is (c(sigma), c_1(tau_1)/j_1,
+    ...) times ``den``, all integers; ``rows`` lists each distinct row once
+    with its summed multiplicity.  Build it with ``term_catalogue``.
+    """
+
+    emb: EmbeddingSpec
+    budget: Fraction
+    den: int
+    terms: tuple
+    rows: tuple
+
+    def _weights(self, m: NatRedMetric, cutoff: Fraction):
+        """Integer weights w, scale s and limit L for metric m: a row r has
+        eigenvalue (w . r) / s, and that is <= cutoff iff w . r <= L."""
+        if m.emb is not self.emb:
+            raise DomainError("term catalogue belongs to another embedding")
+        if _metric_budget(m, cutoff) > self.budget:
+            raise CertificationError(
+                "metric needs a larger term catalogue budget"
+            )
+        inv_t = 1 / m.base_scale
+        coeffs = (inv_t,) + tuple(1 / x - inv_t for x in m.fiber_scales)
+        common = lcm(*(c.denominator for c in coeffs))
+        weights = tuple(int(c * common) for c in coeffs)
+        scale = common * self.den
+        return weights, scale, cutoff.numerator * scale // cutoff.denominator
+
+    def terms_for(self, m: NatRedMetric, cutoff) -> list:
+        """(sigma, tau, multiplicity, eigenvalue) of m up to ``cutoff``."""
+        cutoff = _cutoff(cutoff)
+        weights, scale, limit = self._weights(m, cutoff)
+        out = []
+        for lam, tau, mult, row in self.terms:
+            value = sum(map(mul, weights, row))
+            if value <= limit:
+                out.append((lam, tau, mult, Fraction(value, scale)))
+        return out
+
+    def spectrum(self, m: NatRedMetric, cutoff) -> SpectrumTable:
+        """Truncated spectrum of m, aggregated on integer numerators."""
+        cutoff = _cutoff(cutoff)
+        weights, scale, limit = self._weights(m, cutoff)
+        acc = Counter()
+        for row, mult in self.rows:
+            value = sum(map(mul, weights, row))
+            if value <= limit:
+                acc[value] += mult
+        return SpectrumTable(
+            unit="raw",
+            cutoff=cutoff,
+            entries=tuple(
+                (Fraction(value, scale), acc[value]) for value in sorted(acc)
+            ),
+            complete=True,
+        )
+
+
+def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
+    """All (sigma, tau) terms of ``emb`` with c(sigma) <= budget.
+
+    tau is the per-factor contragredient of the branch label, matching the
+    restriction-contains-dual indexing; Casimirs are blind to the flip.
+    Horizontal positivity is checked on every term.
+    """
+    budget = rat(budget)
+    group = emb.ambient
+    ratios = killing_ratio(emb)
+    # a Casimir has denominator dividing 2 h_vee form_den, and dividing by
+    # j_i multiplies it by j_i's numerator: den makes every row integral
+    den = lcm(
+        2 * group.dual_coxeter * group.form_den,
+        *(2 * f.dual_coxeter * f.form_den * j.numerator
+          for f, j in zip(emb.factors, ratios)),
     )
-    budget = cutoff * m.base_scale / shrink
-    out = []
-    for lam in dominant_weights_up_to(m.group, budget):
-        c_lam = casimir(m.group, lam)
-        dim_lam = weyl_dim(m.group, lam)
-        for tup, mult in branch(m.emb, lam).terms:
-            tau = contragredient_tuple(m.emb, tup)
-            fiber_amb = Fraction(0)
-            correction = Fraction(0)
-            dim_tau = 1
-            for f, part, t_i, j in zip(
-                m.emb.factors, tau, m.fiber_scales, ratios
-            ):
-                c_part = casimir(f, part)
-                fiber_amb += c_part / j
-                correction += (m.base_scale / t_i - 1) * c_part / j
-                dim_tau *= weyl_dim(f, part)
+    terms = []
+    rows = Counter()
+    for lam in dominant_weights_up_to(group, budget):
+        c_lam = casimir(group, lam)
+        dim_lam = weyl_dim(group, lam)
+        for tup, mult in branch(emb, lam).terms:
+            tau = contragredient_tuple(emb, tup)
+            row = (int(c_lam * den),) + tuple(
+                int(casimir(f, part) / j * den)
+                for f, part, j in zip(emb.factors, tau, ratios)
+            )
             # horizontal Laplacian positivity; certifies the budget
-            if fiber_amb > c_lam:
+            if sum(row[1:]) > row[0]:
                 raise CertificationError(
                     f"horizontal positivity fails at sigma={lam}, tau={tau}"
                 )
-            eig = (c_lam + correction) / m.base_scale
-            if eig > cutoff:
-                continue
-            out.append((lam, tau, dim_lam * mult * dim_tau, eig))
-    return out
+            count = dim_lam * mult * prod(
+                weyl_dim(f, part) for f, part in zip(emb.factors, tau)
+            )
+            terms.append((lam, tau, count, row))
+            rows[row] += count
+    return TermCatalogue(
+        emb=emb,
+        budget=budget,
+        den=den,
+        terms=tuple(terms),
+        rows=tuple(rows.items()),
+    )
+
+
+def natred_terms(m: NatRedMetric, cutoff):
+    """All (sigma, tau, multiplicity, eigenvalue) with eigenvalue <= cutoff,
+    in the order of sigma (graded-lex) and then of the branch labels."""
+    cutoff = _cutoff(cutoff)
+    return term_catalogue(m.emb, _metric_budget(m, cutoff)).terms_for(
+        m, cutoff
+    )
 
 
 def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     """Truncated spectrum of the naturally reductive metric; always complete."""
-    cutoff = rat(cutoff)
-    pairs = [
-        (eig, mult) for _, _, mult, eig in natred_terms(m, cutoff)
-    ]
-    return table_from_pairs(
-        unit="raw", cutoff=cutoff, pairs=pairs, complete=True
+    cutoff = _cutoff(cutoff)
+    return term_catalogue(m.emb, _metric_budget(m, cutoff)).spectrum(
+        m, cutoff
     )
 
 
@@ -252,22 +354,21 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
             "detail": "fiber eigenvalue already exceeds the cutoff",
         }
 
-    from .rootdata import contragredient_weight
-
-    tau_bar = tuple(
-        contragredient_weight(factor, tau_p) if i == factor_index
-        else tuple(0 for _ in range(f.rank))
-        for i, f in enumerate(m.emb.factors)
-    )
+    # catalogue labels are already contragredient: this tau matches the
+    # branch label tau-bar of the witness
     tau = tuple(
         tau_p if i == factor_index else tuple(0 for _ in range(f.rank))
         for i, f in enumerate(m.emb.factors)
     )
+    catalogue = term_catalogue(m.emb, _metric_budget(m, cutoff))
     budget = (cutoff - gamma) * m.base_scale
     witness = None
-    for lam in dominant_weights_up_to(m.group, budget):
-        if branch(m.emb, lam).multiplicity(tau_bar) > 0:
-            zeta = casimir(m.group, lam) / m.base_scale
+    for lam, term_tau, _, row in catalogue.terms:
+        if term_tau != tau:
+            continue
+        c_lam = Fraction(row[0], catalogue.den)
+        if c_lam <= budget:
+            zeta = c_lam / m.base_scale
             if witness is None or zeta < witness[0]:
                 witness = (zeta, lam)
     if witness is None:
@@ -279,8 +380,7 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
         }
     zeta, lam = witness
     value = zeta + gamma
-    table = natred_spectrum(m, cutoff)
-    found = table.multiplicity(value)
+    found = catalogue.spectrum(m, cutoff).multiplicity(value)
     return {
         "status": "witnessed" if found > 0 else "failed",
         "factor": factor_index,

@@ -1,9 +1,11 @@
 """Shared test utilities: random lattice generators, the independent
 box-enumeration oracle used to cross-check torus spectra, the
 Fraction-based short-vector kernel used as the exact reference for the
-library's integer kernel, and the Fraction-based Weyl dimension, Casimir
+library's integer kernel, the Fraction-based Weyl dimension, Casimir
 and Freudenthal code used as the exact reference for the library's
-integer root-system tables."""
+integer root-system tables, and the product-diagram branching peel with
+the per-metric term builder and grid scan on top of it, used as the
+exact reference for dominant-only branching and the term catalogue."""
 
 import itertools
 import math
@@ -14,10 +16,25 @@ from math import isqrt
 import numpy as np
 
 from liespec import linalg
-from liespec.errors import DomainError
+from liespec.branching import (
+    BranchingResult,
+    EmbeddingSpec,
+    contragredient_tuple,
+    killing_ratio,
+)
+from liespec.errors import (
+    CertificationError,
+    DomainError,
+    MalformedEmbeddingError,
+)
+from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice
 from liespec.linalg import inverse
-from liespec.rootdata import check_weight, dominant_rep, is_dominant
+from liespec.natred import NatRedMetric
+from liespec.rational import fmt, rat
+from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
+from liespec.spectrum import table_distance, table_from_pairs
+from liespec.weights import dominant_weights_up_to, weight_diagram, weyl_dim
 
 
 def random_integer_basis(rng, m, lo=-2, hi=2):
@@ -329,3 +346,214 @@ def ref_dominant_character(rs, weight) -> tuple:
         if value:
             mults[mu] = int(value)
     return tuple(sorted(mults.items()))
+
+
+# Reference branching: the restriction as a Fraction matrix-vector product,
+# and a peel that takes the maximal surviving dominant tuple on every step
+# and subtracts the full product weight diagram of that K-type.
+
+
+def ref_restrict_weight(emb: EmbeddingSpec, weight):
+    image = linalg.matvec(
+        emb.restriction, tuple(Fraction(x) for x in weight)
+    )
+    if any(x.denominator != 1 for x in image):
+        raise MalformedEmbeddingError(
+            f"weight {tuple(weight)} restricts to non-integer coordinates"
+        )
+    parts = []
+    at = 0
+    for f in emb.factors:
+        parts.append(tuple(int(x) for x in image[at : at + f.rank]))
+        at += f.rank
+    return tuple(parts)
+
+
+def _tuple_casimir(emb: EmbeddingSpec, tup) -> Fraction:
+    return sum(
+        (casimir(f, w) for f, w in zip(emb.factors, tup)), Fraction(0)
+    )
+
+
+def _peel_key(emb: EmbeddingSpec, tup):
+    concat = tuple(x for part in tup for x in part)
+    return (_tuple_casimir(emb, tup), sum(concat), concat)
+
+
+@lru_cache(maxsize=None)
+def ref_branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
+    lam = check_weight(emb.ambient, sigma)
+    if not is_dominant(lam):
+        raise DomainError("branch expects a dominant weight")
+    if emb.num_factors == 0:
+        return BranchingResult(
+            source=lam, terms=(((), weyl_dim(emb.ambient, lam)),)
+        )
+
+    residue = {}
+    for nu, mult in weight_diagram(emb.ambient, lam).mults:
+        key = ref_restrict_weight(emb, nu)
+        residue[key] = residue.get(key, 0) + mult
+
+    terms = {}
+    while residue:
+        candidates = [
+            t for t in residue if all(is_dominant(part) for part in t)
+        ]
+        if not candidates:
+            raise MalformedEmbeddingError(
+                "residual character has no dominant weight tuple"
+            )
+        top = max(candidates, key=lambda t: _peel_key(emb, t))
+        mult = residue[top]
+        if mult < 0:
+            raise MalformedEmbeddingError("negative residue while peeling")
+        diagrams = [
+            weight_diagram(f, part).mults
+            for f, part in zip(emb.factors, top)
+        ]
+        for combo in itertools.product(*diagrams):
+            key = tuple(w for w, _ in combo)
+            count = mult
+            for _, m in combo:
+                count *= m
+            value = residue.get(key, 0) - count
+            if value < 0:
+                raise MalformedEmbeddingError("negative residue while peeling")
+            if value:
+                residue[key] = value
+            else:
+                residue.pop(key, None)
+        terms[top] = mult
+
+    dim_total = sum(
+        m * _product_dim(emb, t) for t, m in terms.items()
+    )
+    if dim_total != weyl_dim(emb.ambient, lam):
+        raise MalformedEmbeddingError("branching lost dimensions")
+    return BranchingResult(source=lam, terms=tuple(sorted(terms.items())))
+
+
+def _product_dim(emb: EmbeddingSpec, tup) -> int:
+    out = 1
+    for f, part in zip(emb.factors, tup):
+        out *= weyl_dim(f, part)
+    return out
+
+
+# Reference terms: every (sigma, tau) rebuilt in Fractions for each metric.
+
+
+def ref_natred_terms(m: NatRedMetric, cutoff):
+    cutoff = rat(cutoff)
+    if cutoff < 0:
+        raise DomainError("cutoff must be nonnegative")
+    ratios = killing_ratio(m.emb)
+    # eigenvalue >= c(sigma) * min(1, t/max t_i) / t
+    shrink = min(
+        [Fraction(1)] + [m.base_scale / x for x in m.fiber_scales]
+    )
+    budget = cutoff * m.base_scale / shrink
+    out = []
+    for lam in dominant_weights_up_to(m.group, budget):
+        c_lam = casimir(m.group, lam)
+        dim_lam = weyl_dim(m.group, lam)
+        for tup, mult in ref_branch(m.emb, lam).terms:
+            tau = contragredient_tuple(m.emb, tup)
+            fiber_amb = Fraction(0)
+            correction = Fraction(0)
+            dim_tau = 1
+            for f, part, t_i, j in zip(
+                m.emb.factors, tau, m.fiber_scales, ratios
+            ):
+                c_part = casimir(f, part)
+                fiber_amb += c_part / j
+                correction += (m.base_scale / t_i - 1) * c_part / j
+                dim_tau *= weyl_dim(f, part)
+            # horizontal Laplacian positivity; certifies the budget
+            if fiber_amb > c_lam:
+                raise CertificationError(
+                    f"horizontal positivity fails at sigma={lam}, tau={tau}"
+                )
+            eig = (c_lam + correction) / m.base_scale
+            if eig > cutoff:
+                continue
+            out.append((lam, tau, dim_lam * mult * dim_tau, eig))
+    return out
+
+
+def ref_natred_spectrum(m: NatRedMetric, cutoff):
+    cutoff = rat(cutoff)
+    pairs = [
+        (eig, mult) for _, _, mult, eig in ref_natred_terms(m, cutoff)
+    ]
+    return table_from_pairs(
+        unit="raw", cutoff=cutoff, pairs=pairs, complete=True
+    )
+
+
+def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
+    """The grid scan with each point's table rebuilt by the reference."""
+    radius = rat(radius)
+    if not 0 <= radius < 1:
+        raise DomainError("radius must lie in [0, 1)")
+    steps = int(steps)
+    if steps < 1:
+        raise DomainError("steps must be at least 1")
+    cutoff = rat(cutoff)
+    mult = _grid_multipliers(radius, steps)
+    center_scales = (m.base_scale,) + m.fiber_scales
+    fiber_fills_group = (
+        sum(f.dim_g for f in m.emb.factors) == m.group.dim_g
+    )
+    center_table = ref_natred_spectrum(m, cutoff)
+
+    neighbors = []
+    skipped_inadmissible = []
+    skipped_equivalent = 0
+    compared = 0
+    min_distance = None
+    for combo in itertools.product(mult, repeat=len(center_scales)):
+        scales = tuple(u * s for u, s in zip(combo, center_scales))
+        if scales == center_scales:
+            continue
+        base, fibers = scales[0], scales[1:]
+        if any(x == base for x in fibers):
+            skipped_inadmissible.append(
+                {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
+            )
+            continue
+        if fiber_fills_group and fibers == m.fiber_scales:
+            skipped_equivalent += 1
+            continue
+        point = NatRedMetric(
+            group=m.group,
+            emb=m.emb,
+            base_scale=base,
+            fiber_scales=fibers,
+        )
+        table = ref_natred_spectrum(point, cutoff)
+        compared += 1
+        if table.entries == center_table.entries:
+            neighbors.append(
+                {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
+            )
+        else:
+            d = table_distance(table, center_table)
+            if min_distance is None or d < min_distance:
+                min_distance = d
+    return {
+        "center": m.to_json_dict(),
+        "grid": {
+            "radius": fmt(radius),
+            "steps": steps,
+            "axes": len(center_scales),
+            "points": len(mult) ** len(center_scales),
+            "compared": compared,
+            "skipped_inadmissible": skipped_inadmissible,
+            "skipped_equivalent": skipped_equivalent,
+        },
+        "cutoff": fmt(cutoff),
+        "isospectral_neighbors": neighbors,
+        "min_table_distance": min_distance,
+    }

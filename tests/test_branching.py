@@ -16,7 +16,9 @@ from liespec.branching import (
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve_embedding
 from liespec.errors import DomainError, MalformedEmbeddingError
 from liespec.rootdata import build
-from liespec.weights import weyl_dim
+from liespec.weights import dominant_weights_up_to, weyl_dim
+
+from helpers import ref_branch
 
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
 PRINC = BUILTIN_EMBEDDINGS["a1-in-a2-principal"]
@@ -122,6 +124,66 @@ def test_malformed_negative_residue():
     )
     with pytest.raises(MalformedEmbeddingError):
         branch(emb, (1, 0))
+
+
+def test_branch_matches_product_diagram_reference():
+    for emb in BUILTIN_EMBEDDINGS.values():
+        sigmas = dominant_weights_up_to(emb.ambient, 6)
+        assert len(sigmas) > 10
+        for sigma in sigmas:
+            assert branch(emb, sigma) == ref_branch(emb, sigma)
+
+
+def test_non_invariant_restriction_is_malformed():
+    # an integral matrix whose restricted adjoint character is not
+    # W_K-invariant, although its dominant part alone would peel into the
+    # single K-type (1, 1) with the right dimension
+    emb = EmbeddingSpec(
+        ambient=build("A2"),
+        factors=(build("A2"),),
+        restriction=((-2, 1), (0, -1)),
+    )
+    with pytest.raises(MalformedEmbeddingError, match="not invariant"):
+        branch(emb, (1, 1))
+    with pytest.raises(MalformedEmbeddingError):
+        ref_branch(emb, (1, 1))
+    checks = {c["name"]: c["ok"] for c in validate_embedding(emb)["checks"]}
+    assert checks["integer-adjoint-weights"] is True
+    assert checks["adjoint-peeling"] is False
+
+
+def _outcome(fn, emb, sigma):
+    try:
+        return fn(emb, sigma).terms
+    except MalformedEmbeddingError:
+        return "malformed"
+
+
+def test_malformed_outcomes_match_reference():
+    # the dominant-only peel accepts and rejects what the full peel does
+    rng = random.Random(17)
+    cases = [
+        (build("A2"), (build("A1"),)),
+        (build("A2"), (build("A2"),)),
+        (build("B2"), (build("A1"), build("A1"))),
+    ]
+    rejected = tried = 0
+    for ambient, factors in cases:
+        rows = sum(f.rank for f in factors)
+        for _ in range(25):
+            restriction = tuple(
+                tuple(rng.randint(-2, 2) for _ in range(ambient.rank))
+                for _ in range(rows)
+            )
+            emb = EmbeddingSpec(
+                ambient=ambient, factors=factors, restriction=restriction
+            )
+            for sigma in ((1, 0), (0, 1), (1, 1), (2, 0)):
+                new = _outcome(branch, emb, sigma)
+                assert new == _outcome(ref_branch, emb, sigma)
+                rejected += new == "malformed"
+                tried += 1
+    assert 0 < rejected < tried
 
 
 def test_malformed_non_integer_image():

@@ -191,16 +191,58 @@ print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
 """
 
 
-def test_certification_survives_optimize():
+def _run_optimized(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("LIESPEC_CACHE_DIR", None)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c",
-         f"METRIC = {METRIC!r}\n" + _FAULT_SCRIPT],
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, check=True, text=True,
     )
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_certification_survives_optimize():
+    result = _run_optimized(f"METRIC = {METRIC!r}\n" + _FAULT_SCRIPT)
     assert result["debug"] is False  # asserts really are stripped
+    assert result["raised"] == "CertificationError"
+    assert result["code"] == 2
+    assert json.loads(result["out"])["error"]["type"] == "CertificationError"
+
+
+# Runs under python -O, with a square completion whose common multiple L
+# is off by one, so leaf totals stop being multiples of it; prints what
+# enumerate_gram raised and what cli.main returned.
+_KERNEL_FAULT_SCRIPT = """
+import contextlib, io, json
+from fractions import Fraction
+import liespec.lattices.enumeration as enumeration
+from liespec.cli import main
+from liespec.errors import CertificationError
+
+real = enumeration._completed_squares
+
+def broken(a):
+    pivots, rows, weights, total = real(a)
+    return pivots, rows, weights, total + 1
+
+enumeration._completed_squares = broken
+one, zero = Fraction(1), Fraction(0)
+try:
+    enumeration.enumerate_gram(((one, zero), (zero, one)), Fraction(4))
+    raised = None
+except CertificationError as exc:
+    raised = type(exc).__name__
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = main(["torus-spectrum", "--gram", "identity2", "--cutoff", "4"])
+print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
+                  "out": buf.getvalue()}))
+"""
+
+
+def test_kernel_certification_survives_optimize():
+    result = _run_optimized(_KERNEL_FAULT_SCRIPT)
+    assert result["debug"] is False
     assert result["raised"] == "CertificationError"
     assert result["code"] == 2
     assert json.loads(result["out"])["error"]["type"] == "CertificationError"
@@ -260,14 +302,40 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))
     run_cli(capsys, *args)
     (entry,) = tmp_path.iterdir()
+    good = entry.read_text()
     entry.write_text(fresh[: len(fresh) // 2])  # a half-written table
     code, out = run_cli(capsys, *args)
     assert code == 0
     assert out == fresh
     assert os.listdir(tmp_path) == [entry.name]
-    assert entry.read_text() == fresh
+    assert entry.read_text() == good
     code, again = run_cli(capsys, *args)
     assert again == fresh
+
+
+def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
+    args = ("torus-spectrum", "--gram", "hexagonal", "--cutoff", "7")
+    other = ("torus-spectrum", "--gram", "identity2", "--cutoff", "7")
+    code, fresh = run_cli(capsys, *args)
+    code, other_table = run_cli(capsys, *other)
+    assert code == 0 and other_table != fresh
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "mine"))
+    run_cli(capsys, *args)
+    (entry,) = (tmp_path / "mine").iterdir()
+    good = entry.read_text()
+    assert json.loads(good)["table"] == json.loads(fresh)
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "other"))
+    run_cli(capsys, *other)
+    (foreign,) = (tmp_path / "other").iterdir()
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "mine"))
+    # a valid table of another job, bare and as that job's whole entry
+    for planted in (other_table, foreign.read_text()):
+        entry.write_text(planted)
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == fresh
+        assert os.listdir(tmp_path / "mine") == [entry.name]
+        assert entry.read_text() == good
 
 
 def test_determinism(capsys):

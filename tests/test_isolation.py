@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from liespec.errors import DomainError, UnsupportedDimensionError
 from liespec.groups import GroupSpec
 from liespec.isolation import (
     GammaVector,
+    _grid_multipliers,
     finiteness_window,
     gamma_invariants,
     homothety_invariant,
@@ -26,10 +28,14 @@ from liespec.lattices import (
     torus_spectrum,
 )
 from liespec.linalg import inverse
-from liespec.natred import NatRedMetric
+from liespec.natred import NatRedMetric, term_catalogue
 from liespec.rootdata import build
 
-from helpers import random_rational_basis
+from helpers import (
+    random_rational_basis,
+    ref_isolation_scan,
+    ref_natred_spectrum,
+)
 
 A1 = build("A1")
 A2 = build("A2")
@@ -37,6 +43,7 @@ Z2 = BUILTIN_LATTICES["identity2"]
 HEX = BUILTIN_LATTICES["hexagonal"]
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
 IDA2 = BUILTIN_EMBEDDINGS["identity-a2"]
+SO4 = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
 
 
 def test_gamma_vector_validation():
@@ -127,6 +134,38 @@ def test_scan_skips_equivalent_when_subgroup_fills_group():
     report = isolation_scan(m, F(1, 10), 3, 3)
     assert report["grid"]["skipped_equivalent"] == 2
     assert report["isospectral_neighbors"] == []
+
+
+def test_scan_matches_per_point_reference():
+    centers = [
+        (STD, 1, (F(1, 2),), F(1, 10), 3, 5),
+        (IDA2, 1, (F(1, 2),), F(1, 10), 3, 4),
+        (SO4, F(3, 2), (F(1, 2), F(5, 2)), F(1, 5), 3, 4),
+    ]
+    for emb, t, fibers, radius, steps, cutoff in centers:
+        m = NatRedMetric(
+            group=emb.ambient, emb=emb, base_scale=t, fiber_scales=fibers
+        )
+        assert isolation_scan(m, radius, steps, cutoff) == ref_isolation_scan(
+            m, radius, steps, cutoff
+        )
+        # each point's table, from one catalogue at the scan's budget
+        center = (m.base_scale,) + m.fiber_scales
+        catalogue = term_catalogue(
+            m.emb, cutoff * (1 + radius) * max(center)
+        )
+        mult = _grid_multipliers(radius, steps)
+        for combo in product(mult, repeat=len(center)):
+            base, *fibers = (u * s for u, s in zip(combo, center))
+            if base in fibers:
+                continue
+            point = NatRedMetric(
+                group=m.group, emb=m.emb, base_scale=base,
+                fiber_scales=tuple(fibers),
+            )
+            assert catalogue.spectrum(point, cutoff) == ref_natred_spectrum(
+                point, cutoff
+            )
 
 
 def test_scan_validation():

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liespec.catalog import BUILTIN_EMBEDDINGS
-from liespec.errors import DomainError, InadmissibleMetricError
+from liespec.errors import (
+    CertificationError,
+    DomainError,
+    InadmissibleMetricError,
+)
 from liespec.groups import GroupSpec, biinvariant_spectrum
 from liespec.natred import (
     BiInvariantOperator,
@@ -18,8 +22,11 @@ from liespec.natred import (
     natred_eigenvalue,
     natred_spectrum,
     natred_terms,
+    term_catalogue,
 )
 from liespec.rootdata import build
+
+from helpers import ref_natred_spectrum, ref_natred_terms
 
 A1 = build("A1")
 A2 = build("A2")
@@ -63,6 +70,46 @@ def test_terms_agree_with_evaluator():
         for sigma, tau, mult, eig in natred_terms(m, 3):
             assert mult > 0
             assert natred_eigenvalue(m, sigma, tau) == eig
+
+
+def test_terms_match_per_metric_reference():
+    # riemannian fibers, oversized fibers and mixed, on every builtin
+    scales = [
+        (F(1), F(1, 2), 6),
+        (F(3, 2), F(1, 3), 5),
+        (F(1), F(5, 2), 4),
+        (F(2, 3), F(3, 4), 5),
+    ]
+    checked = 0
+    for emb in BUILTIN_EMBEDDINGS.values():
+        for t, t1, cutoff in scales:
+            fibers = (t1, t1 * F(2, 3))[: emb.num_factors]
+            m = NatRedMetric(
+                group=emb.ambient, emb=emb, base_scale=t, fiber_scales=fibers
+            )
+            terms = natred_terms(m, cutoff)
+            assert terms == ref_natred_terms(m, cutoff)
+            assert natred_spectrum(m, cutoff) == ref_natred_spectrum(
+                m, cutoff
+            )
+            checked += len(terms)
+    assert checked > 500
+
+
+def test_catalogue_serves_metrics_within_its_budget():
+    m = metric(1, F(1, 2))
+    wide = term_catalogue(STD, 12)
+    for cutoff in (0, F(1, 3), 2, 6, 12):
+        assert wide.spectrum(m, cutoff) == natred_spectrum(m, cutoff)
+        assert wide.terms_for(m, cutoff) == natred_terms(m, cutoff)
+    with pytest.raises(CertificationError):
+        wide.spectrum(m, 13)  # would need c(sigma) up to 13
+    with pytest.raises(CertificationError):
+        wide.spectrum(metric(1, 3), 5)  # oversized fiber: budget 15
+    with pytest.raises(DomainError):
+        wide.spectrum(metric(1, F(1, 2), emb=IDA2), 1)
+    with pytest.raises(DomainError):
+        wide.spectrum(m, -1)
 
 
 def test_full_group_fiber_collapses_to_biinvariant():
