@@ -28,7 +28,6 @@ from .groups import biinvariant_spectrum
 from .isolation import (
     finiteness_window,
     gamma_invariants,
-    homothety_invariant,
     isolation_scan,
     torus_search,
 )

@@ -13,7 +13,8 @@ squared.  Casimir summands are nonnegative, so the per-factor enumeration
 budget makes every truncated table complete.
 """
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +22,7 @@ from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
 from .rational import fmt, rat
 from .rootdata import RootSystemData, build, casimir, check_weight
-from .spectrum import SpectrumTable, table_from_pairs
+from .spectrum import SpectrumTable, table_from_counts
 from .weights import dominant_weights_up_to, weyl_dim
 
 
@@ -41,9 +42,11 @@ class GroupSpec:
         if not self.factors:
             raise DomainError("GroupSpec needs at least one simple factor")
         if self.scales is None:
-            object.__setattr__(
-                self, "scales", tuple(Fraction(1) for _ in self.factors)
-            )
+            object.__setattr__(self, "scales", (1,) * len(self.factors))
+        object.__setattr__(self, "scales", tuple(map(rat, self.scales)))
+        object.__setattr__(self, "gamma", tuple(
+            tuple(tuple(map(rat, part)) for part in z) for z in self.gamma
+        ))
         if len(self.scales) != len(self.factors):
             raise DomainError("one scale per factor required")
         if any(t <= 0 for t in self.scales):
@@ -138,15 +141,13 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     cutoff = rat(cutoff)
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
-    pairs = []
+    counts = Counter()
     for tup, eig in admissible_tuples(gs, cutoff):
         dim = 1
         for f, lam in zip(gs.factors, tup):
             dim *= weyl_dim(f, lam)
-        pairs.append((eig, dim * dim))
-    return table_from_pairs(
-        unit="raw", cutoff=cutoff, pairs=pairs, complete=True
-    )
+        counts[eig] += dim * dim
+    return table_from_counts(counts, 1, "raw", cutoff)
 
 
 def factor_lambda1(rs: RootSystemData, scale):
@@ -187,12 +188,10 @@ def normal_quotient_spectrum(
     cutoff = rat(cutoff)
     if cutoff < 0:
         raise DomainError("cutoff must be nonnegative")
-    pairs = []
+    counts = Counter()
     for lam in dominant_weights_up_to(ambient, cutoff * t):
         fixed = spherical_mult(emb, lam)
         if fixed == 0:
             continue
-        pairs.append((casimir(ambient, lam) / t, weyl_dim(ambient, lam) * fixed))
-    return table_from_pairs(
-        unit="raw", cutoff=cutoff, pairs=pairs, complete=True
-    )
+        counts[casimir(ambient, lam) / t] += weyl_dim(ambient, lam) * fixed
+    return table_from_counts(counts, 1, "raw", cutoff)

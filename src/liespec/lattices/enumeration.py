@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from ..errors import CertificationError, DomainError
+from ..rational import rat
 from .lattice import Lattice
 
 
@@ -110,7 +111,7 @@ def short_vectors(lat: Lattice, bound):
     Returns a list of (coords, norm_sq) with integer coordinates relative
     to the lattice basis, both signs included, sorted by (norm_sq, coords).
     """
-    bound = Fraction(bound)
+    bound = rat(bound)
     if bound < 0:
         raise DomainError("enumeration bound must be >= 0")
     half = enumerate_gram(lat.gram, bound)

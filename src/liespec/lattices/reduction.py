@@ -3,8 +3,9 @@
 Two layers:
 
 * ``lll_gram`` -- rational LLL with delta = 99/100, working on the Gram
-  matrix alone and returning the unimodular transform.  Used for every
-  dimension as a preconditioner and as the full answer for dim > 4.
+  matrix alone (Cohen, Alg. 2.6.3) by in-place row and column operations,
+  and returning the unimodular transform.  Used for every dimension as a
+  preconditioner and as the full answer for dim > 4.
 * ``_minima_transform`` -- for dim <= 4 the vectors achieving the
   successive minima generate the lattice, so after LLL we enumerate all
   vectors up to the largest reduced diagonal entry and greedily pick a
@@ -37,47 +38,36 @@ def _gso(g):
     return mu, b2
 
 
-def _col_elementary(m, j, k, q):
-    """Identity with -q at (j, k): the column operation b_k -= q * b_j."""
-    e = [[Fraction(1) if a == b else Fraction(0) for b in range(m)] for a in range(m)]
-    e[j][k] = Fraction(-q)
-    return tuple(tuple(row) for row in e)
-
-
-def _col_swap(m, j, k):
-    e = [[Fraction(1) if a == b else Fraction(0) for b in range(m)] for a in range(m)]
-    e[j][j] = e[k][k] = Fraction(0)
-    e[j][k] = e[k][j] = Fraction(1)
-    return tuple(tuple(row) for row in e)
-
-
-def _apply(g, u, e):
-    return linalg.matmul(linalg.transpose(e), linalg.matmul(g, e)), linalg.matmul(u, e)
-
-
 def lll_gram(g, delta: Fraction = DELTA):
     """LLL-reduce a Gram matrix; returns (reduced_gram, unimodular U).
 
-    The reduced Gram equals U^T g U exactly.
+    The reduced Gram equals U^T g U exactly.  Size reduction updates g, U
+    and mu in place (b2 is unchanged); only a swap recomputes _gso.
     """
     m = len(g)
-    u = linalg.identity(m)
-    if m == 1:
-        return g, u
+    g = [[Fraction(x) for x in row] for row in g]
+    u = [list(row) for row in linalg.identity(m)]
+    mu, b2 = _gso(g)
     k = 1
     while k < m:
-        mu, b2 = _gso(g)
         for j in range(k - 1, -1, -1):
             q = (mu[k][j] + Fraction(1, 2)).__floor__()
-            if q != 0:
-                g, u = _apply(g, u, _col_elementary(m, j, k, q))
-                mu, b2 = _gso(g)
+            if q != 0:  # b_k -= q * b_j: row, column k of g; column k of U
+                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
+                for row in g + u:
+                    row[k] -= q * row[j]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         if b2[k] >= (delta - mu[k][k - 1] ** 2) * b2[k - 1]:
             k += 1
-        else:
-            g, u = _apply(g, u, _col_swap(m, k - 1, k))
+        else:  # exchange b_{k-1} and b_k
+            g[k - 1], g[k] = g[k], g[k - 1]
+            for row in g + u:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            mu, b2 = _gso(g)
             k = max(k - 1, 1)
-    return g, u
+    return tuple(map(tuple, g)), tuple(map(tuple, u))
 
 
 def _rank(cols) -> int:

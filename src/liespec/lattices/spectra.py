@@ -3,29 +3,30 @@
 The Laplace eigenvalues of the torus R^m / L are 4*pi^2*|v|^2 over the
 dual lattice of L, so in the "four-pi-squared" unit the truncated spectrum
 is a finite exact-rational object: entry q means eigenvalue 4*pi^2*q.  The
-cutoff argument is expressed in the same unit.
+cutoff argument is expressed in the same unit.  The table is counted on
+the enumeration kernel's integer norms.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from ..errors import DomainError
-from ..spectrum import SpectrumTable, table_from_pairs
-from .enumeration import enumerate_gram, systole
+from ..rational import rat
+from ..spectrum import SpectrumTable, table_from_counts
+from .enumeration import _integer_problem, _short_vectors_int, systole
 from .lattice import Lattice, dual
 
 
 def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
     """Truncated spectrum of the flat torus with period lattice ``lat``."""
-    cutoff = Fraction(cutoff)
+    cutoff = rat(cutoff)
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    dual_gram = dual(lat).gram
-    pairs = [(Fraction(0), 1)]
-    for _, value in enumerate_gram(dual_gram, cutoff):
-        pairs.append((value, 2))  # each canonical vector stands for +-v
-    return table_from_pairs(
-        pairs, unit="four-pi-squared", cutoff=cutoff, complete=True
-    )
+    a, bound, scale = _integer_problem(dual(lat).gram, cutoff)
+    counts = Counter({0: 1})
+    for _, value in _short_vectors_int(a, bound):
+        counts[value] += 2  # each canonical vector stands for +-v
+    return table_from_counts(counts, scale, "four-pi-squared", cutoff)
 
 
 def torus_lambda1(lat: Lattice) -> Fraction:

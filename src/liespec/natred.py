@@ -54,7 +54,7 @@ from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .groups import factor_lambda1
 from .rational import fmt, rat
 from .rootdata import RootSystemData, casimir, check_weight
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, table_from_counts
 from .weights import dominant_weights_up_to, weyl_dim
 
 
@@ -244,14 +244,7 @@ class TermCatalogue:
             value = sum(map(mul, weights, row))
             if value <= limit:
                 acc[value] += mult
-        return SpectrumTable(
-            unit="raw",
-            cutoff=cutoff,
-            entries=tuple(
-                (Fraction(value, scale), acc[value]) for value in sorted(acc)
-            ),
-            complete=True,
-        )
+        return table_from_counts(acc, scale, "raw", cutoff)
 
 
 def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:

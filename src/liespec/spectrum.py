@@ -10,7 +10,9 @@ unit:
   which keeps flat-torus spectra inside exact arithmetic.
 
 Tables compare by exact equality of entries, so two tables computed at the
-same cutoff are isospectral-at-cutoff iff their entries are equal.
+same cutoff are isospectral-at-cutoff iff their entries are equal.  Every
+computed table is built by ``table_from_counts`` from multiplicities keyed
+by exact numerators over one common scale.
 """
 
 import csv
@@ -63,7 +65,7 @@ class SpectrumTable:
 
     def restrict(self, cutoff) -> "SpectrumTable":
         """The same table truncated at a smaller cutoff."""
-        cutoff = Fraction(cutoff)
+        cutoff = rat(cutoff)
         if cutoff > self.cutoff:
             raise DomainError("cannot extend a table beyond its cutoff")
         return SpectrumTable(
@@ -115,14 +117,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def table_from_pairs(pairs, unit, cutoff, complete) -> SpectrumTable:
-    """Aggregate an iterable of (eigenvalue, multiplicity) contributions."""
-    acc = {}
-    for eig, mult in pairs:
-        acc[eig] = acc.get(eig, 0) + mult
-    entries = tuple(sorted((e, m) for e, m in acc.items() if m))
+def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:
+    """Complete table with entries (v / scale, counts[v]) sorted by v: v is
+    an integer over one denominator, or an exact eigenvalue with scale 1."""
     return SpectrumTable(
-        unit=unit, cutoff=Fraction(cutoff), entries=entries, complete=complete
+        unit=unit,
+        cutoff=cutoff,
+        entries=tuple((Fraction(v, scale), counts[v]) for v in sorted(counts)),
+        complete=True,
     )
 
 

@@ -3,9 +3,11 @@ box-enumeration oracle used to cross-check torus spectra, the
 Fraction-based short-vector kernel used as the exact reference for the
 library's integer kernel, the Fraction-based Weyl dimension, Casimir
 and Freudenthal code used as the exact reference for the library's
-integer root-system tables, and the product-diagram branching peel with
+integer root-system tables, the product-diagram branching peel with
 the per-metric term builder and grid scan on top of it, used as the
-exact reference for dominant-only branching and the term catalogue."""
+exact reference for dominant-only branching and the term catalogue, and
+the elementary-matrix LLL used as the exact reference for the library's
+in-place LLL."""
 
 import itertools
 import math
@@ -29,11 +31,12 @@ from liespec.errors import (
 )
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice
+from liespec.lattices.reduction import DELTA, _gso
 from liespec.linalg import inverse
 from liespec.natred import NatRedMetric
 from liespec.rational import fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
-from liespec.spectrum import table_distance, table_from_pairs
+from liespec.spectrum import SpectrumTable, table_distance
 from liespec.weights import dominant_weights_up_to, weight_diagram, weyl_dim
 
 
@@ -201,6 +204,50 @@ def short_vectors_int(a, bound: int):
 
     rec(m - 1, Fraction(0), True)
     return out
+
+
+# Reference LLL: every size-reduction step and every swap is an elementary
+# Fraction matrix E applied as g -> E^T g E and U -> U E, with the
+# Gram-Schmidt data recomputed after each step.
+
+
+def _col_elementary(m, j, k, q):
+    """Identity with -q at (j, k): the column operation b_k -= q * b_j."""
+    e = [[Fraction(1) if a == b else Fraction(0) for b in range(m)] for a in range(m)]
+    e[j][k] = Fraction(-q)
+    return tuple(tuple(row) for row in e)
+
+
+def _col_swap(m, j, k):
+    e = [[Fraction(1) if a == b else Fraction(0) for b in range(m)] for a in range(m)]
+    e[j][j] = e[k][k] = Fraction(0)
+    e[j][k] = e[k][j] = Fraction(1)
+    return tuple(tuple(row) for row in e)
+
+
+def _apply(g, u, e):
+    return linalg.matmul(linalg.transpose(e), linalg.matmul(g, e)), linalg.matmul(u, e)
+
+
+def ref_lll_gram(g, delta: Fraction = DELTA):
+    m = len(g)
+    u = linalg.identity(m)
+    if m == 1:
+        return g, u
+    k = 1
+    while k < m:
+        mu, b2 = _gso(g)
+        for j in range(k - 1, -1, -1):
+            q = (mu[k][j] + Fraction(1, 2)).__floor__()
+            if q != 0:
+                g, u = _apply(g, u, _col_elementary(m, j, k, q))
+                mu, b2 = _gso(g)
+        if b2[k] >= (delta - mu[k][k - 1] ** 2) * b2[k - 1]:
+            k += 1
+        else:
+            g, u = _apply(g, u, _col_swap(m, k - 1, k))
+            k = max(k - 1, 1)
+    return g, u
 
 
 # Exact reference Lie primitives: the symmetrizer and the <theta,theta> = 2
@@ -487,8 +534,17 @@ def ref_natred_spectrum(m: NatRedMetric, cutoff):
     pairs = [
         (eig, mult) for _, _, mult, eig in ref_natred_terms(m, cutoff)
     ]
-    return table_from_pairs(
-        unit="raw", cutoff=cutoff, pairs=pairs, complete=True
+    return _table_from_pairs(pairs, cutoff)
+
+
+def _table_from_pairs(pairs, cutoff) -> SpectrumTable:
+    """Aggregate (eigenvalue, multiplicity) contributions keyed by Fraction."""
+    acc = {}
+    for eig, mult in pairs:
+        acc[eig] = acc.get(eig, 0) + mult
+    entries = tuple(sorted((e, m) for e, m in acc.items() if m))
+    return SpectrumTable(
+        unit="raw", cutoff=Fraction(cutoff), entries=entries, complete=True
     )
 
 

@@ -145,3 +145,16 @@ def test_group_validation():
         GroupSpec(factors=(build("A1"),), scales=(1, 1))
     with pytest.raises(DomainError):
         GroupSpec(factors=(build("A1"),), gamma=(((1,), (1,)),))
+
+
+def test_float_scales_and_gamma_rejected():
+    # scales and gamma entries are coerced exactly; a float is a domain error
+    with pytest.raises(DomainError):
+        GroupSpec(factors=(build("A1"),), scales=(0.5,))
+    with pytest.raises(DomainError):
+        GroupSpec(factors=(build("A1"),), gamma=(((0.5,),),))
+    gs = GroupSpec(factors=(build("A1"),), scales=("1/2",), gamma=((("1/2",),),))
+    assert gs.scales == (F(1, 2),) and type(gs.scales[0]) is F
+    assert gs.gamma == (((F(1, 2),),),)
+    t = biinvariant_spectrum(GroupSpec(factors=(build("A1"),), scales=(1,)), 3)
+    assert all(type(e) is F for e, _ in t.entries)

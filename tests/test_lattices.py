@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (
     box_oracle_spectrum,
+    random_integer_basis,
     random_rational_basis,
+    ref_lll_gram,
     short_vectors_int,
 )
 from liespec import build
+from liespec.catalog import BUILTIN_LATTICES
 from liespec.errors import DomainError, UnsupportedDimensionError
 from liespec.lattices import (
     HERMITE_POWER,
@@ -175,6 +178,35 @@ def test_lll_properties():
         )
 
 
+def _exactly_equal(a, b):
+    return a == b and all(
+        type(x) is F and type(y) is F
+        for ra, rb in zip(a, b)
+        for x, y in zip(ra, rb)
+    )
+
+
+def test_lll_matches_elementary_matrix_reference():
+    # in-place LLL gives the reference's exact (reduced Gram, U), entry types
+    # included, on random rational and integer lattices of dimension 1-6,
+    # the criterion-01 lattices and their duals, and the E8 Cartan matrix
+    rng = random.Random(2026)
+    grams = []
+    for i in range(300):
+        m = rng.randint(1, 6)
+        make = random_rational_basis if i % 2 else random_integer_basis
+        grams.append(Lattice.from_basis(make(rng, m)).gram)
+    rng = random.Random(20260816)  # the criterion-01 sequence
+    for _ in range(200):
+        lat = Lattice.from_basis(random_rational_basis(rng, rng.randint(1, 4)))
+        grams += [lat.gram, dual(lat).gram]
+    grams.append(build("E8").cartan)
+    for gram in grams:
+        g, u = lll_gram(gram)
+        g_ref, u_ref = ref_lll_gram(gram)
+        assert _exactly_equal(g, g_ref) and _exactly_equal(u, u_ref)
+
+
 def test_reduce_with_transform_reaches_systole():
     rng = random.Random(17)
     for _ in range(15):
@@ -243,3 +275,58 @@ def test_gram_scaling_property(p, q, s):
     a = short_vectors(lat, F(9))
     b = short_vectors(scaled, F(9 * s))
     assert [(c, n * s) for c, n in a] == b
+
+
+def test_float_cutoffs_rejected():
+    # every torus entry point is exact: a float cutoff is a domain error
+    with pytest.raises(DomainError):
+        torus_spectrum(Z2, 0.1)
+    with pytest.raises(DomainError):
+        short_vectors(Z2, 0.5)
+    assert torus_spectrum(Z2, "1/10").cutoff == F(1, 10)
+
+
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append((0,) * at + tuple(row) + (0,) * (n - at - len(row)))
+        at += len(b)
+    return rows
+
+
+def test_z4_matches_jacobi_four_squares():
+    # r_4(n) = 8 * sum of the divisors d of n with 4 not dividing d
+    z4 = BUILTIN_LATTICES["identity4"]
+    expect = {F(0): 1}
+    for n in range(1, 41):
+        expect[F(n)] = 8 * sum(d for d in range(1, n + 1) if n % d == 0 and d % 4)
+    assert dict(torus_spectrum(z4, 40).entries) == expect
+
+
+def test_e8_matches_theta_series():
+    # E8 is even unimodular: r(2n) = 240 * sigma_3(n) and no odd norms
+    e8 = Lattice.from_gram(build("E8").cartan)
+    expect = {F(0): 1}
+    for n in range(1, 6):
+        expect[F(2 * n)] = 240 * sum(d**3 for d in range(1, n + 1) if n % d == 0)
+    assert dict(torus_spectrum(e8, 10).entries) == expect
+
+
+def test_milnor_pair_is_isospectral():
+    # E8 + E8 and D16+ (Milnor 1964): two even unimodular lattices with
+    # different root systems whose tori have equal spectra
+    cartan = build("E8").cartan
+    e8e8 = Lattice.from_gram(_block_diagonal(cartan, cartan))
+    half = F(1, 2)
+    cols = []
+    for i in range(1, 15):  # e_i - e_{i+1} for i = 2..15, zero-based
+        cols.append(tuple(1 if r == i else -1 if r == i + 1 else 0 for r in range(16)))
+    cols.append(tuple(1 if r in (14, 15) else 0 for r in range(16)))
+    cols.append((half,) * 16)
+    d16 = Lattice.from_basis(tuple(zip(*cols)))
+    assert d16.det_gram == 1 == e8e8.det_gram
+    expect = ((F(0), 1), (F(2), 480), (F(4), 61920))
+    assert torus_spectrum(e8e8, 4).entries == expect
+    assert torus_spectrum(d16, 4).entries == expect

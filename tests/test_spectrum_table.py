@@ -8,7 +8,7 @@ from liespec.spectrum import (
     SpectrumTable,
     canonical_json,
     table_distance,
-    table_from_pairs,
+    table_from_counts,
 )
 
 
@@ -40,16 +40,21 @@ def test_lookup_and_restrict():
     r = t.restrict(F(1, 2))
     assert r.cutoff == F(1, 2)
     assert r.entries == ((F(0), 1), (F(3, 8), 4))
+    with pytest.raises(DomainError):
+        t.restrict(0.5)  # floats are not exact
 
 
-def test_from_pairs_merges_exactly():
-    t = table_from_pairs(
-        pairs=[(F(1, 3), 2), (F(2, 6), 5), (F(0), 1)],
-        unit="raw",
-        cutoff=F(2),
-        complete=True,
-    )
-    assert t.entries == ((F(0), 1), (F(1, 3), 7))
+def test_from_counts_merges_exactly():
+    # integer numerators over a common scale, one entry per distinct value
+    t = table_from_counts({6: 5, 0: 1, 2: 2}, 6, "four-pi-squared", F(2))
+    assert t.entries == ((F(0), 1), (F(1, 3), 2), (F(1), 5))
+    assert all(type(e) is F for e, _ in t.entries)
+    assert t.unit == "four-pi-squared" and t.cutoff == F(2) and t.complete
+    # exact eigenvalues with scale 1 sort by value
+    t = table_from_counts({F(3, 2): 4, F(1, 3): 7, F(0): 1}, 1, "raw", F(2))
+    assert t.entries == ((F(0), 1), (F(1, 3), 7), (F(3, 2), 4))
+    with pytest.raises(DomainError):
+        table_from_counts({3: 1}, 1, "raw", F(2))  # above cutoff
 
 
 def test_json_round_trip():
