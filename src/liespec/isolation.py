@@ -20,10 +20,10 @@ from itertools import combinations, product
 
 from .errors import DomainError, UnsupportedDimensionError
 from .groups import GroupSpec, factor_lambda1
-from .lattices import Lattice, congruent, systole
-from .linalg import det, inverse, is_positive_definite
+from .lattices import Lattice, congruent, dual, systole
+from .linalg import inverse
 from .natred import NatRedMetric, term_catalogue
-from .rational import fmt, rat
+from .rational import exact_int, fmt, rat
 from .spectrum import SpectrumTable, table_distance
 
 
@@ -111,7 +111,7 @@ def isolation_scan(
     radius = rat(radius)
     if not 0 <= radius < 1:
         raise DomainError("radius must lie in [0, 1)")
-    steps = int(steps)
+    steps = exact_int(steps)
     if steps < 1:
         raise DomainError("steps must be at least 1")
     cutoff = rat(cutoff)
@@ -181,7 +181,7 @@ def isolation_scan(
 def finiteness_window(lam, vol, n: int, const) -> Fraction:
     """Scale window C / (lambda^n vol^2)."""
     lam, vol, const = rat(lam), rat(vol), rat(const)
-    n = int(n)
+    n = exact_int(n)
     if lam <= 0 or vol <= 0 or const <= 0:
         raise DomainError("window inputs must be positive")
     return const / (lam**n * vol**2)
@@ -191,7 +191,7 @@ def homothety_invariant(table: SpectrumTable, n: int, vol):
     """lambda_1^{n/2} * vol, exact for even n; for odd n the squared pair
     (lambda_1^n * vol^2, n) keeps everything rational."""
     vol = rat(vol)
-    n = int(n)
+    n = exact_int(n)
     if vol <= 0:
         raise DomainError("volume must be positive")
     if n < 1:
@@ -217,7 +217,7 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
     volume >= vol_min (det q <= 1/vol_min^2), inverted back to torus Gram
     matrices, and deduped up to congruence.
     """
-    n = int(n)
+    n = exact_int(n)
     if n < 1:
         raise DomainError("dimension must be positive")
     if n > 4:
@@ -239,15 +239,15 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
                 q[j][j] = diag[j]
             for (j, k), c in zip(pairs, off):
                 q[j][k] = q[k][j] = (c - diag[j] - diag[k]) / 2
-            qt = tuple(tuple(row) for row in q)
-            if not is_positive_definite(qt):
+            try:
+                dual_torus = Lattice.from_gram(q)
+            except DomainError:  # not positive definite
                 continue
-            if det(qt) * vol_min**2 > 1:
+            if dual_torus.det_gram * vol_min**2 > 1:
                 continue
-            dual = Lattice.from_gram(qt)
-            if systole(dual) < lam_min:
+            if systole(dual_torus) < lam_min:
                 continue
-            torus = Lattice.from_gram(inverse(qt))
+            torus = dual(dual_torus)
             if any(congruent(torus, seen) for seen in kept):
                 continue
             kept.append(torus)

@@ -6,9 +6,9 @@ the integer matrix A = q*G (q the common denominator) and B = floor(q*b),
 because x^T A x is an integer.
 
 The integer problem is solved by Fincke-Pohst enumeration (Math. Comp. 44,
-1985) on a fraction-free square completion.  Bareiss elimination of A gives
-integer pivots p_i (the leading minors, p_{-1} = 1) and integer rows r_ij
-with
+1985) on a fraction-free square completion.  The package's Bareiss
+elimination (``linalg.eliminate``) of A gives integer pivots p_i (the
+leading minors, p_{-1} = 1) and integer pivot rows r_ij with
 
     L * x^T A x = sum_i w_i * (p_i x_i + sum_{j>i} r_ij x_j)^2,
     w_i = L / (p_{i-1} p_i),  L = lcm of the p_{i-1} p_i,
@@ -25,14 +25,14 @@ integer; that is checked with an explicit CertificationError, which
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .. import linalg
 from ..errors import CertificationError, DomainError
 from ..rational import rat
 from .lattice import Lattice
 
 
 def _integer_problem(gram, bound: Fraction):
-    scale = lcm(*[x.denominator for row in gram for x in row])
-    a = [[int(x * scale) for x in row] for row in gram]
+    a, scale = linalg.clear_denominators(gram)
     scaled = bound * scale
     b = scaled.numerator // scaled.denominator
     return a, b, scale
@@ -40,23 +40,13 @@ def _integer_problem(gram, bound: Fraction):
 
 def _completed_squares(a):
     """Pivots p, rows r and weights w, L of the integer square completion."""
-    m = len(a)
-    work = [list(row) for row in a]
-    pivots = []
-    prev = 1
-    for k in range(m):
-        p = work[k][k]
-        if p <= 0:
-            raise ValueError("matrix is not positive definite")
-        for i in range(k + 1, m):
-            for j in range(i, m):
-                work[i][j] = (p * work[i][j] - work[k][i] * work[k][j]) // prev
-        pivots.append(p)
-        prev = p
+    pivots, rows, swaps, _ = linalg.eliminate(a)
+    if swaps or min(pivots) <= 0:
+        raise ValueError("matrix is not positive definite")
     denoms = [lo * hi for lo, hi in zip([1] + pivots, pivots)]
     total = lcm(*denoms)
     weights = [total // d for d in denoms]
-    return pivots, work, weights, total
+    return pivots, rows, weights, total
 
 
 def _short_vectors_int(a, bound: int):
@@ -128,6 +118,5 @@ def systole(lat: Lattice) -> Fraction:
     from .reduction import lll_gram
 
     g, _ = lll_gram(lat.gram)
-    bound = min(g[i][i] for i in range(len(g)))
-    half = enumerate_gram(g, bound)
-    return min(value for _, value in half)
+    a, bound, scale = _integer_problem(g, min(g[i][i] for i in range(len(g))))
+    return Fraction(min(value for _, value in _short_vectors_int(a, bound)), scale)

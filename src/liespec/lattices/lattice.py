@@ -1,11 +1,15 @@
 """Full-rank rational lattices.
 
 A lattice is presented either by a basis matrix (columns are generators)
-or directly by its Gram matrix.  All downstream computations -- dual,
-enumeration, spectra, reduction, congruence -- operate on the Gram matrix
-in integer coordinates, so a Gram-only lattice supports everything except
-recovering an explicit embedding in R^m.  This matters because classical
-Gram matrices such as [[2,1],[1,2]] admit no rational basis realization.
+or directly by its Gram matrix.  It is validated once, at construction:
+the Gram matrix is symmetric and positive definite, decided by one
+fraction-free elimination (``linalg.eliminate``: positive pivots, no row
+exchange), and a given basis B is square with B^T B equal to it.  All
+downstream computations -- dual, enumeration, spectra, reduction,
+congruence -- operate on the Gram matrix in integer coordinates, so a
+Gram-only lattice supports everything except recovering an explicit
+embedding in R^m.  This matters because classical Gram matrices such as
+[[2,1],[1,2]] admit no rational basis realization.
 
 Exact invariants:
 
@@ -50,14 +54,17 @@ class Lattice:
             raise DomainError("gram matrix shape mismatch")
         if not linalg.is_symmetric(self.gram):
             raise DomainError("gram matrix must be symmetric")
-        if not all(d > 0 for d in linalg.leading_minors(self.gram)):
+        pivots, _, swaps, _ = linalg.eliminate(
+            linalg.clear_denominators(self.gram)[0]
+        )
+        if swaps or min(pivots) <= 0:
             raise DomainError("gram matrix must be positive definite")
-        if self.basis is not None:
-            if linalg.det(self.basis) == 0:
-                raise DomainError("basis must have nonzero determinant")
-            derived = linalg.matmul(linalg.transpose(self.basis), self.basis)
-            if derived != self.gram:
-                raise DomainError("gram must equal basis^T basis")
+        # a square B with B^T B positive definite is nonsingular
+        if self.basis is not None and (
+            len(self.basis) != self.dim
+            or linalg.matmul(linalg.transpose(self.basis), self.basis) != self.gram
+        ):
+            raise DomainError("basis must be square with basis^T basis = gram")
 
     @staticmethod
     def from_basis(rows) -> "Lattice":
@@ -108,12 +115,11 @@ class Lattice:
 def dual(lat: Lattice) -> Lattice:
     """The dual lattice: Gram matrix is the exact inverse Gram.
 
-    When a basis B is available the dual basis is (B^T)^{-1}.
+    When a basis B is available the dual basis is B G^{-1}, which equals
+    (B^T)^{-1} because G = B^T B.
     """
     gram = linalg.inverse(lat.gram)
-    basis = None
-    if lat.basis is not None:
-        basis = linalg.inverse(linalg.transpose(lat.basis))
+    basis = None if lat.basis is None else linalg.matmul(lat.basis, gram)
     return Lattice(dim=lat.dim, gram=gram, basis=basis)
 
 

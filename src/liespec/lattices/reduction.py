@@ -2,10 +2,11 @@
 
 Two layers:
 
-* ``lll_gram`` -- rational LLL with delta = 99/100, working on the Gram
-  matrix alone (Cohen, Alg. 2.6.3) by in-place row and column operations,
-  and returning the unimodular transform.  Used for every dimension as a
-  preconditioner and as the full answer for dim > 4.
+* ``lll_gram`` -- integral LLL on the shared Bareiss table (Cohen,
+  Alg. 2.6.7) with delta = 99/100, working on the Gram matrix alone,
+  cleared of denominators, and returning the unimodular transform.  Used
+  for every dimension as a preconditioner and as the full answer for
+  dim > 4.
 * ``_minima_transform`` -- for dim <= 4 the vectors achieving the
   successive minima generate the lattice, so after LLL we enumerate all
   vectors up to the largest reduced diagonal entry and greedily pick a
@@ -20,75 +21,50 @@ from ..errors import LiespecError
 from .enumeration import enumerate_gram
 from .lattice import Lattice
 
-DELTA = Fraction(99, 100)
+
+def _bareiss_table(a):
+    """Pivots d and pivot rows lam of the integer Gram matrix a."""
+    d, lam, swaps, _ = linalg.eliminate(a)
+    if swaps or min(d) <= 0:
+        raise LiespecError("Gram matrix not positive definite in LLL")
+    return d, lam
 
 
-def _gso(g):
-    """Gram-Schmidt data (mu, b_star_sq) computed from a Gram matrix."""
-    m = len(g)
-    mu = [[Fraction(0)] * m for _ in range(m)]
-    b2 = [Fraction(0)] * m
-    for i in range(m):
-        for k in range(i):
-            num = g[i][k] - sum(mu[i][j] * mu[k][j] * b2[j] for j in range(k))
-            mu[i][k] = num / b2[k]
-        b2[i] = g[i][i] - sum(mu[i][j] ** 2 * b2[j] for j in range(i))
-        if b2[i] <= 0:
-            raise LiespecError("Gram matrix not positive definite in LLL")
-    return mu, b2
-
-
-def lll_gram(g, delta: Fraction = DELTA):
+def lll_gram(g):
     """LLL-reduce a Gram matrix; returns (reduced_gram, unimodular U).
 
-    The reduced Gram equals U^T g U exactly.  Size reduction updates g, U
-    and mu in place (b2 is unchanged); only a swap recomputes _gso.
+    The reduced Gram equals U^T g U exactly.  Everything runs on the
+    integer matrix a = q*g: d_k is the k-th Bareiss pivot, the Gram
+    determinant of the first k+1 vectors, and lam[j][k] = d_j mu_kj.  Size
+    reduction is a column operation on a, U and lam (lam[i][j] is 0 for
+    i > j, and d_j for i = j); only a swap recomputes the table.
     """
-    m = len(g)
-    g = [[Fraction(x) for x in row] for row in g]
-    u = [list(row) for row in linalg.identity(m)]
-    mu, b2 = _gso(g)
+    a, q = linalg.clear_denominators(g)
+    m = len(a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    d, lam = _bareiss_table(a)
     k = 1
     while k < m:
         for j in range(k - 1, -1, -1):
-            q = (mu[k][j] + Fraction(1, 2)).__floor__()
-            if q != 0:  # b_k -= q * b_j: row, column k of g; column k of U
-                g[k] = [x - q * y for x, y in zip(g[k], g[j])]
-                for row in g + u:
-                    row[k] -= q * row[j]
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if b2[k] >= (delta - mu[k][k - 1] ** 2) * b2[k - 1]:
+            r = (2 * lam[j][k] + d[j]) // (2 * d[j])  # floor(mu_kj + 1/2)
+            if r:  # b_k -= r * b_j
+                a[k] = [x - r * y for x, y in zip(a[k], a[j])]
+                for row in a + u + lam:
+                    row[k] -= r * row[j]
+        # Lovasz with delta = 99/100, times 100 d_{k-1} d_{k-2} (d_{-1} = 1)
+        before = d[k - 2] if k > 1 else 1
+        if 100 * d[k] * before >= 99 * d[k - 1] ** 2 - 100 * lam[k - 1][k] ** 2:
             k += 1
         else:  # exchange b_{k-1} and b_k
-            g[k - 1], g[k] = g[k], g[k - 1]
-            for row in g + u:
+            a[k - 1], a[k] = a[k], a[k - 1]
+            for row in a + u:
                 row[k - 1], row[k] = row[k], row[k - 1]
-            mu, b2 = _gso(g)
+            d, lam = _bareiss_table(a)
             k = max(k - 1, 1)
-    return tuple(map(tuple, g)), tuple(map(tuple, u))
-
-
-def _rank(cols) -> int:
-    if not cols:
-        return 0
-    rows = [list(map(Fraction, col)) for col in cols]
-    rank = 0
-    ncols = len(rows[0])
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return (
+        tuple(tuple(Fraction(x, q) for x in row) for row in a),
+        tuple(tuple(Fraction(x) for x in row) for row in u),
+    )
 
 
 def _minima_transform(g):
@@ -98,8 +74,12 @@ def _minima_transform(g):
     half = sorted(enumerate_gram(g, bound), key=lambda t: (t[1], t[0]))
     chosen = []
     for coords, _ in half:
-        if _rank(chosen + [coords]) > len(chosen):
-            chosen.append(coords)
+        trial = chosen + [coords]
+        # independent iff their integer Gram matrix, which is positive
+        # semidefinite, is positive definite: iff its determinant is > 0
+        gram = [[sum(x * y for x, y in zip(s, t)) for t in trial] for s in trial]
+        if linalg.det(gram) > 0:
+            chosen = trial
             if len(chosen) == m:
                 break
     v = tuple(tuple(Fraction(chosen[j][i]) for j in range(m)) for i in range(m))

@@ -1,26 +1,21 @@
 """Exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
-Everything here is small and dense, so plain Gaussian elimination is fine.
+Every elimination in the package is ``eliminate``, fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of an integer
+matrix; rational input is cleared of denominators first.  Its pivots give
+the determinant, its augmented block the inverse, and for a symmetric
+matrix they decide positive-definiteness: positive pivots and no row
+exchange, the pivots then being the leading principal minors.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 
 Matrix = tuple
 Vector = tuple
-
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -47,56 +42,70 @@ def form_value(g: Matrix, u: Vector, v: Vector) -> Fraction:
     return dot(u, matvec(g, v))
 
 
-def det(a: Matrix) -> Fraction:
+def clear_denominators(a):
+    """(q*a as lists of ints, q) for the least positive integer q that
+    makes every entry of the rational matrix a an integer."""
+    q = lcm(*[x.denominator for row in a for x in row])
+    return [[x.numerator * (q // x.denominator) for x in row] for row in a], q
+
+
+def eliminate(a, aug=None):
+    """Fraction-free Gauss-Jordan elimination of a square integer matrix.
+
+    Step k exchanges into place the first row at or below k that is
+    nonzero in column k, then replaces every other row r by
+    (p_k r - r_k row_k) // p_{k-1}, always an exact division (p_{-1} = 1).
+    ``aug`` is an optional integer block with one row per row of a.
+
+    Returns (pivots, rows, swaps, right): the pivots p_k, the leading
+    minors of the row-exchanged matrix, ending at a 0 for a singular one;
+    each pivot row as it stood at its own step (zero before column k, p_k
+    at column k, and for a symmetric matrix p_k mu_jk at column j > k);
+    the number of row exchanges, so det a = (-1)^swaps p_{n-1}; and the
+    augmented block, now p_{n-1} a^{-1} aug.
+    """
     n = len(a)
-    m = [list(row) for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result
+    m = [list(row) + list(aug[i] if aug else ()) for i, row in enumerate(a)]
+    pivots, rows, swaps, prev = [], [], 0, 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            pivots.append(0)
+            break
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            swaps += 1
+        top = m[k]
+        p = top[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = row[:k] + [
+                    (p * x - f * y) // prev for x, y in zip(row[k:], top[k:])
+                ]
+        pivots.append(p)
+        rows.append(top)
+        prev = p
+    return pivots, rows, swaps, [row[n:] for row in m]
+
+
+def det(a: Matrix) -> Fraction:
+    ints, q = clear_denominators(a)
+    pivots, _, swaps, _ = eliminate(ints)
+    return Fraction((-1) ** swaps * pivots[-1], q ** len(a))
 
 
 def inverse(a: Matrix) -> Matrix:
+    """Exact inverse: the adjugate of q*a over its determinant, times q."""
     n = len(a)
-    m = [list(row) + [Fraction(1) if i == r else Fraction(0) for i in range(n)]
-         for r, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    ints, q = clear_denominators(a)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots, _, _, right = eliminate(ints, unit)
+    if not pivots[-1]:
+        raise DomainError("matrix is singular")
+    return tuple(tuple(Fraction(q * x, pivots[-1]) for x in row) for row in right)
 
 
 def is_symmetric(a: Matrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def leading_minors(a: Matrix) -> list:
-    n = len(a)
-    return [det(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(n)]
-
-
-def is_positive_definite(a: Matrix) -> bool:
-    return is_symmetric(a) and all(d > 0 for d in leading_minors(a))
-

@@ -22,6 +22,14 @@ def rat(value) -> Fraction:
         raise DomainError(f"not a rational: {value!r}") from exc
 
 
+def exact_int(value) -> int:
+    """Coerce like ``rat`` and require an integer: no float, no truncation."""
+    q = rat(value)
+    if q.denominator != 1:
+        raise DomainError(f"not an integer: {value!r}")
+    return q.numerator
+
+
 def fmt(value: Fraction) -> str:
     """Format a Fraction as 'p/q', or 'p' when the denominator is 1."""
     return str(Fraction(value))

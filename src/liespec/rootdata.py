@@ -35,6 +35,7 @@ from math import lcm, prod
 
 from . import linalg
 from .errors import DomainError
+from .rational import exact_int
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -225,7 +226,7 @@ def _build(name: str) -> RootSystemData:
     factor = Fraction(2) / theta_sq
     d = [x * factor for x in d]
 
-    cinv = linalg.inverse(linalg.mat(cartan))
+    cinv = linalg.inverse(cartan)
     fund_form = tuple(
         tuple(cinv[i][j] * d[j] for j in range(n)) for i in range(n)
     )
@@ -233,7 +234,7 @@ def _build(name: str) -> RootSystemData:
         raise DomainError("fundamental form failed symmetry; bad Cartan data")
     form_den = lcm(*(x.denominator for row in fund_form for x in row))
     form = tuple(tuple(int(x * form_den) for x in row) for row in fund_form)
-    det = linalg.det(linalg.mat(cartan))
+    det = linalg.det(cartan)
     cartan_adj = tuple(
         tuple(int(cinv[j][i] * det) for j in range(n)) for i in range(n)
     )
@@ -287,9 +288,7 @@ def check_weight(rs: RootSystemData, weight) -> tuple:
         raise DomainError(
             f"weight has {len(w)} coordinates, expected {rs.rank}"
         )
-    if not all(isinstance(x, int) or Fraction(x).denominator == 1 for x in w):
-        raise DomainError("weight coordinates must be integers")
-    return tuple(int(x) for x in w)
+    return tuple(x if isinstance(x, int) else exact_int(x) for x in w)
 
 
 def is_dominant(weight) -> bool:

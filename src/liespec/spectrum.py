@@ -104,11 +104,18 @@ class SpectrumTable:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SpectrumTable":
+        """Strict inverse of ``to_json_dict``: ``complete`` is a JSON boolean
+        and every multiplicity a string of decimal digits."""
+        mults = [m for _, m in obj["entries"]]
+        if not isinstance(obj["complete"], bool) or not all(
+            isinstance(m, str) and m.isascii() and m.isdigit() for m in mults
+        ):
+            raise DomainError("table JSON is not as to_json_dict writes it")
         return SpectrumTable(
             unit=obj["unit"],
             cutoff=rat(obj["cutoff"]),
             entries=tuple((rat(e), int(m)) for e, m in obj["entries"]),
-            complete=bool(obj["complete"]),
+            complete=obj["complete"],
         )
 
 

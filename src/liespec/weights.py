@@ -15,17 +15,16 @@ All three run on the integer tables of ``rootdata``:
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError
 from .linalg import dot, form_value, matvec
+from .rational import rat
 from .rootdata import (
     RootSystemData,
     casimir,
     check_weight,
-    contragredient_weight,
     dominant_rep,
     is_dominant,
     weyl_orbit,
@@ -149,7 +148,7 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
     Correct because the Casimir is strictly increasing in every coordinate
     on the dominant cone.
     """
-    cas_max = Fraction(cas_max)
+    cas_max = rat(cas_max)
     out = []
     if cas_max < 0:
         return out
@@ -174,7 +173,3 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
     final.sort(key=lambda w: (sum(w), w))
     return final
 
-
-def contragredient(rs: RootSystemData, weight) -> tuple:
-    """Highest weight of the contragredient representation."""
-    return contragredient_weight(rs, weight)

@@ -5,9 +5,11 @@ library's integer kernel, the Fraction-based Weyl dimension, Casimir
 and Freudenthal code used as the exact reference for the library's
 integer root-system tables, the product-diagram branching peel with
 the per-metric term builder and grid scan on top of it, used as the
-exact reference for dominant-only branching and the term catalogue, and
+exact reference for dominant-only branching and the term catalogue,
 the elementary-matrix LLL used as the exact reference for the library's
-in-place LLL."""
+integral LLL, and the Fraction Gaussian elimination, Gauss-Jordan inverse
+and Gram-Schmidt used as the exact references for the library's one
+fraction-free elimination."""
 
 import itertools
 import math
@@ -27,17 +29,80 @@ from liespec.branching import (
 from liespec.errors import (
     CertificationError,
     DomainError,
+    LiespecError,
     MalformedEmbeddingError,
 )
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice
-from liespec.lattices.reduction import DELTA, _gso
-from liespec.linalg import inverse
 from liespec.natred import NatRedMetric
 from liespec.rational import fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
 from liespec.spectrum import SpectrumTable, table_distance
 from liespec.weights import dominant_weights_up_to, weight_diagram, weyl_dim
+
+
+# Exact Fraction elimination: Gaussian elimination for the determinant,
+# Gauss-Jordan for the inverse and Gram-Schmidt from a Gram matrix.  They
+# share nothing with the library's fraction-free elimination.
+
+
+def _fractions(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def ref_det(a):
+    n = len(a)
+    m = [list(row) for row in a]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return result
+
+
+def ref_inverse(a):
+    n = len(a)
+    m = [list(row) + [Fraction(1) if i == r else Fraction(0) for i in range(n)]
+         for r, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise DomainError("matrix is singular")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def ref_gso(g):
+    """Gram-Schmidt data (mu, b_star_sq) computed from a Gram matrix."""
+    m = len(g)
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    b2 = [Fraction(0)] * m
+    for i in range(m):
+        for k in range(i):
+            num = g[i][k] - sum(mu[i][j] * mu[k][j] * b2[j] for j in range(k))
+            mu[i][k] = num / b2[k]
+        b2[i] = g[i][i] - sum(mu[i][j] ** 2 * b2[j] for j in range(i))
+        if b2[i] <= 0:
+            raise LiespecError("Gram matrix not positive definite in LLL")
+    return mu, b2
 
 
 def random_integer_basis(rng, m, lo=-2, hi=2):
@@ -85,7 +150,7 @@ def box_oracle_spectrum(lat: Lattice, cutoff: Fraction) -> dict:
     candidate box never materializes at once.  Completely independent of
     the library's recursive enumeration.
     """
-    q = inverse(lat.gram)
+    q = ref_inverse(lat.gram)
     m = lat.dim
     scale = math.lcm(*[x.denominator for row in q for x in row])
     a = np.array(
@@ -229,19 +294,22 @@ def _apply(g, u, e):
     return linalg.matmul(linalg.transpose(e), linalg.matmul(g, e)), linalg.matmul(u, e)
 
 
+DELTA = Fraction(99, 100)
+
+
 def ref_lll_gram(g, delta: Fraction = DELTA):
     m = len(g)
-    u = linalg.identity(m)
+    u = tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))
     if m == 1:
         return g, u
     k = 1
     while k < m:
-        mu, b2 = _gso(g)
+        mu, b2 = ref_gso(g)
         for j in range(k - 1, -1, -1):
             q = (mu[k][j] + Fraction(1, 2)).__floor__()
             if q != 0:
                 g, u = _apply(g, u, _col_elementary(m, j, k, q))
-                mu, b2 = _gso(g)
+                mu, b2 = ref_gso(g)
         if b2[k] >= (delta - mu[k][k - 1] ** 2) * b2[k - 1]:
             k += 1
         else:
@@ -275,7 +343,7 @@ def fraction_tables(rs):
         for j in range(n)
     )
     d = tuple(x * Fraction(2) / theta_sq for x in d)
-    cinv = linalg.inverse(linalg.mat(cartan))
+    cinv = ref_inverse(_fractions(cartan))
     fund_form = tuple(
         tuple(cinv[i][j] * d[j] for j in range(n)) for i in range(n)
     )
@@ -341,7 +409,7 @@ def _dominant_candidates(rs, lam):
     box = []
     for j in range(n):
         box.append(range(_floor_sqrt(lam_sq / fund_form[j][j]) + 1))
-    cinv_t = linalg.transpose(linalg.inverse(linalg.mat(rs.cartan)))
+    cinv_t = linalg.transpose(ref_inverse(_fractions(rs.cartan)))
     out = []
     for mu in itertools.product(*box):
         diff = tuple(Fraction(a - b) for a, b in zip(lam, mu))
@@ -360,7 +428,7 @@ def ref_dominant_character(rs, weight) -> tuple:
     lam_shift_sq = ref_ip_norm(
         rs, tuple(x + 1 for x in lam), tuple(x + 1 for x in lam)
     )
-    cinv_t = linalg.transpose(linalg.inverse(linalg.mat(rs.cartan)))
+    cinv_t = linalg.transpose(ref_inverse(_fractions(rs.cartan)))
 
     def in_cone(nu):
         diff = tuple(Fraction(a - b) for a, b in zip(lam, nu))

@@ -303,12 +303,21 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     run_cli(capsys, *args)
     (entry,) = tmp_path.iterdir()
     good = entry.read_text()
-    entry.write_text(fresh[: len(fresh) // 2])  # a half-written table
-    code, out = run_cli(capsys, *args)
-    assert code == 0
-    assert out == fresh
-    assert os.listdir(tmp_path) == [entry.name]
-    assert entry.read_text() == good
+    planted = [
+        fresh[: len(fresh) // 2],  # a half-written table
+        # tables that parse, but not as this program writes them
+        good.replace('"complete":true', '"complete":"no"'),
+        good.replace('["0","1"]', '["0",2.5]'),
+        good.replace('["0","1"]', '["0",true]'),
+    ]
+    for text in planted:
+        assert text != good
+        entry.write_text(text)
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == fresh
+        assert os.listdir(tmp_path) == [entry.name]
+        assert entry.read_text() == good
     code, again = run_cli(capsys, *args)
     assert again == fresh
 

@@ -1,0 +1,215 @@
+"""Golden command-line bytes.
+
+Each entry runs one argv through ``cli.main`` in-process and compares the
+exit code and the sha256 of stdout with values recorded before the
+lattice layer moved to one fraction-free elimination.  Output bytes are
+part of the contract: a change that alters any of them says so, and why,
+and records the new digests.
+"""
+
+import hashlib
+
+from liespec.cli import main
+
+# Inline arguments, named so that every argv below is split on spaces.
+INLINE = {
+    "METRIC": '{"group":"A2","embedding":"a1-in-a2-standard","t":"1","t_i":["1/2"]}',
+    "BASIS": '{"basis":[["2","1","0"],["0","3/2","1/3"],["1","0","1"]]}',
+    "GRAM": '{"gram":[["2","-1","0"],["-1","2","-1"],["0","-1","3/2"]]}',
+    "SINGULAR": '{"basis":[["1","2"],["2","4"]]}',
+    "NOT_PD": '{"gram":[["1","2"],["2","1"]]}',
+}
+
+# argv -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "torus-spectrum --gram identity2 --cutoff 3 --format json": (
+        0,
+        "0e3a1c466f819a9e251e3552c7887aed08ff4cbbc9559a66ccb5574d35449a28",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 3 --format csv": (
+        0,
+        "0b9da25385b3a51d42551c99e0cc089664de765ed1b897896f306c997a9de0f0",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 3 --format pretty": (
+        0,
+        "408dfef7844ccf248458f2d237a2c0abd73be0e23f851e270230fe07bb38d967",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 25/2 --format json": (
+        0,
+        "3fbe2ca1f061f1a309902cc8deda285d045a961f2a57eef6bb8a9987fe98b7f2",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 25/2 --format csv": (
+        0,
+        "8ab50a57f9df05f7c44b81930c60e06ae3c48b9fac0a508c29886a709680d401",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 25/2 --format pretty": (
+        0,
+        "fb81e60932248827fb2bd3051fa451636f4aa9829fba3179fce13d24e7c49f20",
+    ),
+    "torus-spectrum --gram identity3 --cutoff 3 --format json": (
+        0,
+        "93fb38b7322d4fc91337da76fab721a914b9e6a5bb267dc253bbcd44618e3e9d",
+    ),
+    "torus-spectrum --gram identity3 --cutoff 3 --format csv": (
+        0,
+        "a858bd4b31466008bc1a61ca24ee963e7b83e9cb11e7095d4a0eed9a118d1a73",
+    ),
+    "torus-spectrum --gram identity3 --cutoff 3 --format pretty": (
+        0,
+        "a12091027612c3901fe77adb40b04cfe2d7f38ede417b6d30d85ef66c49d0ebf",
+    ),
+    "torus-spectrum --gram identity3 --cutoff 25/2 --format json": (
+        0,
+        "3b35e6db13e1ec040a15afc2b2e7651830d58bed0d795b09245769749a8de7e8",
+    ),
+    "torus-spectrum --gram identity3 --cutoff 25/2 --format csv": (
+        0,
+        "3894790e42921ec30330e46f4f291c6c5627d0b095f31ea898763c91ccde83d3",
+    ),
+    "torus-spectrum --gram identity3 --cutoff 25/2 --format pretty": (
+        0,
+        "ba8a3688b98cfee09bc701d492469dbf5117a6be8568389715134c9916cf6277",
+    ),
+    "torus-spectrum --gram identity4 --cutoff 3 --format json": (
+        0,
+        "80e6ee9e9e0bb8dfda62f5d51d22f609a95a1b990984cb29a72d60c6c9297041",
+    ),
+    "torus-spectrum --gram identity4 --cutoff 3 --format csv": (
+        0,
+        "588969ea9b4c95c614541f99c46c5efe0b9581529b8a4784e20d39a58fa44cda",
+    ),
+    "torus-spectrum --gram identity4 --cutoff 3 --format pretty": (
+        0,
+        "bc4d5b1b0080d8010b22e496cc69482d69c30b4c2e66de0886ed888fecd60cf4",
+    ),
+    "torus-spectrum --gram identity4 --cutoff 25/2 --format json": (
+        0,
+        "f4dad5723f0f2105c2391b280abd1555b392e0b01177bfedfe05825e8be432e6",
+    ),
+    "torus-spectrum --gram identity4 --cutoff 25/2 --format csv": (
+        0,
+        "a49fdbe87942ed9249401c6eaa61b57639368165369b3d4a6db879826e0117d3",
+    ),
+    "torus-spectrum --gram identity4 --cutoff 25/2 --format pretty": (
+        0,
+        "93f5415a6d5a3f718b7f610d755403284aac8dc48aecb47a168bdd788f41a921",
+    ),
+    "torus-spectrum --gram hexagonal --cutoff 3 --format json": (
+        0,
+        "25613f5e3e723536f9114daabd135a1e7a5a3f7acd424a6b0aedb9b9e066c867",
+    ),
+    "torus-spectrum --gram hexagonal --cutoff 3 --format csv": (
+        0,
+        "3da34e7fb52afaa30fe978dd13c9cb13303413db2b0de6212604224d94c004de",
+    ),
+    "torus-spectrum --gram hexagonal --cutoff 3 --format pretty": (
+        0,
+        "f30b13ffca16f129b86a7a64ae1a822d87c02b96637f6e3de75ae79b45e819dc",
+    ),
+    "torus-spectrum --gram hexagonal --cutoff 25/2 --format json": (
+        0,
+        "c482f72712f7b1811f91a9abc66fe2ec136e4646a6b44478f0b81938523708a3",
+    ),
+    "torus-spectrum --gram hexagonal --cutoff 25/2 --format csv": (
+        0,
+        "0d298f26b5e71b94d54690b9d8d3377caec52800c9433aea8ac64378e0114899",
+    ),
+    "torus-spectrum --gram hexagonal --cutoff 25/2 --format pretty": (
+        0,
+        "c98839cfa69fa670fe91c74a7d04ae0d45d63a91b5bfce06daad6ec81bd40dce",
+    ),
+    "torus-spectrum --gram BASIS --cutoff 3 --format json": (
+        0,
+        "915324ca01633b0c7af79f2e1cda90bc9513315645821a709122ed149bde2416",
+    ),
+    "torus-spectrum --gram BASIS --cutoff 3 --format csv": (
+        0,
+        "03e08bb6495e1c05874b00d0f04d4adac9149937f5167163e02164f8456a3acd",
+    ),
+    "torus-spectrum --gram BASIS --cutoff 3 --format pretty": (
+        0,
+        "713f0d5bc7b785be8c19cc5c9552dc18ecbe32fe4afee165fe0bc52e047fb5a4",
+    ),
+    "torus-spectrum --gram BASIS --cutoff 25/2 --format json": (
+        0,
+        "6bd93234f2eee111d06881d8cc5a3a325c52998d639f1a99385e22f2cb266f78",
+    ),
+    "torus-spectrum --gram BASIS --cutoff 25/2 --format csv": (
+        0,
+        "0acd4532a986496c0e7cc278e3204d4b1bc65e63d8dddf57568a0658919544ea",
+    ),
+    "torus-spectrum --gram BASIS --cutoff 25/2 --format pretty": (
+        0,
+        "a3ae972099467896f0b1d142b8a3964377b85aa2c5f3fa7b6863001e56be5b00",
+    ),
+    "torus-spectrum --gram GRAM --cutoff 3 --format json": (
+        0,
+        "061b0e98dfa860e2faf38f02813fb00ad1c47e900d60c137a4d1c44960fe9d86",
+    ),
+    "torus-spectrum --gram GRAM --cutoff 3 --format csv": (
+        0,
+        "d8c1ed72d1e861a8c7d8d1b28b1997a7c948750aafd8691353c219d38ac3685b",
+    ),
+    "torus-spectrum --gram GRAM --cutoff 3 --format pretty": (
+        0,
+        "3d1ae26db27c6845c3650ca4587ce3c75f03f3dceef2b28e40f22d0d0573c8f1",
+    ),
+    "torus-spectrum --gram GRAM --cutoff 25/2 --format json": (
+        0,
+        "c22d79d45ae4c5703f6fc8da6f40007df4fd596995109540b6bf2a42e0bb549d",
+    ),
+    "torus-spectrum --gram GRAM --cutoff 25/2 --format csv": (
+        0,
+        "7a13d05de1a1f96be0781c11e1bf6445ba6dba67373ebf615972a1b574c69abe",
+    ),
+    "torus-spectrum --gram GRAM --cutoff 25/2 --format pretty": (
+        0,
+        "f366607b72718e64915733cf6cce3b795be08ec45057fc1976daa3c5a003c5a6",
+    ),
+    "gamma --gram hexagonal": (
+        0,
+        "beda30913c809861f7e702418253c4c91b22abbe14bfdc8808a19f001da6115b",
+    ),
+    "gamma --gram BASIS": (
+        0,
+        "ddad4330504f96072cb170cf87692b712937b657b6e3ec01d442358ce12cb3c0",
+    ),
+    "gamma --gram GRAM": (
+        0,
+        "a2ea9a2d86fec23931cc1b28c6d3c23eef29f41e8db176cb6036b0b389593b0b",
+    ),
+    "torus-search --values 1,2 --dim 2 --lambda-min 1/2 --vol-min 1/2": (
+        0,
+        "ed3cf7f2b127aad5c574f66428d51bda097867c9c4b3ec350af998b68a647739",
+    ),
+    "group-spectrum --spec su3 --cutoff 4": (
+        0,
+        "c227a13bb041d813a9c86a5f5402efbf4718744789a0aaafda525b1e33d15800",
+    ),
+    "natred-spectrum --metric METRIC --cutoff 3": (
+        0,
+        "e9481be7cf210c09cc8c2bfff1aea41a25461b3b54456cc5283f4dfa77723b7f",
+    ),
+    "scan --metric METRIC --radius 1/10 --steps 3 --cutoff 2": (
+        0,
+        "4b9d2c397697f45a01859192c93163cb491f1aaf4f56fb401d0c8b41542838ba",
+    ),
+    "torus-spectrum --gram SINGULAR --cutoff 1": (
+        2,
+        "4039359d9c0a68de00984a0e05466ca341408c74995511dd817c22d70c5e5602",
+    ),
+    "torus-spectrum --gram NOT_PD --cutoff 1": (
+        2,
+        "4039359d9c0a68de00984a0e05466ca341408c74995511dd817c22d70c5e5602",
+    ),
+}
+
+
+def test_cli_bytes_match_golden_digests(capsys, monkeypatch):
+    monkeypatch.delenv("LIESPEC_CACHE_DIR", raising=False)
+    seen = {}
+    for line in GOLDEN:
+        code = main([INLINE.get(word, word) for word in line.split(" ")])
+        out = capsys.readouterr().out
+        seen[line] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert seen == GOLDEN

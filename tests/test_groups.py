@@ -16,8 +16,10 @@ from liespec.groups import (
     factor_lambda1,
     normal_quotient_spectrum,
 )
-from liespec.rootdata import build
-from liespec.weights import weyl_dim
+from liespec.isolation import isolation_scan
+from liespec.natred import NatRedMetric
+from liespec.rootdata import build, check_weight
+from liespec.weights import dominant_weights_up_to, weyl_dim
 
 SU2 = BUILTIN_GROUPS["su2"]
 SU3 = BUILTIN_GROUPS["su3"]
@@ -158,3 +160,17 @@ def test_float_scales_and_gamma_rejected():
     assert gs.gamma == (((F(1, 2),),),)
     t = biinvariant_spectrum(GroupSpec(factors=(build("A1"),), scales=(1,)), 3)
     assert all(type(e) is F for e, _ in t.entries)
+    # weights, Casimir budgets and grid steps are exact too
+    a2 = build("A2")
+    with pytest.raises(DomainError):
+        dominant_weights_up_to(a2, 1.5)
+    with pytest.raises(DomainError):
+        check_weight(a2, (1.0, 0))
+    assert check_weight(a2, (F(1), "0")) == (1, 0)
+    m = NatRedMetric(
+        group=a2, emb=BUILTIN_EMBEDDINGS["a1-in-a2-standard"],
+        base_scale=1, fiber_scales=(F(1, 2),),
+    )
+    for steps in (2.7, F(5, 2), "5/2"):
+        with pytest.raises(DomainError):
+            isolation_scan(m, F(1, 10), steps, 1)

@@ -9,12 +9,15 @@ from helpers import (
     box_oracle_spectrum,
     random_integer_basis,
     random_rational_basis,
+    ref_det,
+    ref_inverse,
     ref_lll_gram,
     short_vectors_int,
 )
 from liespec import build
 from liespec.catalog import BUILTIN_LATTICES
 from liespec.errors import DomainError, UnsupportedDimensionError
+from liespec.isolation import finiteness_window, homothety_invariant, torus_search
 from liespec.lattices import (
     HERMITE_POWER,
     Lattice,
@@ -30,7 +33,7 @@ from liespec.lattices import (
 )
 from liespec.lattices.enumeration import _integer_problem
 from liespec.lattices.reduction import lll_gram
-from liespec.linalg import det, inverse, matmul, transpose
+from liespec.linalg import matmul, transpose
 
 Z2 = Lattice.from_basis(((F(1), F(0)), (F(0), F(1))))
 HEX = Lattice.from_gram(((F(2), F(1)), (F(1), F(2))))
@@ -46,6 +49,17 @@ def test_lattice_validation():
         Lattice.from_basis(((F(1), F(1)), (F(1), F(1))))  # singular
     with pytest.raises(DomainError):
         Lattice(dim=2, gram=((F(1), F(0)), (F(0), F(1), F(0))))
+    # the kernel refuses a form that is not positive definite
+    for gram in (((F(1), F(0)), (F(0), F(0))), ((F(0), F(1)), (F(1), F(0)))):
+        with pytest.raises(ValueError):
+            enumerate_gram(gram, F(1))
+    # a basis must be square: three generators in R^4 with B^T B = I
+    with pytest.raises(DomainError):
+        Lattice(
+            dim=3,
+            gram=tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3)),
+            basis=tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(4)),
+        )
 
 
 def test_volume_needs_basis():
@@ -57,7 +71,7 @@ def test_volume_needs_basis():
 
 def test_dual_involution_and_gram():
     d = dual(HEX)
-    assert d.gram == inverse(HEX.gram)
+    assert d.gram == ref_inverse(HEX.gram)
     assert dual(d).gram == HEX.gram
     dz = dual(Z2)
     assert dz.gram == Z2.gram
@@ -170,7 +184,7 @@ def test_lll_properties():
         lat = Lattice.from_basis(random_rational_basis(rng, m))
         g2, u = lll_gram(lat.gram)
         # transform is unimodular and transports the form
-        assert abs(det(u)) == 1
+        assert abs(ref_det(u)) == 1
         assert matmul(transpose(u), matmul(lat.gram, u)) == g2
         # reduction never increases the shortest diagonal entry
         assert min(g2[i][i] for i in range(m)) <= min(
@@ -213,7 +227,7 @@ def test_reduce_with_transform_reaches_systole():
         m = rng.randint(2, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
         reduced, u = reduce_with_transform(lat)
-        assert abs(det(u)) == 1
+        assert abs(ref_det(u)) == 1
         assert matmul(transpose(u), matmul(lat.gram, u)) == reduced.gram
         # for dim <= 4 the reduced first basis vector attains the minimum
         assert reduced.gram[0][0] == systole(lat)
@@ -284,6 +298,17 @@ def test_float_cutoffs_rejected():
     with pytest.raises(DomainError):
         short_vectors(Z2, 0.5)
     assert torus_spectrum(Z2, "1/10").cutoff == F(1, 10)
+    # a dimension is an exact integer: no float, no truncation of 5/2
+    table = torus_spectrum(Z2, 2)
+    for n in (2.7, F(5, 2), "5/2"):
+        with pytest.raises(DomainError):
+            torus_search((1, 2), n, F(1, 2), F(1, 2))
+        with pytest.raises(DomainError):
+            finiteness_window(2, 3, n, 1)
+        with pytest.raises(DomainError):
+            homothety_invariant(table, n, 1)
+    assert finiteness_window(2, 3, "2", 1) == F(1, 36)
+    assert homothety_invariant(table, F(2), 1) == 1
 
 
 def _block_diagonal(*blocks):

@@ -1,0 +1,83 @@
+import random
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from helpers import random_rational_basis, ref_det, ref_inverse
+from liespec import build
+from liespec.errors import DomainError
+from liespec.lattices import Lattice
+from liespec.linalg import det, inverse, is_symmetric
+
+
+def _ref_positive_definite(a):
+    n = len(a)
+    return is_symmetric(a) and all(
+        ref_det(tuple(row[: k + 1] for row in a[: k + 1])) > 0 for k in range(n)
+    )
+
+
+def _accepted_as_gram(a):
+    try:
+        Lattice.from_gram(a)
+    except DomainError:
+        return False
+    return True
+
+
+def _square_matrices():
+    rng = random.Random(1968)
+    out = [
+        ((F(0), F(1)), (F(1), F(0))),  # one row exchange, pivots 1, 1
+        tuple(  # two row exchanges, pivots all 1
+            tuple(F(int(j == i ^ 1)) for j in range(4)) for i in range(4)
+        ),
+        ((F(1), F(0)), (F(0), F(0))),
+        ((F(0),),),
+    ]
+    for i in range(320):
+        n = rng.randint(1, 8)
+        denoms = (1,) if i % 2 else (1, 2, 3)
+        a = [
+            [F(rng.randint(-3, 3), rng.choice(denoms)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        kind = i % 4
+        if kind == 1:  # symmetric, mostly indefinite
+            a = [[a[r][c] + a[c][r] for c in range(n)] for r in range(n)]
+        elif kind == 2:  # singular: a repeated row, or a zero matrix
+            a[-1] = list(a[0]) if n > 1 else [F(0)]
+        elif kind == 3:  # positive definite: A^T A + I
+            a = [
+                [sum(x[r] * x[c] for x in a) + (r == c) for c in range(n)]
+                for r in range(n)
+            ]
+        out.append(tuple(map(tuple, a)))
+    rng = random.Random(20260816)  # the criterion-01 sequence
+    for _ in range(200):
+        lat = Lattice.from_basis(random_rational_basis(rng, rng.randint(1, 4)))
+        out += [lat.gram, ref_inverse(lat.gram)]
+    out.append(tuple(tuple(map(F, row)) for row in build("E8").cartan))
+    return out
+
+
+def test_elimination_matches_fraction_references():
+    # det, the inverse (or DomainError when singular) and the
+    # positive-definiteness decision of the one fraction-free elimination
+    # against Fraction Gaussian elimination on square matrices of dimension
+    # 1-8: random integer and rational ones (singular, non-symmetric and
+    # indefinite among them), the criterion-01 Grams and duals, and E8
+    kinds = Counter()
+    for a in _square_matrices():
+        d = ref_det(a)
+        assert det(a) == d
+        if d == 0:
+            with pytest.raises(DomainError):
+                inverse(a)
+        else:
+            assert inverse(a) == ref_inverse(a)
+        pd = _ref_positive_definite(a)
+        assert _accepted_as_gram(a) == pd
+        kinds["singular" if d == 0 else "definite" if pd else "other"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 50

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liespec.errors import DomainError
-from liespec.rootdata import build, casimir
+from liespec.rootdata import build, casimir, contragredient_weight
 from liespec.weights import (
-    contragredient,
     dominant_character,
     dominant_weights_up_to,
     weight_diagram,
@@ -102,7 +101,7 @@ def test_contragredient_diagram_is_negated():
         rs = build(name)
         for _ in range(4):
             lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
-            dual = contragredient(rs, lam)
+            dual = contragredient_weight(rs, lam)
             d = weight_diagram(rs, lam).as_dict()
             dd = weight_diagram(rs, dual).as_dict()
             assert dd == {tuple(-x for x in mu): m for mu, m in d.items()}
