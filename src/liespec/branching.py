@@ -37,8 +37,10 @@ from math import lcm
 
 from . import linalg
 from .errors import DomainError, MalformedEmbeddingError
+from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
+    build,
     casimir,
     check_weight,
     contragredient_weight,
@@ -110,8 +112,6 @@ class EmbeddingSpec:
         return tuple(parts)
 
     def to_json_dict(self) -> dict:
-        from .rational import fmt
-
         obj = {
             "ambient": self.ambient.name,
             "factors": [f.name for f in self.factors],
@@ -123,20 +123,12 @@ class EmbeddingSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "EmbeddingSpec":
-        from .rational import rat_matrix
-        from .rootdata import build
-
-        factors = tuple(build(f) for f in obj.get("factors", []))
-        rows = obj.get("restriction", [])
+        factors = tuple(map(build, array(obj.get("factors", []), "factors")))
         total = sum(f.rank for f in factors)
-        ambient = build(obj["ambient"])
-        restriction = (
-            rat_matrix(rows) if total else tuple()
-        )
         return EmbeddingSpec(
-            ambient=ambient,
+            ambient=build(required(obj, "ambient")),
             factors=factors,
-            restriction=restriction,
+            restriction=rat_matrix(obj.get("restriction", [])) if total else (),
             name=obj.get("name"),
         )
 

@@ -2,7 +2,7 @@
 
 Small library of standard examples addressable by name from the command
 line and from metric JSON: identity lattices, the hexagonal lattice, rank-1
-and rank-2 group specs, and the stock embeddings.  Resolvers accept a
+and rank-2 group specs, and the stock embeddings.  The resolver accepts a
 builtin name, an inline JSON object string, or a file path, in that order.
 """
 
@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 
 from .branching import EmbeddingSpec
+from .errors import InputError
 from .groups import GroupSpec
 from .lattices import Lattice
 from .rootdata import build
@@ -74,36 +75,27 @@ def _builtin_embeddings() -> dict:
 BUILTIN_LATTICES = _builtin_lattices()
 BUILTIN_GROUPS = _builtin_groups()
 BUILTIN_EMBEDDINGS = _builtin_embeddings()
+_BUILTINS = {
+    Lattice: BUILTIN_LATTICES,
+    GroupSpec: BUILTIN_GROUPS,
+    EmbeddingSpec: BUILTIN_EMBEDDINGS,
+}
 
 
-def _load_json(text_or_path: str) -> dict:
-    s = text_or_path.strip()
-    if s.startswith("{"):
-        return json.loads(s)
-    with open(text_or_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def resolve_lattice(descriptor: str) -> Lattice:
-    if descriptor in BUILTIN_LATTICES:
-        return BUILTIN_LATTICES[descriptor]
-    return Lattice.from_json_dict(_load_json(descriptor))
-
-
-def resolve_group(descriptor: str) -> GroupSpec:
-    if descriptor in BUILTIN_GROUPS:
-        return BUILTIN_GROUPS[descriptor]
-    return GroupSpec.from_json_dict(_load_json(descriptor))
-
-
-def resolve_embedding(descriptor: str) -> EmbeddingSpec:
-    if descriptor in BUILTIN_EMBEDDINGS:
-        return BUILTIN_EMBEDDINGS[descriptor]
-    return EmbeddingSpec.from_json_dict(_load_json(descriptor))
-
-
-def resolve_metric(descriptor: str):
-    from .natred import NatRedMetric
-
-    return NatRedMetric.from_json_dict(_load_json(descriptor))
-
+def resolve(kind, descriptor):
+    """The ``kind`` object a descriptor string names: a builtin of that
+    kind, else ``kind.from_json_dict`` of an inline JSON object or of the
+    JSON object in the file at that path."""
+    if not isinstance(descriptor, str):
+        raise InputError(f"a descriptor is a string, not {descriptor!r}")
+    builtin = _BUILTINS.get(kind, {})
+    if descriptor in builtin:
+        return builtin[descriptor]
+    if descriptor.strip().startswith("{"):
+        obj = json.loads(descriptor)
+    else:
+        with open(descriptor, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InputError("descriptor JSON must be an object")
+    return kind.from_json_dict(obj)

@@ -1,11 +1,15 @@
 """Command-line front door.
 
-One logical job per invocation.  Inputs are builtin names, inline JSON, or
-file paths; outputs are canonical JSON (sorted keys, rationals as "p/q"
-strings), CSV, or aligned pretty text.  Exit codes: 0 success, 2 domain
-and certification errors, 1 I/O, parse and usage errors (an unknown or
-missing flag); errors go to stdout as a structured error object, never a
-stack trace or usage text.  Output bytes depend only on the inputs.
+One logical job per invocation: argparse names the runner, and the runner
+hands the option strings to the library, whose own coercers (``rat``,
+``exact_int``, ``check_weight``) read them.  Inputs are builtin names,
+inline JSON, or file paths; outputs are canonical JSON (sorted keys,
+rationals as "p/q" strings), CSV, or aligned pretty text.  Exit codes: 0
+success; 1 input, I/O and usage errors (text that does not parse, a
+missing file, an unknown or missing flag); 2 domain and certification
+errors; 3 internal errors (an exception that is not the package's own,
+which means a bug).  Errors go to stdout as a structured error object,
+never a stack trace or usage text.  Output bytes depend only on the inputs.
 
 Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk; cached and fresh
 runs emit identical bytes.  The cache key is the canonical JSON of the job
@@ -20,44 +24,31 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from fractions import Fraction
 
-from . import __version__, catalog
-from .errors import DomainError, LiespecError
-from .groups import biinvariant_spectrum
+from . import __version__
+from .branching import EmbeddingSpec, branch, validate_embedding
+from .catalog import resolve
+from .errors import DomainError, InputError, LiespecError
+from .groups import GroupSpec, biinvariant_spectrum
 from .isolation import (
     finiteness_window,
     gamma_invariants,
     isolation_scan,
     torus_search,
 )
-from .lattices import torus_spectrum
-from .natred import natred_spectrum
+from .lattices import Lattice, torus_spectrum
+from .natred import NatRedMetric, natred_spectrum
 from .rational import fmt, rat
 from .spectrum import SpectrumTable, canonical_json
 
 
-@dataclass
-class JobConfig:
-    command: str
-    options: dict = field(default_factory=dict)
-    cutoff: object = None
-    fmt: str = "json"
-    out: str = None
-
-
-def _parse_weight(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",")) if text else ()
-
-
-def _parse_values(text: str) -> tuple:
-    return tuple(rat(x) for x in text.split(",")) if text else ()
+def _split(text: str) -> tuple:
+    return tuple(text.split(",")) if text else ()  # hashable, for branch
 
 
 def _jsonable(obj):
     """Recursively turn Fractions and tuples into canonical JSON values."""
-    from fractions import Fraction
-
     if isinstance(obj, Fraction):
         return fmt(obj)
     if isinstance(obj, dict):
@@ -65,14 +56,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def _emit_table(table: SpectrumTable, out_format: str) -> str:
-    if out_format == "json":
-        return table.to_json()
-    if out_format == "csv":
-        return table.to_csv()
-    return table.to_pretty()
 
 
 def _emit_report(obj, out_format: str) -> str:
@@ -88,16 +71,12 @@ def _emit_report(obj, out_format: str) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _cache_dir():
-    return os.environ.get("LIESPEC_CACHE_DIR")
-
-
 # names the layout of a cache entry; change it when that layout changes
 _CACHE_SCHEMA = "liespec-table-entry/2"
 
 
 def _cached_table(key_obj, builder) -> SpectrumTable:
-    cache = _cache_dir()
+    cache = os.environ.get("LIESPEC_CACHE_DIR")
     if not cache:
         return builder()
     os.makedirs(cache, exist_ok=True)
@@ -125,42 +104,31 @@ def _cached_table(key_obj, builder) -> SpectrumTable:
     return table
 
 
-def _run_torus_spectrum(cfg: JobConfig) -> str:
-    lat = catalog.resolve_lattice(cfg.options["gram"])
-    cutoff = rat(cfg.cutoff)
+# spectrum subcommand: (descriptor option, cache-key op, cache-key name,
+# descriptor type, spectrum function)
+_TABLES = {
+    "torus-spectrum": ("gram", "torus", "lattice", Lattice, torus_spectrum),
+    "group-spectrum": ("spec", "group", "spec", GroupSpec, biinvariant_spectrum),
+    "natred-spectrum": (
+        "metric", "natred", "metric", NatRedMetric, natred_spectrum,
+    ),
+}
+
+
+def _run_table(ns) -> str:
+    option, op, name, kind, spectrum = _TABLES[ns.command]
+    subject = resolve(kind, getattr(ns, option))
+    cutoff = rat(ns.cutoff)
     table = _cached_table(
-        {"op": "torus", "lattice": lat.to_json_dict(), "cutoff": fmt(cutoff)},
-        lambda: torus_spectrum(lat, cutoff),
+        {"op": op, name: subject.to_json_dict(), "cutoff": fmt(cutoff)},
+        lambda: spectrum(subject, cutoff),
     )
-    return _emit_table(table, cfg.fmt)
+    return getattr(table, f"to_{ns.fmt}")()  # to_json, to_csv, to_pretty
 
 
-def _run_group_spectrum(cfg: JobConfig) -> str:
-    gs = catalog.resolve_group(cfg.options["spec"])
-    cutoff = rat(cfg.cutoff)
-    table = _cached_table(
-        {"op": "group", "spec": gs.to_json_dict(), "cutoff": fmt(cutoff)},
-        lambda: biinvariant_spectrum(gs, cutoff),
-    )
-    return _emit_table(table, cfg.fmt)
-
-
-def _run_natred_spectrum(cfg: JobConfig) -> str:
-    m = catalog.resolve_metric(cfg.options["metric"])
-    cutoff = rat(cfg.cutoff)
-    table = _cached_table(
-        {"op": "natred", "metric": m.to_json_dict(), "cutoff": fmt(cutoff)},
-        lambda: natred_spectrum(m, cutoff),
-    )
-    return _emit_table(table, cfg.fmt)
-
-
-def _run_branch(cfg: JobConfig) -> str:
-    from .branching import branch
-
-    emb = catalog.resolve_embedding(cfg.options["embedding"])
-    weight = _parse_weight(cfg.options["weight"])
-    result = branch(emb, weight)
+def _run_branch(ns) -> str:
+    emb = resolve(EmbeddingSpec, ns.embedding)
+    result = branch(emb, _split(ns.weight))
     report = {
         "embedding": emb.to_json_dict(),
         "weight": list(result.source),
@@ -169,103 +137,77 @@ def _run_branch(cfg: JobConfig) -> str:
             for tup, mult in result.terms
         ],
     }
-    return _emit_report(report, cfg.fmt)
+    return _emit_report(report, ns.fmt)
 
 
-def _run_gamma(cfg: JobConfig) -> str:
-    if cfg.options.get("gram"):
-        subject = catalog.resolve_lattice(cfg.options["gram"])
-    elif cfg.options.get("spec"):
-        subject = catalog.resolve_group(cfg.options["spec"])
+def _run_gamma(ns) -> str:
+    if ns.gram is not None:
+        subject = resolve(Lattice, ns.gram)
     else:
-        raise LiespecError("gamma needs --gram or --spec")
+        subject = resolve(GroupSpec, ns.spec)
     gv = gamma_invariants(subject)
     report = {
         "kind": gv.kind,
         "dim": gv.dim,
         "entries": [fmt(x) for x in gv.entries],
     }
-    return _emit_report(report, cfg.fmt)
+    return _emit_report(report, ns.fmt)
 
 
-def _run_scan(cfg: JobConfig) -> str:
-    m = catalog.resolve_metric(cfg.options["metric"])
+def _run_scan(ns) -> str:
     report = isolation_scan(
-        m,
-        rat(cfg.options["radius"]),
-        int(cfg.options["steps"]),
-        rat(cfg.cutoff),
+        resolve(NatRedMetric, ns.metric), ns.radius, ns.steps, ns.cutoff
     )
-    return _emit_report(report, cfg.fmt)
+    return _emit_report(report, ns.fmt)
 
 
-def _run_torus_search(cfg: JobConfig) -> str:
+def _run_torus_search(ns) -> str:
     found = torus_search(
-        _parse_values(cfg.options["values"]),
-        int(cfg.options["dim"]),
-        rat(cfg.options["lambda_min"]),
-        rat(cfg.options["vol_min"]),
+        _split(ns.values), ns.dim, ns.lambda_min, ns.vol_min
     )
     report = {
         "count": len(found),
         "tori": [lat.to_json_dict() for lat in found],
     }
-    return _emit_report(report, cfg.fmt)
+    return _emit_report(report, ns.fmt)
 
 
-def _run_window(cfg: JobConfig) -> str:
-    value = finiteness_window(
-        rat(cfg.options["lambda1"]),
-        rat(cfg.options["vol"]),
-        int(cfg.options["dim"]),
-        rat(cfg.options["const"]),
-    )
-    return _emit_report({"window": fmt(value)}, cfg.fmt)
+def _run_window(ns) -> str:
+    value = finiteness_window(ns.lambda1, ns.vol, ns.dim, ns.const)
+    return _emit_report({"window": fmt(value)}, ns.fmt)
 
 
-def _run_validate_embedding(cfg: JobConfig) -> str:
-    from .branching import validate_embedding
-
-    emb = catalog.resolve_embedding(cfg.options["embedding"])
+def _run_validate_embedding(ns) -> str:
+    emb = resolve(EmbeddingSpec, ns.embedding)
     report = validate_embedding(emb)
     report["embedding"] = emb.to_json_dict()
-    return _emit_report(report, cfg.fmt)
-
-
-_RUNNERS = {
-    "torus-spectrum": _run_torus_spectrum,
-    "group-spectrum": _run_group_spectrum,
-    "natred-spectrum": _run_natred_spectrum,
-    "branch": _run_branch,
-    "gamma": _run_gamma,
-    "scan": _run_scan,
-    "torus-search": _run_torus_search,
-    "window": _run_window,
-    "validate-embedding": _run_validate_embedding,
-}
+    return _emit_report(report, ns.fmt)
 
 
 def _report_error(exc: Exception, code: int) -> int:
-    err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    kind, message = type(exc).__name__, str(exc)
+    if code == 3:
+        kind, message = "InternalError", f"{kind}: {message}"
+    err = {"error": {"type": kind, "message": message}}
     sys.stdout.write(canonical_json(err))
     return code
 
 
-def run(cfg: JobConfig) -> int:
+def run(ns) -> int:
+    """Run the parsed job ``ns`` and map what it raises to an exit code."""
     try:
-        text = _RUNNERS[cfg.command](cfg)
+        text = ns.run(ns)
+        if ns.out:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (InputError, OSError, json.JSONDecodeError) as exc:
+        return _report_error(exc, 1)
     except LiespecError as exc:
         return _report_error(exc, 2)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        return _report_error(exc, 1)
-    if cfg.out:
-        try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _report_error(exc, 1)
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:  # not the package's own: a bug
+        return _report_error(exc, 3)
     return 0
 
 
@@ -286,92 +228,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cutoff=False):
+    def add(command, runner, help_text, *options):
+        p = sub.add_parser(command, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", required=True)
         p.add_argument(
             "--format",
             choices=("json", "csv", "pretty"),
             default="json",
             dest="fmt",
         )
-        p.add_argument("--out", default=None)
-        if cutoff:
-            p.add_argument("--cutoff", required=True)
+        p.add_argument("--out")
+        p.set_defaults(run=runner)
+        return p
 
-    p = sub.add_parser("torus-spectrum", help="flat torus spectrum")
-    p.add_argument("--gram", required=True)
-    common(p, cutoff=True)
-
-    p = sub.add_parser("group-spectrum", help="bi-invariant group spectrum")
-    p.add_argument("--spec", required=True)
-    common(p, cutoff=True)
-
-    p = sub.add_parser(
-        "natred-spectrum", help="naturally reductive metric spectrum"
-    )
-    p.add_argument("--metric", required=True)
-    common(p, cutoff=True)
-
-    p = sub.add_parser("branch", help="restrict an irreducible to a subgroup")
-    p.add_argument("--embedding", required=True)
-    p.add_argument("--weight", required=True)
-    common(p)
-
-    p = sub.add_parser("gamma", help="low-eigenvalue invariant vector")
-    p.add_argument("--gram")
-    p.add_argument("--spec")
-    common(p)
-
-    p = sub.add_parser("scan", help="isospectral neighbor grid scan")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--radius", required=True)
-    p.add_argument("--steps", required=True)
-    common(p, cutoff=True)
-
-    p = sub.add_parser(
-        "torus-search", help="reconstruct tori from invariant values"
-    )
-    p.add_argument("--values", required=True)
-    p.add_argument("--dim", required=True)
-    p.add_argument("--lambda-min", required=True, dest="lambda_min")
-    p.add_argument("--vol-min", required=True, dest="vol_min")
-    common(p)
-
-    p = sub.add_parser("window", help="finiteness scale window")
-    p.add_argument("--lambda1", required=True)
-    p.add_argument("--vol", required=True)
-    p.add_argument("--dim", required=True)
-    p.add_argument("--const", required=True)
-    common(p)
-
-    p = sub.add_parser(
-        "validate-embedding", help="structural embedding checks"
-    )
-    p.add_argument("--embedding", required=True)
-    common(p)
-
+    add("torus-spectrum", _run_table, "flat torus spectrum",
+        "gram", "cutoff")
+    add("group-spectrum", _run_table, "bi-invariant group spectrum",
+        "spec", "cutoff")
+    add("natred-spectrum", _run_table, "naturally reductive metric spectrum",
+        "metric", "cutoff")
+    add("branch", _run_branch, "restrict an irreducible to a subgroup",
+        "embedding", "weight")
+    subject = add(
+        "gamma", _run_gamma, "low-eigenvalue invariant vector"
+    ).add_mutually_exclusive_group(required=True)
+    subject.add_argument("--gram")
+    subject.add_argument("--spec")
+    add("scan", _run_scan, "isospectral neighbor grid scan",
+        "metric", "radius", "steps", "cutoff")
+    add("torus-search", _run_torus_search,
+        "reconstruct tori from invariant values",
+        "values", "dim", "lambda-min", "vol-min")
+    add("window", _run_window, "finiteness scale window",
+        "lambda1", "vol", "dim", "const")
+    add("validate-embedding", _run_validate_embedding,
+        "structural embedding checks", "embedding")
     return parser
-
-
-def config_from_args(argv) -> JobConfig:
-    ns = vars(_build_parser().parse_args(argv))
-    command = ns.pop("command")
-    cfg = JobConfig(
-        command=command,
-        cutoff=ns.pop("cutoff", None),
-        fmt=ns.pop("fmt"),
-        out=ns.pop("out"),
-    )
-    cfg.options = ns
-    return cfg
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = config_from_args(argv)
+        ns = _build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         return _report_error(exc, 1)
-    return run(cfg)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Exception taxonomy.
 
 Domain errors (bad mathematical input) are kept separate from I/O errors so
-the command line interface can map them to distinct exit codes.  A failed
-certification check is a package error too, raised explicitly so that
-``python -O`` cannot remove it.
+the command line interface can map them to distinct exit codes.  Input
+errors, a kind of domain error, mark outside text that does not parse:
+descriptor JSON of the wrong shape, or a value that is not a rational.  A
+failed certification check is a package error too, raised explicitly so
+that ``python -O`` cannot remove it.
 """
 
 
@@ -13,6 +15,12 @@ class LiespecError(Exception):
 
 class DomainError(LiespecError):
     """Input outside the mathematical domain of an operation."""
+
+
+class InputError(DomainError):
+    """Outside text that does not parse: a value that is not a rational, a
+    non-string where a string belongs, or descriptor JSON of the wrong
+    shape (not an object, a missing key, a non-array for an array)."""
 
 
 class InadmissibleMetricError(DomainError):

@@ -20,7 +20,7 @@ from itertools import product
 
 from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
-from .rational import fmt, rat
+from .rational import array, fmt, rat, required
 from .rootdata import RootSystemData, build, casimir, check_weight
 from .spectrum import SpectrumTable, table_from_counts
 from .weights import dominant_weights_up_to, weyl_dim
@@ -83,15 +83,17 @@ class GroupSpec:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "GroupSpec":
-        factors = tuple(build(name) for name in obj["factors"])
+        factors = array(required(obj, "factors"), "factors")
+        gamma = array(obj.get("gamma", ()), "gamma")
         scales = obj.get("scales")
-        if scales is not None:
-            scales = tuple(rat(s) for s in scales)
-        gamma = tuple(
-            tuple(tuple(rat(x) for x in part) for part in z)
-            for z in obj.get("gamma", ())
+        return GroupSpec(
+            factors=tuple(map(build, factors)),
+            gamma=tuple(
+                tuple(array(part, "a coweight") for part in array(z, "gamma"))
+                for z in gamma
+            ),
+            scales=None if scales is None else array(scales, "scales"),
         )
-        return GroupSpec(factors=factors, gamma=gamma, scales=scales)
 
 
 def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
@@ -166,8 +168,7 @@ def factor_lambda1(rs: RootSystemData, scale):
     table = biinvariant_spectrum(
         GroupSpec(factors=(rs,), scales=(scale,)), best[0]
     )
-    nonzero = [e for e, _ in table.entries if e > 0]
-    if not nonzero or nonzero[0] != best[0]:
+    if table.lambda1() != best[0]:
         raise CertificationError("lambda1 is not at a fundamental weight")
     return best
 

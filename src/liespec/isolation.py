@@ -196,12 +196,11 @@ def homothety_invariant(table: SpectrumTable, n: int, vol):
         raise DomainError("volume must be positive")
     if n < 1:
         raise DomainError("dimension must be positive")
-    nonzero = [e for e, _ in table.entries if e > 0]
-    if not nonzero:
+    lam1 = table.lambda1()
+    if lam1 is None:
         raise DomainError(
             "cutoff below the first nonzero eigenvalue; inconclusive"
         )
-    lam1 = nonzero[0]
     if n % 2 == 0:
         return lam1 ** (n // 2) * vol
     return (lam1**n * vol**2, n)

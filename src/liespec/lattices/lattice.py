@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import linalg
-from ..errors import DomainError
-from ..rational import fmt_matrix, rat_matrix
+from ..errors import DomainError, InputError
+from ..rational import exact_int, fmt_matrix, rat_matrix
 
 # m-th powers of the Hermite constants gamma_m for m <= 8, which are the
 # rational quantities (gamma_m itself is irrational for most m).  Values as
@@ -106,8 +106,8 @@ class Lattice:
         elif "gram" in obj:
             lat = Lattice.from_gram(obj["gram"])
         else:
-            raise DomainError("lattice JSON needs 'basis' or 'gram'")
-        if "dim" in obj and int(obj["dim"]) != lat.dim:
+            raise InputError("lattice JSON needs 'basis' or 'gram'")
+        if "dim" in obj and exact_int(obj["dim"]) != lat.dim:
             raise DomainError("declared dim does not match matrix size")
         return lat
 

@@ -3,18 +3,20 @@
 The Laplace eigenvalues of the torus R^m / L are 4*pi^2*|v|^2 over the
 dual lattice of L, so in the "four-pi-squared" unit the truncated spectrum
 is a finite exact-rational object: entry q means eigenvalue 4*pi^2*q.  The
-cutoff argument is expressed in the same unit.  The table is counted on
-the enumeration kernel's integer norms.
+cutoff argument is expressed in the same unit.  Only the dual's Gram
+matrix, the inverse Gram, is needed, so no dual basis is built.  The table
+is counted on the enumeration kernel's integer norms.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 from ..errors import DomainError
+from ..linalg import inverse
 from ..rational import rat
 from ..spectrum import SpectrumTable, table_from_counts
 from .enumeration import _integer_problem, _short_vectors_int, systole
-from .lattice import Lattice, dual
+from .lattice import Lattice
 
 
 def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
@@ -22,7 +24,7 @@ def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
     cutoff = rat(cutoff)
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    a, bound, scale = _integer_problem(dual(lat).gram, cutoff)
+    a, bound, scale = _integer_problem(inverse(lat.gram), cutoff)
     counts = Counter({0: 1})
     for _, value in _short_vectors_int(a, bound):
         counts[value] += 2  # each canonical vector stands for +-v
@@ -34,4 +36,4 @@ def torus_lambda1(lat: Lattice) -> Fraction:
 
     Equals the squared systole of the dual lattice.
     """
-    return systole(dual(lat))
+    return systole(Lattice(dim=lat.dim, gram=inverse(lat.gram)))

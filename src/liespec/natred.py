@@ -52,8 +52,8 @@ from .branching import (
 )
 from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .groups import factor_lambda1
-from .rational import fmt, rat
-from .rootdata import RootSystemData, casimir, check_weight
+from .rational import array, fmt, rat, required
+from .rootdata import RootSystemData, build, casimir, check_weight
 from .spectrum import SpectrumTable, table_from_counts
 from .weights import dominant_weights_up_to, weyl_dim
 
@@ -100,21 +100,19 @@ class NatRedMetric:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "NatRedMetric":
-        from .rootdata import build
+        """The embedding is a JSON object or a descriptor string."""
+        from .catalog import resolve
 
-        emb_field = obj["embedding"]
-        if isinstance(emb_field, dict):
-            emb = EmbeddingSpec.from_json_dict(emb_field)
-        else:
-            from .catalog import resolve_embedding
-
-            emb = resolve_embedding(str(emb_field))
-        group = build(obj["group"])
+        emb = required(obj, "embedding")
         return NatRedMetric(
-            group=group,
-            emb=emb,
-            base_scale=rat(obj["t"]),
-            fiber_scales=tuple(rat(x) for x in obj.get("t_i", ())),
+            group=build(required(obj, "group")),
+            emb=(
+                EmbeddingSpec.from_json_dict(emb)
+                if isinstance(emb, dict)
+                else resolve(EmbeddingSpec, emb)
+            ),
+            base_scale=required(obj, "t"),
+            fiber_scales=array(obj.get("t_i", ()), "t_i"),
         )
 
 

@@ -1,25 +1,30 @@
-"""Parsing and formatting of exact rationals.
+"""Parsing and formatting of exact rationals and descriptor JSON.
 
 Rationals travel as strings "p/q" (or "p" for integers) in every JSON and
-CSV interface; Fraction is the in-memory representation everywhere.
+CSV interface; Fraction is the in-memory representation everywhere.  What
+comes from outside is coerced here, once: a value that does not parse, or
+JSON of the wrong shape, raises InputError.
 """
 
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 
 
 def rat(value) -> Fraction:
     """Coerce a string, int, or Fraction to Fraction.
 
-    Floats are rejected: every interface of this package is exact.
+    Floats and bools are rejected: every interface of this package is exact,
+    and JSON ``true`` is not the number 1.
     """
-    if isinstance(value, float):
-        raise DomainError("floats are not accepted; use 'p/q' strings")
+    if isinstance(value, (bool, float)):
+        raise InputError(
+            f"not a rational: {value!r}; use 'p/q' strings"
+        )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DomainError(f"not a rational: {value!r}") from exc
+        raise InputError(f"not a rational: {value!r}") from exc
 
 
 def exact_int(value) -> int:
@@ -35,9 +40,26 @@ def fmt(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def required(obj: dict, key: str):
+    """``obj[key]`` of a descriptor; a missing key is an InputError."""
+    if key not in obj:
+        raise InputError(f"descriptor lacks the key {key!r}")
+    return obj[key]
+
+
+def array(value, what: str):
+    """``value`` itself if it is an array; a string is not one."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{what} must be an array, not {value!r}")
+    return value
+
+
 def rat_matrix(rows) -> tuple:
     """Coerce a nested list of rational-likes to a tuple-of-tuples matrix."""
-    out = tuple(tuple(rat(x) for x in row) for row in rows)
+    out = tuple(
+        tuple(rat(x) for x in array(row, "a matrix row"))
+        for row in array(rows, "a matrix")
+    )
     if out and any(len(r) != len(out[0]) for r in out):
         raise DomainError("ragged matrix")
     return out

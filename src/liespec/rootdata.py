@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from . import linalg
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .rational import exact_int
 
 _RANK_RANGE = {
@@ -190,7 +190,9 @@ def build(name: str) -> RootSystemData:
     The result is a cached singleton: equal names (case-insensitively)
     return the identical object, so identity equality is safe downstream.
     """
-    return _build(str(name).strip().upper())
+    if not isinstance(name, str):
+        raise InputError(f"a simple type is named by a string, not {name!r}")
+    return _build(name.strip().upper())
 
 
 @lru_cache(maxsize=None)

@@ -162,14 +162,15 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
         value = 0
         while True:
             current[j] = value
-            if casimir(rs, tuple(current[: j + 1] + [0] * (n - j - 1))) > cas_max:
+            # coordinates past j are 0 here; at j = n - 1 this tests the
+            # whole weight, so every weight appended is within the budget
+            if casimir(rs, tuple(current)) > cas_max:
                 break
             extend(j + 1)
             value += 1
         current[j] = 0
 
     extend(0)
-    final = [w for w in out if casimir(rs, w) <= cas_max]
-    final.sort(key=lambda w: (sum(w), w))
-    return final
+    out.sort(key=lambda w: (sum(w), w))
+    return out
 

@@ -13,7 +13,7 @@ from liespec.branching import (
     spherical_mult,
     validate_embedding,
 )
-from liespec.catalog import BUILTIN_EMBEDDINGS, resolve_embedding
+from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
 from liespec.errors import DomainError, MalformedEmbeddingError
 from liespec.rootdata import build
 from liespec.weights import dominant_weights_up_to, weyl_dim
@@ -230,4 +230,4 @@ def test_json_round_trip():
         assert back.factors == emb.factors
         assert back.restriction == emb.restriction
         assert back.name == emb.name == name
-    assert resolve_embedding("a1-in-a2-standard") is STD
+    assert resolve(EmbeddingSpec, "a1-in-a2-standard") is STD

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -72,9 +73,12 @@ def test_gamma_for_lattice_and_group(capsys):
     code, out = run_cli(capsys, "gamma", "--spec", "su3")
     assert code == 0
     assert json.loads(out)["entries"] == ["4/9"]
-    code, out = run_cli(capsys, "gamma")
-    assert code == 2
-    assert "error" in json.loads(out)
+    # --gram and --spec are one required choice: naming neither or both is
+    # a usage error
+    for argv in (("gamma",), ("gamma", "--gram", "hexagonal", "--spec", "su3")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ArgumentError"
 
 
 def test_scan_report(capsys):
@@ -373,3 +377,158 @@ def test_file_descriptor_input(tmp_path, capsys):
     assert code == 0
     entries = json.loads(out)["entries"]
     assert entries[0] == ["0", "1"] and entries[1] == ["1", "9"]
+
+
+
+def _error(capsys, argv):
+    """Exit code and error object of one run that must fail cleanly."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, json.loads(captured.out)["error"]
+
+
+def test_malformed_descriptors_exit_one(tmp_path, capsys):
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1,2]")
+    b2 = '{"group": "B2", "embedding": "a1xa1-in-b2", "t": "1", "t_i": %s}'
+    for argv in (
+        ("group-spectrum", "--spec", str(not_object)),
+        ("torus-spectrum", "--gram", '{"basis": 5}'),
+        ("natred-spectrum", "--metric", METRIC.replace('["1/2"]', "5")),
+        # strings where arrays belong are not read one character at a time
+        ("natred-spectrum", "--metric", b2 % '"23"'),
+        ("torus-spectrum", "--gram", '{"gram": ["21", "12"]}'),
+        # JSON true is not the rational 1
+        ("natred-spectrum", "--metric", METRIC.replace('"1"', "true")),
+        # a missing key, a non-string type name or descriptor
+        ("natred-spectrum", "--metric", METRIC.replace(', "t": "1"', "")),
+        ("group-spectrum", "--spec", '{"factors": [5]}'),
+        ("natred-spectrum", "--metric",
+         METRIC.replace('"a1-in-a2-standard"', "5")),
+    ):
+        code, err = _error(capsys, argv + ("--cutoff", "3"))
+        assert (code, err["type"]) == (1, "InputError"), argv
+    code, err = _error(
+        capsys, ("validate-embedding", "--embedding", '{"factors": ["A1"]}')
+    )
+    assert (code, err["type"]) == (1, "InputError")
+    assert "'ambient'" in err["message"]
+
+
+def test_lattice_dim_is_exact(capsys):
+    lattice = '{"dim": %s, "gram": [["1", "0"], ["0", "1"]]}'
+    for dim, expected in (
+        ("2.7", (1, "InputError")),  # a JSON float is not truncated to 2
+        ('"5/2"', (2, "DomainError")),  # a rational, but not an integer
+        ("true", (1, "InputError")),
+    ):
+        code, err = _error(
+            capsys, ("torus-spectrum", "--gram", lattice % dim, "--cutoff", "3")
+        )
+        assert (code, err["type"]) == expected, dim
+    code, out = run_cli(
+        capsys, "torus-spectrum", "--gram", lattice % '"2"', "--cutoff", "3"
+    )
+    assert code == 0
+
+
+def test_options_are_read_by_the_library_coercers(capsys):
+    for argv, expected in (
+        # text that is not a rational is an input error
+        (("torus-spectrum", "--gram", "identity2", "--cutoff", "abc"),
+         (1, "InputError")),
+        (("scan", "--metric", METRIC, "--radius", "1/10", "--steps", "x",
+          "--cutoff", "2"), (1, "InputError")),
+        # a rational that is not an integer is outside the domain
+        (("scan", "--metric", METRIC, "--radius", "1/10", "--steps", "5/2",
+          "--cutoff", "2"), (2, "DomainError")),
+        (("branch", "--embedding", "a1-in-a2-standard", "--weight", "1.5,0"),
+         (2, "DomainError")),
+    ):
+        code, err = _error(capsys, argv)
+        assert (code, err["type"]) == expected, argv
+    # an integer-valued decimal is an integer, as "0.1" is the rational 1/10
+    search = ("torus-search", "--values", "1,2", "--lambda-min", "1/2",
+              "--vol-min", "1/2", "--dim")
+    code, out = run_cli(capsys, *search, "2.0")
+    assert code == 0
+    assert out == run_cli(capsys, *search, "2")[1]
+
+
+def test_cache_entry_with_bool_cutoff_is_a_miss(tmp_path, capsys, monkeypatch):
+    args = ("torus-spectrum", "--gram", "identity2", "--cutoff", "1")
+    code, fresh = run_cli(capsys, *args)
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))
+    run_cli(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_text()
+    planted = good.replace('"cutoff":"1","entries"', '"cutoff":true,"entries"')
+    assert planted != good
+    entry.write_text(planted)
+    code, out = run_cli(capsys, *args)
+    assert code == 0 and out == fresh
+    assert entry.read_text() == good  # rewritten, not served
+
+
+# A library function patched to raise a builtin exception, as a bug would,
+# and a job that reaches it; the exit code is 3 whatever the exception is.
+_FAULTS = (
+    ("liespec.lattices.spectra._short_vectors_int",
+     ["torus-spectrum", "--gram", "identity2", "--cutoff", "4"]),
+    ("liespec.natred.branch",
+     ["natred-spectrum", "--metric", METRIC, "--cutoff", "1"]),
+)
+_INTERNAL = {
+    "KeyError": "KeyError: 'injected'",  # str() of a KeyError quotes it
+    "ValueError": "ValueError: injected",
+    "TypeError": "TypeError: injected",
+}
+
+
+def test_library_bug_exits_three(capsys, monkeypatch):
+    for target, argv in _FAULTS:
+        for name, message in _INTERNAL.items():
+            def broken(*args, exc_type=getattr(builtins, name)):
+                raise exc_type("injected")
+
+            monkeypatch.setattr(target, broken)
+            code, err = _error(capsys, argv)
+            assert code == 3
+            assert err == {"type": "InternalError", "message": message}
+            monkeypatch.undo()
+
+
+# The same faults under python -O; prints the exit code and output of
+# cli.main for each.
+_INTERNAL_FAULT_SCRIPT = """
+import builtins, contextlib, importlib, io, json
+from liespec.cli import main
+
+results = []
+for target, argv in FAULTS:
+    module_name, name = target.rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    real = getattr(module, name)
+    for exc_name in ("KeyError", "ValueError", "TypeError"):
+        def broken(*args, exc_type=getattr(builtins, exc_name)):
+            raise exc_type("injected")
+        setattr(module, name, broken)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        results.append([exc_name, code, json.loads(buf.getvalue())])
+    setattr(module, name, real)
+print(json.dumps({"debug": __debug__, "results": results}))
+"""
+
+
+def test_library_bug_exits_three_under_optimize():
+    result = _run_optimized(f"FAULTS = {_FAULTS!r}\n" + _INTERNAL_FAULT_SCRIPT)
+    assert result["debug"] is False
+    assert len(result["results"]) == 6
+    for name, code, out in result["results"]:
+        assert code == 3
+        assert out == {
+            "error": {"type": "InternalError", "message": _INTERNAL[name]}
+        }

@@ -5,7 +5,7 @@ import pytest
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
     BUILTIN_GROUPS,
-    resolve_group,
+    resolve,
 )
 from liespec.errors import DomainError
 from liespec.groups import (
@@ -135,7 +135,7 @@ def test_group_json_round_trip():
         )
         assert back.gamma == gs.gamma
         assert back.scales == gs.scales
-    assert resolve_group("su3").factors[0] is build("A2")
+    assert resolve(GroupSpec, "su3").factors[0] is build("A2")
 
 
 def test_group_validation():
