@@ -44,7 +44,6 @@ from .isolation import (
 from .lattices import (
     Lattice,
     congruent,
-    reduce_basis,
     short_vectors,
     systole,
     torus_lambda1,
@@ -108,7 +107,6 @@ __all__ = [
     "natred_spectrum",
     "natred_terms",
     "normal_quotient_spectrum",
-    "reduce_basis",
     "short_vectors",
     "spherical_mult",
     "systole",

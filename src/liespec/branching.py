@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
-from .errors import DomainError, MalformedEmbeddingError
+from .errors import DomainError, InputError, MalformedEmbeddingError
 from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
@@ -124,12 +124,14 @@ class EmbeddingSpec:
     @staticmethod
     def from_json_dict(obj: dict) -> "EmbeddingSpec":
         factors = tuple(map(build, array(obj.get("factors", []), "factors")))
-        total = sum(f.rank for f in factors)
+        name = obj.get("name")
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"an embedding name is a string, not {name!r}")
         return EmbeddingSpec(
             ambient=build(required(obj, "ambient")),
             factors=factors,
-            restriction=rat_matrix(obj.get("restriction", [])) if total else (),
-            name=obj.get("name"),
+            restriction=rat_matrix(obj.get("restriction", [])),
+            name=name,
         )
 
 
@@ -156,12 +158,17 @@ def _peel_key(emb: EmbeddingSpec, tup):
     return (_tuple_casimir(emb, tup), sum(concat), concat)
 
 
-@lru_cache(maxsize=None)
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     """Decompose the restriction of the G-irreducible V_sigma to K."""
     lam = check_weight(emb.ambient, sigma)
     if not is_dominant(lam):
         raise DomainError("branch expects a dominant weight")
+    return _branch(emb, lam)
+
+
+@lru_cache(maxsize=None)
+def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
+    """``branch`` of a checked dominant weight, cached per embedding."""
     if emb.num_factors == 0:
         return BranchingResult(
             source=lam, terms=(((), weyl_dim(emb.ambient, lam)),)
@@ -222,10 +229,8 @@ def _product_dim(emb: EmbeddingSpec, tup) -> int:
 
 def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
     """Multiplicity of the trivial K-type in V_sigma restricted to K."""
-    if emb.num_factors == 0:
-        return weyl_dim(emb.ambient, check_weight(emb.ambient, sigma))
     trivial = tuple(tuple(0 for _ in range(f.rank)) for f in emb.factors)
-    return branch(emb, tuple(sigma)).multiplicity(trivial)
+    return branch(emb, sigma).multiplicity(trivial)
 
 
 def _rep_index(rs: RootSystemData, weight) -> Fraction:

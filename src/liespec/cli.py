@@ -43,8 +43,8 @@ from .rational import fmt, rat
 from .spectrum import SpectrumTable, canonical_json
 
 
-def _split(text: str) -> tuple:
-    return tuple(text.split(",")) if text else ()  # hashable, for branch
+def _split(text: str) -> list:
+    return text.split(",") if text else []
 
 
 def _jsonable(obj):

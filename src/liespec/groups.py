@@ -10,19 +10,20 @@ admissibility of a representation is an exact integrality test.
 Laplace eigenvalues are sums of per-factor Casimirs divided by the scales;
 each admissible tuple contributes multiplicity (product of dimensions)
 squared.  Casimir summands are nonnegative, so the per-factor enumeration
-budget makes every truncated table complete.
+budget makes every truncated table complete.  ``spectrum.linear_table``
+counts both spectra here on integer rows of Casimirs over one denominator.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm, prod
 
 from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
-from .rational import array, fmt, rat, required
+from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import RootSystemData, build, casimir, check_weight
-from .spectrum import SpectrumTable, table_from_counts
+from .spectrum import SpectrumTable, linear_table
 from .weights import dominant_weights_up_to, weyl_dim
 
 
@@ -115,41 +116,31 @@ def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     return True
 
 
-def admissible_tuples(gs: GroupSpec, cutoff: Fraction):
-    """Gamma-admissible dominant tuples with Sum c_i(lambda_i)/t_i <= cutoff,
-    each paired with that eigenvalue.  Exhaustive: summands are >= 0."""
+def admissible_tuples(gs: GroupSpec, cutoff: Fraction) -> list:
+    """Gamma-admissible dominant tuples inside the per-factor budgets
+    c_i(lambda_i) <= cutoff * t_i.  Every tuple with eigenvalue
+    Sum c_i(lambda_i)/t_i <= cutoff is among them: summands are >= 0."""
     cutoff = rat(cutoff)
-    per_factor = []
-    for f, t in zip(gs.factors, gs.scales):
-        budget = cutoff * t
-        lams = dominant_weights_up_to(f, budget)
-        per_factor.append(
-            tuple((lam, casimir(f, lam) / t) for lam in lams)
-        )
-    out = []
-    for combo in product(*per_factor):
-        eig = sum((c for _, c in combo), Fraction(0))
-        if eig > cutoff:
-            continue
-        tup = tuple(lam for lam, _ in combo)
-        if not center_admissible(gs, tup):
-            continue
-        out.append((tup, eig))
-    return out
+    per_factor = [
+        dominant_weights_up_to(f, cutoff * t)
+        for f, t in zip(gs.factors, gs.scales)
+    ]
+    return [tup for tup in product(*per_factor) if center_admissible(gs, tup)]
 
 
 def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     """Truncated Laplace spectrum of the bi-invariant metric on K."""
-    cutoff = rat(cutoff)
-    if cutoff < 0:
-        raise DomainError("cutoff must be nonnegative")
-    counts = Counter()
-    for tup, eig in admissible_tuples(gs, cutoff):
-        dim = 1
-        for f, lam in zip(gs.factors, tup):
-            dim *= weyl_dim(f, lam)
-        counts[eig] += dim * dim
-    return table_from_counts(counts, 1, "raw", cutoff)
+    cutoff = rat_cutoff(cutoff)
+    den = lcm(*(f.casimir_den for f in gs.factors))
+    parts = {}  # (factor, weight) -> (Casimir numerator over den, dimension)
+    rows = []
+    for tup in admissible_tuples(gs, cutoff):
+        for key in zip(gs.factors, tup):
+            if key not in parts:
+                parts[key] = (int(casimir(*key) * den), weyl_dim(*key))
+        row, dims = zip(*(parts[key] for key in zip(gs.factors, tup)))
+        rows.append((row, prod(dims) ** 2))
+    return linear_table(rows, den, tuple(1 / t for t in gs.scales), cutoff)
 
 
 def factor_lambda1(rs: RootSystemData, scale):
@@ -186,13 +177,12 @@ def normal_quotient_spectrum(
     t = rat(t)
     if t <= 0:
         raise DomainError("metric scale must be positive")
-    cutoff = rat(cutoff)
-    if cutoff < 0:
-        raise DomainError("cutoff must be nonnegative")
-    counts = Counter()
+    cutoff = rat_cutoff(cutoff)
+    den = ambient.casimir_den
+    rows = []
     for lam in dominant_weights_up_to(ambient, cutoff * t):
         fixed = spherical_mult(emb, lam)
-        if fixed == 0:
-            continue
-        counts[casimir(ambient, lam) / t] += weyl_dim(ambient, lam) * fixed
-    return table_from_counts(counts, 1, "raw", cutoff)
+        if fixed:
+            row = (int(casimir(ambient, lam) * den),)
+            rows.append((row, weyl_dim(ambient, lam) * fixed))
+    return linear_table(rows, den, (1 / t,), cutoff)

@@ -88,11 +88,6 @@ class Lattice:
             raise DomainError("volume needs an explicit basis; use det_gram")
         return abs(linalg.det(self.basis))
 
-    def norm(self, coords) -> Fraction:
-        """Squared length of the lattice vector with the given coordinates."""
-        v = tuple(Fraction(c) for c in coords)
-        return linalg.form_value(self.gram, v, v)
-
     def to_json_dict(self) -> dict:
         obj = {"dim": self.dim, "gram": fmt_matrix(self.gram)}
         if self.basis is not None:

@@ -98,13 +98,3 @@ def reduce_with_transform(lat: Lattice):
     basis = linalg.matmul(lat.basis, u) if lat.basis is not None else None
     reduced = Lattice(dim=lat.dim, gram=g, basis=basis)
     return reduced, u
-
-
-def reduce_basis(lat: Lattice) -> Lattice:
-    """Reduce a lattice basis.
-
-    For dim <= 4 the first vector of the result achieves the systole
-    exactly; for larger dimensions the result is LLL-reduced with
-    delta = 99/100.  The result spans the same lattice.
-    """
-    return reduce_with_transform(lat)[0]

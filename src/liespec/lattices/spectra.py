@@ -11,9 +11,8 @@ is counted on the enumeration kernel's integer norms.
 from collections import Counter
 from fractions import Fraction
 
-from ..errors import DomainError
 from ..linalg import inverse
-from ..rational import rat
+from ..rational import rat_cutoff
 from ..spectrum import SpectrumTable, table_from_counts
 from .enumeration import _integer_problem, _short_vectors_int, systole
 from .lattice import Lattice
@@ -21,9 +20,7 @@ from .lattice import Lattice
 
 def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
     """Truncated spectrum of the flat torus with period lattice ``lat``."""
-    cutoff = rat(cutoff)
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    cutoff = rat_cutoff(cutoff)
     a, bound, scale = _integer_problem(inverse(lat.gram), cutoff)
     counts = Counter({0: 1})
     for _, value in _short_vectors_int(a, bound):

@@ -24,9 +24,9 @@ and the eigenvalue c(sigma)/t + sum_i (1/t_i - 1/t) * c_i(tau_i)/j_i is
 linear in the reciprocal scales.  So the terms are built once, as a
 ``TermCatalogue`` for an embedding and a Casimir budget: integer rows
 (c(sigma), c_1(tau_1)/j_1, ...) over one common denominator, with equal
-rows merged.  A metric is then one pass over the rows: an integer dot
-product with the reciprocal scales over their own common denominator,
-compared with the scaled cutoff, and one Fraction per distinct eigenvalue.
+rows merged.  A metric is then one ``linear_table`` pass over the rows: an
+integer dot product with the reciprocal scales over their common
+denominator, and one Fraction per distinct eigenvalue.
 
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
@@ -52,9 +52,9 @@ from .branching import (
 )
 from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .groups import factor_lambda1
-from .rational import array, fmt, rat, required
+from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import RootSystemData, build, casimir, check_weight
-from .spectrum import SpectrumTable, table_from_counts
+from .spectrum import SpectrumTable, linear_table
 from .weights import dominant_weights_up_to, weyl_dim
 
 
@@ -174,13 +174,6 @@ def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:
     return total / m.base_scale
 
 
-def _cutoff(value) -> Fraction:
-    cutoff = rat(value)
-    if cutoff < 0:
-        raise DomainError("cutoff must be nonnegative")
-    return cutoff
-
-
 def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
     """Casimir budget of the metric's table at ``cutoff``.
 
@@ -206,9 +199,9 @@ class TermCatalogue:
     terms: tuple
     rows: tuple
 
-    def _weights(self, m: NatRedMetric, cutoff: Fraction):
-        """Integer weights w, scale s and limit L for metric m: a row r has
-        eigenvalue (w . r) / s, and that is <= cutoff iff w . r <= L."""
+    def _coeffs(self, m: NatRedMetric, cutoff: Fraction) -> tuple:
+        """Coefficients (1/t, 1/t_i - 1/t) of m: a row r has eigenvalue
+        (coeffs . r) / den."""
         if m.emb is not self.emb:
             raise DomainError("term catalogue belongs to another embedding")
         if _metric_budget(m, cutoff) > self.budget:
@@ -216,33 +209,25 @@ class TermCatalogue:
                 "metric needs a larger term catalogue budget"
             )
         inv_t = 1 / m.base_scale
-        coeffs = (inv_t,) + tuple(1 / x - inv_t for x in m.fiber_scales)
-        common = lcm(*(c.denominator for c in coeffs))
-        weights = tuple(int(c * common) for c in coeffs)
-        scale = common * self.den
-        return weights, scale, cutoff.numerator * scale // cutoff.denominator
+        return (inv_t,) + tuple(1 / x - inv_t for x in m.fiber_scales)
 
     def terms_for(self, m: NatRedMetric, cutoff) -> list:
         """(sigma, tau, multiplicity, eigenvalue) of m up to ``cutoff``."""
-        cutoff = _cutoff(cutoff)
-        weights, scale, limit = self._weights(m, cutoff)
+        cutoff = rat_cutoff(cutoff)
+        coeffs = self._coeffs(m, cutoff)
         out = []
         for lam, tau, mult, row in self.terms:
-            value = sum(map(mul, weights, row))
-            if value <= limit:
-                out.append((lam, tau, mult, Fraction(value, scale)))
+            value = sum(map(mul, coeffs, row)) / self.den
+            if value <= cutoff:
+                out.append((lam, tau, mult, value))
         return out
 
     def spectrum(self, m: NatRedMetric, cutoff) -> SpectrumTable:
         """Truncated spectrum of m, aggregated on integer numerators."""
-        cutoff = _cutoff(cutoff)
-        weights, scale, limit = self._weights(m, cutoff)
-        acc = Counter()
-        for row, mult in self.rows:
-            value = sum(map(mul, weights, row))
-            if value <= limit:
-                acc[value] += mult
-        return table_from_counts(acc, scale, "raw", cutoff)
+        cutoff = rat_cutoff(cutoff)
+        return linear_table(
+            self.rows, self.den, self._coeffs(m, cutoff), cutoff
+        )
 
 
 def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
@@ -255,12 +240,11 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
     budget = rat(budget)
     group = emb.ambient
     ratios = killing_ratio(emb)
-    # a Casimir has denominator dividing 2 h_vee form_den, and dividing by
-    # j_i multiplies it by j_i's numerator: den makes every row integral
+    # a Casimir has denominator dividing casimir_den, and dividing by j_i
+    # multiplies it by j_i's numerator: den makes every row integral
     den = lcm(
-        2 * group.dual_coxeter * group.form_den,
-        *(2 * f.dual_coxeter * f.form_den * j.numerator
-          for f, j in zip(emb.factors, ratios)),
+        group.casimir_den,
+        *(f.casimir_den * j.numerator for f, j in zip(emb.factors, ratios)),
     )
     terms = []
     rows = Counter()
@@ -295,7 +279,7 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
 def natred_terms(m: NatRedMetric, cutoff):
     """All (sigma, tau, multiplicity, eigenvalue) with eigenvalue <= cutoff,
     in the order of sigma (graded-lex) and then of the branch labels."""
-    cutoff = _cutoff(cutoff)
+    cutoff = rat_cutoff(cutoff)
     return term_catalogue(m.emb, _metric_budget(m, cutoff)).terms_for(
         m, cutoff
     )
@@ -303,7 +287,7 @@ def natred_terms(m: NatRedMetric, cutoff):
 
 def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     """Truncated spectrum of the naturally reductive metric; always complete."""
-    cutoff = _cutoff(cutoff)
+    cutoff = rat_cutoff(cutoff)
     return term_catalogue(m.emb, _metric_budget(m, cutoff)).spectrum(
         m, cutoff
     )

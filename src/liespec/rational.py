@@ -35,6 +35,14 @@ def exact_int(value) -> int:
     return q.numerator
 
 
+def rat_cutoff(value) -> Fraction:
+    """Coerce a spectrum cutoff like ``rat`` and require it nonnegative."""
+    cutoff = rat(value)
+    if cutoff < 0:
+        raise DomainError("cutoff must be nonnegative")
+    return cutoff
+
+
 def fmt(value: Fraction) -> str:
     """Format a Fraction as 'p/q', or 'p' when the denominator is 1."""
     return str(Fraction(value))

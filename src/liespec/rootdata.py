@@ -20,12 +20,15 @@ The Killing-dual form ``killing_dual_ip`` = ip_norm / (2 h^vee) is the
 form induced on weights by the negative Killing form and the one the
 Casimir eigenvalue is measured against:
 
-    casimir(lambda) = <lambda, lambda + 2 rho> / (2 h^vee).
+    casimir(lambda) = <lambda, lambda + 2 rho> / (2 h^vee),
 
-Everything is derived from the Cartan matrix at build time; the dual
-Coxeter number is recomputed as 1 + <rho, theta>, every coroot is checked
-to be integral, and the stated diagram involution for -w0 is verified to
-permute the positive roots.
+a Fraction over ``casimir_den`` = 2 h^vee form_den.
+
+Everything is derived from the Cartan matrix by one simple reflection.
+The positive roots are the W-orbits of the simple roots with nonnegative
+simple-root coordinates, the coroots are the positive roots of the
+transposed Cartan matrix, and -w0 sends omega_k to the dominant weight in
+the orbit of -omega_k.  The dual Coxeter number is 1 + <rho, theta>.
 """
 
 from dataclasses import dataclass
@@ -87,18 +90,6 @@ def _cartan_matrix(family: str, n: int):
     return tuple(tuple(row) for row in c)
 
 
-def _minus_w0_perm(family: str, n: int):
-    perm = list(range(n))
-    if family == "A":
-        perm = list(reversed(perm))
-    elif family == "D" and n % 2 == 1:
-        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-    elif family == "E" and n == 6:
-        perm[0], perm[5] = perm[5], perm[0]
-        perm[2], perm[4] = perm[4], perm[2]
-    return tuple(perm)
-
-
 def _symmetrizer(cartan):
     """d_i = <alpha_i, alpha_i>/2 up to overall scale, via graph traversal."""
     n = len(cartan)
@@ -116,39 +107,59 @@ def _symmetrizer(cartan):
     return d
 
 
-def _positive_roots(cartan):
-    """All positive roots as (fund_coords, root_coords) pairs, by height."""
-    n = len(cartan)
-    roots = {}
-    layer = []
-    for i in range(n):
-        rc = tuple(1 if k == i else 0 for k in range(n))
-        roots[rc] = cartan[i]
-        layer.append(rc)
-    while layer:
-        nxt = []
-        for rc in layer:
-            fund = roots[rc]
-            for j in range(n):
-                # length p of the backward alpha_j-string through this root
-                p = 0
-                back = list(rc)
-                while True:
-                    back[j] -= 1
-                    if back[j] < 0 or tuple(back) not in roots:
-                        break
-                    p += 1
-                if p - fund[j] >= 1:
-                    up = list(rc)
-                    up[j] += 1
-                    up = tuple(up)
-                    if up not in roots:
-                        roots[up] = tuple(
-                            f + c for f, c in zip(fund, cartan[j])
-                        )
-                        nxt.append(up)
-        layer = nxt
-    return [(roots[rc], rc) for rc in roots]
+def _reflect(cartan, j, v):
+    """s_j(v) in fundamental coordinates: subtract v_j times alpha_j."""
+    c = v[j]
+    return tuple(x - c * a for x, a in zip(v, cartan[j]))
+
+
+def _orbit(cartan, v):
+    """The Weyl orbit of v, as a set, by closing under simple reflections."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for j in range(len(cartan)):
+            w = _reflect(cartan, j, u)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _dominant(cartan, v):
+    """The dominant weight in the Weyl orbit of v: reflect in the first
+    negative coordinate until there is none."""
+    while True:
+        j = next((i for i, x in enumerate(v) if x < 0), None)
+        if j is None:
+            return v
+        v = _reflect(cartan, j, v)
+
+
+def _positive_roots(cartan, adj, det):
+    """Positive roots as (fund_coords, root_coords) pairs, by height.
+
+    Every root is W-conjugate to a simple root, so the roots are the orbits
+    of the Cartan rows; the positive ones have nonnegative simple-root
+    coordinates adj . v / det.
+    """
+    roots = set()
+    for row in cartan:
+        if row not in roots:
+            roots |= _orbit(cartan, row)
+    out = []
+    for v in roots:
+        rc = []
+        for x in linalg.matvec(adj, v):
+            coeff, rest = divmod(x, det)
+            if rest:
+                raise DomainError("non-integral root; bad Cartan data")
+            rc.append(coeff)
+        if min(rc) >= 0:
+            out.append((v, tuple(rc)))
+    out.sort(key=lambda fr: (sum(fr[1]), fr[1]))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +181,7 @@ class RootSystemData:
     weyl_den: int
     form: tuple
     form_den: int
+    casimir_den: int
     cartan_adj: tuple
     cartan_det: int
     dual_coxeter: int
@@ -206,18 +218,26 @@ def _build(name: str) -> RootSystemData:
 
     cartan = _cartan_matrix(family, n)
     d = _symmetrizer(cartan)
-    pos = _positive_roots(cartan)
-    pos.sort(key=lambda fr: (sum(fr[1]), fr[1]))
+    cinv = linalg.inverse(cartan)
+    det = int(linalg.det(cartan))
+    cartan_adj = tuple(
+        tuple(int(cinv[j][i] * det) for j in range(n)) for i in range(n)
+    )
+    pos = _positive_roots(cartan, cartan_adj, det)
     fund_list = tuple(f for f, _ in pos)
     rootc_list = tuple(r for _, r in pos)
+    # the coroots are the roots of the transposed Cartan matrix, and their
+    # simple-root coordinates there are simple-coroot coordinates here
+    coroots = tuple(
+        r
+        for _, r in _positive_roots(
+            linalg.transpose(cartan), linalg.transpose(cartan_adj), det
+        )
+    )
 
-    heights = [sum(rc) for rc in rootc_list]
-    top = max(heights)
-    candidates = [i for i, h in enumerate(heights) if h == top]
-    if len(candidates) != 1:
+    theta_fund, theta_rootc = pos[-1]  # the roots are sorted by height
+    if len(pos) > 1 and sum(pos[-2][1]) == sum(theta_rootc):
         raise DomainError("highest root is not unique; bad Cartan data")
-    theta_fund = fund_list[candidates[0]]
-    theta_rootc = rootc_list[candidates[0]]
 
     # rescale the symmetrizer so that <theta, theta> = 2
     theta_sq = sum(
@@ -228,7 +248,6 @@ def _build(name: str) -> RootSystemData:
     factor = Fraction(2) / theta_sq
     d = [x * factor for x in d]
 
-    cinv = linalg.inverse(cartan)
     fund_form = tuple(
         tuple(cinv[i][j] * d[j] for j in range(n)) for i in range(n)
     )
@@ -236,20 +255,6 @@ def _build(name: str) -> RootSystemData:
         raise DomainError("fundamental form failed symmetry; bad Cartan data")
     form_den = lcm(*(x.denominator for row in fund_form for x in row))
     form = tuple(tuple(int(x * form_den) for x in row) for row in fund_form)
-    det = linalg.det(cartan)
-    cartan_adj = tuple(
-        tuple(int(cinv[j][i] * det) for j in range(n)) for i in range(n)
-    )
-
-    coroots = []
-    for f, rc in zip(fund_list, rootc_list):
-        # (lambda, beta) = vec . lambda and beta^vee = 2 beta / (beta, beta)
-        vec = [rc[k] * d[k] for k in range(n)]
-        beta_sq = sum(v * b for v, b in zip(vec, f))
-        co = [2 * x / beta_sq for x in vec]
-        if any(x.denominator != 1 for x in co):
-            raise DomainError("coroot is not integral; bad Cartan data")
-        coroots.append(tuple(int(x) for x in co))
 
     rho = tuple(1 for _ in range(n))
     rho_theta = sum(theta_rootc[k] * d[k] for k in range(n))
@@ -257,12 +262,12 @@ def _build(name: str) -> RootSystemData:
         raise DomainError("dual Coxeter number is not integral")
     hvee = int(rho_theta) + 1
 
-    perm = _minus_w0_perm(family, n)
-    pos_set = set(fund_list)
-    for v in fund_list:
-        image = tuple(v[perm[i]] for i in range(n))
-        if image not in pos_set:
-            raise DomainError("-w0 involution does not preserve roots")
+    # -w0 maps omega_k to the dominant weight in the orbit of -omega_k,
+    # which is the fundamental weight omega_perm[k]
+    perm = tuple(
+        _dominant(cartan, tuple(-int(i == k) for i in range(n))).index(1)
+        for k in range(n)
+    )
 
     return RootSystemData(
         family=family,
@@ -272,12 +277,13 @@ def _build(name: str) -> RootSystemData:
         pos_roots_rootc=rootc_list,
         highest_root=theta_fund,
         rho=rho,
-        coroots=tuple(coroots),
+        coroots=coroots,
         weyl_den=prod(sum(co) for co in coroots),
         form=form,
         form_den=form_den,
+        casimir_den=2 * hvee * form_den,
         cartan_adj=cartan_adj,
-        cartan_det=int(det),
+        cartan_det=det,
         dual_coxeter=hvee,
         dim_g=2 * len(fund_list) + n,
         minus_w0=perm,
@@ -304,8 +310,7 @@ def ip_norm(rs: RootSystemData, u, v) -> Fraction:
 
 def killing_dual_ip(rs: RootSystemData, u, v) -> Fraction:
     """Inner product induced by the negative Killing form on weights."""
-    value = linalg.form_value(rs.form, u, v)
-    return Fraction(value, 2 * rs.dual_coxeter * rs.form_den)
+    return Fraction(linalg.form_value(rs.form, u, v), rs.casimir_den)
 
 
 def casimir(rs: RootSystemData, weight) -> Fraction:
@@ -319,32 +324,17 @@ def casimir(rs: RootSystemData, weight) -> Fraction:
 
 def simple_reflection(rs: RootSystemData, j: int, weight):
     """s_j(weight) in fundamental coordinates."""
-    coeff = weight[j]
-    return tuple(w - coeff * c for w, c in zip(weight, rs.cartan[j]))
+    return _reflect(rs.cartan, j, weight)
 
 
 def dominant_rep(rs: RootSystemData, weight):
     """The dominant representative of the Weyl orbit of ``weight``."""
-    v = tuple(weight)
-    while True:
-        j = next((i for i, x in enumerate(v) if x < 0), None)
-        if j is None:
-            return v
-        v = simple_reflection(rs, j, v)
+    return _dominant(rs.cartan, tuple(weight))
 
 
 def weyl_orbit(rs: RootSystemData, dominant_weight):
     """The full Weyl orbit of a dominant weight, as a sorted tuple."""
-    seen = {tuple(dominant_weight)}
-    stack = [tuple(dominant_weight)]
-    while stack:
-        v = stack.pop()
-        for j in range(rs.rank):
-            w = simple_reflection(rs, j, v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return tuple(sorted(seen))
+    return tuple(sorted(_orbit(rs.cartan, tuple(dominant_weight))))
 
 
 def contragredient_weight(rs: RootSystemData, weight):

@@ -12,7 +12,8 @@ unit:
 Tables compare by exact equality of entries, so two tables computed at the
 same cutoff are isospectral-at-cutoff iff their entries are equal.  Every
 computed table is built by ``table_from_counts`` from multiplicities keyed
-by exact numerators over one common scale.
+by integer numerators over one common scale.  The Lie spectra are linear
+in the reciprocal metric scales, and ``linear_table`` evaluates them all.
 """
 
 import csv
@@ -21,6 +22,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DomainError
 from .rational import fmt, rat
@@ -52,9 +55,6 @@ class SpectrumTable:
 
     def multiplicity(self, eig) -> int:
         return dict(self.entries).get(Fraction(eig), 0)
-
-    def contains(self, eig) -> bool:
-        return self.multiplicity(eig) > 0
 
     def lambda1(self):
         """Smallest positive entry, or None if the table has none."""
@@ -125,14 +125,31 @@ def canonical_json(obj) -> str:
 
 
 def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:
-    """Complete table with entries (v / scale, counts[v]) sorted by v: v is
-    an integer over one denominator, or an exact eigenvalue with scale 1."""
+    """Complete table with entries (v / scale, counts[v]) sorted by v, where
+    every key v is an integer numerator over the one denominator ``scale``."""
     return SpectrumTable(
         unit=unit,
         cutoff=cutoff,
         entries=tuple((Fraction(v, scale), counts[v]) for v in sorted(counts)),
         complete=True,
     )
+
+
+def linear_table(rows, den, coeffs, cutoff) -> SpectrumTable:
+    """Raw table of the eigenvalues (coeffs . row) / den <= cutoff, for
+    (row, multiplicity) pairs of integer rows and rational ``coeffs``.  Each
+    is counted as an integer numerator over q * den, q the coefficients'
+    common denominator, with no Fraction per row."""
+    q = lcm(*(c.denominator for c in coeffs))
+    weights = tuple(c.numerator * (q // c.denominator) for c in coeffs)
+    scale = q * den
+    limit = cutoff.numerator * scale // cutoff.denominator
+    counts = Counter()
+    for row, mult in rows:
+        value = sum(map(mul, weights, row))
+        if value <= limit:
+            counts[value] += mult
+    return table_from_counts(counts, scale, "raw", cutoff)
 
 
 def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:

@@ -72,15 +72,20 @@ def _dominant_candidates(rs: RootSystemData, lam):
     return out
 
 
-@lru_cache(maxsize=None)
 def dominant_character(rs: RootSystemData, weight) -> tuple:
-    """((mu, mult), ...) over dominant weights of V_weight, Freudenthal.
-
-    Inner products are taken times form_den, which cancels in the ratio.
-    """
+    """((mu, mult), ...) over dominant weights of V_weight, Freudenthal."""
     lam = check_weight(rs, weight)
     if not is_dominant(lam):
         raise DomainError("character expects a dominant highest weight")
+    return _dominant_character(rs, lam)
+
+
+@lru_cache(maxsize=None)
+def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
+    """``dominant_character`` of a checked dominant weight, cached per type.
+
+    Inner products are taken times form_den, which cancels in the ratio.
+    """
     # (nu, beta) * form_den = nu . (form . beta)
     root_vecs = [matvec(rs.form, beta) for beta in rs.pos_roots_fund]
     lam_shift = tuple(x + 1 for x in lam)

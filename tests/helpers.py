@@ -7,9 +7,13 @@ integer root-system tables, the product-diagram branching peel with
 the per-metric term builder and grid scan on top of it, used as the
 exact reference for dominant-only branching and the term catalogue,
 the elementary-matrix LLL used as the exact reference for the library's
-integral LLL, and the Fraction Gaussian elimination, Gauss-Jordan inverse
+integral LLL, the Fraction Gaussian elimination, Gauss-Jordan inverse
 and Gram-Schmidt used as the exact references for the library's one
-fraction-free elimination."""
+fraction-free elimination, the root-string positive roots, hand-typed
+-w0 involutions and Fraction coroots used as the exact references for
+root data derived by Weyl reflections, and the Fraction-keyed
+bi-invariant and normal quotient spectra used as the exact references for
+the one integer evaluator."""
 
 import itertools
 import math
@@ -25,6 +29,7 @@ from liespec.branching import (
     EmbeddingSpec,
     contragredient_tuple,
     killing_ratio,
+    spherical_mult,
 )
 from liespec.errors import (
     CertificationError,
@@ -32,6 +37,7 @@ from liespec.errors import (
     LiespecError,
     MalformedEmbeddingError,
 )
+from liespec.groups import GroupSpec, center_admissible
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice
 from liespec.natred import NatRedMetric
@@ -316,6 +322,75 @@ def ref_lll_gram(g, delta: Fraction = DELTA):
             g, u = _apply(g, u, _col_swap(m, k - 1, k))
             k = max(k - 1, 1)
     return g, u
+
+
+# Reference root data: positive roots by root strings, the hand-typed -w0
+# diagram involutions and coroots by beta^vee = 2 beta / (beta, beta) in
+# Fractions.  None of it reflects in the Weyl group.
+
+
+def ref_positive_roots(cartan):
+    """All positive roots as (fund_coords, root_coords) pairs, by height."""
+    n = len(cartan)
+    roots = {}
+    layer = []
+    for i in range(n):
+        rc = tuple(1 if k == i else 0 for k in range(n))
+        roots[rc] = cartan[i]
+        layer.append(rc)
+    while layer:
+        nxt = []
+        for rc in layer:
+            fund = roots[rc]
+            for j in range(n):
+                # length p of the backward alpha_j-string through this root
+                p = 0
+                back = list(rc)
+                while True:
+                    back[j] -= 1
+                    if back[j] < 0 or tuple(back) not in roots:
+                        break
+                    p += 1
+                if p - fund[j] >= 1:
+                    up = list(rc)
+                    up[j] += 1
+                    up = tuple(up)
+                    if up not in roots:
+                        roots[up] = tuple(
+                            f + c for f, c in zip(fund, cartan[j])
+                        )
+                        nxt.append(up)
+        layer = nxt
+    out = [(roots[rc], rc) for rc in roots]
+    out.sort(key=lambda fr: (sum(fr[1]), fr[1]))
+    return out
+
+
+def ref_minus_w0_perm(family: str, n: int):
+    perm = list(range(n))
+    if family == "A":
+        perm = list(reversed(perm))
+    elif family == "D" and n % 2 == 1:
+        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
+    elif family == "E" and n == 6:
+        perm[0], perm[5] = perm[5], perm[0]
+        perm[2], perm[4] = perm[4], perm[2]
+    return tuple(perm)
+
+
+def ref_coroots(rs):
+    """Positive coroots in simple-coroot coordinates, in root order."""
+    d = fraction_tables(rs)[0]
+    coroots = []
+    for f, rc in ref_positive_roots(rs.cartan):
+        # (lambda, beta) = vec . lambda and beta^vee = 2 beta / (beta, beta)
+        vec = [rc[k] * d[k] for k in range(rs.rank)]
+        beta_sq = sum(v * b for v, b in zip(vec, f))
+        co = [2 * x / beta_sq for x in vec]
+        if any(x.denominator != 1 for x in co):
+            raise DomainError("coroot is not integral")
+        coroots.append(tuple(int(x) for x in co))
+    return tuple(coroots)
 
 
 # Exact reference Lie primitives: the symmetrizer and the <theta,theta> = 2
@@ -681,3 +756,47 @@ def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
         "isospectral_neighbors": neighbors,
         "min_table_distance": min_distance,
     }
+
+
+# Reference bi-invariant and normal quotient spectra: eigenvalues summed as
+# Fraction Casimirs over the scales and tabulated by Fraction keys.
+
+
+def ref_admissible_tuples(gs: GroupSpec, cutoff):
+    """Gamma-admissible dominant tuples with Sum c_i/t_i <= cutoff, each
+    paired with that eigenvalue."""
+    cutoff = rat(cutoff)
+    per_factor = []
+    for f, t in zip(gs.factors, gs.scales):
+        lams = dominant_weights_up_to(f, cutoff * t)
+        per_factor.append(tuple((lam, casimir(f, lam) / t) for lam in lams))
+    out = []
+    for combo in itertools.product(*per_factor):
+        eig = sum((c for _, c in combo), Fraction(0))
+        if eig > cutoff:
+            continue
+        tup = tuple(lam for lam, _ in combo)
+        if center_admissible(gs, tup):
+            out.append((tup, eig))
+    return out
+
+
+def ref_biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
+    pairs = []
+    for tup, eig in ref_admissible_tuples(gs, cutoff):
+        dim = 1
+        for f, lam in zip(gs.factors, tup):
+            dim *= weyl_dim(f, lam)
+        pairs.append((eig, dim * dim))
+    return _table_from_pairs(pairs, cutoff)
+
+
+def ref_normal_quotient_spectrum(emb: EmbeddingSpec, t, cutoff):
+    t, cutoff = rat(t), rat(cutoff)
+    pairs = []
+    for lam in dominant_weights_up_to(emb.ambient, cutoff * t):
+        fixed = spherical_mult(emb, lam)
+        if fixed:
+            eig = casimir(emb.ambient, lam) / t
+            pairs.append((eig, weyl_dim(emb.ambient, lam) * fixed))
+    return _table_from_pairs(pairs, cutoff)

@@ -92,6 +92,9 @@ def test_branch_result_shape_and_cache():
     assert res.multiplicity(((1,),)) == res.as_dict().get(((1,),), 0)
     assert res.multiplicity(((9,),)) == 0
     assert branch(STD, (2, 1)) is res  # cached per embedding object
+    # the weight is checked before the cache: lists and strings hit it too
+    assert branch(STD, [2, 1]) is res
+    assert branch(STD, ("2", "1")) is res
 
 
 def test_contragredient_symmetry():

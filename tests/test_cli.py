@@ -149,6 +149,11 @@ def test_domain_error_exits_two(capsys):
         capsys, "torus-spectrum", "--gram", "identity2", "--cutoff", "-1"
     )
     assert code == 2
+    assert json.loads(out)["error"]["message"] == "cutoff must be nonnegative"
+    # a restriction row with no factor to restrict to is not dropped
+    emb = '{"ambient": "A2", "factors": [], "restriction": [["1", "1"]]}'
+    code, out = run_cli(capsys, "validate-embedding", "--embedding", emb)
+    assert (code, json.loads(out)["error"]["type"]) == (2, "DomainError")
 
 
 def test_usage_errors_exit_one(capsys):
@@ -414,6 +419,12 @@ def test_malformed_descriptors_exit_one(tmp_path, capsys):
     )
     assert (code, err["type"]) == (1, "InputError")
     assert "'ambient'" in err["message"]
+    # an embedding name that is not a string is not echoed back
+    emb = '{"ambient": "A2", "factors": ["A1"], "restriction": [["1", "1"]], '
+    code, err = _error(
+        capsys, ("validate-embedding", "--embedding", emb + '"name": [5]}')
+    )
+    assert (code, err["type"]) == (1, "InputError")
 
 
 def test_lattice_dim_is_exact(capsys):

