@@ -41,7 +41,7 @@ from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
     build,
-    casimir,
+    casimir_num,
     check_weight,
     contragredient_weight,
     dominant_rep,
@@ -147,15 +147,14 @@ class BranchingResult:
         return self.as_dict().get(tuple(factor_weights), 0)
 
 
-def _tuple_casimir(emb: EmbeddingSpec, tup) -> Fraction:
-    return sum(
-        (casimir(f, w) for f, w in zip(emb.factors, tup)), Fraction(0)
-    )
-
-
-def _peel_key(emb: EmbeddingSpec, tup):
+def _peel_key(emb: EmbeddingSpec, den: int, tup):
+    """(total Casimir over den, graded-lex) of a tuple of factor weights."""
     concat = tuple(x for part in tup for x in part)
-    return (_tuple_casimir(emb, tup), sum(concat), concat)
+    total = sum(
+        casimir_num(f, w) * (den // f.casimir_den)
+        for f, w in zip(emb.factors, tup)
+    )
+    return (total, sum(concat), concat)
 
 
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
@@ -191,8 +190,11 @@ def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
         if top == key:
             residue[key] = mult
 
+    den = lcm(*(f.casimir_den for f in emb.factors))
     terms = {}
-    for top in sorted(residue, key=lambda t: _peel_key(emb, t), reverse=True):
+    for top in sorted(
+        residue, key=lambda t: _peel_key(emb, den, t), reverse=True
+    ):
         mult = residue[top]
         if mult < 0:
             raise MalformedEmbeddingError("negative residue while peeling")

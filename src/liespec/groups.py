@@ -22,7 +22,7 @@ from math import lcm, prod
 from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
 from .rational import array, fmt, rat, rat_cutoff, required
-from .rootdata import RootSystemData, build, casimir, check_weight
+from .rootdata import RootSystemData, build, casimir, casimir_num, check_weight
 from .spectrum import SpectrumTable, linear_table
 from .weights import dominant_weights_up_to, weyl_dim
 
@@ -135,9 +135,10 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     parts = {}  # (factor, weight) -> (Casimir numerator over den, dimension)
     rows = []
     for tup in admissible_tuples(gs, cutoff):
-        for key in zip(gs.factors, tup):
-            if key not in parts:
-                parts[key] = (int(casimir(*key) * den), weyl_dim(*key))
+        for f, lam in zip(gs.factors, tup):
+            if (f, lam) not in parts:
+                num = casimir_num(f, lam) * (den // f.casimir_den)
+                parts[f, lam] = (num, weyl_dim(f, lam))
         row, dims = zip(*(parts[key] for key in zip(gs.factors, tup)))
         rows.append((row, prod(dims) ** 2))
     return linear_table(rows, den, tuple(1 / t for t in gs.scales), cutoff)
@@ -178,11 +179,10 @@ def normal_quotient_spectrum(
     if t <= 0:
         raise DomainError("metric scale must be positive")
     cutoff = rat_cutoff(cutoff)
-    den = ambient.casimir_den
     rows = []
     for lam in dominant_weights_up_to(ambient, cutoff * t):
         fixed = spherical_mult(emb, lam)
         if fixed:
-            row = (int(casimir(ambient, lam) * den),)
+            row = (casimir_num(ambient, lam),)
             rows.append((row, weyl_dim(ambient, lam) * fixed))
-    return linear_table(rows, den, (1 / t,), cutoff)
+    return linear_table(rows, ambient.casimir_den, (1 / t,), cutoff)

@@ -53,7 +53,7 @@ from .branching import (
 from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .groups import factor_lambda1
 from .rational import array, fmt, rat, rat_cutoff, required
-from .rootdata import RootSystemData, build, casimir, check_weight
+from .rootdata import RootSystemData, build, casimir, casimir_num, check_weight
 from .spectrum import SpectrumTable, linear_table
 from .weights import dominant_weights_up_to, weyl_dim
 
@@ -249,11 +249,11 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
     terms = []
     rows = Counter()
     for lam in dominant_weights_up_to(group, budget):
-        c_lam = casimir(group, lam)
+        c_lam = casimir_num(group, lam) * (den // group.casimir_den)
         dim_lam = weyl_dim(group, lam)
         for tup, mult in branch(emb, lam).terms:
             tau = contragredient_tuple(emb, tup)
-            row = (int(c_lam * den),) + tuple(
+            row = (c_lam,) + tuple(
                 int(casimir(f, part) / j * den)
                 for f, part, j in zip(emb.factors, tau, ratios)
             )

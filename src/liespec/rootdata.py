@@ -22,7 +22,8 @@ Casimir eigenvalue is measured against:
 
     casimir(lambda) = <lambda, lambda + 2 rho> / (2 h^vee),
 
-a Fraction over ``casimir_den`` = 2 h^vee form_den.
+a Fraction over ``casimir_den`` = 2 h^vee form_den with the integer
+numerator ``casimir_num`` = lambda . form . (lambda + 2 rho).
 
 Everything is derived from the Cartan matrix by one simple reflection.
 The positive roots are the W-orbits of the simple roots with nonnegative
@@ -313,18 +314,17 @@ def killing_dual_ip(rs: RootSystemData, u, v) -> Fraction:
     return Fraction(linalg.form_value(rs.form, u, v), rs.casimir_den)
 
 
-def casimir(rs: RootSystemData, weight) -> Fraction:
-    """Casimir eigenvalue <lambda, lambda + 2 rho> in Killing-dual units."""
+def casimir_num(rs: RootSystemData, weight) -> int:
+    """The Casimir eigenvalue times ``casimir_den``, an integer."""
     lam = check_weight(rs, weight)
     if not is_dominant(lam):
         raise DomainError("casimir expects a dominant weight")
-    shifted = tuple(x + 2 for x in lam)
-    return killing_dual_ip(rs, lam, shifted)
+    return linalg.form_value(rs.form, lam, tuple(x + 2 for x in lam))
 
 
-def simple_reflection(rs: RootSystemData, j: int, weight):
-    """s_j(weight) in fundamental coordinates."""
-    return _reflect(rs.cartan, j, weight)
+def casimir(rs: RootSystemData, weight) -> Fraction:
+    """Casimir eigenvalue <lambda, lambda + 2 rho> in Killing-dual units."""
+    return Fraction(casimir_num(rs, weight), rs.casimir_den)
 
 
 def dominant_rep(rs: RootSystemData, weight):

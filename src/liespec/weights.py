@@ -5,18 +5,21 @@ All three run on the integer tables of ``rootdata``:
 * ``weyl_dim`` -- the Weyl dimension formula as an integer product over
   the coroots, divided exactly by the Weyl denominator (a remainder, or a
   quotient that is not positive, raises DomainError);
-* ``weight_diagram`` -- the full character of V_lambda: dominant weights
-  are enumerated inside an exact norm box and their multiplicities are
-  computed by the Freudenthal recursion, then Weyl orbits fill in the rest;
+* ``weight_diagram`` -- the full character of V_lambda.  Its dominant
+  weights are the dominant mu below lambda, each of smaller Casimir
+  (Humphreys, Introduction to Lie Algebras and Representation Theory,
+  13.4), so ``dominant_weights_up_to`` supplies them.  Freudenthal's
+  recursion gives their multiplicities; every such mu is a weight and
+  weight strings are unbroken (ibid., 21.3), so each string mu + k beta
+  stops at its first non-weight.  Weyl orbits fill in the rest;
 * ``dominant_weights_up_to`` -- all dominant weights with Casimir at most
   a given budget, enumerable because the Casimir is strictly increasing in
   every fundamental coordinate.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import floor
 
 from .errors import DomainError
 from .linalg import dot, form_value, matvec
@@ -24,6 +27,7 @@ from .rational import rat
 from .rootdata import (
     RootSystemData,
     casimir,
+    casimir_num,
     check_weight,
     dominant_rep,
     is_dominant,
@@ -61,10 +65,8 @@ def _root_height(rs: RootSystemData, lam, mu):
 
 def _dominant_candidates(rs: RootSystemData, lam):
     """Dominant mu with lam - mu in the nonnegative root cone, by height."""
-    lam_sq = form_value(rs.form, lam, lam)
-    box = [range(isqrt(lam_sq // rs.form[j][j]) + 1) for j in range(rs.rank)]
     out = []
-    for mu in itertools.product(*box):
+    for mu in dominant_weights_up_to(rs, casimir(rs, lam)):
         height = _root_height(rs, lam, mu)
         if height is not None:
             out.append((mu, height))
@@ -100,22 +102,16 @@ def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
         denom = lam_shift_sq - form_value(rs.form, mu_shift, mu_shift)
         total = 0
         for beta_fund, vec in zip(rs.pos_roots_fund, root_vecs):
-            k = 1
-            while True:
-                nu = tuple(m + k * b for m, b in zip(mu, beta_fund))
-                if _root_height(rs, lam, nu) is None:
-                    break
-                mult_nu = mults.get(dominant_rep(rs, nu), 0)
-                if mult_nu:
-                    total += mult_nu * dot(vec, nu)
-                k += 1
-        if total == 0:
-            continue  # mu is not a weight of V_lambda
+            # nu's dominant representative is higher than mu, so its
+            # multiplicity is already known; the string ends at a zero
+            nu = tuple(m + b for m, b in zip(mu, beta_fund))
+            while mult_nu := mults.get(dominant_rep(rs, nu)):
+                total += mult_nu * dot(vec, nu)
+                nu = tuple(n + b for n, b in zip(nu, beta_fund))
         value, rest = divmod(2 * total, denom)
-        if rest or value < 0:
+        if rest or value <= 0:
             raise DomainError("Freudenthal recursion produced a non-integer")
-        if value:
-            mults[mu] = value
+        mults[mu] = value
     return tuple(sorted(mults.items()))
 
 
@@ -154,9 +150,8 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
     on the dominant cone.
     """
     cas_max = rat(cas_max)
+    limit = floor(cas_max * rs.casimir_den)
     out = []
-    if cas_max < 0:
-        return out
     n = rs.rank
     current = [0] * n
 
@@ -169,7 +164,7 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
             current[j] = value
             # coordinates past j are 0 here; at j = n - 1 this tests the
             # whole weight, so every weight appended is within the budget
-            if casimir(rs, tuple(current)) > cas_max:
+            if casimir_num(rs, current) > limit:
                 break
             extend(j + 1)
             value += 1

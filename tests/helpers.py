@@ -13,7 +13,8 @@ fraction-free elimination, the root-string positive roots, hand-typed
 -w0 involutions and Fraction coroots used as the exact references for
 root data derived by Weyl reflections, and the Fraction-keyed
 bi-invariant and normal quotient spectra used as the exact references for
-the one integer evaluator."""
+the one integer evaluator, and the principal-A1 q-dimension closed form
+used as an oracle for branching that shares no code with it."""
 
 import itertools
 import math
@@ -163,7 +164,8 @@ def box_oracle_spectrum(lat: Lattice, cutoff: Fraction) -> dict:
         [[int(x * scale) for x in row] for row in q], dtype=np.int64
     )
     bound_frac = cutoff * scale
-    assert bound_frac.denominator == 1
+    if bound_frac.denominator != 1:
+        raise AssertionError("box oracle bound is not an integer")
     bound = int(bound_frac)
     # |x_i|^2 <= cutoff * (q^{-1})_ii = cutoff * gram_ii
     radius = []
@@ -267,7 +269,8 @@ def short_vectors_int(a, bound: int):
             x[i] = xi
             if i == 0:
                 if not zt:
-                    assert total.denominator == 1
+                    if total.denominator != 1:
+                        raise AssertionError("reference norm is not an integer")
                     out.append((tuple(x), int(total)))
             else:
                 rec(i - 1, total, zt)
@@ -536,6 +539,51 @@ def ref_dominant_character(rs, weight) -> tuple:
         if value:
             mults[mu] = int(value)
     return tuple(sorted(mults.items()))
+
+
+# Principal A1 closed form (Kostant, Amer. J. Math. 81, 1959): the
+# principal three-dimensional subalgebra has Cartan element 2 rho^vee, and
+# the q-character of V_lambda along it is Weyl's principal specialization
+#     prod_{beta > 0} (1 - q^<lambda + rho, beta^vee>) / (1 - q^<rho, beta^vee>),
+# whose q^h coefficient counts the weights nu with <lambda - nu, rho^vee> = h.
+# Differencing it gives the SL2 types.  No Freudenthal, no peel.
+
+
+def principal_a1_row(rs):
+    """The restriction row of the principal A1: 2 rho^vee, the sum of the
+    positive coroots, in simple-coroot coordinates."""
+    return tuple(sum(col) for col in zip(*ref_coroots(rs)))
+
+
+def principal_a1_branching(rs, lam) -> dict:
+    """{((N - 2h,),): c_h - c_(h-1)} over 0 <= h <= N/2, nonzero only,
+    where c_h is the q^h coefficient above and N = <lambda, 2 rho^vee>."""
+    coroots = ref_coroots(rs)
+    poly = [1]
+    for co in coroots:
+        # multiply by 1 - q^a, top coefficient first
+        a = sum(c * (x + 1) for c, x in zip(co, lam))
+        poly += [0] * a
+        for k in range(len(poly) - 1, a - 1, -1):
+            poly[k] -= poly[k - a]
+    for co in coroots:
+        # divide by 1 - q^b by prefix sums; intermediate coefficients may
+        # be negative and are kept
+        b = sum(co)
+        for k in range(b, len(poly)):
+            poly[k] += poly[k - b]
+        if any(poly[len(poly) - b :]):
+            raise AssertionError("q-dimension division left a remainder")
+        del poly[len(poly) - b :]
+    n = sum(r * x for r, x in zip(principal_a1_row(rs), lam))
+    if len(poly) != n + 1:
+        raise AssertionError("q-dimension has the wrong degree")
+    out = {}
+    for h in range(n // 2 + 1):
+        mult = poly[h] - (poly[h - 1] if h else 0)
+        if mult:
+            out[((n - 2 * h,),)] = mult
+    return out
 
 
 # Reference branching: the restriction as a Fraction matrix-vector product,

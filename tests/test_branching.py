@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -18,7 +19,7 @@ from liespec.errors import DomainError, MalformedEmbeddingError
 from liespec.rootdata import build
 from liespec.weights import dominant_weights_up_to, weyl_dim
 
-from helpers import ref_branch
+from helpers import principal_a1_branching, principal_a1_row, ref_branch
 
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
 PRINC = BUILTIN_EMBEDDINGS["a1-in-a2-principal"]
@@ -135,6 +136,22 @@ def test_branch_matches_product_diagram_reference():
         assert len(sigmas) > 10
         for sigma in sigmas:
             assert branch(emb, sigma) == ref_branch(emb, sigma)
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [(n, 2) for n in ("A2", "A3", "B2", "B3", "C3", "G2")]
+    + [(n, 1) for n in ("A4", "B4", "C4", "D4", "F4")],
+)
+def test_principal_a1_matches_q_dimension(name, top):
+    # Kostant's principal A1 against Weyl's principal specialization, on
+    # every lambda in {0, ..., top}^rank
+    rs = build(name)
+    emb = EmbeddingSpec(
+        ambient=rs, factors=(build("A1"),), restriction=(principal_a1_row(rs),)
+    )
+    for lam in itertools.product(range(top + 1), repeat=rs.rank):
+        assert branch(emb, lam).as_dict() == principal_a1_branching(rs, lam)
 
 
 def test_non_invariant_restriction_is_malformed():

@@ -15,7 +15,6 @@ from liespec.rootdata import (
     ip_norm,
     is_dominant,
     killing_dual_ip,
-    simple_reflection,
     weyl_orbit,
 )
 
@@ -136,8 +135,6 @@ def test_weyl_orbits():
 
 def test_reflection_and_dominant_rep():
     a2 = build("A2")
-    assert simple_reflection(a2, 0, (1, 0)) == (-1, 1)
-    assert simple_reflection(a2, 1, (1, 0)) == (1, 0)
     for nu in weyl_orbit(a2, (2, 1)):
         assert dominant_rep(a2, nu) == (2, 1)
 
