@@ -9,9 +9,10 @@ invariants, and a constructive search that reconstructs all torus candidates
 whose invariants are drawn from a given finite value set.
 
 Everything compares exact rational tables; "isospectral at cutoff" means
-equality of truncated tables with zero tolerance.  The grid scan builds
-one metric-independent term catalogue, at a Casimir budget that covers
-every grid point, and evaluates each point's table from it.
+equality of truncated tables with zero tolerance; a table's integer form
+is canonical, so that is equality of integers.  The grid scan builds one
+metric-independent term catalogue, at a Casimir budget that covers every
+grid point, and evaluates each point's table from it.
 """
 
 from dataclasses import dataclass
@@ -153,7 +154,7 @@ def isolation_scan(
         )
         table = catalogue.spectrum(point, cutoff)
         compared += 1
-        if table.entries == center_table.entries:
+        if table == center_table:
             neighbors.append(
                 {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
             )

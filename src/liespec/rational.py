@@ -49,7 +49,10 @@ def fmt(value: Fraction) -> str:
 
 
 def required(obj: dict, key: str):
-    """``obj[key]`` of a descriptor; a missing key is an InputError."""
+    """``obj[key]`` of a descriptor; a non-object or a missing key is an
+    InputError."""
+    if not isinstance(obj, dict):
+        raise InputError(f"descriptor must be an object, not {obj!r}")
     if key not in obj:
         raise InputError(f"descriptor lacks the key {key!r}")
     return obj[key]

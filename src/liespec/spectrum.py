@@ -9,24 +9,35 @@ unit:
 * ``"four-pi-squared"``-- the stored rational q means eigenvalue 4*pi^2*q,
   which keeps flat-torus spectra inside exact arithmetic.
 
-Tables compare by exact equality of entries, so two tables computed at the
-same cutoff are isospectral-at-cutoff iff their entries are equal.  Every
-computed table is built by ``table_from_counts`` from multiplicities keyed
-by integer numerators over one common scale.  The Lie spectra are linear
-in the reciprocal metric scales, and ``linear_table`` evaluates them all.
+A table stores its eigenvalues as integers: strictly increasing numerators
+``values`` over one positive ``scale``, reduced so that
+gcd(scale, *values) == 1, beside their ``mults``.  That form is canonical,
+so two tables computed at the same cutoff are isospectral-at-cutoff iff
+they are equal, and equality, lookup, truncation and ``table_distance``
+work on integers.  Fractions appear only at the edges: ``entries``, the
+(Fraction, multiplicity) pairs, is a view built on first use, the JSON,
+CSV and pretty forms format each eigenvalue from its numerator and the
+scale, and ``from_entries`` (the path of a cache read) takes the lcm of
+the given eigenvalues' denominators as the scale.  Every computed table is
+built by ``table_from_counts`` from multiplicities keyed by integer
+numerators over one common scale.  The Lie spectra are linear in the
+reciprocal metric scales, and ``linear_table`` evaluates them all.
 """
 
 import csv
 import io
 import json
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from functools import cached_property
+from itertools import islice
+from math import gcd, lcm
+from operator import lt, mul
 
-from .errors import DomainError
-from .rational import fmt, rat
+from .errors import DomainError, InputError
+from .rational import array, fmt, rat, required
 
 UNITS = ("raw", "four-pi-squared")
 
@@ -35,32 +46,58 @@ UNITS = ("raw", "four-pi-squared")
 class SpectrumTable:
     unit: str
     cutoff: Fraction
-    entries: tuple  # ((eigenvalue: Fraction, multiplicity: int), ...)
+    scale: int  # eigenvalue i is values[i] / scale
+    values: tuple  # strictly increasing integer numerators
+    mults: tuple  # positive integer multiplicities
     complete: bool
 
     def __post_init__(self):
         if self.unit not in UNITS:
             raise DomainError(f"unknown unit {self.unit!r}")
-        prev = None
-        for eig, mult in self.entries:
-            if eig < 0:
+        if self.cutoff < 0:
+            raise DomainError("cutoff must be nonnegative")
+        scale, values = self.scale, self.values
+        try:
+            reduced = gcd(scale, *values) == 1
+        except TypeError:
+            raise DomainError("scale and values must be integers") from None
+        if scale < 1 or not reduced:
+            raise DomainError("values must be reduced over a positive scale")
+        if len(self.mults) != len(values):
+            raise DomainError("one multiplicity per eigenvalue")
+        if values:
+            if values[0] < 0:
                 raise DomainError("negative eigenvalue in spectrum table")
-            if eig > self.cutoff:
+            cutoff = self.cutoff
+            if values[-1] * cutoff.denominator > cutoff.numerator * scale:
                 raise DomainError("entry above cutoff")
-            if not (isinstance(mult, int) and mult >= 1):
-                raise DomainError("multiplicities must be positive integers")
-            if prev is not None and eig <= prev:
+            if not all(map(lt, values, islice(values, 1, None))):
                 raise DomainError("entries must be strictly increasing")
-            prev = eig
+        if not all(type(m) is int and m >= 1 for m in self.mults):
+            raise DomainError("multiplicities must be positive integers")
+
+    @cached_property
+    def entries(self) -> tuple:
+        """((eigenvalue: Fraction, multiplicity: int), ...), made on first
+        use, for readers; the table's own operations use the integers."""
+        scale = self.scale
+        return tuple(
+            (Fraction(v, scale), m) for v, m in zip(self.values, self.mults)
+        )
 
     def multiplicity(self, eig) -> int:
-        return dict(self.entries).get(Fraction(eig), 0)
+        eig = rat(eig)
+        num, rest = divmod(eig.numerator * self.scale, eig.denominator)
+        i = bisect_left(self.values, num)
+        if rest or i == len(self.values) or self.values[i] != num:
+            return 0
+        return self.mults[i]
 
     def lambda1(self):
         """Smallest positive entry, or None if the table has none."""
-        for e, _ in self.entries:
-            if e > 0:
-                return e
+        for v in self.values[:2]:  # only 0 can come before it
+            if v > 0:
+                return Fraction(v, self.scale)
         return None
 
     def restrict(self, cutoff) -> "SpectrumTable":
@@ -68,18 +105,35 @@ class SpectrumTable:
         cutoff = rat(cutoff)
         if cutoff > self.cutoff:
             raise DomainError("cannot extend a table beyond its cutoff")
-        return SpectrumTable(
-            unit=self.unit,
-            cutoff=cutoff,
-            entries=tuple((e, m) for e, m in self.entries if e <= cutoff),
-            complete=self.complete,
+        limit = cutoff.numerator * self.scale // cutoff.denominator
+        n = bisect_right(self.values, limit)
+        return _reduced(
+            self.unit,
+            cutoff,
+            self.scale,
+            self.values[:n],
+            self.mults[:n],
+            self.complete,
         )
+
+    def _eigenvalue_strings(self) -> list:
+        """Each eigenvalue as ``rational.fmt`` writes it, from its numerator
+        and the scale."""
+        scale = self.scale
+        out = []
+        for v in self.values:
+            g = gcd(v, scale)
+            out.append(str(v // g) if g == scale else f"{v // g}/{scale // g}")
+        return out
 
     def to_json_dict(self) -> dict:
         return {
             "unit": self.unit,
             "cutoff": fmt(self.cutoff),
-            "entries": [[fmt(e), str(m)] for e, m in self.entries],
+            "entries": [
+                [e, str(m)]
+                for e, m in zip(self._eigenvalue_strings(), self.mults)
+            ],
             "complete": self.complete,
         }
 
@@ -90,32 +144,57 @@ class SpectrumTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["eigenvalue", "multiplicity"])
-        for e, m in self.entries:
-            writer.writerow([fmt(e), str(m)])
+        writer.writerows(zip(self._eigenvalue_strings(), self.mults))
         return buf.getvalue()
 
     def to_pretty(self) -> str:
-        header = f"unit={self.unit} cutoff={fmt(self.cutoff)} complete={self.complete}"
-        width = max([len(fmt(e)) for e, _ in self.entries], default=10)
+        header = (
+            f"unit={self.unit} cutoff={fmt(self.cutoff)}"
+            f" complete={self.complete}"
+        )
+        eigs = self._eigenvalue_strings()
+        width = max(map(len, eigs), default=10)
         lines = [header, "-" * len(header)]
-        for e, m in self.entries:
-            lines.append(f"{fmt(e):>{width}}  x{m}")
+        for e, m in zip(eigs, self.mults):
+            lines.append(f"{e:>{width}}  x{m}")
         return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def from_entries(unit, cutoff, entries, complete) -> "SpectrumTable":
+        """Table of (eigenvalue, multiplicity) pairs with rational
+        eigenvalues, over the lcm of their denominators (which is already
+        the reduced scale)."""
+        eigs = [rat(e) for e, _ in entries]
+        scale = lcm(*(q.denominator for q in eigs))
+        return SpectrumTable(
+            unit=unit,
+            cutoff=rat(cutoff),
+            scale=scale,
+            values=tuple(q.numerator * (scale // q.denominator) for q in eigs),
+            mults=tuple(m for _, m in entries),
+            complete=complete,
+        )
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SpectrumTable":
         """Strict inverse of ``to_json_dict``: ``complete`` is a JSON boolean
-        and every multiplicity a string of decimal digits."""
-        mults = [m for _, m in obj["entries"]]
-        if not isinstance(obj["complete"], bool) or not all(
-            isinstance(m, str) and m.isascii() and m.isdigit() for m in mults
+        and every multiplicity a string of decimal digits with no leading
+        zero.  JSON of another shape is an InputError."""
+        entries = array(required(obj, "entries"), "table entries")
+        for entry in entries:
+            if len(array(entry, "a table entry")) != 2:
+                raise InputError(f"table entry {entry!r} is not a pair")
+        complete = required(obj, "complete")
+        if not isinstance(complete, bool) or not all(
+            isinstance(m, str) and m.isascii() and m.isdigit() and m[0] != "0"
+            for _, m in entries
         ):
-            raise DomainError("table JSON is not as to_json_dict writes it")
-        return SpectrumTable(
-            unit=obj["unit"],
-            cutoff=rat(obj["cutoff"]),
-            entries=tuple((rat(e), int(m)) for e, m in obj["entries"]),
-            complete=obj["complete"],
+            raise InputError("table JSON is not as to_json_dict writes it")
+        return SpectrumTable.from_entries(
+            required(obj, "unit"),
+            required(obj, "cutoff"),
+            [(e, int(m)) for e, m in entries],
+            complete,
         )
 
 
@@ -124,14 +203,30 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:
-    """Complete table with entries (v / scale, counts[v]) sorted by v, where
-    every key v is an integer numerator over the one denominator ``scale``."""
+def _reduced(unit, cutoff, scale, values, mults, complete) -> SpectrumTable:
+    """Table of the integers ``values`` over ``scale``, with their common
+    factor divided out."""
+    g = gcd(scale, *values)
+    if g > 1:
+        scale //= g
+        values = [v // g for v in values]
     return SpectrumTable(
         unit=unit,
         cutoff=cutoff,
-        entries=tuple((Fraction(v, scale), counts[v]) for v in sorted(counts)),
-        complete=True,
+        scale=scale,
+        values=tuple(values),
+        mults=tuple(mults),
+        complete=complete,
+    )
+
+
+def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:
+    """Complete table with entries (v / scale, counts[v]) sorted by v, where
+    every key v is an integer numerator over the one positive denominator
+    ``scale``."""
+    values = sorted(counts)
+    return _reduced(
+        unit, cutoff, scale, values, map(counts.__getitem__, values), True
     )
 
 
@@ -154,6 +249,25 @@ def linear_table(rows, den, coeffs, cutoff) -> SpectrumTable:
 
 def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:
     """Multiset symmetric-difference count: sum of |mult_a - mult_b| over
-    all eigenvalues appearing in either table (absent = 0)."""
-    ca, cb = Counter(dict(a.entries)), Counter(dict(b.entries))
-    return sum(((ca - cb) + (cb - ca)).values())
+    all eigenvalues appearing in either table (absent = 0).
+
+    One merge walk over both tables, comparing a's v * b.scale with b's
+    w * a.scale, so no Fraction is made."""
+    va = [v * b.scale for v in a.values]
+    vb = [w * a.scale for w in b.values]
+    ma, mb = a.mults, b.mults
+    na, nb = len(va), len(vb)
+    i = j = total = 0
+    while i < na and j < nb:
+        x, y = va[i], vb[j]
+        if x < y:
+            total += ma[i]
+            i += 1
+        elif y < x:
+            total += mb[j]
+            j += 1
+        else:
+            total += abs(ma[i] - mb[j])
+            i += 1
+            j += 1
+    return total + sum(ma[i:]) + sum(mb[j:])

@@ -13,11 +13,14 @@ fraction-free elimination, the root-string positive roots, hand-typed
 -w0 involutions and Fraction coroots used as the exact references for
 root data derived by Weyl reflections, and the Fraction-keyed
 bi-invariant and normal quotient spectra used as the exact references for
-the one integer evaluator, and the principal-A1 q-dimension closed form
-used as an oracle for branching that shares no code with it."""
+the one integer evaluator, the principal-A1 q-dimension closed form
+used as an oracle for branching that shares no code with it, and the
+Fraction-Counter table distance used as the exact reference for the
+integer merge walk."""
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -44,7 +47,7 @@ from liespec.lattices import Lattice
 from liespec.natred import NatRedMetric
 from liespec.rational import fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
-from liespec.spectrum import SpectrumTable, table_distance
+from liespec.spectrum import SpectrumTable
 from liespec.weights import dominant_weights_up_to, weight_diagram, weyl_dim
 
 
@@ -734,9 +737,13 @@ def _table_from_pairs(pairs, cutoff) -> SpectrumTable:
     for eig, mult in pairs:
         acc[eig] = acc.get(eig, 0) + mult
     entries = tuple(sorted((e, m) for e, m in acc.items() if m))
-    return SpectrumTable(
-        unit="raw", cutoff=Fraction(cutoff), entries=entries, complete=True
-    )
+    return SpectrumTable.from_entries("raw", cutoff, entries, True)
+
+
+def ref_table_distance(a: SpectrumTable, b: SpectrumTable) -> int:
+    """Symmetric-difference count of two tables' Fraction-keyed entries."""
+    ca, cb = Counter(dict(a.entries)), Counter(dict(b.entries))
+    return sum(((ca - cb) + (cb - ca)).values())
 
 
 def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
@@ -786,7 +793,7 @@ def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
                 {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
             )
         else:
-            d = table_distance(table, center_table)
+            d = ref_table_distance(table, center_table)
             if min_distance is None or d < min_distance:
                 min_distance = d
     return {

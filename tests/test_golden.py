@@ -4,7 +4,9 @@ Each entry runs one argv through ``cli.main`` in-process and compares the
 exit code and the sha256 of stdout with values recorded before the
 lattice layer moved to one fraction-free elimination.  Output bytes are
 part of the contract: a change that alters any of them says so, and why,
-and records the new digests.
+and records the new digests.  The spectrum commands run once more through
+the disk cache, as a miss and then a hit, so the bytes of a table read
+back from a cache entry are pinned too.
 """
 
 import hashlib
@@ -213,3 +215,29 @@ def test_cli_bytes_match_golden_digests(capsys, monkeypatch):
         out = capsys.readouterr().out
         seen[line] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert seen == GOLDEN
+
+
+SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
+
+
+def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
+    lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
+    assert len(lines) == 40
+    for i, line in enumerate(lines):
+        cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
+        monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))
+        argv = [INLINE.get(word, word) for word in line.split(" ")]
+        stored = []
+        for run in ("miss", "hit"):
+            code = main(argv)
+            out = capsys.readouterr().out
+            seen = (code, hashlib.sha256(out.encode()).hexdigest())
+            assert seen == GOLDEN[line], (line, run)
+            # a rewritten entry is a new file, so a hit keeps the inode
+            stored.append(
+                {f.name: f.stat().st_ino for f in cache.iterdir()}
+                if cache.exists()
+                else {}
+            )
+        assert len(stored[0]) == (1 if code == 0 else 0), line
+        assert stored[1] == stored[0], line

@@ -2,8 +2,20 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liespec.errors import DomainError
+from helpers import ref_table_distance
+from liespec.catalog import (
+    BUILTIN_EMBEDDINGS,
+    BUILTIN_GROUPS,
+    BUILTIN_LATTICES,
+)
+from liespec.errors import DomainError, InputError
+from liespec.groups import biinvariant_spectrum, normal_quotient_spectrum
+from liespec.lattices import torus_spectrum
+from liespec.natred import NatRedMetric, natred_spectrum
+from liespec.rootdata import build
 from liespec.spectrum import (
     SpectrumTable,
     canonical_json,
@@ -13,9 +25,7 @@ from liespec.spectrum import (
 
 
 def _table(entries, cutoff=F(10), unit="raw", complete=True):
-    return SpectrumTable(
-        unit=unit, cutoff=cutoff, entries=tuple(entries), complete=complete
-    )
+    return SpectrumTable.from_entries(unit, cutoff, tuple(entries), complete)
 
 
 def test_validation():
@@ -30,6 +40,20 @@ def test_validation():
         _table(((F(1), 0),))
     with pytest.raises(DomainError):
         _table(((F(11), 1),))  # above cutoff
+    with pytest.raises(DomainError):
+        _table((), cutoff=F(-1))  # a cutoff is nonnegative
+    with pytest.raises(DomainError):
+        _table(((F(1), True),))  # a bool is not a multiplicity
+    # the integer form is canonical: values reduced over a positive scale
+    SpectrumTable("raw", F(1), 3, (0, 2), (1, 1), True)
+    with pytest.raises(DomainError):
+        SpectrumTable("raw", F(1), 4, (0, 2), (1, 1), True)
+    with pytest.raises(DomainError):
+        SpectrumTable("raw", F(1), -1, (0,), (1,), True)
+    with pytest.raises(DomainError):
+        SpectrumTable("raw", F(1), 1, (0, 1), (1,), True)
+    with pytest.raises(DomainError):
+        SpectrumTable("raw", F(1), 1, (F(1, 2),), (1,), True)
 
 
 def test_lookup_and_restrict():
@@ -37,11 +61,16 @@ def test_lookup_and_restrict():
     assert t.multiplicity(F(3, 8)) == 4
     assert t.multiplicity(F(1, 3)) == 0
     assert t.multiplicity(F(1)) > 0
+    assert t.multiplicity("3/8") == 4
     r = t.restrict(F(1, 2))
     assert r.cutoff == F(1, 2)
     assert r.entries == ((F(0), 1), (F(3, 8), 4))
     with pytest.raises(DomainError):
         t.restrict(0.5)  # floats are not exact
+    with pytest.raises(InputError):
+        t.multiplicity(0.375)  # nor are they in a lookup
+    with pytest.raises(DomainError):
+        t.restrict(F(-1))
 
 
 def test_from_counts_merges_exactly():
@@ -50,6 +79,8 @@ def test_from_counts_merges_exactly():
     assert t.entries == ((F(0), 1), (F(1, 3), 2), (F(1), 5))
     assert all(type(e) is F for e, _ in t.entries)
     assert t.unit == "four-pi-squared" and t.cutoff == F(2) and t.complete
+    # stored over the reduced scale 3
+    assert (t.scale, t.values, t.mults) == (3, (0, 1, 3), (1, 2, 5))
     with pytest.raises(DomainError):
         table_from_counts({3: 1}, 1, "raw", F(2))  # above cutoff
 
@@ -64,6 +95,68 @@ def test_json_round_trip():
     assert t.to_json() == canonical_json(t.to_json_dict())
     assert t.to_json().endswith("\n")
     assert '"complete":true' in t.to_json()
+
+
+def test_malformed_table_json_is_an_input_error():
+    good = {"unit": "raw", "cutoff": "2", "entries": [["1/2", "3"]],
+            "complete": True}
+    assert SpectrumTable.from_json_dict(good).multiplicity(F(1, 2)) == 3
+    bad = [
+        {k: v for k, v in good.items() if k != "entries"},
+        {k: v for k, v in good.items() if k != "complete"},
+        dict(good, entries="ab"),
+        dict(good, entries=[["1/2", "3", "4"]]),
+        dict(good, entries=["1/2"]),
+        dict(good, entries=[["1/2", "01"]]),  # to_json_dict writes no "01"
+        dict(good, entries=[["1/2", 3]]),
+        dict(good, entries=[["1/2", "0"]]),
+        dict(good, entries=[["x", "3"]]),
+        dict(good, cutoff=True),
+        dict(good, complete="yes"),
+        [["1/2", "3"]],
+        "entries",
+        7,
+    ]
+    for obj in bad:
+        with pytest.raises(InputError):
+            SpectrumTable.from_json_dict(obj)
+    with pytest.raises(DomainError):
+        SpectrumTable.from_json_dict(
+            {"unit": "raw", "cutoff": "-1", "entries": [], "complete": True}
+        )
+
+
+def _computed_tables():
+    b2 = build("B2")
+    return [
+        torus_spectrum(BUILTIN_LATTICES["hexagonal"], 7),
+        torus_spectrum(BUILTIN_LATTICES["identity3"], F(25, 2)),
+        biinvariant_spectrum(BUILTIN_GROUPS["su3"], 4),
+        biinvariant_spectrum(BUILTIN_GROUPS["so3"], F(7, 2)),
+        normal_quotient_spectrum(
+            build("A2"), BUILTIN_EMBEDDINGS["a1-in-a2-standard"], 1, 3
+        ),
+        natred_spectrum(
+            NatRedMetric(
+                group=b2,
+                emb=BUILTIN_EMBEDDINGS["a1xa1-in-b2"],
+                base_scale=F(1),
+                fiber_scales=(F(1, 2), F(1, 3)),
+            ),
+            5,
+        ),
+    ]
+
+
+def test_computed_tables_round_trip_without_entries():
+    for t in _computed_tables():
+        text = t.to_json() + t.to_csv() + t.to_pretty()
+        # no computed table, rendered in every format, made its entries
+        assert "entries" not in t.__dict__
+        back = SpectrumTable.from_json_dict(json.loads(t.to_json()))
+        assert back == t  # the cache read gives the canonical scale back
+        assert back.to_json() + back.to_csv() + back.to_pretty() == text
+        assert len(t.values) >= 2
 
 
 def test_csv_and_pretty():
@@ -81,3 +174,49 @@ def test_table_distance_symmetric_difference():
     assert table_distance(a, b) == 2 + 2 + 5
     assert table_distance(a, a) == 0
     assert table_distance(a, b) == table_distance(b, a)
+
+
+# Random tables as integer counts over a random, usually unreduced, scale;
+# the reference reads them as Fraction-keyed dicts.
+_counts = st.dictionaries(
+    st.integers(0, 60), st.integers(1, 9), max_size=12
+)
+_scales = st.integers(1, 12)
+
+
+def _pair(counts, scale, cutoff):
+    kept = {v: m for v, m in counts.items() if F(v, scale) <= cutoff}
+    table = table_from_counts(kept, scale, "raw", cutoff)
+    return table, {F(v, scale): m for v, m in kept.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _counts, _scales, _counts, _scales, st.integers(1, 6),
+    st.fractions(0, 8, max_denominator=12), st.integers(1, 4),
+)
+def test_integer_operations_match_fraction_references(
+    ca, sa, cb, sb, k, probe, shrink
+):
+    cutoff = F(20)
+    a, ref_a = _pair(ca, sa, cutoff)
+    b, ref_b = _pair(cb, sb, cutoff)
+    assert dict(a.entries) == ref_a
+    assert [e for e, _ in a.entries] == sorted(ref_a)
+    # the same eigenvalues over another scale make an equal table
+    same = table_from_counts(
+        {v * k: m for v, m in ca.items() if F(v, sa) <= cutoff},
+        sa * k, "raw", cutoff,
+    )
+    assert same == a and hash(same) == hash(a)
+    assert (a == b) == (ref_a == ref_b)
+    assert table_distance(a, b) == ref_table_distance(a, b)
+    assert table_distance(b, a) == table_distance(a, b)
+    assert a.multiplicity(probe) == ref_a.get(probe, 0)
+    positive = [e for e in ref_a if e > 0]
+    assert a.lambda1() == (min(positive) if positive else None)
+    small = probe / shrink
+    r = a.restrict(small)
+    assert r.cutoff == small
+    assert dict(r.entries) == {e: m for e, m in ref_a.items() if e <= small}
+    assert r == SpectrumTable.from_entries("raw", small, r.entries, True)
