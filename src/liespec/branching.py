@@ -4,19 +4,24 @@ An embedding of K = K_1 x ... x K_r into a simple G is given by a rational
 restriction matrix carrying G-weight coordinates to concatenated K-weight
 coordinates (the transpose of the Cartan-subalgebra inclusion); it is held
 as an integer matrix over one common denominator, built once per embedding.
-Branching restricts the weight diagram of a G-irreducible once, checks that
-the restricted character is W_K-invariant (every weight tuple has the
-multiplicity of its per-factor dominant representative), and keeps only
-its K-dominant part.  That part is peeled in one pass, in descending order
-of (total Casimir, then graded-lex): subtracting the character of a K-type
-lowers only tuples of strictly smaller total Casimir, so each tuple's
-residue is final when the pass reaches it, and it is that K-type's
-multiplicity.  Each K-type's dominant part is the product of the factors'
-cached dominant characters; by the invariance check, the dominant part
-determines the whole residue.  Everything is exact, and malformed
-restriction data surfaces as a non-integer image, a non-invariant
-character, a negative residue or a dimension mismatch, never as a wrong
-answer.
+Restriction is a ring homomorphism R(G) -> R(K), so branching recurses
+over the dominant cone: with lam = lam' + omega, omega the fundamental
+weight of lam's first nonzero coordinate,
+
+    Res V_lam = Res V_lam' * Res V_omega - sum_{kappa != lam} c_kappa Res V_kappa
+
+where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G; the
+K-side products by the same rule on each factor).  A step checks that
+V_lam occurs once, no multiplicity is negative and the dimensions add up,
+and runs only if every branching it reads is memoized: each kappa has a
+smaller Casimir than lam, so a walk in ascending Casimir (the term
+catalogue's) recurses past 0 and the fundamentals.  Other weights, one
+asked for alone among them, and steps that fail on malformed data are
+peeled: the restricted weight diagram is checked W_K-invariant and its
+dominant part peeled in descending total Casimir.  K-characters decompose
+uniquely, so the two agree where both succeed.  Malformed data surfaces
+as a non-integer image, a non-invariant character, a negative
+multiplicity or a dimension mismatch, never as a wrong answer.
 
 The Dynkin index of the embedding is computed by branching the adjoint
 representation: with I(lambda) = dim * <lambda, lambda+2rho>_norm / (2 dim_g)
@@ -30,13 +35,17 @@ Casimirs to ambient-Killing units.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from . import linalg
-from .errors import DomainError, InputError, MalformedEmbeddingError
+from .errors import (
+    CertificationError, DomainError, InputError, MalformedEmbeddingError
+)
 from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
@@ -45,7 +54,6 @@ from .rootdata import (
     check_weight,
     contragredient_weight,
     dominant_rep,
-    ip_norm,
     is_dominant,
 )
 from .weights import dominant_character, weight_diagram, weyl_dim
@@ -56,8 +64,8 @@ class EmbeddingSpec:
     """Restriction data for K_1 x ... x K_r inside a simple G.
 
     ``restriction`` has one row per concatenated K-weight coordinate and one
-    column per G-weight coordinate.  Instances are identity-hashed so
-    branching results can be cached per embedding object.
+    column per G-weight coordinate.  Instances are identity-hashed, and
+    each keeps its own branchings, by dominant weight, as they are made.
     """
 
     ambient: RootSystemData
@@ -67,6 +75,7 @@ class EmbeddingSpec:
     # restriction = _int_rows / _den, split into one block per factor
     _int_rows: tuple = field(init=False, repr=False)
     _den: int = field(init=False, repr=False)
+    _branchings: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         rows = sum(f.rank for f in self.factors)
@@ -147,16 +156,6 @@ class BranchingResult:
         return self.as_dict().get(tuple(factor_weights), 0)
 
 
-def _peel_key(emb: EmbeddingSpec, den: int, tup):
-    """(total Casimir over den, graded-lex) of a tuple of factor weights."""
-    concat = tuple(x for part in tup for x in part)
-    total = sum(
-        casimir_num(f, w) * (den // f.casimir_den)
-        for f, w in zip(emb.factors, tup)
-    )
-    return (total, sum(concat), concat)
-
-
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     """Decompose the restriction of the G-irreducible V_sigma to K."""
     lam = check_weight(emb.ambient, sigma)
@@ -165,14 +164,64 @@ def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     return _branch(emb, lam)
 
 
-@lru_cache(maxsize=None)
 def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
-    """``branch`` of a checked dominant weight, cached per embedding."""
-    if emb.num_factors == 0:
-        return BranchingResult(
-            source=lam, terms=(((), weyl_dim(emb.ambient, lam)),)
-        )
+    """``branch`` of a checked dominant weight, memoized per embedding."""
+    made = emb._branchings
+    if lam not in made:
+        try:
+            result = _recurse(emb, lam)
+        except MalformedEmbeddingError:
+            result = None  # malformed data; lam itself may still peel
+        made[lam] = _peel(emb, lam) if result is None else result
+    return made[lam]
 
+
+def _recurse(emb: EmbeddingSpec, lam: tuple):
+    """Res V_lam from the products of lower branchings (module docstring),
+    or None unless all of them are already made."""
+    made = emb._branchings
+    if sum(lam) < 2:
+        return None  # 0 and the fundamental weights are peeled
+    i = next(i for i, x in enumerate(lam) if x)
+    omega = tuple(int(k == i) for k in range(len(lam)))
+    lam1 = tuple(x - y for x, y in zip(lam, omega))
+    coeffs = dict(_tensor(emb.ambient, lam1, omega))
+    if coeffs.pop(lam, None) != 1:
+        raise CertificationError(f"V_{lam} is not once in V_{lam1} (x) V_{omega}")
+    if not all(w in made for w in (lam1, omega, *coeffs)):
+        return None
+    terms = Counter()
+    for (a, m), (b, n) in itertools.product(made[lam1].terms, made[omega].terms):
+        # the K-type a (x) b, factor by factor
+        for combo in itertools.product(*map(_tensor, emb.factors, a, b)):
+            key = tuple(k for k, _ in combo)
+            terms[key] += m * n * prod(c for _, c in combo)
+    for kappa, c in coeffs.items():
+        for key, m in made[kappa].terms:
+            terms[key] -= c * m
+    return _result(emb, lam, terms)
+
+
+@lru_cache(maxsize=None)
+def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
+    """((kappa, c), ...) with V_a (x) V_b = sum c V_kappa, by Brauer-Klimyk:
+    each weight mu of V_b adds its multiplicity, signed by w, at kappa =
+    w(a + mu + rho) - rho, unless a zero coordinate puts it on a wall."""
+    out = Counter()
+    for mu, mult in weight_diagram(rs, b).mults:
+        v = tuple(x + y + 1 for x, y in zip(a, mu))
+        while 0 not in v and (low := min(v)) < 0:
+            v = tuple(x - low * r for x, r in zip(v, rs.cartan[v.index(low)]))
+            mult = -mult
+        if 0 not in v:
+            out[tuple(x - 1 for x in v)] += mult
+    return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
+def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
+    """Restrict the weight diagram of V_lam, check it, and peel it."""
+    if not emb.factors:
+        return BranchingResult(lam, (((), weyl_dim(emb.ambient, lam)),))
     restricted = {}
     for nu, mult in weight_diagram(emb.ambient, lam).mults:
         key = emb.restrict_weight(nu)
@@ -191,13 +240,14 @@ def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
             residue[key] = mult
 
     den = lcm(*(f.casimir_den for f in emb.factors))
+    scales = [den // f.casimir_den for f in emb.factors]
     terms = {}
-    for top in sorted(
-        residue, key=lambda t: _peel_key(emb, den, t), reverse=True
+    for top in sorted(  # by total Casimir, times den
+        residue,
+        key=lambda t: sum(map(mul, map(casimir_num, emb.factors, t), scales)),
+        reverse=True,
     ):
         mult = residue[top]
-        if mult < 0:
-            raise MalformedEmbeddingError("negative residue while peeling")
         if not mult:
             continue
         characters = [
@@ -205,28 +255,28 @@ def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
         ]
         for combo in itertools.product(*characters):
             key = tuple(w for w, _ in combo)
-            count = mult
-            for _, m in combo:
-                count *= m
-            value = residue.get(key, 0) - count
+            value = residue.get(key, 0) - mult * prod(m for _, m in combo)
             if value < 0:
                 raise MalformedEmbeddingError("negative residue while peeling")
             residue[key] = value
         terms[top] = mult
+    return _result(emb, lam, terms)
 
-    dim_total = sum(
-        m * _product_dim(emb, t) for t, m in terms.items()
-    )
+
+def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
+    """The nonzero ``terms``, checked against dim V_lam, as its branching."""
+    if any(m < 0 for m in terms.values()):
+        raise MalformedEmbeddingError("negative multiplicity in a branching")
+    terms = {t: m for t, m in terms.items() if m}
+    dim_total = sum(m * _product_dim(emb, t) for t, m in terms.items())
     if dim_total != weyl_dim(emb.ambient, lam):
         raise MalformedEmbeddingError("branching lost dimensions")
     return BranchingResult(source=lam, terms=tuple(sorted(terms.items())))
 
 
+@lru_cache(maxsize=None)
 def _product_dim(emb: EmbeddingSpec, tup) -> int:
-    out = 1
-    for f, part in zip(emb.factors, tup):
-        out *= weyl_dim(f, part)
-    return out
+    return prod(map(weyl_dim, emb.factors, tup))
 
 
 def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
@@ -235,38 +285,25 @@ def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
     return branch(emb, sigma).multiplicity(trivial)
 
 
-def _rep_index(rs: RootSystemData, weight) -> Fraction:
-    """Dynkin index I(lambda) = dim * <lambda, lambda+2rho>_norm / (2 dim_g)."""
-    lam = tuple(weight)
-    shifted = tuple(x + 2 for x in lam)
-    return (
-        Fraction(weyl_dim(rs, lam))
-        * ip_norm(rs, lam, shifted)
-        / (2 * rs.dim_g)
-    )
-
-
 @lru_cache(maxsize=None)
 def embedding_index(emb: EmbeddingSpec) -> tuple:
     """Per-factor Dynkin indices, from branching the adjoint of G.
 
     I_G(adjoint) equals the dual Coxeter number, so each index is the
-    K_i-index of the restricted adjoint divided by h_vee of G.
+    K_i-index of the restricted adjoint divided by h_vee of G, where
+    <lambda, lambda + 2 rho>_norm = casimir_num / form_den.
     """
-    result = branch(emb, emb.ambient.highest_root)
-    indices = []
-    for i, factor in enumerate(emb.factors):
-        total = Fraction(0)
-        for tup, mult in result.terms:
-            other_dims = 1
-            for j, (f, part) in enumerate(zip(emb.factors, tup)):
-                if j != i:
-                    other_dims *= weyl_dim(f, part)
-            total += mult * other_dims * _rep_index(factor, tup[i])
-        indices.append(total / emb.ambient.dual_coxeter)
+    terms = branch(emb, emb.ambient.highest_root).terms
+    indices = tuple(
+        Fraction(
+            sum(m * _product_dim(emb, t) * casimir_num(f, t[i]) for t, m in terms),
+            2 * f.dim_g * f.form_den * emb.ambient.dual_coxeter,
+        )
+        for i, f in enumerate(emb.factors)
+    )
     if any(ind <= 0 for ind in indices):
         raise MalformedEmbeddingError("embedding index must be positive")
-    return tuple(indices)
+    return indices
 
 
 def killing_ratio(emb: EmbeddingSpec) -> tuple:

@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .branching import EmbeddingSpec, branch, validate_embedding
@@ -218,6 +219,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@lru_cache(maxsize=None)  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="liespec",

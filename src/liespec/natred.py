@@ -246,25 +246,34 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
         group.casimir_den,
         *(f.casimir_den * j.numerator for f, j in zip(emb.factors, ratios)),
     )
+    # c_i(tau_i) / j_i * den is casimir_num(tau_i) * scales[i], an integer
+    scales = [
+        j.denominator * (den // (f.casimir_den * j.numerator))
+        for f, j in zip(emb.factors, ratios)
+    ]
+    labels = {}  # branch label -> (tau, row tail, dim tau), made once each
+    weights = dominant_weights_up_to(group, budget)
+    # branched in ascending Casimir, each weight is one recursion step
+    for lam in sorted(weights, key=lambda w: casimir_num(group, w)):
+        branch(emb, lam)
     terms = []
     rows = Counter()
-    for lam in dominant_weights_up_to(group, budget):
+    for lam in weights:
         c_lam = casimir_num(group, lam) * (den // group.casimir_den)
         dim_lam = weyl_dim(group, lam)
         for tup, mult in branch(emb, lam).terms:
-            tau = contragredient_tuple(emb, tup)
-            row = (c_lam,) + tuple(
-                int(casimir(f, part) / j * den)
-                for f, part, j in zip(emb.factors, tau, ratios)
-            )
+            if tup not in labels:
+                tau = contragredient_tuple(emb, tup)
+                tail = tuple(map(mul, map(casimir_num, emb.factors, tau), scales))
+                labels[tup] = tau, tail, prod(map(weyl_dim, emb.factors, tau))
+            tau, tail, dim_tau = labels[tup]
             # horizontal Laplacian positivity; certifies the budget
-            if sum(row[1:]) > row[0]:
+            if sum(tail) > c_lam:
                 raise CertificationError(
                     f"horizontal positivity fails at sigma={lam}, tau={tau}"
                 )
-            count = dim_lam * mult * prod(
-                weyl_dim(f, part) for f, part in zip(emb.factors, tau)
-            )
+            row = (c_lam,) + tail
+            count = dim_lam * mult * dim_tau
             terms.append((lam, tau, count, row))
             rows[row] += count
     return TermCatalogue(

@@ -18,7 +18,7 @@ work on integers.  Fractions appear only at the edges: ``entries``, the
 (Fraction, multiplicity) pairs, is a view built on first use, the JSON,
 CSV and pretty forms format each eigenvalue from its numerator and the
 scale, and ``from_entries`` (the path of a cache read) takes the lcm of
-the given eigenvalues' denominators as the scale.  Every computed table is
+the given (p, q) denominators as the scale.  Every computed table is
 built by ``table_from_counts`` from multiplicities keyed by integer
 numerators over one common scale.  The Lie spectra are linear in the
 reciprocal metric scales, and ``linear_table`` evaluates them all.
@@ -161,25 +161,24 @@ class SpectrumTable:
 
     @staticmethod
     def from_entries(unit, cutoff, entries, complete) -> "SpectrumTable":
-        """Table of (eigenvalue, multiplicity) pairs with rational
-        eigenvalues, over the lcm of their denominators (which is already
-        the reduced scale)."""
-        eigs = [rat(e) for e, _ in entries]
-        scale = lcm(*(q.denominator for q in eigs))
+        """Table of ((p, q), multiplicity) pairs, each eigenvalue p/q in
+        lowest terms, over the lcm of the q (which is already the reduced
+        scale)."""
+        scale = lcm(*(q for (_, q), _ in entries))
         return SpectrumTable(
             unit=unit,
             cutoff=rat(cutoff),
             scale=scale,
-            values=tuple(q.numerator * (scale // q.denominator) for q in eigs),
+            values=tuple(p * (scale // q) for (p, q), _ in entries),
             mults=tuple(m for _, m in entries),
             complete=complete,
         )
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SpectrumTable":
-        """Strict inverse of ``to_json_dict``: ``complete`` is a JSON boolean
-        and every multiplicity a string of decimal digits with no leading
-        zero.  JSON of another shape is an InputError."""
+        """Strict inverse of ``to_json_dict``: ``complete`` is a JSON boolean,
+        each multiplicity decimal digits with no leading zero, and each
+        eigenvalue as ``_eigenvalue`` reads it; else an InputError."""
         entries = array(required(obj, "entries"), "table entries")
         for entry in entries:
             if len(array(entry, "a table entry")) != 2:
@@ -193,9 +192,21 @@ class SpectrumTable:
         return SpectrumTable.from_entries(
             required(obj, "unit"),
             required(obj, "cutoff"),
-            [(e, int(m)) for e, m in entries],
+            [(_eigenvalue(e), int(m)) for e, m in entries],
             complete,
         )
+
+
+def _eigenvalue(text) -> tuple:
+    """(p, q) of "p", or of "p/q" with q > 1 in lowest terms, exactly as
+    ``to_json_dict`` writes them: no sign, space or leading zero."""
+    if isinstance(text, str) and text.isascii():
+        p, _, q = text.partition("/")
+        if p.isdigit() and (q or "1").isdigit():
+            p, q = int(p), int(q or "1")
+            if gcd(p, q) == 1 and text == (f"{p}/{q}" if q > 1 else str(p)):
+                return p, q
+    raise InputError(f"eigenvalue {text!r} is not as to_json_dict writes it")
 
 
 def canonical_json(obj) -> str:

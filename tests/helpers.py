@@ -736,7 +736,7 @@ def _table_from_pairs(pairs, cutoff) -> SpectrumTable:
     acc = {}
     for eig, mult in pairs:
         acc[eig] = acc.get(eig, 0) + mult
-    entries = tuple(sorted((e, m) for e, m in acc.items() if m))
+    entries = [(e.as_integer_ratio(), m) for e, m in sorted(acc.items()) if m]
     return SpectrumTable.from_entries("raw", cutoff, entries, True)
 
 

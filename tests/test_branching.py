@@ -1,9 +1,14 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from liespec import branching
 from liespec.branching import (
     BranchingResult,
     EmbeddingSpec,
@@ -13,10 +18,14 @@ from liespec.branching import (
     killing_ratio,
     spherical_mult,
     validate_embedding,
+    _peel,
+    _recurse,
+    _tensor,
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
 from liespec.errors import DomainError, MalformedEmbeddingError
-from liespec.rootdata import build
+from liespec.natred import term_catalogue
+from liespec.rootdata import build, casimir_num
 from liespec.weights import dominant_weights_up_to, weyl_dim
 
 from helpers import principal_a1_branching, principal_a1_row, ref_branch
@@ -251,3 +260,196 @@ def test_json_round_trip():
         assert back.restriction == emb.restriction
         assert back.name == emb.name == name
     assert resolve(EmbeddingSpec, "a1-in-a2-standard") is STD
+
+
+def _principal_a1(name):
+    rs = build(name)
+    return EmbeddingSpec(
+        ambient=rs, factors=(build("A1"),), restriction=(principal_a1_row(rs),)
+    )
+
+
+def _walk(emb, budget):
+    """(sigma, branching) over the cone up to ``budget`` in ascending
+    Casimir, as the term catalogue asks for them; past 0 and the fundamental
+    weights each branching comes from the recursion itself, and on
+    well-formed data none may fall back to the peel."""
+    rs = emb.ambient
+    for sigma in sorted(
+        dominant_weights_up_to(rs, budget), key=lambda s: casimir_num(rs, s)
+    ):
+        res = branch(emb, sigma)
+        if sum(sigma) > 1:
+            assert _recurse(emb, sigma) == res
+        yield sigma, res
+
+
+def test_branch_matches_reference_up_to_casimir_12():
+    # the recursion against the Fraction peel of full weight diagrams; on
+    # the principal A1 in rank 3 and G2 that reference is run up to
+    # dimension 300, and the q-dimension oracle covers every weight
+    for emb in BUILTIN_EMBEDDINGS.values():
+        for sigma, res in _walk(emb, 12):
+            assert res == ref_branch(emb, sigma)
+    for name in ("B3", "C3", "A3", "G2"):
+        emb = _principal_a1(name)
+        assert len(dominant_weights_up_to(emb.ambient, 12)) > 30
+        for sigma, res in _walk(emb, 12):
+            assert res.as_dict() == principal_a1_branching(emb.ambient, sigma)
+            if weyl_dim(emb.ambient, sigma) <= 300:
+                assert res == ref_branch(emb, sigma)
+
+
+def _gelfand_tsetlin(lam) -> dict:
+    """A_{n-1} in A_n: the K-types of V_lam counted by the partitions mu
+    interlacing lam's partition p_1 >= mu_1 >= p_2 >= ... >= mu_n >= 0."""
+    n = len(lam)
+    p = [sum(lam[k:]) for k in range(n)] + [0]
+    out = {}
+    for mu in itertools.product(*(range(p[k + 1], p[k] + 1) for k in range(n))):
+        key = (tuple(mu[k] - mu[k + 1] for k in range(n - 1)),)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_branch_matches_gelfand_tsetlin(n):
+    # the upper-left A_{n-1} pairs with the first n - 1 simple coroots
+    emb = EmbeddingSpec(
+        ambient=build(f"A{n}"),
+        factors=(build(f"A{n - 1}"),),
+        restriction=tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n - 1)
+        ),
+    )
+    assert len(dominant_weights_up_to(emb.ambient, 6)) > 20
+    for sigma, res in _walk(emb, 6):
+        assert res.as_dict() == _gelfand_tsetlin(sigma)
+
+
+def test_recursion_rejects_where_the_peel_accepts(monkeypatch):
+    # from test_malformed_outcomes_match_reference (seed 17): V_(1,0) does
+    # not peel, so it is never memoized and no step for (1, 1) = (0, 1) +
+    # omega_1 can run, while V_(1,1) itself peels and agrees with the
+    # reference
+    def make():
+        return EmbeddingSpec(
+            ambient=build("B2"),
+            factors=(build("A1"), build("A1")),
+            restriction=((0, 0), (2, 2)),
+        )
+
+    emb = make()
+    with pytest.raises(MalformedEmbeddingError):
+        branch(emb, (1, 0))
+    expected = ((((0,), (2,)), 2), (((0,), (4,)), 2))
+    assert branch(emb, (1, 1)).terms == expected
+    assert ref_branch(emb, (1, 1)).terms == expected
+    # a step that raises MalformedEmbeddingError itself is peeled as well
+    def failing_step(e, lam):
+        raise MalformedEmbeddingError("step failed")
+
+    monkeypatch.setattr(branching, "_recurse", failing_step)
+    assert branch(make(), (1, 1)).terms == expected
+
+
+_NON_INTEGER_SCRIPT = """
+import json
+from fractions import Fraction
+from liespec.branching import EmbeddingSpec, branch
+from liespec.errors import MalformedEmbeddingError
+from liespec.rootdata import build
+
+emb = EmbeddingSpec(
+    ambient=build("A2"),
+    factors=(build("A1"),),
+    restriction=((Fraction(1, 2), Fraction(1, 2)),),
+)
+raised = []
+for sigma in ((1, 0), (1, 1), (2, 0), (2, 2)):
+    try:
+        branch(emb, sigma)
+        raised.append(None)
+    except MalformedEmbeddingError as exc:
+        raised.append(type(exc).__name__)
+print(json.dumps({"debug": __debug__, "raised": raised}))
+"""
+
+
+def test_non_integer_image_is_malformed_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_INTEGER_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False  # asserts really are stripped
+    assert result["raised"] == ["MalformedEmbeddingError"] * 4
+
+
+def _fresh(name):
+    emb = BUILTIN_EMBEDDINGS[name]
+    return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction)
+
+
+def test_one_weight_alone_is_peeled(monkeypatch):
+    # nothing below (20, 20) is made first, so it is one peel, not a
+    # recursion through the cone under it
+    emb = _fresh("a1xa1-in-b2")
+    peeled = []
+    monkeypatch.setattr(
+        branching, "_peel", lambda e, lam: peeled.append(lam) or _peel(e, lam)
+    )
+    branch(emb, (20, 20))
+    assert peeled == [(20, 20)] and list(emb._branchings) == [(20, 20)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _fresh("a1xa1-in-b2"), lambda: _principal_a1("G2")],
+    ids=["a1xa1-in-b2", "principal-a1-in-g2"],
+)
+def test_term_catalogue_recurses_past_the_fundamentals(make, monkeypatch):
+    # in G2, kappa = lam - alpha_2 has a larger coordinate sum than lam, so
+    # a walk in graded-lex order would reach some weights before their kappa
+    emb = make()
+    rank = emb.ambient.rank
+    peeled = []
+    monkeypatch.setattr(
+        branching, "_peel", lambda e, lam: peeled.append(lam) or _peel(e, lam)
+    )
+    term_catalogue(emb, 20)
+    # the adjoint, for the embedding index, then 0 and the fundamentals
+    basis = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    assert peeled[0] == emb.ambient.highest_root
+    assert set(peeled) == {(0,) * rank, emb.ambient.highest_root} | basis
+    assert len(peeled) == len(set(peeled))
+    weights = dominant_weights_up_to(emb.ambient, 20)
+    assert len(weights) > 2 * len(peeled)
+    assert set(emb._branchings) == set(weights)
+
+
+def test_tensor_product_brauer_klimyk():
+    a1, a2, g2 = build("A1"), build("A2"), build("G2")
+    # Clebsch-Gordan, 3 x 3 = 6 + 3bar, 3 x 3bar = 8 + 1, 7 x 7 of G2
+    assert _tensor(a1, (2,), (2,)) == (((0,), 1), ((2,), 1), ((4,), 1))
+    assert _tensor(a2, (1, 0), (1, 0)) == (((0, 1), 1), ((2, 0), 1))
+    assert _tensor(a2, (1, 0), (0, 1)) == (((0, 0), 1), ((1, 1), 1))
+    assert _tensor(g2, (1, 0), (1, 0)) == (
+        ((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((2, 0), 1),
+    )
+    # dimensions multiply, the product commutes, and V_(a+b) occurs once
+    rng = random.Random(11)
+    for name in ("A2", "B2", "G2", "A3", "C3"):
+        rs = build(name)
+        weights = dominant_weights_up_to(rs, 3)
+        for _ in range(6):
+            a, b = rng.choice(weights), rng.choice(weights)
+            terms = _tensor(rs, a, b)
+            assert terms == _tensor(rs, b, a)
+            assert all(c > 0 for _, c in terms)
+            assert sum(c * weyl_dim(rs, k) for k, c in terms) == (
+                weyl_dim(rs, a) * weyl_dim(rs, b)
+            )
+            top = tuple(x + y for x, y in zip(a, b))
+            assert dict(terms)[top] == 1

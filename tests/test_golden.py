@@ -10,6 +10,10 @@ back from a cache entry are pinned too.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 from liespec.cli import main
 
@@ -241,3 +245,51 @@ def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
             )
         assert len(stored[0]) == (1 if code == 0 else 0), line
         assert stored[1] == stored[0], line
+
+
+# Runs several subcommands, a usage error among them, through one fresh
+# process's main; prints what each returned and how often the parser was
+# built, at import and in all.
+_ONE_PROCESS_SCRIPT = """
+import contextlib, hashlib, io, json
+import liespec.cli as cli
+from test_golden import GOLDEN, INLINE
+
+at_import = cli._build_parser.cache_info().currsize
+seen = {}
+for line in LINES:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([INLINE.get(word, word) for word in line.split(" ")])
+    seen[line] = [code, hashlib.sha256(buf.getvalue().encode()).hexdigest()]
+print(json.dumps({"at_import": at_import, "seen": seen,
+                  "builds": cli._build_parser.cache_info().misses}))
+"""
+
+
+def test_one_process_runs_many_commands_on_one_parser():
+    lines = [
+        "group-spectrum --spec su3 --cutoff 4",
+        "torus-spectrum --gram hexagonal --cutoff 3 --format csv",
+        "torus-spectrum --gram SINGULAR --cutoff 1",
+        "gamma --gram BASIS",
+        "natred-spectrum --metric METRIC --cutoff 3",
+        "torus-spectrum --gram identity2",  # no --cutoff: a usage error
+        "torus-search --values 1,2 --dim 2 --lambda-min 1/2 --vol-min 1/2",
+        "scan --metric METRIC --radius 1/10 --steps 3 --cutoff 2",
+        "torus-spectrum --gram GRAM --cutoff 25/2 --format pretty",
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("LIESPEC_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"LINES = {lines!r}\n" + _ONE_PROCESS_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["at_import"] == 0 and result["builds"] == 1
+    usage = result["seen"].pop("torus-spectrum --gram identity2")
+    assert usage[0] == 1
+    assert {k: tuple(v) for k, v in result["seen"].items()} == {
+        line: GOLDEN[line] for line in lines if line in GOLDEN
+    }
+    assert len(result["seen"]) == len(lines) - 1

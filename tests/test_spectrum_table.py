@@ -25,7 +25,9 @@ from liespec.spectrum import (
 
 
 def _table(entries, cutoff=F(10), unit="raw", complete=True):
-    return SpectrumTable.from_entries(unit, cutoff, tuple(entries), complete)
+    """A table of (rational eigenvalue, multiplicity) pairs."""
+    entries = [(F(e).as_integer_ratio(), m) for e, m in entries]
+    return SpectrumTable.from_entries(unit, cutoff, entries, complete)
 
 
 def test_validation():
@@ -126,6 +128,19 @@ def test_malformed_table_json_is_an_input_error():
         )
 
 
+def test_cache_read_takes_eigenvalues_only_as_written():
+    # to_json_dict writes "p", or "p/q" with q > 1 in lowest terms, and the
+    # cache read takes nothing else
+    good = {"unit": "raw", "cutoff": "9", "entries": [], "complete": True}
+    for text in ("2/4", "3/1", "1.5", " 1", "+1", "01", "0/1", "1/", "-1",
+                 "1/02", "", 1):
+        with pytest.raises(InputError):
+            SpectrumTable.from_json_dict(dict(good, entries=[[text, "1"]]))
+    for text, value in (("0", F(0)), ("7", F(7)), ("3/2", F(3, 2))):
+        t = SpectrumTable.from_json_dict(dict(good, entries=[[text, "1"]]))
+        assert t.entries == ((value, 1),)
+
+
 def _computed_tables():
     b2 = build("B2")
     return [
@@ -219,4 +234,4 @@ def test_integer_operations_match_fraction_references(
     r = a.restrict(small)
     assert r.cutoff == small
     assert dict(r.entries) == {e: m for e, m in ref_a.items() if e <= small}
-    assert r == SpectrumTable.from_entries("raw", small, r.entries, True)
+    assert r == _table(r.entries, small)
