@@ -208,7 +208,7 @@ def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
     each weight mu of V_b adds its multiplicity, signed by w, at kappa =
     w(a + mu + rho) - rho, unless a zero coordinate puts it on a wall."""
     out = Counter()
-    for mu, mult in weight_diagram(rs, b).mults:
+    for mu, mult in _diagram(rs, b):
         v = tuple(x + y + 1 for x, y in zip(a, mu))
         while 0 not in v and (low := min(v)) < 0:
             v = tuple(x - low * r for x, r in zip(v, rs.cartan[v.index(low)]))
@@ -216,6 +216,12 @@ def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
         if 0 not in v:
             out[tuple(x - 1 for x in v)] += mult
     return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
+@lru_cache(maxsize=None)
+def _diagram(rs: RootSystemData, b: tuple) -> tuple:
+    """``weight_diagram(rs, b).mults``, memoized for ``_tensor``'s few b."""
+    return weight_diagram(rs, b).mults
 
 
 def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:

@@ -115,8 +115,14 @@ def short_vectors(lat: Lattice, bound):
 
 def systole(lat: Lattice) -> Fraction:
     """Smallest squared length of a nonzero lattice vector."""
-    from .reduction import lll_gram
+    return _gram_systole(lat.gram)
 
-    g, _ = lll_gram(lat.gram)
-    a, bound, scale = _integer_problem(g, min(g[i][i] for i in range(len(g))))
-    return Fraction(min(value for _, value in _short_vectors_int(a, bound)), scale)
+
+def _gram_systole(gram) -> Fraction:
+    """``systole`` of a Gram matrix known to be positive definite."""
+    from .reduction import _lll_int
+
+    a, scale = linalg.clear_denominators(gram)
+    a, _ = _lll_int(a)
+    values = _short_vectors_int(a, min(a[i][i] for i in range(len(a))))
+    return Fraction(min(value for _, value in values), scale)

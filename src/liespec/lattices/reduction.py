@@ -6,7 +6,7 @@ Two layers:
   Alg. 2.6.7) with delta = 99/100, working on the Gram matrix alone,
   cleared of denominators, and returning the unimodular transform.  Used
   for every dimension as a preconditioner and as the full answer for
-  dim > 4.
+  dim > 4; its integer core ``_lll_int`` also serves ``systole``.
 * ``_minima_transform`` -- for dim <= 4 the vectors achieving the
   successive minima generate the lattice, so after LLL we enumerate all
   vectors up to the largest reduced diagonal entry and greedily pick a
@@ -33,13 +33,24 @@ def _bareiss_table(a):
 def lll_gram(g):
     """LLL-reduce a Gram matrix; returns (reduced_gram, unimodular U).
 
-    The reduced Gram equals U^T g U exactly.  Everything runs on the
-    integer matrix a = q*g: d_k is the k-th Bareiss pivot, the Gram
-    determinant of the first k+1 vectors, and lam[j][k] = d_j mu_kj.  Size
-    reduction is a column operation on a, U and lam (lam[i][j] is 0 for
-    i > j, and d_j for i = j); only a swap recomputes the table.
+    The reduced Gram equals U^T g U exactly; ``_lll_int`` runs on q*g.
     """
     a, q = linalg.clear_denominators(g)
+    a, u = _lll_int(a)
+    return (
+        tuple(tuple(Fraction(x, q) for x in row) for row in a),
+        tuple(tuple(Fraction(x) for x in row) for row in u),
+    )
+
+
+def _lll_int(a):
+    """(a reduced in place, U) for a positive-definite integer Gram a.
+
+    d_k is the k-th Bareiss pivot, the Gram determinant of the first k+1
+    vectors, and lam[j][k] = d_j mu_kj.  Size reduction is a column
+    operation on a, U and lam (lam[i][j] is 0 for i > j, and d_j for
+    i = j); only a swap recomputes the table.
+    """
     m = len(a)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     d, lam = _bareiss_table(a)
@@ -61,10 +72,7 @@ def lll_gram(g):
                 row[k - 1], row[k] = row[k], row[k - 1]
             d, lam = _bareiss_table(a)
             k = max(k - 1, 1)
-    return (
-        tuple(tuple(Fraction(x, q) for x in row) for row in a),
-        tuple(tuple(Fraction(x) for x in row) for row in u),
-    )
+    return a, u
 
 
 def _minima_transform(g):

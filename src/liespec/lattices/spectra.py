@@ -14,7 +14,7 @@ from fractions import Fraction
 from ..linalg import inverse
 from ..rational import rat_cutoff
 from ..spectrum import SpectrumTable, table_from_counts
-from .enumeration import _integer_problem, _short_vectors_int, systole
+from .enumeration import _gram_systole, _integer_problem, _short_vectors_int
 from .lattice import Lattice
 
 
@@ -31,6 +31,6 @@ def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
 def torus_lambda1(lat: Lattice) -> Fraction:
     """First nonzero eigenvalue in the four-pi-squared unit.
 
-    Equals the squared systole of the dual lattice.
+    Equals the squared systole of the dual lattice (a valid Gram's inverse).
     """
-    return systole(Lattice(dim=lat.dim, gram=inverse(lat.gram)))
+    return _gram_systole(inverse(lat.gram))

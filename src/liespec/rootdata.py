@@ -10,6 +10,9 @@ Every Lie primitive reads integer tables built once per root system
 
 * ``coroots`` -- each positive coroot in simple-coroot coordinates, so
   (lambda, beta^vee) = coroot . lambda; ``weyl_den`` = prod (rho, beta^vee);
+* ``coroot_ladder`` -- per coroot, (parent, i): it is coroots[parent] (0
+  for -1) plus the i-th simple coroot, as every positive coroot of height
+  > 1 is a lower one plus a simple one (Humphreys, 10.2);
 * ``form`` over ``form_den`` -- the normalized form ``ip_norm``,
   <u, v> = u . form . v / form_den, with <theta, theta> = 2 for the
   highest root theta;
@@ -163,6 +166,18 @@ def _positive_roots(cartan, adj, det):
     return out
 
 
+def _coroot_ladder(coroots):
+    """Yield (parent index or -1, simple index) per coroot, by height."""
+    index = {co: k for k, co in enumerate(coroots)}
+    index[tuple(0 for _ in coroots[0])] = -1  # below every simple coroot
+    for co in coroots:
+        lower = ((co[:i] + (co[i] - 1,) + co[i + 1:], i) for i in range(len(co)))
+        step = next(((index[v], i) for v, i in lower if v in index), None)
+        if step is None:
+            raise DomainError("a coroot has no lower neighbour; bad Cartan data")
+        yield step
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystemData:
     """Immutable root-system tables for one simple type.
@@ -179,6 +194,7 @@ class RootSystemData:
     highest_root: tuple
     rho: tuple
     coroots: tuple
+    coroot_ladder: tuple
     weyl_den: int
     form: tuple
     form_den: int
@@ -279,6 +295,7 @@ def _build(name: str) -> RootSystemData:
         highest_root=theta_fund,
         rho=rho,
         coroots=coroots,
+        coroot_ladder=tuple(_coroot_ladder(coroots)),
         weyl_den=prod(sum(co) for co in coroots),
         form=form,
         form_den=form_den,

@@ -4,7 +4,8 @@ All three run on the integer tables of ``rootdata``:
 
 * ``weyl_dim`` -- the Weyl dimension formula as an integer product over
   the coroots, divided exactly by the Weyl denominator (a remainder, or a
-  quotient that is not positive, raises DomainError);
+  quotient that is not positive, raises DomainError), each factor one
+  addition on ``coroot_ladder``;
 * ``weight_diagram`` -- the full character of V_lambda.  Its dominant
   weights are the dominant mu below lambda, each of smaller Casimir
   (Humphreys, Introduction to Lie Algebras and Representation Theory,
@@ -14,7 +15,9 @@ All three run on the integer tables of ``rootdata``:
   stops at its first non-weight.  Weyl orbits fill in the rest;
 * ``dominant_weights_up_to`` -- all dominant weights with Casimir at most
   a given budget, enumerable because the Casimir is strictly increasing in
-  every fundamental coordinate.
+  every fundamental coordinate.  The walk carries ``casimir_num`` C and
+  F . lam (F = ``form``): raising lam_j by one adds 2 (F . lam)_j + F_jj +
+  2 sum_k F_jk to C and row j of the symmetric F to F . lam.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,6 @@ from .rational import rat
 from .rootdata import (
     RootSystemData,
     casimir,
-    casimir_num,
     check_weight,
     dominant_rep,
     is_dominant,
@@ -41,9 +43,12 @@ def weyl_dim(rs: RootSystemData, weight) -> int:
     if not is_dominant(lam):
         raise DomainError("weyl_dim expects a dominant weight")
     shifted = tuple(x + 1 for x in lam)
+    # vals[k] = (lambda + rho, beta_k^vee); vals[-1] = 0 is parent -1's
+    vals = [0] * (len(rs.coroot_ladder) + 1)
     num = 1
-    for co in rs.coroots:
-        num *= sum(c * x for c, x in zip(co, shifted))
+    for k, (parent, i) in enumerate(rs.coroot_ladder):
+        vals[k] = pairing = vals[parent] + shifted[i]
+        num *= pairing
     value, rest = divmod(num, rs.weyl_den)
     if rest or value <= 0:
         raise DomainError("Weyl dimension did not come out a positive integer")
@@ -152,25 +157,23 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
     cas_max = rat(cas_max)
     limit = floor(cas_max * rs.casimir_den)
     out = []
-    n = rs.rank
+    n, form = rs.rank, rs.form
+    step = [form[j][j] + 2 * sum(form[j]) for j in range(n)]
     current = [0] * n
 
-    def extend(j):
+    def extend(j, cas, f_lam):
+        # cas = casimir_num(current), f_lam = F . current; coordinates past
+        # j are 0 here, so every weight appended is within the budget
         if j == n:
             out.append(tuple(current))
             return
-        value = 0
-        while True:
-            current[j] = value
-            # coordinates past j are 0 here; at j = n - 1 this tests the
-            # whole weight, so every weight appended is within the budget
-            if casimir_num(rs, current) > limit:
-                break
-            extend(j + 1)
-            value += 1
+        while cas <= limit:
+            extend(j + 1, cas, f_lam)
+            cas += 2 * f_lam[j] + step[j]
+            f_lam = [x + y for x, y in zip(f_lam, form[j])]
+            current[j] += 1
         current[j] = 0
 
-    extend(0)
+    extend(0, 0, [0] * n)
     out.sort(key=lambda w: (sum(w), w))
     return out
-

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -233,3 +234,21 @@ def test_normal_quotient_matches_fraction_reference():
         for t in (1, F(3, 2)):
             table = normal_quotient_spectrum(emb.ambient, emb, t, 3)
             assert table == ref_normal_quotient_spectrum(emb, t, 3), emb.name
+
+
+# sha256 of biinvariant_spectrum(...).to_json() for the exceptional types,
+# recorded before the Weyl dimensions moved to the coroot ladder and the
+# dominant-weight walk to a running Casimir; tables of 91 to 220 entries
+EXCEPTIONAL_DIGESTS = {
+    ("E8", 10): "6e1807928e5bb2b04130f3599f0cd1d55fa5bf879a139500d0d80088028aab6c",
+    ("E7", 10): "5e478a1dd6688e91e8953dcfe6c8189b6ab9dcf28feed91199c7cfd68868f3a3",
+    ("F4", 10): "d1a4dcfd3c6668b73ec9938fae863005b812f9fcbd4f6d44a224abb3475f6b58",
+    ("F4", 16): "00f81dc83dd5cf9390299c3194daec2c9b6df95c742bf9f1c08eb126823b4356",
+}
+
+
+@pytest.mark.parametrize("name,cutoff", sorted(EXCEPTIONAL_DIGESTS))
+def test_exceptional_biinvariant_digests(name, cutoff):
+    table = biinvariant_spectrum(GroupSpec(factors=(build(name),)), cutoff)
+    digest = hashlib.sha256(table.to_json().encode()).hexdigest()
+    assert digest == EXCEPTIONAL_DIGESTS[name, cutoff]

@@ -1,4 +1,9 @@
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -29,8 +34,9 @@ def test_weyl_dim_classical():
     a1 = build("A1")
     for n in range(12):
         assert weyl_dim(a1, (n,)) == n + 1
-    with pytest.raises(DomainError):
-        weyl_dim(a2, (-1, 0))
+    for lam in ((-1, 0), (1,), (0, 0, 0)):  # not dominant, wrong lengths
+        with pytest.raises(DomainError):
+            weyl_dim(a2, lam)
 
 
 def test_dominant_characters_frozen():
@@ -201,3 +207,71 @@ def test_frozen_dimensions_and_highest_root():
         rs = build(name)
         assert casimir(rs, rs.highest_root) == 1
         assert weyl_dim(rs, rs.highest_root) == rs.dim_g
+
+
+def test_weyl_dim_matches_reference_on_every_small_weight():
+    # every dominant weight of Casimir at most 2, in every type
+    from helpers import ref_weyl_dim
+
+    for name in ALL_TYPES:
+        rs = build(name)
+        weights = dominant_weights_up_to(rs, 2)
+        assert len(weights) > 1
+        for lam in weights:
+            assert weyl_dim(rs, lam) == ref_weyl_dim(rs, lam)
+
+
+def test_dominant_weights_up_to_matches_a_brute_force_box():
+    # the Casimir grows in every coordinate, so coordinate k of a weight
+    # within the budget is at most the largest m with c(m omega_k) <= budget
+    from helpers import ref_casimir
+
+    budget = F(2)
+    for name in ALL_TYPES:
+        rs = build(name)
+        sides = []
+        for k in range(rs.rank):
+            m = 0
+            while ref_casimir(
+                rs, tuple((m + 1) * (i == k) for i in range(rs.rank))
+            ) <= budget:
+                m += 1
+            sides.append(range(m + 1))
+        box = [
+            lam
+            for lam in itertools.product(*sides)
+            if ref_casimir(rs, lam) <= budget
+        ]
+        got = dominant_weights_up_to(rs, budget)
+        assert got == sorted(box, key=lambda w: (sum(w), w)), rs.name
+
+
+_WEYL_DIM_ERRORS_SCRIPT = """
+import json
+from liespec.errors import DomainError
+from liespec.rootdata import build
+from liespec.weights import weyl_dim
+
+raised = []
+for name, lam in [("A2", (-1, 0)), ("E8", (0,) * 7 + (-1,)), ("A2", (1,)),
+                  ("B3", (1, 0, 0, 0))]:
+    try:
+        weyl_dim(build(name), lam)
+        raised.append(None)
+    except DomainError as exc:
+        raised.append(type(exc).__name__)
+print(json.dumps({"debug": __debug__, "raised": raised}))
+"""
+
+
+def test_weyl_dim_rejects_bad_weights_under_optimize():
+    # non-dominant and wrong-length weights raise DomainError with the
+    # assertions stripped too
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WEYL_DIM_ERRORS_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False  # asserts really are stripped
+    assert result["raised"] == ["DomainError"] * 4
