@@ -125,6 +125,8 @@ def admissible_tuples(gs: GroupSpec, cutoff: Fraction) -> list:
         dominant_weights_up_to(f, cutoff * t)
         for f, t in zip(gs.factors, gs.scales)
     ]
+    if not gs.gamma:  # the enumerator's weights need no check of their own
+        return list(product(*per_factor))
     return [tup for tup in product(*per_factor) if center_admissible(gs, tup)]
 
 

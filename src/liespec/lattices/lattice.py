@@ -21,6 +21,8 @@ Exact invariants:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .. import linalg
 from ..errors import DomainError, InputError
@@ -76,6 +78,20 @@ class Lattice:
     def from_gram(rows) -> "Lattice":
         gram = rat_matrix(rows)
         return Lattice(dim=len(gram), gram=gram, basis=None)
+
+    @cached_property
+    def _dual_form(self):
+        """(A, scale): A / scale is an LLL-reduced Gram matrix of the dual,
+        from q adj(q*G) and det(q*G) over their gcd.  Not a field, so ==,
+        hash, repr and the JSON do not see it."""
+        from .reduction import _lll_int
+
+        a, q = linalg.clear_denominators(self.gram)
+        eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        pivots, _, _, adj = linalg.eliminate(a, eye)
+        g = gcd(pivots[-1], *(q * x for row in adj for x in row))
+        a, _ = _lll_int([[q * x // g for x in row] for row in adj])
+        return tuple(map(tuple, a)), pivots[-1] // g
 
     @property
     def det_gram(self) -> Fraction:

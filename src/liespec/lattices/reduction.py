@@ -6,7 +6,8 @@ Two layers:
   Alg. 2.6.7) with delta = 99/100, working on the Gram matrix alone,
   cleared of denominators, and returning the unimodular transform.  Used
   for every dimension as a preconditioner and as the full answer for
-  dim > 4; its integer core ``_lll_int`` also serves ``systole``.
+  dim > 4; its integer core ``_lll_int`` also serves ``systole`` and
+  reduces each lattice's cached integer dual form.
 * ``_minima_transform`` -- for dim <= 4 the vectors achieving the
   successive minima generate the lattice, so after LLL we enumerate all
   vectors up to the largest reduced diagonal entry and greedily pick a

@@ -218,9 +218,10 @@ def test_certification_survives_optimize():
     assert json.loads(result["out"])["error"]["type"] == "CertificationError"
 
 
-# Runs under python -O, with a square completion whose common multiple L
-# is off by one, so leaf totals stop being multiples of it; prints what
-# enumerate_gram raised and what cli.main returned.
+# Runs under python -O, with the square completion that the kernel
+# _norm_counts reads giving a common multiple L off by one, so its leaf
+# totals stop being multiples of it; prints what enumerate_gram raised and
+# what cli.main returned.
 _KERNEL_FAULT_SCRIPT = """
 import contextlib, io, json
 from fractions import Fraction
@@ -485,7 +486,7 @@ def test_cache_entry_with_bool_cutoff_is_a_miss(tmp_path, capsys, monkeypatch):
 # A library function patched to raise a builtin exception, as a bug would,
 # and a job that reaches it; the exit code is 3 whatever the exception is.
 _FAULTS = (
-    ("liespec.lattices.spectra._short_vectors_int",
+    ("liespec.lattices.spectra._norm_counts",
      ["torus-spectrum", "--gram", "identity2", "--cutoff", "4"]),
     ("liespec.natred.branch",
      ["natred-spectrum", "--metric", METRIC, "--cutoff", "1"]),

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from liespec.lattices import (
     torus_lambda1,
     torus_spectrum,
 )
-from liespec.lattices.enumeration import _integer_problem
+from liespec.lattices.enumeration import _integer_problem, _norm_counts
 from liespec.lattices.reduction import lll_gram
 from liespec.linalg import form_value, matmul, transpose
 
@@ -165,6 +167,68 @@ def test_kernel_differential():
             (c, F(v, scale)) for c, v in short_vectors_int(a, b_int)
         ]
         assert enumerate_gram(gram, bound) == reference
+
+
+def _kernel_problems():
+    # integer and rational Gram matrices of dimension 1-5; the Gram matrix
+    # of a random integer basis is usually far from reduced
+    rng = random.Random(4242)
+    problems = []
+    for i in range(60):
+        m = 1 + i % 5
+        make = random_integer_basis if i % 2 else random_rational_basis
+        gram = Lattice.from_basis(make(rng, m)).gram
+        problems.append((gram, F(rng.randint(0, 30), rng.randint(1, 3))))
+    return problems
+
+
+def test_norm_counts_match_reference():
+    # the values-only kernel counts the reference's values exactly, and
+    # enumerate_gram, which asks it for coordinates, keeps their order
+    for gram, bound in _kernel_problems():
+        a, b_int, scale = _integer_problem(gram, bound)
+        reference = short_vectors_int(a, b_int)
+        assert _norm_counts(a, b_int) == Counter(v for _, v in reference)
+        assert enumerate_gram(gram, bound) == [
+            (c, F(v, scale)) for c, v in reference
+        ]
+        least = min(a[i][i] for i in range(len(a)))
+        assert systole(Lattice.from_gram(gram)) == F(
+            min(v for _, v in short_vectors_int(a, least)), scale
+        )
+
+
+def test_dual_form_is_cached_and_exact():
+    rng = random.Random(8)
+    lats = [HEX, Lattice.from_gram(build("E8").cartan)]
+    lats += [
+        Lattice.from_basis(random_rational_basis(rng, rng.randint(1, 4)))
+        for _ in range(12)
+    ]
+    for lat in lats:
+        before = (repr(lat), hash(lat), lat.to_json_dict())
+        fresh = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        a, scale = lat._dual_form
+        assert lat._dual_form is lat._dual_form  # made once
+        # the least integer form of a Gram matrix of the dual lattice
+        assert all(type(x) is int for row in a for x in row)
+        inverse = ref_inverse(lat.gram)
+        assert scale == lcm(*(x.denominator for row in inverse for x in row))
+        reduced = [[F(x, scale) for x in row] for row in a]
+        assert ref_det(reduced) == ref_det(inverse)
+        assert congruent(Lattice.from_gram(reduced), dual(lat))
+        # a cached form changes neither equality, hashing nor the JSON
+        assert (repr(lat), hash(lat), lat.to_json_dict()) == before
+        assert lat == fresh and hash(lat) == hash(fresh)
+        # spectrum and lambda1 agree in either order, cached or fresh
+        later = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        lam = torus_lambda1(later)
+        cutoff = 2 * lam
+        table = torus_spectrum(later, cutoff)
+        assert table == torus_spectrum(lat, cutoff)
+        assert table == torus_spectrum(fresh, cutoff)
+        assert lam == torus_lambda1(fresh) == torus_lambda1(lat)
+        assert lam == table.lambda1() == systole(dual(lat))
 
 
 def test_large_entries_enumerate_exactly():
