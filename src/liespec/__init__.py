@@ -44,7 +44,6 @@ from .isolation import (
 from .lattices import (
     Lattice,
     congruent,
-    short_vectors,
     systole,
     torus_lambda1,
     torus_spectrum,
@@ -107,7 +106,6 @@ __all__ = [
     "natred_spectrum",
     "natred_terms",
     "normal_quotient_spectrum",
-    "short_vectors",
     "spherical_mult",
     "systole",
     "table_distance",

@@ -22,9 +22,9 @@ from math import lcm, prod
 from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
 from .rational import array, fmt, rat, rat_cutoff, required
-from .rootdata import RootSystemData, build, casimir, casimir_num, check_weight
+from .rootdata import RootSystemData, build, casimir, check_weight
 from .spectrum import SpectrumTable, linear_table
-from .weights import dominant_weights_up_to, weyl_dim
+from .weights import _dominant_casimirs, weyl_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +120,21 @@ def admissible_tuples(gs: GroupSpec, cutoff: Fraction) -> list:
     """Gamma-admissible dominant tuples inside the per-factor budgets
     c_i(lambda_i) <= cutoff * t_i.  Every tuple with eigenvalue
     Sum c_i(lambda_i)/t_i <= cutoff is among them: summands are >= 0."""
+    return _admissible(gs, cutoff)[1]
+
+
+def _admissible(gs: GroupSpec, cutoff):
+    """Per factor {weight: casimir_num} over its budget, and
+    ``admissible_tuples`` of those weights."""
     cutoff = rat(cutoff)
     per_factor = [
-        dominant_weights_up_to(f, cutoff * t)
+        dict(_dominant_casimirs(f, cutoff * t))
         for f, t in zip(gs.factors, gs.scales)
     ]
-    if not gs.gamma:  # the enumerator's weights need no check of their own
-        return list(product(*per_factor))
-    return [tup for tup in product(*per_factor) if center_admissible(gs, tup)]
+    tuples = product(*per_factor)
+    if gs.gamma:  # with no gamma every enumerated tuple is admissible
+        tuples = (tup for tup in tuples if center_admissible(gs, tup))
+    return per_factor, list(tuples)
 
 
 def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
@@ -136,10 +143,11 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     den = lcm(*(f.casimir_den for f in gs.factors))
     parts = {}  # (factor, weight) -> (Casimir numerator over den, dimension)
     rows = []
-    for tup in admissible_tuples(gs, cutoff):
-        for f, lam in zip(gs.factors, tup):
+    nums, tuples = _admissible(gs, cutoff)
+    for tup in tuples:
+        for f, lam, cas in zip(gs.factors, tup, nums):
             if (f, lam) not in parts:
-                num = casimir_num(f, lam) * (den // f.casimir_den)
+                num = cas[lam] * (den // f.casimir_den)
                 parts[f, lam] = (num, weyl_dim(f, lam))
         row, dims = zip(*(parts[key] for key in zip(gs.factors, tup)))
         rows.append((row, prod(dims) ** 2))
@@ -182,9 +190,8 @@ def normal_quotient_spectrum(
         raise DomainError("metric scale must be positive")
     cutoff = rat_cutoff(cutoff)
     rows = []
-    for lam in dominant_weights_up_to(ambient, cutoff * t):
+    for lam, num in _dominant_casimirs(ambient, cutoff * t):
         fixed = spherical_mult(emb, lam)
         if fixed:
-            row = (casimir_num(ambient, lam),)
-            rows.append((row, weyl_dim(ambient, lam) * fixed))
+            rows.append(((num,), weyl_dim(ambient, lam) * fixed))
     return linear_table(rows, ambient.casimir_den, (1 / t,), cutoff)

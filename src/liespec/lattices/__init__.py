@@ -1,7 +1,7 @@
 from .congruence import congruent
-from .enumeration import enumerate_gram, short_vectors, systole
+from .enumeration import enumerate_gram, systole
 from .lattice import HERMITE_POWER, Lattice, dual, hermite_bound_ok
-from .reduction import lll_gram, reduce_with_transform
+from .reduction import lll_gram
 from .spectra import torus_lambda1, torus_spectrum
 
 __all__ = [
@@ -12,8 +12,6 @@ __all__ = [
     "enumerate_gram",
     "hermite_bound_ok",
     "lll_gram",
-    "reduce_with_transform",
-    "short_vectors",
     "systole",
     "torus_lambda1",
     "torus_spectrum",

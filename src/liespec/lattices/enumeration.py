@@ -13,9 +13,11 @@ leading minors, p_{-1} = 1) and integer pivot rows r_ij with
     L * x^T A x = sum_i w_i * (p_i x_i + sum_{j>i} r_ij x_j)^2,
     w_i = L / (p_{i-1} p_i),  L = lcm of the p_{i-1} p_i,
 
-so every quantity is an integer.  Coordinates are fixed from the last one
-down; at level i, with R the part of L*B not yet used and C the tail sum,
-the admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i).
+so every quantity is an integer.  The kernel takes the completion: a
+reduced form's comes from the table LLL returns with it, so no form is
+eliminated twice.  Coordinates are fixed from the last one down; at
+level i, with R the part of L*B not yet used and C the tail sum, the
+admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i).
 The two lowest levels are one loop nest over t = p_i x_i + C that only
 collects the totals L * x^T A x; no float and no Fraction is involved.
 Each distinct total must be a multiple of L, since x^T A x is an integer;
@@ -29,8 +31,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .. import linalg
-from ..errors import CertificationError, DomainError
-from ..rational import rat
+from ..errors import CertificationError
 from .lattice import Lattice
 
 
@@ -42,30 +43,37 @@ def _integer_problem(gram, bound: Fraction):
 
 
 def _completed_squares(a):
-    """Pivots p, rows r and weights w, L of the integer square completion."""
+    """Square completion of the integer form a, from one elimination."""
     pivots, rows, swaps, _ = linalg.eliminate(a)
     if swaps or min(pivots) <= 0:
         raise ValueError("matrix is not positive definite")
-    denoms = [lo * hi for lo, hi in zip([1] + pivots, pivots)]
+    return _squares(pivots, rows)
+
+
+def _squares(pivots, rows):
+    """(p, r, w, L) of the form whose Bareiss pivots and rows are p and r."""
+    denoms = [lo * hi for lo, hi in zip((1, *pivots), pivots)]
     total = lcm(*denoms)
-    weights = [total // d for d in denoms]
-    return pivots, rows, weights, total
+    weights = tuple(total // d for d in denoms)
+    return tuple(pivots), tuple(map(tuple, rows)), weights, total
 
 
-def _norm_counts(a, bound: int, vectors=None):
-    """{x^T a x: count} over canonical-sign nonzero x with x^T a x <= bound.
+def _norm_counts(squares, bound: int, vectors=None):
+    """{x^T A x: count} over canonical-sign nonzero x with x^T A x <= bound,
+    for the form A that ``squares`` completes.
 
     Canonical sign: the highest-index nonzero coordinate is positive.  A
-    list given as ``vectors`` also receives (x, x^T a x) for each such x,
+    list given as ``vectors`` also receives (x, x^T A x) for each such x,
     in ascending order of (x_{m-1}, ..., x_0).
     """
     if bound < 0:
         return {}
-    m = len(a)
-    if m == 1:  # pad with a coordinate whose square alone passes the bound
-        a = [[a[0][0], 0], [0, bound + 1]]
-    n = len(a)
-    pivots, rows, weights, total = _completed_squares(a)
+    pivots, rows, weights, total = squares
+    m = len(pivots)
+    if m == 1:  # complete [[a00, 0], [0, bound + 1]]: x_1 = 0 is forced
+        p, q = pivots[0], pivots[0] * (bound + 1)
+        pivots, rows, weights, total = _squares((p, q), ((p, 0), (0, q)))
+    n = len(pivots)
     budget = total * bound
     (p0, p1), (w0, w1), r01 = pivots[:2], weights[:2], rows[0][1]
     x, leaves = [0] * n, []
@@ -105,37 +113,19 @@ def _norm_counts(a, bound: int, vectors=None):
 
     (rec if n > 2 else bottom)(n - 1, 0, True)
     counts = Counter(leaves)
-    if any(raw % total for raw in counts):
+    if any(map(total.__rmod__, counts)):
         raise CertificationError("x^T A x is not an integer")
     if vectors is not None:
-        vectors[:] = [(c, raw // total) for c, raw in zip(vectors, leaves)]
-    return {raw // total: count for raw, count in counts.items()}
+        vectors[:] = list(zip(vectors, map(total.__rfloordiv__, leaves)))
+    return dict(zip(map(total.__rfloordiv__, counts), counts.values()))
 
 
 def enumerate_gram(gram, bound: Fraction):
     """Canonical-sign vectors (coords, squared length) for x^T gram x <= bound."""
     a, b, scale = _integer_problem(gram, bound)
     vectors = []
-    _norm_counts(a, b, vectors)
+    _norm_counts(_completed_squares(a), b, vectors)
     return [(coords, Fraction(value, scale)) for coords, value in vectors]
-
-
-def short_vectors(lat: Lattice, bound):
-    """All nonzero lattice vectors of squared length <= bound.
-
-    Returns a list of (coords, norm_sq) with integer coordinates relative
-    to the lattice basis, both signs included, sorted by (norm_sq, coords).
-    """
-    bound = rat(bound)
-    if bound < 0:
-        raise DomainError("enumeration bound must be >= 0")
-    half = enumerate_gram(lat.gram, bound)
-    full = []
-    for coords, value in half:
-        full.append((coords, value))
-        full.append((tuple(-c for c in coords), value))
-    full.sort(key=lambda item: (item[1], item[0]))
-    return full
 
 
 def systole(lat: Lattice) -> Fraction:
@@ -143,10 +133,11 @@ def systole(lat: Lattice) -> Fraction:
     from .reduction import _lll_int
 
     a, scale = linalg.clear_denominators(lat.gram)
-    return _minimum(_lll_int(a)[0], scale)
+    a, _, d, lam = _lll_int(a)
+    return _minimum(a, scale, _squares(d, lam))
 
 
-def _minimum(a, scale) -> Fraction:
-    """Least nonzero x^T a x / scale for an LLL-reduced integer form a."""
+def _minimum(a, scale, squares) -> Fraction:
+    """Least nonzero x^T a x / scale; a is LLL-reduced, completed by squares."""
     least = min(a[i][i] for i in range(len(a)))
-    return Fraction(min(_norm_counts(a, least)), scale)
+    return Fraction(min(_norm_counts(squares, least)), scale)

@@ -81,17 +81,18 @@ class Lattice:
 
     @cached_property
     def _dual_form(self):
-        """(A, scale): A / scale is an LLL-reduced Gram matrix of the dual,
-        from q adj(q*G) and det(q*G) over their gcd.  Not a field, so ==,
-        hash, repr and the JSON do not see it."""
+        """(A, scale, squares): A / scale is an LLL-reduced dual Gram matrix,
+        from q adj(q*G) and det(q*G) over their gcd; squares completes A, from
+        LLL's final table.  Not a field: ==, hash, repr and JSON ignore it."""
+        from .enumeration import _squares
         from .reduction import _lll_int
 
         a, q = linalg.clear_denominators(self.gram)
         eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         pivots, _, _, adj = linalg.eliminate(a, eye)
         g = gcd(pivots[-1], *(q * x for row in adj for x in row))
-        a, _ = _lll_int([[q * x // g for x in row] for row in adj])
-        return tuple(map(tuple, a)), pivots[-1] // g
+        a, _, d, lam = _lll_int([[q * x // g for x in row] for row in adj])
+        return tuple(map(tuple, a)), pivots[-1] // g, _squares(d, lam)
 
     @property
     def det_gram(self) -> Fraction:

@@ -2,33 +2,23 @@
 
 Two layers:
 
-* ``lll_gram`` -- integral LLL on the shared Bareiss table (Cohen,
-  Alg. 2.6.7) with delta = 99/100, working on the Gram matrix alone,
-  cleared of denominators, and returning the unimodular transform.  Used
-  for every dimension as a preconditioner and as the full answer for
-  dim > 4; its integer core ``_lll_int`` also serves ``systole`` and
-  reduces each lattice's cached integer dual form.
+* ``lll_gram`` -- integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
+  the Gram matrix alone, cleared of denominators, returning the unimodular
+  transform.  Its core ``_lll_int`` eliminates once and keeps that Bareiss
+  table (pivots d, rows lam) exact: size reduction is a column operation on
+  it, and a swap updates it in O(m) (Cohen's SWAPI, each division checked).
+  The final table is returned with the reduced form, for the kernel.
 * ``_minima_transform`` -- for dim <= 4 the vectors achieving the
   successive minima generate the lattice, so after LLL we enumerate all
   vectors up to the largest reduced diagonal entry and greedily pick a
-  shortest generating set.  The first vector then achieves the systole
-  exactly.
+  shortest generating set (used by ``congruent``).
 """
 
 from fractions import Fraction
 
 from .. import linalg
-from ..errors import LiespecError
+from ..errors import CertificationError, LiespecError
 from .enumeration import enumerate_gram
-from .lattice import Lattice
-
-
-def _bareiss_table(a):
-    """Pivots d and pivot rows lam of the integer Gram matrix a."""
-    d, lam, swaps, _ = linalg.eliminate(a)
-    if swaps or min(d) <= 0:
-        raise LiespecError("Gram matrix not positive definite in LLL")
-    return d, lam
 
 
 def lll_gram(g):
@@ -37,24 +27,35 @@ def lll_gram(g):
     The reduced Gram equals U^T g U exactly; ``_lll_int`` runs on q*g.
     """
     a, q = linalg.clear_denominators(g)
-    a, u = _lll_int(a)
+    a, u, _, _ = _lll_int(a)
     return (
         tuple(tuple(Fraction(x, q) for x in row) for row in a),
         tuple(tuple(Fraction(x) for x in row) for row in u),
     )
 
 
+def _exact(num, den):
+    """num / den, which the Bareiss identities make an integer."""
+    value, rest = divmod(num, den)
+    if rest:
+        raise CertificationError("inexact division in the LLL swap update")
+    return value
+
+
 def _lll_int(a):
-    """(a reduced in place, U) for a positive-definite integer Gram a.
+    """(a reduced in place, U, d, lam) for a positive-definite integer Gram a.
 
     d_k is the k-th Bareiss pivot, the Gram determinant of the first k+1
-    vectors, and lam[j][k] = d_j mu_kj.  Size reduction is a column
-    operation on a, U and lam (lam[i][j] is 0 for i > j, and d_j for
-    i = j); only a swap recomputes the table.
+    vectors, and lam[j][k] = d_j mu_kj: the table ``linalg.eliminate``
+    gives for the returned a.  Size reduction is a column operation on a,
+    U and lam (lam[i][j] is 0 for i > j, and d_j for i = j); a swap of
+    b_{k-1} and b_k changes only d_{k-1} and rows k-1, k of lam (SWAPI).
     """
     m = len(a)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    d, lam = _bareiss_table(a)
+    d, lam, swaps, _ = linalg.eliminate(a)
+    if swaps or min(d) <= 0:
+        raise LiespecError("Gram matrix not positive definite in LLL")
     k = 1
     while k < m:
         for j in range(k - 1, -1, -1):
@@ -65,15 +66,22 @@ def _lll_int(a):
                     row[k] -= r * row[j]
         # Lovasz with delta = 99/100, times 100 d_{k-1} d_{k-2} (d_{-1} = 1)
         before = d[k - 2] if k > 1 else 1
-        if 100 * d[k] * before >= 99 * d[k - 1] ** 2 - 100 * lam[k - 1][k] ** 2:
+        lk, dk, dk1 = lam[k - 1][k], d[k], d[k - 1]
+        if 100 * dk * before >= 99 * dk1 ** 2 - 100 * lk ** 2:
             k += 1
         else:  # exchange b_{k-1} and b_k
             a[k - 1], a[k] = a[k], a[k - 1]
-            for row in a + u:
+            for row in a + u + lam[:k - 1]:
                 row[k - 1], row[k] = row[k], row[k - 1]
-            d, lam = _bareiss_table(a)
+            b = _exact(before * dk + lk * lk, dk1)  # the new d_{k-1}
+            lo, hi = lam[k - 1], lam[k]
+            for i in range(k + 1, m):
+                t = hi[i]
+                hi[i] = _exact(dk * lo[i] - lk * t, dk1)
+                lo[i] = _exact(b * t + lk * hi[i], dk)
+            d[k - 1] = lo[k - 1] = b
             k = max(k - 1, 1)
-    return a, u
+    return a, u, d, lam
 
 
 def _minima_transform(g):
@@ -96,14 +104,3 @@ def _minima_transform(g):
         # cannot happen for m <= 4: minima vectors generate the lattice
         raise LiespecError("successive-minima vectors failed to generate")
     return linalg.matmul(linalg.transpose(v), linalg.matmul(g, v)), v
-
-
-def reduce_with_transform(lat: Lattice):
-    """Reduced lattice plus the unimodular transform U (new = old * U)."""
-    g, u = lll_gram(lat.gram)
-    if lat.dim <= 4:
-        g, v = _minima_transform(g)
-        u = linalg.matmul(u, v)
-    basis = linalg.matmul(lat.basis, u) if lat.basis is not None else None
-    reduced = Lattice(dim=lat.dim, gram=g, basis=basis)
-    return reduced, u

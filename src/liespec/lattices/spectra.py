@@ -5,7 +5,8 @@ dual lattice of L, so in the "four-pi-squared" unit the truncated spectrum
 is a finite exact-rational object: entry q means eigenvalue 4*pi^2*q.  The
 cutoff argument is expressed in the same unit.  Both functions read the
 lattice's one cached integer dual form, LLL-reduced (a unimodular change
-of basis, so the norms are those of the dual), and no dual basis is built.
+of basis, so the norms are those of the dual), with the kernel's square
+completion from LLL's final Bareiss table, and no dual basis is built.
 The table is made from the kernel's counts of integer norms.
 """
 
@@ -20,8 +21,9 @@ from .lattice import Lattice
 def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
     """Truncated spectrum of the flat torus with period lattice ``lat``."""
     cutoff = rat_cutoff(cutoff)
-    a, scale = lat._dual_form
-    found = _norm_counts(a, cutoff.numerator * scale // cutoff.denominator)
+    _, scale, squares = lat._dual_form
+    bound = cutoff.numerator * scale // cutoff.denominator
+    found = _norm_counts(squares, bound)
     counts = {v: 2 * n for v, n in found.items()}  # a canonical v and -v
     counts[0] = 1
     return table_from_counts(counts, scale, "four-pi-squared", cutoff)

@@ -73,7 +73,8 @@ class SpectrumTable:
                 raise DomainError("entry above cutoff")
             if not all(map(lt, values, islice(values, 1, None))):
                 raise DomainError("entries must be strictly increasing")
-        if not all(type(m) is int and m >= 1 for m in self.mults):
+        mults = self.mults
+        if mults and not (set(map(type, mults)) <= {int} and min(mults) >= 1):
             raise DomainError("multiplicities must be positive integers")
 
     @cached_property

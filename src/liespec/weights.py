@@ -154,6 +154,11 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
     Correct because the Casimir is strictly increasing in every coordinate
     on the dominant cone.
     """
+    return [w for w, _ in _dominant_casimirs(rs, cas_max)]
+
+
+def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
+    """(weight, casimir_num) over ``dominant_weights_up_to(rs, cas_max)``."""
     cas_max = rat(cas_max)
     limit = floor(cas_max * rs.casimir_den)
     out = []
@@ -165,7 +170,7 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
         # cas = casimir_num(current), f_lam = F . current; coordinates past
         # j are 0 here, so every weight appended is within the budget
         if j == n:
-            out.append(tuple(current))
+            out.append((tuple(current), cas))
             return
         while cas <= limit:
             extend(j + 1, cas, f_lam)
@@ -175,5 +180,5 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
         current[j] = 0
 
     extend(0, 0, [0] * n)
-    out.sort(key=lambda w: (sum(w), w))
+    out.sort(key=lambda pair: (sum(pair[0]), pair[0]))
     return out

@@ -7,7 +7,10 @@ integer root-system tables, the product-diagram branching peel with
 the per-metric term builder and grid scan on top of it, used as the
 exact reference for dominant-only branching and the term catalogue,
 the elementary-matrix LLL used as the exact reference for the library's
-integral LLL, the Fraction Gaussian elimination, Gauss-Jordan inverse
+integral LLL, ``short_vectors`` (both signs, sorted) and
+``reduce_with_transform`` (LLL plus the shortest generating set), the
+former public conveniences on top of the library's enumeration and
+reduction, the Fraction Gaussian elimination, Gauss-Jordan inverse
 and Gram-Schmidt used as the exact references for the library's one
 fraction-free elimination, the root-string positive roots, hand-typed
 -w0 involutions and Fraction coroots used as the exact references for
@@ -43,7 +46,8 @@ from liespec.errors import (
 )
 from liespec.groups import GroupSpec, center_admissible
 from liespec.isolation import _grid_multipliers
-from liespec.lattices import Lattice
+from liespec.lattices import Lattice, enumerate_gram, lll_gram
+from liespec.lattices.reduction import _minima_transform
 from liespec.natred import NatRedMetric
 from liespec.rational import fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
@@ -283,6 +287,20 @@ def short_vectors_int(a, bound: int):
     return out
 
 
+def short_vectors(lat: Lattice, bound):
+    """All nonzero lattice vectors of squared length <= bound, both signs
+    included, sorted by (norm_sq, coords): the vectors of ``enumerate_gram``
+    and their negatives."""
+    bound = rat(bound)
+    if bound < 0:
+        raise DomainError("enumeration bound must be >= 0")
+    full = []
+    for coords, value in enumerate_gram(lat.gram, bound):
+        full += [(coords, value), (tuple(-c for c in coords), value)]
+    full.sort(key=lambda item: (item[1], item[0]))
+    return full
+
+
 # Reference LLL: every size-reduction step and every swap is an elementary
 # Fraction matrix E applied as g -> E^T g E and U -> U E, with the
 # Gram-Schmidt data recomputed after each step.
@@ -328,6 +346,17 @@ def ref_lll_gram(g, delta: Fraction = DELTA):
             g, u = _apply(g, u, _col_swap(m, k - 1, k))
             k = max(k - 1, 1)
     return g, u
+
+
+def reduce_with_transform(lat: Lattice):
+    """Reduced lattice plus the unimodular transform U (new = old * U): the
+    library's LLL and, for dim <= 4, its shortest generating set."""
+    g, u = lll_gram(lat.gram)
+    if lat.dim <= 4:
+        g, v = _minima_transform(g)
+        u = linalg.matmul(u, v)
+    basis = linalg.matmul(lat.basis, u) if lat.basis is not None else None
+    return Lattice(dim=lat.dim, gram=g, basis=basis), u
 
 
 # Reference root data: positive roots by root strings, the hand-typed -w0

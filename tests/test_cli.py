@@ -220,8 +220,10 @@ def test_certification_survives_optimize():
 
 # Runs under python -O, with the square completion that the kernel
 # _norm_counts reads giving a common multiple L off by one, so its leaf
-# totals stop being multiples of it; prints what enumerate_gram raised and
-# what cli.main returned.
+# totals stop being multiples of it.  enumerate_gram completes its own
+# form and torus-spectrum reads the lattice's cached one; both make the
+# completion with enumeration._squares.  Prints what enumerate_gram raised,
+# what cli.main returned and how often each path made a broken completion.
 _KERNEL_FAULT_SCRIPT = """
 import contextlib, io, json
 from fractions import Fraction
@@ -229,33 +231,86 @@ import liespec.lattices.enumeration as enumeration
 from liespec.cli import main
 from liespec.errors import CertificationError
 
-real = enumeration._completed_squares
+real = enumeration._squares
+calls = []
 
-def broken(a):
-    pivots, rows, weights, total = real(a)
+def broken(pivots, rows):
+    calls.append(len(pivots))
+    pivots, rows, weights, total = real(pivots, rows)
     return pivots, rows, weights, total + 1
 
-enumeration._completed_squares = broken
+enumeration._squares = broken
 one, zero = Fraction(1), Fraction(0)
 try:
     enumeration.enumerate_gram(((one, zero), (zero, one)), Fraction(4))
     raised = None
 except CertificationError as exc:
     raised = type(exc).__name__
+direct = len(calls)
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = main(["torus-spectrum", "--gram", "identity2", "--cutoff", "4"])
 print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
-                  "out": buf.getvalue()}))
+                  "out": buf.getvalue(), "direct": direct,
+                  "cli": len(calls) - direct}))
 """
 
 
 def test_kernel_certification_survives_optimize():
     result = _run_optimized(_KERNEL_FAULT_SCRIPT)
     assert result["debug"] is False
+    assert result["direct"] == 1 and result["cli"] == 1
     assert result["raised"] == "CertificationError"
     assert result["code"] == 2
     assert json.loads(result["out"])["error"]["type"] == "CertificationError"
+
+
+# Runs under python -O, with every elimination that has no augmented block
+# (LLL's starting table among them) returning its first off-diagonal pivot
+# entry off by one.  The dual of the form [[1, 5], [5, 26]] is [[26, -5],
+# [-5, 1]], which LLL must swap; with the corrupted table the swap update
+# (1 * 1 + 4^2) / 26 is no longer exact.  Prints what _lll_int raised on
+# that dual and what cli.main returned for the lattice.
+_SWAP_FAULT_SCRIPT = """
+import contextlib, io, json
+from liespec import linalg
+from liespec.cli import main
+from liespec.errors import CertificationError
+from liespec.lattices.reduction import _lll_int
+
+real = linalg.eliminate
+
+def broken(a, aug=None):
+    pivots, rows, swaps, right = real(a, aug)
+    if aug is None and len(rows) > 1:
+        rows[0][1] += 1
+    return pivots, rows, swaps, right
+
+linalg.eliminate = broken
+try:
+    _lll_int([[26, -5], [-5, 1]])
+    raised = None
+except CertificationError as exc:
+    raised = type(exc).__name__
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    gram = '{"gram": [["1", "5"], ["5", "26"]]}'
+    code = main(["torus-spectrum", "--gram", gram, "--cutoff", "4"])
+print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
+                  "out": buf.getvalue()}))
+"""
+
+
+def test_lll_swap_certification_survives_optimize():
+    result = _run_optimized(_SWAP_FAULT_SCRIPT)
+    assert result["debug"] is False
+    assert result["raised"] == "CertificationError"
+    assert result["code"] == 2
+    error = json.loads(result["out"])["error"]
+    assert error == {
+        "type": "CertificationError",
+        "message": "inexact division in the LLL swap update",
+    }
 
 
 def test_csv_format(capsys):

@@ -13,7 +13,9 @@ from helpers import (
     random_rational_basis,
     ref_det,
     ref_inverse,
+    reduce_with_transform,
     ref_lll_gram,
+    short_vectors,
     short_vectors_int,
 )
 from liespec import build
@@ -27,14 +29,17 @@ from liespec.lattices import (
     dual,
     enumerate_gram,
     hermite_bound_ok,
-    reduce_with_transform,
-    short_vectors,
     systole,
     torus_lambda1,
     torus_spectrum,
 )
-from liespec.lattices.enumeration import _integer_problem, _norm_counts
-from liespec.lattices.reduction import lll_gram
+from liespec import linalg
+from liespec.lattices.enumeration import (
+    _completed_squares,
+    _integer_problem,
+    _norm_counts,
+)
+from liespec.lattices.reduction import _lll_int, lll_gram
 from liespec.linalg import form_value, matmul, transpose
 
 Z2 = Lattice.from_basis(((F(1), F(0)), (F(0), F(1))))
@@ -188,7 +193,8 @@ def test_norm_counts_match_reference():
     for gram, bound in _kernel_problems():
         a, b_int, scale = _integer_problem(gram, bound)
         reference = short_vectors_int(a, b_int)
-        assert _norm_counts(a, b_int) == Counter(v for _, v in reference)
+        counts = _norm_counts(_completed_squares(a), b_int)
+        assert counts == Counter(v for _, v in reference)
         assert enumerate_gram(gram, bound) == [
             (c, F(v, scale)) for c, v in reference
         ]
@@ -208,10 +214,12 @@ def test_dual_form_is_cached_and_exact():
     for lat in lats:
         before = (repr(lat), hash(lat), lat.to_json_dict())
         fresh = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
-        a, scale = lat._dual_form
+        a, scale, squares = lat._dual_form
         assert lat._dual_form is lat._dual_form  # made once
         # the least integer form of a Gram matrix of the dual lattice
         assert all(type(x) is int for row in a for x in row)
+        # the kernel's completion is that of one elimination of the form
+        assert squares == _completed_squares([list(row) for row in a])
         inverse = ref_inverse(lat.gram)
         assert scale == lcm(*(x.denominator for row in inverse for x in row))
         reduced = [[F(x, scale) for x in row] for row in a]
@@ -283,6 +291,84 @@ def test_lll_matches_elementary_matrix_reference():
         g, u = lll_gram(gram)
         g_ref, u_ref = ref_lll_gram(gram)
         assert _exactly_equal(g, g_ref) and _exactly_equal(u, u_ref)
+
+
+def _sheared(rng, gram, size):
+    """S^T gram S for a unimodular S made of shears with multipliers up to
+    ``size``, which LLL takes many swaps to undo."""
+    m = len(gram)
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-size, size)
+            for row in s:
+                row[j] += c * row[i]
+    return [list(row) for row in matmul(transpose(s), matmul(gram, s))]
+
+
+def _lll_table_problems():
+    # random positive-definite integer Gram matrices A^T A + I of dimension
+    # 1-8, the E8 Cartan matrix, and sheared forms of both
+    rng = random.Random(314)
+    grams = []
+    for i in range(96):
+        m = 1 + i % 8
+        a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        grams.append([
+            [sum(r[i] * r[j] for r in a) + (i == j) for j in range(m)]
+            for i in range(m)
+        ])
+    e8 = [[int(x) for x in row] for row in build("E8").cartan]
+    grams.append(e8)
+    for size in (5, 40, 1000):
+        grams.append(_sheared(rng, e8, size))
+        grams += [_sheared(rng, g, size) for g in grams[8:24]]
+    return grams
+
+
+def test_lll_table_is_the_elimination_of_its_result():
+    # the (d, lam) that LLL updates at each swap and returns is the Bareiss
+    # table of the reduced form, entry for entry
+    swapped = 0
+    for gram in _lll_table_problems():
+        a, u, d, lam = _lll_int([list(row) for row in gram])
+        pivots, rows, swaps, _ = linalg.eliminate(a)
+        assert swaps == 0 and (d, lam) == (pivots, rows)
+        assert matmul(transpose(u), matmul(gram, u)) == tuple(map(tuple, a))
+        swapped += a != gram
+    assert swapped > 50
+
+
+def test_lll_eliminates_once(monkeypatch):
+    # one elimination per LLL call, however many swaps, and at most two per
+    # lattice (the adjugate and LLL's table) for its spectrum and lambda1
+    calls = []
+    real = linalg.eliminate
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    for gram in _lll_table_problems():
+        calls.clear()
+        _lll_int([list(row) for row in gram])
+        assert len(calls) == 1
+    # the torus-batch benchmark set: the 200 criterion-01 lattices at
+    # cutoff 12 with their lambda1, and E8 at cutoff 6
+    rng = random.Random(20260816)
+    lats = [
+        Lattice.from_basis(random_rational_basis(rng, rng.randint(1, 4)))
+        for _ in range(200)
+    ]
+    e8 = Lattice.from_gram(build("E8").cartan)
+    calls.clear()
+    for lat in lats:
+        torus_spectrum(lat, 12)
+        torus_lambda1(lat)
+    torus_spectrum(e8, 6)
+    assert len(calls) == 2 * 201
 
 
 def test_reduce_with_transform_reaches_systole():

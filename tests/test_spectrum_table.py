@@ -58,6 +58,26 @@ def test_validation():
         SpectrumTable("raw", F(1), 1, (F(1, 2),), (1,), True)
 
 
+def test_multiplicity_check_matches_per_item_rule():
+    # the set-of-types and min check rejects exactly the tables that a
+    # per-item "type(m) is int and m >= 1" rejects, with a DomainError
+    cases = [
+        (), (1,), (0,), (-1,), (True,), (1, True), (1.0,), (F(1),),
+        (2, "3"), (1, 0, 5), (None,), (3, 2**70), (2**70, -(2**70)),
+        (1, 1, 1), (False, 2),
+    ]
+    for mults in cases:
+        expected = all(type(m) is int and m >= 1 for m in mults)
+        values = tuple(range(len(mults)))
+        try:
+            SpectrumTable("raw", F(100), 1, values, mults, True)
+            accepted = True
+        except DomainError as exc:
+            assert str(exc) == "multiplicities must be positive integers"
+            accepted = False
+        assert accepted == expected, mults
+
+
 def test_lookup_and_restrict():
     t = _table(((F(0), 1), (F(3, 8), 4), (F(1), 9)))
     assert t.multiplicity(F(3, 8)) == 4

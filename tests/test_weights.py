@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from liespec.errors import DomainError
 from liespec.rootdata import build, casimir, contragredient_weight
 from liespec.weights import (
+    _dominant_casimirs,
     dominant_character,
     dominant_weights_up_to,
     weight_diagram,
@@ -244,6 +245,21 @@ def test_dominant_weights_up_to_matches_a_brute_force_box():
         ]
         got = dominant_weights_up_to(rs, budget)
         assert got == sorted(box, key=lambda w: (sum(w), w)), rs.name
+
+
+def test_enumerated_casimirs_match_reference():
+    # the walk's running numerators are the Casimirs of the weights it
+    # yields, and dropping them gives dominant_weights_up_to
+    from helpers import ref_casimir
+
+    for name in ALL_TYPES:
+        rs = build(name)
+        budget = F(10) if name == "E8" else F(4)
+        pairs = _dominant_casimirs(rs, budget)
+        assert [w for w, _ in pairs] == dominant_weights_up_to(rs, budget)
+        for lam, num in pairs:
+            assert type(num) is int
+            assert F(num, rs.casimir_den) == ref_casimir(rs, lam), (name, lam)
 
 
 _WEYL_DIM_ERRORS_SCRIPT = """
