@@ -54,8 +54,6 @@ from .natred import (
     beta_factors,
     containment_check,
     f_map,
-    f_map_inverse,
-    natred_eigenvalue,
     natred_spectrum,
     natred_terms,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "dominant_weights_up_to",
     "embedding_index",
     "f_map",
-    "f_map_inverse",
     "factor_lambda1",
     "finiteness_window",
     "gamma_invariants",
@@ -102,7 +99,6 @@ __all__ = [
     "isolation_scan",
     "killing_dual_ip",
     "killing_ratio",
-    "natred_eigenvalue",
     "natred_spectrum",
     "natred_terms",
     "normal_quotient_spectrum",

@@ -36,7 +36,6 @@ Casimirs to ambient-Killing units.
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -46,6 +45,7 @@ from . import linalg
 from .errors import (
     CertificationError, DomainError, InputError, MalformedEmbeddingError
 )
+from .frozen import Frozen, Value
 from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
@@ -59,8 +59,7 @@ from .rootdata import (
 from .weights import dominant_character, weight_diagram, weyl_dim
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingSpec:
+class EmbeddingSpec(Frozen):
     """Restriction data for K_1 x ... x K_r inside a simple G.
 
     ``restriction`` has one row per concatenated K-weight coordinate and one
@@ -68,28 +67,27 @@ class EmbeddingSpec:
     each keeps its own branchings, by dominant weight, as they are made.
     """
 
-    ambient: RootSystemData
-    factors: tuple
-    restriction: tuple
-    name: str = None
-    # restriction = _int_rows / _den, split into one block per factor
-    _int_rows: tuple = field(init=False, repr=False)
-    _den: int = field(init=False, repr=False)
-    _branchings: dict = field(init=False, repr=False, default_factory=dict)
+    _fields = ("ambient", "factors", "restriction", "name")
 
-    def __post_init__(self):
-        rows = sum(f.rank for f in self.factors)
-        if len(self.restriction) != rows:
+    def __init__(self, ambient, factors, restriction, name=None):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "restriction", restriction)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_branchings", {})
+        rows = sum(f.rank for f in factors)
+        if len(restriction) != rows:
             raise DomainError("restriction row count != total factor rank")
-        if any(len(r) != self.ambient.rank for r in self.restriction):
+        if any(len(r) != ambient.rank for r in restriction):
             raise DomainError("restriction column count != ambient rank")
-        rows_q = [[Fraction(x) for x in row] for row in self.restriction]
+        rows_q = [[Fraction(x) for x in row] for row in restriction]
         den = lcm(*(x.denominator for row in rows_q for x in row))
         scaled = [tuple(int(x * den) for x in row) for row in rows_q]
         blocks = []
-        for f in self.factors:
+        for f in factors:
             blocks.append(tuple(scaled[: f.rank]))
             scaled = scaled[f.rank :]
+        # restriction = _int_rows / _den, split into one block per factor
         object.__setattr__(self, "_int_rows", tuple(blocks))
         object.__setattr__(self, "_den", den)
 
@@ -144,10 +142,13 @@ class EmbeddingSpec:
         )
 
 
-@dataclass(frozen=True)
-class BranchingResult:
-    source: tuple
-    terms: tuple  # ((tuple_of_factor_weights, multiplicity), ...)
+class BranchingResult(Value):
+    _fields = ("source", "terms")
+
+    def __init__(self, source, terms):
+        object.__setattr__(self, "source", source)
+        # ((tuple_of_factor_weights, multiplicity), ...)
+        object.__setattr__(self, "terms", terms)
 
     def as_dict(self) -> dict:
         return dict(self.terms)

@@ -2,79 +2,73 @@
 
 Small library of standard examples addressable by name from the command
 line and from metric JSON: identity lattices, the hexagonal lattice, rank-1
-and rank-2 group specs, and the stock embeddings.  The resolver accepts a
-builtin name, an inline JSON object string, or a file path, in that order.
+and rank-2 group specs, and the stock embeddings.  Each builtin is written
+as the JSON object its kind reads, and made from it on the first lookup of
+its name; every later lookup returns that same object (so an embedding
+keeps its memoized branchings).  The resolver accepts a builtin name, an
+inline JSON object string, or a file path, in that order.
 """
 
 import json
-from fractions import Fraction
+from collections.abc import Mapping
 
 from .branching import EmbeddingSpec
 from .errors import InputError
 from .groups import GroupSpec
 from .lattices import Lattice
-from .rootdata import build
 
 
-def _identity_lattice(m: int) -> Lattice:
-    basis = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(m))
-        for i in range(m)
-    )
-    return Lattice.from_basis(basis)
+class _Builtins(Mapping):
+    """Builtin name -> ``kind.from_json_dict`` of its JSON, made once."""
+
+    def __init__(self, kind, objects: dict):
+        self._kind, self._objects, self._made = kind, objects, {}
+
+    def __getitem__(self, name):
+        try:
+            return self._made[name]
+        except KeyError:
+            obj = self._kind.from_json_dict(self._objects[name])
+            # should two threads race, both get the first object stored
+            return self._made.setdefault(name, obj)
+
+    def __contains__(self, name):
+        return name in self._objects
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    def __len__(self):
+        return len(self._objects)
 
 
-def _builtin_lattices() -> dict:
-    out = {f"identity{m}": _identity_lattice(m) for m in (2, 3, 4)}
-    out["hexagonal"] = Lattice.from_gram(
-        ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
-    )
-    return out
-
-
-def _builtin_groups() -> dict:
-    a1, a2 = build("A1"), build("A2")
-    return {
-        "su2": GroupSpec(factors=(a1,)),
-        "su3": GroupSpec(factors=(a2,)),
-        "so3": GroupSpec(factors=(a1,), gamma=(((Fraction(1, 2),),),)),
+BUILTIN_LATTICES = _Builtins(Lattice, {
+    "identity2": {"basis": [[1, 0], [0, 1]]},
+    "identity3": {"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "identity4": {
+        "basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    },
+    "hexagonal": {"gram": [[2, 1], [1, 2]]},
+})
+BUILTIN_GROUPS = _Builtins(GroupSpec, {
+    "su2": {"factors": ["A1"]},
+    "su3": {"factors": ["A2"]},
+    "so3": {"factors": ["A1"], "gamma": [[["1/2"]]]},
+})
+BUILTIN_EMBEDDINGS = _Builtins(EmbeddingSpec, {
+    name: {
+        "ambient": ambient,
+        "factors": factors,
+        "restriction": restriction,
+        "name": name,
     }
-
-
-def _builtin_embeddings() -> dict:
-    a1, a2, b2 = build("A1"), build("A2"), build("B2")
-    one, zero, two = Fraction(1), Fraction(0), Fraction(2)
-    return {
-        "a1-in-a2-standard": EmbeddingSpec(
-            ambient=a2,
-            factors=(a1,),
-            restriction=((one, one),),
-            name="a1-in-a2-standard",
-        ),
-        "a1-in-a2-principal": EmbeddingSpec(
-            ambient=a2,
-            factors=(a1,),
-            restriction=((two, two),),
-            name="a1-in-a2-principal",
-        ),
-        "a1xa1-in-b2": EmbeddingSpec(
-            ambient=b2,
-            factors=(a1, a1),
-            restriction=((one, zero), (one, one)),
-            name="a1xa1-in-b2",
-        ),
-        "identity-a2": EmbeddingSpec(
-            ambient=a2,
-            factors=(a2,),
-            restriction=((one, zero), (zero, one)),
-            name="identity-a2",
-        ),
-    }
-
-
-BUILTIN_LATTICES = _builtin_lattices()
-BUILTIN_GROUPS = _builtin_groups()
-BUILTIN_EMBEDDINGS = _builtin_embeddings()
+    for name, ambient, factors, restriction in (
+        ("a1-in-a2-standard", "A2", ["A1"], [[1, 1]]),
+        ("a1-in-a2-principal", "A2", ["A1"], [[2, 2]]),
+        ("a1xa1-in-b2", "B2", ["A1", "A1"], [[1, 0], [1, 1]]),
+        ("identity-a2", "A2", ["A2"], [[1, 0], [0, 1]]),
+    )
+})
 _BUILTINS = {
     Lattice: BUILTIN_LATTICES,
     GroupSpec: BUILTIN_GROUPS,

@@ -14,39 +14,37 @@ budget makes every truncated table complete.  ``spectrum.linear_table``
 counts both spectra here on integer rows of Casimirs over one denominator.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 
 from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
+from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import RootSystemData, build, casimir, check_weight
 from .spectrum import SpectrumTable, linear_table
 from .weights import _dominant_casimirs, weyl_dim
 
 
-@dataclass(frozen=True, eq=False)
-class GroupSpec:
+class GroupSpec(Frozen):
     """Compact group K-tilde/Gamma with a bi-invariant metric.
 
     gamma holds central elements, one rational coweight vector per factor;
     scales holds the per-factor Killing multiples t_i > 0.
     """
 
-    factors: tuple
-    gamma: tuple = ()
-    scales: tuple = None
+    _fields = ("factors", "gamma", "scales")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors, gamma=(), scales=None):
+        object.__setattr__(self, "factors", factors)
+        if not factors:
             raise DomainError("GroupSpec needs at least one simple factor")
-        if self.scales is None:
-            object.__setattr__(self, "scales", (1,) * len(self.factors))
-        object.__setattr__(self, "scales", tuple(map(rat, self.scales)))
+        if scales is None:
+            scales = (1,) * len(factors)
+        object.__setattr__(self, "scales", tuple(map(rat, scales)))
         object.__setattr__(self, "gamma", tuple(
-            tuple(tuple(map(rat, part)) for part in z) for z in self.gamma
+            tuple(tuple(map(rat, part)) for part in z) for z in gamma
         ))
         if len(self.scales) != len(self.factors):
             raise DomainError("one scale per factor required")

@@ -15,11 +15,11 @@ metric-independent term catalogue, at a Casimir budget that covers every
 grid point, and evaluates each point's table from it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import DomainError, UnsupportedDimensionError
+from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .linalg import inverse
@@ -28,8 +28,7 @@ from .rational import exact_int, fmt, rat
 from .spectrum import SpectrumTable, table_distance
 
 
-@dataclass(frozen=True)
-class GammaVector:
+class GammaVector(Value):
     """Low-eigenvalue invariants with the identification marking fixed.
 
     kind "group": one first-eigenvalue per simple factor (dim = r).
@@ -37,21 +36,18 @@ class GammaVector:
     (dim = m, entries length m + C(m,2)), in four-pi-squared units.
     """
 
-    kind: str
-    dim: int
-    entries: tuple
+    _fields = ("kind", "dim", "entries")
 
-    def __post_init__(self):
-        if self.kind not in ("group", "torus"):
+    def __init__(self, kind, dim, entries):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", entries)
+        if kind not in ("group", "torus"):
             raise DomainError("kind must be 'group' or 'torus'")
-        expect = (
-            self.dim
-            if self.kind == "group"
-            else self.dim + self.dim * (self.dim - 1) // 2
-        )
-        if len(self.entries) != expect:
+        expect = dim if kind == "group" else dim + dim * (dim - 1) // 2
+        if len(entries) != expect:
             raise DomainError("invariant vector has wrong length")
-        if any(x <= 0 for x in self.entries):
+        if any(x <= 0 for x in entries):
             raise DomainError("invariants must be positive")
 
     def value_set(self) -> tuple:

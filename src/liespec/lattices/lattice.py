@@ -19,13 +19,13 @@ Exact invariants:
   lattice and its dual multiply to 1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from .. import linalg
 from ..errors import DomainError, InputError
+from ..frozen import Value
 from ..rational import exact_int, fmt_matrix, rat_matrix
 
 # m-th powers of the Hermite constants gamma_m for m <= 8, which are the
@@ -43,28 +43,31 @@ HERMITE_POWER = {
 }
 
 
-@dataclass(frozen=True)
-class Lattice:
-    dim: int
-    gram: tuple        # m x m symmetric positive-definite, exact rationals
-    basis: tuple = None  # optional m x m, columns are generators
+class Lattice(Value):
+    """``gram`` is m x m, symmetric positive-definite, in exact rationals;
+    ``basis``, if given, is m x m with the generators as columns."""
 
-    def __post_init__(self):
-        if self.dim < 1:
+    _fields = ("dim", "gram", "basis")
+
+    def __init__(self, dim, gram, basis=None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "basis", basis)
+        if dim < 1:
             raise DomainError("lattice dimension must be >= 1")
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
+        if len(gram) != dim or any(len(r) != dim for r in gram):
             raise DomainError("gram matrix shape mismatch")
-        if not linalg.is_symmetric(self.gram):
+        if not linalg.is_symmetric(gram):
             raise DomainError("gram matrix must be symmetric")
         pivots, _, swaps, _ = linalg.eliminate(
-            linalg.clear_denominators(self.gram)[0]
+            linalg.clear_denominators(gram)[0]
         )
         if swaps or min(pivots) <= 0:
             raise DomainError("gram matrix must be positive definite")
         # a square B with B^T B positive definite is nonsingular
-        if self.basis is not None and (
-            len(self.basis) != self.dim
-            or linalg.matmul(linalg.transpose(self.basis), self.basis) != self.gram
+        if basis is not None and (
+            len(basis) != dim
+            or linalg.matmul(linalg.transpose(basis), basis) != gram
         ):
             raise DomainError("basis must be square with basis^T basis = gram")
 

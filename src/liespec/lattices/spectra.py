@@ -7,13 +7,13 @@ cutoff argument is expressed in the same unit.  Both functions read the
 lattice's one cached integer dual form, LLL-reduced (a unimodular change
 of basis, so the norms are those of the dual), with the kernel's square
 completion from LLL's final Bareiss table, and no dual basis is built.
-The table is made from the kernel's counts of integer norms.
+The table is made from the kernel's counts of integer norms, sorted once.
 """
 
 from fractions import Fraction
 
 from ..rational import rat_cutoff
-from ..spectrum import SpectrumTable, table_from_counts
+from ..spectrum import SpectrumTable, _reduced
 from .enumeration import _minimum, _norm_counts
 from .lattice import Lattice
 
@@ -24,9 +24,16 @@ def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
     _, scale, squares = lat._dual_form
     bound = cutoff.numerator * scale // cutoff.denominator
     found = _norm_counts(squares, bound)
-    counts = {v: 2 * n for v, n in found.items()}  # a canonical v and -v
-    counts[0] = 1
-    return table_from_counts(counts, scale, "four-pi-squared", cutoff)
+    values = sorted(found)  # all positive: 0 is the zero vector's alone
+    return _reduced(
+        "four-pi-squared",
+        cutoff,
+        scale,
+        [0, *values],
+        # a canonical x stands for x and -x
+        [1, *map((2).__mul__, map(found.__getitem__, values))],
+        True,
+    )
 
 
 def torus_lambda1(lat: Lattice) -> Fraction:

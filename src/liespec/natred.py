@@ -39,7 +39,6 @@ modes.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -51,28 +50,27 @@ from .branching import (
     killing_ratio,
 )
 from .errors import CertificationError, DomainError, InadmissibleMetricError
+from .frozen import Frozen, Value
 from .groups import factor_lambda1
 from .rational import array, fmt, rat, rat_cutoff, required
-from .rootdata import RootSystemData, build, casimir, casimir_num, check_weight
+from .rootdata import build, casimir_num
 from .spectrum import SpectrumTable, linear_table
 from .weights import dominant_weights_up_to, weyl_dim
 
 
-@dataclass(frozen=True, eq=False)
-class NatRedMetric:
+class NatRedMetric(Frozen):
     """Naturally reductive metric data (G simply connected, K semisimple)."""
 
-    group: RootSystemData
-    emb: EmbeddingSpec
-    base_scale: Fraction
-    fiber_scales: tuple
+    _fields = ("group", "emb", "base_scale", "fiber_scales")
 
-    def __post_init__(self):
-        if self.emb.ambient is not self.group:
+    def __init__(self, group, emb, base_scale, fiber_scales):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "emb", emb)
+        if emb.ambient is not group:
             raise DomainError("embedding ambient type != metric group type")
-        object.__setattr__(self, "base_scale", rat(self.base_scale))
+        object.__setattr__(self, "base_scale", rat(base_scale))
         object.__setattr__(
-            self, "fiber_scales", tuple(rat(x) for x in self.fiber_scales)
+            self, "fiber_scales", tuple(rat(x) for x in fiber_scales)
         )
         if len(self.fiber_scales) != self.emb.num_factors:
             raise DomainError("one fiber scale per subgroup factor required")
@@ -116,16 +114,13 @@ class NatRedMetric:
         )
 
 
-@dataclass(frozen=True)
-class BiInvariantOperator:
+class BiInvariantOperator(Value):
     """Positive scalars a_i: the operator acting as a_i on fiber factor i."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(rat(x) for x in self.coeffs)
-        )
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", tuple(rat(x) for x in coeffs))
         if any(x <= 0 for x in self.coeffs):
             raise DomainError("fiber operator coefficients must be positive")
 
@@ -152,28 +147,6 @@ def f_map(op: BiInvariantOperator, shift) -> BiInvariantOperator:
     )
 
 
-def f_map_inverse(op: BiInvariantOperator, shift) -> BiInvariantOperator:
-    """Exact inverse of f_map at the same shift: a_i = v_i*b/(b + v_i)."""
-    b = rat(shift)
-    if b <= 0:
-        raise InadmissibleMetricError("shift must be positive")
-    return BiInvariantOperator(
-        coeffs=tuple(v * b / (b + v) for v in op.coeffs)
-    )
-
-
-def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:
-    """Closed-form eigenvalue for one (sigma, tau) pair, evaluated directly."""
-    lam = check_weight(m.group, sigma)
-    ratios = killing_ratio(m.emb)
-    total = casimir(m.group, lam)
-    for f, tau, t_i, j in zip(
-        m.emb.factors, tau_tuple, m.fiber_scales, ratios
-    ):
-        total += (m.base_scale / t_i - 1) * casimir(f, tau) / j
-    return total / m.base_scale
-
-
 def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
     """Casimir budget of the metric's table at ``cutoff``.
 
@@ -183,8 +156,7 @@ def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
     return cutoff * max((m.base_scale,) + m.fiber_scales)
 
 
-@dataclass(frozen=True, eq=False)
-class TermCatalogue:
+class TermCatalogue(Frozen):
     """Every (sigma, tau) term of one embedding with c(sigma) <= budget.
 
     Nothing here depends on a metric.  ``terms`` lists (sigma, tau, mult,
@@ -193,11 +165,14 @@ class TermCatalogue:
     with its summed multiplicity.  Build it with ``term_catalogue``.
     """
 
-    emb: EmbeddingSpec
-    budget: Fraction
-    den: int
-    terms: tuple
-    rows: tuple
+    _fields = ("emb", "budget", "den", "terms", "rows")
+
+    def __init__(self, emb, budget, den, terms, rows):
+        object.__setattr__(self, "emb", emb)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "rows", rows)
 
     def _coeffs(self, m: NatRedMetric, cutoff: Fraction) -> tuple:
         """Coefficients (1/t, 1/t_i - 1/t) of m: a row r has eigenvalue

@@ -35,13 +35,13 @@ transposed Cartan matrix, and -w0 sends omega_k to the dominant weight in
 the orbit of -omega_k.  The dual Coxeter number is 1 + <rho, theta>.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 
 from . import linalg
 from .errors import DomainError, InputError
+from .frozen import Frozen
 from .rational import exact_int
 
 _RANK_RANGE = {
@@ -178,32 +178,28 @@ def _coroot_ladder(coroots):
         yield step
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystemData:
+class RootSystemData(Frozen):
     """Immutable root-system tables for one simple type.
 
     Instances are cached singletons per (family, rank); identity equality
     is intentional.
     """
 
-    family: str
-    rank: int
-    cartan: tuple
-    pos_roots_fund: tuple
-    pos_roots_rootc: tuple
-    highest_root: tuple
-    rho: tuple
-    coroots: tuple
-    coroot_ladder: tuple
-    weyl_den: int
-    form: tuple
-    form_den: int
-    casimir_den: int
-    cartan_adj: tuple
-    cartan_det: int
-    dual_coxeter: int
-    dim_g: int
-    minus_w0: tuple
+    _fields = (
+        "family", "rank", "cartan", "pos_roots_fund", "pos_roots_rootc",
+        "highest_root", "rho", "coroots", "coroot_ladder", "weyl_den",
+        "form", "form_den", "casimir_den", "cartan_adj", "cartan_det",
+        "dual_coxeter", "dim_g", "minus_w0",
+    )
+
+    def __init__(
+        self, family, rank, cartan, pos_roots_fund, pos_roots_rootc,
+        highest_root, rho, coroots, coroot_ladder, weyl_den, form, form_den,
+        casimir_den, cartan_adj, cartan_det, dual_coxeter, dim_g, minus_w0,
+    ):
+        fields = locals()
+        for name in self._fields:
+            object.__setattr__(self, name, fields[name])
 
     @property
     def name(self) -> str:

@@ -24,12 +24,10 @@ numerators over one common scale.  The Lie spectra are linear in the
 reciprocal metric scales, and ``linear_table`` evaluates them all.
 """
 
-import csv
 import io
 import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -37,43 +35,44 @@ from math import gcd, lcm
 from operator import lt, mul
 
 from .errors import DomainError, InputError
+from .frozen import Value
 from .rational import array, fmt, rat, required
 
 UNITS = ("raw", "four-pi-squared")
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    unit: str
-    cutoff: Fraction
-    scale: int  # eigenvalue i is values[i] / scale
-    values: tuple  # strictly increasing integer numerators
-    mults: tuple  # positive integer multiplicities
-    complete: bool
+class SpectrumTable(Value):
+    """Eigenvalue i is values[i] / scale, with multiplicity mults[i]: the
+    values strictly increasing integers, the mults positive integers."""
 
-    def __post_init__(self):
-        if self.unit not in UNITS:
-            raise DomainError(f"unknown unit {self.unit!r}")
-        if self.cutoff < 0:
+    _fields = ("unit", "cutoff", "scale", "values", "mults", "complete")
+
+    def __init__(self, unit, cutoff, scale, values, mults, complete):
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "complete", complete)
+        if unit not in UNITS:
+            raise DomainError(f"unknown unit {unit!r}")
+        if cutoff < 0:
             raise DomainError("cutoff must be nonnegative")
-        scale, values = self.scale, self.values
         try:
             reduced = gcd(scale, *values) == 1
         except TypeError:
             raise DomainError("scale and values must be integers") from None
         if scale < 1 or not reduced:
             raise DomainError("values must be reduced over a positive scale")
-        if len(self.mults) != len(values):
+        if len(mults) != len(values):
             raise DomainError("one multiplicity per eigenvalue")
         if values:
             if values[0] < 0:
                 raise DomainError("negative eigenvalue in spectrum table")
-            cutoff = self.cutoff
             if values[-1] * cutoff.denominator > cutoff.numerator * scale:
                 raise DomainError("entry above cutoff")
             if not all(map(lt, values, islice(values, 1, None))):
                 raise DomainError("entries must be strictly increasing")
-        mults = self.mults
         if mults and not (set(map(type, mults)) <= {int} and min(mults) >= 1):
             raise DomainError("multiplicities must be positive integers")
 
@@ -142,6 +141,8 @@ class SpectrumTable:
         return canonical_json(self.to_json_dict())
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["eigenvalue", "multiplicity"])

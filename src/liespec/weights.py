@@ -20,11 +20,11 @@ All three run on the integer tables of ``rootdata``:
   2 sum_k F_jk to C and row j of the symmetric F to F . lam.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor
 
 from .errors import DomainError
+from .frozen import Value
 from .linalg import dot, form_value, matvec
 from .rational import rat
 from .rootdata import (
@@ -120,13 +120,16 @@ def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
     return tuple(sorted(mults.items()))
 
 
-@dataclass(frozen=True)
-class WeightDiagram:
+class WeightDiagram(Value):
     """Full character of one irreducible: weight -> multiplicity."""
 
-    highest: tuple
-    mults: tuple  # ((weight, mult), ...) over every weight, sorted
-    dim: int
+    _fields = ("highest", "mults", "dim")
+
+    def __init__(self, highest, mults, dim):
+        object.__setattr__(self, "highest", highest)
+        # ((weight, mult), ...) over every weight, sorted
+        object.__setattr__(self, "mults", mults)
+        object.__setattr__(self, "dim", dim)
 
     def as_dict(self) -> dict:
         return dict(self.mults)

@@ -41,6 +41,7 @@ from liespec.branching import (
 from liespec.errors import (
     CertificationError,
     DomainError,
+    InadmissibleMetricError,
     LiespecError,
     MalformedEmbeddingError,
 )
@@ -48,7 +49,7 @@ from liespec.groups import GroupSpec, center_admissible
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice, enumerate_gram, lll_gram
 from liespec.lattices.reduction import _minima_transform
-from liespec.natred import NatRedMetric
+from liespec.natred import BiInvariantOperator, NatRedMetric
 from liespec.rational import fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
 from liespec.spectrum import SpectrumTable
@@ -711,7 +712,8 @@ def _product_dim(emb: EmbeddingSpec, tup) -> int:
     return out
 
 
-# Reference terms: every (sigma, tau) rebuilt in Fractions for each metric.
+# Reference terms: every (sigma, tau) rebuilt in Fractions for each metric,
+# the closed-form eigenvalue of one pair, and the inverse of f_map.
 
 
 def ref_natred_terms(m: NatRedMetric, cutoff):
@@ -750,6 +752,28 @@ def ref_natred_terms(m: NatRedMetric, cutoff):
                 continue
             out.append((lam, tau, dim_lam * mult * dim_tau, eig))
     return out
+
+
+def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:
+    """Closed-form eigenvalue for one (sigma, tau) pair, evaluated directly."""
+    lam = check_weight(m.group, sigma)
+    ratios = killing_ratio(m.emb)
+    total = casimir(m.group, lam)
+    for f, tau, t_i, j in zip(
+        m.emb.factors, tau_tuple, m.fiber_scales, ratios
+    ):
+        total += (m.base_scale / t_i - 1) * casimir(f, tau) / j
+    return total / m.base_scale
+
+
+def f_map_inverse(op: BiInvariantOperator, shift) -> BiInvariantOperator:
+    """Exact inverse of ``f_map`` at the same shift: a_i = v_i*b/(b + v_i)."""
+    b = rat(shift)
+    if b <= 0:
+        raise InadmissibleMetricError("shift must be positive")
+    return BiInvariantOperator(
+        coeffs=tuple(v * b / (b + v) for v in op.coeffs)
+    )
 
 
 def ref_natred_spectrum(m: NatRedMetric, cutoff):

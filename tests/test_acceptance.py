@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import box_oracle_spectrum, random_rational_basis
+from helpers import box_oracle_spectrum, f_map_inverse, random_rational_basis
 from liespec.branching import branch, embedding_index
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
@@ -38,7 +38,6 @@ from liespec.natred import (
     NatRedMetric,
     containment_check,
     f_map,
-    f_map_inverse,
     natred_spectrum,
 )
 from liespec.rootdata import build

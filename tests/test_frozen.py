@@ -1,0 +1,256 @@
+"""The immutable record classes and a cold import.
+
+Every public class is an immutable record: assigning or deleting an
+attribute raises AttributeError, the constructor takes exactly its
+fields, value classes compare and hash by their fields and identity
+classes by identity, and ``repr`` is pinned byte for byte.  A fresh
+interpreter checks that ``import liespec, liespec.cli`` loads neither
+``dataclasses``, ``inspect`` nor ``csv`` and builds no root system, and
+that resolving a builtin builds that builtin alone, once.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from liespec.branching import BranchingResult, EmbeddingSpec, branch
+from liespec.catalog import resolve
+from liespec.groups import GroupSpec
+from liespec.isolation import GammaVector, gamma_invariants
+from liespec.lattices import Lattice, torus_spectrum
+from liespec.natred import (
+    BiInvariantOperator,
+    NatRedMetric,
+    TermCatalogue,
+    term_catalogue,
+)
+from liespec.rootdata import RootSystemData, build
+from liespec.spectrum import SpectrumTable
+from liespec.weights import WeightDiagram, weight_diagram
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _std():
+    return resolve(EmbeddingSpec, "a1-in-a2-standard")
+
+
+_STD_REPR = (
+    "EmbeddingSpec(ambient=RootSystemData(A2), factors=(RootSystemData(A1),),"
+    " restriction=((Fraction(1, 1), Fraction(1, 1)),),"
+    " name='a1-in-a2-standard')"
+)
+
+# class, instance maker, constructor parameters in order, compares by value,
+# repr (or for TermCatalogue the sha256 of its repr)
+CASES = [
+    (
+        RootSystemData,
+        lambda: build("A2"),
+        (
+            "family", "rank", "cartan", "pos_roots_fund", "pos_roots_rootc",
+            "highest_root", "rho", "coroots", "coroot_ladder", "weyl_den",
+            "form", "form_den", "casimir_den", "cartan_adj", "cartan_det",
+            "dual_coxeter", "dim_g", "minus_w0",
+        ),
+        False,
+        "RootSystemData(A2)",
+    ),
+    (
+        WeightDiagram,
+        lambda: weight_diagram(build("A1"), (2,)),
+        ("highest", "mults", "dim"),
+        True,
+        "WeightDiagram(highest=(2,), mults=(((-2,), 1), ((0,), 1), ((2,), 1)),"
+        " dim=3)",
+    ),
+    (
+        EmbeddingSpec,
+        _std,
+        ("ambient", "factors", "restriction", "name"),
+        False,
+        _STD_REPR,
+    ),
+    (
+        BranchingResult,
+        lambda: branch(_std(), (1, 0)),
+        ("source", "terms"),
+        True,
+        "BranchingResult(source=(1, 0), terms=((((0,),), 1), (((1,),), 1)))",
+    ),
+    (
+        GroupSpec,
+        lambda: resolve(GroupSpec, "so3"),
+        ("factors", "gamma", "scales"),
+        False,
+        "GroupSpec(factors=(RootSystemData(A1),), gamma=(((Fraction(1, 2),),),),"
+        " scales=(Fraction(1, 1),))",
+    ),
+    (
+        SpectrumTable,
+        lambda: torus_spectrum(resolve(Lattice, "hexagonal"), 3),
+        ("unit", "cutoff", "scale", "values", "mults", "complete"),
+        True,
+        "SpectrumTable(unit='four-pi-squared', cutoff=Fraction(3, 1), scale=3,"
+        " values=(0, 2, 6, 8), mults=(1, 6, 6, 6), complete=True)",
+    ),
+    (
+        NatRedMetric,
+        lambda: NatRedMetric(build("A2"), _std(), 1, (F(1, 2),)),
+        ("group", "emb", "base_scale", "fiber_scales"),
+        False,
+        f"NatRedMetric(group=RootSystemData(A2), emb={_STD_REPR},"
+        " base_scale=Fraction(1, 1), fiber_scales=(Fraction(1, 2),))",
+    ),
+    (
+        BiInvariantOperator,
+        lambda: BiInvariantOperator((F(1, 2), 3)),
+        ("coeffs",),
+        True,
+        "BiInvariantOperator(coeffs=(Fraction(1, 2), Fraction(3, 1)))",
+    ),
+    (
+        TermCatalogue,
+        lambda: term_catalogue(_std(), 3),
+        ("emb", "budget", "den", "terms", "rows"),
+        False,
+        "e79c936298eaeb2148d346140f56f050bd8547f13f99077c32d16781c51fc32e",
+    ),
+    (
+        GammaVector,
+        lambda: gamma_invariants(resolve(GroupSpec, "su3")),
+        ("kind", "dim", "entries"),
+        True,
+        "GammaVector(kind='group', dim=1, entries=(Fraction(4, 9),))",
+    ),
+    (
+        Lattice,
+        lambda: resolve(Lattice, "hexagonal"),
+        ("dim", "gram", "basis"),
+        True,
+        "Lattice(dim=2, gram=((Fraction(2, 1), Fraction(1, 1)),"
+        " (Fraction(1, 1), Fraction(2, 1))), basis=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, make, params, by_value, pin", CASES, ids=[c[0].__name__ for c in CASES]
+)
+def test_record_class(cls, make, params, by_value, pin):
+    obj = make()
+    assert type(obj) is cls
+    for name in (*params, "other"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for name in params:
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+    values = [getattr(obj, name) for name in params]
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*values, bogus=None)
+    twin = cls(*values)
+    assert [getattr(twin, name) for name in params] == values
+    keyword = cls(**dict(zip(params, values)))
+    assert [getattr(keyword, name) for name in params] == values
+    if by_value:
+        assert twin == obj and hash(twin) == hash(obj)
+        assert obj.__eq__(object()) is NotImplemented and obj != object()
+        # a cached property (SpectrumTable.entries, Lattice._dual_form)
+        # writes past the frozen __setattr__ and is not a field
+        for attr in ("entries", "_dual_form"):
+            if hasattr(cls, attr):
+                getattr(obj, attr)
+                assert attr in vars(obj) and twin == obj
+    else:
+        assert twin != obj and obj == obj
+        assert hash(obj) == object.__hash__(obj)
+
+    text = repr(obj)
+    if cls is TermCatalogue:
+        text = hashlib.sha256(text.encode()).hexdigest()
+    assert text == pin
+
+
+def test_record_unequal_to_other_record_class():
+    lattice = resolve(Lattice, "hexagonal")
+    table = torus_spectrum(lattice, 3)
+    assert table.__eq__(lattice) is NotImplemented and table != lattice
+
+
+def _fresh(script: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cold_import_loads_no_dataclasses_and_builds_nothing():
+    out = _fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import liespec, liespec.cli\n"
+        "from liespec import rootdata\n"
+        "gained = set(sys.modules) - before\n"
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & gained),"
+        " rootdata._build.cache_info().currsize)\n"
+    )
+    assert out == "[] 0"
+
+
+def test_builtins_built_on_first_lookup_once():
+    out = _fresh(
+        "from liespec.branching import EmbeddingSpec\n"
+        "from liespec.catalog import BUILTIN_EMBEDDINGS, resolve\n"
+        "from liespec.rootdata import _build\n"
+        "made, init = [], EmbeddingSpec.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    made.append(kwargs['name'])\n"
+        "    init(self, *args, **kwargs)\n"
+        "EmbeddingSpec.__init__ = counting\n"
+        "name = 'a1xa1-in-b2'\n"
+        "emb = resolve(EmbeddingSpec, name)\n"
+        "same = emb is resolve(EmbeddingSpec, name) is BUILTIN_EMBEDDINGS[name]\n"
+        "listed = name in BUILTIN_EMBEDDINGS and len(list(BUILTIN_EMBEDDINGS))\n"
+        "print(made, _build.cache_info().currsize, same, listed)\n"
+    )
+    # A1 and B2 are built, and neither A2 nor any other embedding
+    assert out == "['a1xa1-in-b2'] 2 True 4"
+
+
+def test_builtin_first_lookups_from_threads_share_one_object():
+    out = _fresh(
+        "import sys, threading\n"
+        "from liespec import catalog\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "kinds = catalog._BUILTINS.values()\n"
+        "got, start = [], threading.Barrier(8)\n"
+        "def lookup():\n"
+        "    start.wait(30)\n"
+        "    got.append([b[name] for b in kinds for name in b])\n"
+        "threads = [threading.Thread(target=lookup) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "last = list(map(id, [b[name] for b in kinds for name in b]))\n"
+        "print(len(got), len(last),"
+        " all(list(map(id, objs)) == last for objs in got),"
+        " any(t.is_alive() for t in threads))\n"
+    )
+    # every thread got the objects that every later lookup returns
+    assert out == "8 11 True False"

@@ -18,15 +18,18 @@ from liespec.natred import (
     beta_factors,
     containment_check,
     f_map,
-    f_map_inverse,
-    natred_eigenvalue,
     natred_spectrum,
     natred_terms,
     term_catalogue,
 )
 from liespec.rootdata import build
 
-from helpers import ref_natred_spectrum, ref_natred_terms
+from helpers import (
+    f_map_inverse,
+    natred_eigenvalue,
+    ref_natred_spectrum,
+    ref_natred_terms,
+)
 
 A1 = build("A1")
 A2 = build("A2")
