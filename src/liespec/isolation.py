@@ -12,11 +12,16 @@ Everything compares exact rational tables; "isospectral at cutoff" means
 equality of truncated tables with zero tolerance; a table's integer form
 is canonical, so that is equality of integers.  The grid scan builds one
 metric-independent term catalogue, at a Casimir budget that covers every
-grid point, and evaluates each point's table from it.
+grid point, and evaluates the whole grid on integers over one common
+scale: rows that lie above the cutoff at the grid's floor are dropped once,
+and a point is a sum of per-axis integer products counted up to the
+cutoff, with no metric, Fraction or table made per point.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from operator import add, mul
 
 from .errors import DomainError, UnsupportedDimensionError
 from .frozen import Value
@@ -24,8 +29,8 @@ from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .linalg import inverse
 from .natred import NatRedMetric, term_catalogue
-from .rational import exact_int, fmt, rat
-from .spectrum import SpectrumTable, table_distance
+from .rational import exact_int, fmt, rat, rat_cutoff
+from .spectrum import SpectrumTable
 
 
 class GammaVector(Value):
@@ -104,6 +109,12 @@ def isolation_scan(
     the subgroup fills the group) are skipped and counted.  Remaining
     points are compared exactly; the report lists isospectral neighbors
     (expected none) and the minimum table distance seen.
+
+    No point builds a metric or a table.  One term catalogue covers the
+    grid, and over one common scale (see ``_reciprocal_rows``) each point
+    is its {numerator: multiplicity} counts up to the cutoff, summed from
+    integer products made once per axis and grid step: equal counts are
+    equal tables, and their summed |difference| is ``table_distance``.
     """
     radius = rat(radius)
     if not 0 <= radius < 1:
@@ -111,7 +122,7 @@ def isolation_scan(
     steps = exact_int(steps)
     if steps < 1:
         raise DomainError("steps must be at least 1")
-    cutoff = rat(cutoff)
+    cutoff = rat_cutoff(cutoff)
     mult = _grid_multipliers(radius, steps)
     center_scales = (m.base_scale,) + m.fiber_scales
     fiber_fills_group = (
@@ -122,15 +133,31 @@ def isolation_scan(
     catalogue = term_catalogue(
         m.emb, cutoff * (1 + radius) * max(center_scales)
     )
-    center_table = catalogue.spectrum(m, cutoff)
+    # per axis, the scale at each grid step and, last, the center's
+    axes = [tuple(u * s for u in mult) + (s,) for s in center_scales]
+    # every eigenvalue is an integer over q * den: q / s is an integer
+    # for every scale s of the grid
+    q = lcm(*(s.numerator for axis in axes for s in axis))
+    limit = cutoff.numerator * q * catalogue.den // cutoff.denominator
+    weights = [
+        [q // s.numerator * s.denominator for s in axis] for axis in axes
+    ]
+    columns, counts = _reciprocal_rows(
+        catalogue, list(map(min, weights)), limit
+    )
+    grid = [
+        [[g * w for g in column] for w in axis]
+        for column, axis in zip(columns, weights)
+    ]
+    center_table = _table([axis[-1] for axis in grid], counts, limit)
 
     neighbors = []
     skipped_inadmissible = []
     skipped_equivalent = 0
     compared = 0
     min_distance = None
-    for combo in product(mult, repeat=len(center_scales)):
-        scales = tuple(u * s for u, s in zip(combo, center_scales))
+    for combo in product(range(len(mult)), repeat=len(center_scales)):
+        scales = tuple(axis[i] for axis, i in zip(axes, combo))
         if scales == center_scales:
             continue
         base, fibers = scales[0], scales[1:]
@@ -142,20 +169,16 @@ def isolation_scan(
         if fiber_fills_group and fibers == m.fiber_scales:
             skipped_equivalent += 1
             continue
-        point = NatRedMetric(
-            group=m.group,
-            emb=m.emb,
-            base_scale=base,
-            fiber_scales=fibers,
+        table = _table(
+            [axis[i] for axis, i in zip(grid, combo)], counts, limit
         )
-        table = catalogue.spectrum(point, cutoff)
         compared += 1
         if table == center_table:
             neighbors.append(
                 {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
             )
         else:
-            d = table_distance(table, center_table)
+            d = _distance(table, center_table)
             if min_distance is None or d < min_distance:
                 min_distance = d
     return {
@@ -173,6 +196,47 @@ def isolation_scan(
         "isospectral_neighbors": neighbors,
         "min_table_distance": min_distance,
     }
+
+
+def _reciprocal_rows(catalogue, floor, limit):
+    """The catalogue's rows in reciprocal form, pruned at the grid's floor.
+
+    A row (c, f_1, ...) over ``den`` is g = (c - sum f_i, f_1, ...), every
+    entry nonnegative by horizontal positivity, with eigenvalue
+    sum_k g_k / s_k / den at scales s: over q * den, the integer
+    sum_k g_k * w_k with weights w_k = q / s_k.  ``floor`` holds each
+    axis's least weight on the grid, so a row above ``limit`` there is
+    above it at every point and is dropped.  Returns one column of g per
+    axis and the multiplicities, over the rows kept.
+    """
+    kept = []
+    counts = []
+    for row, count in catalogue.rows:
+        g = (row[0] - sum(row[1:]),) + row[1:]
+        if sum(map(mul, g, floor)) <= limit:
+            kept.append(g)
+            counts.append(count)
+    return [[g[k] for g in kept] for k in range(len(floor))], counts
+
+
+def _table(products, counts, limit) -> dict:
+    """{numerator: multiplicity} of one point up to ``limit``, its
+    numerators summed over the axes' ``products``."""
+    values = products[0]
+    for column in products[1:]:
+        values = map(add, values, column)
+    table = {}
+    for v, count in zip(values, counts):
+        if v <= limit:
+            table[v] = table.get(v, 0) + count
+    return table
+
+
+def _distance(a: dict, b: dict) -> int:
+    """``table_distance`` of two tables counted over one scale."""
+    return sum(abs(count - b.get(v, 0)) for v, count in a.items()) + sum(
+        count for v, count in b.items() if v not in a
+    )
 
 
 def finiteness_window(lam, vol, n: int, const) -> Fraction:

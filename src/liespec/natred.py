@@ -41,7 +41,7 @@ modes.
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .branching import (
     EmbeddingSpec,
@@ -55,7 +55,7 @@ from .groups import factor_lambda1
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import build, casimir_num
 from .spectrum import SpectrumTable, linear_table
-from .weights import dominant_weights_up_to, weyl_dim
+from .weights import _dominant_casimirs, weyl_dim
 
 
 class NatRedMetric(Frozen):
@@ -227,14 +227,14 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
         for f, j in zip(emb.factors, ratios)
     ]
     labels = {}  # branch label -> (tau, row tail, dim tau), made once each
-    weights = dominant_weights_up_to(group, budget)
+    weights = _dominant_casimirs(group, budget)
     # branched in ascending Casimir, each weight is one recursion step
-    for lam in sorted(weights, key=lambda w: casimir_num(group, w)):
+    for lam, _ in sorted(weights, key=itemgetter(1)):
         branch(emb, lam)
     terms = []
     rows = Counter()
-    for lam in weights:
-        c_lam = casimir_num(group, lam) * (den // group.casimir_den)
+    for lam, num in weights:
+        c_lam = num * (den // group.casimir_den)
         dim_lam = weyl_dim(group, lam)
         for tup, mult in branch(emb, lam).terms:
             if tup not in labels:

@@ -150,6 +150,14 @@ def test_domain_error_exits_two(capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["message"] == "cutoff must be nonnegative"
+    code, err = _error(
+        capsys,
+        ("scan", "--metric", METRIC, "--radius", "1/10", "--steps", "3",
+         "--cutoff", "-1"),
+    )
+    assert (code, err) == (
+        2, {"type": "DomainError", "message": "cutoff must be nonnegative"}
+    )
     # a restriction row with no factor to restrict to is not dropped
     emb = '{"ambient": "A2", "factors": [], "restriction": [["1", "1"]]}'
     code, out = run_cli(capsys, "validate-embedding", "--embedding", emb)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -20,6 +21,7 @@ from liespec.isolation import (
     isolation_scan,
     torus_search,
 )
+from liespec import natred, spectrum
 from liespec.lattices import (
     Lattice,
     congruent,
@@ -27,8 +29,9 @@ from liespec.lattices import (
     systole,
     torus_spectrum,
 )
-from liespec.natred import NatRedMetric, term_catalogue
+from liespec.natred import NatRedMetric, TermCatalogue, term_catalogue
 from liespec.rootdata import build
+from liespec.spectrum import table_distance
 
 from helpers import (
     random_rational_basis,
@@ -136,36 +139,127 @@ def test_scan_skips_equivalent_when_subgroup_fills_group():
     assert report["isospectral_neighbors"] == []
 
 
+PRINCIPAL = BUILTIN_EMBEDDINGS["a1-in-a2-principal"]
+
+
+def _grid_points(m, radius, steps):
+    """(metric, compared) for each grid point with no fiber scale equal to
+    its base scale; ``compared`` is false for the center and for points
+    defining the center's metric."""
+    center = (m.base_scale,) + m.fiber_scales
+    fills = sum(f.dim_g for f in m.emb.factors) == m.group.dim_g
+    points = []
+    for combo in product(_grid_multipliers(radius, steps), repeat=len(center)):
+        scales = tuple(u * s for u, s in zip(combo, center))
+        base, fibers = scales[0], scales[1:]
+        if base in fibers:
+            continue
+        point = NatRedMetric(
+            group=m.group, emb=m.emb, base_scale=base, fiber_scales=fibers
+        )
+        skipped = scales == center or (fills and fibers == m.fiber_scales)
+        points.append((point, not skipped))
+    return points
+
+
 def test_scan_matches_per_point_reference():
     centers = [
         (STD, 1, (F(1, 2),), F(1, 10), 3, 5),
         (IDA2, 1, (F(1, 2),), F(1, 10), 3, 4),
         (SO4, F(3, 2), (F(1, 2), F(5, 2)), F(1, 5), 3, 4),
+        # even steps: the center is not a grid point
+        (STD, 1, (F(1, 2),), F(1, 10), 4, 5),
+        (SO4, F(3, 2), (F(1, 2), F(5, 2)), F(1, 5), 2, 3),
+        # one step, and a grid of radius 0: only the center
+        (STD, 1, (F(1, 2),), F(1, 3), 1, 5),
+        (STD, 1, (F(1, 2),), 0, 3, 5),
+        (PRINCIPAL, 1, (F(3, 4),), F(1, 4), 3, 5),
+        # the grids cross fiber = base: once through a grid point
+        (STD, 1, (F(9, 11),), F(1, 10), 3, 5),
+        (STD, 1, (F(21, 20),), F(1, 10), 4, 5),
     ]
     for emb, t, fibers, radius, steps, cutoff in centers:
         m = NatRedMetric(
             group=emb.ambient, emb=emb, base_scale=t, fiber_scales=fibers
         )
-        assert isolation_scan(m, radius, steps, cutoff) == ref_isolation_scan(
-            m, radius, steps, cutoff
-        )
+        report = isolation_scan(m, radius, steps, cutoff)
+        assert report == ref_isolation_scan(m, radius, steps, cutoff)
         # each point's table, from one catalogue at the scan's budget
         center = (m.base_scale,) + m.fiber_scales
         catalogue = term_catalogue(
             m.emb, cutoff * (1 + radius) * max(center)
         )
-        mult = _grid_multipliers(radius, steps)
-        for combo in product(mult, repeat=len(center)):
-            base, *fibers = (u * s for u, s in zip(combo, center))
-            if base in fibers:
-                continue
-            point = NatRedMetric(
-                group=m.group, emb=m.emb, base_scale=base,
-                fiber_scales=tuple(fibers),
-            )
-            assert catalogue.spectrum(point, cutoff) == ref_natred_spectrum(
-                point, cutoff
-            )
+        center_table = catalogue.spectrum(m, cutoff)
+        distances = []
+        for point, compared in _grid_points(m, radius, steps):
+            table = catalogue.spectrum(point, cutoff)
+            assert table == ref_natred_spectrum(point, cutoff)
+            if compared:
+                distances.append(table_distance(table, center_table))
+        assert report["grid"]["compared"] == len(distances)
+        assert report["min_table_distance"] == min(
+            filter(None, distances), default=None
+        )
+        assert len(report["isospectral_neighbors"]) == distances.count(0)
+
+
+def test_scan_prunes_at_the_grid_floor():
+    # a row above the cutoff at the center falls below it at the corner of
+    # largest scales, so only a prune at the grid's floor keeps it
+    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    radius, steps, cutoff = F(1, 5), 2, 2
+    center = (m.base_scale,) + m.fiber_scales
+    corner = tuple((1 + radius) * s for s in center)
+    catalogue = term_catalogue(STD, cutoff * (1 + radius) * max(center))
+
+    def value(row, scales):
+        t, t_1 = scales
+        return (row[0] / t + (1 / t_1 - 1 / t) * row[1]) / catalogue.den
+
+    assert any(
+        value(row, corner) <= cutoff < value(row, center)
+        for row, _ in catalogue.rows
+    )
+    report = isolation_scan(m, radius, steps, cutoff)
+    assert report == ref_isolation_scan(m, radius, steps, cutoff)
+    assert report["min_table_distance"] == min(
+        table_distance(
+            catalogue.spectrum(point, cutoff), catalogue.spectrum(m, cutoff)
+        )
+        for point, compared in _grid_points(m, radius, steps)
+        if compared
+    )
+
+
+def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
+    # a 25-point scan evaluates its points on integers: a return to one
+    # metric, spectrum or linear_table per point fails here
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        NatRedMetric, "__init__", counted("metric", NatRedMetric.__init__)
+    )
+    monkeypatch.setattr(
+        TermCatalogue, "spectrum", counted("spectrum", TermCatalogue.spectrum)
+    )
+    for module in (natred, spectrum):
+        monkeypatch.setattr(
+            module,
+            "linear_table",
+            counted("linear_table", module.linear_table),
+        )
+    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    calls.clear()
+    report = isolation_scan(m, F(1, 10), 5, 4)
+    assert report["grid"]["compared"] == 24
+    assert all(n <= 1 for n in calls.values()), calls
 
 
 def test_scan_validation():
@@ -174,6 +268,9 @@ def test_scan_validation():
         isolation_scan(m, 1, 3, 2)
     with pytest.raises(DomainError):
         isolation_scan(m, F(1, 2), 0, 2)
+    # refused at entry, before any catalogue is built
+    with pytest.raises(DomainError, match="cutoff must be nonnegative"):
+        isolation_scan(m, F(1, 10), 3, -1)
 
 
 def test_finiteness_window():
