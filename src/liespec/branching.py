@@ -17,11 +17,14 @@ and runs only if every branching it reads is memoized: each kappa has a
 smaller Casimir than lam, so a walk in ascending Casimir (the term
 catalogue's) recurses past 0 and the fundamentals.  Other weights, one
 asked for alone among them, and steps that fail on malformed data are
-peeled: the restricted weight diagram is checked W_K-invariant and its
-dominant part peeled in descending total Casimir.  K-characters decompose
-uniquely, so the two agree where both succeed.  Malformed data surfaces
-as a non-integer image, a non-invariant character, a negative
-multiplicity or a dimension mismatch, never as a wrong answer.
+peeled: the restricted weight diagram is checked W_K-invariant, and each
+weight nu adds its multiplicity, signed by det w, at w(nu + rho) - rho in
+every factor, unless nu + rho lies on a wall (Brauer-Klimyk with a trivial
+first factor; ``_dot`` walks the chamber for ``_tensor`` too).
+K-characters decompose uniquely, so the two agree where both succeed.
+Malformed data surfaces as a non-integer image, a non-invariant
+character, a negative multiplicity or a dimension mismatch, never as a
+wrong answer.
 
 The Dynkin index of the embedding is computed by branching the adjoint
 representation: with I(lambda) = dim * <lambda, lambda+2rho>_norm / (2 dim_g)
@@ -39,7 +42,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import mul
+from operator import add
 
 from . import linalg
 from .errors import (
@@ -56,7 +59,7 @@ from .rootdata import (
     dominant_rep,
     is_dominant,
 )
-from .weights import dominant_character, weight_diagram, weyl_dim
+from .weights import weight_diagram, weyl_dim
 
 
 class EmbeddingSpec(Frozen):
@@ -210,13 +213,20 @@ def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
     w(a + mu + rho) - rho, unless a zero coordinate puts it on a wall."""
     out = Counter()
     for mu, mult in _diagram(rs, b):
-        v = tuple(x + y + 1 for x, y in zip(a, mu))
-        while 0 not in v and (low := min(v)) < 0:
-            v = tuple(x - low * r for x, r in zip(v, rs.cartan[v.index(low)]))
-            mult = -mult
-        if 0 not in v:
-            out[tuple(x - 1 for x in v)] += mult
+        dot = _dot(rs, tuple(map(add, a, mu)))
+        if dot is not None:
+            out[dot[0]] += mult * dot[1]
     return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
+def _dot(rs: RootSystemData, nu: tuple):
+    """(kappa, det w) with kappa = w(nu + rho) - rho dominant, or None when
+    nu + rho lies on a wall."""
+    v, sign = tuple(x + 1 for x in nu), 1
+    while 0 not in v and (low := min(v)) < 0:
+        v = tuple(x - low * r for x, r in zip(v, rs.cartan[v.index(low)]))
+        sign = -sign
+    return None if 0 in v else (tuple(x - 1 for x in v), sign)
 
 
 @lru_cache(maxsize=None)
@@ -226,47 +236,25 @@ def _diagram(rs: RootSystemData, b: tuple) -> tuple:
 
 
 def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
-    """Restrict the weight diagram of V_lam, check it, and peel it."""
+    """Restrict the weight diagram of V_lam, check it W_K-invariant, and
+    decompose it in one Brauer-Klimyk pass (module docstring)."""
     if not emb.factors:
         return BranchingResult(lam, (((), weyl_dim(emb.ambient, lam)),))
     restricted = {}
     for nu, mult in weight_diagram(emb.ambient, lam).mults:
         key = emb.restrict_weight(nu)
         restricted[key] = restricted.get(key, 0) + mult
-    residue = {}
+    terms = Counter()
     for key, mult in restricted.items():
-        top = tuple(
-            dominant_rep(f, part) for f, part in zip(emb.factors, key)
-        )
+        top = tuple(map(dominant_rep, emb.factors, key))
         if restricted.get(top) != mult:
             raise MalformedEmbeddingError(
                 "restricted character is not invariant under the Weyl "
                 "group of the subgroup"
             )
-        if top == key:
-            residue[key] = mult
-
-    den = lcm(*(f.casimir_den for f in emb.factors))
-    scales = [den // f.casimir_den for f in emb.factors]
-    terms = {}
-    for top in sorted(  # by total Casimir, times den
-        residue,
-        key=lambda t: sum(map(mul, map(casimir_num, emb.factors, t), scales)),
-        reverse=True,
-    ):
-        mult = residue[top]
-        if not mult:
-            continue
-        characters = [
-            dominant_character(f, part) for f, part in zip(emb.factors, top)
-        ]
-        for combo in itertools.product(*characters):
-            key = tuple(w for w, _ in combo)
-            value = residue.get(key, 0) - mult * prod(m for _, m in combo)
-            if value < 0:
-                raise MalformedEmbeddingError("negative residue while peeling")
-            residue[key] = value
-        terms[top] = mult
+        dots = tuple(map(_dot, emb.factors, key))
+        if None not in dots:
+            terms[tuple(k for k, _ in dots)] += mult * prod(s for _, s in dots)
     return _result(emb, lam, terms)
 
 

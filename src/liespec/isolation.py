@@ -108,7 +108,8 @@ def isolation_scan(
     defining the same metric as the center (vacuous base directions when
     the subgroup fills the group) are skipped and counted.  Remaining
     points are compared exactly; the report lists isospectral neighbors
-    (expected none) and the minimum table distance seen.
+    (expected none) and the minimum table distance seen.  A grid of radius
+    0 is the center alone, so it takes exactly one step.
 
     No point builds a metric or a table.  One term catalogue covers the
     grid, and over one common scale (see ``_reciprocal_rows``) each point
@@ -122,6 +123,9 @@ def isolation_scan(
     steps = exact_int(steps)
     if steps < 1:
         raise DomainError("steps must be at least 1")
+    if radius == 0 and steps > 1:
+        # every grid point would be the center, counted nowhere
+        raise DomainError("a grid of radius 0 has exactly 1 step")
     cutoff = rat_cutoff(cutoff)
     mult = _grid_multipliers(radius, steps)
     center_scales = (m.base_scale,) + m.fiber_scales

@@ -286,7 +286,7 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     and looks for a class sigma whose restriction contains the contragredient
     of the gamma witness; then zeta + gamma must occur in the full table.
     """
-    cutoff = rat(cutoff)
+    cutoff = rat_cutoff(cutoff)
     if m.emb.num_factors == 0:
         return {"status": "vacuous", "factor": factor_index}
     if not 0 <= factor_index < m.emb.num_factors:

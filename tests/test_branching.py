@@ -269,11 +269,12 @@ def _principal_a1(name):
     )
 
 
-def _walk(emb, budget):
+def _walk(emb, budget, peel=False):
     """(sigma, branching) over the cone up to ``budget`` in ascending
     Casimir, as the term catalogue asks for them; past 0 and the fundamental
     weights each branching comes from the recursion itself, and on
-    well-formed data none may fall back to the peel."""
+    well-formed data none may fall back to the peel.  With ``peel``, the
+    peel of each weight must give the same branching."""
     rs = emb.ambient
     for sigma in sorted(
         dominant_weights_up_to(rs, budget), key=lambda s: casimir_num(rs, s)
@@ -281,20 +282,23 @@ def _walk(emb, budget):
         res = branch(emb, sigma)
         if sum(sigma) > 1:
             assert _recurse(emb, sigma) == res
+        if peel:
+            assert _peel(emb, sigma) == res
         yield sigma, res
 
 
 def test_branch_matches_reference_up_to_casimir_12():
     # the recursion against the Fraction peel of full weight diagrams; on
     # the principal A1 in rank 3 and G2 that reference is run up to
-    # dimension 300, and the q-dimension oracle covers every weight
+    # dimension 300, and the q-dimension oracle covers every weight; the
+    # peel is compared too, except in rank 3, where it is the slow part
     for emb in BUILTIN_EMBEDDINGS.values():
-        for sigma, res in _walk(emb, 12):
+        for sigma, res in _walk(emb, 12, peel=True):
             assert res == ref_branch(emb, sigma)
     for name in ("B3", "C3", "A3", "G2"):
         emb = _principal_a1(name)
         assert len(dominant_weights_up_to(emb.ambient, 12)) > 30
-        for sigma, res in _walk(emb, 12):
+        for sigma, res in _walk(emb, 12, peel=name == "G2"):
             assert res.as_dict() == principal_a1_branching(emb.ambient, sigma)
             if weyl_dim(emb.ambient, sigma) <= 300:
                 assert res == ref_branch(emb, sigma)
@@ -402,6 +406,14 @@ def test_one_weight_alone_is_peeled(monkeypatch):
     )
     branch(emb, (20, 20))
     assert peeled == [(20, 20)] and list(emb._branchings) == [(20, 20)]
+
+
+@pytest.mark.parametrize("name, lam", [("A2", (40, 40)), ("B2", (20, 20))])
+def test_one_large_weight_peels_to_the_q_dimension(name, lam):
+    # a fresh embedding memoizes nothing, so this is the peel alone
+    emb = _principal_a1(name)
+    assert branch(emb, lam).as_dict() == principal_a1_branching(emb.ambient, lam)
+    assert list(emb._branchings) == [lam]
 
 
 @pytest.mark.parametrize(

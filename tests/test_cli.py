@@ -518,6 +518,9 @@ def test_options_are_read_by_the_library_coercers(capsys):
         # a rational that is not an integer is outside the domain
         (("scan", "--metric", METRIC, "--radius", "1/10", "--steps", "5/2",
           "--cutoff", "2"), (2, "DomainError")),
+        # a grid of radius 0 has one step, the center
+        (("scan", "--metric", METRIC, "--radius", "0", "--steps", "3",
+          "--cutoff", "2"), (2, "DomainError")),
         (("branch", "--embedding", "a1-in-a2-standard", "--weight", "1.5,0"),
          (2, "DomainError")),
     ):

@@ -200,6 +200,11 @@ GOLDEN = {
         0,
         "4b9d2c397697f45a01859192c93163cb491f1aaf4f56fb401d0c8b41542838ba",
     ),
+    # one weight asked for alone: the peel's path, not the recursion's
+    "branch --embedding a1xa1-in-b2 --weight 40,40": (
+        0,
+        "5878be5135378fb71dcb69e50f89bf2f754e975e22de4d7bbb5143148a379884",
+    ),
     "torus-spectrum --gram SINGULAR --cutoff 1": (
         2,
         "4039359d9c0a68de00984a0e05466ca341408c74995511dd817c22d70c5e5602",

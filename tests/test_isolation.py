@@ -172,7 +172,7 @@ def test_scan_matches_per_point_reference():
         (SO4, F(3, 2), (F(1, 2), F(5, 2)), F(1, 5), 2, 3),
         # one step, and a grid of radius 0: only the center
         (STD, 1, (F(1, 2),), F(1, 3), 1, 5),
-        (STD, 1, (F(1, 2),), 0, 3, 5),
+        (STD, 1, (F(1, 2),), 0, 1, 5),
         (PRINCIPAL, 1, (F(3, 4),), F(1, 4), 3, 5),
         # the grids cross fiber = base: once through a grid point
         (STD, 1, (F(9, 11),), F(1, 10), 3, 5),
@@ -201,6 +201,10 @@ def test_scan_matches_per_point_reference():
             filter(None, distances), default=None
         )
         assert len(report["isospectral_neighbors"]) == distances.count(0)
+    # radius 0 with more than one step would repeat the center uncounted
+    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    with pytest.raises(DomainError):
+        isolation_scan(m, 0, 3, 5)
 
 
 def test_scan_prunes_at_the_grid_floor():

@@ -252,6 +252,8 @@ def test_containment_edge_cases():
         containment_check(metric(1, 2), 0, 4)
     with pytest.raises(DomainError):
         containment_check(metric(1, F(1, 2)), 5, 4)
+    with pytest.raises(DomainError):
+        containment_check(metric(1, F(1, 2)), 0, -1)
     tiny = containment_check(metric(1, F(1, 2)), 0, F(1, 8))
     assert tiny["status"] == "inconclusive"
 
