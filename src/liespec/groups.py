@@ -24,7 +24,7 @@ from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import RootSystemData, build, casimir, check_weight
 from .spectrum import SpectrumTable, linear_table
-from .weights import _dominant_casimirs, weyl_dim
+from .weights import _dominant_casimirs
 
 
 class GroupSpec(Frozen):
@@ -122,11 +122,11 @@ def admissible_tuples(gs: GroupSpec, cutoff: Fraction) -> list:
 
 
 def _admissible(gs: GroupSpec, cutoff):
-    """Per factor {weight: casimir_num} over its budget, and
+    """Per factor {weight: (casimir_num, dim)} over its budget, and
     ``admissible_tuples`` of those weights."""
     cutoff = rat(cutoff)
     per_factor = [
-        dict(_dominant_casimirs(f, cutoff * t))
+        {lam: (num, dim) for lam, num, dim in _dominant_casimirs(f, cutoff * t)}
         for f, t in zip(gs.factors, gs.scales)
     ]
     tuples = product(*per_factor)
@@ -139,15 +139,16 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     """Truncated Laplace spectrum of the bi-invariant metric on K."""
     cutoff = rat_cutoff(cutoff)
     den = lcm(*(f.casimir_den for f in gs.factors))
-    parts = {}  # (factor, weight) -> (Casimir numerator over den, dimension)
+    per_factor, tuples = _admissible(gs, cutoff)
+    # per factor, weight -> (Casimir numerator over den, dimension)
+    parts = [
+        {lam: (num * (den // f.casimir_den), dim)
+         for lam, (num, dim) in part.items()}
+        for f, part in zip(gs.factors, per_factor)
+    ]
     rows = []
-    nums, tuples = _admissible(gs, cutoff)
     for tup in tuples:
-        for f, lam, cas in zip(gs.factors, tup, nums):
-            if (f, lam) not in parts:
-                num = cas[lam] * (den // f.casimir_den)
-                parts[f, lam] = (num, weyl_dim(f, lam))
-        row, dims = zip(*(parts[key] for key in zip(gs.factors, tup)))
+        row, dims = zip(*map(dict.__getitem__, parts, tup))
         rows.append((row, prod(dims) ** 2))
     return linear_table(rows, den, tuple(1 / t for t in gs.scales), cutoff)
 
@@ -188,8 +189,8 @@ def normal_quotient_spectrum(
         raise DomainError("metric scale must be positive")
     cutoff = rat_cutoff(cutoff)
     rows = []
-    for lam, num in _dominant_casimirs(ambient, cutoff * t):
+    for lam, num, dim in _dominant_casimirs(ambient, cutoff * t):
         fixed = spherical_mult(emb, lam)
         if fixed:
-            rows.append(((num,), weyl_dim(ambient, lam) * fixed))
+            rows.append(((num,), dim * fixed))
     return linear_table(rows, ambient.casimir_den, (1 / t,), cutoff)

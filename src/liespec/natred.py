@@ -229,13 +229,12 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
     labels = {}  # branch label -> (tau, row tail, dim tau), made once each
     weights = _dominant_casimirs(group, budget)
     # branched in ascending Casimir, each weight is one recursion step
-    for lam, _ in sorted(weights, key=itemgetter(1)):
+    for lam, _, _ in sorted(weights, key=itemgetter(1)):
         branch(emb, lam)
     terms = []
     rows = Counter()
-    for lam, num in weights:
+    for lam, num, dim_lam in weights:
         c_lam = num * (den // group.casimir_den)
-        dim_lam = weyl_dim(group, lam)
         for tup, mult in branch(emb, lam).terms:
             if tup not in labels:
                 tau = contragredient_tuple(emb, tup)

@@ -310,7 +310,8 @@ def check_weight(rs: RootSystemData, weight) -> tuple:
         raise DomainError(
             f"weight has {len(w)} coordinates, expected {rs.rank}"
         )
-    return tuple(x if isinstance(x, int) else exact_int(x) for x in w)
+    # a bool is an int but not a coordinate: exact_int refuses it
+    return tuple(x if type(x) is int else exact_int(x) for x in w)
 
 
 def is_dominant(weight) -> bool:

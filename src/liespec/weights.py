@@ -2,10 +2,11 @@
 
 All three run on the integer tables of ``rootdata``:
 
-* ``weyl_dim`` -- the Weyl dimension formula as an integer product over
-  the coroots, divided exactly by the Weyl denominator (a remainder, or a
-  quotient that is not positive, raises DomainError), each factor one
-  addition on ``coroot_ladder``;
+* ``weyl_dim`` -- the Weyl dimension formula for one weight, as an integer
+  product over the coroots, divided exactly by the Weyl denominator (a
+  remainder, or a quotient that is not positive, raises DomainError), each
+  factor one addition on ``coroot_ladder``; the enumerated weights get
+  theirs from the walk below instead;
 * ``weight_diagram`` -- the full character of V_lambda.  Its dominant
   weights are the dominant mu below lambda, each of smaller Casimir
   (Humphreys, Introduction to Lie Algebras and Representation Theory,
@@ -15,13 +16,17 @@ All three run on the integer tables of ``rootdata``:
   stops at its first non-weight.  Weyl orbits fill in the rest;
 * ``dominant_weights_up_to`` -- all dominant weights with Casimir at most
   a given budget, enumerable because the Casimir is strictly increasing in
-  every fundamental coordinate.  The walk carries ``casimir_num`` C and
-  F . lam (F = ``form``): raising lam_j by one adds 2 (F . lam)_j + F_jj +
-  2 sum_k F_jk to C and row j of the symmetric F to F . lam.
+  every fundamental coordinate.  The walk carries ``casimir_num`` C, F . lam
+  (F = ``form``) and the coroot pairings (lam + rho, beta^vee): raising
+  lam_j by one adds 2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the
+  symmetric F to F . lam and column j of ``coroots`` to the pairings, so
+  each weight's Weyl dimension is one product of the pairings, divided
+  exactly by ``weyl_den`` as in ``weyl_dim``.
 """
 
 from functools import lru_cache
-from math import floor
+from math import floor, prod
+from operator import add
 
 from .errors import DomainError
 from .frozen import Value
@@ -157,31 +162,50 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
     Correct because the Casimir is strictly increasing in every coordinate
     on the dominant cone.
     """
-    return [w for w, _ in _dominant_casimirs(rs, cas_max)]
+    return [w for w, _, _ in _dominant_casimirs(rs, cas_max)]
 
 
 def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
-    """(weight, casimir_num) over ``dominant_weights_up_to(rs, cas_max)``."""
+    """(weight, casimir_num, weyl_dim) over ``dominant_weights_up_to``.
+
+    The walk carries the Casimir numerator, F . lam and the coroot
+    pairings (module docstring); each is updated only on a step that the
+    budget accepts.
+    """
     cas_max = rat(cas_max)
     limit = floor(cas_max * rs.casimir_den)
+    if limit < 0:
+        return []
     out = []
-    n, form = rs.rank, rs.form
+    n, form, den = rs.rank, rs.form, rs.weyl_den
     step = [form[j][j] + 2 * sum(form[j]) for j in range(n)]
+    # column j of the coroot matrix: what raising lam_j adds to the pairings
+    cols = [[co[j] for co in rs.coroots] for j in range(n)]
     current = [0] * n
 
-    def extend(j, cas, f_lam):
-        # cas = casimir_num(current), f_lam = F . current; coordinates past
-        # j are 0 here, so every weight appended is within the budget
+    def extend(j, cas, f_lam, pairs):
+        # cas = casimir_num(current), f_lam = F . current, pairs[k] =
+        # (current + rho, beta_k^vee); coordinates past j are 0 here, and
+        # cas <= limit
         if j == n:
-            out.append((tuple(current), cas))
+            dim, rest = divmod(prod(pairs), den)
+            if rest or dim <= 0:
+                raise DomainError(
+                    "Weyl dimension did not come out a positive integer"
+                )
+            out.append((tuple(current), cas, dim))
             return
-        while cas <= limit:
-            extend(j + 1, cas, f_lam)
-            cas += 2 * f_lam[j] + step[j]
-            f_lam = [x + y for x, y in zip(f_lam, form[j])]
+        row, col, inc = form[j], cols[j], step[j]
+        while True:
+            extend(j + 1, cas, f_lam, pairs)
+            cas += 2 * f_lam[j] + inc
+            if cas > limit:
+                break
+            f_lam = list(map(add, f_lam, row))
+            pairs = list(map(add, pairs, col))
             current[j] += 1
         current[j] = 0
 
-    extend(0, 0, [0] * n)
-    out.sort(key=lambda pair: (sum(pair[0]), pair[0]))
+    extend(0, 0, [0] * n, [sum(co) for co in rs.coroots])
+    out.sort(key=lambda triple: (sum(triple[0]), triple[0]))
     return out

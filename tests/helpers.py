@@ -479,12 +479,13 @@ def ref_casimir(rs, weight) -> Fraction:
     return ref_ip_norm(rs, lam, shifted) / (2 * rs.dual_coxeter)
 
 
+@lru_cache(maxsize=None)
 def _root_ip_vectors(rs):
     d = fraction_tables(rs)[0]
-    return [
+    return tuple(
         tuple(rc[k] * d[k] for k in range(rs.rank))
         for rc in rs.pos_roots_rootc
-    ]
+    )
 
 
 def _pairing(vec, weight) -> Fraction:

@@ -23,9 +23,9 @@ from liespec.branching import (
     _tensor,
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
-from liespec.errors import DomainError, MalformedEmbeddingError
+from liespec.errors import DomainError, InputError, MalformedEmbeddingError
 from liespec.natred import term_catalogue
-from liespec.rootdata import build, casimir_num
+from liespec.rootdata import build, casimir_num, check_weight
 from liespec.weights import dominant_weights_up_to, weyl_dim
 
 from helpers import principal_a1_branching, principal_a1_row, ref_branch
@@ -394,6 +394,24 @@ def test_non_integer_image_is_malformed_under_optimize():
 def _fresh(name):
     emb = BUILTIN_EMBEDDINGS[name]
     return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction)
+
+
+def test_bool_coordinates_are_refused():
+    # a bool is an int to Python but not a weight coordinate (JSON true is
+    # not the number 1), and (True, False) == (1, 0) would share a memo key
+    a2 = build("A2")
+    emb = _fresh("a1-in-a2-standard")
+    for call in (
+        lambda: check_weight(a2, (True, 0)),
+        lambda: weyl_dim(a2, (True, 0)),
+        lambda: branch(emb, (True, False)),
+    ):
+        with pytest.raises(InputError):
+            call()
+    assert not emb._branchings
+    source = branch(emb, (1, 0)).source
+    assert source == (1, 0) and all(type(x) is int for x in source)
+    assert json.dumps(source) == "[1, 0]"
 
 
 def test_one_weight_alone_is_peeled(monkeypatch):

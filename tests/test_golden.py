@@ -24,6 +24,7 @@ INLINE = {
     "GRAM": '{"gram":[["2","-1","0"],["-1","2","-1"],["0","-1","3/2"]]}',
     "SINGULAR": '{"basis":[["1","2"],["2","4"]]}',
     "NOT_PD": '{"gram":[["1","2"],["2","1"]]}',
+    "E8SPEC": '{"factors":["E8"],"scales":["1"]}',
 }
 
 # argv -> (exit code, sha256 of stdout)
@@ -192,6 +193,11 @@ GOLDEN = {
         0,
         "c227a13bb041d813a9c86a5f5402efbf4718744789a0aaafda525b1e33d15800",
     ),
+    # the heavy tier: 56,165 dominant weights of E8 walked in one table
+    "group-spectrum --spec E8SPEC --cutoff 40": (
+        0,
+        "12a2806096d5cc3a4e0eff53195a04af4d8c870632e277b4a33f62e5c59d4463",
+    ),
     "natred-spectrum --metric METRIC --cutoff 3": (
         0,
         "e9481be7cf210c09cc8c2bfff1aea41a25461b3b54456cc5283f4dfa77723b7f",
@@ -231,7 +237,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 40
+    assert len(lines) == 41
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))

@@ -248,18 +248,53 @@ def test_dominant_weights_up_to_matches_a_brute_force_box():
 
 
 def test_enumerated_casimirs_match_reference():
-    # the walk's running numerators are the Casimirs of the weights it
-    # yields, and dropping them gives dominant_weights_up_to
-    from helpers import ref_casimir
+    # the walk's running numerators and pairing products are the Casimirs
+    # and Weyl dimensions of the weights it yields, and dropping them gives
+    # dominant_weights_up_to
+    from helpers import ref_casimir, ref_weyl_dim
 
     for name in ALL_TYPES:
         rs = build(name)
         budget = F(10) if name == "E8" else F(4)
-        pairs = _dominant_casimirs(rs, budget)
-        assert [w for w, _ in pairs] == dominant_weights_up_to(rs, budget)
-        for lam, num in pairs:
-            assert type(num) is int
+        triples = _dominant_casimirs(rs, budget)
+        assert [w for w, _, _ in triples] == dominant_weights_up_to(rs, budget)
+        for lam, num, dim in triples:
+            assert type(num) is int and type(dim) is int
             assert F(num, rs.casimir_den) == ref_casimir(rs, lam), (name, lam)
+            assert dim == ref_weyl_dim(rs, lam), (name, lam)
+
+
+_WALK_FAULT_SCRIPT = """
+import json
+from liespec.errors import DomainError
+from liespec.groups import GroupSpec, biinvariant_spectrum
+from liespec.rootdata import build
+
+e8 = build("E8")
+# a Weyl denominator the pairing products are not all multiples of
+object.__setattr__(e8, "weyl_den", 7 * e8.weyl_den)
+try:
+    biinvariant_spectrum(GroupSpec((e8,)), 10)
+    raised = None
+except DomainError as exc:
+    raised = [type(exc).__name__, str(exc)]
+print(json.dumps({"debug": __debug__, "raised": raised}))
+"""
+
+
+def test_walk_rejects_a_non_integral_dimension_under_optimize():
+    # the walk's exact division is an explicit raise, not an assert
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WALK_FAULT_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False  # asserts really are stripped
+    # raised by the walk itself, not by a later check on the table
+    assert result["raised"] == [
+        "DomainError", "Weyl dimension did not come out a positive integer"
+    ]
 
 
 _WEYL_DIM_ERRORS_SCRIPT = """
