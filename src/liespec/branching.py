@@ -11,7 +11,10 @@ weight of lam's first nonzero coordinate,
     Res V_lam = Res V_lam' * Res V_omega - sum_{kappa != lam} c_kappa Res V_kappa
 
 where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G; the
-K-side products by the same rule on each factor).  A step checks that
+K-side products by the same rule on each factor, each product a (x) b of
+two K-types multiplied out over the factors once, in a memo keyed by the
+factors' root systems and shared by every embedding of the same K, so a
+step is dictionary additions and its checks).  A step checks that
 V_lam occurs once, no multiplicity is negative and the dimensions add up,
 and runs only if every branching it reads is memoized: each kappa has a
 smaller Casimir than lam, so a walk in ascending Casimir (the term
@@ -194,16 +197,30 @@ def _recurse(emb: EmbeddingSpec, lam: tuple):
         raise CertificationError(f"V_{lam} is not once in V_{lam1} (x) V_{omega}")
     if not all(w in made for w in (lam1, omega, *coeffs)):
         return None
-    terms = Counter()
-    for (a, m), (b, n) in itertools.product(made[lam1].terms, made[omega].terms):
-        # the K-type a (x) b, factor by factor
-        for combo in itertools.product(*map(_tensor, emb.factors, a, b)):
-            key = tuple(k for k, _ in combo)
-            terms[key] += m * n * prod(c for _, c in combo)
+    terms = {}
+    get = terms.get
+    factors = emb.factors
+    for a, m in made[lam1].terms:
+        for b, n in made[omega].terms:
+            mn = m * n
+            for key, c in _product(factors, a, b):
+                terms[key] = get(key, 0) + mn * c
     for kappa, c in coeffs.items():
         for key, m in made[kappa].terms:
-            terms[key] -= c * m
+            terms[key] = get(key, 0) - c * m
     return _result(emb, lam, terms)
+
+
+@lru_cache(maxsize=None)
+def _product(factors: tuple, a: tuple, b: tuple) -> tuple:
+    """((kappa, c), ...) with V_a (x) V_b = sum c V_kappa for K-types a and
+    b of ``factors``: ``_tensor`` on each factor, multiplied out.  It
+    depends only on K's root systems, so every embedding of the same K
+    shares it."""
+    return tuple(
+        (tuple(k for k, _ in combo), prod(c for _, c in combo))
+        for combo in itertools.product(*map(_tensor, factors, a, b))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -14,9 +14,12 @@ never a stack trace or usage text.  Output bytes depend only on the inputs.
 Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk; cached and fresh
 runs emit identical bytes.  The cache key is the canonical JSON of the job
 together with the package version and the entry schema; each entry stores
-that key beside its table, and a read compares it.  Entries are written
-atomically, and an entry that does not parse, holds an invalid table or
-carries another key is treated as a miss and rewritten.
+that key beside the table's canonical integers (unit, cutoff, scale,
+values, mults, complete), and a read compares it and rebuilds the table
+through the validating ``SpectrumTable`` constructor, with no eigenvalue
+string to parse.  Entries are written atomically, and an entry that does
+not parse, holds an invalid table or carries another key (an older
+schema's among them) is treated as a miss and rewritten.
 """
 
 import argparse
@@ -73,7 +76,34 @@ def _emit_report(obj, out_format: str) -> str:
 
 
 # names the layout of a cache entry; change it when that layout changes
-_CACHE_SCHEMA = "liespec-table-entry/2"
+_CACHE_SCHEMA = "liespec-table-entry/3"
+
+
+def _entry(table: SpectrumTable) -> dict:
+    """The table's canonical integers, with its cutoff as ``fmt`` writes
+    it, for a cache entry."""
+    return {
+        "unit": table.unit,
+        "cutoff": fmt(table.cutoff),
+        "scale": table.scale,
+        "values": table.values,
+        "mults": table.mults,
+        "complete": table.complete,
+    }
+
+
+def _from_entry(obj) -> SpectrumTable:
+    """The table of ``_entry``'s dict, through the validating constructor,
+    which refuses a non-int or bool scale, value or multiplicity and a
+    non-bool ``complete``."""
+    return SpectrumTable(
+        obj["unit"],
+        rat(obj["cutoff"]),
+        obj["scale"],
+        tuple(obj["values"]),
+        tuple(obj["mults"]),
+        obj["complete"],
+    )
 
 
 def _cached_table(key_obj, builder) -> SpectrumTable:
@@ -89,14 +119,14 @@ def _cached_table(key_obj, builder) -> SpectrumTable:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
         if canonical_json(entry["key"]) == key_text:
-            return SpectrumTable.from_json_dict(entry["table"])
+            return _from_entry(entry["table"])
     except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
         pass  # a miss; a corrupt entry (JSONDecodeError is a ValueError) too
     table = builder()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            entry = {"key": key, "table": table.to_json_dict()}
+            entry = {"key": key, "table": _entry(table)}
             fh.write(canonical_json(entry))
         os.replace(tmp, path)  # readers see the old state or the whole entry
     finally:

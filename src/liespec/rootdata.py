@@ -305,6 +305,11 @@ def _build(name: str) -> RootSystemData:
 
 
 def check_weight(rs: RootSystemData, weight) -> tuple:
+    if isinstance(weight, (str, bytes, bytearray)):
+        # tuple() would split it into characters or byte values
+        raise InputError(
+            f"a weight is a sequence of coordinates, not {weight!r}"
+        )
     w = tuple(weight)
     if len(w) != rs.rank:
         raise DomainError(

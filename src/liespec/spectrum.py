@@ -17,8 +17,8 @@ they are equal, and equality, lookup, truncation and ``table_distance``
 work on integers.  Fractions appear only at the edges: ``entries``, the
 (Fraction, multiplicity) pairs, is a view built on first use, the JSON,
 CSV and pretty forms format each eigenvalue from its numerator and the
-scale, and ``from_entries`` (the path of a cache read) takes the lcm of
-the given (p, q) denominators as the scale.  Every computed table is
+scale, and ``from_entries`` (the path of ``from_json_dict``) takes the
+lcm of the given (p, q) denominators as the scale.  Every computed table is
 built by ``table_from_counts`` from multiplicities keyed by integer
 numerators over one common scale.  The Lie spectra are linear in the
 reciprocal metric scales, and ``linear_table`` evaluates them all.
@@ -58,11 +58,10 @@ class SpectrumTable(Value):
             raise DomainError(f"unknown unit {unit!r}")
         if cutoff < 0:
             raise DomainError("cutoff must be nonnegative")
-        try:
-            reduced = gcd(scale, *values) == 1
-        except TypeError:
-            raise DomainError("scale and values must be integers") from None
-        if scale < 1 or not reduced:
+        # a bool is an int, but not a numerator
+        if type(scale) is not int or not set(map(type, values)) <= {int}:
+            raise DomainError("scale and values must be integers")
+        if scale < 1 or gcd(scale, *values) != 1:
             raise DomainError("values must be reduced over a positive scale")
         if len(mults) != len(values):
             raise DomainError("one multiplicity per eigenvalue")
@@ -75,6 +74,8 @@ class SpectrumTable(Value):
                 raise DomainError("entries must be strictly increasing")
         if mults and not (set(map(type, mults)) <= {int} and min(mults) >= 1):
             raise DomainError("multiplicities must be positive integers")
+        if type(complete) is not bool:
+            raise DomainError(f"complete must be a bool, not {complete!r}")
 
     @cached_property
     def entries(self) -> tuple:

@@ -459,6 +459,36 @@ def test_term_catalogue_recurses_past_the_fundamentals(make, monkeypatch):
     assert set(emb._branchings) == set(weights)
 
 
+def test_k_type_products_are_made_once_per_pair(monkeypatch):
+    # each K-side product a (x) b is made once, at the first recursion step
+    # that reads it, and is shared by every embedding of the same K
+    peeled = []
+    monkeypatch.setattr(
+        branching, "_peel", lambda e, lam: peeled.append(lam) or _peel(e, lam)
+    )
+    branching._product.cache_clear()
+    emb = _fresh("a1xa1-in-b2")
+    term_catalogue(emb, 20)
+    made = emb._branchings
+    pairs = set()
+    for lam in set(made) - set(peeled):
+        # lam = lam1 + omega, omega the fundamental weight of its first
+        # nonzero coordinate; the step reads Res V_lam1 and Res V_omega
+        i = next(i for i, x in enumerate(lam) if x)
+        omega = tuple(int(k == i) for k in range(len(lam)))
+        lam1 = tuple(x - y for x, y in zip(lam, omega))
+        pairs |= {
+            (a, b) for a, _ in made[lam1].terms for b, _ in made[omega].terms
+        }
+    info = branching._product.cache_info()
+    assert len(pairs) > 100
+    assert info.misses == info.currsize == len(pairs)
+    assert info.hits > info.misses
+    term_catalogue(_fresh("a1xa1-in-b2"), 20)
+    again = branching._product.cache_info()
+    assert again.misses == info.misses and again.hits > info.hits
+
+
 def test_tensor_product_brauer_klimyk():
     a1, a2, g2 = build("A1"), build("A2"), build("G2")
     # Clebsch-Gordan, 3 x 3 = 6 + 3bar, 3 x 3bar = 8 + 1, 7 x 7 of G2

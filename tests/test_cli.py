@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from liespec.cli import main
+from liespec.spectrum import SpectrumTable, canonical_json
 
 METRIC = '{"group": "A2", "embedding": "a1-in-a2-standard", "t": "1", "t_i": ["1/2"]}'
 
@@ -368,6 +369,27 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert fresh == first
 
 
+def _with_table(entry_text, **fields):
+    """The cache entry ``entry_text`` with these table fields replaced, in
+    canonical JSON."""
+    entry = json.loads(entry_text)
+    entry["table"].update(fields)
+    return canonical_json(entry)
+
+
+def _plant_misses(capsys, args, entry, good, fresh, planted):
+    """Each planted entry text is read as a miss: the job prints ``fresh``
+    and the entry is rewritten as ``good``."""
+    for text in planted:
+        assert text != good
+        entry.write_text(text)
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert out == fresh
+        assert os.listdir(entry.parent) == [entry.name]
+        assert entry.read_text() == good
+
+
 def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     args = ("torus-spectrum", "--gram", "hexagonal", "--cutoff", "7")
     code, fresh = run_cli(capsys, *args)
@@ -376,21 +398,26 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     run_cli(capsys, *args)
     (entry,) = tmp_path.iterdir()
     good = entry.read_text()
+    table = json.loads(good)["table"]
+    # scale 3, values [0, 2, 6, 8, 14, 18], mults [1, 6, 6, 6, 12, 6]
+    values, mults = table["values"], table["mults"]
     planted = [
-        fresh[: len(fresh) // 2],  # a half-written table
-        # tables that parse, but not as this program writes them
-        good.replace('"complete":true', '"complete":"no"'),
-        good.replace('["0","1"]', '["0",2.5]'),
-        good.replace('["0","1"]', '["0",true]'),
+        good[: len(good) // 2],  # a half-written entry
+        # entries that parse, but not as this program writes them
+        _with_table(good, complete="no"),
+        _with_table(good, complete=1),
+        _with_table(good, mults=[2.5] + mults[1:]),
+        _with_table(good, mults=[1.0] + mults[1:]),
+        _with_table(good, mults=[True] + mults[1:]),
+        _with_table(good, values=values[:1] + [2.0] + values[2:]),
+        _with_table(good, values=values[:1] + ["2"] + values[2:]),
+        # the same eigenvalues over an unreduced scale
+        _with_table(good, scale=6, values=[2 * v for v in values]),
+        _with_table(good, values=values[:1] + values[2:3] + values[1:2]
+                    + values[3:]),  # decreasing
+        _with_table(good, values=values[:-1] + [24]),  # 8 > the cutoff 7
     ]
-    for text in planted:
-        assert text != good
-        entry.write_text(text)
-        code, out = run_cli(capsys, *args)
-        assert code == 0
-        assert out == fresh
-        assert os.listdir(tmp_path) == [entry.name]
-        assert entry.read_text() == good
+    _plant_misses(capsys, args, entry, good, fresh, planted)
     code, again = run_cli(capsys, *args)
     assert again == fresh
 
@@ -405,19 +432,45 @@ def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     run_cli(capsys, *args)
     (entry,) = (tmp_path / "mine").iterdir()
     good = entry.read_text()
-    assert json.loads(good)["table"] == json.loads(fresh)
+    # the entry holds the table's integers under schema /3
+    t = SpectrumTable.from_json_dict(json.loads(fresh))
+    assert json.loads(good)["table"] == {
+        "unit": t.unit, "cutoff": "7", "scale": t.scale,
+        "values": list(t.values), "mults": list(t.mults), "complete": True,
+    }
+    key = json.loads(good)["key"]
+    assert key["schema"] == "liespec-table-entry/3"
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "other"))
     run_cli(capsys, *other)
     (foreign,) = (tmp_path / "other").iterdir()
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "mine"))
-    # a valid table of another job, bare and as that job's whole entry
-    for planted in (other_table, foreign.read_text()):
-        entry.write_text(planted)
-        code, out = run_cli(capsys, *args)
-        assert code == 0
-        assert out == fresh
-        assert os.listdir(tmp_path / "mine") == [entry.name]
-        assert entry.read_text() == good
+    # this job's table as a /2 entry wrote it: under the /2 key, and under
+    # the /3 key with the /2 table layout
+    old_key = dict(key, schema="liespec-table-entry/2")
+    old_table = json.loads(fresh)
+    planted = [
+        other_table,  # a valid table of another job, bare
+        foreign.read_text(),  # and as that job's whole entry
+        canonical_json({"key": old_key, "table": old_table}),
+        canonical_json({"key": key, "table": old_table}),
+    ]
+    _plant_misses(capsys, args, entry, good, fresh, planted)
+
+
+def test_cache_hit_reads_no_eigenvalue_string(tmp_path, capsys, monkeypatch):
+    args = ("natred-spectrum", "--metric", METRIC, "--cutoff", "3")
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))
+    code, fresh = run_cli(capsys, *args)
+    assert code == 0
+
+    def refused(*args):
+        raise AssertionError(f"a cache hit called this with {args!r}")
+
+    # a hit builds no catalogue and parses no eigenvalue string
+    monkeypatch.setattr("liespec.natred.term_catalogue", refused)
+    monkeypatch.setattr("liespec.spectrum._eigenvalue", refused)
+    code, hit = run_cli(capsys, *args)
+    assert (code, hit) == (0, fresh)
 
 
 def test_determinism(capsys):
@@ -541,12 +594,18 @@ def test_cache_entry_with_bool_cutoff_is_a_miss(tmp_path, capsys, monkeypatch):
     run_cli(capsys, *args)
     (entry,) = tmp_path.iterdir()
     good = entry.read_text()
-    planted = good.replace('"cutoff":"1","entries"', '"cutoff":true,"entries"')
-    assert planted != good
-    entry.write_text(planted)
-    code, out = run_cli(capsys, *args)
-    assert code == 0 and out == fresh
-    assert entry.read_text() == good  # rewritten, not served
+    # cutoff "1", scale 1, values [0, 1]: a bool or float equal to each
+    # still names no integer
+    assert json.loads(good)["table"]["scale"] == 1
+    assert json.loads(good)["table"]["values"] == [0, 1]
+    planted = [
+        _with_table(good, cutoff=True),
+        _with_table(good, scale=True),
+        _with_table(good, scale=1.0),
+        _with_table(good, values=[False, True]),
+        _with_table(good, values=[0, 1.0]),
+    ]
+    _plant_misses(capsys, args, entry, good, fresh, planted)
 
 
 # A library function patched to raise a builtin exception, as a bug would,

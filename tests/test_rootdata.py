@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ref_coroots, ref_minus_w0_perm, ref_positive_roots
-from liespec.errors import DomainError
+from liespec.errors import DomainError, InputError
 from liespec.rootdata import (
     build,
     casimir,
@@ -117,6 +121,52 @@ def test_check_weight_errors():
         check_weight(a2, (1, F(1, 2)))
     assert check_weight(a2, [2, 0]) == (2, 0)
     assert is_dominant((0, 3)) and not is_dominant((0, -1))
+
+
+# A str or bytes weight is one value, not a sequence of coordinates: read
+# as one, "21" would be (2, 1) and b"11" the byte values (49, 49).  Prints
+# the type of what each call raised.
+_STRING_WEIGHTS = """
+import json
+from liespec.branching import branch
+from liespec.catalog import BUILTIN_EMBEDDINGS
+from liespec.rootdata import build, check_weight
+from liespec.weights import weyl_dim
+
+a2 = build("A2")
+emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
+calls = [
+    lambda: check_weight(a2, "11"),
+    lambda: check_weight(a2, b"11"),
+    lambda: check_weight(a2, bytearray(b"11")),
+    lambda: weyl_dim(a2, "21"),
+    lambda: branch(emb, "10"),
+]
+raised = []
+for call in calls:
+    try:
+        call()
+        raised.append(None)
+    except Exception as exc:
+        raised.append(type(exc).__name__)
+print(json.dumps({"debug": __debug__, "raised": raised}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_string_weight_is_refused(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _STRING_WEIGHTS],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is not bool(flags)
+    assert result["raised"] == ["InputError"] * 5
+    # a sequence of coordinate strings, as the command line gives, is read
+    assert check_weight(build("A2"), ["2", "1"]) == (2, 1)
+    with pytest.raises(InputError):
+        check_weight(build("A2"), "21")
 
 
 def test_weyl_orbits():

@@ -58,6 +58,31 @@ def test_validation():
         SpectrumTable("raw", F(1), 1, (F(1, 2),), (1,), True)
 
 
+def test_constructor_refuses_what_names_no_integer():
+    # a bool is an int equal to 0 or 1, and F(1) and 1.0 equal 1, but none
+    # is an integer numerator, scale or multiplicity, and complete is a bool
+    SpectrumTable("raw", F(1), 1, (0, 1), (1, 2), True)
+    for scale, values, mults, complete in (
+        (True, (False, True), (1, 2), True),
+        (True, (0, 1), (1, 2), True),
+        (1, (False, True), (1, 2), True),
+        (1, (0, True), (1, 2), True),
+        (1.0, (0, 1), (1, 2), True),
+        (F(1), (0, 1), (1, 2), True),
+        (1, (0, 1.0), (1, 2), True),
+        (1, (0, F(1)), (1, 2), True),
+        (1, (0, "1"), (1, 2), True),
+        (1, (0, 1), (1, 2.0), True),
+        (1, (0, 1), (1, True), True),
+        (1, (0, 1), (1, 2), 1),
+        (1, (0, 1), (1, 2), "yes"),
+        (1, (0, 1), (1, 2), None),
+        (1, (), (), 0),
+    ):
+        with pytest.raises(DomainError):
+            SpectrumTable("raw", F(1), scale, values, mults, complete)
+
+
 def test_multiplicity_check_matches_per_item_rule():
     # the set-of-types and min check rejects exactly the tables that a
     # per-item "type(m) is int and m >= 1" rejects, with a DomainError
@@ -149,8 +174,8 @@ def test_malformed_table_json_is_an_input_error():
 
 
 def test_cache_read_takes_eigenvalues_only_as_written():
-    # to_json_dict writes "p", or "p/q" with q > 1 in lowest terms, and the
-    # cache read takes nothing else
+    # to_json_dict writes "p", or "p/q" with q > 1 in lowest terms, and
+    # from_json_dict takes nothing else
     good = {"unit": "raw", "cutoff": "9", "entries": [], "complete": True}
     for text in ("2/4", "3/1", "1.5", " 1", "+1", "01", "0/1", "1/", "-1",
                  "1/02", "", 1):
