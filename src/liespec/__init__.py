@@ -57,7 +57,7 @@ from .natred import (
     natred_spectrum,
     natred_terms,
 )
-from .rootdata import RootSystemData, build, casimir, killing_dual_ip
+from .rootdata import RootSystemData, build, casimir
 from .spectrum import SpectrumTable, table_distance
 from .weights import (
     dominant_weights_up_to,
@@ -97,7 +97,6 @@ __all__ = [
     "gamma_invariants",
     "homothety_invariant",
     "isolation_scan",
-    "killing_dual_ip",
     "killing_ratio",
     "natred_spectrum",
     "natred_terms",

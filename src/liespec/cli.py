@@ -15,11 +15,11 @@ Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk; cached and fresh
 runs emit identical bytes.  The cache key is the canonical JSON of the job
 together with the package version and the entry schema; each entry stores
 that key beside the table's canonical integers (unit, cutoff, scale,
-values, mults, complete), and a read compares it and rebuilds the table
-through the validating ``SpectrumTable`` constructor, with no eigenvalue
-string to parse.  Entries are written atomically, and an entry that does
-not parse, holds an invalid table or carries another key (an older
-schema's among them) is treated as a miss and rewritten.
+values, mults), and a read compares it and passes those fields, and no
+other, to the validating ``SpectrumTable`` constructor.  Entries are
+written atomically, and an entry that does not parse, holds an invalid
+table or another field, or carries another key (an older schema's among
+them) is treated as a miss and rewritten.
 """
 
 import argparse
@@ -76,7 +76,7 @@ def _emit_report(obj, out_format: str) -> str:
 
 
 # names the layout of a cache entry; change it when that layout changes
-_CACHE_SCHEMA = "liespec-table-entry/3"
+_CACHE_SCHEMA = "liespec-table-entry/4"
 
 
 def _entry(table: SpectrumTable) -> dict:
@@ -88,22 +88,19 @@ def _entry(table: SpectrumTable) -> dict:
         "scale": table.scale,
         "values": table.values,
         "mults": table.mults,
-        "complete": table.complete,
     }
 
 
 def _from_entry(obj) -> SpectrumTable:
     """The table of ``_entry``'s dict, through the validating constructor,
-    which refuses a non-int or bool scale, value or multiplicity and a
-    non-bool ``complete``."""
-    return SpectrumTable(
-        obj["unit"],
-        rat(obj["cutoff"]),
-        obj["scale"],
-        tuple(obj["values"]),
-        tuple(obj["mults"]),
-        obj["complete"],
-    )
+    which refuses a non-int or bool scale, value or multiplicity, and a
+    field that ``_entry`` does not write with a TypeError."""
+    return SpectrumTable(**dict(
+        obj,
+        cutoff=rat(obj["cutoff"]),
+        values=tuple(obj["values"]),
+        mults=tuple(obj["mults"]),
+    ))
 
 
 def _cached_table(key_obj, builder) -> SpectrumTable:

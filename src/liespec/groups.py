@@ -11,7 +11,8 @@ Laplace eigenvalues are sums of per-factor Casimirs divided by the scales;
 each admissible tuple contributes multiplicity (product of dimensions)
 squared.  Casimir summands are nonnegative, so the per-factor enumeration
 budget makes every truncated table complete.  ``spectrum.linear_table``
-counts both spectra here on integer rows of Casimirs over one denominator.
+counts both spectra here on integer rows of Casimirs over one denominator,
+against the metric scales themselves.
 """
 
 from fractions import Fraction
@@ -150,7 +151,7 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     for tup in tuples:
         row, dims = zip(*map(dict.__getitem__, parts, tup))
         rows.append((row, prod(dims) ** 2))
-    return linear_table(rows, den, tuple(1 / t for t in gs.scales), cutoff)
+    return linear_table(rows, den, gs.scales, cutoff)
 
 
 def factor_lambda1(rs: RootSystemData, scale):
@@ -193,4 +194,4 @@ def normal_quotient_spectrum(
         fixed = spherical_mult(emb, lam)
         if fixed:
             rows.append(((num,), dim * fixed))
-    return linear_table(rows, ambient.casimir_den, (1 / t,), cutoff)
+    return linear_table(rows, ambient.casimir_den, (t,), cutoff)

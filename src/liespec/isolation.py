@@ -13,9 +13,12 @@ equality of truncated tables with zero tolerance; a table's integer form
 is canonical, so that is equality of integers.  The grid scan builds one
 metric-independent term catalogue, at a Casimir budget that covers every
 grid point, and evaluates the whole grid on integers over one common
-scale: rows that lie above the cutoff at the grid's floor are dropped once,
-and a point is a sum of per-axis integer products counted up to the
-cutoff, with no metric, Fraction or table made per point.
+scale, with the weights q/s that ``linear_table`` gives one metric: the
+catalogue's rows are already linear in the reciprocal scales, rows that
+lie above the cutoff at the grid's floor are dropped once, and a point is
+a sum of per-axis integer products counted up to the cutoff, with no
+metric, Fraction or table made per point.  A point's distance to the
+center is the count behind ``table_distance``.
 """
 
 from fractions import Fraction
@@ -30,7 +33,7 @@ from .lattices import Lattice, congruent, dual, systole
 from .linalg import inverse
 from .natred import NatRedMetric, term_catalogue
 from .rational import exact_int, fmt, rat, rat_cutoff
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, _distance
 
 
 class GammaVector(Value):
@@ -115,7 +118,8 @@ def isolation_scan(
     grid, and over one common scale (see ``_reciprocal_rows``) each point
     is its {numerator: multiplicity} counts up to the cutoff, summed from
     integer products made once per axis and grid step: equal counts are
-    equal tables, and their summed |difference| is ``table_distance``.
+    equal tables, and ``spectrum._distance``, the count behind
+    ``table_distance``, compares them.
     """
     radius = rat(radius)
     if not 0 <= radius < 1:
@@ -203,20 +207,18 @@ def isolation_scan(
 
 
 def _reciprocal_rows(catalogue, floor, limit):
-    """The catalogue's rows in reciprocal form, pruned at the grid's floor.
+    """The catalogue's rows g, pruned at the grid's floor.
 
-    A row (c, f_1, ...) over ``den`` is g = (c - sum f_i, f_1, ...), every
-    entry nonnegative by horizontal positivity, with eigenvalue
-    sum_k g_k / s_k / den at scales s: over q * den, the integer
-    sum_k g_k * w_k with weights w_k = q / s_k.  ``floor`` holds each
-    axis's least weight on the grid, so a row above ``limit`` there is
-    above it at every point and is dropped.  Returns one column of g per
-    axis and the multiplicities, over the rows kept.
+    A row g over ``den`` has eigenvalue sum_k g_k / s_k / den at scales s:
+    over q * den, the integer sum_k g_k * w_k with weights w_k = q / s_k.
+    Every entry of g is nonnegative by horizontal positivity, and
+    ``floor`` holds each axis's least weight on the grid, so a row above
+    ``limit`` there is above it at every point and is dropped.  Returns
+    one column of g per axis and the multiplicities, over the rows kept.
     """
     kept = []
     counts = []
-    for row, count in catalogue.rows:
-        g = (row[0] - sum(row[1:]),) + row[1:]
+    for g, count in catalogue.rows:
         if sum(map(mul, g, floor)) <= limit:
             kept.append(g)
             counts.append(count)
@@ -234,13 +236,6 @@ def _table(products, counts, limit) -> dict:
         if v <= limit:
             table[v] = table.get(v, 0) + count
     return table
-
-
-def _distance(a: dict, b: dict) -> int:
-    """``table_distance`` of two tables counted over one scale."""
-    return sum(abs(count - b.get(v, 0)) for v, count in a.items()) + sum(
-        count for v, count in b.items() if v not in a
-    )
 
 
 def finiteness_window(lam, vol, n: int, const) -> Fraction:

@@ -26,7 +26,7 @@ from math import gcd
 from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
-from ..rational import exact_int, fmt_matrix, rat_matrix
+from ..rational import exact_int, fmt_matrix, rat, rat_matrix
 
 # m-th powers of the Hermite constants gamma_m for m <= 8, which are the
 # rational quantities (gamma_m itself is irrational for most m).  Values as
@@ -142,8 +142,12 @@ def hermite_bound_ok(lat: Lattice, systole_sq: Fraction) -> bool:
     """Check systole^m * det(gram) <= gamma_m^m (m <= 8).
 
     This is the Hermite inequality with everything raised to the m-th power
-    so that only rational quantities appear.
+    so that only rational quantities appear.  ``systole_sq`` is read with
+    ``rat`` and must be positive.
     """
+    systole_sq = rat(systole_sq)
+    if systole_sq <= 0:
+        raise DomainError("squared systole must be positive")
     m = lat.dim
     if m not in HERMITE_POWER:
         raise DomainError("Hermite constants tabulated only for dim <= 8")

@@ -32,7 +32,6 @@ def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
         [0, *values],
         # a canonical x stands for x and -x
         [1, *map((2).__mul__, map(found.__getitem__, values))],
-        True,
     )
 
 

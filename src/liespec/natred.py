@@ -19,29 +19,29 @@ ratio of the embedding, which converts factor Casimirs to ambient units
 Multiplicities follow the two-sided Peter-Weyl block structure:
 dim(sigma) * [sigma : tau-bar] * dim(tau).
 
-Neither the pairs nor c(sigma) and c_i(tau_i)/j_i depend on the metric,
-and the eigenvalue c(sigma)/t + sum_i (1/t_i - 1/t) * c_i(tau_i)/j_i is
-linear in the reciprocal scales.  So the terms are built once, as a
-``TermCatalogue`` for an embedding and a Casimir budget: integer rows
-(c(sigma), c_1(tau_1)/j_1, ...) over one common denominator, with equal
-rows merged.  A metric is then one ``linear_table`` pass over the rows: an
-integer dot product with the reciprocal scales over their common
-denominator, and one Fraction per distinct eigenvalue.
+Neither the pairs nor c(sigma) and f_i = c_i(tau_i)/j_i depend on the
+metric, and the eigenvalue is linear in the reciprocal scales: with
+g = (c(sigma) - sum_i f_i, f_1, ...) it is g_0/t + sum_i g_i/t_i.  So the
+terms are built once, as a ``TermCatalogue`` for an embedding and a
+Casimir budget: integer rows g over one common denominator, with equal rows
+merged.  A metric is then one ``linear_table`` pass over the rows against
+its scales (t, t_1, ...), an integer dot product over one common scale,
+and one Fraction per distinct eigenvalue.
 
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
-so every eigenvalue is at least c(sigma) * min(1, t/max t_i) / t, and a
-metric's table needs only the terms with c(sigma) <= cutoff * max(t, t_i).
-The catalogue checks the domination on each of its terms and raises
-CertificationError if it fails; a metric whose budget exceeds the
-catalogue's is refused.  This makes every truncated table complete in both
-modes.
+that is g_0 >= 0, so every entry of g is nonnegative, every eigenvalue is
+at least c(sigma) * min(1, t/max t_i) / t, and a metric's table needs only
+the terms with c(sigma) <= cutoff * max(t, t_i).  The catalogue checks
+g_0 >= 0 on each of its terms and raises CertificationError if it fails; a
+metric whose budget exceeds the catalogue's is refused.  This makes every
+truncated table complete in both modes.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, truediv
 
 from .branching import (
     EmbeddingSpec,
@@ -52,7 +52,7 @@ from .branching import (
 from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .frozen import Frozen, Value
 from .groups import factor_lambda1
-from .rational import array, fmt, rat, rat_cutoff, required
+from .rational import array, exact_int, fmt, rat, rat_cutoff, required
 from .rootdata import build, casimir_num
 from .spectrum import SpectrumTable, linear_table
 from .weights import _dominant_casimirs, weyl_dim
@@ -160,9 +160,10 @@ class TermCatalogue(Frozen):
     """Every (sigma, tau) term of one embedding with c(sigma) <= budget.
 
     Nothing here depends on a metric.  ``terms`` lists (sigma, tau, mult,
-    row) in natred_terms order, where ``row`` is (c(sigma), c_1(tau_1)/j_1,
-    ...) times ``den``, all integers; ``rows`` lists each distinct row once
-    with its summed multiplicity.  Build it with ``term_catalogue``.
+    row) in natred_terms order, where ``row`` is g = (c(sigma) - sum_i f_i,
+    f_1, ...) times ``den``, all nonnegative integers, f_i = c_i(tau_i)/j_i;
+    ``rows`` lists each distinct row once with its summed multiplicity.
+    Build it with ``term_catalogue``.
     """
 
     _fields = ("emb", "budget", "den", "terms", "rows")
@@ -174,25 +175,25 @@ class TermCatalogue(Frozen):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "rows", rows)
 
-    def _coeffs(self, m: NatRedMetric, cutoff: Fraction) -> tuple:
-        """Coefficients (1/t, 1/t_i - 1/t) of m: a row r has eigenvalue
-        (coeffs . r) / den."""
+    def _scales(self, m: NatRedMetric, cutoff: Fraction) -> tuple:
+        """Scales (t, t_1, ...) of m: a row g has eigenvalue
+        sum_k g_k / s_k / den.  A metric of another embedding, or past the
+        catalogue's budget, is refused."""
         if m.emb is not self.emb:
             raise DomainError("term catalogue belongs to another embedding")
         if _metric_budget(m, cutoff) > self.budget:
             raise CertificationError(
                 "metric needs a larger term catalogue budget"
             )
-        inv_t = 1 / m.base_scale
-        return (inv_t,) + tuple(1 / x - inv_t for x in m.fiber_scales)
+        return (m.base_scale,) + m.fiber_scales
 
     def terms_for(self, m: NatRedMetric, cutoff) -> list:
         """(sigma, tau, multiplicity, eigenvalue) of m up to ``cutoff``."""
         cutoff = rat_cutoff(cutoff)
-        coeffs = self._coeffs(m, cutoff)
+        scales = self._scales(m, cutoff)
         out = []
         for lam, tau, mult, row in self.terms:
-            value = sum(map(mul, coeffs, row)) / self.den
+            value = sum(map(truediv, row, scales)) / self.den
             if value <= cutoff:
                 out.append((lam, tau, mult, value))
         return out
@@ -201,7 +202,7 @@ class TermCatalogue(Frozen):
         """Truncated spectrum of m, aggregated on integer numerators."""
         cutoff = rat_cutoff(cutoff)
         return linear_table(
-            self.rows, self.den, self._coeffs(m, cutoff), cutoff
+            self.rows, self.den, self._scales(m, cutoff), cutoff
         )
 
 
@@ -210,7 +211,7 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
 
     tau is the per-factor contragredient of the branch label, matching the
     restriction-contains-dual indexing; Casimirs are blind to the flip.
-    Horizontal positivity is checked on every term.
+    Horizontal positivity, g_0 >= 0, is checked on every term.
     """
     budget = rat(budget)
     group = emb.ambient
@@ -241,12 +242,12 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
                 tail = tuple(map(mul, map(casimir_num, emb.factors, tau), scales))
                 labels[tup] = tau, tail, prod(map(weyl_dim, emb.factors, tau))
             tau, tail, dim_tau = labels[tup]
+            row = (c_lam - sum(tail),) + tail
             # horizontal Laplacian positivity; certifies the budget
-            if sum(tail) > c_lam:
+            if row[0] < 0:
                 raise CertificationError(
                     f"horizontal positivity fails at sigma={lam}, tau={tau}"
                 )
-            row = (c_lam,) + tail
             count = dim_lam * mult * dim_tau
             terms.append((lam, tau, count, row))
             rows[row] += count
@@ -285,6 +286,7 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     and looks for a class sigma whose restriction contains the contragredient
     of the gamma witness; then zeta + gamma must occur in the full table.
     """
+    factor_index = exact_int(factor_index)
     cutoff = rat_cutoff(cutoff)
     if m.emb.num_factors == 0:
         return {"status": "vacuous", "factor": factor_index}
@@ -324,7 +326,7 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     for lam, term_tau, _, row in catalogue.terms:
         if term_tau != tau:
             continue
-        c_lam = Fraction(row[0], catalogue.den)
+        c_lam = Fraction(sum(row), catalogue.den)  # c(sigma) = sum of g
         if c_lam <= budget:
             zeta = c_lam / m.base_scale
             if witness is None or zeta < witness[0]:

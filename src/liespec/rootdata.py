@@ -13,14 +13,14 @@ Every Lie primitive reads integer tables built once per root system
 * ``coroot_ladder`` -- per coroot, (parent, i): it is coroots[parent] (0
   for -1) plus the i-th simple coroot, as every positive coroot of height
   > 1 is a lower one plus a simple one (Humphreys, 10.2);
-* ``form`` over ``form_den`` -- the normalized form ``ip_norm``,
+* ``form`` over ``form_den`` -- the normalized form
   <u, v> = u . form . v / form_den, with <theta, theta> = 2 for the
   highest root theta;
 * ``cartan_adj`` over ``cartan_det`` -- the simple-root coordinates of a
   weight w are cartan_adj . w / cartan_det.
 
-The Killing-dual form ``killing_dual_ip`` = ip_norm / (2 h^vee) is the
-form induced on weights by the negative Killing form and the one the
+The Killing-dual form <u, v> / (2 h^vee) = u . form . v / casimir_den is
+the form induced on weights by the negative Killing form and the one the
 Casimir eigenvalue is measured against:
 
     casimir(lambda) = <lambda, lambda + 2 rho> / (2 h^vee),
@@ -321,16 +321,6 @@ def check_weight(rs: RootSystemData, weight) -> tuple:
 
 def is_dominant(weight) -> bool:
     return all(x >= 0 for x in weight)
-
-
-def ip_norm(rs: RootSystemData, u, v) -> Fraction:
-    """Inner product in the normalization <theta, theta> = 2."""
-    return Fraction(linalg.form_value(rs.form, u, v), rs.form_den)
-
-
-def killing_dual_ip(rs: RootSystemData, u, v) -> Fraction:
-    """Inner product induced by the negative Killing form on weights."""
-    return Fraction(linalg.form_value(rs.form, u, v), rs.casimir_den)
 
 
 def casimir_num(rs: RootSystemData, weight) -> int:

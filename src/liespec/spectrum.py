@@ -1,9 +1,10 @@
 """Truncated spectra as exact tables.
 
 A SpectrumTable is a finite list of (eigenvalue, multiplicity) pairs, sorted
-by eigenvalue, together with the cutoff it was computed at and a
-completeness flag.  Eigenvalues are exact rationals relative to a declared
-unit:
+by eigenvalue, together with the cutoff it was computed at.  Every builder
+certifies its enumeration budget, so every table is complete, and
+``complete`` is a class constant, True.  Eigenvalues are exact rationals
+relative to a declared unit:
 
 * ``"raw"``            -- the eigenvalue itself is the stored rational;
 * ``"four-pi-squared"``-- the stored rational q means eigenvalue 4*pi^2*q,
@@ -15,13 +16,15 @@ gcd(scale, *values) == 1, beside their ``mults``.  That form is canonical,
 so two tables computed at the same cutoff are isospectral-at-cutoff iff
 they are equal, and equality, lookup, truncation and ``table_distance``
 work on integers.  Fractions appear only at the edges: ``entries``, the
-(Fraction, multiplicity) pairs, is a view built on first use, the JSON,
-CSV and pretty forms format each eigenvalue from its numerator and the
-scale, and ``from_entries`` (the path of ``from_json_dict``) takes the
-lcm of the given (p, q) denominators as the scale.  Every computed table is
-built by ``table_from_counts`` from multiplicities keyed by integer
-numerators over one common scale.  The Lie spectra are linear in the
-reciprocal metric scales, and ``linear_table`` evaluates them all.
+(Fraction, multiplicity) pairs, is a view built on first use, and the
+JSON, CSV and pretty forms format each eigenvalue from its numerator and
+the scale.  The validating constructor is the one way in: ``_reduced``
+divides integer numerators over one scale by their common factor, and
+``table_from_counts`` sorts multiplicities keyed by such numerators.  The
+Lie spectra are linear in the reciprocal metric scales, and
+``linear_table`` evaluates them all against the scales themselves.  One
+count, ``_distance`` on {numerator: multiplicity} over one scale, serves
+``table_distance`` and the isolation scan.
 """
 
 import io
@@ -34,9 +37,9 @@ from itertools import islice
 from math import gcd, lcm
 from operator import lt, mul
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 from .frozen import Value
-from .rational import array, fmt, rat, required
+from .rational import fmt, rat
 
 UNITS = ("raw", "four-pi-squared")
 
@@ -45,15 +48,18 @@ class SpectrumTable(Value):
     """Eigenvalue i is values[i] / scale, with multiplicity mults[i]: the
     values strictly increasing integers, the mults positive integers."""
 
-    _fields = ("unit", "cutoff", "scale", "values", "mults", "complete")
+    _fields = ("unit", "cutoff", "scale", "values", "mults")
 
-    def __init__(self, unit, cutoff, scale, values, mults, complete):
+    # every builder certifies its enumeration budget, so every table is
+    # complete up to its cutoff
+    complete = True
+
+    def __init__(self, unit, cutoff, scale, values, mults):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "complete", complete)
         if unit not in UNITS:
             raise DomainError(f"unknown unit {unit!r}")
         if cutoff < 0:
@@ -74,8 +80,6 @@ class SpectrumTable(Value):
                 raise DomainError("entries must be strictly increasing")
         if mults and not (set(map(type, mults)) <= {int} and min(mults) >= 1):
             raise DomainError("multiplicities must be positive integers")
-        if type(complete) is not bool:
-            raise DomainError(f"complete must be a bool, not {complete!r}")
 
     @cached_property
     def entries(self) -> tuple:
@@ -114,7 +118,6 @@ class SpectrumTable(Value):
             self.scale,
             self.values[:n],
             self.mults[:n],
-            self.complete,
         )
 
     def _eigenvalue_strings(self) -> list:
@@ -162,62 +165,13 @@ class SpectrumTable(Value):
             lines.append(f"{e:>{width}}  x{m}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_entries(unit, cutoff, entries, complete) -> "SpectrumTable":
-        """Table of ((p, q), multiplicity) pairs, each eigenvalue p/q in
-        lowest terms, over the lcm of the q (which is already the reduced
-        scale)."""
-        scale = lcm(*(q for (_, q), _ in entries))
-        return SpectrumTable(
-            unit=unit,
-            cutoff=rat(cutoff),
-            scale=scale,
-            values=tuple(p * (scale // q) for (p, q), _ in entries),
-            mults=tuple(m for _, m in entries),
-            complete=complete,
-        )
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "SpectrumTable":
-        """Strict inverse of ``to_json_dict``: ``complete`` is a JSON boolean,
-        each multiplicity decimal digits with no leading zero, and each
-        eigenvalue as ``_eigenvalue`` reads it; else an InputError."""
-        entries = array(required(obj, "entries"), "table entries")
-        for entry in entries:
-            if len(array(entry, "a table entry")) != 2:
-                raise InputError(f"table entry {entry!r} is not a pair")
-        complete = required(obj, "complete")
-        if not isinstance(complete, bool) or not all(
-            isinstance(m, str) and m.isascii() and m.isdigit() and m[0] != "0"
-            for _, m in entries
-        ):
-            raise InputError("table JSON is not as to_json_dict writes it")
-        return SpectrumTable.from_entries(
-            required(obj, "unit"),
-            required(obj, "cutoff"),
-            [(_eigenvalue(e), int(m)) for e, m in entries],
-            complete,
-        )
-
-
-def _eigenvalue(text) -> tuple:
-    """(p, q) of "p", or of "p/q" with q > 1 in lowest terms, exactly as
-    ``to_json_dict`` writes them: no sign, space or leading zero."""
-    if isinstance(text, str) and text.isascii():
-        p, _, q = text.partition("/")
-        if p.isdigit() and (q or "1").isdigit():
-            p, q = int(p), int(q or "1")
-            if gcd(p, q) == 1 and text == (f"{p}/{q}" if q > 1 else str(p)):
-                return p, q
-    raise InputError(f"eigenvalue {text!r} is not as to_json_dict writes it")
-
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace drift, one newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _reduced(unit, cutoff, scale, values, mults, complete) -> SpectrumTable:
+def _reduced(unit, cutoff, scale, values, mults) -> SpectrumTable:
     """Table of the integers ``values`` over ``scale``, with their common
     factor divided out."""
     g = gcd(scale, *values)
@@ -230,7 +184,6 @@ def _reduced(unit, cutoff, scale, values, mults, complete) -> SpectrumTable:
         scale=scale,
         values=tuple(values),
         mults=tuple(mults),
-        complete=complete,
     )
 
 
@@ -240,17 +193,18 @@ def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:
     ``scale``."""
     values = sorted(counts)
     return _reduced(
-        unit, cutoff, scale, values, map(counts.__getitem__, values), True
+        unit, cutoff, scale, values, map(counts.__getitem__, values)
     )
 
 
-def linear_table(rows, den, coeffs, cutoff) -> SpectrumTable:
-    """Raw table of the eigenvalues (coeffs . row) / den <= cutoff, for
-    (row, multiplicity) pairs of integer rows and rational ``coeffs``.  Each
-    is counted as an integer numerator over q * den, q the coefficients'
-    common denominator, with no Fraction per row."""
-    q = lcm(*(c.denominator for c in coeffs))
-    weights = tuple(c.numerator * (q // c.denominator) for c in coeffs)
+def linear_table(rows, den, scales, cutoff) -> SpectrumTable:
+    """Raw table of the eigenvalues sum_k row_k / s_k / den <= cutoff, for
+    (row, multiplicity) pairs of integer rows and the positive rational
+    ``scales`` s.  Over q * den, q the lcm of the scales' numerators, each
+    is the integer sum_k row_k * w_k with weights w_k = q / s_k, so no
+    Fraction is made per row."""
+    q = lcm(*(s.numerator for s in scales))
+    weights = tuple(q // s.numerator * s.denominator for s in scales)
     scale = q * den
     limit = cutoff.numerator * scale // cutoff.denominator
     counts = Counter()
@@ -263,25 +217,20 @@ def linear_table(rows, den, coeffs, cutoff) -> SpectrumTable:
 
 def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:
     """Multiset symmetric-difference count: sum of |mult_a - mult_b| over
-    all eigenvalues appearing in either table (absent = 0).
+    all eigenvalues appearing in either table (absent = 0).  The tables
+    must share their unit and cutoff; each is counted by numerator over
+    the one scale a.scale * b.scale."""
+    if a.unit != b.unit or a.cutoff != b.cutoff:
+        raise DomainError("only tables of one unit and cutoff compare")
+    return _distance(
+        dict(zip([v * b.scale for v in a.values], a.mults)),
+        dict(zip([w * a.scale for w in b.values], b.mults)),
+    )
 
-    One merge walk over both tables, comparing a's v * b.scale with b's
-    w * a.scale, so no Fraction is made."""
-    va = [v * b.scale for v in a.values]
-    vb = [w * a.scale for w in b.values]
-    ma, mb = a.mults, b.mults
-    na, nb = len(va), len(vb)
-    i = j = total = 0
-    while i < na and j < nb:
-        x, y = va[i], vb[j]
-        if x < y:
-            total += ma[i]
-            i += 1
-        elif y < x:
-            total += mb[j]
-            j += 1
-        else:
-            total += abs(ma[i] - mb[j])
-            i += 1
-            j += 1
-    return total + sum(ma[i:]) + sum(mb[j:])
+
+def _distance(a: dict, b: dict) -> int:
+    """``table_distance`` of two {numerator: multiplicity} counts over one
+    scale."""
+    return sum(abs(count - b.get(v, 0)) for v, count in a.items()) + sum(
+        count for v, count in b.items() if v not in a
+    )

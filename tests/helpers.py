@@ -19,7 +19,8 @@ bi-invariant and normal quotient spectra used as the exact references for
 the one integer evaluator, the principal-A1 q-dimension closed form
 used as an oracle for branching that shares no code with it, and the
 Fraction-Counter table distance used as the exact reference for the
-integer merge walk."""
+integer count, and ``ref_table``, a table of Fraction entries over the
+lcm of their denominators, for the reference tables."""
 
 import itertools
 import math
@@ -790,8 +791,22 @@ def _table_from_pairs(pairs, cutoff) -> SpectrumTable:
     acc = {}
     for eig, mult in pairs:
         acc[eig] = acc.get(eig, 0) + mult
-    entries = [(e.as_integer_ratio(), m) for e, m in sorted(acc.items()) if m]
-    return SpectrumTable.from_entries("raw", cutoff, entries, True)
+    entries = [(e, m) for e, m in sorted(acc.items()) if m]
+    return ref_table("raw", cutoff, entries)
+
+
+def ref_table(unit, cutoff, entries) -> SpectrumTable:
+    """Table of sorted (Fraction eigenvalue, multiplicity) entries, over the
+    lcm of the eigenvalues' denominators, which is already the reduced
+    scale."""
+    scale = math.lcm(*(e.denominator for e, _ in entries))
+    return SpectrumTable(
+        unit,
+        rat(cutoff),
+        scale,
+        tuple(e.numerator * (scale // e.denominator) for e, _ in entries),
+        tuple(m for _, m in entries),
+    )
 
 
 def ref_table_distance(a: SpectrumTable, b: SpectrumTable) -> int:

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from liespec.catalog import BUILTIN_LATTICES
 from liespec.cli import main
-from liespec.spectrum import SpectrumTable, canonical_json
+from liespec.lattices import torus_spectrum
+from liespec.spectrum import canonical_json
 
 METRIC = '{"group": "A2", "embedding": "a1-in-a2-standard", "t": "1", "t_i": ["1/2"]}'
 
@@ -404,8 +406,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     planted = [
         good[: len(good) // 2],  # a half-written entry
         # entries that parse, but not as this program writes them
-        _with_table(good, complete="no"),
-        _with_table(good, complete=1),
+        _with_table(good, complete=True),  # a field it does not write
         _with_table(good, mults=[2.5] + mults[1:]),
         _with_table(good, mults=[1.0] + mults[1:]),
         _with_table(good, mults=[True] + mults[1:]),
@@ -432,27 +433,33 @@ def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     run_cli(capsys, *args)
     (entry,) = (tmp_path / "mine").iterdir()
     good = entry.read_text()
-    # the entry holds the table's integers under schema /3
-    t = SpectrumTable.from_json_dict(json.loads(fresh))
-    assert json.loads(good)["table"] == {
+    # the entry holds the table's integers, and no complete, under /4
+    t = torus_spectrum(BUILTIN_LATTICES["hexagonal"], 7)
+    assert t.to_json() == fresh
+    entry_table = json.loads(good)["table"]
+    assert entry_table == {
         "unit": t.unit, "cutoff": "7", "scale": t.scale,
-        "values": list(t.values), "mults": list(t.mults), "complete": True,
+        "values": list(t.values), "mults": list(t.mults),
     }
     key = json.loads(good)["key"]
-    assert key["schema"] == "liespec-table-entry/3"
+    assert key["schema"] == "liespec-table-entry/4"
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "other"))
     run_cli(capsys, *other)
     (foreign,) = (tmp_path / "other").iterdir()
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "mine"))
-    # this job's table as a /2 entry wrote it: under the /2 key, and under
-    # the /3 key with the /2 table layout
+    # this job's table as a /2 and as a /3 entry wrote it: under their own
+    # keys, and under the /4 key with their table layouts
     old_key = dict(key, schema="liespec-table-entry/2")
     old_table = json.loads(fresh)
+    key_3 = dict(key, schema="liespec-table-entry/3")
+    table_3 = dict(entry_table, complete=True)
     planted = [
         other_table,  # a valid table of another job, bare
         foreign.read_text(),  # and as that job's whole entry
         canonical_json({"key": old_key, "table": old_table}),
         canonical_json({"key": key, "table": old_table}),
+        canonical_json({"key": key_3, "table": table_3}),
+        canonical_json({"key": key, "table": table_3}),
     ]
     _plant_misses(capsys, args, entry, good, fresh, planted)
 
@@ -466,9 +473,10 @@ def test_cache_hit_reads_no_eigenvalue_string(tmp_path, capsys, monkeypatch):
     def refused(*args):
         raise AssertionError(f"a cache hit called this with {args!r}")
 
-    # a hit builds no catalogue and parses no eigenvalue string
+    # a hit builds no catalogue and evaluates no row: the entry's
+    # integers go to the table constructor as they are
     monkeypatch.setattr("liespec.natred.term_catalogue", refused)
-    monkeypatch.setattr("liespec.spectrum._eigenvalue", refused)
+    monkeypatch.setattr("liespec.natred.linear_table", refused)
     code, hit = run_cli(capsys, *args)
     assert (code, hit) == (0, fresh)
 

@@ -218,7 +218,7 @@ def test_scan_prunes_at_the_grid_floor():
 
     def value(row, scales):
         t, t_1 = scales
-        return (row[0] / t + (1 / t_1 - 1 / t) * row[1]) / catalogue.den
+        return (row[0] / t + row[1] / t_1) / catalogue.den
 
     assert any(
         value(row, corner) <= cutoff < value(row, center)

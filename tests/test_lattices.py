@@ -20,7 +20,7 @@ from helpers import (
 )
 from liespec import build
 from liespec.catalog import BUILTIN_LATTICES
-from liespec.errors import DomainError, UnsupportedDimensionError
+from liespec.errors import DomainError, InputError, UnsupportedDimensionError
 from liespec.isolation import finiteness_window, homothety_invariant, torus_search
 from liespec.lattices import (
     HERMITE_POWER,
@@ -425,6 +425,19 @@ def test_hermite_bound():
     )
     with pytest.raises(DomainError):
         hermite_bound_ok(Lattice.from_gram(eye9), F(1))
+
+
+def test_hermite_bound_reads_the_squared_systole_exactly():
+    # read with rat like every rational input: a string parses, a float
+    # or a bool is refused, and a squared systole is positive
+    assert hermite_bound_ok(HEX, "2/3") and hermite_bound_ok(HEX, F(2, 3))
+    assert not hermite_bound_ok(HEX, "1")
+    for bad in (0.5, 2.0, True, False):
+        with pytest.raises(InputError):
+            hermite_bound_ok(HEX, bad)
+    for bad in (0, F(-2, 3), "-1"):
+        with pytest.raises(DomainError):
+            hermite_bound_ok(HEX, bad)
 
 
 @settings(max_examples=40, deadline=None)

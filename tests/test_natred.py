@@ -10,6 +10,7 @@ from liespec.errors import (
     CertificationError,
     DomainError,
     InadmissibleMetricError,
+    InputError,
 )
 from liespec.groups import GroupSpec, biinvariant_spectrum
 from liespec.natred import (
@@ -256,6 +257,26 @@ def test_containment_edge_cases():
         containment_check(metric(1, F(1, 2)), 0, -1)
     tiny = containment_check(metric(1, F(1, 2)), 0, F(1, 8))
     assert tiny["status"] == "inconclusive"
+
+
+def test_containment_reads_the_factor_index_exactly():
+    # read with exact_int: a string of digits names that factor, while a
+    # bool, a float or a non-integer names none, also on a vacuous metric
+    m = metric(1, F(1, 2))
+    report = containment_check(m, 0, 8)
+    assert containment_check(m, "0", 8) == report
+    assert type(containment_check(m, "0", 8)["factor"]) is int
+    from liespec.branching import EmbeddingSpec
+
+    emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
+    m0 = NatRedMetric(group=A2, emb=emb, base_scale=1, fiber_scales=())
+    for subject in (m, m0):
+        for bad in (True, False, 0.0, 1.0):
+            with pytest.raises(InputError):
+                containment_check(subject, bad, 8)
+        for bad in (F(1, 2), "1/2"):
+            with pytest.raises(DomainError):
+                containment_check(subject, bad, 8)
 
 
 def test_json_round_trip():

@@ -8,19 +8,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_coroots, ref_minus_w0_perm, ref_positive_roots
+from helpers import (
+    ref_coroots,
+    ref_ip_norm,
+    ref_minus_w0_perm,
+    ref_positive_roots,
+)
 from liespec.errors import DomainError, InputError
+from liespec.linalg import form_value
 from liespec.rootdata import (
     build,
     casimir,
     check_weight,
     contragredient_weight,
     dominant_rep,
-    ip_norm,
     is_dominant,
-    killing_dual_ip,
     weyl_orbit,
 )
+
+
+def _normalized(rs, u, v):
+    """<u, v> with <theta, theta> = 2: ``form`` over ``form_den``."""
+    return F(form_value(rs.form, u, v), rs.form_den)
+
+
+def _killing_dual(rs, u, v):
+    """The form the negative Killing form induces: ``form`` over
+    ``casimir_den``."""
+    return F(form_value(rs.form, u, v), rs.casimir_den)
+
 
 # (name, dual Coxeter number, dim of the Lie algebra)
 CLASSICAL = [
@@ -48,7 +64,9 @@ def test_tables_against_classical_values():
         assert rs.dim_g == dim_g
         assert len(rs.pos_roots_fund) == (dim_g - rs.rank) // 2
         # normalization: the highest root has squared length 2
-        assert ip_norm(rs, rs.highest_root, rs.highest_root) == 2
+        theta = rs.highest_root
+        assert _normalized(rs, theta, theta) == 2
+        assert ref_ip_norm(rs, theta, theta) == 2
         # the adjoint representation always has Casimir eigenvalue 1
         assert casimir(rs, rs.highest_root) == 1
 
@@ -82,14 +100,15 @@ def test_minus_w0_permutations():
 
 def test_killing_dual_values():
     a1 = build("A1")
-    assert killing_dual_ip(a1, (1,), (1,)) == F(1, 8)
+    assert _killing_dual(a1, (1,), (1,)) == F(1, 8)
     a2 = build("A2")
-    assert killing_dual_ip(a2, (1, 0), (1, 0)) == F(1, 9)
-    assert killing_dual_ip(a2, (1, 0), (0, 1)) == F(1, 18)
-    # relation to the theta-normalized form
-    assert killing_dual_ip(a2, (1, 1), (2, 0)) == ip_norm(
+    assert _killing_dual(a2, (1, 0), (1, 0)) == F(1, 9)
+    assert _killing_dual(a2, (1, 0), (0, 1)) == F(1, 18)
+    # relation to the theta-normalized form: casimir_den = 2 h^vee form_den
+    assert _killing_dual(a2, (1, 1), (2, 0)) == ref_ip_norm(
         a2, (1, 1), (2, 0)
     ) / (2 * a2.dual_coxeter)
+    assert _normalized(a2, (1, 1), (2, 0)) == ref_ip_norm(a2, (1, 1), (2, 0))
 
 
 def test_casimir_values():
@@ -207,9 +226,12 @@ def test_killing_form_bilinear_symmetric(name, u3, v3):
     rs = build(name)
     u = u3[: rs.rank]
     v = v3[: rs.rank]
-    assert killing_dual_ip(rs, u, v) == killing_dual_ip(rs, v, u)
+    assert _killing_dual(rs, u, v) == _killing_dual(rs, v, u)
     two_u = tuple(2 * x for x in u)
-    assert killing_dual_ip(rs, two_u, v) == 2 * killing_dual_ip(rs, u, v)
+    assert _killing_dual(rs, two_u, v) == 2 * _killing_dual(rs, u, v)
+    assert _killing_dual(rs, u, v) == ref_ip_norm(rs, u, v) / (
+        2 * rs.dual_coxeter
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,7 +244,7 @@ def test_casimir_invariant_on_orbits(name, lam):
     # every orbit element has the same squared length as the dominant rep
     rs = build(name)
     for nu in weyl_orbit(rs, lam):
-        assert ip_norm(rs, nu, nu) == ip_norm(rs, lam, lam)
+        assert _normalized(rs, nu, nu) == _normalized(rs, lam, lam)
 
 
 REFERENCE_TYPES = (

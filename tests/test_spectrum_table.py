@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_table_distance
+from helpers import ref_table, ref_table_distance
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
     BUILTIN_GROUPS,
@@ -24,10 +24,16 @@ from liespec.spectrum import (
 )
 
 
-def _table(entries, cutoff=F(10), unit="raw", complete=True):
+def _table(entries, cutoff=F(10), unit="raw"):
     """A table of (rational eigenvalue, multiplicity) pairs."""
-    entries = [(F(e).as_integer_ratio(), m) for e, m in entries]
-    return SpectrumTable.from_entries(unit, cutoff, entries, complete)
+    return ref_table(unit, cutoff, [(F(e), m) for e, m in entries])
+
+
+def _from_json(obj):
+    """The table that ``to_json_dict`` wrote ``obj`` from."""
+    entries = [(F(e), int(m)) for e, m in obj["entries"]]
+    assert obj["complete"] is True
+    return ref_table(obj["unit"], obj["cutoff"], entries)
 
 
 def test_validation():
@@ -47,40 +53,42 @@ def test_validation():
     with pytest.raises(DomainError):
         _table(((F(1), True),))  # a bool is not a multiplicity
     # the integer form is canonical: values reduced over a positive scale
-    SpectrumTable("raw", F(1), 3, (0, 2), (1, 1), True)
+    SpectrumTable("raw", F(1), 3, (0, 2), (1, 1))
     with pytest.raises(DomainError):
-        SpectrumTable("raw", F(1), 4, (0, 2), (1, 1), True)
+        SpectrumTable("raw", F(1), 4, (0, 2), (1, 1))
     with pytest.raises(DomainError):
-        SpectrumTable("raw", F(1), -1, (0,), (1,), True)
+        SpectrumTable("raw", F(1), -1, (0,), (1,))
     with pytest.raises(DomainError):
-        SpectrumTable("raw", F(1), 1, (0, 1), (1,), True)
+        SpectrumTable("raw", F(1), 1, (0, 1), (1,))
     with pytest.raises(DomainError):
-        SpectrumTable("raw", F(1), 1, (F(1, 2),), (1,), True)
+        SpectrumTable("raw", F(1), 1, (F(1, 2),), (1,))
 
 
 def test_constructor_refuses_what_names_no_integer():
     # a bool is an int equal to 0 or 1, and F(1) and 1.0 equal 1, but none
-    # is an integer numerator, scale or multiplicity, and complete is a bool
-    SpectrumTable("raw", F(1), 1, (0, 1), (1, 2), True)
-    for scale, values, mults, complete in (
-        (True, (False, True), (1, 2), True),
-        (True, (0, 1), (1, 2), True),
-        (1, (False, True), (1, 2), True),
-        (1, (0, True), (1, 2), True),
-        (1.0, (0, 1), (1, 2), True),
-        (F(1), (0, 1), (1, 2), True),
-        (1, (0, 1.0), (1, 2), True),
-        (1, (0, F(1)), (1, 2), True),
-        (1, (0, "1"), (1, 2), True),
-        (1, (0, 1), (1, 2.0), True),
-        (1, (0, 1), (1, True), True),
-        (1, (0, 1), (1, 2), 1),
-        (1, (0, 1), (1, 2), "yes"),
-        (1, (0, 1), (1, 2), None),
-        (1, (), (), 0),
+    # is an integer numerator, scale or multiplicity
+    t = SpectrumTable("raw", F(1), 1, (0, 1), (1, 2))
+    for scale, values, mults in (
+        (True, (False, True), (1, 2)),
+        (True, (0, 1), (1, 2)),
+        (1, (False, True), (1, 2)),
+        (1, (0, True), (1, 2)),
+        (1.0, (0, 1), (1, 2)),
+        (F(1), (0, 1), (1, 2)),
+        (1, (0, 1.0), (1, 2)),
+        (1, (0, F(1)), (1, 2)),
+        (1, (0, "1"), (1, 2)),
+        (1, (0, 1), (1, 2.0)),
+        (1, (0, 1), (1, True)),
     ):
         with pytest.raises(DomainError):
-            SpectrumTable("raw", F(1), scale, values, mults, complete)
+            SpectrumTable("raw", F(1), scale, values, mults)
+    # every table is complete: a class constant, not a field to set
+    assert t.complete is True and SpectrumTable.complete is True
+    with pytest.raises(TypeError):
+        SpectrumTable("raw", F(1), 1, (0, 1), (1, 2), True)
+    with pytest.raises(TypeError):
+        SpectrumTable("raw", F(1), 1, (0, 1), (1, 2), complete=True)
 
 
 def test_multiplicity_check_matches_per_item_rule():
@@ -95,7 +103,7 @@ def test_multiplicity_check_matches_per_item_rule():
         expected = all(type(m) is int and m >= 1 for m in mults)
         values = tuple(range(len(mults)))
         try:
-            SpectrumTable("raw", F(100), 1, values, mults, True)
+            SpectrumTable("raw", F(100), 1, values, mults)
             accepted = True
         except DomainError as exc:
             assert str(exc) == "multiplicities must be positive integers"
@@ -136,54 +144,11 @@ def test_json_round_trip():
     t = _table(((F(0), 1), (F(5, 4), 12)), cutoff=F(3, 2))
     obj = json.loads(t.to_json())
     assert obj["entries"] == [["0", "1"], ["5/4", "12"]]
-    back = SpectrumTable.from_json_dict(obj)
-    assert back == t
+    assert _from_json(obj) == t
     # canonical bytes: sorted keys, no whitespace, trailing newline
     assert t.to_json() == canonical_json(t.to_json_dict())
     assert t.to_json().endswith("\n")
     assert '"complete":true' in t.to_json()
-
-
-def test_malformed_table_json_is_an_input_error():
-    good = {"unit": "raw", "cutoff": "2", "entries": [["1/2", "3"]],
-            "complete": True}
-    assert SpectrumTable.from_json_dict(good).multiplicity(F(1, 2)) == 3
-    bad = [
-        {k: v for k, v in good.items() if k != "entries"},
-        {k: v for k, v in good.items() if k != "complete"},
-        dict(good, entries="ab"),
-        dict(good, entries=[["1/2", "3", "4"]]),
-        dict(good, entries=["1/2"]),
-        dict(good, entries=[["1/2", "01"]]),  # to_json_dict writes no "01"
-        dict(good, entries=[["1/2", 3]]),
-        dict(good, entries=[["1/2", "0"]]),
-        dict(good, entries=[["x", "3"]]),
-        dict(good, cutoff=True),
-        dict(good, complete="yes"),
-        [["1/2", "3"]],
-        "entries",
-        7,
-    ]
-    for obj in bad:
-        with pytest.raises(InputError):
-            SpectrumTable.from_json_dict(obj)
-    with pytest.raises(DomainError):
-        SpectrumTable.from_json_dict(
-            {"unit": "raw", "cutoff": "-1", "entries": [], "complete": True}
-        )
-
-
-def test_cache_read_takes_eigenvalues_only_as_written():
-    # to_json_dict writes "p", or "p/q" with q > 1 in lowest terms, and
-    # from_json_dict takes nothing else
-    good = {"unit": "raw", "cutoff": "9", "entries": [], "complete": True}
-    for text in ("2/4", "3/1", "1.5", " 1", "+1", "01", "0/1", "1/", "-1",
-                 "1/02", "", 1):
-        with pytest.raises(InputError):
-            SpectrumTable.from_json_dict(dict(good, entries=[[text, "1"]]))
-    for text, value in (("0", F(0)), ("7", F(7)), ("3/2", F(3, 2))):
-        t = SpectrumTable.from_json_dict(dict(good, entries=[[text, "1"]]))
-        assert t.entries == ((value, 1),)
 
 
 def _computed_tables():
@@ -213,8 +178,8 @@ def test_computed_tables_round_trip_without_entries():
         text = t.to_json() + t.to_csv() + t.to_pretty()
         # no computed table, rendered in every format, made its entries
         assert "entries" not in t.__dict__
-        back = SpectrumTable.from_json_dict(json.loads(t.to_json()))
-        assert back == t  # the cache read gives the canonical scale back
+        back = _from_json(json.loads(t.to_json()))
+        assert back == t  # the lcm of the denominators is the scale
         assert back.to_json() + back.to_csv() + back.to_pretty() == text
         assert len(t.values) >= 2
 
@@ -234,6 +199,24 @@ def test_table_distance_symmetric_difference():
     assert table_distance(a, b) == 2 + 2 + 5
     assert table_distance(a, a) == 0
     assert table_distance(a, b) == table_distance(b, a)
+
+
+def test_table_distance_refuses_another_unit_or_cutoff():
+    # at equal cutoffs, a torus table is in units of 4 pi^2 and a group
+    # table in raw units, so their entries name different eigenvalues
+    torus = torus_spectrum(BUILTIN_LATTICES["hexagonal"], 3)
+    group = biinvariant_spectrum(BUILTIN_GROUPS["su2"], 3)
+    assert (torus.cutoff, torus.unit) == (group.cutoff, "four-pi-squared")
+    a = _table(((F(0), 1), (F(1), 4)))
+    for x, y in (
+        (torus, group),
+        (a, _table(((F(0), 1), (F(1), 4)), cutoff=F(1))),
+        (a, _table(((F(0), 1), (F(1), 4)), unit="four-pi-squared")),
+    ):
+        with pytest.raises(DomainError):
+            table_distance(x, y)
+        with pytest.raises(DomainError):
+            table_distance(y, x)
 
 
 # Random tables as integer counts over a random, usually unreduced, scale;

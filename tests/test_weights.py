@@ -140,11 +140,11 @@ def test_diagram_total_matches_weyl_dim(name, lam3):
 def test_weights_lie_below_highest(name, lam):
     # every weight of V_lam has casimir norm at most that of lam
     rs = build(name)
-    from liespec.rootdata import ip_norm
+    from liespec.linalg import form_value
 
-    top = ip_norm(rs, lam, lam)
+    top = form_value(rs.form, lam, lam)
     for mu, _ in weight_diagram(rs, lam).mults:
-        assert ip_norm(rs, mu, mu) <= top
+        assert form_value(rs.form, mu, mu) <= top
 
 
 ALL_TYPES = (
@@ -163,7 +163,7 @@ def test_integer_tables_match_fraction_reference():
         ref_ip_norm,
         ref_weyl_dim,
     )
-    from liespec.rootdata import ip_norm, killing_dual_ip
+    from liespec.linalg import form_value
 
     rng = random.Random(2024)
     for name in ALL_TYPES:
@@ -173,10 +173,13 @@ def test_integer_tables_match_fraction_reference():
             mu = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
             assert weyl_dim(rs, lam) == ref_weyl_dim(rs, lam)
             assert casimir(rs, lam) == ref_casimir(rs, lam)
-            assert ip_norm(rs, lam, mu) == ref_ip_norm(rs, lam, mu)
-            assert killing_dual_ip(rs, mu, lam) == ref_ip_norm(
-                rs, mu, lam
-            ) / (2 * rs.dual_coxeter)
+            # the normalized and the Killing-dual form from one integer form
+            assert F(form_value(rs.form, lam, mu), rs.form_den) == ref_ip_norm(
+                rs, lam, mu
+            )
+            assert F(
+                form_value(rs.form, mu, lam), rs.casimir_den
+            ) == ref_ip_norm(rs, mu, lam) / (2 * rs.dual_coxeter)
         # characters: distinct sparse nonzero weights, small enough for
         # the Fraction reference
         seen = set()
