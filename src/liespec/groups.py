@@ -7,24 +7,27 @@ Central elements are rational coweights in simple-coroot coordinates, so a
 weight in fundamental coordinates pairs with one by a plain dot product and
 admissibility of a representation is an exact integrality test.
 
-Laplace eigenvalues are sums of per-factor Casimirs divided by the scales;
-each admissible tuple contributes multiplicity (product of dimensions)
-squared.  Casimir summands are nonnegative, so the per-factor enumeration
-budget makes every truncated table complete.  ``spectrum.linear_table``
-counts both spectra here on integer rows of Casimirs over one denominator,
-against the metric scales themselves.
+Eigenvalues are sum_i c_i(lambda_i)/t_i with multiplicity prod_i dim_i^2,
+over the classes whose pairing with each z in Gamma, a sum over the
+factors, is an integer.  So the spectrum is one fold over the factors in
+integers: each factor's weights within its budget c_i <= cutoff * t_i are
+counted by (pairings with Gamma mod 1, eigenvalue numerator over the one
+scale of ``spectrum.linear_table``), and each is combined with the running
+counts by adding both and multiplying multiplicities.  Every summand is
+>= 0, so a partial sum above the cutoff is dropped at once, exactly.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import lcm, prod
+from math import lcm
+from operator import mul
 
 from .branching import EmbeddingSpec, spherical_mult
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import RootSystemData, build, casimir, check_weight
-from .spectrum import SpectrumTable, linear_table
+from .spectrum import SpectrumTable, linear_table, table_from_counts
 from .weights import _dominant_casimirs
 
 
@@ -115,43 +118,37 @@ def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     return True
 
 
-def admissible_tuples(gs: GroupSpec, cutoff: Fraction) -> list:
-    """Gamma-admissible dominant tuples inside the per-factor budgets
-    c_i(lambda_i) <= cutoff * t_i.  Every tuple with eigenvalue
-    Sum c_i(lambda_i)/t_i <= cutoff is among them: summands are >= 0."""
-    return _admissible(gs, cutoff)[1]
-
-
-def _admissible(gs: GroupSpec, cutoff):
-    """Per factor {weight: (casimir_num, dim)} over its budget, and
-    ``admissible_tuples`` of those weights."""
-    cutoff = rat(cutoff)
-    per_factor = [
-        {lam: (num, dim) for lam, num, dim in _dominant_casimirs(f, cutoff * t)}
-        for f, t in zip(gs.factors, gs.scales)
-    ]
-    tuples = product(*per_factor)
-    if gs.gamma:  # with no gamma every enumerated tuple is admissible
-        tuples = (tup for tup in tuples if center_admissible(gs, tup))
-    return per_factor, list(tuples)
-
-
 def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
-    """Truncated Laplace spectrum of the bi-invariant metric on K."""
+    """Truncated Laplace spectrum of the bi-invariant metric on K, folded
+    over the factors in integers (module docstring)."""
     cutoff = rat_cutoff(cutoff)
     den = lcm(*(f.casimir_den for f in gs.factors))
-    per_factor, tuples = _admissible(gs, cutoff)
-    # per factor, weight -> (Casimir numerator over den, dimension)
-    parts = [
-        {lam: (num * (den // f.casimir_den), dim)
-         for lam, (num, dim) in part.items()}
-        for f, part in zip(gs.factors, per_factor)
-    ]
-    rows = []
-    for tup in tuples:
-        row, dims = zip(*map(dict.__getitem__, parts, tup))
-        rows.append((row, prod(dims) ** 2))
-    return linear_table(rows, den, gs.scales, cutoff)
+    q = lcm(*(t.numerator for t in gs.scales))
+    limit = cutoff.numerator * q * den // cutoff.denominator
+    d = lcm(*(x.denominator for z in gs.gamma for part in z for x in part))
+    zero = (0,) * len(gs.gamma)
+    counts = {(zero, 0): 1}
+    for i, (f, t) in enumerate(zip(gs.factors, gs.scales)):
+        w = q // t.numerator * t.denominator * (den // f.casimir_den)
+        # z_i over d, so a weight's class is one integer dot product mod d
+        coweights = [
+            [x.numerator * (d // x.denominator) for x in z[i]] for z in gs.gamma
+        ]
+        part = Counter()
+        for lam, num, dim in _dominant_casimirs(f, cutoff * t):
+            cls = tuple(sum(map(mul, lam, z)) % d for z in coweights)
+            part[cls, num * w] += dim * dim
+        step = Counter()
+        for (cls, v), m in counts.items():
+            for (c, u), n in part.items():
+                if v + u <= limit:
+                    key = tuple((a + b) % d for a, b in zip(cls, c)), v + u
+                    step[key] += m * n
+        counts = step
+    return table_from_counts(
+        {v: m for (cls, v), m in counts.items() if cls == zero},
+        q * den, "raw", cutoff,
+    )
 
 
 def factor_lambda1(rs: RootSystemData, scale):

@@ -244,6 +244,8 @@ def finiteness_window(lam, vol, n: int, const) -> Fraction:
     n = exact_int(n)
     if lam <= 0 or vol <= 0 or const <= 0:
         raise DomainError("window inputs must be positive")
+    if n < 1:
+        raise DomainError("dimension must be positive")
     return const / (lam**n * vol**2)
 
 

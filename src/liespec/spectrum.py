@@ -22,7 +22,7 @@ the scale.  The validating constructor is the one way in: ``_reduced``
 divides integer numerators over one scale by their common factor, and
 ``table_from_counts`` sorts multiplicities keyed by such numerators.  The
 Lie spectra are linear in the reciprocal metric scales, and
-``linear_table`` evaluates them all against the scales themselves.  One
+``linear_table`` evaluates rows of them against the scales themselves.  One
 count, ``_distance`` on {numerator: multiplicity} over one scale, serves
 ``table_distance`` and the isolation scan.
 """

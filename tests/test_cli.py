@@ -114,6 +114,19 @@ def test_window_report(capsys):
     assert json.loads(out) == {"window": "1/36"}
 
 
+def test_window_refuses_a_dimension_below_one(capsys):
+    for dim in ("0", "-3"):
+        code, err = _error(
+            capsys,
+            ("window", "--lambda1", "1", "--vol", "1", "--dim", dim,
+             "--const", "1"),
+        )
+        assert code == 2, dim
+        assert err == {
+            "type": "DomainError", "message": "dimension must be positive",
+        }, dim
+
+
 def test_validate_embedding_report(capsys):
     code, out = run_cli(
         capsys, "validate-embedding", "--embedding", "a1xa1-in-b2"

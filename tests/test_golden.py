@@ -25,6 +25,7 @@ INLINE = {
     "SINGULAR": '{"basis":[["1","2"],["2","4"]]}',
     "NOT_PD": '{"gram":[["1","2"],["2","1"]]}',
     "E8SPEC": '{"factors":["E8"],"scales":["1"]}',
+    "E8E8SPEC": '{"factors":["E8","E8"]}',
 }
 
 # argv -> (exit code, sha256 of stdout)
@@ -198,6 +199,11 @@ GOLDEN = {
         0,
         "12a2806096d5cc3a4e0eff53195a04af4d8c870632e277b4a33f62e5c59d4463",
     ),
+    # a product group: E8 x E8, each factor walked up to the full cutoff
+    "group-spectrum --spec E8E8SPEC --cutoff 16": (
+        0,
+        "bafa68697c9b50d5be8525e3a4658dfe65d223d5322f164cc3d6aa2eb46f5292",
+    ),
     "natred-spectrum --metric METRIC --cutoff 3": (
         0,
         "e9481be7cf210c09cc8c2bfff1aea41a25461b3b54456cc5283f4dfa77723b7f",
@@ -237,7 +243,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 41
+    assert len(lines) == 42
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,6 @@ from liespec.catalog import (
 from liespec.errors import DomainError
 from liespec.groups import (
     GroupSpec,
-    admissible_tuples,
     biinvariant_spectrum,
     center_admissible,
     factor_lambda1,
@@ -85,24 +85,48 @@ def test_product_group_spectrum():
     assert dict(t.entries) == expect
 
 
-def test_admissible_tuples_budget():
-    tups = admissible_tuples(SU3, F(4, 9))
-    assert sorted(tups) == [((0, 0),), ((0, 1),), ((1, 0),)]
-    # per-factor budgets c_i <= cutoff * t_i: ((1,), (1,)) has eigenvalue
-    # 3/4 > 3/8 but is listed; the table filters it
+def test_fold_drops_partial_sums_past_the_cutoff():
+    # each factor's budget c_i <= 3/8 admits (1,), but the class
+    # ((1,), (1,)) has eigenvalue 3/4 > 3/8: the fold drops it
     a1 = build("A1")
     su2xsu2 = GroupSpec(factors=(a1, a1))
-    assert sorted(admissible_tuples(su2xsu2, F(3, 8))) == [
-        ((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,)),
-    ]
     assert biinvariant_spectrum(su2xsu2, F(3, 8)).entries == (
         (F(0), 1), (F(3, 8), 8),
     )
     # the diagonal center of SU2 x SU2 keeps n + m even
     diag = GroupSpec(factors=(a1, a1), gamma=(((F(1, 2),), (F(1, 2),)),))
-    assert sorted(admissible_tuples(diag, F(3, 8))) == [
-        ((0,), (0,)), ((1,), (1,)),
-    ]
+    assert biinvariant_spectrum(diag, F(3, 4)).entries == (
+        (F(0), 1), (F(3, 4), 16),
+    )
+
+
+# Gamma on three factors: z_1 pairs with weights of A1 in halves and of A2
+# in thirds, z_2 with those of A1 and B2 in halves, so classes live mod 1/6
+THREE_FACTOR_GAMMA = (
+    '{"factors":["A1","A2","B2"],"scales":["1/2","1","3/2"],'
+    '"gamma":[[["1/2"],["1/3","2/3"],["0","0"]],'
+    '[["1/2"],["0","0"],["0","1/2"]]]}'
+)
+
+
+def test_gamma_on_three_factors_with_classes_of_different_orders():
+    gs = GroupSpec.from_json_dict(json.loads(THREE_FACTOR_GAMMA))
+    table = biinvariant_spectrum(gs, 6)
+    assert table == ref_biinvariant_spectrum(gs, 6)
+    assert table != biinvariant_spectrum(
+        GroupSpec(gs.factors, scales=gs.scales), 6
+    )
+    # recorded before the spectrum became a fold over the factors
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == (
+        "c17e0d8c3345411a7d975077d4c12fddfc853e2ee03ad41376be5b25deb501d9"
+    )
+
+
+def test_factor_whose_budget_admits_only_the_trivial_weight():
+    # A2's least nonzero Casimir 4/9 exceeds its budget 1 * 1/100
+    a1, a2 = build("A1"), build("A2")
+    table = biinvariant_spectrum(GroupSpec((a1, a2), scales=(1, F(1, 100))), 1)
+    assert table == biinvariant_spectrum(GroupSpec((a1,)), 1)
 
 
 def test_factor_lambda1():

@@ -284,6 +284,9 @@ def test_finiteness_window():
         finiteness_window(0, 1, 2, 1)
     with pytest.raises(DomainError):
         finiteness_window(1, 1, 2, 0)
+    for n in (0, -3):  # homothety_invariant and torus_search refuse these too
+        with pytest.raises(DomainError, match="dimension must be positive"):
+            finiteness_window(1, 1, n, 1)
 
 
 def test_homothety_invariant_even():
