@@ -15,11 +15,11 @@ Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk; cached and fresh
 runs emit identical bytes.  The cache key is the canonical JSON of the job
 together with the package version and the entry schema; each entry stores
 that key beside the table's canonical integers (unit, cutoff, scale,
-values, mults), and a read compares it and passes those fields, and no
-other, to the validating ``SpectrumTable`` constructor.  Entries are
-written atomically, and an entry that does not parse, holds an invalid
-table or another field, or carries another key (an older schema's among
-them) is treated as a miss and rewritten.
+values, mults).  A hit begins with the bytes a miss writes for its key and
+holds a table at the job's cutoff and unit, whose fields alone go to the
+validating ``SpectrumTable`` constructor.  Entries are written atomically;
+any other entry (one that does not parse, holds an invalid table, another
+field or another key, an older schema's among them) is a miss, rewritten.
 """
 
 import argparse
@@ -91,35 +91,40 @@ def _entry(table: SpectrumTable) -> dict:
     }
 
 
-def _from_entry(obj) -> SpectrumTable:
-    """The table of ``_entry``'s dict, through the validating constructor,
-    which refuses a non-int or bool scale, value or multiplicity, and a
-    field that ``_entry`` does not write with a TypeError."""
+def _from_entry(obj, cutoff) -> SpectrumTable:
+    """The table of ``_entry``'s dict at the job's ``cutoff``, through the
+    validating constructor, which refuses a non-int or bool scale, value or
+    multiplicity, and a field that ``_entry`` does not write (TypeError)."""
     return SpectrumTable(**dict(
         obj,
-        cutoff=rat(obj["cutoff"]),
+        cutoff=cutoff,
         values=tuple(obj["values"]),
         mults=tuple(obj["mults"]),
     ))
 
 
-def _cached_table(key_obj, builder) -> SpectrumTable:
+def _cached_table(job, cutoff, unit, builder) -> SpectrumTable:
+    """The table of ``job``, at ``cutoff`` in ``unit``: a hit's, else the
+    one ``builder()`` makes, which is then written to the cache."""
     cache = os.environ.get("LIESPEC_CACHE_DIR")
     if not cache:
         return builder()
-    os.makedirs(cache, exist_ok=True)
-    key = {"schema": _CACHE_SCHEMA, "version": __version__, "job": key_obj}
+    key = {"schema": _CACHE_SCHEMA, "version": __version__, "job": job}
     key_text = canonical_json(key)
     digest = hashlib.sha256(key_text.encode()).hexdigest()
     path = os.path.join(cache, digest + ".json")
+    head = f'{{"key":{key_text[:-1]},"table":'  # how a miss's entry begins
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if canonical_json(entry["key"]) == key_text:
-            return _from_entry(entry["table"])
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.startswith(head) and text.endswith("}\n"):
+            obj = json.loads(text[len(head):-2])
+            if (obj["unit"], obj["cutoff"]) == (unit, job["cutoff"]):
+                return _from_entry(obj, cutoff)
     except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
         pass  # a miss; a corrupt entry (JSONDecodeError is a ValueError) too
     table = builder()
+    os.makedirs(cache, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -133,23 +138,24 @@ def _cached_table(key_obj, builder) -> SpectrumTable:
 
 
 # spectrum subcommand: (descriptor option, cache-key op, cache-key name,
-# descriptor type, spectrum function)
+# descriptor type, spectrum function, unit of its tables)
 _TABLES = {
-    "torus-spectrum": ("gram", "torus", "lattice", Lattice, torus_spectrum),
-    "group-spectrum": ("spec", "group", "spec", GroupSpec, biinvariant_spectrum),
-    "natred-spectrum": (
-        "metric", "natred", "metric", NatRedMetric, natred_spectrum,
-    ),
+    "torus-spectrum": ("gram", "torus", "lattice", Lattice, torus_spectrum,
+                       "four-pi-squared"),
+    "group-spectrum": ("spec", "group", "spec", GroupSpec,
+                       biinvariant_spectrum, "raw"),
+    "natred-spectrum": ("metric", "natred", "metric", NatRedMetric,
+                        natred_spectrum, "raw"),
 }
 
 
 def _run_table(ns) -> str:
-    option, op, name, kind, spectrum = _TABLES[ns.command]
+    option, op, name, kind, spectrum, unit = _TABLES[ns.command]
     subject = resolve(kind, getattr(ns, option))
     cutoff = rat(ns.cutoff)
     table = _cached_table(
         {"op": op, name: subject.to_json_dict(), "cutoff": fmt(cutoff)},
-        lambda: spectrum(subject, cutoff),
+        cutoff, unit, lambda: spectrum(subject, cutoff),
     )
     return getattr(table, f"to_{ns.fmt}")()  # to_json, to_csv, to_pretty
 

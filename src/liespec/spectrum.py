@@ -62,9 +62,14 @@ class SpectrumTable(Value):
         object.__setattr__(self, "mults", mults)
         if unit not in UNITS:
             raise DomainError(f"unknown unit {unit!r}")
+        # exact types only: a bool is an int but names no number, a list
+        # can change after these checks, and ``to_json`` escapes nothing
+        if type(cutoff) not in (int, Fraction):
+            raise DomainError("cutoff must be an int or a Fraction")
         if cutoff < 0:
             raise DomainError("cutoff must be nonnegative")
-        # a bool is an int, but not a numerator
+        if type(values) is not tuple or type(mults) is not tuple:
+            raise DomainError("values and mults must be tuples")
         if type(scale) is not int or not set(map(type, values)) <= {int}:
             raise DomainError("scale and values must be integers")
         if scale < 1 or gcd(scale, *values) != 1:
@@ -130,19 +135,18 @@ class SpectrumTable(Value):
             out.append(str(v // g) if g == scale else f"{v // g}/{scale // g}")
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "cutoff": fmt(self.cutoff),
-            "entries": [
-                [e, str(m)]
-                for e, m in zip(self._eigenvalue_strings(), self.mults)
-            ],
-            "complete": self.complete,
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
+        """``canonical_json`` of the table's JSON object, written directly:
+        the keys in sorted order, and nothing to escape, as the constructor
+        admits only the ``UNITS`` and exact numbers."""
+        entries = ",".join([
+            f'["{e}","{m}"]'
+            for e, m in zip(self._eigenvalue_strings(), self.mults)
+        ])
+        return (
+            f'{{"complete":true,"cutoff":"{fmt(self.cutoff)}",'
+            f'"entries":[{entries}],"unit":"{self.unit}"}}\n'
+        )
 
     def to_csv(self) -> str:
         import csv

@@ -19,10 +19,13 @@ bi-invariant and normal quotient spectra used as the exact references for
 the one integer evaluator, the principal-A1 q-dimension closed form
 used as an oracle for branching that shares no code with it, and the
 Fraction-Counter table distance used as the exact reference for the
-integer count, and ``ref_table``, a table of Fraction entries over the
-lcm of their denominators, for the reference tables."""
+integer count, ``ref_table``, a table of Fraction entries over the
+lcm of their denominators, for the reference tables, and ``ref_table_json``,
+a table's JSON object through ``json.dumps``, used as the exact reference
+for the table's direct JSON writer."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -807,6 +810,18 @@ def ref_table(unit, cutoff, entries) -> SpectrumTable:
         tuple(e.numerator * (scale // e.denominator) for e, _ in entries),
         tuple(m for _, m in entries),
     )
+
+
+def ref_table_json(t: SpectrumTable) -> str:
+    """The canonical JSON of a table's object, each eigenvalue formatted
+    by ``rational.fmt`` from its Fraction entry."""
+    obj = {
+        "unit": t.unit,
+        "cutoff": fmt(t.cutoff),
+        "entries": [[fmt(e), str(m)] for e, m in t.entries],
+        "complete": t.complete,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def ref_table_distance(a: SpectrumTable, b: SpectrumTable) -> int:

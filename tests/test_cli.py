@@ -477,6 +477,65 @@ def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     _plant_misses(capsys, args, entry, good, fresh, planted)
 
 
+def test_cache_entry_for_another_cutoff_or_unit_is_a_miss(
+    tmp_path, capsys, monkeypatch
+):
+    args = ("torus-spectrum", "--gram", "hexagonal", "--cutoff", "7")
+    code, fresh = run_cli(capsys, *args)
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))
+    run_cli(capsys, *args)
+    (entry,) = tmp_path.iterdir()
+    good = entry.read_text()
+    # a valid table under this job's key, but at cutoff 3 or in raw units
+    t = torus_spectrum(BUILTIN_LATTICES["hexagonal"], 3)
+    assert t.values[-1] < json.loads(good)["table"]["values"][-1]
+    planted = [
+        _with_table(
+            good, cutoff="3", scale=t.scale,
+            values=list(t.values), mults=list(t.mults),
+        ),
+        _with_table(good, unit="raw"),
+    ]
+    _plant_misses(capsys, args, entry, good, fresh, planted)
+
+
+def test_cache_hit_reads_its_entry_alone(tmp_path, capsys, monkeypatch):
+    args = ("group-spectrum", "--spec", "su3", "--cutoff", "4")
+    fresh = {
+        fmt: run_cli(capsys, *args, "--format", fmt)[1]
+        for fmt in ("json", "csv", "pretty")
+    }
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))
+    run_cli(capsys, *args)
+    (entry,) = cache.iterdir()
+    good = entry.read_text()
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"a cache hit called makedirs with {args!r}")
+
+    # a hit in each format reads its entry and writes nothing: it makes no
+    # directory and leaves no temporary file
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "makedirs", refused)
+        for fmt, out in fresh.items():
+            assert run_cli(capsys, *args, "--format", fmt) == (0, out)
+            assert os.listdir(cache) == [entry.name]
+            assert entry.read_text() == good
+    # the same JSON, but not in the bytes a miss writes, is a miss
+    obj = json.loads(good)
+    planted = [
+        json.dumps(obj, sort_keys=True) + "\n",  # spaces after , and :
+        json.dumps(obj, sort_keys=True, indent=1) + "\n",
+        good.replace('{"key":{', '{"key": {', 1),
+        good[:-1],  # no final newline
+        good[:-2] + " \n",  # no closing brace
+        good + "\n",
+        '{"table":{},' + good[1:],  # a repeated key, whose last value wins
+    ]
+    _plant_misses(capsys, args, entry, good, fresh["json"], planted)
+
+
 def test_cache_hit_reads_no_eigenvalue_string(tmp_path, capsys, monkeypatch):
     args = ("natred-spectrum", "--metric", METRIC, "--cutoff", "3")
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))

@@ -1,11 +1,12 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_table, ref_table_distance
+from helpers import ref_table, ref_table_distance, ref_table_json
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
     BUILTIN_GROUPS,
@@ -17,8 +18,8 @@ from liespec.lattices import torus_spectrum
 from liespec.natred import NatRedMetric, natred_spectrum
 from liespec.rootdata import build
 from liespec.spectrum import (
+    UNITS,
     SpectrumTable,
-    canonical_json,
     table_distance,
     table_from_counts,
 )
@@ -30,7 +31,7 @@ def _table(entries, cutoff=F(10), unit="raw"):
 
 
 def _from_json(obj):
-    """The table that ``to_json_dict`` wrote ``obj`` from."""
+    """The table that ``to_json`` wrote ``obj`` from."""
     entries = [(F(e), int(m)) for e, m in obj["entries"]]
     assert obj["complete"] is True
     return ref_table(obj["unit"], obj["cutoff"], entries)
@@ -83,6 +84,21 @@ def test_constructor_refuses_what_names_no_integer():
     ):
         with pytest.raises(DomainError):
             SpectrumTable("raw", F(1), scale, values, mults)
+    # nor is a float or bool cutoff exact, and a list of values or mults
+    # can change after the checks, and makes a table that cannot be hashed
+    for cutoff, values, mults in (
+        (1.5, (), ()),
+        (True, (), ()),
+        (True, (0, 1), (1, 2)),
+        ("1", (), ()),
+        (F(1), [0, 1], (1, 2)),
+        (F(1), (0, 1), [1, 2]),
+        (F(1), [], []),
+    ):
+        with pytest.raises(DomainError):
+            SpectrumTable("raw", cutoff, 1, values, mults)
+    # an int cutoff is exact
+    assert SpectrumTable("raw", 1, 1, (0, 1), (1, 2)) == t
     # every table is complete: a class constant, not a field to set
     assert t.complete is True and SpectrumTable.complete is True
     with pytest.raises(TypeError):
@@ -146,7 +162,7 @@ def test_json_round_trip():
     assert obj["entries"] == [["0", "1"], ["5/4", "12"]]
     assert _from_json(obj) == t
     # canonical bytes: sorted keys, no whitespace, trailing newline
-    assert t.to_json() == canonical_json(t.to_json_dict())
+    assert t.to_json() == ref_table_json(t)
     assert t.to_json().endswith("\n")
     assert '"complete":true' in t.to_json()
 
@@ -182,6 +198,38 @@ def test_computed_tables_round_trip_without_entries():
         assert back == t  # the lcm of the denominators is the scale
         assert back.to_json() + back.to_csv() + back.to_pretty() == text
         assert len(t.values) >= 2
+
+
+def _random_tables(count, seed=20261018):
+    """Tables of both units at int and p/q cutoffs, every seventh empty,
+    with numerators, scales and multiplicities up to about 2**72."""
+    rng = random.Random(seed)
+    for i in range(count):
+        scale = rng.choice((1, rng.randrange(1, 60), rng.randrange(1, 2**72)))
+        counts = {
+            rng.randrange(2**72): rng.randrange(1, 2**70)
+            for _ in range(i % 7)
+        }
+        top = max(counts, default=0)
+        if i // 2 % 2:
+            cutoff = top // scale + rng.randrange(1, 9)
+        else:
+            cutoff = F(top * 3 + rng.randrange(1, 9), scale * 3)
+        yield table_from_counts(counts, scale, UNITS[i % 2], cutoff)
+
+
+def test_to_json_writes_the_reference_bytes():
+    tables = _computed_tables() + list(_random_tables(200))
+    for t in tables:
+        assert t.to_json() == ref_table_json(t)
+    # every case the writer meets: both units, int and p/q cutoffs, the
+    # empty table, and numerators and multiplicities past 2**64
+    assert {t.unit for t in tables} == set(UNITS)
+    assert {type(t.cutoff) for t in tables} == {int, F}
+    assert any(t.cutoff.denominator > 1 for t in tables)
+    assert any(not t.values for t in tables)
+    assert any(t.values[-1] > 2**64 for t in tables if t.values)
+    assert any(max(t.mults) > 2**64 for t in tables if t.mults)
 
 
 def test_csv_and_pretty():
