@@ -1,7 +1,5 @@
 from .congruence import congruent
-from .enumeration import enumerate_gram, systole
-from .lattice import HERMITE_POWER, Lattice, dual, hermite_bound_ok
-from .reduction import lll_gram
+from .lattice import HERMITE_POWER, Lattice, dual, hermite_bound_ok, systole
 from .spectra import torus_lambda1, torus_spectrum
 
 __all__ = [
@@ -9,9 +7,7 @@ __all__ = [
     "Lattice",
     "congruent",
     "dual",
-    "enumerate_gram",
     "hermite_bound_ok",
-    "lll_gram",
     "systole",
     "torus_lambda1",
     "torus_spectrum",

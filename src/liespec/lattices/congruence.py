@@ -1,34 +1,24 @@
 """Exact congruence testing for rational lattices (dim <= 8).
 
 Two lattices are congruent iff their Gram matrices are related by a
-unimodular change of basis.  We reduce the first lattice, then try to map
-its basis vectors onto short vectors of the second with exactly matching
-pairwise inner products.  A complete assignment V satisfies
-V^T G2 V = G1, and equal determinants force V unimodular, so backtracking
-over short-vector images decides the question exactly.
+unimodular change of basis.  Each side is read from its one cached integer
+form (``Lattice._form``): A = q*G LLL-reduced, with the kernel's square
+completion.  The least denominator q and det(q*G), the last Bareiss pivot
+of that completion, are invariants of a unimodular change of basis, so a
+pair that differs in either is not congruent.  Otherwise the first form,
+for dim <= 4 moved to a shortest generating set, has its basis vectors
+mapped onto vectors of the second form with exactly matching pairwise
+inner products.  A complete assignment V satisfies V^T A2 V = A1, and
+equal determinants force V unimodular, so backtracking over short-vector
+images decides the question exactly, in integers.
 """
 
 from ..errors import DomainError, UnsupportedDimensionError
-from .enumeration import enumerate_gram
+from .enumeration import _norm_counts
 from .lattice import Lattice
-from .reduction import lll_gram, _minima_transform
+from .reduction import _minima_transform
 
 MAX_DIM = 8
-
-
-def _reduced_gram(g, m):
-    g1, _ = lll_gram(g)
-    if m <= 4:
-        g1, _ = _minima_transform(g1)
-    return g1
-
-
-def _norm_buckets(gram, bound):
-    buckets = {}
-    for coords, value in enumerate_gram(gram, bound):
-        for vec in (coords, tuple(-c for c in coords)):
-            buckets.setdefault(value, []).append(vec)
-    return buckets
 
 
 def congruent(a: Lattice, b: Lattice) -> bool:
@@ -40,27 +30,27 @@ def congruent(a: Lattice, b: Lattice) -> bool:
         raise UnsupportedDimensionError(
             f"congruence implemented for dim <= {MAX_DIM}"
         )
-    if a.det_gram != b.det_gram:
+    g1, q1, squares1 = a._form
+    g2, q2, squares2 = b._form
+    if q1 != q2 or squares1[0][-1] != squares2[0][-1]:
         return False
-
-    g1 = _reduced_gram(a.gram, m)
-    g2 = b.gram
+    if m <= 4:
+        g1, _ = _minima_transform(g1, squares1)
     bound = max(g1[i][i] for i in range(m))
 
-    buckets1 = _norm_buckets(g1, bound)
-    buckets2 = _norm_buckets(g2, bound)
-    counts1 = sorted((v, len(vs)) for v, vs in buckets1.items())
-    counts2 = sorted((v, len(vs)) for v, vs in buckets2.items())
-    if counts1 != counts2:
+    found = []
+    if _norm_counts(squares1, bound) != _norm_counts(squares2, bound, found):
         return False
-
-    g2_rows = g2
+    buckets = {}
+    for coords, value in found:
+        for vec in (coords, tuple(-c for c in coords)):
+            buckets.setdefault(value, []).append(vec)
 
     def inner(u, v):
         total = 0
         for i, ui in enumerate(u):
             if ui:
-                row = g2_rows[i]
+                row = g2[i]
                 total += ui * sum(row[j] * v[j] for j in range(m) if v[j])
         return total
 
@@ -69,7 +59,7 @@ def congruent(a: Lattice, b: Lattice) -> bool:
     def assign(i):
         if i == m:
             return True
-        for w in buckets2.get(g1[i][i], ()):
+        for w in buckets.get(g1[i][i], ()):
             ok = True
             for j in range(i):
                 if inner(images[j], w) != g1[i][j]:

@@ -1,9 +1,10 @@
 """Short-vector enumeration in exact integer arithmetic.
 
-The problem is first cleared of denominators: for a rational Gram matrix G
-and rational bound b, a vector satisfies x^T G x <= b iff x^T A x <= B for
-the integer matrix A = q*G (q the common denominator) and B = floor(q*b),
-because x^T A x is an integer.
+Every form the kernel sees is an integer one: a lattice's own form and its
+dual's (``Lattice._form`` and ``Lattice._dual_form``) are LLL-reduced
+integer Gram matrices A = q*G, q the least integer that clears G's
+denominators.  x^T G x <= b iff x^T A x <= floor(q*b), because x^T A x is
+an integer, so callers scale their rational bounds once.
 
 The integer problem is solved by Fincke-Pohst enumeration (Math. Comp. 44,
 1985) on a fraction-free square completion.  The package's Bareiss
@@ -13,9 +14,9 @@ leading minors, p_{-1} = 1) and integer pivot rows r_ij with
     L * x^T A x = sum_i w_i * (p_i x_i + sum_{j>i} r_ij x_j)^2,
     w_i = L / (p_{i-1} p_i),  L = lcm of the p_{i-1} p_i,
 
-so every quantity is an integer.  The kernel takes the completion: a
-reduced form's comes from the table LLL returns with it, so no form is
-eliminated twice.  Coordinates are fixed from the last one down; at
+so every quantity is an integer.  The kernel takes the completion that
+``_squares`` makes from the table LLL returns with the reduced form, so no
+form is eliminated twice.  Coordinates are fixed from the last one down; at
 level i, with R the part of L*B not yet used and C the tail sum, the
 admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i).
 The two lowest levels are one loop nest over t = p_i x_i + C that only
@@ -30,24 +31,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .. import linalg
 from ..errors import CertificationError
-from .lattice import Lattice
-
-
-def _integer_problem(gram, bound: Fraction):
-    a, scale = linalg.clear_denominators(gram)
-    scaled = bound * scale
-    b = scaled.numerator // scaled.denominator
-    return a, b, scale
-
-
-def _completed_squares(a):
-    """Square completion of the integer form a, from one elimination."""
-    pivots, rows, swaps, _ = linalg.eliminate(a)
-    if swaps or min(pivots) <= 0:
-        raise ValueError("matrix is not positive definite")
-    return _squares(pivots, rows)
 
 
 def _squares(pivots, rows):
@@ -118,23 +102,6 @@ def _norm_counts(squares, bound: int, vectors=None):
     if vectors is not None:
         vectors[:] = list(zip(vectors, map(total.__rfloordiv__, leaves)))
     return dict(zip(map(total.__rfloordiv__, counts), counts.values()))
-
-
-def enumerate_gram(gram, bound: Fraction):
-    """Canonical-sign vectors (coords, squared length) for x^T gram x <= bound."""
-    a, b, scale = _integer_problem(gram, bound)
-    vectors = []
-    _norm_counts(_completed_squares(a), b, vectors)
-    return [(coords, Fraction(value, scale)) for coords, value in vectors]
-
-
-def systole(lat: Lattice) -> Fraction:
-    """Smallest squared length of a nonzero lattice vector."""
-    from .reduction import _lll_int
-
-    a, scale = linalg.clear_denominators(lat.gram)
-    a, _, d, lam = _lll_int(a)
-    return _minimum(a, scale, _squares(d, lam))
 
 
 def _minimum(a, scale, squares) -> Fraction:

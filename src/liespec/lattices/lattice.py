@@ -11,6 +11,12 @@ Gram-only lattice supports everything except recovering an explicit
 embedding in R^m.  This matters because classical Gram matrices such as
 [[2,1],[1,2]] admit no rational basis realization.
 
+A lattice keeps one integer form for itself and one for its dual, each
+made once on first use by ``_reduced_form``: the LLL-reduced integer Gram
+matrix over its least denominator, with the kernel's square completion
+from LLL's final Bareiss table.  ``systole`` and ``congruent`` read the
+first, ``torus_spectrum`` and ``torus_lambda1`` the second.
+
 Exact invariants:
 
 * ``det_gram`` equals the squared covolume, always rational;
@@ -27,6 +33,8 @@ from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
 from ..rational import exact_int, fmt_matrix, rat, rat_matrix
+from .enumeration import _minimum, _squares
+from .reduction import _lll_int
 
 # m-th powers of the Hermite constants gamma_m for m <= 8, which are the
 # rational quantities (gamma_m itself is irrational for most m).  Values as
@@ -83,19 +91,25 @@ class Lattice(Value):
         return Lattice(dim=len(gram), gram=gram, basis=None)
 
     @cached_property
-    def _dual_form(self):
-        """(A, scale, squares): A / scale is an LLL-reduced dual Gram matrix,
-        from q adj(q*G) and det(q*G) over their gcd; squares completes A, from
-        LLL's final table.  Not a field: ==, hash, repr and JSON ignore it."""
-        from .enumeration import _squares
-        from .reduction import _lll_int
+    def _form(self):
+        """(A, q, squares): A is an LLL-reduced Gram matrix of the lattice
+        times q, the least integer that clears the Gram matrix's
+        denominators; squares completes A, from LLL's final table.  Not a
+        field: ==, hash, repr and JSON ignore it."""
+        return _reduced_form(*linalg.clear_denominators(self.gram))
 
+    @cached_property
+    def _dual_form(self):
+        """(A, scale, squares), the same for the dual lattice: its Gram
+        matrix is q adj(q*G) / det(q*G), so A starts as q adj(q*G) and scale
+        as det(q*G), both over their gcd, and no dual basis is built."""
         a, q = linalg.clear_denominators(self.gram)
         eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         pivots, _, _, adj = linalg.eliminate(a, eye)
         g = gcd(pivots[-1], *(q * x for row in adj for x in row))
-        a, _, d, lam = _lll_int([[q * x // g for x in row] for row in adj])
-        return tuple(map(tuple, a)), pivots[-1] // g, _squares(d, lam)
+        return _reduced_form(
+            [[q * x // g for x in row] for row in adj], pivots[-1] // g
+        )
 
     @property
     def det_gram(self) -> Fraction:
@@ -116,15 +130,27 @@ class Lattice(Value):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Lattice":
-        if "basis" in obj:
+        """Given both ``gram`` and ``basis``, the constructor checks that
+        basis^T basis is the Gram matrix."""
+        if "gram" in obj:
+            gram = rat_matrix(obj["gram"])
+            basis = rat_matrix(obj["basis"]) if "basis" in obj else None
+            lat = Lattice(dim=len(gram), gram=gram, basis=basis)
+        elif "basis" in obj:
             lat = Lattice.from_basis(obj["basis"])
-        elif "gram" in obj:
-            lat = Lattice.from_gram(obj["gram"])
         else:
             raise InputError("lattice JSON needs 'basis' or 'gram'")
         if "dim" in obj and exact_int(obj["dim"]) != lat.dim:
             raise DomainError("declared dim does not match matrix size")
         return lat
+
+
+def _reduced_form(a, scale):
+    """(A, scale, squares): A is the positive-definite integer form a after
+    LLL, and squares the kernel's completion of A from LLL's final Bareiss
+    table, so the form is eliminated once."""
+    a, _, d, lam = _lll_int(a)
+    return tuple(map(tuple, a)), scale, _squares(d, lam)
 
 
 def dual(lat: Lattice) -> Lattice:
@@ -136,6 +162,11 @@ def dual(lat: Lattice) -> Lattice:
     gram = linalg.inverse(lat.gram)
     basis = None if lat.basis is None else linalg.matmul(lat.basis, gram)
     return Lattice(dim=lat.dim, gram=gram, basis=basis)
+
+
+def systole(lat: Lattice) -> Fraction:
+    """Smallest squared length of a nonzero lattice vector."""
+    return _minimum(*lat._form)
 
 
 def hermite_bound_ok(lat: Lattice, systole_sq: Fraction) -> bool:

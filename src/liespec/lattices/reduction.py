@@ -1,37 +1,23 @@
-"""Exact basis reduction on Gram matrices.
+"""Exact basis reduction on integer Gram matrices.
 
-Two layers:
+Two steps, both on the integer form A = q*G of a lattice (or of its dual):
 
-* ``lll_gram`` -- integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
-  the Gram matrix alone, cleared of denominators, returning the unimodular
-  transform.  Its core ``_lll_int`` eliminates once and keeps that Bareiss
-  table (pivots d, rows lam) exact: size reduction is a column operation on
-  it, and a swap updates it in O(m) (Cohen's SWAPI, each division checked).
-  The final table is returned with the reduced form, for the kernel.
+* ``_lll_int`` -- integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
+  the Gram matrix alone, returning the unimodular transform.  It
+  eliminates once and keeps that Bareiss table (pivots d, rows lam) exact:
+  size reduction is a column operation on it, and a swap updates it in
+  O(m) (Cohen's SWAPI, each division checked).  The final table is
+  returned with the reduced form, and ``Lattice._form`` and
+  ``Lattice._dual_form`` keep the kernel's completion of it.
 * ``_minima_transform`` -- for dim <= 4 the vectors achieving the
-  successive minima generate the lattice, so after LLL we enumerate all
-  vectors up to the largest reduced diagonal entry and greedily pick a
-  shortest generating set (used by ``congruent``).
+  successive minima generate the lattice, so on a reduced form we
+  enumerate all vectors up to its largest diagonal entry and greedily
+  pick a shortest generating set (used by ``congruent``).
 """
-
-from fractions import Fraction
 
 from .. import linalg
 from ..errors import CertificationError, LiespecError
-from .enumeration import enumerate_gram
-
-
-def lll_gram(g):
-    """LLL-reduce a Gram matrix; returns (reduced_gram, unimodular U).
-
-    The reduced Gram equals U^T g U exactly; ``_lll_int`` runs on q*g.
-    """
-    a, q = linalg.clear_denominators(g)
-    a, u, _, _ = _lll_int(a)
-    return (
-        tuple(tuple(Fraction(x, q) for x in row) for row in a),
-        tuple(tuple(Fraction(x) for x in row) for row in u),
-    )
+from .enumeration import _norm_counts
 
 
 def _exact(num, den):
@@ -84,13 +70,14 @@ def _lll_int(a):
     return a, u, d, lam
 
 
-def _minima_transform(g):
-    """Greedy shortest generating set for dim <= 4 (post-LLL Gram input)."""
-    m = len(g)
-    bound = max(g[i][i] for i in range(m))
-    half = sorted(enumerate_gram(g, bound), key=lambda t: (t[1], t[0]))
+def _minima_transform(a, squares):
+    """(V^T a V, V) for a shortest generating set V of the LLL-reduced
+    integer form a of dim <= 4, which ``squares`` completes."""
+    m = len(a)
+    found = []
+    _norm_counts(squares, max(a[i][i] for i in range(m)), found)
     chosen = []
-    for coords, _ in half:
+    for coords, _ in sorted(found, key=lambda t: (t[1], t[0])):
         trial = chosen + [coords]
         # independent iff their integer Gram matrix, which is positive
         # semidefinite, is positive definite: iff its determinant is > 0
@@ -99,8 +86,8 @@ def _minima_transform(g):
             chosen = trial
             if len(chosen) == m:
                 break
-    v = tuple(tuple(Fraction(chosen[j][i]) for j in range(m)) for i in range(m))
+    v = tuple(tuple(chosen[j][i] for j in range(m)) for i in range(m))
     if abs(linalg.det(v)) != 1:
         # cannot happen for m <= 4: minima vectors generate the lattice
         raise LiespecError("successive-minima vectors failed to generate")
-    return linalg.matmul(linalg.transpose(v), linalg.matmul(g, v)), v
+    return linalg.matmul(linalg.transpose(v), linalg.matmul(a, v)), v

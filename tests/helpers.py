@@ -9,9 +9,11 @@ exact reference for dominant-only branching and the term catalogue,
 the elementary-matrix LLL used as the exact reference for the library's
 integral LLL, ``short_vectors`` (both signs, sorted) and
 ``reduce_with_transform`` (LLL plus the shortest generating set), the
-former public conveniences on top of the library's enumeration and
-reduction, the Fraction Gaussian elimination, Gauss-Jordan inverse
-and Gram-Schmidt used as the exact references for the library's one
+former public conveniences, now on the library's integer kernel and
+reduction, ``ref_congruent``, the Fraction congruence test on the
+reference LLL and kernel, used as the exact reference for congruence on
+the cached integer forms, the Fraction Gaussian elimination, Gauss-Jordan
+inverse and Gram-Schmidt used as the exact references for the library's one
 fraction-free elimination, the root-string positive roots, hand-typed
 -w0 involutions and Fraction coroots used as the exact references for
 root data derived by Weyl reflections, and the Fraction-keyed
@@ -48,11 +50,14 @@ from liespec.errors import (
     InadmissibleMetricError,
     LiespecError,
     MalformedEmbeddingError,
+    UnsupportedDimensionError,
 )
 from liespec.groups import GroupSpec, center_admissible
 from liespec.isolation import _grid_multipliers
-from liespec.lattices import Lattice, enumerate_gram, lll_gram
-from liespec.lattices.reduction import _minima_transform
+from liespec.lattices import Lattice
+from liespec.lattices.congruence import MAX_DIM
+from liespec.lattices.enumeration import _norm_counts, _squares
+from liespec.lattices.reduction import _lll_int, _minima_transform
 from liespec.natred import BiInvariantOperator, NatRedMetric
 from liespec.rational import fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
@@ -294,13 +299,18 @@ def short_vectors_int(a, bound: int):
 
 def short_vectors(lat: Lattice, bound):
     """All nonzero lattice vectors of squared length <= bound, both signs
-    included, sorted by (norm_sq, coords): the vectors of ``enumerate_gram``
-    and their negatives."""
+    included, sorted by (norm_sq, coords): the kernel's vectors of the
+    integer form q*G, completed by one elimination, and their negatives."""
     bound = rat(bound)
     if bound < 0:
         raise DomainError("enumeration bound must be >= 0")
+    a, q = linalg.clear_denominators(lat.gram)
+    found = []
+    squares = _squares(*linalg.eliminate(a)[:2])
+    _norm_counts(squares, bound.numerator * q // bound.denominator, found)
     full = []
-    for coords, value in enumerate_gram(lat.gram, bound):
+    for coords, value in found:
+        value = Fraction(value, q)
         full += [(coords, value), (tuple(-c for c in coords), value)]
     full.sort(key=lambda item: (item[1], item[0]))
     return full
@@ -355,13 +365,126 @@ def ref_lll_gram(g, delta: Fraction = DELTA):
 
 def reduce_with_transform(lat: Lattice):
     """Reduced lattice plus the unimodular transform U (new = old * U): the
-    library's LLL and, for dim <= 4, its shortest generating set."""
-    g, u = lll_gram(lat.gram)
+    library's LLL on q*G and, for dim <= 4, its shortest generating set."""
+    a, q = linalg.clear_denominators(lat.gram)
+    a, u, d, lam = _lll_int(a)
     if lat.dim <= 4:
-        g, v = _minima_transform(g)
+        a, v = _minima_transform(a, _squares(d, lam))
         u = linalg.matmul(u, v)
+    u = _fractions(u)
+    gram = tuple(tuple(Fraction(x, q) for x in row) for row in a)
     basis = linalg.matmul(lat.basis, u) if lat.basis is not None else None
-    return Lattice(dim=lat.dim, gram=g, basis=basis), u
+    return Lattice(dim=lat.dim, gram=gram, basis=basis), u
+
+
+# Reference congruence: the Fraction congruence test that the integer one
+# on cached forms replaced, with its reduction by ``ref_lll_gram`` and its
+# short vectors from the reference kernel ``short_vectors_int``.
+
+
+def _ref_enumerate(gram, bound):
+    """(x, x^T gram x) for the canonical-sign x with x^T gram x <= bound."""
+    a, scale = linalg.clear_denominators(gram)
+    scaled = bound * scale
+    found = short_vectors_int(a, scaled.numerator // scaled.denominator)
+    return [(coords, Fraction(value, scale)) for coords, value in found]
+
+
+def _ref_minima_transform(g):
+    """Greedy shortest generating set for dim <= 4 (post-LLL Gram input)."""
+    m = len(g)
+    bound = max(g[i][i] for i in range(m))
+    half = sorted(_ref_enumerate(g, bound), key=lambda t: (t[1], t[0]))
+    chosen = []
+    for coords, _ in half:
+        trial = chosen + [coords]
+        # independent iff their integer Gram matrix, which is positive
+        # semidefinite, is positive definite: iff its determinant is > 0
+        gram = [[sum(x * y for x, y in zip(s, t)) for t in trial] for s in trial]
+        if linalg.det(gram) > 0:
+            chosen = trial
+            if len(chosen) == m:
+                break
+    v = tuple(tuple(Fraction(chosen[j][i]) for j in range(m)) for i in range(m))
+    if abs(linalg.det(v)) != 1:
+        # cannot happen for m <= 4: minima vectors generate the lattice
+        raise LiespecError("successive-minima vectors failed to generate")
+    return linalg.matmul(linalg.transpose(v), linalg.matmul(g, v)), v
+
+
+# both are pure, and memoized so that a test can afford every pair of a
+# few hundred lattices
+
+
+@lru_cache(maxsize=None)
+def _ref_reduced_gram(g, m):
+    g1, _ = ref_lll_gram(g)
+    if m <= 4:
+        g1, _ = _ref_minima_transform(g1)
+    return g1
+
+
+@lru_cache(maxsize=None)
+def _ref_norm_buckets(gram, bound):
+    buckets = {}
+    for coords, value in _ref_enumerate(gram, bound):
+        for vec in (coords, tuple(-c for c in coords)):
+            buckets.setdefault(value, []).append(vec)
+    return buckets
+
+
+def ref_congruent(a: Lattice, b: Lattice) -> bool:
+    """Decide whether two lattices are isometric, exactly."""
+    if a.dim != b.dim:
+        raise DomainError("congruence needs equal dimensions")
+    m = a.dim
+    if m > MAX_DIM:
+        raise UnsupportedDimensionError(
+            f"congruence implemented for dim <= {MAX_DIM}"
+        )
+    if a.det_gram != b.det_gram:
+        return False
+
+    g1 = _ref_reduced_gram(a.gram, m)
+    g2 = b.gram
+    bound = max(g1[i][i] for i in range(m))
+
+    buckets1 = _ref_norm_buckets(g1, bound)
+    buckets2 = _ref_norm_buckets(g2, bound)
+    counts1 = sorted((v, len(vs)) for v, vs in buckets1.items())
+    counts2 = sorted((v, len(vs)) for v, vs in buckets2.items())
+    if counts1 != counts2:
+        return False
+
+    g2_rows = g2
+
+    def inner(u, v):
+        total = 0
+        for i, ui in enumerate(u):
+            if ui:
+                row = g2_rows[i]
+                total += ui * sum(row[j] * v[j] for j in range(m) if v[j])
+        return total
+
+    images = [None] * m
+
+    def assign(i):
+        if i == m:
+            return True
+        for w in buckets2.get(g1[i][i], ()):
+            ok = True
+            for j in range(i):
+                if inner(images[j], w) != g1[i][j]:
+                    ok = False
+                    break
+            if ok:
+                images[i] = w
+                if assign(i + 1):
+                    return True
+        images[i] = None
+        return False
+
+    return assign(0)
 
 
 # Reference root data: positive roots by root strings, the hand-typed -w0

@@ -8,7 +8,7 @@ import pytest
 
 from liespec.catalog import BUILTIN_LATTICES
 from liespec.cli import main
-from liespec.lattices import torus_spectrum
+from liespec.lattices import Lattice, torus_spectrum
 from liespec.spectrum import canonical_json
 
 METRIC = '{"group": "A2", "embedding": "a1-in-a2-standard", "t": "1", "t_i": ["1/2"]}'
@@ -153,6 +153,30 @@ def test_bad_inline_json_exits_one(capsys):
     assert json.loads(out)["error"]["type"] == "JSONDecodeError"
 
 
+def test_descriptor_basis_and_gram_must_agree(capsys, monkeypatch):
+    monkeypatch.delenv("LIESPEC_CACHE_DIR", raising=False)
+    # Z^2's basis against the hexagonal Gram matrix: refused, not read as
+    # either lattice
+    conflict = '{"basis":[[1,0],[0,1]],"gram":[[2,1],[1,2]]}'
+    for argv in (
+        ("torus-spectrum", "--gram", conflict, "--cutoff", "2"),
+        ("gamma", "--gram", conflict),
+    ):
+        code, err = _error(capsys, argv)
+        assert code == 2, argv
+        assert err == {
+            "type": "DomainError",
+            "message": "basis must be square with basis^T basis = gram",
+        }, argv
+    # a consistent pair, as to_json_dict writes it, reads as the basis alone
+    basis = '{"basis":[["2","1"],["0","3/2"]]}'
+    both = json.dumps(Lattice.from_json_dict(json.loads(basis)).to_json_dict())
+    assert "gram" in json.loads(both)
+    for argv in (("torus-spectrum", "--cutoff", "4"), ("gamma",)):
+        seen = [run_cli(capsys, *argv, "--gram", g) for g in (basis, both)]
+        assert seen[0] == seen[1] and seen[0][0] == 0, argv
+
+
 def test_domain_error_exits_two(capsys):
     bad = '{"group": "A2", "embedding": "a1-in-a2-standard", "t": "1", "t_i": ["1"]}'
     code, out = run_cli(
@@ -244,18 +268,18 @@ def test_certification_survives_optimize():
 
 # Runs under python -O, with the square completion that the kernel
 # _norm_counts reads giving a common multiple L off by one, so its leaf
-# totals stop being multiples of it.  enumerate_gram completes its own
-# form and torus-spectrum reads the lattice's cached one; both make the
-# completion with enumeration._squares.  Prints what enumerate_gram raised,
-# what cli.main returned and how often each path made a broken completion.
+# totals stop being multiples of it.  systole reads the lattice's own
+# cached form and torus-spectrum its dual's; lattice._reduced_form makes
+# both completions with _squares.  Prints what systole raised, what
+# cli.main returned and how often each path made a broken completion.
 _KERNEL_FAULT_SCRIPT = """
 import contextlib, io, json
 from fractions import Fraction
-import liespec.lattices.enumeration as enumeration
+import liespec.lattices.lattice as lattice
 from liespec.cli import main
 from liespec.errors import CertificationError
 
-real = enumeration._squares
+real = lattice._squares
 calls = []
 
 def broken(pivots, rows):
@@ -263,10 +287,10 @@ def broken(pivots, rows):
     pivots, rows, weights, total = real(pivots, rows)
     return pivots, rows, weights, total + 1
 
-enumeration._squares = broken
+lattice._squares = broken
 one, zero = Fraction(1), Fraction(0)
 try:
-    enumeration.enumerate_gram(((one, zero), (zero, one)), Fraction(4))
+    lattice.systole(lattice.Lattice.from_gram(((one, zero), (zero, one))))
     raised = None
 except CertificationError as exc:
     raised = type(exc).__name__

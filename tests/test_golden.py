@@ -190,6 +190,16 @@ GOLDEN = {
         0,
         "ed3cf7f2b127aad5c574f66428d51bda097867c9c4b3ec350af998b68a647739",
     ),
+    # 272 tori reach the congruence test, 14 are kept
+    "torus-search --values 1,2,3 --dim 3 --lambda-min 1/2 --vol-min 1/2": (
+        0,
+        "0e40ec94e518b2cab69c98705c3eb2ed4c0d71d7a082e6448b1b809b30b777ad",
+    ),
+    # non-integer values: 17 tori kept
+    "torus-search --values 1/2,1,3/2 --dim 3 --lambda-min 1/4 --vol-min 1/4": (
+        0,
+        "345705a7b631fa6421f0a1ce31acb83803de2c17c0bab67fe1d51477955d88cf",
+    ),
     "group-spectrum --spec su3 --cutoff 4": (
         0,
         "c227a13bb041d813a9c86a5f5402efbf4718744789a0aaafda525b1e33d15800",

@@ -11,6 +11,7 @@ from helpers import (
     box_oracle_spectrum,
     random_integer_basis,
     random_rational_basis,
+    ref_congruent,
     ref_det,
     ref_inverse,
     reduce_with_transform,
@@ -18,28 +19,29 @@ from helpers import (
     short_vectors,
     short_vectors_int,
 )
-from liespec import build
+from liespec import build, isolation
 from liespec.catalog import BUILTIN_LATTICES
-from liespec.errors import DomainError, InputError, UnsupportedDimensionError
+from liespec.errors import (
+    DomainError,
+    InputError,
+    LiespecError,
+    UnsupportedDimensionError,
+)
 from liespec.isolation import finiteness_window, homothety_invariant, torus_search
 from liespec.lattices import (
     HERMITE_POWER,
     Lattice,
     congruent,
     dual,
-    enumerate_gram,
     hermite_bound_ok,
     systole,
     torus_lambda1,
     torus_spectrum,
 )
 from liespec import linalg
-from liespec.lattices.enumeration import (
-    _completed_squares,
-    _integer_problem,
-    _norm_counts,
-)
-from liespec.lattices.reduction import _lll_int, lll_gram
+from liespec.lattices import congruence, lattice
+from liespec.lattices.enumeration import _norm_counts, _squares
+from liespec.lattices.reduction import _lll_int
 from liespec.linalg import form_value, matmul, transpose
 
 Z2 = Lattice.from_basis(((F(1), F(0)), (F(0), F(1))))
@@ -56,10 +58,11 @@ def test_lattice_validation():
         Lattice.from_basis(((F(1), F(1)), (F(1), F(1))))  # singular
     with pytest.raises(DomainError):
         Lattice(dim=2, gram=((F(1), F(0)), (F(0), F(1), F(0))))
-    # the kernel refuses a form that is not positive definite
-    for gram in (((F(1), F(0)), (F(0), F(0))), ((F(0), F(1)), (F(1), F(0)))):
-        with pytest.raises(ValueError):
-            enumerate_gram(gram, F(1))
+    # LLL, which makes every form the kernel reads, refuses a form that is
+    # not positive definite
+    for gram in ([[1, 0], [0, 0]], [[0, 1], [1, 0]]):
+        with pytest.raises(LiespecError):
+            _lll_int(gram)
     # a basis must be square: three generators in R^4 with B^T B = I
     with pytest.raises(DomainError):
         Lattice(
@@ -157,6 +160,19 @@ def test_oracle_agreement_small():
         assert dict(table.entries) == box_oracle_spectrum(lat, F(30))
 
 
+def _cleared(gram, bound):
+    """(q*G, floor(q*bound)): x^T G x <= bound iff x^T (q*G) x <= that."""
+    a, q = linalg.clear_denominators(gram)
+    return a, bound.numerator * q // bound.denominator
+
+
+def _completion(a):
+    """The kernel's square completion of a, from one elimination."""
+    pivots, rows, swaps, _ = linalg.eliminate(a)
+    assert swaps == 0
+    return _squares(pivots, rows)
+
+
 def test_kernel_differential():
     # the integer kernel returns the Fraction reference's exact list, in order
     rng = random.Random(99)
@@ -167,11 +183,10 @@ def test_kernel_differential():
         problems.append((lat.gram, F(rng.randint(1, 40), rng.randint(1, 3))))
     problems.append((build("E8").cartan, F(6)))
     for gram, bound in problems:
-        a, b_int, scale = _integer_problem(gram, bound)
-        reference = [
-            (c, F(v, scale)) for c, v in short_vectors_int(a, b_int)
-        ]
-        assert enumerate_gram(gram, bound) == reference
+        a, b = _cleared(gram, bound)
+        found = []
+        _norm_counts(_completion(a), b, found)
+        assert found == short_vectors_int(a, b)
 
 
 def _kernel_problems():
@@ -189,18 +204,19 @@ def _kernel_problems():
 
 def test_norm_counts_match_reference():
     # the values-only kernel counts the reference's values exactly, and
-    # enumerate_gram, which asks it for coordinates, keeps their order
+    # asked for coordinates it lists the reference's vectors in order
     for gram, bound in _kernel_problems():
-        a, b_int, scale = _integer_problem(gram, bound)
-        reference = short_vectors_int(a, b_int)
-        counts = _norm_counts(_completed_squares(a), b_int)
-        assert counts == Counter(v for _, v in reference)
-        assert enumerate_gram(gram, bound) == [
-            (c, F(v, scale)) for c, v in reference
-        ]
+        a, b = _cleared(gram, bound)
+        reference = short_vectors_int(a, b)
+        squares, found = _completion(a), []
+        counts = Counter(v for _, v in reference)
+        assert _norm_counts(squares, b) == counts
+        assert _norm_counts(squares, b, found) == counts
+        assert found == reference
         least = min(a[i][i] for i in range(len(a)))
+        q = linalg.clear_denominators(gram)[1]
         assert systole(Lattice.from_gram(gram)) == F(
-            min(v for _, v in short_vectors_int(a, least)), scale
+            min(v for _, v in short_vectors_int(a, least)), q
         )
 
 
@@ -216,10 +232,17 @@ def test_dual_form_is_cached_and_exact():
         fresh = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
         a, scale, squares = lat._dual_form
         assert lat._dual_form is lat._dual_form  # made once
+        assert lat._form is lat._form
         # the least integer form of a Gram matrix of the dual lattice
         assert all(type(x) is int for row in a for x in row)
         # the kernel's completion is that of one elimination of the form
-        assert squares == _completed_squares([list(row) for row in a])
+        assert squares == _completion([list(row) for row in a])
+        # a lattice's own form is its dual's dual form, and the other way
+        assert dual(lat)._form == lat._dual_form
+        assert dual(lat)._dual_form == lat._form
+        own, q, own_squares = lat._form
+        assert q == linalg.clear_denominators(lat.gram)[1]
+        assert own_squares == _completion([list(row) for row in own])
         inverse = ref_inverse(lat.gram)
         assert scale == lcm(*(x.denominator for row in inverse for x in row))
         reduced = [[F(x, scale) for x in row] for row in a]
@@ -254,28 +277,22 @@ def test_lll_properties():
     for _ in range(20):
         m = rng.randint(2, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
-        g2, u = lll_gram(lat.gram)
+        a, _ = linalg.clear_denominators(lat.gram)
+        a2, u, _, _ = _lll_int([list(row) for row in a])
         # transform is unimodular and transports the form
         assert abs(ref_det(u)) == 1
-        assert matmul(transpose(u), matmul(lat.gram, u)) == g2
+        assert matmul(transpose(u), matmul(a, u)) == tuple(map(tuple, a2))
         # reduction never increases the shortest diagonal entry
-        assert min(g2[i][i] for i in range(m)) <= min(
-            lat.gram[i][i] for i in range(m)
+        assert min(a2[i][i] for i in range(m)) <= min(
+            a[i][i] for i in range(m)
         )
 
 
-def _exactly_equal(a, b):
-    return a == b and all(
-        type(x) is F and type(y) is F
-        for ra, rb in zip(a, b)
-        for x, y in zip(ra, rb)
-    )
-
-
 def test_lll_matches_elementary_matrix_reference():
-    # in-place LLL gives the reference's exact (reduced Gram, U), entry types
-    # included, on random rational and integer lattices of dimension 1-6,
-    # the criterion-01 lattices and their duals, and the E8 Cartan matrix
+    # in-place LLL on q*G gives q times the reference's reduced Gram and
+    # its U, in integers, on random rational and integer lattices of
+    # dimension 1-6, the criterion-01 lattices and their duals, and the E8
+    # Cartan matrix
     rng = random.Random(2026)
     grams = []
     for i in range(300):
@@ -288,9 +305,12 @@ def test_lll_matches_elementary_matrix_reference():
         grams += [lat.gram, dual(lat).gram]
     grams.append(build("E8").cartan)
     for gram in grams:
-        g, u = lll_gram(gram)
+        a, q = linalg.clear_denominators(gram)
+        a, u, _, _ = _lll_int(a)
         g_ref, u_ref = ref_lll_gram(gram)
-        assert _exactly_equal(g, g_ref) and _exactly_equal(u, u_ref)
+        assert all(type(x) is int for row in a + u for x in row)
+        assert a == [[q * x for x in row] for row in g_ref]
+        assert u == [list(row) for row in u_ref]
 
 
 def _sheared(rng, gram, size):
@@ -401,6 +421,81 @@ def test_congruence_dimension_cap():
     big = Lattice.from_gram(eye9)
     with pytest.raises(UnsupportedDimensionError):
         congruent(big, big)
+
+
+def test_congruent_matches_reference_on_search_candidates(monkeypatch):
+    # every pair of the 272 tori that the {1, 2, 3} search in dimension 3
+    # builds before it drops congruent ones, each with itself too; 4,817 of
+    # the pairs are congruent
+    monkeypatch.setattr(isolation, "congruent", lambda a, b: False)
+    lats = torus_search(["1", "2", "3"], 3, "1/2", "1/2")
+    monkeypatch.undo()
+    assert len(lats) == 272
+    congruent_pairs = 0
+    for i, a in enumerate(lats):
+        for b in lats[i:]:
+            want = ref_congruent(a, b)
+            assert congruent(a, b) == want == congruent(b, a)
+            congruent_pairs += want
+    assert congruent_pairs == 4817
+
+
+def test_unimodular_images_are_congruent():
+    # dimensions 5 and 6 take the path without the minima step
+    rng = random.Random(23)
+    for i in range(36):
+        m = 1 + i % 6
+        lat = Lattice.from_basis(random_rational_basis(rng, m))
+        image = Lattice.from_gram(_sheared(rng, lat.gram, 5))
+        assert congruent(lat, image) and congruent(image, lat)
+        if m <= 3:
+            assert ref_congruent(lat, image)
+
+
+def test_congruence_invariants_decide_before_the_kernel(monkeypatch):
+    def diag(*xs):
+        return Lattice.from_gram(
+            [[F(x) if i == j else F(0) for j, x in enumerate(xs)]
+             for i in range(len(xs))]
+        )
+
+    # equal det 4 with least denominators 1 and 2; unequal det; G and 2G
+    double = Lattice.from_gram([[2 * x for x in row] for row in HEX.gram])
+    unequal = [
+        (diag(1, 4), diag(F(1, 2), 8)), (HEX, diag(2, 2)), (HEX, double)
+    ]
+    for a, b in unequal:
+        assert not ref_congruent(a, b)
+    monkeypatch.setattr(congruence, "_norm_counts", None)
+    for a, b in unequal:
+        assert not congruent(a, b) and not congruent(b, a)
+    monkeypatch.undo()
+    # equal q = 1 and det 6, but norm 1 occurs in only one of them
+    a, b = diag(1, 6), diag(2, 3)
+    assert (a._form[1], a._form[2][0][-1]) == (b._form[1], b._form[2][0][-1])
+    assert not congruent(a, b) and not ref_congruent(a, b)
+
+
+def test_each_form_is_made_once(monkeypatch):
+    calls = []
+    real = lattice._lll_int
+
+    def counting(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(lattice, "_lll_int", counting)
+    u = ((F(1), F(3)), (F(0), F(1)))
+    a = Lattice.from_gram(HEX.gram)
+    b = Lattice.from_gram(matmul(transpose(u), matmul(HEX.gram, u)))
+    assert congruent(a, b) and calls == [2, 2]
+    assert congruent(a, b) and congruent(b, a) and calls == [2, 2]
+    # each candidate that passes the det filter is reduced once for its
+    # systole, and each that reaches the congruence test once more as a
+    # torus: 544 reductions in all
+    calls.clear()
+    assert len(torus_search(["1", "2", "3"], 3, "1/2", "1/2")) == 14
+    assert len(calls) <= 544
 
 
 def test_congruent_lattices_isospectral():
