@@ -15,7 +15,9 @@ K-side products by the same rule on each factor, each product a (x) b of
 two K-types multiplied out over the factors once, in a memo keyed by the
 factors' root systems and shared by every embedding of the same K, so a
 step is dictionary additions and its checks).  A step checks that
-V_lam occurs once, no multiplicity is negative and the dimensions add up,
+V_lam occurs once, no multiplicity is negative and the dimensions add up
+(by ``_product_dim``, the one K-type dimension, memoized like the
+products, so no module-level memo holds an embedding or its branchings),
 and runs only if every branching it reads is memoized: each kappa has a
 smaller Casimir than lam, so a walk in ascending Casimir (the term
 catalogue's) recurses past 0 and the fundamentals.  Other weights, one
@@ -280,15 +282,16 @@ def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
     if any(m < 0 for m in terms.values()):
         raise MalformedEmbeddingError("negative multiplicity in a branching")
     terms = {t: m for t, m in terms.items() if m}
-    dim_total = sum(m * _product_dim(emb, t) for t, m in terms.items())
-    if dim_total != weyl_dim(emb.ambient, lam):
+    total = sum(m * _product_dim(emb.factors, t) for t, m in terms.items())
+    if total != weyl_dim(emb.ambient, lam):
         raise MalformedEmbeddingError("branching lost dimensions")
     return BranchingResult(source=lam, terms=tuple(sorted(terms.items())))
 
 
 @lru_cache(maxsize=None)
-def _product_dim(emb: EmbeddingSpec, tup) -> int:
-    return prod(map(weyl_dim, emb.factors, tup))
+def _product_dim(factors: tuple, tup: tuple) -> int:
+    """dim V_tup for a K-type ``tup`` of ``factors``, keyed as ``_product``."""
+    return prod(map(weyl_dim, factors, tup))
 
 
 def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
@@ -297,7 +300,6 @@ def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
     return branch(emb, sigma).multiplicity(trivial)
 
 
-@lru_cache(maxsize=None)
 def embedding_index(emb: EmbeddingSpec) -> tuple:
     """Per-factor Dynkin indices, from branching the adjoint of G.
 
@@ -308,7 +310,8 @@ def embedding_index(emb: EmbeddingSpec) -> tuple:
     terms = branch(emb, emb.ambient.highest_root).terms
     indices = tuple(
         Fraction(
-            sum(m * _product_dim(emb, t) * casimir_num(f, t[i]) for t, m in terms),
+            sum(m * _product_dim(emb.factors, t) * casimir_num(f, t[i])
+                for t, m in terms),
             2 * f.dim_g * f.form_den * emb.ambient.dual_coxeter,
         )
         for i, f in enumerate(emb.factors)

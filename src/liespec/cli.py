@@ -24,6 +24,7 @@ field or another key, an older schema's among them) is a miss, rewritten.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -67,11 +68,15 @@ def _emit_report(obj, out_format: str) -> str:
     if out_format == "json":
         return canonical_json(data)
     if out_format == "csv":
-        lines = ["key,value"]
+        import csv
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
         flat = data if isinstance(data, dict) else {"result": data}
         for k in sorted(flat):
-            lines.append(f"{k},{json.dumps(flat[k], sort_keys=True)}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([k, json.dumps(flat[k], sort_keys=True)])
+        return buf.getvalue()
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

@@ -12,7 +12,7 @@ over the classes whose pairing with each z in Gamma, a sum over the
 factors, is an integer.  So the spectrum is one fold over the factors in
 integers: each factor's weights within its budget c_i <= cutoff * t_i are
 counted by (pairings with Gamma mod 1, eigenvalue numerator over the one
-scale of ``spectrum.linear_table``), and each is combined with the running
+scale of ``spectrum._common_scale``), and each is combined with the running
 counts by adding both and multiplying multiplicities.  Every summand is
 >= 0, so a partial sum above the cutoff is dropped at once, exactly.
 """
@@ -27,7 +27,9 @@ from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import RootSystemData, build, casimir, check_weight
-from .spectrum import SpectrumTable, linear_table, table_from_counts
+from .spectrum import (
+    SpectrumTable, _common_scale, linear_table, table_from_counts
+)
 from .weights import _dominant_casimirs
 
 
@@ -123,13 +125,12 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     over the factors in integers (module docstring)."""
     cutoff = rat_cutoff(cutoff)
     den = lcm(*(f.casimir_den for f in gs.factors))
-    q = lcm(*(t.numerator for t in gs.scales))
-    limit = cutoff.numerator * q * den // cutoff.denominator
+    weights, scale, limit = _common_scale(gs.scales, den, cutoff)
     d = lcm(*(x.denominator for z in gs.gamma for part in z for x in part))
     zero = (0,) * len(gs.gamma)
     counts = {(zero, 0): 1}
-    for i, (f, t) in enumerate(zip(gs.factors, gs.scales)):
-        w = q // t.numerator * t.denominator * (den // f.casimir_den)
+    for i, (f, t, w) in enumerate(zip(gs.factors, gs.scales, weights)):
+        w *= den // f.casimir_den
         # z_i over d, so a weight's class is one integer dot product mod d
         coweights = [
             [x.numerator * (d // x.denominator) for x in z[i]] for z in gs.gamma
@@ -147,7 +148,7 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
         counts = step
     return table_from_counts(
         {v: m for (cls, v), m in counts.items() if cls == zero},
-        q * den, "raw", cutoff,
+        scale, "raw", cutoff,
     )
 
 

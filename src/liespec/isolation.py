@@ -12,19 +12,18 @@ Everything compares exact rational tables; "isospectral at cutoff" means
 equality of truncated tables with zero tolerance; a table's integer form
 is canonical, so that is equality of integers.  The grid scan builds one
 metric-independent term catalogue, at a Casimir budget that covers every
-grid point, and evaluates the whole grid on integers over one common
-scale, with the weights q/s that ``linear_table`` gives one metric: the
-catalogue's rows are already linear in the reciprocal scales, rows that
-lie above the cutoff at the grid's floor are dropped once, and a point is
-a sum of per-axis integer products counted up to the cutoff, with no
-metric, Fraction or table made per point.  A point's distance to the
-center is the count behind ``table_distance``.
+grid point, and evaluates the whole grid with the one evaluator of
+``linear_table``: ``spectrum._common_scale`` puts every grid scale over
+one common scale, rows that lie above the cutoff at the grid's floor are
+dropped once, and ``spectrum._counts`` sums a point's per-axis integer
+products up to the cutoff, with no metric, Fraction or table made per
+point.  A point's distance to the center is the count behind
+``table_distance``.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import DomainError, UnsupportedDimensionError
 from .frozen import Value
@@ -33,7 +32,7 @@ from .lattices import Lattice, congruent, dual, systole
 from .linalg import inverse
 from .natred import NatRedMetric, term_catalogue
 from .rational import exact_int, fmt, rat, rat_cutoff
-from .spectrum import SpectrumTable, _distance
+from .spectrum import SpectrumTable, _common_scale, _counts, _distance
 
 
 class GammaVector(Value):
@@ -115,11 +114,11 @@ def isolation_scan(
     0 is the center alone, so it takes exactly one step.
 
     No point builds a metric or a table.  One term catalogue covers the
-    grid, and over one common scale (see ``_reciprocal_rows``) each point
-    is its {numerator: multiplicity} counts up to the cutoff, summed from
-    integer products made once per axis and grid step: equal counts are
-    equal tables, and ``spectrum._distance``, the count behind
-    ``table_distance``, compares them.
+    grid, and over the one common scale of every grid scale each point is
+    its {numerator: multiplicity} counts up to the cutoff, summed by
+    ``spectrum._counts`` from integer products made once per axis and
+    grid step: equal counts are equal tables, and ``spectrum._distance``,
+    the count behind ``table_distance``, compares them.
     """
     radius = rat(radius)
     if not 0 <= radius < 1:
@@ -143,21 +142,23 @@ def isolation_scan(
     )
     # per axis, the scale at each grid step and, last, the center's
     axes = [tuple(u * s for u in mult) + (s,) for s in center_scales]
-    # every eigenvalue is an integer over q * den: q / s is an integer
-    # for every scale s of the grid
-    q = lcm(*(s.numerator for axis in axes for s in axis))
-    limit = cutoff.numerator * q * catalogue.den // cutoff.denominator
-    weights = [
-        [q // s.numerator * s.denominator for s in axis] for axis in axes
-    ]
-    columns, counts = _reciprocal_rows(
-        catalogue, list(map(min, weights)), limit
+    flat, _, limit = _common_scale(
+        [s for axis in axes for s in axis], catalogue.den, cutoff
     )
-    grid = [
-        [[g * w for g in column] for w in axis]
-        for column, axis in zip(columns, weights)
+    n = len(mult) + 1
+    weights = [flat[k : k + n] for k in range(0, len(flat), n)]
+    # every entry of a row is nonnegative (horizontal positivity), so a row
+    # above the limit at each axis's least weight is above it everywhere
+    floor = list(map(min, weights))
+    kept = [
+        (g, c) for g, c in catalogue.rows if sum(map(mul, g, floor)) <= limit
     ]
-    center_table = _table([axis[-1] for axis in grid], counts, limit)
+    counts = [c for _, c in kept]
+    grid = [
+        [[g[k] * w for g, _ in kept] for w in axis]
+        for k, axis in enumerate(weights)
+    ]
+    center_table = _counts([axis[-1] for axis in grid], counts, limit)
 
     neighbors = []
     skipped_inadmissible = []
@@ -177,7 +178,7 @@ def isolation_scan(
         if fiber_fills_group and fibers == m.fiber_scales:
             skipped_equivalent += 1
             continue
-        table = _table(
+        table = _counts(
             [axis[i] for axis, i in zip(grid, combo)], counts, limit
         )
         compared += 1
@@ -204,38 +205,6 @@ def isolation_scan(
         "isospectral_neighbors": neighbors,
         "min_table_distance": min_distance,
     }
-
-
-def _reciprocal_rows(catalogue, floor, limit):
-    """The catalogue's rows g, pruned at the grid's floor.
-
-    A row g over ``den`` has eigenvalue sum_k g_k / s_k / den at scales s:
-    over q * den, the integer sum_k g_k * w_k with weights w_k = q / s_k.
-    Every entry of g is nonnegative by horizontal positivity, and
-    ``floor`` holds each axis's least weight on the grid, so a row above
-    ``limit`` there is above it at every point and is dropped.  Returns
-    one column of g per axis and the multiplicities, over the rows kept.
-    """
-    kept = []
-    counts = []
-    for g, count in catalogue.rows:
-        if sum(map(mul, g, floor)) <= limit:
-            kept.append(g)
-            counts.append(count)
-    return [[g[k] for g in kept] for k in range(len(floor))], counts
-
-
-def _table(products, counts, limit) -> dict:
-    """{numerator: multiplicity} of one point up to ``limit``, its
-    numerators summed over the axes' ``products``."""
-    values = products[0]
-    for column in products[1:]:
-        values = map(add, values, column)
-    table = {}
-    for v, count in zip(values, counts):
-        if v <= limit:
-            table[v] = table.get(v, 0) + count
-    return table
 
 
 def finiteness_window(lam, vol, n: int, const) -> Fraction:

@@ -26,7 +26,8 @@ terms are built once, as a ``TermCatalogue`` for an embedding and a
 Casimir budget: integer rows g over one common denominator, with equal rows
 merged.  A metric is then one ``linear_table`` pass over the rows against
 its scales (t, t_1, ...), an integer dot product over one common scale,
-and one Fraction per distinct eigenvalue.
+and one Fraction per distinct eigenvalue; ``terms_for`` dots over the
+same scale and makes a Fraction only for each term it keeps.
 
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
@@ -40,11 +41,12 @@ truncated table complete in both modes.
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
-from operator import itemgetter, mul, truediv
+from math import lcm
+from operator import itemgetter, mul
 
 from .branching import (
     EmbeddingSpec,
+    _product_dim,
     branch,
     contragredient_tuple,
     killing_ratio,
@@ -54,8 +56,8 @@ from .frozen import Frozen, Value
 from .groups import factor_lambda1
 from .rational import array, exact_int, fmt, rat, rat_cutoff, required
 from .rootdata import build, casimir_num
-from .spectrum import SpectrumTable, linear_table
-from .weights import _dominant_casimirs, weyl_dim
+from .spectrum import SpectrumTable, _common_scale, linear_table
+from .weights import _dominant_casimirs
 
 
 class NatRedMetric(Frozen):
@@ -191,11 +193,12 @@ class TermCatalogue(Frozen):
         """(sigma, tau, multiplicity, eigenvalue) of m up to ``cutoff``."""
         cutoff = rat_cutoff(cutoff)
         scales = self._scales(m, cutoff)
+        weights, scale, limit = _common_scale(scales, self.den, cutoff)
         out = []
         for lam, tau, mult, row in self.terms:
-            value = sum(map(truediv, row, scales)) / self.den
-            if value <= cutoff:
-                out.append((lam, tau, mult, value))
+            value = sum(map(mul, weights, row))
+            if value <= limit:
+                out.append((lam, tau, mult, Fraction(value, scale)))
         return out
 
     def spectrum(self, m: NatRedMetric, cutoff) -> SpectrumTable:
@@ -227,7 +230,7 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
         j.denominator * (den // (f.casimir_den * j.numerator))
         for f, j in zip(emb.factors, ratios)
     ]
-    labels = {}  # branch label -> (tau, row tail, dim tau), made once each
+    labels = {}  # branch label -> (tau, row tail, dim tau = dim label)
     weights = _dominant_casimirs(group, budget)
     # branched in ascending Casimir, each weight is one recursion step
     for lam, _, _ in sorted(weights, key=itemgetter(1)):
@@ -240,7 +243,7 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
             if tup not in labels:
                 tau = contragredient_tuple(emb, tup)
                 tail = tuple(map(mul, map(casimir_num, emb.factors, tau), scales))
-                labels[tup] = tau, tail, prod(map(weyl_dim, emb.factors, tau))
+                labels[tup] = tau, tail, _product_dim(emb.factors, tup)
             tau, tail, dim_tau = labels[tup]
             row = (c_lam - sum(tail),) + tail
             # horizontal Laplacian positivity; certifies the budget

@@ -9,10 +9,9 @@ Every Lie primitive reads integer tables built once per root system
 (Fractions appear only while they are built):
 
 * ``coroots`` -- each positive coroot in simple-coroot coordinates, so
-  (lambda, beta^vee) = coroot . lambda; ``weyl_den`` = prod (rho, beta^vee);
-* ``coroot_ladder`` -- per coroot, (parent, i): it is coroots[parent] (0
-  for -1) plus the i-th simple coroot, as every positive coroot of height
-  > 1 is a lower one plus a simple one (Humphreys, 10.2);
+  (lambda, beta^vee) = coroot . lambda; ``weyl_den`` = prod (rho, beta^vee).
+  These two are all that the one Weyl dimension formula of ``weights``
+  reads;
 * ``form`` over ``form_den`` -- the normalized form
   <u, v> = u . form . v / form_den, with <theta, theta> = 2 for the
   highest root theta;
@@ -166,18 +165,6 @@ def _positive_roots(cartan, adj, det):
     return out
 
 
-def _coroot_ladder(coroots):
-    """Yield (parent index or -1, simple index) per coroot, by height."""
-    index = {co: k for k, co in enumerate(coroots)}
-    index[tuple(0 for _ in coroots[0])] = -1  # below every simple coroot
-    for co in coroots:
-        lower = ((co[:i] + (co[i] - 1,) + co[i + 1:], i) for i in range(len(co)))
-        step = next(((index[v], i) for v, i in lower if v in index), None)
-        if step is None:
-            raise DomainError("a coroot has no lower neighbour; bad Cartan data")
-        yield step
-
-
 class RootSystemData(Frozen):
     """Immutable root-system tables for one simple type.
 
@@ -187,14 +174,14 @@ class RootSystemData(Frozen):
 
     _fields = (
         "family", "rank", "cartan", "pos_roots_fund", "pos_roots_rootc",
-        "highest_root", "rho", "coroots", "coroot_ladder", "weyl_den",
-        "form", "form_den", "casimir_den", "cartan_adj", "cartan_det",
-        "dual_coxeter", "dim_g", "minus_w0",
+        "highest_root", "rho", "coroots", "weyl_den", "form", "form_den",
+        "casimir_den", "cartan_adj", "cartan_det", "dual_coxeter", "dim_g",
+        "minus_w0",
     )
 
     def __init__(
         self, family, rank, cartan, pos_roots_fund, pos_roots_rootc,
-        highest_root, rho, coroots, coroot_ladder, weyl_den, form, form_den,
+        highest_root, rho, coroots, weyl_den, form, form_den,
         casimir_den, cartan_adj, cartan_det, dual_coxeter, dim_g, minus_w0,
     ):
         fields = locals()
@@ -291,7 +278,6 @@ def _build(name: str) -> RootSystemData:
         highest_root=theta_fund,
         rho=rho,
         coroots=coroots,
-        coroot_ladder=tuple(_coroot_ladder(coroots)),
         weyl_den=prod(sum(co) for co in coroots),
         form=form,
         form_den=form_den,

@@ -21,21 +21,21 @@ JSON, CSV and pretty forms format each eigenvalue from its numerator and
 the scale.  The validating constructor is the one way in: ``_reduced``
 divides integer numerators over one scale by their common factor, and
 ``table_from_counts`` sorts multiplicities keyed by such numerators.  The
-Lie spectra are linear in the reciprocal metric scales, and
-``linear_table`` evaluates rows of them against the scales themselves.  One
-count, ``_distance`` on {numerator: multiplicity} over one scale, serves
-``table_distance`` and the isolation scan.
+Lie spectra are linear in the reciprocal metric scales, and one evaluator,
+``_common_scale`` and ``_counts``, counts them over one scale for
+``linear_table``, the bi-invariant fold, the isolation scan and the term
+catalogue.  One count, ``_distance`` on {numerator: multiplicity} over one
+scale, serves ``table_distance`` and the isolation scan.
 """
 
 import io
 import json
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
-from operator import lt, mul
+from operator import add, lt
 
 from .errors import DomainError
 from .frozen import Value
@@ -204,19 +204,36 @@ def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:
 def linear_table(rows, den, scales, cutoff) -> SpectrumTable:
     """Raw table of the eigenvalues sum_k row_k / s_k / den <= cutoff, for
     (row, multiplicity) pairs of integer rows and the positive rational
-    ``scales`` s.  Over q * den, q the lcm of the scales' numerators, each
-    is the integer sum_k row_k * w_k with weights w_k = q / s_k, so no
-    Fraction is made per row."""
-    q = lcm(*(s.numerator for s in scales))
-    weights = tuple(q // s.numerator * s.denominator for s in scales)
-    scale = q * den
-    limit = cutoff.numerator * scale // cutoff.denominator
-    counts = Counter()
-    for row, mult in rows:
-        value = sum(map(mul, weights, row))
-        if value <= limit:
-            counts[value] += mult
+    ``scales`` s, counted over the common scale of ``_common_scale``, so
+    no Fraction is made per row."""
+    weights, scale, limit = _common_scale(scales, den, cutoff)
+    products = [[g[k] * w for g, _ in rows] for k, w in enumerate(weights)]
+    counts = _counts(products, [mult for _, mult in rows], limit)
     return table_from_counts(counts, scale, "raw", cutoff)
+
+
+def _common_scale(scales, den, cutoff) -> tuple:
+    """(weights w, scale, limit) for rows over ``den`` at the positive
+    rational ``scales`` s: sum_k row_k / s_k / den is sum_k row_k * w_k over
+    scale = q * den, q the lcm of the scales' numerators and w_k = q / s_k,
+    and it is at most ``cutoff`` iff that integer is at most limit."""
+    q = lcm(*(s.numerator for s in scales))
+    scale = q * den
+    weights = tuple(q // s.numerator * s.denominator for s in scales)
+    return weights, scale, cutoff.numerator * scale // cutoff.denominator
+
+
+def _counts(products, mults, limit) -> dict:
+    """{numerator: multiplicity} up to ``limit`` of the rows whose
+    numerators sum the per-axis integer ``products``, counted ``mults``."""
+    values = products[0]
+    for column in products[1:]:
+        values = map(add, values, column)
+    counts = {}
+    for v, mult in zip(values, mults):
+        if v <= limit:
+            counts[v] = counts.get(v, 0) + mult
+    return counts
 
 
 def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:

@@ -2,15 +2,14 @@
 
 All three run on the integer tables of ``rootdata``:
 
-* ``weyl_dim`` -- the Weyl dimension formula for one weight, as an integer
-  product over the coroots, divided exactly by the Weyl denominator (a
-  remainder, or a quotient that is not positive, raises DomainError), each
-  factor one addition on ``coroot_ladder``; the enumerated weights get
-  theirs from the walk below instead;
+* ``weyl_dim`` -- the one Weyl dimension formula (Humphreys, Introduction
+  to Lie Algebras and Representation Theory, 24.3): the pairings (lambda +
+  rho, beta^vee) are dot products with ``coroots``, and ``_weyl_quotient``,
+  which the walk below shares, divides their product exactly by
+  ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
 * ``weight_diagram`` -- the full character of V_lambda.  Its dominant
   weights are the dominant mu below lambda, each of smaller Casimir
-  (Humphreys, Introduction to Lie Algebras and Representation Theory,
-  13.4), so ``dominant_weights_up_to`` supplies them.  Freudenthal's
+  (ibid., 13.4), so ``dominant_weights_up_to`` supplies them.  Freudenthal's
   recursion gives their multiplicities; every such mu is a weight and
   weight strings are unbroken (ibid., 21.3), so each string mu + k beta
   stops at its first non-weight.  Weyl orbits fill in the rest;
@@ -20,13 +19,13 @@ All three run on the integer tables of ``rootdata``:
   (F = ``form``) and the coroot pairings (lam + rho, beta^vee): raising
   lam_j by one adds 2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the
   symmetric F to F . lam and column j of ``coroots`` to the pairings, so
-  each weight's Weyl dimension is one product of the pairings, divided
-  exactly by ``weyl_den`` as in ``weyl_dim``.
+  each weight's Weyl dimension is ``_weyl_quotient`` of its pairings, as
+  in ``weyl_dim``.
 """
 
 from functools import lru_cache
 from math import floor, prod
-from operator import add
+from operator import add, mul
 
 from .errors import DomainError
 from .frozen import Value
@@ -48,16 +47,17 @@ def weyl_dim(rs: RootSystemData, weight) -> int:
     if not is_dominant(lam):
         raise DomainError("weyl_dim expects a dominant weight")
     shifted = tuple(x + 1 for x in lam)
-    # vals[k] = (lambda + rho, beta_k^vee); vals[-1] = 0 is parent -1's
-    vals = [0] * (len(rs.coroot_ladder) + 1)
-    num = 1
-    for k, (parent, i) in enumerate(rs.coroot_ladder):
-        vals[k] = pairing = vals[parent] + shifted[i]
-        num *= pairing
-    value, rest = divmod(num, rs.weyl_den)
-    if rest or value <= 0:
+    pairs = [sum(map(mul, co, shifted)) for co in rs.coroots]
+    return _weyl_quotient(pairs, rs.weyl_den)
+
+
+def _weyl_quotient(pairs, den) -> int:
+    """prod(pairs) / den for the pairings (lambda + rho, beta^vee), exactly:
+    a remainder, or a quotient that is not positive, raises DomainError."""
+    dim, rest = divmod(prod(pairs), den)
+    if rest or dim <= 0:
         raise DomainError("Weyl dimension did not come out a positive integer")
-    return value
+    return dim
 
 
 def _root_height(rs: RootSystemData, lam, mu):
@@ -188,12 +188,7 @@ def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
         # (current + rho, beta_k^vee); coordinates past j are 0 here, and
         # cas <= limit
         if j == n:
-            dim, rest = divmod(prod(pairs), den)
-            if rest or dim <= 0:
-                raise DomainError(
-                    "Weyl dimension did not come out a positive integer"
-                )
-            out.append((tuple(current), cas, dim))
+            out.append((tuple(current), cas, _weyl_quotient(pairs, den)))
             return
         row, col, inc = form[j], cols[j], step[j]
         while True:

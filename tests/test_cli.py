@@ -1,4 +1,6 @@
 import builtins
+import csv
+import io
 import json
 import os
 import subprocess
@@ -370,6 +372,39 @@ def test_csv_format(capsys):
     assert out.splitlines() == [
         "eigenvalue,multiplicity", "0,1", "1,4", "2,4",
     ]
+
+
+# one job per report subcommand; each report has a value that holds a
+# comma or a quote
+REPORTS = [
+    ("branch", "--embedding", "a1-in-a2-standard", "--weight", "1,1"),
+    ("gamma", "--gram", "hexagonal"),
+    ("gamma", "--spec", "su3"),
+    ("scan", "--metric", METRIC, "--radius", "1/10", "--steps", "3",
+     "--cutoff", "2"),
+    ("torus-search", "--values", "1,2", "--dim", "2", "--lambda-min", "1/2",
+     "--vol-min", "1/2"),
+    ("window", "--lambda1", "2", "--vol", "3", "--dim", "4", "--const", "5"),
+    ("validate-embedding", "--embedding", "a1-in-a2-standard"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", REPORTS, ids=[" ".join(argv[:2]) for argv in REPORTS]
+)
+def test_report_csv_is_key_value_rows(capsys, argv):
+    # each row parses into a key and a value, and the value is the JSON of
+    # that key's value in the JSON report
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    code, text = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(text)
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["key", "value"]
+    assert all(len(row) == 2 for row in rows), rows
+    assert [k for k, _ in rows] == sorted(report)
+    assert {k: json.loads(v) for k, v in rows} == report
 
 
 def test_pretty_format(capsys):

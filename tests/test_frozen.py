@@ -54,9 +54,9 @@ CASES = [
         lambda: build("A2"),
         (
             "family", "rank", "cartan", "pos_roots_fund", "pos_roots_rootc",
-            "highest_root", "rho", "coroots", "coroot_ladder", "weyl_den",
-            "form", "form_den", "casimir_den", "cartan_adj", "cartan_det",
-            "dual_coxeter", "dim_g", "minus_w0",
+            "highest_root", "rho", "coroots", "weyl_den", "form", "form_den",
+            "casimir_den", "cartan_adj", "cartan_det", "dual_coxeter", "dim_g",
+            "minus_w0",
         ),
         False,
         "RootSystemData(A2)",

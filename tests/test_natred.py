@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -301,3 +303,21 @@ def test_spectrum_nonnegative_all_modes(t1):
     table = natred_spectrum(m, 2)
     assert all(e >= 0 for e, _ in table.entries)
     assert table.multiplicity(F(0)) == 1
+
+
+def test_an_inline_embedding_is_freed_with_its_metric():
+    # branchings live on the embedding, and no module-level cache keeps an
+    # embedding alive, so a metric read from inline JSON frees its
+    # embedding and every branching made for it
+    m = NatRedMetric.from_json_dict({
+        "group": "B2",
+        "embedding": SO4.to_json_dict(),
+        "t": "1",
+        "t_i": ["1/2", "1/3"],
+    })
+    natred_spectrum(m, 6)
+    emb = weakref.ref(m.emb)
+    assert emb() is not SO4 and emb()._branchings
+    del m
+    gc.collect()
+    assert emb() is None

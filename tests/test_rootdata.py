@@ -269,23 +269,3 @@ def test_root_data_matches_root_string_reference():
         pos = set(rs.pos_roots_fund)
         for v in rs.pos_roots_fund:
             assert tuple(v[i] for i in rs.minus_w0) in pos, name
-
-
-def test_coroot_ladder_steps_up_from_an_earlier_coroot():
-    from liespec.rootdata import _coroot_ladder
-
-    for name in ("A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"):
-        rs = build(name)
-        n = rs.rank
-        assert len(rs.coroot_ladder) == len(rs.coroots)
-        for k, ((parent, i), co) in enumerate(zip(rs.coroot_ladder, rs.coroots)):
-            unit = tuple(int(j == i) for j in range(n))
-            if sum(co) == 1:  # a simple coroot stands on nothing
-                assert parent == -1 and co == unit
-                continue
-            assert 0 <= parent < k
-            below = rs.coroots[parent]
-            assert tuple(b + u for b, u in zip(below, unit)) == co
-    # a coroot list with a gap in it is bad Cartan data, not an assert
-    with pytest.raises(DomainError):
-        tuple(_coroot_ladder(((1, 0), (0, 1), (2, 2))))

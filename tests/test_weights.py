@@ -272,21 +272,28 @@ import json
 from liespec.errors import DomainError
 from liespec.groups import GroupSpec, biinvariant_spectrum
 from liespec.rootdata import build
+from liespec.weights import weyl_dim
 
 e8 = build("E8")
 # a Weyl denominator the pairing products are not all multiples of
 object.__setattr__(e8, "weyl_den", 7 * e8.weyl_den)
-try:
-    biinvariant_spectrum(GroupSpec((e8,)), 10)
-    raised = None
-except DomainError as exc:
-    raised = [type(exc).__name__, str(exc)]
+raised = []
+for job in (
+    lambda: biinvariant_spectrum(GroupSpec((e8,)), 10),
+    lambda: weyl_dim(e8, e8.highest_root),  # 248, not a multiple of 7
+):
+    try:
+        job()
+        raised.append(None)
+    except DomainError as exc:
+        raised.append([type(exc).__name__, str(exc)])
 print(json.dumps({"debug": __debug__, "raised": raised}))
 """
 
 
 def test_walk_rejects_a_non_integral_dimension_under_optimize():
-    # the walk's exact division is an explicit raise, not an assert
+    # the walk's and weyl_dim's exact division is an explicit raise, not an
+    # assert
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _WALK_FAULT_SCRIPT],
@@ -294,10 +301,11 @@ def test_walk_rejects_a_non_integral_dimension_under_optimize():
     )
     result = json.loads(proc.stdout)
     assert result["debug"] is False  # asserts really are stripped
-    # raised by the walk itself, not by a later check on the table
+    # raised by the walk and by weyl_dim themselves, not by a later check
+    # on the table
     assert result["raised"] == [
-        "DomainError", "Weyl dimension did not come out a positive integer"
-    ]
+        ["DomainError", "Weyl dimension did not come out a positive integer"]
+    ] * 2
 
 
 _WEYL_DIM_ERRORS_SCRIPT = """
