@@ -16,12 +16,14 @@ two K-types multiplied out over the factors once, in a memo keyed by the
 factors' root systems and shared by every embedding of the same K, so a
 step is dictionary additions and its checks).  A step checks that
 V_lam occurs once, no multiplicity is negative and the dimensions add up
-(by ``_product_dim``, the one K-type dimension, memoized like the
-products, so no module-level memo holds an embedding or its branchings),
-and runs only if every branching it reads is memoized: each kappa has a
-smaller Casimir than lam, so a walk in ascending Casimir (the term
-catalogue's) recurses past 0 and the fundamentals.  Other weights, one
-asked for alone among them, and steps that fail on malformed data are
+(dim V_lam by ``weyl_dim``; each K-type's by ``_product_dim``, memoized
+like the products from each part's memoized ``weyl_dim``, so no
+module-level memo holds an embedding or its branchings).  It re-checks
+no weight: the walk or the memo made every weight it reads from checked
+ones.  A step runs only if every branching it reads is memoized: each
+kappa has a smaller Casimir than lam, so a walk in ascending Casimir (the
+term catalogue's) recurses past 0 and the fundamentals.  Other weights,
+one asked for alone among them, and steps that fail on malformed data are
 peeled: the restricted weight diagram is checked W_K-invariant, and each
 weight nu adds its multiplicity, signed by det w, at w(nu + rho) - rho in
 every factor, unless nu + rho lies on a wall (Brauer-Klimyk with a trivial
@@ -42,7 +44,6 @@ j_i = ind_i * h_vee_G / h_vee_{K_i}, the number that converts factor
 Casimirs to ambient-Killing units.
 """
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -57,10 +58,10 @@ from .frozen import Frozen, Value
 from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
+    _contragredient,
     build,
     casimir_num,
     check_weight,
-    contragredient_weight,
     dominant_rep,
     is_dominant,
 )
@@ -219,10 +220,10 @@ def _product(factors: tuple, a: tuple, b: tuple) -> tuple:
     b of ``factors``: ``_tensor`` on each factor, multiplied out.  It
     depends only on K's root systems, so every embedding of the same K
     shares it."""
-    return tuple(
-        (tuple(k for k, _ in combo), prod(c for _, c in combo))
-        for combo in itertools.product(*map(_tensor, factors, a, b))
-    )
+    out = [((), 1)]
+    for terms in map(_tensor, factors, a, b):
+        out = [(key + (k,), m * c) for key, m in out for k, c in terms]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -230,22 +231,25 @@ def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
     """((kappa, c), ...) with V_a (x) V_b = sum c V_kappa, by Brauer-Klimyk:
     each weight mu of V_b adds its multiplicity, signed by w, at kappa =
     w(a + mu + rho) - rho, unless a zero coordinate puts it on a wall."""
-    out = Counter()
+    out = {}
     for mu, mult in _diagram(rs, b):
         dot = _dot(rs, tuple(map(add, a, mu)))
         if dot is not None:
-            out[dot[0]] += mult * dot[1]
-    return tuple(sorted((k, c) for k, c in out.items() if c))
+            kappa, sign = dot
+            out[kappa] = out.get(kappa, 0) + sign * mult
+    return tuple(sorted(kc for kc in out.items() if kc[1]))
 
 
 def _dot(rs: RootSystemData, nu: tuple):
     """(kappa, det w) with kappa = w(nu + rho) - rho dominant, or None when
     nu + rho lies on a wall."""
-    v, sign = tuple(x + 1 for x in nu), 1
+    if min(nu) >= 0:
+        return nu, 1  # nu + rho is already strictly dominant
+    v, sign = [x + 1 for x in nu], 1
     while 0 not in v and (low := min(v)) < 0:
-        v = tuple(x - low * r for x, r in zip(v, rs.cartan[v.index(low)]))
+        v = [x - low * r for x, r in zip(v, rs.cartan[v.index(low)])]
         sign = -sign
-    return None if 0 in v else (tuple(x - 1 for x in v), sign)
+    return None if 0 in v else (tuple([x - 1 for x in v]), sign)
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +295,10 @@ def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
 @lru_cache(maxsize=None)
 def _product_dim(factors: tuple, tup: tuple) -> int:
     """dim V_tup for a K-type ``tup`` of ``factors``, keyed as ``_product``."""
-    return prod(map(weyl_dim, factors, tup))
+    return prod(map(_part_dim, factors, tup))
+
+
+_part_dim = lru_cache(maxsize=None)(weyl_dim)  # dim V_part of one factor
 
 
 def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
@@ -331,10 +338,9 @@ def killing_ratio(emb: EmbeddingSpec) -> tuple:
 
 
 def contragredient_tuple(emb: EmbeddingSpec, tup) -> tuple:
-    """Apply per-factor contragredient to a branching term label."""
-    return tuple(
-        contragredient_weight(f, part) for f, part in zip(emb.factors, tup)
-    )
+    """Apply per-factor contragredient to a branching term label, whose
+    parts are checked weights."""
+    return tuple(map(_contragredient, emb.factors, tup))
 
 
 def validate_embedding(emb: EmbeddingSpec) -> dict:

@@ -73,9 +73,8 @@ def _emit_report(obj, out_format: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
-        flat = data if isinstance(data, dict) else {"result": data}
-        for k in sorted(flat):
-            writer.writerow([k, json.dumps(flat[k], sort_keys=True)])
+        for k in sorted(data):
+            writer.writerow([k, json.dumps(data[k], sort_keys=True)])
         return buf.getvalue()
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 

@@ -1,6 +1,6 @@
 """Finite-cutoff isolation and finiteness experiments.
 
-Four instruments: the low-eigenvalue invariant vector that classifies
+Five instruments: the low-eigenvalue invariant vector that classifies
 bi-invariant metrics (per-factor first eigenvalues for groups; the dual
 quadratic form sampled on standard basis vectors and their pairwise sums
 for tori), a grid scan that hunts for isospectral neighbors of a naturally

@@ -39,15 +39,15 @@ metric whose budget exceeds the catalogue's is refused.  This makes every
 truncated table complete in both modes.
 """
 
-from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import itemgetter, mul
 
 from .branching import (
     EmbeddingSpec,
+    _branch,
     _product_dim,
-    branch,
     contragredient_tuple,
     killing_ratio,
 )
@@ -58,6 +58,10 @@ from .rational import array, exact_int, fmt, rat, rat_cutoff, required
 from .rootdata import build, casimir_num
 from .spectrum import SpectrumTable, _common_scale, linear_table
 from .weights import _dominant_casimirs
+
+
+# casimir_num of one part of a branch label, made once per part
+_part_casimir = lru_cache(maxsize=None)(casimir_num)
 
 
 class NatRedMetric(Frozen):
@@ -214,46 +218,49 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
 
     tau is the per-factor contragredient of the branch label, matching the
     restriction-contains-dual indexing; Casimirs are blind to the flip.
+    The walk's weights come checked, with their Casimirs and dimensions,
+    so their branchings are read through ``_branch``; each label's tau,
+    Casimir tail and dimension (``_product_dim``) are made once.
     Horizontal positivity, g_0 >= 0, is checked on every term.
     """
     budget = rat(budget)
-    group = emb.ambient
+    group, factors = emb.ambient, emb.factors
     ratios = killing_ratio(emb)
     # a Casimir has denominator dividing casimir_den, and dividing by j_i
     # multiplies it by j_i's numerator: den makes every row integral
     den = lcm(
         group.casimir_den,
-        *(f.casimir_den * j.numerator for f, j in zip(emb.factors, ratios)),
+        *(f.casimir_den * j.numerator for f, j in zip(factors, ratios)),
     )
     # c_i(tau_i) / j_i * den is casimir_num(tau_i) * scales[i], an integer
     scales = [
         j.denominator * (den // (f.casimir_den * j.numerator))
-        for f, j in zip(emb.factors, ratios)
+        for f, j in zip(factors, ratios)
     ]
-    labels = {}  # branch label -> (tau, row tail, dim tau = dim label)
+    labels = {}  # branch label -> (tau, row tail, its sum, dim tau)
     weights = _dominant_casimirs(group, budget)
     # branched in ascending Casimir, each weight is one recursion step
     for lam, _, _ in sorted(weights, key=itemgetter(1)):
-        branch(emb, lam)
+        _branch(emb, lam)
     terms = []
-    rows = Counter()
+    rows = {}
     for lam, num, dim_lam in weights:
         c_lam = num * (den // group.casimir_den)
-        for tup, mult in branch(emb, lam).terms:
+        for tup, mult in _branch(emb, lam).terms:
             if tup not in labels:
                 tau = contragredient_tuple(emb, tup)
-                tail = tuple(map(mul, map(casimir_num, emb.factors, tau), scales))
-                labels[tup] = tau, tail, _product_dim(emb.factors, tup)
-            tau, tail, dim_tau = labels[tup]
-            row = (c_lam - sum(tail),) + tail
+                tail = tuple(map(mul, map(_part_casimir, factors, tau), scales))
+                labels[tup] = tau, tail, sum(tail), _product_dim(factors, tup)
+            tau, tail, fiber, dim_tau = labels[tup]
             # horizontal Laplacian positivity; certifies the budget
-            if row[0] < 0:
+            if c_lam < fiber:
                 raise CertificationError(
                     f"horizontal positivity fails at sigma={lam}, tau={tau}"
                 )
+            row = (c_lam - fiber,) + tail
             count = dim_lam * mult * dim_tau
             terms.append((lam, tau, count, row))
-            rows[row] += count
+            rows[row] = rows.get(row, 0) + count
     return TermCatalogue(
         emb=emb,
         budget=budget,

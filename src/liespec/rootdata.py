@@ -334,5 +334,9 @@ def weyl_orbit(rs: RootSystemData, dominant_weight):
 
 def contragredient_weight(rs: RootSystemData, weight):
     """Highest weight of the dual representation: -w0 applied to weight."""
-    w = check_weight(rs, weight)
-    return tuple(w[rs.minus_w0[i]] for i in range(rs.rank))
+    return _contragredient(rs, check_weight(rs, weight))
+
+
+def _contragredient(rs: RootSystemData, w: tuple) -> tuple:
+    """``contragredient_weight`` of a checked weight."""
+    return tuple([w[k] for k in rs.minus_w0])

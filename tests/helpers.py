@@ -4,10 +4,11 @@ Fraction-based short-vector kernel used as the exact reference for the
 library's integer kernel, the Fraction-based Weyl dimension, Casimir
 and Freudenthal code used as the exact reference for the library's
 integer root-system tables, the product-diagram branching peel with
-the per-metric term builder and grid scan on top of it, used as the
-exact reference for dominant-only branching and the term catalogue,
-the elementary-matrix LLL used as the exact reference for the library's
-integral LLL, ``short_vectors`` (both signs, sorted) and
+the per-metric term builder, ``ref_term_catalogue`` (the catalogue's
+denominator, terms and rows in Fractions) and grid scan on top of it,
+used as the exact reference for dominant-only branching and the term
+catalogue, the elementary-matrix LLL used as the exact reference for the
+library's integral LLL, ``short_vectors`` (both signs, sorted) and
 ``reduce_with_transform`` (LLL plus the shortest generating set), the
 former public conveniences, now on the library's integer kernel and
 reduction, ``ref_congruent``, the Fraction congruence test on the
@@ -880,6 +881,53 @@ def ref_natred_terms(m: NatRedMetric, cutoff):
                 continue
             out.append((lam, tau, dim_lam * mult * dim_tau, eig))
     return out
+
+
+def ref_term_catalogue(emb: EmbeddingSpec, budget):
+    """(den, terms, rows) of ``term_catalogue(emb, budget)``, rebuilt in
+    Fractions from ``ref_branch``, ``ref_casimir`` and ``ref_weyl_dim``.
+
+    Each Killing ratio j_i is the trace of the K_i Casimir on the adjoint
+    of G over dim k_i, read off the adjoint's reference branching; each
+    contragredient comes from the hand-typed -w0 involutions.
+    """
+    group, factors = emb.ambient, emb.factors
+
+    def dim(tup):
+        return math.prod(map(ref_weyl_dim, factors, tup))
+
+    adjoint = ref_branch(emb, group.highest_root).terms
+    ratios = [
+        sum(m * dim(t) * ref_casimir(f, t[i]) for t, m in adjoint) / f.dim_g
+        for i, f in enumerate(factors)
+    ]
+    den = math.lcm(
+        group.casimir_den,
+        *(f.casimir_den * j.numerator for f, j in zip(factors, ratios)),
+    )
+    terms, rows = [], Counter()
+    for lam in dominant_weights_up_to(group, budget):
+        c_lam = ref_casimir(group, lam)
+        for tup, mult in ref_branch(emb, lam).terms:
+            tau = tuple(
+                tuple(part[k] for k in ref_minus_w0_perm(f.family, f.rank))
+                for f, part in zip(factors, tup)
+            )
+            fibers = [
+                ref_casimir(f, t) / j for f, t, j in zip(factors, tau, ratios)
+            ]
+            g = [c_lam - sum(fibers)] + fibers
+            if g[0] < 0:
+                raise CertificationError(
+                    f"horizontal positivity fails at sigma={lam}, tau={tau}"
+                )
+            if any((x * den).denominator != 1 for x in g):
+                raise AssertionError("den does not clear a row")
+            row = tuple(int(x * den) for x in g)
+            count = ref_weyl_dim(group, lam) * mult * dim(tau)
+            terms.append((lam, tau, count, row))
+            rows[row] += count
+    return den, tuple(terms), tuple(rows.items())
 
 
 def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:

@@ -28,7 +28,12 @@ from liespec.natred import term_catalogue
 from liespec.rootdata import build, casimir_num, check_weight
 from liespec.weights import dominant_weights_up_to, weyl_dim
 
-from helpers import principal_a1_branching, principal_a1_row, ref_branch
+from helpers import (
+    principal_a1_branching,
+    principal_a1_row,
+    ref_branch,
+    ref_term_catalogue,
+)
 
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
 PRINC = BUILTIN_EMBEDDINGS["a1-in-a2-principal"]
@@ -304,6 +309,19 @@ def test_branch_matches_reference_up_to_casimir_12():
                 assert res == ref_branch(emb, sigma)
 
 
+def test_term_catalogue_matches_fraction_reference():
+    # den, every term in order and the merged rows, against the catalogue
+    # rebuilt in Fractions from the reference peel, each on a fresh
+    # embedding so that its branchings come from the recursion
+    fresh = [_fresh(name) for name in BUILTIN_EMBEDDINGS]
+    for emb in fresh + [_principal_a1("G2")]:
+        catalogue = term_catalogue(emb, 12)
+        assert len(catalogue.terms) > 20
+        assert (catalogue.den, catalogue.terms, catalogue.rows) == (
+            ref_term_catalogue(emb, 12)
+        )
+
+
 def _gelfand_tsetlin(lam) -> dict:
     """A_{n-1} in A_n: the K-types of V_lam counted by the partitions mu
     interlacing lam's partition p_1 >= mu_1 >= p_2 >= ... >= mu_n >= 0."""
@@ -487,6 +505,97 @@ def test_k_type_products_are_made_once_per_pair(monkeypatch):
     term_catalogue(_fresh("a1xa1-in-b2"), 20)
     again = branching._product.cache_info()
     assert again.misses == info.misses and again.hits > info.hits
+
+
+def _without_one_product_term(real):
+    """``_product`` that leaves out the last K-type of every product."""
+    return lambda factors, a, b: real(factors, a, b)[:-1]
+
+
+def _without_one_kappa(real, ambient):
+    """``_tensor`` that leaves out, on G only, the first kappa that is not
+    a + b, so that V_(a+b) still occurs once."""
+
+    def tensor(rs, a, b):
+        terms = real(rs, a, b)
+        top = tuple(x + y for x, y in zip(a, b))
+        lower = [k for k, _ in terms if k != top]
+        if rs is not ambient or not lower:
+            return terms
+        return tuple(t for t in terms if t[0] != lower[0])
+
+    return tensor
+
+
+@pytest.mark.parametrize("fault", ["product", "tensor"])
+def test_a_faulty_step_fails_its_checks_and_is_peeled(fault, monkeypatch):
+    # a step that reads K-side products short of one coefficient goes
+    # negative or loses dimensions, and one that reads a G tensor product
+    # short of one kappa gains them; either step raises and its weight is
+    # peeled, so no wrong branching is memoized
+    def peels(emb):
+        peeled = []
+        monkeypatch.setattr(
+            branching, "_peel",
+            lambda e, lam: peeled.append(lam) or _peel(e, lam),
+        )
+        term_catalogue(emb, 12)
+        return peeled
+
+    healthy = peels(_fresh("a1xa1-in-b2"))
+    emb = _fresh("a1xa1-in-b2")
+    if fault == "product":
+        faulty = _without_one_product_term(branching._product)
+        monkeypatch.setattr(branching, "_product", faulty)
+    else:
+        faulty = _without_one_kappa(branching._tensor, emb.ambient)
+        monkeypatch.setattr(branching, "_tensor", faulty)
+    peeled = peels(emb)
+    weights = dominant_weights_up_to(emb.ambient, 12)
+    assert sorted(peeled) == sorted(weights)
+    assert len(weights) > 2 * len(healthy)
+    for lam in weights:
+        assert emb._branchings[lam] == ref_branch(emb, lam)
+
+
+_FAULTY_STEP_SCRIPT = """
+import json
+from liespec import branching
+from liespec.branching import EmbeddingSpec
+from liespec.catalog import BUILTIN_EMBEDDINGS
+from liespec.natred import term_catalogue
+from liespec.weights import dominant_weights_up_to
+
+def fresh():
+    emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+    return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction)
+
+healthy = term_catalogue(fresh(), 12)
+product, peel, peeled = branching._product, branching._peel, []
+branching._product = lambda factors, a, b: product(factors, a, b)[:-1]
+branching._peel = lambda e, lam: peeled.append(lam) or peel(e, lam)
+faulty = term_catalogue(fresh(), 12)
+print(json.dumps({
+    "debug": __debug__,
+    "peeled": sorted(peeled),
+    "weights": sorted(dominant_weights_up_to(healthy.emb.ambient, 12)),
+    "same": (faulty.den, faulty.terms, faulty.rows)
+    == (healthy.den, healthy.terms, healthy.rows),
+}))
+"""
+
+
+def test_a_faulty_step_is_peeled_under_optimize():
+    # the step's checks are explicit raises, not asserts
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULTY_STEP_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False  # asserts really are stripped
+    assert result["peeled"] == result["weights"]
+    assert result["same"] is True
 
 
 def test_tensor_product_brauer_klimyk():

@@ -26,6 +26,7 @@ INLINE = {
     "NOT_PD": '{"gram":[["1","2"],["2","1"]]}',
     "E8SPEC": '{"factors":["E8"],"scales":["1"]}',
     "E8E8SPEC": '{"factors":["E8","E8"]}',
+    "B2METRIC": '{"group":"B2","embedding":"a1xa1-in-b2","t":"1","t_i":["1/2","1/3"]}',
 }
 
 # argv -> (exit code, sha256 of stdout)
@@ -218,6 +219,11 @@ GOLDEN = {
         0,
         "e9481be7cf210c09cc8c2bfff1aea41a25461b3b54456cc5283f4dfa77723b7f",
     ),
+    # the heavy catalogue: every branching of A1xA1<B2 up to Casimir 80
+    "natred-spectrum --metric B2METRIC --cutoff 80": (
+        0,
+        "71294a463579992d56a19cab6d6d0ff170cdfeafa8a8c2c8f36b0bb4c6ef2448",
+    ),
     "scan --metric METRIC --radius 1/10 --steps 3 --cutoff 2": (
         0,
         "4b9d2c397697f45a01859192c93163cb491f1aaf4f56fb401d0c8b41542838ba",
@@ -253,7 +259,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 42
+    assert len(lines) == 43
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))
