@@ -256,8 +256,36 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-@lru_cache(maxsize=None)  # built on the first main call, then reused
-def _build_parser() -> argparse.ArgumentParser:
+# command: (runner, help text, required options, options of which exactly
+# one is given)
+_COMMANDS = {
+    "torus-spectrum": (_run_table, "flat torus spectrum",
+                       ("gram", "cutoff"), ()),
+    "group-spectrum": (_run_table, "bi-invariant group spectrum",
+                       ("spec", "cutoff"), ()),
+    "natred-spectrum": (_run_table, "naturally reductive metric spectrum",
+                        ("metric", "cutoff"), ()),
+    "branch": (_run_branch, "restrict an irreducible to a subgroup",
+               ("embedding", "weight"), ()),
+    "gamma": (_run_gamma, "low-eigenvalue invariant vector",
+              (), ("gram", "spec")),
+    "scan": (_run_scan, "isospectral neighbor grid scan",
+             ("metric", "radius", "steps", "cutoff"), ()),
+    "torus-search": (_run_torus_search,
+                     "reconstruct tori from invariant values",
+                     ("values", "dim", "lambda-min", "vol-min"), ()),
+    "window": (_run_window, "finiteness scale window",
+               ("lambda1", "vol", "dim", "const"), ()),
+    "validate-embedding": (_run_validate_embedding,
+                           "structural embedding checks", ("embedding",), ()),
+}
+
+
+@lru_cache(maxsize=None)  # one parser per command name, built on first use
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` alone, or with all nine
+    for None; what a subparser parses and prints does not depend on the
+    others, and usage text and help need all nine."""
     parser = _Parser(
         prog="liespec",
         description=(
@@ -266,9 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(command, runner, help_text, *options):
-        p = sub.add_parser(command, help=help_text)
+    for name in (command,) if command else _COMMANDS:
+        runner, help_text, options, one_of = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         for option in options:
             p.add_argument(f"--{option}", required=True)
         p.add_argument(
@@ -278,38 +306,19 @@ def _build_parser() -> argparse.ArgumentParser:
             dest="fmt",
         )
         p.add_argument("--out")
+        if one_of:
+            group = p.add_mutually_exclusive_group(required=True)
+            for option in one_of:
+                group.add_argument(f"--{option}")
         p.set_defaults(run=runner)
-        return p
-
-    add("torus-spectrum", _run_table, "flat torus spectrum",
-        "gram", "cutoff")
-    add("group-spectrum", _run_table, "bi-invariant group spectrum",
-        "spec", "cutoff")
-    add("natred-spectrum", _run_table, "naturally reductive metric spectrum",
-        "metric", "cutoff")
-    add("branch", _run_branch, "restrict an irreducible to a subgroup",
-        "embedding", "weight")
-    subject = add(
-        "gamma", _run_gamma, "low-eigenvalue invariant vector"
-    ).add_mutually_exclusive_group(required=True)
-    subject.add_argument("--gram")
-    subject.add_argument("--spec")
-    add("scan", _run_scan, "isospectral neighbor grid scan",
-        "metric", "radius", "steps", "cutoff")
-    add("torus-search", _run_torus_search,
-        "reconstruct tori from invariant values",
-        "values", "dim", "lambda-min", "vol-min")
-    add("window", _run_window, "finiteness scale window",
-        "lambda1", "vol", "dim", "const")
-    add("validate-embedding", _run_validate_embedding,
-        "structural embedding checks", "embedding")
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(command).parse_args(argv)
     except argparse.ArgumentError as exc:
         return _report_error(exc, 1)
     return run(ns)

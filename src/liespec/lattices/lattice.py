@@ -3,8 +3,10 @@
 A lattice is presented either by a basis matrix (columns are generators)
 or directly by its Gram matrix.  It is validated once, at construction:
 the Gram matrix is symmetric and positive definite, decided by one
-fraction-free elimination (``linalg.eliminate``: positive pivots, no row
-exchange), and a given basis B is square with B^T B equal to it.  All
+fraction-free elimination of its integer form q*G (``linalg.eliminate``:
+positive pivots, no row exchange), and a given basis B is square with B^T B
+equal to it.  The lattice keeps that elimination: ``det_gram`` is its last
+pivot over q^m, and LLL starts from it, so q*G is eliminated once.  All
 downstream computations -- dual, enumeration, spectra, reduction,
 congruence -- operate on the Gram matrix in integer coordinates, so a
 Gram-only lattice supports everything except recovering an explicit
@@ -67,11 +69,14 @@ class Lattice(Value):
             raise DomainError("gram matrix shape mismatch")
         if not linalg.is_symmetric(gram):
             raise DomainError("gram matrix must be symmetric")
-        pivots, _, swaps, _ = linalg.eliminate(
-            linalg.clear_denominators(gram)[0]
-        )
+        a, q = linalg.clear_denominators(gram)
+        table = linalg.eliminate(a)
+        pivots, _, swaps, _ = table
         if swaps or min(pivots) <= 0:
             raise DomainError("gram matrix must be positive definite")
+        # q and the Bareiss table of q*G, kept for det_gram and _form; not
+        # a field, so ==, hash, repr and JSON ignore it
+        object.__setattr__(self, "_elimination", (q, table))
         # a square B with B^T B positive definite is nonsingular
         if basis is not None and (
             len(basis) != dim
@@ -94,9 +99,11 @@ class Lattice(Value):
     def _form(self):
         """(A, q, squares): A is an LLL-reduced Gram matrix of the lattice
         times q, the least integer that clears the Gram matrix's
-        denominators; squares completes A, from LLL's final table.  Not a
-        field: ==, hash, repr and JSON ignore it."""
-        return _reduced_form(*linalg.clear_denominators(self.gram))
+        denominators; squares completes A, from LLL's final table.  LLL
+        starts from the constructor's elimination.  Not a field: ==, hash,
+        repr and JSON ignore it."""
+        a, q = linalg.clear_denominators(self.gram)
+        return _reduced_form(a, q, self._elimination[1])
 
     @cached_property
     def _dual_form(self):
@@ -107,13 +114,15 @@ class Lattice(Value):
         eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         pivots, _, _, adj = linalg.eliminate(a, eye)
         g = gcd(pivots[-1], *(q * x for row in adj for x in row))
-        return _reduced_form(
-            [[q * x // g for x in row] for row in adj], pivots[-1] // g
-        )
+        dual = [[q * x // g for x in row] for row in adj]
+        return _reduced_form(dual, pivots[-1] // g, linalg.eliminate(dual))
 
     @property
     def det_gram(self) -> Fraction:
-        return linalg.det(self.gram)
+        """det G = det(q*G) / q^dim, the last pivot of the constructor's
+        elimination, which has no row exchange."""
+        q, (pivots, _, _, _) = self._elimination
+        return Fraction(pivots[-1], q**self.dim)
 
     @property
     def volume(self) -> Fraction:
@@ -145,11 +154,12 @@ class Lattice(Value):
         return lat
 
 
-def _reduced_form(a, scale):
+def _reduced_form(a, scale, table):
     """(A, scale, squares): A is the positive-definite integer form a after
-    LLL, and squares the kernel's completion of A from LLL's final Bareiss
-    table, so the form is eliminated once."""
-    a, _, d, lam = _lll_int(a)
+    LLL, which starts from a's Bareiss ``table``, and squares the kernel's
+    completion of A from LLL's final table, so the form is eliminated
+    once."""
+    a, _, d, lam = _lll_int(a, table)
     return tuple(map(tuple, a)), scale, _squares(d, lam)
 
 

@@ -3,8 +3,9 @@
 Two steps, both on the integer form A = q*G of a lattice (or of its dual):
 
 * ``_lll_int`` -- integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
-  the Gram matrix alone, returning the unimodular transform.  It
-  eliminates once and keeps that Bareiss table (pivots d, rows lam) exact:
+  the Gram matrix alone, returning the unimodular transform.  It starts
+  from the Bareiss table (pivots d, rows lam) that its caller hands it,
+  the lattice's own elimination, and keeps a copy of that table exact:
   size reduction is a column operation on it, and a swap updates it in
   O(m) (Cohen's SWAPI, each division checked).  The final table is
   returned with the reduced form, and ``Lattice._form`` and
@@ -28,20 +29,24 @@ def _exact(num, den):
     return value
 
 
-def _lll_int(a):
-    """(a reduced in place, U, d, lam) for a positive-definite integer Gram a.
+def _lll_int(a, table):
+    """(a reduced in place, U, d, lam) for a positive-definite integer Gram a
+    and ``table``, what ``linalg.eliminate(a)`` returns for it.
 
     d_k is the k-th Bareiss pivot, the Gram determinant of the first k+1
     vectors, and lam[j][k] = d_j mu_kj: the table ``linalg.eliminate``
-    gives for the returned a.  Size reduction is a column operation on a,
-    U and lam (lam[i][j] is 0 for i > j, and d_j for i = j); a swap of
-    b_{k-1} and b_k changes only d_{k-1} and rows k-1, k of lam (SWAPI).
+    gives for the returned a.  LLL updates copies of the pivots and rows of
+    ``table`` and leaves it as it was.  Size reduction is a column
+    operation on a, U and lam (lam[i][j] is 0 for i > j, and d_j for
+    i = j); a swap of b_{k-1} and b_k changes only d_{k-1} and rows k-1, k
+    of lam (SWAPI).
     """
     m = len(a)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    d, lam, swaps, _ = linalg.eliminate(a)
+    d, lam, swaps, _ = table
     if swaps or min(d) <= 0:
         raise LiespecError("Gram matrix not positive definite in LLL")
+    d, lam = list(d), [list(row) for row in lam]
     k = 1
     while k < m:
         for j in range(k - 1, -1, -1):

@@ -20,11 +20,27 @@ All three run on the integer tables of ``rootdata``:
   lam_j by one adds 2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the
   symmetric F to F . lam and column j of ``coroots`` to the pairings, so
   each weight's Weyl dimension is ``_weyl_quotient`` of its pairings, as
-  in ``weyl_dim``.
+  in ``weyl_dim``.  On the last coordinate's line every weight is a leaf
+  and only (F . lam)_n moves C, so that loop emits the weights itself and
+  carries one number in place of F . lam.
+
+  The pairings are packed into one int, each in a fixed-width unsigned
+  field, so a step adds one packed column and a leaf reads the fields back
+  through a ``memoryview`` cast.  The width is fixed per walk from a bound:
+  C grows in every coordinate, so C(lam) >= C(lam_j omega_j) and each
+  walked lam has lam_j <= m_j, the largest m with C(m omega_j) =
+  F_jj m^2 + 2 m sum_k F_jk within the budget; coroot coefficients are
+  nonnegative and the highest coroot theta^vee has the largest of each, so
+  no pairing exceeds sum_j theta^vee_j (m_j + 1).  No field overflows into
+  the next, and ``prod`` does not care in which order the platform's byte
+  order reads them.  A budget whose bound needs more than 64 bits raises
+  DomainError before the walk starts; no walk that could finish comes
+  near it.
 """
 
+import sys
 from functools import lru_cache
-from math import floor, prod
+from math import floor, isqrt, prod
 from operator import add, mul
 
 from .errors import DomainError
@@ -168,7 +184,7 @@ def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
 def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
     """(weight, casimir_num, weyl_dim) over ``dominant_weights_up_to``.
 
-    The walk carries the Casimir numerator, F . lam and the coroot
+    The walk carries the Casimir numerator, F . lam and the packed coroot
     pairings (module docstring); each is updated only on a step that the
     budget accepts.
     """
@@ -179,28 +195,73 @@ def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
     out = []
     n, form, den = rs.rank, rs.form, rs.weyl_den
     step = [form[j][j] + 2 * sum(form[j]) for j in range(n)]
-    # column j of the coroot matrix: what raising lam_j adds to the pairings
-    cols = [[co[j] for co in rs.coroots] for j in range(n)]
-    current = [0] * n
+    code, width = _pairing_field(rs, limit)
+    order, size = sys.byteorder, width * len(rs.coroots)
+    # column j of the coroot matrix, packed: what raising lam_j adds to the
+    # pairings.  A coefficient (at most 6) is the low byte of its field, so
+    # the packed columns are written as bytes in the order the leaves read
+    low = 0 if order == "little" else width - 1
+    cols = []
+    for column in zip(*rs.coroots):
+        packed = bytearray(size)
+        packed[low::width] = bytes(column)
+        cols.append(int.from_bytes(packed, order))
+    current, last = [0] * n, n - 1
 
     def extend(j, cas, f_lam, pairs):
-        # cas = casimir_num(current), f_lam = F . current, pairs[k] =
+        # cas = casimir_num(current), f_lam = F . current, field k of pairs =
         # (current + rho, beta_k^vee); coordinates past j are 0 here, and
         # cas <= limit
-        if j == n:
-            out.append((tuple(current), cas, _weyl_quotient(pairs, den)))
-            return
         row, col, inc = form[j], cols[j], step[j]
+        if j == last:
+            # every weight on the last coordinate's line is a leaf, and of
+            # F . current only coordinate j is read: rise is its next step
+            rise, twice = 2 * f_lam[j] + inc, 2 * row[j]
+            while True:
+                fields = memoryview(pairs.to_bytes(size, order)).cast(code)
+                out.append((tuple(current), cas, _weyl_quotient(fields, den)))
+                cas += rise
+                if cas > limit:
+                    break
+                rise += twice
+                pairs += col
+                current[j] += 1
+            current[j] = 0
+            return
         while True:
             extend(j + 1, cas, f_lam, pairs)
             cas += 2 * f_lam[j] + inc
             if cas > limit:
                 break
             f_lam = list(map(add, f_lam, row))
-            pairs = list(map(add, pairs, col))
+            pairs += col
             current[j] += 1
         current[j] = 0
 
-    extend(0, 0, [0] * n, [sum(co) for co in rs.coroots])
+    extend(0, 0, [0] * n, sum(cols))  # (rho, beta^vee) = sum_j beta^vee_j
     out.sort(key=lambda triple: (sum(triple[0]), triple[0]))
     return out
+
+
+# unsigned native formats a memoryview can be cast to, narrowest first, with
+# their widths in bytes
+_FIELDS = [(code, memoryview(bytes(8)).cast(code).itemsize) for code in "BHIQ"]
+
+
+def _pairing_field(rs: RootSystemData, limit):
+    """(format code, width in bytes) of the narrowest field that holds every
+    coroot pairing (lam + rho, beta^vee) of a weight with casimir_num at
+    most ``limit`` >= 0; DomainError when 64 bits do not."""
+    bound = 0
+    # the highest coroot, the one of greatest height, has every coefficient
+    # at least that of any other (Humphreys 10.4, in the dual root system)
+    top = max(rs.coroots, key=sum)
+    for j, row in enumerate(rs.form):
+        # the largest m with casimir_num(m omega_j) = a m^2 + b m <= limit
+        a, b = row[j], 2 * sum(row)
+        bound += top[j] * ((isqrt(b * b + 4 * a * limit) - b) // (2 * a) + 1)
+    for code, width in _FIELDS:
+        if bound < 256**width:
+            return code, width
+    raise DomainError("Casimir budget too large: the walk's coroot pairings "
+                      "would not fit in 64 bits")

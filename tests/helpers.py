@@ -368,7 +368,7 @@ def reduce_with_transform(lat: Lattice):
     """Reduced lattice plus the unimodular transform U (new = old * U): the
     library's LLL on q*G and, for dim <= 4, its shortest generating set."""
     a, q = linalg.clear_denominators(lat.gram)
-    a, u, d, lam = _lll_int(a)
+    a, u, d, lam = _lll_int(a, linalg.eliminate(a))
     if lat.dim <= 4:
         a, v = _minima_transform(a, _squares(d, lam))
         u = linalg.matmul(u, v)

@@ -9,12 +9,16 @@ the disk cache, as a miss and then a hit, so the bytes of a table read
 back from a cache entry are pinned too.
 """
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
+from liespec import cli
 from liespec.cli import main
 
 # Inline arguments, named so that every argv below is split on spaces.
@@ -27,6 +31,8 @@ INLINE = {
     "E8SPEC": '{"factors":["E8"],"scales":["1"]}',
     "E8E8SPEC": '{"factors":["E8","E8"]}',
     "B2METRIC": '{"group":"B2","embedding":"a1xa1-in-b2","t":"1","t_i":["1/2","1/3"]}',
+    "F4SPEC": '{"factors":["F4"]}',
+    "A4SPEC": '{"factors":["A4"]}',
 }
 
 # argv -> (exit code, sha256 of stdout)
@@ -210,6 +216,15 @@ GOLDEN = {
         0,
         "12a2806096d5cc3a4e0eff53195a04af4d8c870632e277b4a33f62e5c59d4463",
     ),
+    # the walk on a non-simply-laced type and on a classical one
+    "group-spectrum --spec F4SPEC --cutoff 60": (
+        0,
+        "f8d3361d01139756501a0e6b4aa674b2e45ba5e0cb39b878f5c60bfbc5e106cf",
+    ),
+    "group-spectrum --spec A4SPEC --cutoff 60": (
+        0,
+        "548b3646c7d0a4847118fd76d13186feb6c5eeb58aa6f68666e58aa5eccaef48",
+    ),
     # a product group: E8 x E8, each factor walked up to the full cutoff
     "group-spectrum --spec E8E8SPEC --cutoff 16": (
         0,
@@ -259,7 +274,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 43
+    assert len(lines) == 45
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))
@@ -281,7 +296,7 @@ def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
 
 
 # Runs several subcommands, a usage error among them, through one fresh
-# process's main; prints what each returned and how often the parser was
+# process's main; prints what each returned and how many parsers were
 # built, at import and in all.
 _ONE_PROCESS_SCRIPT = """
 import contextlib, hashlib, io, json
@@ -300,7 +315,7 @@ print(json.dumps({"at_import": at_import, "seen": seen,
 """
 
 
-def test_one_process_runs_many_commands_on_one_parser():
+def test_one_process_builds_one_parser_per_command():
     lines = [
         "group-spectrum --spec su3 --cutoff 4",
         "torus-spectrum --gram hexagonal --cutoff 3 --format csv",
@@ -319,10 +334,121 @@ def test_one_process_runs_many_commands_on_one_parser():
         env=env, capture_output=True, check=True, text=True,
     )
     result = json.loads(proc.stdout)
-    assert result["at_import"] == 0 and result["builds"] == 1
+    # one parser per distinct command, each with that subparser alone
+    assert result["at_import"] == 0
+    assert result["builds"] == len({line.split(" ")[0] for line in lines})
+    assert result["builds"] == 6
     usage = result["seen"].pop("torus-spectrum --gram identity2")
     assert usage[0] == 1
     assert {k: tuple(v) for k, v in result["seen"].items()} == {
         line: GOLDEN[line] for line in lines if line in GOLDEN
     }
     assert len(result["seen"]) == len(lines) - 1
+
+
+COMMANDS = (
+    "torus-spectrum", "group-spectrum", "natred-spectrum", "branch", "gamma",
+    "scan", "torus-search", "window", "validate-embedding",
+)
+
+# argv -> (exit code, sha256 of stdout) for help and usage errors, taken with
+# all nine subparsers built, at COLUMNS=80 on CPython 3.11; --help and -h
+# exit through SystemExit
+PARSER_GOLDEN = {
+    "--help": (
+        0,
+        "1644aa80edfbce34b16e9c9d09492bca4887c7cd38372141ed5ae944e424e326",
+    ),
+    "-h": (
+        0,
+        "1644aa80edfbce34b16e9c9d09492bca4887c7cd38372141ed5ae944e424e326",
+    ),
+    "": (
+        1,
+        "2da4b5132eda36d3dc656fdb92f98e57a14be094a6fe18695ba59a88b9b23e98",
+    ),
+    "nonsense": (
+        1,
+        "9c06c3409f20f98527173133a6a7244ef0b927e24a949a9808e136a16a993163",
+    ),
+    "torus-spectrum --help": (
+        0,
+        "cbda47e14a4c806879c8ed204455641366ea1ce2e2bd4cc11676451a0f85c65f",
+    ),
+    "group-spectrum --help": (
+        0,
+        "3d36b45961c87b711a5de8473d493938e4325d3d7b01b695f5ce30bfb1f02d46",
+    ),
+    "natred-spectrum --help": (
+        0,
+        "8c8d56f1f070cfb0d65939a0c7a0a7f1392fee5e90fcff1b2a47a1bd0d7b5ba8",
+    ),
+    "branch --help": (
+        0,
+        "cee3d84a244dce2d662e9ab1f84e890c684ff926177f38b0a9c1624c364d8d05",
+    ),
+    "gamma --help": (
+        0,
+        "6ece9dab73bdee591691792b85b813ad112627e979730d32e11d7b9918fd5f22",
+    ),
+    "scan --help": (
+        0,
+        "6f95f32bf289ed71c3c7841c9dba533fbc1bc0a78ffa6467a1d858eef3dbbb7d",
+    ),
+    "torus-search --help": (
+        0,
+        "9af3ae463dd8734a3a74fca9d9ee6ef3ab19c008f6e355663a6830fd170437b3",
+    ),
+    "window --help": (
+        0,
+        "e25b636ba95f9f138e41dbe80c20504256efa195db020274dd947b52bd0682ff",
+    ),
+    "validate-embedding --help": (
+        0,
+        "ce9a1ed0f17bf2a6c9bab7ff3cdba7af663285376a02aaffcff365151c570c9c",
+    ),
+    # a missing flag, an unknown flag, a bad --format, two exclusive flags
+    "torus-spectrum --gram identity2": (
+        1,
+        "db493f84d14fa1016837870b717e0cb6254109f849dcb18f61b4bb4da701a042",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 3 --threads 2": (
+        1,
+        "fe3e6dd7ad657d27784c58cd132aab40e79323caff27e83b341f8069e3dc0a60",
+    ),
+    "torus-spectrum --gram identity2 --cutoff 3 --format xml": (
+        1,
+        "997cd4845aa7fd09283c19afe185fbd7aa6b2f35dacf544ea481c0cb2df85701",
+    ),
+    "gamma --gram identity2 --spec su3": (
+        1,
+        "259411bf3efc4cfaf94c33b1281c22f8073c0fcef456667e421add80d4c76a95",
+    ),
+}
+
+
+def _main_digest(capsys, line):
+    """(exit code, sha256 of stdout) of main on the words of ``line``."""
+    try:
+        code = main(line.split(" ") if line else [])
+    except SystemExit as exc:  # --help
+        code = exc.code
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_help_and_usage_errors_keep_their_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LIESPEC_CACHE_DIR", raising=False)
+    seen = {line: _main_digest(capsys, line) for line in PARSER_GOLDEN}
+    assert {f"{c} --help" for c in COMMANDS} <= set(seen)
+    if sys.version_info[:2] == (3, 11):
+        # argparse words its help and its errors differently on other
+        # versions; the comparison below holds on all of them
+        assert seen == PARSER_GOLDEN
+    # a named command's parser holds that subparser alone, and prints what
+    # the parser of all nine prints
+    with pytest.raises(argparse.ArgumentError):
+        cli._build_parser("gamma").parse_args(["window", "--help"])
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert {line: _main_digest(capsys, line) for line in PARSER_GOLDEN} == seen

@@ -62,7 +62,7 @@ def test_lattice_validation():
     # not positive definite
     for gram in ([[1, 0], [0, 0]], [[0, 1], [1, 0]]):
         with pytest.raises(LiespecError):
-            _lll_int(gram)
+            _lll_int(gram, linalg.eliminate(gram))
     # a basis must be square: three generators in R^4 with B^T B = I
     with pytest.raises(DomainError):
         Lattice(
@@ -278,7 +278,9 @@ def test_lll_properties():
         m = rng.randint(2, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
         a, _ = linalg.clear_denominators(lat.gram)
-        a2, u, _, _ = _lll_int([list(row) for row in a])
+        a2, u, _, _ = _lll_int(
+            [list(row) for row in a], linalg.eliminate(a)
+        )
         # transform is unimodular and transports the form
         assert abs(ref_det(u)) == 1
         assert matmul(transpose(u), matmul(a, u)) == tuple(map(tuple, a2))
@@ -306,7 +308,7 @@ def test_lll_matches_elementary_matrix_reference():
     grams.append(build("E8").cartan)
     for gram in grams:
         a, q = linalg.clear_denominators(gram)
-        a, u, _, _ = _lll_int(a)
+        a, u, _, _ = _lll_int(a, linalg.eliminate(a))
         g_ref, u_ref = ref_lll_gram(gram)
         assert all(type(x) is int for row in a + u for x in row)
         assert a == [[q * x for x in row] for row in g_ref]
@@ -352,7 +354,9 @@ def test_lll_table_is_the_elimination_of_its_result():
     # table of the reduced form, entry for entry
     swapped = 0
     for gram in _lll_table_problems():
-        a, u, d, lam = _lll_int([list(row) for row in gram])
+        a, u, d, lam = _lll_int(
+            [list(row) for row in gram], linalg.eliminate(gram)
+        )
         pivots, rows, swaps, _ = linalg.eliminate(a)
         assert swaps == 0 and (d, lam) == (pivots, rows)
         assert matmul(transpose(u), matmul(gram, u)) == tuple(map(tuple, a))
@@ -361,8 +365,9 @@ def test_lll_table_is_the_elimination_of_its_result():
 
 
 def test_lll_eliminates_once(monkeypatch):
-    # one elimination per LLL call, however many swaps, and at most two per
-    # lattice (the adjugate and LLL's table) for its spectrum and lambda1
+    # one elimination per LLL call, the table it is handed, however many
+    # swaps, and at most two per lattice (the adjugate and the dual form's
+    # table) for its spectrum and lambda1
     calls = []
     real = linalg.eliminate
 
@@ -373,7 +378,7 @@ def test_lll_eliminates_once(monkeypatch):
     monkeypatch.setattr(linalg, "eliminate", counting)
     for gram in _lll_table_problems():
         calls.clear()
-        _lll_int([list(row) for row in gram])
+        _lll_int([list(row) for row in gram], linalg.eliminate(gram))
         assert len(calls) == 1
     # the torus-batch benchmark set: the 200 criterion-01 lattices at
     # cutoff 12 with their lambda1, and E8 at cutoff 6
@@ -389,6 +394,29 @@ def test_lll_eliminates_once(monkeypatch):
         torus_lambda1(lat)
     torus_spectrum(e8, 6)
     assert len(calls) == 2 * 201
+
+
+def test_one_elimination_per_lattice(monkeypatch):
+    # the constructor's elimination of q*G serves the positive-definiteness
+    # check, det_gram and the start of LLL for the systole
+    calls = []
+    real = linalg.eliminate
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    rng = random.Random(11)
+    for _ in range(20):
+        gram = Lattice.from_basis(random_rational_basis(rng, 3)).gram
+        calls.clear()
+        lat = Lattice.from_gram(gram)
+        assert lat.det_gram == ref_det(gram) and systole(lat) > 0
+        assert calls == [3]
+    calls.clear()
+    e8 = Lattice.from_gram(build("E8").cartan)
+    assert (e8.det_gram, systole(e8), len(calls)) == (1, 2, 1)
 
 
 def test_reduce_with_transform_reaches_systole():
@@ -480,9 +508,9 @@ def test_each_form_is_made_once(monkeypatch):
     calls = []
     real = lattice._lll_int
 
-    def counting(a):
+    def counting(a, table):
         calls.append(len(a))
-        return real(a)
+        return real(a, table)
 
     monkeypatch.setattr(lattice, "_lll_int", counting)
     u = ((F(1), F(3)), (F(0), F(1)))

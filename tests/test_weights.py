@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liespec.errors import DomainError
-from liespec.rootdata import build, casimir, contragredient_weight
+from liespec.rootdata import build, casimir, casimir_num, contragredient_weight
 from liespec.weights import (
     _dominant_casimirs,
+    _pairing_field,
     dominant_character,
     dominant_weights_up_to,
     weight_diagram,
@@ -265,6 +266,77 @@ def test_enumerated_casimirs_match_reference():
             assert type(num) is int and type(dim) is int
             assert F(num, rs.casimir_den) == ref_casimir(rs, lam), (name, lam)
             assert dim == ref_weyl_dim(rs, lam), (name, lam)
+
+
+def test_packed_walk_on_a1_across_field_widths():
+    # the largest pairing up to the Casimir of m omega is m + 1, so these
+    # budgets sit just below and just above 2^8 and 2^16
+    from helpers import ref_casimir, ref_weyl_dim
+
+    a1 = build("A1")
+    for m, code in ((254, "B"), (255, "H"), (65534, "H"), (65535, "I")):
+        assert _pairing_field(a1, casimir_num(a1, (m,)))[0] == code
+        triples = _dominant_casimirs(a1, casimir(a1, (m,)))
+        assert [w for w, _, _ in triples] == [(k,) for k in range(m + 1)]
+        assert [dim for _, _, dim in triples] == list(range(1, m + 2))
+        for lam, num, dim in triples[-300:] + triples[::97]:
+            assert F(num, a1.casimir_den) == ref_casimir(a1, lam)
+            assert dim == ref_weyl_dim(a1, lam)
+
+
+def test_packed_walk_past_one_byte_on_non_simply_laced_types():
+    # coroot coefficients 2 and 3, on two-byte fields holding pairings past
+    # 255: every weight with such a pairing, and a sample of the rest
+    from helpers import ref_casimir, ref_weyl_dim
+
+    for name, budget in (("B2", 3000), ("G2", 1500), ("C3", 2100)):
+        rs = build(name)
+        assert _pairing_field(rs, budget * rs.casimir_den)[0] == "H"
+        triples = _dominant_casimirs(rs, budget)
+        # the highest coroot, last by height, has the largest pairing
+        top = rs.coroots[-1]
+        wide = [
+            t for t in triples
+            if sum(c * (x + 1) for c, x in zip(top, t[0])) > 255
+        ]
+        assert len(wide) > 100, name
+        for lam, num, dim in wide + triples[::1009]:
+            assert F(num, rs.casimir_den) == ref_casimir(rs, lam), name
+            assert dim == ref_weyl_dim(rs, lam), name
+
+
+_WIDE_BUDGET_SCRIPT = """
+import json, time
+from liespec.errors import DomainError
+from liespec.rootdata import build
+from liespec.weights import _dominant_casimirs
+
+start = time.perf_counter()
+try:
+    _dominant_casimirs(build("A1"), 10**50)
+    raised = None
+except DomainError as exc:
+    raised = type(exc).__name__
+print(json.dumps({"debug": __debug__, "raised": raised,
+                  "seconds": time.perf_counter() - start}))
+"""
+
+
+def test_walk_refuses_a_budget_past_64_bit_fields():
+    a1 = build("A1")
+    # the widest A1 weight that 64-bit fields hold, and the next one
+    assert _pairing_field(a1, casimir_num(a1, (2**64 - 2,))) == ("Q", 8)
+    with pytest.raises(DomainError):
+        _pairing_field(a1, casimir_num(a1, (2**64 - 1,)))
+    # refused before any weight is walked, with the asserts stripped too
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WIDE_BUDGET_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False and result["raised"] == "DomainError"
+    assert result["seconds"] < 0.1
 
 
 _WALK_FAULT_SCRIPT = """
