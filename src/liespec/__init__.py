@@ -15,7 +15,6 @@ from .branching import (
     branch,
     embedding_index,
     killing_ratio,
-    spherical_mult,
     validate_embedding,
 )
 from .errors import (
@@ -101,7 +100,6 @@ __all__ = [
     "natred_spectrum",
     "natred_terms",
     "normal_quotient_spectrum",
-    "spherical_mult",
     "systole",
     "table_distance",
     "torus_lambda1",

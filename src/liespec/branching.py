@@ -21,13 +21,15 @@ like the products from each part's memoized ``weyl_dim``, so no
 module-level memo holds an embedding or its branchings).  It re-checks
 no weight: the walk or the memo made every weight it reads from checked
 ones.  A step runs only if every branching it reads is memoized: each
-kappa has a smaller Casimir than lam, so a walk in ascending Casimir (the
-term catalogue's) recurses past 0 and the fundamentals.  Other weights,
-one asked for alone among them, and steps that fail on malformed data are
-peeled: the restricted weight diagram is checked W_K-invariant, and each
-weight nu adds its multiplicity, signed by det w, at w(nu + rho) - rho in
-every factor, unless nu + rho lies on a wall (Brauer-Klimyk with a trivial
-first factor; ``_dot`` walks the chamber for ``_tensor`` too).
+kappa has a smaller Casimir than lam, so ``_branched``, which walks and
+branches the weights below a Casimir budget for the term catalogue and
+the normal quotient, takes them in ascending Casimir and recurses past 0
+and the fundamentals.  Other weights, one asked for alone among them, and
+steps that fail on malformed data are peeled: the restricted weight
+diagram is checked W_K-invariant, and each weight nu adds its
+multiplicity, signed by det w, at w(nu + rho) - rho in every factor,
+unless nu + rho lies on a wall (Brauer-Klimyk with a trivial first
+factor; ``_dot`` walks the chamber for ``_tensor`` too).
 K-characters decompose uniquely, so the two agree where both succeed.
 Malformed data surfaces as a non-integer image, a non-invariant
 character, a negative multiplicity or a dimension mismatch, never as a
@@ -48,7 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import add
+from operator import add, itemgetter
 
 from . import linalg
 from .errors import (
@@ -65,7 +67,7 @@ from .rootdata import (
     dominant_rep,
     is_dominant,
 )
-from .weights import weight_diagram, weyl_dim
+from .weights import _dominant_casimirs, weight_diagram, weyl_dim
 
 
 class EmbeddingSpec(Frozen):
@@ -172,6 +174,16 @@ def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     if not is_dominant(lam):
         raise DomainError("branch expects a dominant weight")
     return _branch(emb, lam)
+
+
+def _branched(emb: EmbeddingSpec, budget) -> list:
+    """(lam, casimir_num, dim, branching) for every dominant weight of the
+    ambient with Casimir at most ``budget``, in the walk's graded-lex
+    order; branched in ascending Casimir (module docstring)."""
+    weights = _dominant_casimirs(emb.ambient, budget)
+    ascending = sorted(weights, key=itemgetter(1))
+    made = {lam: _branch(emb, lam) for lam, _, _ in ascending}
+    return [(lam, num, dim, made[lam]) for lam, num, dim in weights]
 
 
 def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
@@ -299,12 +311,6 @@ def _product_dim(factors: tuple, tup: tuple) -> int:
 
 
 _part_dim = lru_cache(maxsize=None)(weyl_dim)  # dim V_part of one factor
-
-
-def spherical_mult(emb: EmbeddingSpec, sigma) -> int:
-    """Multiplicity of the trivial K-type in V_sigma restricted to K."""
-    trivial = tuple(tuple(0 for _ in range(f.rank)) for f in emb.factors)
-    return branch(emb, sigma).multiplicity(trivial)
 
 
 def embedding_index(emb: EmbeddingSpec) -> tuple:

@@ -4,25 +4,26 @@ A group is described by its simply-connected simple factors, a finite list
 of central elements cutting out K = K-tilde / Gamma, and per-factor metric
 scales t_i (the metric is t_i times the negative Killing form on factor i).
 Central elements are rational coweights in simple-coroot coordinates, so a
-weight in fundamental coordinates pairs with one by a plain dot product and
-admissibility of a representation is an exact integrality test.
+weight in fundamental coordinates pairs with one by a plain dot product.
+``GroupSpec`` holds Gamma once in integers, d the lcm of its denominators
+and each z_i * d: a pairing is integral exactly when its integer dot
+product is 0 mod d, for the roots, ``center_admissible`` and the fold.
 
 Eigenvalues are sum_i c_i(lambda_i)/t_i with multiplicity prod_i dim_i^2,
 over the classes whose pairing with each z in Gamma, a sum over the
 factors, is an integer.  So the spectrum is one fold over the factors in
 integers: each factor's weights within its budget c_i <= cutoff * t_i are
-counted by (pairings with Gamma mod 1, eigenvalue numerator over the one
+counted by (pairings with Gamma mod d, eigenvalue numerator over the one
 scale of ``spectrum._common_scale``), and each is combined with the running
 counts by adding both and multiplying multiplicities.  Every summand is
 >= 0, so a partial sum above the cutoff is dropped at once, exactly.
 """
 
 from collections import Counter
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .branching import EmbeddingSpec, spherical_mult
+from .branching import EmbeddingSpec, _branched
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
@@ -59,19 +60,24 @@ class GroupSpec(Frozen):
         for z in self.gamma:
             if len(z) != len(self.factors):
                 raise DomainError("central element needs one part per factor")
+            if any(len(part) != f.rank for f, part in zip(self.factors, z)):
+                raise DomainError("coweight length != factor rank")
+        # (d, each z_i * d) (module docstring); not a field, so repr and
+        # JSON ignore it
+        d = lcm(*(
+            x.denominator for z in self.gamma for part in z for x in part
+        ))
+        zs = tuple(tuple(tuple(
+            x.numerator * (d // x.denominator) for x in part
+        ) for part in z) for z in self.gamma)
+        object.__setattr__(self, "_gamma", (d, zs))
+        # Ad(z) = id forces integral pairing with every root.
+        for z in zs:
             for f, part in zip(self.factors, z):
-                if len(part) != f.rank:
-                    raise DomainError("coweight length != factor rank")
-                # Ad(z) = id forces integral pairing with every root.
-                for root in f.pos_roots_fund:
-                    val = sum(
-                        Fraction(a) * Fraction(b)
-                        for a, b in zip(root, part)
+                if any(sum(map(mul, r, part)) % d for r in f.pos_roots_fund):
+                    raise DomainError(
+                        "gamma element pairs non-integrally with a root"
                     )
-                    if val.denominator != 1:
-                        raise DomainError(
-                            "gamma element pairs non-integrally with a root"
-                        )
 
     @property
     def num_factors(self) -> int:
@@ -109,15 +115,11 @@ def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     parts = tuple(
         check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)
     )
-    for z in gs.gamma:
-        total = Fraction(0)
-        for lam, part in zip(parts, z):
-            total += sum(
-                Fraction(a) * Fraction(b) for a, b in zip(lam, part)
-            )
-        if total.denominator != 1:
-            return False
-    return True
+    d, zs = gs._gamma
+    return not any(
+        sum(sum(map(mul, lam, part)) for lam, part in zip(parts, z)) % d
+        for z in zs
+    )
 
 
 def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
@@ -126,15 +128,12 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     cutoff = rat_cutoff(cutoff)
     den = lcm(*(f.casimir_den for f in gs.factors))
     weights, scale, limit = _common_scale(gs.scales, den, cutoff)
-    d = lcm(*(x.denominator for z in gs.gamma for part in z for x in part))
-    zero = (0,) * len(gs.gamma)
+    d, zs = gs._gamma
+    zero = (0,) * len(zs)
     counts = {(zero, 0): 1}
     for i, (f, t, w) in enumerate(zip(gs.factors, gs.scales, weights)):
         w *= den // f.casimir_den
-        # z_i over d, so a weight's class is one integer dot product mod d
-        coweights = [
-            [x.numerator * (d // x.denominator) for x in z[i]] for z in gs.gamma
-        ]
+        coweights = [z[i] for z in zs]
         part = Counter()
         for lam, num, dim in _dominant_casimirs(f, cutoff * t):
             cls = tuple(sum(map(mul, lam, z)) % d for z in coweights)
@@ -179,7 +178,8 @@ def normal_quotient_spectrum(
     """Spectrum of the normal metric t*(-B) on G/K, G simply connected.
 
     Eigenvalues are c(lambda)/t over spherical representations, each with
-    multiplicity dim(lambda) times the dimension of its K-fixed subspace.
+    multiplicity dim(lambda) times the dimension of its K-fixed subspace,
+    the trivial K-type's multiplicity in the branching of ``_branched``.
     """
     if emb.ambient is not ambient:
         raise DomainError("embedding does not target the given ambient type")
@@ -187,9 +187,10 @@ def normal_quotient_spectrum(
     if t <= 0:
         raise DomainError("metric scale must be positive")
     cutoff = rat_cutoff(cutoff)
+    trivial = tuple((0,) * f.rank for f in emb.factors)
     rows = []
-    for lam, num, dim in _dominant_casimirs(ambient, cutoff * t):
-        fixed = spherical_mult(emb, lam)
+    for _, num, dim, result in _branched(emb, cutoff * t):
+        fixed = result.multiplicity(trivial)
         if fixed:
             rows.append(((num,), dim * fixed))
     return linear_table(rows, ambient.casimir_den, (t,), cutoff)

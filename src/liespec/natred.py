@@ -42,11 +42,11 @@ truncated table complete in both modes.
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter, mul
+from operator import mul
 
 from .branching import (
     EmbeddingSpec,
-    _branch,
+    _branched,
     _product_dim,
     contragredient_tuple,
     killing_ratio,
@@ -57,7 +57,6 @@ from .groups import factor_lambda1
 from .rational import array, exact_int, fmt, rat, rat_cutoff, required
 from .rootdata import build, casimir_num
 from .spectrum import SpectrumTable, _common_scale, linear_table
-from .weights import _dominant_casimirs
 
 
 # casimir_num of one part of a branch label, made once per part
@@ -218,9 +217,9 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
 
     tau is the per-factor contragredient of the branch label, matching the
     restriction-contains-dual indexing; Casimirs are blind to the flip.
-    The walk's weights come checked, with their Casimirs and dimensions,
-    so their branchings are read through ``_branch``; each label's tau,
-    Casimir tail and dimension (``_product_dim``) are made once.
+    Each weight comes with its Casimir, dimension and branching from
+    ``_branched``; each label's tau, Casimir tail and dimension
+    (``_product_dim``) are made once.
     Horizontal positivity, g_0 >= 0, is checked on every term.
     """
     budget = rat(budget)
@@ -238,15 +237,11 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
         for f, j in zip(factors, ratios)
     ]
     labels = {}  # branch label -> (tau, row tail, its sum, dim tau)
-    weights = _dominant_casimirs(group, budget)
-    # branched in ascending Casimir, each weight is one recursion step
-    for lam, _, _ in sorted(weights, key=itemgetter(1)):
-        _branch(emb, lam)
     terms = []
     rows = {}
-    for lam, num, dim_lam in weights:
+    for lam, num, dim_lam, result in _branched(emb, budget):
         c_lam = num * (den // group.casimir_den)
-        for tup, mult in _branch(emb, lam).terms:
+        for tup, mult in result.terms:
             if tup not in labels:
                 tau = contragredient_tuple(emb, tup)
                 tail = tuple(map(mul, map(_part_casimir, factors, tau), scales))

@@ -332,11 +332,7 @@ def weyl_orbit(rs: RootSystemData, dominant_weight):
     return tuple(sorted(_orbit(rs.cartan, tuple(dominant_weight))))
 
 
-def contragredient_weight(rs: RootSystemData, weight):
-    """Highest weight of the dual representation: -w0 applied to weight."""
-    return _contragredient(rs, check_weight(rs, weight))
-
-
 def _contragredient(rs: RootSystemData, w: tuple) -> tuple:
-    """``contragredient_weight`` of a checked weight."""
+    """Highest weight of the dual representation: -w0 applied to the
+    checked weight w."""
     return tuple([w[k] for k in rs.minus_w0])

@@ -25,7 +25,12 @@ Fraction-Counter table distance used as the exact reference for the
 integer count, ``ref_table``, a table of Fraction entries over the
 lcm of their denominators, for the reference tables, and ``ref_table_json``,
 a table's JSON object through ``json.dumps``, used as the exact reference
-for the table's direct JSON writer."""
+for the table's direct JSON writer, ``ref_spherical_mult`` (the trivial
+K-type's multiplicity read from ``ref_branch``) and ``ref_center_admissible``
+(the Fraction sum of the Gamma pairings), used as the exact references for
+the normal quotient and the integer Gamma form, and ``ref_contragredient``,
+the dual's highest weight as the dominant weight in the Weyl orbit of -lam,
+used as the reference for the -w0 tables."""
 
 import itertools
 import json
@@ -43,7 +48,6 @@ from liespec.branching import (
     EmbeddingSpec,
     contragredient_tuple,
     killing_ratio,
-    spherical_mult,
 )
 from liespec.errors import (
     CertificationError,
@@ -53,7 +57,7 @@ from liespec.errors import (
     MalformedEmbeddingError,
     UnsupportedDimensionError,
 )
-from liespec.groups import GroupSpec, center_admissible
+from liespec.groups import GroupSpec
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice
 from liespec.lattices.congruence import MAX_DIM
@@ -841,6 +845,18 @@ def _product_dim(emb: EmbeddingSpec, tup) -> int:
     return out
 
 
+def ref_spherical_mult(emb: EmbeddingSpec, sigma) -> int:
+    """Multiplicity of the trivial K-type in V_sigma restricted to K."""
+    trivial = tuple(tuple(0 for _ in range(f.rank)) for f in emb.factors)
+    return ref_branch(emb, sigma).multiplicity(trivial)
+
+
+def ref_contragredient(rs, lam) -> tuple:
+    """Highest weight of the dual of V_lam: the dominant weight in the Weyl
+    orbit of -lam, with no use of the -w0 tables."""
+    return dominant_rep(rs, tuple(-x for x in lam))
+
+
 # Reference terms: every (sigma, tau) rebuilt in Fractions for each metric,
 # the closed-form eigenvalue of one pair, and the inverse of f_map.
 
@@ -1072,6 +1088,25 @@ def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
 # Fraction Casimirs over the scales and tabulated by Fraction keys.
 
 
+def ref_center_admissible(gs: GroupSpec, lam_tuple) -> bool:
+    """True iff every listed central element acts trivially on the
+    irreducible with the given per-factor highest weights."""
+    if len(lam_tuple) != gs.num_factors:
+        raise DomainError("weight tuple length != number of factors")
+    parts = tuple(
+        check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)
+    )
+    for z in gs.gamma:
+        total = Fraction(0)
+        for lam, part in zip(parts, z):
+            total += sum(
+                Fraction(a) * Fraction(b) for a, b in zip(lam, part)
+            )
+        if total.denominator != 1:
+            return False
+    return True
+
+
 def ref_admissible_tuples(gs: GroupSpec, cutoff):
     """Gamma-admissible dominant tuples with Sum c_i/t_i <= cutoff, each
     paired with that eigenvalue."""
@@ -1086,7 +1121,7 @@ def ref_admissible_tuples(gs: GroupSpec, cutoff):
         if eig > cutoff:
             continue
         tup = tuple(lam for lam, _ in combo)
-        if center_admissible(gs, tup):
+        if ref_center_admissible(gs, tup):
             out.append((tup, eig))
     return out
 
@@ -1105,7 +1140,7 @@ def ref_normal_quotient_spectrum(emb: EmbeddingSpec, t, cutoff):
     t, cutoff = rat(t), rat(cutoff)
     pairs = []
     for lam in dominant_weights_up_to(emb.ambient, cutoff * t):
-        fixed = spherical_mult(emb, lam)
+        fixed = ref_spherical_mult(emb, lam)
         if fixed:
             eig = casimir(emb.ambient, lam) / t
             pairs.append((eig, weyl_dim(emb.ambient, lam) * fixed))

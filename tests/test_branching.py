@@ -16,7 +16,6 @@ from liespec.branching import (
     contragredient_tuple,
     embedding_index,
     killing_ratio,
-    spherical_mult,
     validate_embedding,
     _peel,
     _recurse,
@@ -32,6 +31,8 @@ from helpers import (
     principal_a1_branching,
     principal_a1_row,
     ref_branch,
+    ref_contragredient,
+    ref_spherical_mult,
     ref_term_catalogue,
 )
 
@@ -81,7 +82,8 @@ def test_identity_embedding():
 def test_rank_zero_factor_list():
     emb = EmbeddingSpec(ambient=build("A2"), factors=(), restriction=())
     assert branch(emb, (1, 1)).as_dict() == {(): 8}
-    assert spherical_mult(emb, (1, 0)) == 3
+    assert branch(emb, (1, 0)).multiplicity(()) == 3
+    assert ref_spherical_mult(emb, (1, 0)) == 3
     assert embedding_index(emb) == ()
 
 
@@ -121,18 +123,21 @@ def test_contragredient_symmetry():
                 contragredient_tuple(emb, tup): m
                 for tup, m in branch(emb, sigma).terms
             }
-            from liespec.rootdata import contragredient_weight
-
-            sigma_dual = contragredient_weight(emb.ambient, sigma)
+            sigma_dual = ref_contragredient(emb.ambient, sigma)
             assert branch(emb, sigma_dual).as_dict() == dualized
 
 
 def test_spherical_mults():
-    assert spherical_mult(STD, (1, 0)) == 1
-    assert spherical_mult(STD, (1, 1)) == 1
-    assert spherical_mult(PRINC, (1, 0)) == 0
-    assert spherical_mult(SO4, (1, 0)) == 1
-    assert spherical_mult(SO4, (0, 1)) == 0
+    for emb, sigma, fixed in (
+        (STD, (1, 0), 1),
+        (STD, (1, 1), 1),
+        (PRINC, (1, 0), 0),
+        (SO4, (1, 0), 1),
+        (SO4, (0, 1), 0),
+    ):
+        trivial = tuple((0,) * f.rank for f in emb.factors)
+        assert ref_spherical_mult(emb, sigma) == fixed
+        assert branch(emb, sigma).multiplicity(trivial) == fixed
 
 
 def test_malformed_negative_residue():

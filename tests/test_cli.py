@@ -753,7 +753,7 @@ def test_cache_entry_with_bool_cutoff_is_a_miss(tmp_path, capsys, monkeypatch):
 _FAULTS = (
     ("liespec.lattices.spectra._norm_counts",
      ["torus-spectrum", "--gram", "identity2", "--cutoff", "4"]),
-    ("liespec.natred._branch",
+    ("liespec.branching._branch",
      ["natred-spectrum", "--metric", METRIC, "--cutoff", "1"]),
 )
 _INTERNAL = {

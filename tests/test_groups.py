@@ -4,9 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ref_biinvariant_spectrum, ref_normal_quotient_spectrum
+from helpers import (
+    ref_biinvariant_spectrum,
+    ref_center_admissible,
+    ref_normal_quotient_spectrum,
+)
 
+from liespec.branching import EmbeddingSpec, branch
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
     BUILTIN_GROUPS,
@@ -21,8 +28,8 @@ from liespec.groups import (
     normal_quotient_spectrum,
 )
 from liespec.isolation import isolation_scan
-from liespec.natred import NatRedMetric
-from liespec.rootdata import build, check_weight
+from liespec.natred import NatRedMetric, term_catalogue
+from liespec.rootdata import build, casimir_num, check_weight
 from liespec.weights import dominant_weights_up_to, weyl_dim
 
 SU2 = BUILTIN_GROUPS["su2"]
@@ -122,6 +129,59 @@ def test_gamma_on_three_factors_with_classes_of_different_orders():
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=5, max_size=5))
+def test_center_admissible_matches_fraction_reference(coords):
+    gs = GroupSpec.from_json_dict(json.loads(THREE_FACTOR_GAMMA))
+    lams = ((coords[0],), tuple(coords[1:3]), tuple(coords[3:]))
+    assert center_admissible(gs, lams) == ref_center_admissible(gs, lams)
+
+
+def _pairs_roots_integrally(factors, z):
+    """The Fraction root check: every positive root of each factor pairs
+    integrally with that factor's part of z."""
+    return all(
+        sum(F(a) * F(b) for a, b in zip(root, part)).denominator == 1
+        for f, part in zip(factors, z)
+        for root in f.pos_roots_fund
+    )
+
+
+def test_gamma_root_check_matches_fraction_reference():
+    cases = [
+        ((build("A2"),), ((("1/3", "2/3"),),), True),
+        ((build("B2"),), ((("0", "1/2"),),), True),
+        ((build("A1"),), ((("1/3",),),), False),
+        ((build("A2"),), ((("1/3", "1/3"),),), False),
+    ]
+    rng = random.Random(27)
+    for _ in range(60):
+        factors = tuple(
+            build(rng.choice(["A1", "A2", "B2", "G2", "A3"]))
+            for _ in range(rng.randint(1, 2))
+        )
+        gamma = tuple(
+            tuple(
+                tuple(
+                    F(rng.randrange(12), rng.choice((1, 2, 3, 4, 6)))
+                    for _ in range(f.rank)
+                )
+                for f in factors
+            )
+            for _ in range(rng.randint(1, 2))
+        )
+        cases.append((factors, gamma, None))
+    for factors, gamma, pinned in cases:
+        gamma = tuple(tuple(tuple(map(F, part)) for part in z) for z in gamma)
+        ok = all(_pairs_roots_integrally(factors, z) for z in gamma)
+        assert pinned in (None, ok)
+        if ok:
+            GroupSpec(factors, gamma=gamma)
+        else:
+            with pytest.raises(DomainError):
+                GroupSpec(factors, gamma=gamma)
+
+
 def test_factor_whose_budget_admits_only_the_trivial_weight():
     # A2's least nonzero Casimir 4/9 exceeds its budget 1 * 1/100
     a1, a2 = build("A1"), build("A2")
@@ -156,6 +216,29 @@ def test_normal_quotient_sphere():
     # total multiplicity of eigenvalue c should be dim * fixed-dim
     full = normal_quotient_spectrum(build("A2"), emb, 1, 2)
     assert full.multiplicity(F(1)) == weyl_dim(build("A2"), (1, 1)) * 1
+
+
+def _fresh(emb):
+    """The same embedding with none of its branchings made yet."""
+    return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction, emb.name)
+
+
+def test_normal_quotient_is_independent_of_the_branching_memo():
+    trivial = EmbeddingSpec(ambient=build("B2"), factors=(), restriction=())
+    t, cutoff = F(3, 2), 4
+    for emb in (*BUILTIN_EMBEDDINGS.values(), trivial):
+        group = emb.ambient
+        fresh = normal_quotient_spectrum(group, _fresh(emb), t, cutoff)
+        # every weight of the walk already branched by the catalogue
+        catalogued = _fresh(emb)
+        term_catalogue(catalogued, cutoff * t)
+        # the walk's last weight peeled alone before the walk reaches it
+        peeled = _fresh(emb)
+        weights = dominant_weights_up_to(group, cutoff * t)
+        branch(peeled, max(weights, key=lambda lam: casimir_num(group, lam)))
+        assert fresh == ref_normal_quotient_spectrum(emb, t, cutoff), emb.name
+        for made in (catalogued, peeled):
+            assert normal_quotient_spectrum(group, made, t, cutoff) == fresh
 
 
 def test_normal_quotient_requires_matching_ambient():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ref_contragredient,
     ref_coroots,
     ref_ip_norm,
     ref_minus_w0_perm,
@@ -20,10 +21,10 @@ from liespec.rootdata import (
     build,
     casimir,
     check_weight,
-    contragredient_weight,
     dominant_rep,
     is_dominant,
     weyl_orbit,
+    _contragredient,
 )
 
 
@@ -210,10 +211,15 @@ def test_reflection_and_dominant_rep():
 
 def test_contragredient_weight():
     a2 = build("A2")
-    assert contragredient_weight(a2, (1, 0)) == (0, 1)
-    assert contragredient_weight(a2, (2, 1)) == (1, 2)
-    assert contragredient_weight(build("A1"), (3,)) == (3,)
-    assert contragredient_weight(build("B2"), (2, 1)) == (2, 1)
+    assert ref_contragredient(a2, (1, 0)) == (0, 1)
+    assert ref_contragredient(a2, (2, 1)) == (1, 2)
+    assert ref_contragredient(build("A1"), (3,)) == (3,)
+    assert ref_contragredient(build("B2"), (2, 1)) == (2, 1)
+    # the -w0 table against the dominant weight in the orbit of -lam
+    for name in ("A2", "A4", "B3", "D5", "E6", "G2"):
+        rs = build(name)
+        lam = tuple(k % 3 for k in range(rs.rank))
+        assert _contragredient(rs, lam) == ref_contragredient(rs, lam), name
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
-"""The public surface: every name in ``liespec.__all__`` is used by the
-package itself, or is one of the exported instruments that README.md
-lists with the paper statement it checks."""
+"""The public surface: every name in ``liespec.__all__``, and every public
+top-level function of src/, is used by the package itself, or is one of
+the exported instruments that README.md lists with the paper statement it
+checks."""
 
 import ast
 import re
@@ -40,4 +41,19 @@ def _instrument_rows() -> set:
 
 def test_every_export_is_used_or_a_readme_instrument():
     unused = set(liespec.__all__) - _used_names()
+    assert sorted(unused - _instrument_rows()) == []
+
+
+def _public_functions() -> set:
+    """Names of the top-level functions of src/ not starting with ``_``."""
+    return {
+        top.name
+        for path in (ROOT / "src").rglob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+    }
+
+
+def test_every_public_function_is_used_or_a_readme_instrument():
+    unused = _public_functions() - _used_names()
     assert sorted(unused - _instrument_rows()) == []
