@@ -27,7 +27,9 @@ from .branching import EmbeddingSpec, _branched
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
-from .rootdata import RootSystemData, build, casimir, check_weight
+from .rootdata import (
+    RootSystemData, build, casimir, check_weight, is_dominant
+)
 from .spectrum import (
     SpectrumTable, _common_scale, linear_table, table_from_counts
 )
@@ -115,6 +117,8 @@ def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     parts = tuple(
         check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)
     )
+    if not all(map(is_dominant, parts)):
+        raise DomainError("center_admissible expects dominant weights")
     d, zs = gs._gamma
     return not any(
         sum(sum(map(mul, lam, part)) for lam, part in zip(parts, z)) % d

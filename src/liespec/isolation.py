@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
 
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError, InputError, UnsupportedDimensionError
 from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
@@ -257,6 +257,9 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
     lam_min, vol_min = rat(lam_min), rat(vol_min)
     if lam_min <= 0 or vol_min <= 0:
         raise DomainError("lower bounds must be positive")
+    if isinstance(values, (str, bytes, bytearray)):
+        # a set would split it into characters or byte values
+        raise InputError(f"values is a sequence of rationals, not {values!r}")
     vals = sorted({rat(v) for v in values})
     if not vals:
         return []
@@ -270,7 +273,8 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
             for (j, k), c in zip(pairs, off):
                 q[j][k] = q[k][j] = (c - diag[j] - diag[k]) / 2
             try:
-                dual_torus = Lattice.from_gram(q)
+                # the entries are Fractions already: no second coercion
+                dual_torus = Lattice(dim=n, gram=tuple(map(tuple, q)))
             except DomainError:  # not positive definite
                 continue
             if dual_torus.det_gram * vol_min**2 > 1:

@@ -5,18 +5,19 @@ unimodular change of basis.  Each side is read from its one cached integer
 form (``Lattice._form``): A = q*G LLL-reduced, with the kernel's square
 completion.  The least denominator q and det(q*G), the last Bareiss pivot
 of that completion, are invariants of a unimodular change of basis, so a
-pair that differs in either is not congruent.  Otherwise the first form,
-for dim <= 4 moved to a shortest generating set, has its basis vectors
-mapped onto vectors of the second form with exactly matching pairwise
-inner products.  A complete assignment V satisfies V^T A2 V = A1, and
+pair that differs in either is not congruent.  Otherwise the first
+form's basis vectors are mapped onto vectors of the second form with
+exactly matching pairwise inner products.  An isometry maps each of them
+to a vector of the same norm, at most the first form's largest diagonal
+entry, so enumerating the second form up to that bound misses no image,
+whatever the basis.  A complete assignment V satisfies V^T A2 V = A1, and
 equal determinants force V unimodular, so backtracking over short-vector
-images decides the question exactly, in integers.
+images decides the question exactly, in integers, in every dimension.
 """
 
 from ..errors import DomainError, UnsupportedDimensionError
 from .enumeration import _norm_counts
 from .lattice import Lattice
-from .reduction import _minima_transform
 
 MAX_DIM = 8
 
@@ -34,8 +35,6 @@ def congruent(a: Lattice, b: Lattice) -> bool:
     g2, q2, squares2 = b._form
     if q1 != q2 or squares1[0][-1] != squares2[0][-1]:
         return False
-    if m <= 4:
-        g1, _ = _minima_transform(g1, squares1)
     bound = max(g1[i][i] for i in range(m))
 
     found = []

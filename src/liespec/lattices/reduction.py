@@ -1,24 +1,17 @@
 """Exact basis reduction on integer Gram matrices.
 
-Two steps, both on the integer form A = q*G of a lattice (or of its dual):
-
-* ``_lll_int`` -- integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
-  the Gram matrix alone, returning the unimodular transform.  It starts
-  from the Bareiss table (pivots d, rows lam) that its caller hands it,
-  the lattice's own elimination, and keeps a copy of that table exact:
-  size reduction is a column operation on it, and a swap updates it in
-  O(m) (Cohen's SWAPI, each division checked).  The final table is
-  returned with the reduced form, and ``Lattice._form`` and
-  ``Lattice._dual_form`` keep the kernel's completion of it.
-* ``_minima_transform`` -- for dim <= 4 the vectors achieving the
-  successive minima generate the lattice, so on a reduced form we
-  enumerate all vectors up to its largest diagonal entry and greedily
-  pick a shortest generating set (used by ``congruent``).
+``_lll_int`` is integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
+the integer form A = q*G of a lattice (or of its dual), on the Gram matrix
+alone, returning the unimodular transform.  It starts from the Bareiss
+table (pivots d, rows lam) that its caller hands it, the lattice's own
+elimination, and keeps a copy of that table exact: size reduction is a
+column operation on it, and a swap updates it in O(m) (Cohen's SWAPI, each
+division checked).  The final table is returned with the reduced form, and
+``Lattice._form`` and ``Lattice._dual_form`` keep the kernel's completion
+of it.
 """
 
-from .. import linalg
 from ..errors import CertificationError, LiespecError
-from .enumeration import _norm_counts
 
 
 def _exact(num, den):
@@ -73,26 +66,3 @@ def _lll_int(a, table):
             d[k - 1] = lo[k - 1] = b
             k = max(k - 1, 1)
     return a, u, d, lam
-
-
-def _minima_transform(a, squares):
-    """(V^T a V, V) for a shortest generating set V of the LLL-reduced
-    integer form a of dim <= 4, which ``squares`` completes."""
-    m = len(a)
-    found = []
-    _norm_counts(squares, max(a[i][i] for i in range(m)), found)
-    chosen = []
-    for coords, _ in sorted(found, key=lambda t: (t[1], t[0])):
-        trial = chosen + [coords]
-        # independent iff their integer Gram matrix, which is positive
-        # semidefinite, is positive definite: iff its determinant is > 0
-        gram = [[sum(x * y for x, y in zip(s, t)) for t in trial] for s in trial]
-        if linalg.det(gram) > 0:
-            chosen = trial
-            if len(chosen) == m:
-                break
-    v = tuple(tuple(chosen[j][i] for j in range(m)) for i in range(m))
-    if abs(linalg.det(v)) != 1:
-        # cannot happen for m <= 4: minima vectors generate the lattice
-        raise LiespecError("successive-minima vectors failed to generate")
-    return linalg.matmul(linalg.transpose(v), linalg.matmul(a, v)), v

@@ -9,11 +9,14 @@ denominator, terms and rows in Fractions) and grid scan on top of it,
 used as the exact reference for dominant-only branching and the term
 catalogue, the elementary-matrix LLL used as the exact reference for the
 library's integral LLL, ``short_vectors`` (both signs, sorted) and
-``reduce_with_transform`` (LLL plus the shortest generating set), the
-former public conveniences, now on the library's integer kernel and
-reduction, ``ref_congruent``, the Fraction congruence test on the
-reference LLL and kernel, used as the exact reference for congruence on
-the cached integer forms, the Fraction Gaussian elimination, Gauss-Jordan
+``reduce_with_transform`` (LLL plus the shortest generating set, which
+only tests use now), the former public conveniences, now on the
+library's integer kernel and reduction, ``ref_congruent``, the Fraction
+congruence test on the reference LLL and kernel, used as the exact
+reference for congruence on the cached integer forms, and
+``ref_torus_search``, the search that builds each candidate through
+``Lattice.from_gram`` and drops congruent ones with ``ref_congruent``,
+used as the reference for the search's output, the Fraction Gaussian elimination, Gauss-Jordan
 inverse and Gram-Schmidt used as the exact references for the library's one
 fraction-free elimination, the root-string positive roots, hand-typed
 -w0 involutions and Fraction coroots used as the exact references for
@@ -59,12 +62,12 @@ from liespec.errors import (
 )
 from liespec.groups import GroupSpec
 from liespec.isolation import _grid_multipliers
-from liespec.lattices import Lattice
+from liespec.lattices import Lattice, dual, systole
 from liespec.lattices.congruence import MAX_DIM
 from liespec.lattices.enumeration import _norm_counts, _squares
-from liespec.lattices.reduction import _lll_int, _minima_transform
+from liespec.lattices.reduction import _lll_int
 from liespec.natred import BiInvariantOperator, NatRedMetric
-from liespec.rational import fmt, rat
+from liespec.rational import exact_int, fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
 from liespec.spectrum import SpectrumTable
 from liespec.weights import dominant_weights_up_to, weight_diagram, weyl_dim
@@ -368,6 +371,29 @@ def ref_lll_gram(g, delta: Fraction = DELTA):
     return g, u
 
 
+def _minima_transform(a, squares):
+    """(V^T a V, V) for a shortest generating set V of the LLL-reduced
+    integer form a of dim <= 4, which ``squares`` completes."""
+    m = len(a)
+    found = []
+    _norm_counts(squares, max(a[i][i] for i in range(m)), found)
+    chosen = []
+    for coords, _ in sorted(found, key=lambda t: (t[1], t[0])):
+        trial = chosen + [coords]
+        # independent iff their integer Gram matrix, which is positive
+        # semidefinite, is positive definite: iff its determinant is > 0
+        gram = [[sum(x * y for x, y in zip(s, t)) for t in trial] for s in trial]
+        if linalg.det(gram) > 0:
+            chosen = trial
+            if len(chosen) == m:
+                break
+    v = tuple(tuple(chosen[j][i] for j in range(m)) for i in range(m))
+    if abs(linalg.det(v)) != 1:
+        # cannot happen for m <= 4: minima vectors generate the lattice
+        raise LiespecError("successive-minima vectors failed to generate")
+    return linalg.matmul(linalg.transpose(v), linalg.matmul(a, v)), v
+
+
 def reduce_with_transform(lat: Lattice):
     """Reduced lattice plus the unimodular transform U (new = old * U): the
     library's LLL on q*G and, for dim <= 4, its shortest generating set."""
@@ -490,6 +516,46 @@ def ref_congruent(a: Lattice, b: Lattice) -> bool:
         return False
 
     return assign(0)
+
+
+def ref_torus_search(values, n: int, lam_min, vol_min) -> list:
+    """The torus search that builds each candidate with ``Lattice.from_gram``
+    and drops the congruent ones with ``ref_congruent``."""
+    n = exact_int(n)
+    if n < 1:
+        raise DomainError("dimension must be positive")
+    if n > 4:
+        raise UnsupportedDimensionError(
+            "torus search is guaranteed finite only up to dimension 4"
+        )
+    lam_min, vol_min = rat(lam_min), rat(vol_min)
+    if lam_min <= 0 or vol_min <= 0:
+        raise DomainError("lower bounds must be positive")
+    vals = sorted({rat(v) for v in values})
+    if not vals:
+        return []
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = []
+    for diag in itertools.product(vals, repeat=n):
+        for off in itertools.product(vals, repeat=len(pairs)):
+            q = [[Fraction(0)] * n for _ in range(n)]
+            for j in range(n):
+                q[j][j] = diag[j]
+            for (j, k), c in zip(pairs, off):
+                q[j][k] = q[k][j] = (c - diag[j] - diag[k]) / 2
+            try:
+                dual_torus = Lattice.from_gram(q)
+            except DomainError:  # not positive definite
+                continue
+            if dual_torus.det_gram * vol_min**2 > 1:
+                continue
+            if systole(dual_torus) < lam_min:
+                continue
+            torus = dual(dual_torus)
+            if any(ref_congruent(torus, seen) for seen in kept):
+                continue
+            kept.append(torus)
+    return kept
 
 
 # Reference root data: positive roots by root strings, the hand-typed -w0

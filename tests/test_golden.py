@@ -202,6 +202,11 @@ GOLDEN = {
         0,
         "0e40ec94e518b2cab69c98705c3eb2ed4c0d71d7a082e6448b1b809b30b777ad",
     ),
+    # dimension 4: 7 tori kept
+    "torus-search --values 1,2 --dim 4 --lambda-min 1/2 --vol-min 1/2": (
+        0,
+        "5d2d7dcdc8d8429aa90feec79ddad5e442a2f89abde5498810d7ac5f47908a69",
+    ),
     # non-integer values: 17 tori kept
     "torus-search --values 1/2,1,3/2 --dim 3 --lambda-min 1/4 --vol-min 1/4": (
         0,

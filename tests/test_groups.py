@@ -64,6 +64,16 @@ def test_center_admissibility():
         center_admissible(SU2, ((1,), (1,)))
 
 
+def test_center_admissible_refuses_weights_that_are_not_dominant():
+    # an explicit raise, so it holds under python -O too
+    for gs, lams in ((SO3, ((-2,),)), (SU2, ((-1,),))):
+        with pytest.raises(DomainError):
+            center_admissible(gs, lams)
+    gs = GroupSpec.from_json_dict(json.loads(THREE_FACTOR_GAMMA))
+    with pytest.raises(DomainError):
+        center_admissible(gs, ((0,), (1, -2), (0, 0)))
+
+
 def test_bad_gamma_rejected():
     # pairing 1/3 with the root alpha = 2*omega of su(2) is not integral
     with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from liespec.catalog import (
     BUILTIN_GROUPS,
     BUILTIN_LATTICES,
 )
-from liespec.errors import DomainError, UnsupportedDimensionError
+from liespec.errors import DomainError, InputError, UnsupportedDimensionError
 from liespec.groups import GroupSpec
 from liespec.isolation import (
     GammaVector,
@@ -353,3 +353,12 @@ def test_torus_search_edges():
         torus_search([1], 5, 1, 1)
     with pytest.raises(DomainError):
         torus_search([1], 2, 0, 1)
+
+
+def test_torus_search_refuses_a_string_value_set():
+    # "12" would be read as the set {1, 2}; a sequence holding it is {12}
+    assert torus_search(["12"], 2, "1/2", "1/2") == []
+    assert len(torus_search(["1", "2"], 2, "1/2", "1/2")) == 4
+    for values in ("12", b"12", bytearray(b"12")):
+        with pytest.raises(InputError):
+            torus_search(values, 2, "1/2", "1/2")

@@ -16,6 +16,7 @@ from helpers import (
     ref_inverse,
     reduce_with_transform,
     ref_lll_gram,
+    ref_torus_search,
     short_vectors,
     short_vectors_int,
 )
@@ -469,7 +470,7 @@ def test_congruent_matches_reference_on_search_candidates(monkeypatch):
 
 
 def test_unimodular_images_are_congruent():
-    # dimensions 5 and 6 take the path without the minima step
+    # one path in every dimension: backtracking on the cached LLL forms
     rng = random.Random(23)
     for i in range(36):
         m = 1 + i % 6
@@ -524,6 +525,43 @@ def test_each_form_is_made_once(monkeypatch):
     calls.clear()
     assert len(torus_search(["1", "2", "3"], 3, "1/2", "1/2")) == 14
     assert len(calls) <= 544
+
+
+def test_torus_search_eliminates_once_per_candidate(monkeypatch):
+    # one elimination per candidate (3^6 = 729) in the constructor, and two
+    # per dual that reaches the congruence test (272): its inverse and its
+    # constructor; congruence on forms already made eliminates nothing
+    calls = []
+    real = linalg.eliminate
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    assert len(torus_search(["1", "2", "3"], 3, "1/2", "1/2")) == 14
+    assert len(calls) == 729 + 272 * 2
+    rng = random.Random(29)
+    lat = Lattice.from_basis(random_rational_basis(rng, 3))
+    image = Lattice.from_gram(_sheared(rng, lat.gram, 5))
+    assert lat._form and image._form  # both forms made before the count
+    calls.clear()
+    assert congruent(lat, image) and congruent(image, lat)
+    assert calls == []
+
+
+def test_torus_search_matches_reference():
+    # the reference builds each candidate through from_gram and compares
+    # with ref_congruent; the kept tori and their order agree (about 4 s)
+    cases = [
+        (("1", "2"), 2, "1/2", "1/2"),
+        (("1", "2"), 3, "1/2", "1/2"),
+        (("1", "2"), 4, "1/2", "1/2"),
+        (("1", "2", "3"), 3, "1/2", "1/2"),
+        (("1/2", "1", "3/2"), 3, "1/4", "1/4"),
+    ]
+    for case in cases:
+        assert torus_search(*case) == ref_torus_search(*case), case
 
 
 def test_congruent_lattices_isospectral():
