@@ -46,6 +46,7 @@ j_i = ind_i * h_vee_G / h_vee_{K_i}, the number that converts factor
 Casimirs to ambient-Killing units.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -158,14 +159,19 @@ class BranchingResult(Value):
 
     def __init__(self, source, terms):
         object.__setattr__(self, "source", source)
-        # ((tuple_of_factor_weights, multiplicity), ...)
+        # ((tuple_of_factor_weights, multiplicity), ...), sorted by label
         object.__setattr__(self, "terms", terms)
 
     def as_dict(self) -> dict:
         return dict(self.terms)
 
     def multiplicity(self, factor_weights) -> int:
-        return self.as_dict().get(tuple(factor_weights), 0)
+        label, terms = tuple(factor_weights), self.terms
+        try:
+            i = bisect_left(terms, label, key=itemgetter(0))
+        except TypeError:  # parts that do not order against tuples of ints
+            return self.as_dict().get(label, 0)
+        return terms[i][1] if i < len(terms) and terms[i][0] == label else 0
 
 
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:

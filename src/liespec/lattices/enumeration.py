@@ -19,11 +19,21 @@ so every quantity is an integer.  The kernel takes the completion that
 form is eliminated twice.  Coordinates are fixed from the last one down; at
 level i, with R the part of L*B not yet used and C the tail sum, the
 admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i).
-The two lowest levels are one loop nest over t = p_i x_i + C that only
-collects the totals L * x^T A x; no float and no Fraction is involved.
-Each distinct total must be a multiple of L, since x^T A x is an integer;
-that is checked with an explicit CertificationError, which ``python -O``
-keeps.
+The two lowest levels are one loop nest whose leaves are the norms
+x^T A x themselves, read off the completion; only the search bounds are
+scaled by L.  With c_1 and e the tail sums of rows 1 and 0 over x_2, ...,
+x_{n-1}, U the terms of levels 2 and up in L * x^T A x, and
+c_0 = e + r_01 x_1,
+
+    x^T A x = p_0 x_0^2 + 2 x_0 c_0 + alpha x_1^2 + beta x_1 + gamma,
+    alpha = (w_1 p_1^2 + w_0 r_01^2) / L = A_11,
+    beta = 2 (w_1 p_1 c_1 + w_0 r_01 e) / L,
+    gamma = (U + w_1 c_1^2 + w_0 e^2) / L,
+
+so alpha is fixed per call and beta and gamma per choice of x_2, ...,
+x_{n-1}; no float and no Fraction is involved.  Each of the three
+divisions by L must be exact, which is checked with an explicit
+CertificationError that ``python -O`` keeps.
 """
 
 from collections import Counter
@@ -49,6 +59,11 @@ def _norm_counts(squares, bound: int, vectors=None):
     Canonical sign: the highest-index nonzero coordinate is positive.  A
     list given as ``vectors`` also receives (x, x^T A x) for each such x,
     in ascending order of (x_{m-1}, ..., x_0).
+
+    alpha, beta and gamma of the module docstring are certified integers:
+    if the three are, every leaf is one, so if some leaf is not an integer,
+    one of them is not, and the check is at least as strict as one on
+    every value.
     """
     if bound < 0:
         return {}
@@ -60,28 +75,30 @@ def _norm_counts(squares, bound: int, vectors=None):
     n = len(pivots)
     budget = total * bound
     (p0, p1), (w0, w1), r01 = pivots[:2], weights[:2], rows[0][1]
+    alpha = _exact(w1 * p1 * p1 + w0 * r01 * r01, total)
     x, leaves = [0] * n, []
 
     def bottom(_, used, zerotail):
         """Levels 1 and 0 below the fixed x_2, ..., x_{n-1}."""
         c1 = sum(map(mul, rows[1][2:], x[2:]))
-        c0 = sum(map(mul, rows[0][2:], x[2:]))
+        e = sum(map(mul, rows[0][2:], x[2:]))
+        beta = _exact(2 * (w1 * p1 * c1 + w0 * r01 * e), total)
+        gamma = _exact(used + w1 * c1 * c1 + w0 * e * e, total)
         s = isqrt((budget - used) // w1)
-        start = 0 if zerotail else (s + c1) % p1 - s  # least t1 >= -s
-        c0 += r01 * ((start - c1) // p1)
-        for t1 in range(start, s + 1, p1):
-            rest = used + w1 * t1 * t1
-            s0 = isqrt((budget - rest) // w0)
-            # x_0 from 1 under a zero tail, else the least t0 >= -s0
-            t0 = p0 if zerotail else (s0 + c0) % p0 - s0
+        lo = 0 if zerotail else -((s + c1) // p1)
+        for x1 in range(lo, (s - c1) // p1 + 1):
+            t1, c0 = p1 * x1 + c1, e + r01 * x1
+            s0 = isqrt((budget - used - w1 * t1 * t1) // w0)
+            # x_0 from 1 under a zero tail, else least with p0 x_0 + c0 >= -s0
+            row = range(
+                1 if zerotail else -((s0 + c0) // p0), (s0 - c0) // p0 + 1
+            )
             zerotail = False
-            leaves.extend([rest + w0 * t * t for t in range(t0, s0 + 1, p0)])
+            base, k = gamma + x1 * (alpha * x1 + beta), 2 * c0
+            leaves.extend([base + v * (p0 * v + k) for v in row])
             if vectors is not None:
-                tail = ((t1 - c1) // p1, *x[2:])[:m - 1]
-                vectors.extend(
-                    [((t - c0) // p0, *tail) for t in range(t0, s0 + 1, p0)]
-                )
-            c0 += r01
+                tail = (x1, *x[2:])[:m - 1]
+                vectors.extend([(v, *tail) for v in row])
 
     def rec(i, used, zerotail):
         p, w, row = pivots[i], weights[i], rows[i]
@@ -96,12 +113,17 @@ def _norm_counts(squares, bound: int, vectors=None):
         x[i] = 0
 
     (rec if n > 2 else bottom)(n - 1, 0, True)
-    counts = Counter(leaves)
-    if any(map(total.__rmod__, counts)):
-        raise CertificationError("x^T A x is not an integer")
     if vectors is not None:
-        vectors[:] = list(zip(vectors, map(total.__rfloordiv__, leaves)))
-    return dict(zip(map(total.__rfloordiv__, counts), counts.values()))
+        vectors[:] = list(zip(vectors, leaves))
+    return dict(Counter(leaves))
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, which the completion makes an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise CertificationError("x^T A x is not an integer")
+    return q
 
 
 def _minimum(a, scale, squares) -> Fraction:

@@ -114,6 +114,31 @@ def test_branch_result_shape_and_cache():
     assert branch(STD, ("2", "1")) is res
 
 
+def test_multiplicity_looks_up_every_label():
+    # the lookup in the sorted terms answers as the dict of the terms does:
+    # for every label, as a tuple and as a list, and for absent labels
+    # below, between and above them
+    for emb in (STD, PRINC, SO4, IDA2):
+        for sigma in dominant_weights_up_to(emb.ambient, 12):
+            res = branch(emb, sigma)
+            table = res.as_dict()
+            for label in table:
+                assert res.multiplicity(label) == table[label]
+                assert res.multiplicity(list(label)) == table[label]
+                bumped = ((label[0][0] + 1, *label[0][1:]), *label[1:])
+                assert res.multiplicity(bumped) == table.get(bumped, 0)
+            low = tuple((-1,) * f.rank for f in emb.factors)
+            high = tuple((99,) * f.rank for f in emb.factors)
+            assert res.multiplicity(low) == res.multiplicity(high) == 0
+            # labels that are not tuples of weights are absent
+            flat = (0,) * len(emb.factors)
+            assert res.multiplicity(flat) == res.multiplicity("0" * 2) == 0
+            with pytest.raises(TypeError):  # unhashable, as in a dict
+                res.multiplicity([[0] * f.rank for f in emb.factors])
+    alone = _peel(STD, (3, 1))
+    assert alone.multiplicity(((2,),)) == alone.as_dict()[((2,),)]
+
+
 def test_contragredient_symmetry():
     rng = random.Random(5)
     for emb in (STD, SO4, IDA2):

@@ -269,8 +269,9 @@ def test_certification_survives_optimize():
 
 
 # Runs under python -O, with the square completion that the kernel
-# _norm_counts reads giving a common multiple L off by one, so its leaf
-# totals stop being multiples of it.  systole reads the lattice's own
+# _norm_counts reads giving a common multiple L off by one, so the
+# coefficients of its leaves x^T A x stop being exact quotients by it
+# (A_11 = 1 becomes 1/2 on these forms).  systole reads the lattice's own
 # cached form and torus-spectrum its dual's; lattice._reduced_form makes
 # both completions with _squares.  Prints what systole raised, what
 # cli.main returned and how often each path made a broken completion.
@@ -313,6 +314,47 @@ def test_kernel_certification_survives_optimize():
     assert result["raised"] == "CertificationError"
     assert result["code"] == 2
     assert json.loads(result["out"])["error"]["type"] == "CertificationError"
+
+
+# Runs under python -O: the first lattice's form is made with the real
+# completion, then _squares gives L off by one, as above, for every form
+# made after it.  congruent reads the first form with the values-only
+# kernel and the second, a basis change of Z^2, with the kernel that also
+# lists vectors.  Prints what congruent raised on the pair and what it
+# returned on the first lattice against itself.
+_VECTORS_FAULT_SCRIPT = """
+import json
+from fractions import Fraction
+import liespec.lattices.lattice as lattice
+from liespec.errors import CertificationError
+from liespec.lattices.congruence import congruent
+
+real = lattice._squares
+
+def broken(pivots, rows):
+    pivots, rows, weights, total = real(pivots, rows)
+    return pivots, rows, weights, total + 1
+
+one, two, zero = Fraction(1), Fraction(2), Fraction(0)
+first = lattice.Lattice.from_gram(((one, zero), (zero, one)))
+first._form
+lattice._squares = broken
+second = lattice.Lattice.from_gram(((two, one), (one, one)))
+try:
+    congruent(first, second)
+    raised = None
+except CertificationError as exc:
+    raised = type(exc).__name__
+print(json.dumps({"debug": __debug__, "raised": raised,
+                  "itself": congruent(first, first)}))
+"""
+
+
+def test_vectors_kernel_certification_survives_optimize():
+    result = _run_optimized(_VECTORS_FAULT_SCRIPT)
+    assert result["debug"] is False
+    assert result["raised"] == "CertificationError"
+    assert result["itself"] is True
 
 
 # Runs under python -O, with every elimination that has no augmented block

@@ -181,6 +181,11 @@ GOLDEN = {
         0,
         "f366607b72718e64915733cf6cce3b795be08ec45057fc1976daa3c5a003c5a6",
     ),
+    # the kernel at a large bound: 46,813 entries of a rational dim-3 basis
+    "torus-spectrum --gram BASIS --cutoff 1500": (
+        0,
+        "80228d27185afd079da85527043bf14aaee876794f490582401300fee22da9dd",
+    ),
     "gamma --gram hexagonal": (
         0,
         "beda30913c809861f7e702418253c4c91b22abbe14bfdc8808a19f001da6115b",
@@ -279,7 +284,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 45
+    assert len(lines) == 46
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))
