@@ -166,11 +166,15 @@ class BranchingResult(Value):
         return dict(self.terms)
 
     def multiplicity(self, factor_weights) -> int:
-        label, terms = tuple(factor_weights), self.terms
+        """The multiplicity of the K-type whose per-factor highest weights
+        are ``factor_weights``, each part any sequence (as ``branch`` takes
+        weights); 0 for a label that is not a sequence of weights."""
+        terms = self.terms
         try:
+            label = tuple(map(tuple, factor_weights))
             i = bisect_left(terms, label, key=itemgetter(0))
-        except TypeError:  # parts that do not order against tuples of ints
-            return self.as_dict().get(label, 0)
+        except TypeError:  # parts that are not sequences of ints
+            return 0
         return terms[i][1] if i < len(terms) and terms[i][0] == label else 0
 
 

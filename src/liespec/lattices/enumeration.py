@@ -33,7 +33,11 @@ c_0 = e + r_01 x_1,
 so alpha is fixed per call and beta and gamma per choice of x_2, ...,
 x_{n-1}; no float and no Fraction is involved.  Each of the three
 divisions by L must be exact, which is checked with an explicit
-CertificationError that ``python -O`` keeps.
+CertificationError that ``python -O`` keeps: alpha's once per call, beta's
+and gamma's inline, one divmod each, once per choice of x_2, ..., x_{n-1}.
+The tails of rows 0 and 1 are sliced once per call; under a zero tail
+(x_2 = ... = x_{n-1} = 0) the row x_1 = 0, whose x_0 start at 1, is
+written before the loop over x_1, so the loop tests no sign condition.
 """
 
 from collections import Counter
@@ -77,27 +81,36 @@ def _norm_counts(squares, bound: int, vectors=None):
     (p0, p1), (w0, w1), r01 = pivots[:2], weights[:2], rows[0][1]
     alpha = _exact(w1 * p1 * p1 + w0 * r01 * r01, total)
     x, leaves = [0] * n, []
+    tail1, tail0 = rows[1][2:], rows[0][2:]
 
     def bottom(_, used, zerotail):
         """Levels 1 and 0 below the fixed x_2, ..., x_{n-1}."""
-        c1 = sum(map(mul, rows[1][2:], x[2:]))
-        e = sum(map(mul, rows[0][2:], x[2:]))
-        beta = _exact(2 * (w1 * p1 * c1 + w0 * r01 * e), total)
-        gamma = _exact(used + w1 * c1 * c1 + w0 * e * e, total)
+        high = x[2:]
+        c1, e = sum(map(mul, tail1, high)), sum(map(mul, tail0, high))
+        beta, rest = divmod(2 * (w1 * p1 * c1 + w0 * r01 * e), total)
+        if rest:
+            raise CertificationError("x^T A x is not an integer")
+        gamma, rest = divmod(used + w1 * c1 * c1 + w0 * e * e, total)
+        if rest:
+            raise CertificationError("x^T A x is not an integer")
         s = isqrt((budget - used) // w1)
-        lo = 0 if zerotail else -((s + c1) // p1)
+        if zerotail:  # c1 = e = 0: x_1 from 0, and x_0 from 1 when x_1 = 0
+            row = range(1, isqrt(budget // w0) // p0 + 1)
+            leaves.extend([p0 * v * v for v in row])
+            if vectors is not None:
+                tail = (0, *high)[:m - 1]
+                vectors.extend([(v, *tail) for v in row])
+            lo = 1
+        else:
+            lo = -((s + c1) // p1)
         for x1 in range(lo, (s - c1) // p1 + 1):
             t1, c0 = p1 * x1 + c1, e + r01 * x1
             s0 = isqrt((budget - used - w1 * t1 * t1) // w0)
-            # x_0 from 1 under a zero tail, else least with p0 x_0 + c0 >= -s0
-            row = range(
-                1 if zerotail else -((s0 + c0) // p0), (s0 - c0) // p0 + 1
-            )
-            zerotail = False
+            row = range(-((s0 + c0) // p0), (s0 - c0) // p0 + 1)
             base, k = gamma + x1 * (alpha * x1 + beta), 2 * c0
             leaves.extend([base + v * (p0 * v + k) for v in row])
             if vectors is not None:
-                tail = (x1, *x[2:])[:m - 1]
+                tail = (x1, *high)[:m - 1]
                 vectors.extend([(v, *tail) for v in row])
 
     def rec(i, used, zerotail):

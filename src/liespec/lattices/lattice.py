@@ -5,8 +5,9 @@ or directly by its Gram matrix.  It is validated once, at construction:
 the Gram matrix is symmetric and positive definite, decided by one
 fraction-free elimination of its integer form q*G (``linalg.eliminate``:
 positive pivots, no row exchange), and a given basis B is square with B^T B
-equal to it.  The lattice keeps that elimination: ``det_gram`` is its last
-pivot over q^m, and LLL starts from it, so q*G is eliminated once.  All
+equal to it.  The lattice keeps q*G and that elimination: ``det_gram`` is
+its last pivot over q^m, LLL starts from it, so q*G is eliminated once, and
+both forms below read q*G without clearing G's denominators again.  All
 downstream computations -- dual, enumeration, spectra, reduction,
 congruence -- operate on the Gram matrix in integer coordinates, so a
 Gram-only lattice supports everything except recovering an explicit
@@ -17,7 +18,10 @@ A lattice keeps one integer form for itself and one for its dual, each
 made once on first use by ``_reduced_form``: the LLL-reduced integer Gram
 matrix over its least denominator, with the kernel's square completion
 from LLL's final Bareiss table.  ``systole`` and ``congruent`` read the
-first, ``torus_spectrum`` and ``torus_lambda1`` the second.
+first, ``torus_spectrum`` and ``torus_lambda1`` the second.  The dual's
+least nonzero norm, lambda_1, is cached as well: ``torus_spectrum`` fills
+it from its own complete enumeration when that reaches it, so a spectrum
+followed by its lambda_1 runs the kernel once.
 
 Exact invariants:
 
@@ -74,9 +78,9 @@ class Lattice(Value):
         pivots, _, swaps, _ = table
         if swaps or min(pivots) <= 0:
             raise DomainError("gram matrix must be positive definite")
-        # q and the Bareiss table of q*G, kept for det_gram and _form; not
-        # a field, so ==, hash, repr and JSON ignore it
-        object.__setattr__(self, "_elimination", (q, table))
+        # q*G, q and its Bareiss table, kept for det_gram and both forms;
+        # not a field, so ==, hash, repr and JSON ignore it
+        object.__setattr__(self, "_elimination", (a, q, table))
         # a square B with B^T B positive definite is nonsingular
         if basis is not None and (
             len(basis) != dim
@@ -102,26 +106,32 @@ class Lattice(Value):
         denominators; squares completes A, from LLL's final table.  LLL
         starts from the constructor's elimination.  Not a field: ==, hash,
         repr and JSON ignore it."""
-        a, q = linalg.clear_denominators(self.gram)
-        return _reduced_form(a, q, self._elimination[1])
+        return _reduced_form(*self._elimination)
 
     @cached_property
     def _dual_form(self):
         """(A, scale, squares), the same for the dual lattice: its Gram
         matrix is q adj(q*G) / det(q*G), so A starts as q adj(q*G) and scale
         as det(q*G), both over their gcd, and no dual basis is built."""
-        a, q = linalg.clear_denominators(self.gram)
+        a, q, _ = self._elimination
         eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
         pivots, _, _, adj = linalg.eliminate(a, eye)
         g = gcd(pivots[-1], *(q * x for row in adj for x in row))
         dual = [[q * x // g for x in row] for row in adj]
         return _reduced_form(dual, pivots[-1] // g, linalg.eliminate(dual))
 
+    @cached_property
+    def _dual_minimum(self) -> Fraction:
+        """The least nonzero norm of the dual lattice, lambda_1 of the torus
+        in the four-pi-squared unit.  ``torus_spectrum`` stores it first
+        whenever its enumeration reaches it.  Not a field."""
+        return _minimum(*self._dual_form)
+
     @property
     def det_gram(self) -> Fraction:
         """det G = det(q*G) / q^dim, the last pivot of the constructor's
         elimination, which has no row exchange."""
-        q, (pivots, _, _, _) = self._elimination
+        _, q, (pivots, _, _, _) = self._elimination
         return Fraction(pivots[-1], q**self.dim)
 
     @property
@@ -156,10 +166,10 @@ class Lattice(Value):
 
 def _reduced_form(a, scale, table):
     """(A, scale, squares): A is the positive-definite integer form a after
-    LLL, which starts from a's Bareiss ``table``, and squares the kernel's
-    completion of A from LLL's final table, so the form is eliminated
-    once."""
-    a, _, d, lam = _lll_int(a, table)
+    LLL, which starts from a's Bareiss ``table`` and leaves a as it was,
+    and squares the kernel's completion of A from LLL's final table, so the
+    form is eliminated once."""
+    a, d, lam = _lll_int(a, table)
     return tuple(map(tuple, a)), scale, _squares(d, lam)
 
 

@@ -2,13 +2,13 @@
 
 ``_lll_int`` is integral LLL (Cohen, Alg. 2.6.7) with delta = 99/100 on
 the integer form A = q*G of a lattice (or of its dual), on the Gram matrix
-alone, returning the unimodular transform.  It starts from the Bareiss
-table (pivots d, rows lam) that its caller hands it, the lattice's own
-elimination, and keeps a copy of that table exact: size reduction is a
-column operation on it, and a swap updates it in O(m) (Cohen's SWAPI, each
-division checked).  The final table is returned with the reduced form, and
-``Lattice._form`` and ``Lattice._dual_form`` keep the kernel's completion
-of it.
+alone.  Its callers read only the reduced form and its Bareiss table, so
+no unimodular transform is kept.  It starts from the Bareiss table (pivots
+d, rows lam) that its caller hands it, the lattice's own elimination, and
+keeps a copy of that table exact: size reduction is a column operation on
+it, and a swap updates it in O(m) (Cohen's SWAPI, each division checked).
+The final table is returned with the reduced form, and ``Lattice._form``
+and ``Lattice._dual_form`` keep the kernel's completion of it.
 """
 
 from ..errors import CertificationError, LiespecError
@@ -23,30 +23,29 @@ def _exact(num, den):
 
 
 def _lll_int(a, table):
-    """(a reduced in place, U, d, lam) for a positive-definite integer Gram a
-    and ``table``, what ``linalg.eliminate(a)`` returns for it.
+    """(reduced a, d, lam) for a positive-definite integer Gram a and
+    ``table``, what ``linalg.eliminate(a)`` returns for it.
 
     d_k is the k-th Bareiss pivot, the Gram determinant of the first k+1
     vectors, and lam[j][k] = d_j mu_kj: the table ``linalg.eliminate``
-    gives for the returned a.  LLL updates copies of the pivots and rows of
-    ``table`` and leaves it as it was.  Size reduction is a column
-    operation on a, U and lam (lam[i][j] is 0 for i > j, and d_j for
+    gives for the returned a.  LLL updates copies of a and of the pivots
+    and rows of ``table`` and leaves both as they were.  Size reduction is
+    a column operation on a and lam (lam[i][j] is 0 for i > j, and d_j for
     i = j); a swap of b_{k-1} and b_k changes only d_{k-1} and rows k-1, k
     of lam (SWAPI).
     """
     m = len(a)
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     d, lam, swaps, _ = table
     if swaps or min(d) <= 0:
         raise LiespecError("Gram matrix not positive definite in LLL")
-    d, lam = list(d), [list(row) for row in lam]
+    a, d, lam = [list(row) for row in a], list(d), [list(row) for row in lam]
     k = 1
     while k < m:
         for j in range(k - 1, -1, -1):
             r = (2 * lam[j][k] + d[j]) // (2 * d[j])  # floor(mu_kj + 1/2)
             if r:  # b_k -= r * b_j
                 a[k] = [x - r * y for x, y in zip(a[k], a[j])]
-                for row in a + u + lam:
+                for row in a + lam[:j + 1]:
                     row[k] -= r * row[j]
         # Lovasz with delta = 99/100, times 100 d_{k-1} d_{k-2} (d_{-1} = 1)
         before = d[k - 2] if k > 1 else 1
@@ -55,7 +54,7 @@ def _lll_int(a, table):
             k += 1
         else:  # exchange b_{k-1} and b_k
             a[k - 1], a[k] = a[k], a[k - 1]
-            for row in a + u + lam[:k - 1]:
+            for row in a + lam[:k - 1]:
                 row[k - 1], row[k] = row[k], row[k - 1]
             b = _exact(before * dk + lk * lk, dk1)  # the new d_{k-1}
             lo, hi = lam[k - 1], lam[k]
@@ -65,4 +64,4 @@ def _lll_int(a, table):
                 lo[i] = _exact(b * t + lk * hi[i], dk)
             d[k - 1] = lo[k - 1] = b
             k = max(k - 1, 1)
-    return a, u, d, lam
+    return a, d, lam

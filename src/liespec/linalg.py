@@ -2,11 +2,13 @@
 
 Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
 Every elimination in the package is ``eliminate``, fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of an integer
-matrix; rational input is cleared of denominators first.  Its pivots give
-the determinant, its augmented block the inverse, and for a symmetric
-matrix they decide positive-definiteness: positive pivots and no row
-exchange, the pivots then being the leading principal minors.
+elimination (Bareiss, Math. Comp. 22, 1968) of an integer matrix:
+Gauss-Jordan when it carries an augmented block, Gaussian otherwise, with
+the same pivots and pivot rows either way; rational input is cleared of
+denominators first.  Its pivots give the determinant, its augmented block
+the inverse, and for a symmetric matrix they decide positive-definiteness:
+positive pivots and no row exchange, the pivots then being the leading
+principal minors.
 """
 
 from fractions import Fraction
@@ -50,11 +52,14 @@ def clear_denominators(a):
 
 
 def eliminate(a, aug=None):
-    """Fraction-free Gauss-Jordan elimination of a square integer matrix.
+    """Fraction-free elimination of a square integer matrix: Gauss-Jordan
+    with an augmented block, Gaussian without one.
 
     Step k exchanges into place the first row at or below k that is
-    nonzero in column k, then replaces every other row r by
-    (p_k r - r_k row_k) // p_{k-1}, always an exact division (p_{-1} = 1).
+    nonzero in column k, then replaces each row r below it, and with
+    ``aug`` each row above it too, by (p_k r - r_k row_k) // p_{k-1},
+    always an exact division (p_{-1} = 1).  A row above the pivot feeds
+    only the augmented block, so without one it is left as it stands.
     ``aug`` is an optional integer block with one row per row of a.
 
     Returns (pivots, rows, swaps, right): the pivots p_k, the leading
@@ -62,7 +67,8 @@ def eliminate(a, aug=None):
     each pivot row as it stood at its own step (zero before column k, p_k
     at column k, and for a symmetric matrix p_k mu_jk at column j > k);
     the number of row exchanges, so det a = (-1)^swaps p_{n-1}; and the
-    augmented block, now p_{n-1} a^{-1} aug.
+    augmented block, now p_{n-1} a^{-1} aug.  Pivots, rows and swaps do
+    not depend on ``aug``.
     """
     n = len(a)
     m = [list(row) + list(aug[i] if aug else ()) for i, row in enumerate(a)]
@@ -76,12 +82,13 @@ def eliminate(a, aug=None):
             m[k], m[r] = m[r], m[k]
             swaps += 1
         top = m[k]
-        p = top[k]
-        for i, row in enumerate(m):
+        p, tail = top[k], top[k:]
+        for i in range(0 if aug else k + 1, n):
             if i != k:
+                row = m[i]
                 f = row[k]
                 m[i] = row[:k] + [
-                    (p * x - f * y) // prev for x, y in zip(row[k:], top[k:])
+                    (p * x - f * y) // prev for x, y in zip(row[k:], tail)
                 ]
         pivots.append(p)
         rows.append(top)

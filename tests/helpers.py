@@ -8,7 +8,13 @@ the per-metric term builder, ``ref_term_catalogue`` (the catalogue's
 denominator, terms and rows in Fractions) and grid scan on top of it,
 used as the exact reference for dominant-only branching and the term
 catalogue, the elementary-matrix LLL used as the exact reference for the
-library's integral LLL, ``short_vectors`` (both signs, sorted) and
+library's integral LLL, ``ref_lll_int``, that integral LLL as it was when it
+also carried the unimodular transform U, which ``reduce_with_transform``
+uses and whose (a, d, lam) the library's transform-free LLL must match,
+``ref_eliminate``, the fraction-free Gauss-Jordan elimination that clears
+above every pivot, used as the reference for the library's elimination,
+which clears above a pivot only for an augmented block,
+``short_vectors`` (both signs, sorted) and
 ``reduce_with_transform`` (LLL plus the shortest generating set, which
 only tests use now), the former public conveniences, now on the
 library's integer kernel and reduction, ``ref_congruent``, the Fraction
@@ -65,7 +71,7 @@ from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice, dual, systole
 from liespec.lattices.congruence import MAX_DIM
 from liespec.lattices.enumeration import _norm_counts, _squares
-from liespec.lattices.reduction import _lll_int
+from liespec.lattices.reduction import _exact as _lll_exact
 from liespec.natred import BiInvariantOperator, NatRedMetric
 from liespec.rational import exact_int, fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
@@ -120,6 +126,49 @@ def ref_inverse(a):
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def ref_eliminate(a, aug=None):
+    """Fraction-free Gauss-Jordan elimination of a square integer matrix,
+    every row cleared above and below each pivot whether or not an
+    augmented block is given: the reference for ``linalg.eliminate``, which
+    clears above a pivot only for an augmented block.
+
+    Step k exchanges into place the first row at or below k that is
+    nonzero in column k, then replaces every other row r by
+    (p_k r - r_k row_k) // p_{k-1}, always an exact division (p_{-1} = 1).
+    ``aug`` is an optional integer block with one row per row of a.
+
+    Returns (pivots, rows, swaps, right): the pivots p_k, the leading
+    minors of the row-exchanged matrix, ending at a 0 for a singular one;
+    each pivot row as it stood at its own step (zero before column k, p_k
+    at column k, and for a symmetric matrix p_k mu_jk at column j > k);
+    the number of row exchanges, so det a = (-1)^swaps p_{n-1}; and the
+    augmented block, now p_{n-1} a^{-1} aug.
+    """
+    n = len(a)
+    m = [list(row) + list(aug[i] if aug else ()) for i, row in enumerate(a)]
+    pivots, rows, swaps, prev = [], [], 0, 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if m[r][k]), None)
+        if r is None:
+            pivots.append(0)
+            break
+        if r != k:
+            m[k], m[r] = m[r], m[k]
+            swaps += 1
+        top = m[k]
+        p = top[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = row[:k] + [
+                    (p * x - f * y) // prev for x, y in zip(row[k:], top[k:])
+                ]
+        pivots.append(p)
+        rows.append(top)
+        prev = p
+    return pivots, rows, swaps, [row[n:] for row in m]
 
 
 def ref_gso(g):
@@ -394,11 +443,58 @@ def _minima_transform(a, squares):
     return linalg.matmul(linalg.transpose(v), linalg.matmul(a, v)), v
 
 
+def ref_lll_int(a, table):
+    """(a reduced in place, U, d, lam) for a positive-definite integer Gram a
+    and ``table``, what ``linalg.eliminate(a)`` returns for it.
+
+    d_k is the k-th Bareiss pivot, the Gram determinant of the first k+1
+    vectors, and lam[j][k] = d_j mu_kj: the table ``linalg.eliminate``
+    gives for the returned a.  LLL updates copies of the pivots and rows of
+    ``table`` and leaves it as it was.  Size reduction is a column
+    operation on a, U and lam (lam[i][j] is 0 for i > j, and d_j for
+    i = j); a swap of b_{k-1} and b_k changes only d_{k-1} and rows k-1, k
+    of lam (SWAPI).
+    """
+    m = len(a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    d, lam, swaps, _ = table
+    if swaps or min(d) <= 0:
+        raise LiespecError("Gram matrix not positive definite in LLL")
+    d, lam = list(d), [list(row) for row in lam]
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            r = (2 * lam[j][k] + d[j]) // (2 * d[j])  # floor(mu_kj + 1/2)
+            if r:  # b_k -= r * b_j
+                a[k] = [x - r * y for x, y in zip(a[k], a[j])]
+                for row in a + u + lam:
+                    row[k] -= r * row[j]
+        # Lovasz with delta = 99/100, times 100 d_{k-1} d_{k-2} (d_{-1} = 1)
+        before = d[k - 2] if k > 1 else 1
+        lk, dk, dk1 = lam[k - 1][k], d[k], d[k - 1]
+        if 100 * dk * before >= 99 * dk1 ** 2 - 100 * lk ** 2:
+            k += 1
+        else:  # exchange b_{k-1} and b_k
+            a[k - 1], a[k] = a[k], a[k - 1]
+            for row in a + u + lam[:k - 1]:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            b = _lll_exact(before * dk + lk * lk, dk1)  # the new d_{k-1}
+            lo, hi = lam[k - 1], lam[k]
+            for i in range(k + 1, m):
+                t = hi[i]
+                hi[i] = _lll_exact(dk * lo[i] - lk * t, dk1)
+                lo[i] = _lll_exact(b * t + lk * hi[i], dk)
+            d[k - 1] = lo[k - 1] = b
+            k = max(k - 1, 1)
+    return a, u, d, lam
+
+
 def reduce_with_transform(lat: Lattice):
     """Reduced lattice plus the unimodular transform U (new = old * U): the
-    library's LLL on q*G and, for dim <= 4, its shortest generating set."""
+    reference LLL with its transform on q*G and, for dim <= 4, its shortest
+    generating set."""
     a, q = linalg.clear_denominators(lat.gram)
-    a, u, d, lam = _lll_int(a, linalg.eliminate(a))
+    a, u, d, lam = ref_lll_int(a, linalg.eliminate(a))
     if lat.dim <= 4:
         a, v = _minima_transform(a, _squares(d, lam))
         u = linalg.matmul(u, v)

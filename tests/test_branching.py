@@ -133,8 +133,11 @@ def test_multiplicity_looks_up_every_label():
             # labels that are not tuples of weights are absent
             flat = (0,) * len(emb.factors)
             assert res.multiplicity(flat) == res.multiplicity("0" * 2) == 0
-            with pytest.raises(TypeError):  # unhashable, as in a dict
-                res.multiplicity([[0] * f.rank for f in emb.factors])
+            # a label given as lists reads as the tuple label does
+            trivial = tuple((0,) * f.rank for f in emb.factors)
+            assert res.multiplicity(
+                [[0] * f.rank for f in emb.factors]
+            ) == res.multiplicity(trivial)
     alone = _peel(STD, (3, 1))
     assert alone.multiplicity(((2,),)) == alone.as_dict()[((2,),)]
 

@@ -316,6 +316,57 @@ def test_kernel_certification_survives_optimize():
     assert json.loads(result["out"])["error"]["type"] == "CertificationError"
 
 
+# Runs under python -O, with the square completion's level-2 entry r_12 off
+# by one on every form, so alpha = A_11 stays an exact quotient by L while
+# beta or gamma does not, on A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+# and on its dual.  Prints what systole raised, what cli.main
+# returned for torus-spectrum, and alpha's remainder on each completion.
+_LEVEL_TWO_FAULT_SCRIPT = """
+import contextlib, io, json
+from fractions import Fraction
+import liespec.lattices.lattice as lattice
+from liespec.cli import main
+from liespec.errors import CertificationError
+
+real = lattice._squares
+alpha = []
+
+def broken(pivots, rows):
+    pivots, rows, weights, total = real(pivots, rows)
+    rows = [list(row) for row in rows]
+    rows[1][2] += 1
+    (p0, p1), (w0, w1) = pivots[:2], weights[:2]
+    alpha.append((w1 * p1 * p1 + w0 * rows[0][1] ** 2) % total)
+    return pivots, rows, weights, total
+
+lattice._squares = broken
+a3 = [[Fraction(x) for x in row] for row in ((2, -1, 0), (-1, 2, -1), (0, -1, 2))]
+try:
+    lattice.systole(lattice.Lattice.from_gram(a3))
+    raised = None
+except CertificationError as exc:
+    raised = type(exc).__name__
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    gram = '{"gram": [["2", "-1", "0"], ["-1", "2", "-1"], ["0", "-1", "2"]]}'
+    code = main(["torus-spectrum", "--gram", gram, "--cutoff", "4"])
+print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
+                  "out": buf.getvalue(), "alpha": alpha}))
+"""
+
+
+def test_level_two_certification_survives_optimize():
+    result = _run_optimized(_LEVEL_TWO_FAULT_SCRIPT)
+    assert result["debug"] is False
+    assert result["alpha"] == [0, 0]  # one completion per path, alpha exact
+    assert result["raised"] == "CertificationError"
+    assert result["code"] == 2
+    assert json.loads(result["out"])["error"] == {
+        "type": "CertificationError",
+        "message": "x^T A x is not an integer",
+    }
+
+
 # Runs under python -O: the first lattice's form is made with the real
 # completion, then _squares gives L off by one, as above, for every form
 # made after it.  congruent reads the first form with the values-only

@@ -164,10 +164,10 @@ def test_record_class(cls, make, params, by_value, pin):
     if by_value:
         assert twin == obj and hash(twin) == hash(obj)
         assert obj.__eq__(object()) is NotImplemented and obj != object()
-        # a cached property (SpectrumTable.entries, Lattice._form and
-        # Lattice._dual_form) writes past the frozen __setattr__ and is not
-        # a field
-        for attr in ("entries", "_form", "_dual_form"):
+        # a cached property (SpectrumTable.entries, Lattice._form,
+        # Lattice._dual_form and Lattice._dual_minimum) writes past the
+        # frozen __setattr__ and is not a field
+        for attr in ("entries", "_form", "_dual_form", "_dual_minimum"):
             if hasattr(cls, attr):
                 getattr(obj, attr)
                 assert attr in vars(obj) and twin == obj

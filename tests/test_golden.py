@@ -33,6 +33,17 @@ INLINE = {
     "B2METRIC": '{"group":"B2","embedding":"a1xa1-in-b2","t":"1","t_i":["1/2","1/3"]}',
     "F4SPEC": '{"factors":["F4"]}',
     "A4SPEC": '{"factors":["A4"]}',
+    # the E8 Cartan matrix written as a Gram matrix
+    "E8GRAM": (
+        '{"gram":[["2","0","-1","0","0","0","0","0"],'
+        '["0","2","0","-1","0","0","0","0"],'
+        '["-1","0","2","-1","0","0","0","0"],'
+        '["0","-1","-1","2","-1","0","0","0"],'
+        '["0","0","0","-1","2","-1","0","0"],'
+        '["0","0","0","0","-1","2","-1","0"],'
+        '["0","0","0","0","0","-1","2","-1"],'
+        '["0","0","0","0","0","0","-1","2"]]}'
+    ),
 }
 
 # argv -> (exit code, sha256 of stdout)
@@ -186,6 +197,12 @@ GOLDEN = {
         0,
         "80228d27185afd079da85527043bf14aaee876794f490582401300fee22da9dd",
     ),
+    # the dimension-8 dual path past the benchmark's cutoff 6: the E8
+    # lattice's theta series 1, 240, 2160, 6720, 17520, 30240
+    "torus-spectrum --gram E8GRAM --cutoff 10": (
+        0,
+        "2ec2e261f6d8d916511f8a78f699c1fa5b1cc59e0ebea5bf231899ffb6a6aecf",
+    ),
     "gamma --gram hexagonal": (
         0,
         "beda30913c809861f7e702418253c4c91b22abbe14bfdc8808a19f001da6115b",
@@ -284,7 +301,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 46
+    assert len(lines) == 47
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))

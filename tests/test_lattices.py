@@ -16,6 +16,7 @@ from helpers import (
     ref_inverse,
     reduce_with_transform,
     ref_lll_gram,
+    ref_lll_int,
     ref_torus_search,
     short_vectors,
     short_vectors_int,
@@ -40,7 +41,7 @@ from liespec.lattices import (
     torus_spectrum,
 )
 from liespec import linalg
-from liespec.lattices import congruence, lattice
+from liespec.lattices import congruence, enumeration, lattice, spectra
 from liespec.lattices.enumeration import _norm_counts, _squares
 from liespec.lattices.reduction import _lll_int
 from liespec.linalg import form_value, matmul, transpose
@@ -261,6 +262,11 @@ def test_dual_form_is_cached_and_exact():
         assert table == torus_spectrum(fresh, cutoff)
         assert lam == torus_lambda1(fresh) == torus_lambda1(lat)
         assert lam == table.lambda1() == systole(dual(lat))
+        # a spectrum below lambda1 holds no nonzero norm and stores none
+        below = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        assert len(torus_spectrum(below, lam / 2).entries) == 1
+        assert "_dual_minimum" not in vars(below)
+        assert torus_lambda1(below) == systole(dual(lat))
 
 
 def test_large_entries_enumerate_exactly():
@@ -279,9 +285,12 @@ def test_lll_properties():
         m = rng.randint(2, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
         a, _ = linalg.clear_denominators(lat.gram)
-        a2, u, _, _ = _lll_int(
+        a2, u, d, lam = ref_lll_int(
             [list(row) for row in a], linalg.eliminate(a)
         )
+        # the library's LLL leaves its input as it was and returns the
+        # reference's form and table
+        assert _lll_int(a, linalg.eliminate(a)) == (a2, d, lam)
         # transform is unimodular and transports the form
         assert abs(ref_det(u)) == 1
         assert matmul(transpose(u), matmul(a, u)) == tuple(map(tuple, a2))
@@ -309,7 +318,9 @@ def test_lll_matches_elementary_matrix_reference():
     grams.append(build("E8").cartan)
     for gram in grams:
         a, q = linalg.clear_denominators(gram)
-        a, u, _, _ = _lll_int(a, linalg.eliminate(a))
+        reduced = _lll_int(a, linalg.eliminate(a))
+        a, u, d, lam = ref_lll_int(a, linalg.eliminate(a))
+        assert reduced == (a, d, lam)
         g_ref, u_ref = ref_lll_gram(gram)
         assert all(type(x) is int for row in a + u for x in row)
         assert a == [[q * x for x in row] for row in g_ref]
@@ -355,9 +366,12 @@ def test_lll_table_is_the_elimination_of_its_result():
     # table of the reduced form, entry for entry
     swapped = 0
     for gram in _lll_table_problems():
-        a, u, d, lam = _lll_int(
+        a, d, lam = _lll_int(gram, linalg.eliminate(gram))
+        reference = ref_lll_int(
             [list(row) for row in gram], linalg.eliminate(gram)
         )
+        u = reference[1]
+        assert (a, d, lam) == reference[:1] + reference[2:]
         pivots, rows, swaps, _ = linalg.eliminate(a)
         assert swaps == 0 and (d, lam) == (pivots, rows)
         assert matmul(transpose(u), matmul(gram, u)) == tuple(map(tuple, a))
@@ -368,15 +382,23 @@ def test_lll_table_is_the_elimination_of_its_result():
 def test_lll_eliminates_once(monkeypatch):
     # one elimination per LLL call, the table it is handed, however many
     # swaps, and at most two per lattice (the adjugate and the dual form's
-    # table) for its spectrum and lambda1
-    calls = []
-    real = linalg.eliminate
+    # table) for its spectrum and lambda1; one kernel call per lattice when
+    # the spectrum comes first, since it holds lambda1, and two when
+    # lambda1 comes first
+    calls, kernel = [], []
+    real, real_kernel = linalg.eliminate, enumeration._norm_counts
 
     def counting(*args):
         calls.append(len(args[0]))
         return real(*args)
 
+    def counting_kernel(squares, bound, *rest):
+        kernel.append(bound)
+        return real_kernel(squares, bound, *rest)
+
     monkeypatch.setattr(linalg, "eliminate", counting)
+    monkeypatch.setattr(enumeration, "_norm_counts", counting_kernel)
+    monkeypatch.setattr(spectra, "_norm_counts", counting_kernel)
     for gram in _lll_table_problems():
         calls.clear()
         _lll_int([list(row) for row in gram], linalg.eliminate(gram))
@@ -390,11 +412,17 @@ def test_lll_eliminates_once(monkeypatch):
     ]
     e8 = Lattice.from_gram(build("E8").cartan)
     calls.clear()
-    for lat in lats:
-        torus_spectrum(lat, 12)
-        torus_lambda1(lat)
+    made = [(torus_spectrum(lat, 12), torus_lambda1(lat)) for lat in lats]
     torus_spectrum(e8, 6)
     assert len(calls) == 2 * 201
+    assert len(kernel) == 201
+    # lambda1 first: its own kernel call, then the spectrum's
+    kernel.clear()
+    for lat, (table, lam) in zip(lats, made):
+        fresh = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        assert torus_lambda1(fresh) == lam == table.lambda1()
+        assert torus_spectrum(fresh, 12) == table
+    assert len(kernel) == 2 * 200
 
 
 def test_one_elimination_per_lattice(monkeypatch):
@@ -426,6 +454,10 @@ def test_reduce_with_transform_reaches_systole():
         m = rng.randint(2, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
         reduced, u = reduce_with_transform(lat)
+        a, _ = linalg.clear_denominators(lat.gram)
+        table = linalg.eliminate(a)
+        want = ref_lll_int([list(row) for row in a], table)
+        assert _lll_int(a, table) == want[:1] + want[2:]
         assert abs(ref_det(u)) == 1
         assert matmul(transpose(u), matmul(lat.gram, u)) == reduced.gram
         # for dim <= 4 the reduced first basis vector attains the minimum

@@ -4,11 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import random_rational_basis, ref_det, ref_inverse
+from helpers import random_rational_basis, ref_det, ref_eliminate, ref_inverse
 from liespec import build
 from liespec.errors import DomainError
 from liespec.lattices import Lattice
-from liespec.linalg import det, inverse, is_symmetric
+from liespec.linalg import (
+    clear_denominators,
+    det,
+    eliminate,
+    inverse,
+    is_symmetric,
+)
 
 
 def _ref_positive_definite(a):
@@ -81,3 +87,20 @@ def test_elimination_matches_fraction_references():
         assert _accepted_as_gram(a) == pd
         kinds["singular" if d == 0 else "definite" if pd else "other"] += 1
     assert len(kinds) == 3 and min(kinds.values()) >= 50
+
+
+def test_elimination_matches_gauss_jordan_reference():
+    # without an augmented block the rows above a pivot are not cleared,
+    # and the pivots, pivot rows and swaps are those of full Gauss-Jordan;
+    # with one, all four results are; on the integer forms of the matrices
+    # above, singular ones and ones that need a row exchange among them
+    kinds = Counter()
+    for a in _square_matrices():
+        ints, _ = clear_denominators(a)
+        pivots, rows, swaps, right = ref_eliminate(ints)
+        assert eliminate(ints) == (pivots, rows, swaps, [[] for _ in ints])
+        unit = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+        assert eliminate(ints, unit) == ref_eliminate(ints, unit)
+        kinds["singular"] += not pivots[-1]
+        kinds["exchanged"] += swaps > 0
+    assert kinds["singular"] >= 50 and kinds["exchanged"] >= 40
