@@ -75,13 +75,16 @@ class EmbeddingSpec(Frozen):
     """Restriction data for K_1 x ... x K_r inside a simple G.
 
     ``restriction`` has one row per concatenated K-weight coordinate and one
-    column per G-weight coordinate.  Instances are identity-hashed, and
-    each keeps its own branchings, by dominant weight, as they are made.
+    column per G-weight coordinate; each entry is read with ``rat``, so a
+    float or a bool is refused, and kept as a Fraction.  Instances are
+    identity-hashed, and each keeps its own branchings, by dominant weight,
+    as they are made.
     """
 
     _fields = ("ambient", "factors", "restriction", "name")
 
     def __init__(self, ambient, factors, restriction, name=None):
+        restriction = rat_matrix(restriction)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "restriction", restriction)
@@ -92,9 +95,8 @@ class EmbeddingSpec(Frozen):
             raise DomainError("restriction row count != total factor rank")
         if any(len(r) != ambient.rank for r in restriction):
             raise DomainError("restriction column count != ambient rank")
-        rows_q = [[Fraction(x) for x in row] for row in restriction]
-        den = lcm(*(x.denominator for row in rows_q for x in row))
-        scaled = [tuple(int(x * den) for x in row) for row in rows_q]
+        den = lcm(*(x.denominator for row in restriction for x in row))
+        scaled = [tuple(int(x * den) for x in row) for row in restriction]
         blocks = []
         for f in factors:
             blocks.append(tuple(scaled[: f.rank]))
@@ -149,7 +151,7 @@ class EmbeddingSpec(Frozen):
         return EmbeddingSpec(
             ambient=build(required(obj, "ambient")),
             factors=factors,
-            restriction=rat_matrix(obj.get("restriction", [])),
+            restriction=obj.get("restriction", []),
             name=name,
         )
 
@@ -161,9 +163,6 @@ class BranchingResult(Value):
         object.__setattr__(self, "source", source)
         # ((tuple_of_factor_weights, multiplicity), ...), sorted by label
         object.__setattr__(self, "terms", terms)
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
 
     def multiplicity(self, factor_weights) -> int:
         """The multiplicity of the K-type whose per-factor highest weights

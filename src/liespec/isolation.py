@@ -29,7 +29,6 @@ from .errors import DomainError, InputError, UnsupportedDimensionError
 from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
-from .linalg import inverse
 from .natred import NatRedMetric, term_catalogue
 from .rational import exact_int, fmt, rat, rat_cutoff
 from .spectrum import SpectrumTable, _common_scale, _counts, _distance
@@ -78,11 +77,11 @@ def gamma_invariants(subject) -> GammaVector:
             kind="group", dim=len(subject.factors), entries=vals
         )
     if isinstance(subject, Lattice):
-        q = inverse(subject.gram)
+        d, s = subject._dual_gram
         m = subject.dim
-        b = [q[j][j] for j in range(m)]
+        b = [Fraction(d[j][j], s) for j in range(m)]
         c = [
-            q[j][j] + 2 * q[j][k] + q[k][k]
+            Fraction(d[j][j] + 2 * d[j][k] + d[k][k], s)
             for j, k in combinations(range(m), 2)
         ]
         return GammaVector(
@@ -244,8 +243,8 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
     set determines one symmetric candidate for the dual Gram matrix via
     q_jj = b_j, q_jk = (c_jk - b_j - b_k)/2.  Positive-definite candidates
     are filtered by first eigenvalue >= lam_min (the dual systole) and
-    volume >= vol_min (det q <= 1/vol_min^2), inverted back to torus Gram
-    matrices, and deduped up to congruence.
+    volume >= vol_min (det q <= 1/vol_min^2), deduped up to congruence
+    (iff their tori are), and the kept ones inverted to torus Gram matrices.
     """
     n = exact_int(n)
     if n < 1:
@@ -281,8 +280,7 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
                 continue
             if systole(dual_torus) < lam_min:
                 continue
-            torus = dual(dual_torus)
-            if any(congruent(torus, seen) for seen in kept):
+            if any(congruent(dual_torus, seen) for seen in kept):
                 continue
-            kept.append(torus)
-    return kept
+            kept.append(dual_torus)
+    return [dual(d) for d in kept]

@@ -4,10 +4,10 @@ A lattice is presented either by a basis matrix (columns are generators)
 or directly by its Gram matrix.  It is validated once, at construction:
 the Gram matrix is symmetric and positive definite, decided by one
 fraction-free elimination of its integer form q*G (``linalg.eliminate``:
-positive pivots, no row exchange), and a given basis B is square with B^T B
-equal to it.  The lattice keeps q*G and that elimination: ``det_gram`` is
-its last pivot over q^m, LLL starts from it, so q*G is eliminated once, and
-both forms below read q*G without clearing G's denominators again.  All
+positive pivots, no row exchange), and a basis B is square, G = B^T B
+made from B alone or checked if G is given.  The lattice keeps q*G and
+that elimination: ``det_gram`` is its last pivot over q^m, LLL starts from
+it, and G^{-1} is its adjugate over its determinant (``_dual_gram``).  All
 downstream computations -- dual, enumeration, spectra, reduction,
 congruence -- operate on the Gram matrix in integer coordinates, so a
 Gram-only lattice supports everything except recovering an explicit
@@ -57,13 +57,29 @@ HERMITE_POWER = {
 }
 
 
+def _check_exact(*matrices):
+    """Refuse any entry that is not an int or a Fraction, by exact type as
+    ``SpectrumTable`` does: a bool names no number, and none is coerced."""
+    for matrix in matrices:
+        for row in matrix or ():
+            for x in row:
+                if type(x) is not Fraction and type(x) is not int:
+                    raise InputError(f"not an int or a Fraction: {x!r}")
+
+
 class Lattice(Value):
     """``gram`` is m x m, symmetric positive-definite, in exact rationals;
     ``basis``, if given, is m x m with the generators as columns."""
 
     _fields = ("dim", "gram", "basis")
 
-    def __init__(self, dim, gram, basis=None):
+    def __init__(self, dim, gram=None, basis=None):
+        _check_exact(gram, basis)
+        given = gram is not None
+        if not given:
+            if basis is None:
+                raise InputError("a lattice needs a gram matrix or a basis")
+            gram = linalg.matmul(linalg.transpose(basis), basis)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis", basis)
@@ -84,15 +100,15 @@ class Lattice(Value):
         # a square B with B^T B positive definite is nonsingular
         if basis is not None and (
             len(basis) != dim
-            or linalg.matmul(linalg.transpose(basis), basis) != gram
+            or any(len(r) != dim for r in basis)
+            or (given and linalg.matmul(linalg.transpose(basis), basis) != gram)
         ):
             raise DomainError("basis must be square with basis^T basis = gram")
 
     @staticmethod
     def from_basis(rows) -> "Lattice":
         basis = rat_matrix(rows)
-        gram = linalg.matmul(linalg.transpose(basis), basis)
-        return Lattice(dim=len(basis), gram=gram, basis=basis)
+        return Lattice(dim=len(basis), basis=basis)
 
     @staticmethod
     def from_gram(rows) -> "Lattice":
@@ -109,16 +125,18 @@ class Lattice(Value):
         return _reduced_form(*self._elimination)
 
     @cached_property
-    def _dual_form(self):
-        """(A, scale, squares), the same for the dual lattice: its Gram
-        matrix is q adj(q*G) / det(q*G), so A starts as q adj(q*G) and scale
-        as det(q*G), both over their gcd, and no dual basis is built."""
+    def _dual_gram(self):
+        """(D, s), G^{-1} = D / s over their gcd, from q*G's adjugate."""
         a, q, _ = self._elimination
-        eye = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
-        pivots, _, _, adj = linalg.eliminate(a, eye)
-        g = gcd(pivots[-1], *(q * x for row in adj for x in row))
-        dual = [[q * x // g for x in row] for row in adj]
-        return _reduced_form(dual, pivots[-1] // g, linalg.eliminate(dual))
+        adj, det = linalg.adjugate(a)
+        g = gcd(det, *(q * x for row in adj for x in row))
+        return [[q * x // g for x in row] for row in adj], det // g
+
+    @cached_property
+    def _dual_form(self):
+        """(A, scale, squares) of the dual lattice, from ``_dual_gram``."""
+        d, s = self._dual_gram
+        return _reduced_form(d, s, linalg.eliminate(d))
 
     @cached_property
     def _dual_minimum(self) -> Fraction:
@@ -150,15 +168,10 @@ class Lattice(Value):
     @staticmethod
     def from_json_dict(obj: dict) -> "Lattice":
         """Given both ``gram`` and ``basis``, the constructor checks that
-        basis^T basis is the Gram matrix."""
-        if "gram" in obj:
-            gram = rat_matrix(obj["gram"])
-            basis = rat_matrix(obj["basis"]) if "basis" in obj else None
-            lat = Lattice(dim=len(gram), gram=gram, basis=basis)
-        elif "basis" in obj:
-            lat = Lattice.from_basis(obj["basis"])
-        else:
-            raise InputError("lattice JSON needs 'basis' or 'gram'")
+        basis^T basis is the Gram matrix; given neither, it refuses."""
+        gram = rat_matrix(obj["gram"]) if "gram" in obj else None
+        basis = rat_matrix(obj["basis"]) if "basis" in obj else None
+        lat = Lattice(dim=len(gram or basis or ()), gram=gram, basis=basis)
         if "dim" in obj and exact_int(obj["dim"]) != lat.dim:
             raise DomainError("declared dim does not match matrix size")
         return lat
@@ -174,14 +187,16 @@ def _reduced_form(a, scale, table):
 
 
 def dual(lat: Lattice) -> Lattice:
-    """The dual lattice: Gram matrix is the exact inverse Gram.
+    """The dual lattice: Gram matrix is the exact inverse Gram, D / s.
 
     When a basis B is available the dual basis is B G^{-1}, which equals
-    (B^T)^{-1} because G = B^T B.
+    (B^T)^{-1} because G = B^T B, and the constructor makes its Gram matrix.
     """
-    gram = linalg.inverse(lat.gram)
-    basis = None if lat.basis is None else linalg.matmul(lat.basis, gram)
-    return Lattice(dim=lat.dim, gram=gram, basis=basis)
+    d, s = lat._dual_gram
+    gram = tuple(tuple(Fraction(x, s) for x in row) for row in d)
+    if lat.basis is None:
+        return Lattice(dim=lat.dim, gram=gram)
+    return Lattice(dim=lat.dim, basis=linalg.matmul(lat.basis, gram))
 
 
 def systole(lat: Lattice) -> Fraction:

@@ -5,10 +5,10 @@ Every elimination in the package is ``eliminate``, fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) of an integer matrix:
 Gauss-Jordan when it carries an augmented block, Gaussian otherwise, with
 the same pivots and pivot rows either way; rational input is cleared of
-denominators first.  Its pivots give the determinant, its augmented block
-the inverse, and for a symmetric matrix they decide positive-definiteness:
-positive pivots and no row exchange, the pivots then being the leading
-principal minors.
+denominators first.  Its pivots give the determinant, its block against
+the identity the adjugate (every inverse is adj / det), and for a
+symmetric matrix they decide positive-definiteness: positive pivots and no
+row exchange, the pivots then being the leading principal minors.
 """
 
 from fractions import Fraction
@@ -102,15 +102,16 @@ def det(a: Matrix) -> Fraction:
     return Fraction((-1) ** swaps * pivots[-1], q ** len(a))
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse: the adjugate of q*a over its determinant, times q."""
-    n = len(a)
-    ints, q = clear_denominators(a)
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots, _, _, right = eliminate(ints, unit)
+def adjugate(a) -> tuple:
+    """(adj a, det a) of a nonsingular square integer matrix: Gauss-Jordan
+    against the identity leaves p_{n-1} a^{-1} = (-1)^swaps adj a."""
+    eye = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    pivots, _, swaps, right = eliminate(a, eye)
     if not pivots[-1]:
         raise DomainError("matrix is singular")
-    return tuple(tuple(Fraction(q * x, pivots[-1]) for x in row) for row in right)
+    if swaps % 2:
+        return [[-x for x in row] for row in right], -pivots[-1]
+    return right, pivots[-1]
 
 
 def is_symmetric(a: Matrix) -> bool:

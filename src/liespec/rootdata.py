@@ -218,11 +218,9 @@ def _build(name: str) -> RootSystemData:
 
     cartan = _cartan_matrix(family, n)
     d = _symmetrizer(cartan)
-    cinv = linalg.inverse(cartan)
-    det = int(linalg.det(cartan))
-    cartan_adj = tuple(
-        tuple(int(cinv[j][i] * det) for j in range(n)) for i in range(n)
-    )
+    adj, det = linalg.adjugate(cartan)
+    # C^{-1} = adj / det; adj^T maps a root to det times its root coordinates
+    cartan_adj = linalg.transpose(adj)
     pos = _positive_roots(cartan, cartan_adj, det)
     fund_list = tuple(f for f, _ in pos)
     rootc_list = tuple(r for _, r in pos)
@@ -230,9 +228,7 @@ def _build(name: str) -> RootSystemData:
     # simple-root coordinates there are simple-coroot coordinates here
     coroots = tuple(
         r
-        for _, r in _positive_roots(
-            linalg.transpose(cartan), linalg.transpose(cartan_adj), det
-        )
+        for _, r in _positive_roots(linalg.transpose(cartan), adj, det)
     )
 
     theta_fund, theta_rootc = pos[-1]  # the roots are sorted by height
@@ -249,7 +245,7 @@ def _build(name: str) -> RootSystemData:
     d = [x * factor for x in d]
 
     fund_form = tuple(
-        tuple(cinv[i][j] * d[j] for j in range(n)) for i in range(n)
+        tuple(adj[i][j] * d[j] / det for j in range(n)) for i in range(n)
     )
     if not linalg.is_symmetric(fund_form):
         raise DomainError("fundamental form failed symmetry; bad Cartan data")

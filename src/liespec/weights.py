@@ -152,9 +152,6 @@ class WeightDiagram(Value):
         object.__setattr__(self, "mults", mults)
         object.__setattr__(self, "dim", dim)
 
-    def as_dict(self) -> dict:
-        return dict(self.mults)
-
 
 def weight_diagram(rs: RootSystemData, weight) -> WeightDiagram:
     """Expand the dominant character over Weyl orbits; checks the total."""

@@ -114,8 +114,8 @@ def test_criterion_04_degenerate_collapses():
 
 
 def test_criterion_05_branching_correctness():
-    assert branch(STD, (1, 0)).as_dict() == {((1,),): 1, ((0,),): 1}
-    assert branch(STD, (1, 1)).as_dict() == {
+    assert dict(branch(STD, (1, 0)).terms) == {((1,),): 1, ((0,),): 1}
+    assert dict(branch(STD, (1, 1)).terms) == {
         ((2,),): 1, ((1,),): 2, ((0,),): 1,
     }
     rng = random.Random(55)

@@ -44,9 +44,9 @@ IDA2 = BUILTIN_EMBEDDINGS["identity-a2"]
 
 def test_standard_a1_in_a2():
     # defining 3 of su(3) restricts to doublet + singlet
-    assert branch(STD, (1, 0)).as_dict() == {((1,),): 1, ((0,),): 1}
+    assert dict(branch(STD, (1, 0)).terms) == {((1,),): 1, ((0,),): 1}
     # adjoint 8 restricts to triplet + two doublets + singlet
-    assert branch(STD, (1, 1)).as_dict() == {
+    assert dict(branch(STD, (1, 1)).terms) == {
         ((2,),): 1,
         ((1,),): 2,
         ((0,),): 1,
@@ -56,32 +56,32 @@ def test_standard_a1_in_a2():
 
 
 def test_principal_a1_in_a2():
-    assert branch(PRINC, (1, 0)).as_dict() == {((2,),): 1}
-    assert branch(PRINC, (1, 1)).as_dict() == {((2,),): 1, ((4,),): 1}
+    assert dict(branch(PRINC, (1, 0)).terms) == {((2,),): 1}
+    assert dict(branch(PRINC, (1, 1)).terms) == {((2,),): 1, ((4,),): 1}
     assert embedding_index(PRINC) == (F(4),)
     assert killing_ratio(PRINC) == (F(6),)
 
 
 def test_so4_in_so5():
-    vec = branch(SO4, (1, 0)).as_dict()
+    vec = dict(branch(SO4, (1, 0)).terms)
     assert vec == {((1,), (1,)): 1, ((0,), (0,)): 1}
-    spin = branch(SO4, (0, 1)).as_dict()
+    spin = dict(branch(SO4, (0, 1)).terms)
     assert spin == {((0,), (1,)): 1, ((1,), (0,)): 1}
-    adj = branch(SO4, (0, 2)).as_dict()
+    adj = dict(branch(SO4, (0, 2)).terms)
     assert adj == {((2,), (0,)): 1, ((0,), (2,)): 1, ((1,), (1,)): 1}
     assert embedding_index(SO4) == (F(1), F(1))
     assert killing_ratio(SO4) == (F(3, 2), F(3, 2))
 
 
 def test_identity_embedding():
-    assert branch(IDA2, (2, 1)).as_dict() == {((2, 1),): 1}
+    assert dict(branch(IDA2, (2, 1)).terms) == {((2, 1),): 1}
     assert embedding_index(IDA2) == (F(1),)
     assert killing_ratio(IDA2) == (F(1),)
 
 
 def test_rank_zero_factor_list():
     emb = EmbeddingSpec(ambient=build("A2"), factors=(), restriction=())
-    assert branch(emb, (1, 1)).as_dict() == {(): 8}
+    assert dict(branch(emb, (1, 1)).terms) == {(): 8}
     assert branch(emb, (1, 0)).multiplicity(()) == 3
     assert ref_spherical_mult(emb, (1, 0)) == 3
     assert embedding_index(emb) == ()
@@ -106,7 +106,7 @@ def test_branch_result_shape_and_cache():
     res = branch(STD, (2, 1))
     assert isinstance(res, BranchingResult)
     assert res.source == (2, 1)
-    assert res.multiplicity(((1,),)) == res.as_dict().get(((1,),), 0)
+    assert res.multiplicity(((1,),)) == dict(res.terms).get(((1,),), 0)
     assert res.multiplicity(((9,),)) == 0
     assert branch(STD, (2, 1)) is res  # cached per embedding object
     # the weight is checked before the cache: lists and strings hit it too
@@ -121,7 +121,7 @@ def test_multiplicity_looks_up_every_label():
     for emb in (STD, PRINC, SO4, IDA2):
         for sigma in dominant_weights_up_to(emb.ambient, 12):
             res = branch(emb, sigma)
-            table = res.as_dict()
+            table = dict(res.terms)
             for label in table:
                 assert res.multiplicity(label) == table[label]
                 assert res.multiplicity(list(label)) == table[label]
@@ -139,7 +139,7 @@ def test_multiplicity_looks_up_every_label():
                 [[0] * f.rank for f in emb.factors]
             ) == res.multiplicity(trivial)
     alone = _peel(STD, (3, 1))
-    assert alone.multiplicity(((2,),)) == alone.as_dict()[((2,),)]
+    assert alone.multiplicity(((2,),)) == dict(alone.terms)[((2,),)]
 
 
 def test_contragredient_symmetry():
@@ -152,7 +152,7 @@ def test_contragredient_symmetry():
                 for tup, m in branch(emb, sigma).terms
             }
             sigma_dual = ref_contragredient(emb.ambient, sigma)
-            assert branch(emb, sigma_dual).as_dict() == dualized
+            assert dict(branch(emb, sigma_dual).terms) == dualized
 
 
 def test_spherical_mults():
@@ -198,7 +198,7 @@ def test_principal_a1_matches_q_dimension(name, top):
         ambient=rs, factors=(build("A1"),), restriction=(principal_a1_row(rs),)
     )
     for lam in itertools.product(range(top + 1), repeat=rs.rank):
-        assert branch(emb, lam).as_dict() == principal_a1_branching(rs, lam)
+        assert dict(branch(emb, lam).terms) == principal_a1_branching(rs, lam)
 
 
 def test_non_invariant_restriction_is_malformed():
@@ -274,6 +274,21 @@ def test_embedding_spec_validation():
         )
 
 
+def test_restriction_entries_are_read_as_rationals():
+    # each entry is read with ``rat``, as every other input is: a float or
+    # a bool is refused, and what is kept is a Fraction
+    b2, a1 = build("B2"), build("A1")
+    for rows in (((1.0, 0), (1, True)), ((1, 0), (1, 1.0)), ((1, 0), ("x", 1))):
+        with pytest.raises(InputError):
+            EmbeddingSpec(ambient=b2, factors=(a1, a1), restriction=rows)
+    emb = EmbeddingSpec(
+        ambient=b2, factors=(a1, a1), restriction=((1, 0), ("1", F(1)))
+    )
+    assert all(type(x) is F for row in emb.restriction for x in row)
+    assert emb.restriction == SO4.restriction
+    assert dict(branch(emb, (2, 1)).terms) == dict(branch(SO4, (2, 1)).terms)
+
+
 def test_validate_embedding_reports():
     for emb in (STD, PRINC, SO4, IDA2):
         report = validate_embedding(emb)
@@ -337,7 +352,7 @@ def test_branch_matches_reference_up_to_casimir_12():
         emb = _principal_a1(name)
         assert len(dominant_weights_up_to(emb.ambient, 12)) > 30
         for sigma, res in _walk(emb, 12, peel=name == "G2"):
-            assert res.as_dict() == principal_a1_branching(emb.ambient, sigma)
+            assert dict(res.terms) == principal_a1_branching(emb.ambient, sigma)
             if weyl_dim(emb.ambient, sigma) <= 300:
                 assert res == ref_branch(emb, sigma)
 
@@ -379,7 +394,7 @@ def test_branch_matches_gelfand_tsetlin(n):
     )
     assert len(dominant_weights_up_to(emb.ambient, 6)) > 20
     for sigma, res in _walk(emb, 6):
-        assert res.as_dict() == _gelfand_tsetlin(sigma)
+        assert dict(res.terms) == _gelfand_tsetlin(sigma)
 
 
 def test_recursion_rejects_where_the_peel_accepts(monkeypatch):
@@ -481,7 +496,7 @@ def test_one_weight_alone_is_peeled(monkeypatch):
 def test_one_large_weight_peels_to_the_q_dimension(name, lam):
     # a fresh embedding memoizes nothing, so this is the peel alone
     emb = _principal_a1(name)
-    assert branch(emb, lam).as_dict() == principal_a1_branching(emb.ambient, lam)
+    assert dict(branch(emb, lam).terms) == principal_a1_branching(emb.ambient, lam)
     assert list(emb._branchings) == [lam]
 
 

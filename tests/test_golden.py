@@ -219,7 +219,7 @@ GOLDEN = {
         0,
         "ed3cf7f2b127aad5c574f66428d51bda097867c9c4b3ec350af998b68a647739",
     ),
-    # 272 tori reach the congruence test, 14 are kept
+    # 272 dual candidates reach the congruence test, 14 are kept
     "torus-search --values 1,2,3 --dim 3 --lambda-min 1/2 --vol-min 1/2": (
         0,
         "0e40ec94e518b2cab69c98705c3eb2ed4c0d71d7a082e6448b1b809b30b777ad",

@@ -88,6 +88,72 @@ def test_dual_involution_and_gram():
     dz = dual(Z2)
     assert dz.gram == Z2.gram
     assert dz.basis is not None
+    # random lattices with a basis and the same Gram matrices without one:
+    # the dual's Gram matrix is the inverse either way, the dual basis is
+    # (B^T)^{-1}, and dual(dual(L)) is L itself, basis included
+    rng = random.Random(17)
+    for i in range(24):
+        lat = Lattice.from_basis(random_rational_basis(rng, 1 + i % 4))
+        bare = Lattice.from_gram(lat.gram)
+        for x in (lat, bare):
+            d = dual(x)
+            assert d.gram == ref_inverse(x.gram)
+            assert d.det_gram * x.det_gram == 1
+            assert dual(d) == x
+        assert dual(bare).basis is None
+        m = lat.dim
+        eye = tuple(tuple(int(r == c) for c in range(m)) for r in range(m))
+        assert matmul(transpose(dual(lat).basis), lat.basis) == eye
+
+
+def test_lattice_needs_exact_entries():
+    # every gram or basis entry is an int or a Fraction, by exact type: a
+    # float, a bool or a string is refused, not coerced
+    for bad in (1.5, True, "1", None):
+        with pytest.raises(InputError):
+            Lattice(dim=1, gram=((bad,),))
+        with pytest.raises(InputError):
+            Lattice(dim=1, basis=((bad,),))
+        with pytest.raises(InputError):
+            Lattice(dim=1, gram=((F(1),),), basis=((bad,),))
+    with pytest.raises(InputError):
+        Lattice(dim=2)
+    # from_gram and from_basis coerce strings once, before the constructor
+    assert Lattice(dim=1, gram=((1,),)) == Lattice.from_gram([["1"]])
+    assert Lattice(dim=1, basis=((F(2),),)).gram == ((4,),)
+    # given both, B^T B must be G
+    with pytest.raises(DomainError):
+        Lattice(dim=1, gram=((F(2),),), basis=((F(1),),))
+    # a ragged basis is not square, whatever its transpose's shape
+    with pytest.raises(DomainError):
+        Lattice(dim=2, basis=((F(1), F(0)), (F(0), F(1), F(5))))
+
+
+def test_from_basis_multiplies_once(monkeypatch):
+    # B^T B is multiplied out once, by the constructor, when it is given a
+    # basis alone; given both it is the one check; a dual with a basis
+    # multiplies B G^{-1} and then that basis with itself
+    calls = []
+    real = linalg.matmul
+
+    def counting(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "matmul", counting)
+    rng = random.Random(20260816)
+    for _ in range(20):
+        basis = random_rational_basis(rng, rng.randint(1, 4))
+        calls.clear()
+        lat = Lattice.from_basis(basis)
+        assert len(calls) == 1
+        calls.clear()
+        assert Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis) == lat
+        assert len(calls) == 1
+        calls.clear()
+        Lattice.from_gram(lat.gram)
+        dual(lat)
+        assert len(calls) == 2
 
 
 def test_json_round_trip():
@@ -486,8 +552,8 @@ def test_congruence_dimension_cap():
 
 def test_congruent_matches_reference_on_search_candidates(monkeypatch):
     # every pair of the 272 tori that the {1, 2, 3} search in dimension 3
-    # builds before it drops congruent ones, each with itself too; 4,817 of
-    # the pairs are congruent
+    # returns when it drops no congruent candidate, each with itself too;
+    # 4,817 of the pairs are congruent
     monkeypatch.setattr(isolation, "congruent", lambda a, b: False)
     lats = torus_search(["1", "2", "3"], 3, "1/2", "1/2")
     monkeypatch.undo()
@@ -499,6 +565,28 @@ def test_congruent_matches_reference_on_search_candidates(monkeypatch):
             assert congruent(a, b) == want == congruent(b, a)
             congruent_pairs += want
     assert congruent_pairs == 4817
+
+
+def test_congruence_is_decided_alike_on_the_duals():
+    # lattices are congruent iff their duals are, the lemma behind the
+    # torus search's dedupe: on unimodular images (congruent) and on
+    # random pairs of equal dimension (not), with and without a basis
+    rng = random.Random(31)
+    seen = Counter()
+    for i in range(48):
+        m = 1 + i % 4
+        a = Lattice.from_basis(random_rational_basis(rng, m))
+        if i % 3 == 0:
+            a = Lattice.from_gram(a.gram)
+        if i % 2:
+            b = Lattice.from_gram(_sheared(rng, a.gram, 3))
+        else:
+            b = Lattice.from_basis(random_rational_basis(rng, m))
+        want = congruent(a, b)
+        assert congruent(dual(a), dual(b)) == want == congruent(b, a)
+        assert want or not i % 2
+        seen[want] += 1
+    assert seen[True] >= 24 and seen[False] >= 12
 
 
 def test_unimodular_images_are_congruent():
@@ -551,18 +639,19 @@ def test_each_form_is_made_once(monkeypatch):
     b = Lattice.from_gram(matmul(transpose(u), matmul(HEX.gram, u)))
     assert congruent(a, b) and calls == [2, 2]
     assert congruent(a, b) and congruent(b, a) and calls == [2, 2]
-    # each candidate that passes the det filter is reduced once for its
-    # systole, and each that reaches the congruence test once more as a
-    # torus: 544 reductions in all
+    # each candidate that passes the det filter (272) is reduced once, for
+    # its systole, and the dedupe compares those same forms; the kept ones
+    # are inverted and not reduced
     calls.clear()
     assert len(torus_search(["1", "2", "3"], 3, "1/2", "1/2")) == 14
-    assert len(calls) <= 544
+    assert len(calls) == 272
 
 
 def test_torus_search_eliminates_once_per_candidate(monkeypatch):
     # one elimination per candidate (3^6 = 729) in the constructor, and two
-    # per dual that reaches the congruence test (272): its inverse and its
-    # constructor; congruence on forms already made eliminates nothing
+    # per kept candidate (14): the adjugate that inverts it and the torus's
+    # constructor; the dedupe compares candidates on the forms the systole
+    # filter made, and congruence on forms already made eliminates nothing
     calls = []
     real = linalg.eliminate
 
@@ -572,7 +661,7 @@ def test_torus_search_eliminates_once_per_candidate(monkeypatch):
 
     monkeypatch.setattr(linalg, "eliminate", counting)
     assert len(torus_search(["1", "2", "3"], 3, "1/2", "1/2")) == 14
-    assert len(calls) == 729 + 272 * 2
+    assert len(calls) == 729 + 14 * 2
     rng = random.Random(29)
     lat = Lattice.from_basis(random_rational_basis(rng, 3))
     image = Lattice.from_gram(_sheared(rng, lat.gram, 5))

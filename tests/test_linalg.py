@@ -9,10 +9,10 @@ from liespec import build
 from liespec.errors import DomainError
 from liespec.lattices import Lattice
 from liespec.linalg import (
+    adjugate,
     clear_denominators,
     det,
     eliminate,
-    inverse,
     is_symmetric,
 )
 
@@ -69,24 +69,35 @@ def _square_matrices():
 
 
 def test_elimination_matches_fraction_references():
-    # det, the inverse (or DomainError when singular) and the
-    # positive-definiteness decision of the one fraction-free elimination
-    # against Fraction Gaussian elimination on square matrices of dimension
-    # 1-8: random integer and rational ones (singular, non-symmetric and
-    # indefinite among them), the criterion-01 Grams and duals, and E8
+    # det, the adjugate of the integer form (or DomainError when singular)
+    # and the positive-definiteness decision of the one fraction-free
+    # elimination against Fraction Gaussian elimination on square matrices
+    # of dimension 1-8: random integer and rational ones (singular,
+    # non-symmetric and indefinite among them, row exchanges too), the
+    # criterion-01 Grams and duals, and E8
     kinds = Counter()
     for a in _square_matrices():
         d = ref_det(a)
         assert det(a) == d
+        ints, q = clear_denominators(a)
         if d == 0:
             with pytest.raises(DomainError):
-                inverse(a)
+                adjugate(ints)
         else:
-            assert inverse(a) == ref_inverse(a)
+            # adj(q*a) = det(q*a) (q*a)^{-1}, and det(q*a) = q^n det a
+            adj, d_ints = adjugate(ints)
+            assert d_ints == d * q ** len(a)
+            assert all(type(x) is int for row in adj for x in row)
+            assert adj == [
+                [d_ints * x / q for x in row] for row in ref_inverse(a)
+            ]
         pd = _ref_positive_definite(a)
         assert _accepted_as_gram(a) == pd
         kinds["singular" if d == 0 else "definite" if pd else "other"] += 1
     assert len(kinds) == 3 and min(kinds.values()) >= 50
+    # a row exchange flips the sign of the elimination's block: adj of the
+    # exchange matrix is minus itself, and its determinant is -1
+    assert adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
 
 
 def test_elimination_matches_gauss_jordan_reference():
