@@ -30,7 +30,7 @@ from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .natred import NatRedMetric, term_catalogue
-from .rational import exact_int, fmt, rat, rat_cutoff
+from .rational import _check_exact, exact_int, fmt, rat, rat_cutoff
 from .spectrum import SpectrumTable, _common_scale, _counts, _distance
 
 
@@ -50,6 +50,13 @@ class GammaVector(Value):
         object.__setattr__(self, "entries", entries)
         if kind not in ("group", "torus"):
             raise DomainError("kind must be 'group' or 'torus'")
+        # exact types only, as in a Lattice: a bool or a float names no
+        # invariant, and a list can change after these checks
+        if type(dim) is not int:
+            raise InputError(f"invariant dimension must be an int: {dim!r}")
+        if type(entries) is not tuple:
+            raise InputError("invariant entries must be a tuple")
+        _check_exact((entries,))
         expect = dim if kind == "group" else dim + dim * (dim - 1) // 2
         if len(entries) != expect:
             raise DomainError("invariant vector has wrong length")

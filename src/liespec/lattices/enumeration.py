@@ -57,8 +57,12 @@ def _squares(pivots, rows):
 
 
 def _norm_counts(squares, bound: int, vectors=None):
-    """{x^T A x: count} over canonical-sign nonzero x with x^T A x <= bound,
-    for the form A that ``squares`` completes.
+    """Counter {x^T A x: count} over canonical-sign nonzero x with
+    x^T A x <= bound, for the form A that ``squares`` completes.
+
+    A 1-D form [[p]] is padded to [[p, 0], [0, q]], q = p (bound + 1), so
+    x_1 = 0 is forced; its completion is written in closed form: pivots
+    (p, q), weights (q, 1) and L = p q.
 
     Canonical sign: the highest-index nonzero coordinate is positive.  A
     list given as ``vectors`` also receives (x, x^T A x) for each such x,
@@ -70,12 +74,14 @@ def _norm_counts(squares, bound: int, vectors=None):
     every value.
     """
     if bound < 0:
-        return {}
+        return Counter()
     pivots, rows, weights, total = squares
     m = len(pivots)
     if m == 1:  # complete [[a00, 0], [0, bound + 1]]: x_1 = 0 is forced
-        p, q = pivots[0], pivots[0] * (bound + 1)
-        pivots, rows, weights, total = _squares((p, q), ((p, 0), (0, q)))
+        p = pivots[0]
+        q = p * (bound + 1)
+        # what _squares((p, q), ((p, 0), (0, q))) makes: lcm(p, p q) = p q
+        pivots, rows, weights, total = (p, q), ((p, 0), (0, q)), (q, 1), p * q
     n = len(pivots)
     budget = total * bound
     (p0, p1), (w0, w1), r01 = pivots[:2], weights[:2], rows[0][1]
@@ -128,7 +134,7 @@ def _norm_counts(squares, bound: int, vectors=None):
     (rec if n > 2 else bottom)(n - 1, 0, True)
     if vectors is not None:
         vectors[:] = list(zip(vectors, leaves))
-    return dict(Counter(leaves))
+    return Counter(leaves)
 
 
 def _exact(num: int, den: int) -> int:

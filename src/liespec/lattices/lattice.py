@@ -33,12 +33,13 @@ Exact invariants:
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
 from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
-from ..rational import exact_int, fmt_matrix, rat, rat_matrix
+from ..rational import _check_exact, exact_int, fmt_matrix, rat, rat_matrix
 from .enumeration import _minimum, _squares
 from .reduction import _lll_int
 
@@ -57,16 +58,6 @@ HERMITE_POWER = {
 }
 
 
-def _check_exact(*matrices):
-    """Refuse any entry that is not an int or a Fraction, by exact type as
-    ``SpectrumTable`` does: a bool names no number, and none is coerced."""
-    for matrix in matrices:
-        for row in matrix or ():
-            for x in row:
-                if type(x) is not Fraction and type(x) is not int:
-                    raise InputError(f"not an int or a Fraction: {x!r}")
-
-
 class Lattice(Value):
     """``gram`` is m x m, symmetric positive-definite, in exact rationals;
     ``basis``, if given, is m x m with the generators as columns."""
@@ -74,6 +65,8 @@ class Lattice(Value):
     _fields = ("dim", "gram", "basis")
 
     def __init__(self, dim, gram=None, basis=None):
+        if type(dim) is not int:
+            raise InputError(f"lattice dimension must be an int: {dim!r}")
         _check_exact(gram, basis)
         given = gram is not None
         if not given:
@@ -126,10 +119,12 @@ class Lattice(Value):
 
     @cached_property
     def _dual_gram(self):
-        """(D, s), G^{-1} = D / s over their gcd, from q*G's adjugate."""
+        """(D, s), G^{-1} = D / s over their gcd, from q*G's adjugate:
+        G^{-1} = q adj(q*G) / det(q*G), and gcd(det, q x_1, q x_2, ...) is
+        gcd(det, q gcd(x_1, x_2, ...))."""
         a, q, _ = self._elimination
         adj, det = linalg.adjugate(a)
-        g = gcd(det, *(q * x for row in adj for x in row))
+        g = gcd(det, q * gcd(*chain.from_iterable(adj)))
         return [[q * x // g for x in row] for row in adj], det // g
 
     @cached_property

@@ -5,10 +5,13 @@ Every elimination in the package is ``eliminate``, fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) of an integer matrix:
 Gauss-Jordan when it carries an augmented block, Gaussian otherwise, with
 the same pivots and pivot rows either way; rational input is cleared of
-denominators first.  Its pivots give the determinant, its block against
-the identity the adjugate (every inverse is adj / det), and for a
-symmetric matrix they decide positive-definiteness: positive pivots and no
-row exchange, the pivots then being the leading principal minors.
+denominators first.  It works on a copy of its input, finds each pivot by
+a plain scan down the column, and updates the rows below the pivot in
+place; the pivot rows it returns are never changed afterwards.  Its
+pivots give the determinant, its block against the identity the adjugate
+(every inverse is adj / det), and for a symmetric matrix they decide
+positive-definiteness: positive pivots and no row exchange, the pivots
+then being the leading principal minors.
 """
 
 from fractions import Fraction
@@ -56,11 +59,15 @@ def eliminate(a, aug=None):
     with an augmented block, Gaussian without one.
 
     Step k exchanges into place the first row at or below k that is
-    nonzero in column k, then replaces each row r below it, and with
-    ``aug`` each row above it too, by (p_k r - r_k row_k) // p_{k-1},
-    always an exact division (p_{-1} = 1).  A row above the pivot feeds
-    only the augmented block, so without one it is left as it stands.
-    ``aug`` is an optional integer block with one row per row of a.
+    nonzero in column k, found by a plain scan down the column, then
+    replaces each row r below it, and with ``aug`` each row above it too,
+    by (p_k r - r_k row_k) // p_{k-1}, always an exact division
+    (p_{-1} = 1).  A row below the pivot belongs to no result yet, so it
+    is updated in place; a row above it is a pivot row already returned,
+    so it is replaced by a new list and the returned one never changes.
+    A row above the pivot feeds only the augmented block, so without one
+    it is left as it stands.  ``aug`` is an optional integer block with
+    one row per row of a; neither a nor ``aug`` is changed.
 
     Returns (pivots, rows, swaps, right): the pivots p_k, the leading
     minors of the row-exchanged matrix, ending at a 0 for a singular one;
@@ -71,20 +78,28 @@ def eliminate(a, aug=None):
     not depend on ``aug``.
     """
     n = len(a)
-    m = [list(row) + list(aug[i] if aug else ()) for i, row in enumerate(a)]
+    if aug:
+        m = [[*row, *extra] for row, extra in zip(a, aug)]
+    else:
+        m = [list(row) for row in a]
     pivots, rows, swaps, prev = [], [], 0, 1
     for k in range(n):
-        r = next((r for r in range(k, n) if m[r][k]), None)
-        if r is None:
-            pivots.append(0)
-            break
+        r = k
+        while not m[r][k]:
+            r += 1
+            if r == n:
+                pivots.append(0)
+                return pivots, rows, swaps, [row[n:] for row in m]
         if r != k:
             m[k], m[r] = m[r], m[k]
             swaps += 1
         top = m[k]
         p, tail = top[k], top[k:]
-        for i in range(0 if aug else k + 1, n):
-            if i != k:
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], tail)]
+        if aug:
+            for i in range(k):
                 row = m[i]
                 f = row[k]
                 m[i] = row[:k] + [
@@ -105,7 +120,10 @@ def det(a: Matrix) -> Fraction:
 def adjugate(a) -> tuple:
     """(adj a, det a) of a nonsingular square integer matrix: Gauss-Jordan
     against the identity leaves p_{n-1} a^{-1} = (-1)^swaps adj a."""
-    eye = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    n = len(a)
+    # each row of the identity joined from tuples, with no int(i == j) per
+    # entry; eliminate copies it and leaves it as it was
+    eye = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     pivots, _, swaps, right = eliminate(a, eye)
     if not pivots[-1]:
         raise DomainError("matrix is singular")

@@ -35,10 +35,23 @@ def exact_int(value) -> int:
     return q.numerator
 
 
+def _check_exact(*matrices):
+    """Refuse any entry that is not an int or a Fraction, by exact type as
+    ``SpectrumTable`` does: a bool names no number, and none is coerced."""
+    for matrix in matrices:
+        for row in matrix or ():
+            for x in row:
+                if type(x) is not Fraction and type(x) is not int:
+                    raise InputError(f"not an int or a Fraction: {x!r}")
+
+
 def rat_cutoff(value) -> Fraction:
-    """Coerce a spectrum cutoff like ``rat`` and require it nonnegative."""
-    cutoff = rat(value)
-    if cutoff < 0:
+    """Coerce a spectrum cutoff like ``rat`` and require it nonnegative.
+
+    A ``Fraction`` (by exact type) is already one and passes through; the
+    sign is read from the numerator, as the denominator is positive."""
+    cutoff = value if type(value) is Fraction else rat(value)
+    if cutoff.numerator < 0:
         raise DomainError("cutoff must be nonnegative")
     return cutoff
 

@@ -33,7 +33,6 @@ import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from math import gcd, lcm
 from operator import add, lt
 
@@ -42,6 +41,7 @@ from .frozen import Value
 from .rational import fmt, rat
 
 UNITS = ("raw", "four-pi-squared")
+_INT = frozenset((int,))
 
 
 class SpectrumTable(Value):
@@ -55,22 +55,23 @@ class SpectrumTable(Value):
     complete = True
 
     def __init__(self, unit, cutoff, scale, values, mults):
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mults", mults)
+        # the five fields in one write, as ``frozen`` allows
+        self.__dict__.update(
+            unit=unit, cutoff=cutoff, scale=scale, values=values, mults=mults
+        )
         if unit not in UNITS:
             raise DomainError(f"unknown unit {unit!r}")
         # exact types only: a bool is an int but names no number, a list
         # can change after these checks, and ``to_json`` escapes nothing
-        if type(cutoff) not in (int, Fraction):
+        if type(cutoff) is not Fraction and type(cutoff) is not int:
             raise DomainError("cutoff must be an int or a Fraction")
-        if cutoff < 0:
+        # an int or a Fraction keeps its sign in its numerator
+        num, den = cutoff.numerator, cutoff.denominator
+        if num < 0:
             raise DomainError("cutoff must be nonnegative")
         if type(values) is not tuple or type(mults) is not tuple:
             raise DomainError("values and mults must be tuples")
-        if type(scale) is not int or not set(map(type, values)) <= {int}:
+        if {type(scale), *map(type, values)} != _INT:
             raise DomainError("scale and values must be integers")
         if scale < 1 or gcd(scale, *values) != 1:
             raise DomainError("values must be reduced over a positive scale")
@@ -79,12 +80,12 @@ class SpectrumTable(Value):
         if values:
             if values[0] < 0:
                 raise DomainError("negative eigenvalue in spectrum table")
-            if values[-1] * cutoff.denominator > cutoff.numerator * scale:
+            if values[-1] * den > num * scale:
                 raise DomainError("entry above cutoff")
-            if not all(map(lt, values, islice(values, 1, None))):
+            if not all(map(lt, values, values[1:])):
                 raise DomainError("entries must be strictly increasing")
-        if mults and not (set(map(type, mults)) <= {int} and min(mults) >= 1):
-            raise DomainError("multiplicities must be positive integers")
+            if {*map(type, mults)} != _INT or min(mults) < 1:
+                raise DomainError("multiplicities must be positive integers")
 
     @cached_property
     def entries(self) -> tuple:
@@ -182,13 +183,7 @@ def _reduced(unit, cutoff, scale, values, mults) -> SpectrumTable:
     if g > 1:
         scale //= g
         values = [v // g for v in values]
-    return SpectrumTable(
-        unit=unit,
-        cutoff=cutoff,
-        scale=scale,
-        values=tuple(values),
-        mults=tuple(mults),
-    )
+    return SpectrumTable(unit, cutoff, scale, tuple(values), tuple(mults))
 
 
 def table_from_counts(counts, scale, unit, cutoff) -> SpectrumTable:

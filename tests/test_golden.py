@@ -33,6 +33,7 @@ INLINE = {
     "B2METRIC": '{"group":"B2","embedding":"a1xa1-in-b2","t":"1","t_i":["1/2","1/3"]}',
     "F4SPEC": '{"factors":["F4"]}',
     "A4SPEC": '{"factors":["A4"]}',
+    "RANK1": '{"gram":[["3/2"]]}',
     # the E8 Cartan matrix written as a Gram matrix
     "E8GRAM": (
         '{"gram":[["2","0","-1","0","0","0","0","0"],'
@@ -192,6 +193,11 @@ GOLDEN = {
         0,
         "f366607b72718e64915733cf6cce3b795be08ec45057fc1976daa3c5a003c5a6",
     ),
+    # a 1-D form, which the kernel pads to 2-D: the norms 2k^2/3, k = 1..4
+    "torus-spectrum --gram RANK1 --cutoff 25/2": (
+        0,
+        "7ff1e74e98f294cd3dbb4bded3cab0db921b9216184d0f30d4e353566c3063c0",
+    ),
     # the kernel at a large bound: 46,813 entries of a rational dim-3 basis
     "torus-spectrum --gram BASIS --cutoff 1500": (
         0,
@@ -301,7 +307,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 47
+    assert len(lines) == 48
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))

@@ -60,6 +60,24 @@ def test_gamma_vector_validation():
         GammaVector(kind="group", dim=1, entries=(F(0),))
     v = GammaVector(kind="torus", dim=2, entries=(F(2), F(1), F(2)))
     assert v.value_set() == (F(1), F(2))
+    assert GammaVector(kind="group", dim=1, entries=(3,)).value_set() == (3,)
+
+
+def test_gamma_vector_needs_exact_types():
+    # entries are a tuple of ints and Fractions, by exact type, and dim is
+    # an int: a float, a bool, a string or a list is refused, not kept
+    for kind, dim, entries in (
+        ("torus", 1, (0.5,)),
+        ("group", 1, [True]),
+        ("group", 1, (True,)),
+        ("group", 1, [F(1)]),
+        ("group", 2, (F(1), "2")),
+        ("group", 1.0, (F(1),)),
+        ("group", True, (F(1),)),
+        ("torus", 1.0, (F(1),)),
+    ):
+        with pytest.raises(InputError):
+            GammaVector(kind=kind, dim=dim, entries=entries)
 
 
 def test_group_invariants():

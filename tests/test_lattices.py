@@ -118,6 +118,14 @@ def test_lattice_needs_exact_entries():
             Lattice(dim=1, gram=((F(1),),), basis=((bad,),))
     with pytest.raises(InputError):
         Lattice(dim=2)
+    # so is the dimension an int, by exact type: not a bool or a float,
+    # which JSON would write back as true or 1.0
+    for bad in (True, 1.0, F(1), "1", None):
+        with pytest.raises(InputError):
+            Lattice(dim=bad, gram=((F(1),),))
+        with pytest.raises(InputError):
+            Lattice(dim=bad, basis=((F(1),),))
+    assert Lattice(dim=1, gram=((F(1),),)).to_json_dict()["dim"] == 1
     # from_gram and from_basis coerce strings once, before the constructor
     assert Lattice(dim=1, gram=((1,),)) == Lattice.from_gram([["1"]])
     assert Lattice(dim=1, basis=((F(2),),)).gram == ((4,),)

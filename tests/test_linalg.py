@@ -7,7 +7,7 @@ import pytest
 from helpers import random_rational_basis, ref_det, ref_eliminate, ref_inverse
 from liespec import build
 from liespec.errors import DomainError
-from liespec.lattices import Lattice
+from liespec.lattices import Lattice, systole, torus_spectrum
 from liespec.linalg import (
     adjugate,
     clear_denominators,
@@ -115,3 +115,37 @@ def test_elimination_matches_gauss_jordan_reference():
         kinds["singular"] += not pivots[-1]
         kinds["exchanged"] += swaps > 0
     assert kinds["singular"] >= 50 and kinds["exchanged"] >= 40
+
+
+def _deep(x):
+    """x as nested tuples, a snapshot that later changes to x cannot reach."""
+    return tuple(map(_deep, x)) if isinstance(x, (list, tuple)) else x
+
+
+def test_elimination_changes_none_of_its_inputs():
+    # rows below the pivot are updated in place, so a and the augmented
+    # block must be copied first, in both modes; a pivot row already
+    # returned is replaced, never changed, which the reference comparison
+    # above checks, and the table a lattice keeps must outlive every form
+    # made from it
+    for a in _square_matrices():
+        ints, _ = clear_denominators(a)
+        n = len(ints)
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        block = [[x - 2 * y for x, y in zip(r, u)] for r, u in zip(ints, unit)]
+        before = _deep((ints, unit, block))
+        eliminate(ints)
+        eliminate(ints, unit)
+        eliminate(ints, block)
+        assert _deep((ints, unit, block)) == before
+    rng = random.Random(20260816)  # the criterion-01 sequence
+    lats = [
+        Lattice.from_basis(random_rational_basis(rng, rng.randint(1, 4)))
+        for _ in range(40)
+    ]
+    for lat in lats + [Lattice.from_gram(build("E8").cartan)]:
+        kept = _deep(lat._elimination)
+        assert lat._form and lat._dual_form
+        systole(lat)
+        torus_spectrum(lat, 6)
+        assert _deep(lat._elimination) == kept

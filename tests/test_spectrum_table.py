@@ -16,6 +16,7 @@ from liespec.errors import DomainError, InputError
 from liespec.groups import biinvariant_spectrum, normal_quotient_spectrum
 from liespec.lattices import torus_spectrum
 from liespec.natred import NatRedMetric, natred_spectrum
+from liespec.rational import rat, rat_cutoff
 from liespec.rootdata import build
 from liespec.spectrum import (
     UNITS,
@@ -125,6 +126,28 @@ def test_multiplicity_check_matches_per_item_rule():
             assert str(exc) == "multiplicities must be positive integers"
             accepted = False
         assert accepted == expected, mults
+
+
+def test_rat_cutoff_matches_rat_and_a_sign_check():
+    # a Fraction passes through and its sign is read from the numerator;
+    # every other value is read as ``rat`` reads it, then checked
+    def reference(value):
+        cutoff = rat(value)
+        if cutoff < 0:
+            raise DomainError("cutoff must be nonnegative")
+        return cutoff
+
+    for value in (
+        F(3, 2), F(-1, 2), 0, -1, True, 1.5, "25/2", " 3", "-1", None,
+    ):
+        try:
+            want = reference(value)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                rat_cutoff(value)
+        else:
+            got = rat_cutoff(value)
+            assert type(got) is F and got == want, value
 
 
 def test_lookup_and_restrict():
