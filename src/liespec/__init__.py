@@ -58,11 +58,7 @@ from .natred import (
 )
 from .rootdata import RootSystemData, build, casimir
 from .spectrum import SpectrumTable, table_distance
-from .weights import (
-    dominant_weights_up_to,
-    weight_diagram,
-    weyl_dim,
-)
+from .weights import weight_diagram, weyl_dim
 
 __all__ = [
     "BiInvariantOperator",
@@ -88,7 +84,6 @@ __all__ = [
     "center_admissible",
     "congruent",
     "containment_check",
-    "dominant_weights_up_to",
     "embedding_index",
     "f_map",
     "factor_lambda1",

@@ -61,9 +61,11 @@ from .frozen import Frozen, Value
 from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
     RootSystemData,
+    _chamber,
     _contragredient,
     build,
     casimir_num,
+    check_root_system,
     check_weight,
     dominant_rep,
     is_dominant,
@@ -76,14 +78,17 @@ class EmbeddingSpec(Frozen):
 
     ``restriction`` has one row per concatenated K-weight coordinate and one
     column per G-weight coordinate; each entry is read with ``rat``, so a
-    float or a bool is refused, and kept as a Fraction.  Instances are
-    identity-hashed, and each keeps its own branchings, by dominant weight,
-    as they are made.
+    float or a bool is refused, and kept as a Fraction.  ``ambient`` is a
+    ``RootSystemData`` and ``factors`` a list or tuple of them, kept as a
+    tuple (else InputError).  Instances are identity-hashed, and each keeps
+    its own branchings, by dominant weight, as they are made.
     """
 
     _fields = ("ambient", "factors", "restriction", "name")
 
     def __init__(self, ambient, factors, restriction, name=None):
+        ambient = check_root_system(ambient)
+        factors = tuple(map(check_root_system, array(factors, "factors")))
         restriction = rat_matrix(restriction)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "factors", factors)
@@ -263,13 +268,11 @@ def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
 
 def _dot(rs: RootSystemData, nu: tuple):
     """(kappa, det w) with kappa = w(nu + rho) - rho dominant, or None when
-    nu + rho lies on a wall."""
+    nu + rho lies on a wall, that is when its dominant representative has
+    a zero coordinate."""
     if min(nu) >= 0:
         return nu, 1  # nu + rho is already strictly dominant
-    v, sign = [x + 1 for x in nu], 1
-    while 0 not in v and (low := min(v)) < 0:
-        v = [x - low * r for x, r in zip(v, rs.cartan[v.index(low)])]
-        sign = -sign
+    v, sign = _chamber(rs.cartan, [x + 1 for x in nu])
     return None if 0 in v else (tuple([x - 1 for x in v]), sign)
 
 

@@ -28,7 +28,8 @@ from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import (
-    RootSystemData, build, casimir, check_weight, is_dominant
+    RootSystemData, build, casimir, check_root_system, check_weight,
+    is_dominant,
 )
 from .spectrum import (
     SpectrumTable, _common_scale, linear_table, table_from_counts
@@ -40,15 +41,17 @@ class GroupSpec(Frozen):
     """Compact group K-tilde/Gamma with a bi-invariant metric.
 
     gamma holds central elements, one rational coweight vector per factor;
-    scales holds the per-factor Killing multiples t_i > 0.
+    scales holds the per-factor Killing multiples t_i > 0; factors, a list
+    or tuple of ``RootSystemData``, is kept as a tuple (else InputError).
     """
 
     _fields = ("factors", "gamma", "scales")
 
     def __init__(self, factors, gamma=(), scales=None):
-        object.__setattr__(self, "factors", factors)
+        factors = tuple(map(check_root_system, array(factors, "factors")))
         if not factors:
             raise DomainError("GroupSpec needs at least one simple factor")
+        object.__setattr__(self, "factors", factors)
         if scales is None:
             scales = (1,) * len(factors)
         object.__setattr__(self, "scales", tuple(map(rat, scales)))

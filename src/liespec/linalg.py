@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of tuples of Fraction; vectors are tuples of Fraction.
-Every elimination in the package is ``eliminate``, fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968) of an integer matrix:
-Gauss-Jordan when it carries an augmented block, Gaussian otherwise, with
-the same pivots and pivot rows either way; rational input is cleared of
-denominators first.  It works on a copy of its input, finds each pivot by
-a plain scan down the column, and updates the rows below the pivot in
-place; the pivot rows it returns are never changed afterwards.  Its
-pivots give the determinant, its block against the identity the adjugate
-(every inverse is adj / det), and for a symmetric matrix they decide
-positive-definiteness: positive pivots and no row exchange, the pivots
-then being the leading principal minors.
+Matrices are sequences of rows of ints or Fractions: transpose, product,
+symmetry, determinant and adjugate.  There are no vector routines; the
+root-system and weight code takes its dot products in integers with
+``sum(map(mul, u, v))``.  Every elimination in the package is
+``eliminate``, fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+of an integer matrix: Gauss-Jordan when it carries an augmented block,
+Gaussian otherwise, with the same pivots and pivot rows either way;
+rational input is cleared of denominators first.  It works on a copy of
+its input, finds each pivot by a plain scan down the column, and updates
+the rows below the pivot in place; the pivot rows it returns are never
+changed afterwards.  Its pivots give the determinant, its block against
+the identity the adjugate (every inverse is adj / det), and for a
+symmetric matrix they decide positive-definiteness: positive pivots and
+no row exchange, the pivots then being the leading principal minors.
 """
 
 from fractions import Fraction
@@ -20,7 +22,6 @@ from math import lcm
 from .errors import DomainError
 
 Matrix = tuple
-Vector = tuple
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -32,19 +33,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def form_value(g: Matrix, u: Vector, v: Vector) -> Fraction:
-    """u^T g v for a bilinear form g."""
-    return dot(u, matvec(g, v))
 
 
 def clear_denominators(a):

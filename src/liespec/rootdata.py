@@ -27,16 +27,21 @@ Casimir eigenvalue is measured against:
 a Fraction over ``casimir_den`` = 2 h^vee form_den with the integer
 numerator ``casimir_num`` = lambda . form . (lambda + 2 rho).
 
-Everything is derived from the Cartan matrix by one simple reflection.
+Everything is derived from the Cartan matrix by simple reflections.
 The positive roots are the W-orbits of the simple roots with nonnegative
 simple-root coordinates, the coroots are the positive roots of the
 transposed Cartan matrix, and -w0 sends omega_k to the dominant weight in
 the orbit of -omega_k.  The dual Coxeter number is 1 + <rho, theta>.
+
+The one chamber walk, ``_chamber``, takes a weight to the dominant one in
+its orbit, with det w; ``dominant_rep``, the -w0 table, the dot action of
+``branching`` and Freudenthal's strings in ``weights`` all read it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import mul
 
 from . import linalg
 from .errors import DomainError, InputError
@@ -130,14 +135,15 @@ def _orbit(cartan, v):
     return seen
 
 
-def _dominant(cartan, v):
-    """The dominant weight in the Weyl orbit of v: reflect in the first
-    negative coordinate until there is none."""
-    while True:
-        j = next((i for i, x in enumerate(v) if x < 0), None)
-        if j is None:
-            return v
-        v = _reflect(cartan, j, v)
+def _chamber(cartan, v):
+    """(the dominant weight in the Weyl orbit of v, det w) for the w that
+    takes v there: reflect in the least coordinate while it is negative.
+    v is a tuple or a list; a dominant v comes back as ``tuple(v)``."""
+    sign = 1
+    while (low := min(v)) < 0:
+        v = [x - low * a for x, a in zip(v, cartan[v.index(low)])]
+        sign = -sign
+    return tuple(v), sign
 
 
 def _positive_roots(cartan, adj, det):
@@ -154,8 +160,8 @@ def _positive_roots(cartan, adj, det):
     out = []
     for v in roots:
         rc = []
-        for x in linalg.matvec(adj, v):
-            coeff, rest = divmod(x, det)
+        for row in adj:
+            coeff, rest = divmod(sum(map(mul, row, v)), det)
             if rest:
                 raise DomainError("non-integral root; bad Cartan data")
             rc.append(coeff)
@@ -261,7 +267,7 @@ def _build(name: str) -> RootSystemData:
     # -w0 maps omega_k to the dominant weight in the orbit of -omega_k,
     # which is the fundamental weight omega_perm[k]
     perm = tuple(
-        _dominant(cartan, tuple(-int(i == k) for i in range(n))).index(1)
+        _chamber(cartan, [-int(i == k) for i in range(n)])[0].index(1)
         for k in range(n)
     )
 
@@ -284,6 +290,14 @@ def _build(name: str) -> RootSystemData:
         dim_g=2 * len(fund_list) + n,
         minus_w0=perm,
     )
+
+
+def check_root_system(value) -> RootSystemData:
+    """``value`` itself if it is a ``RootSystemData``, else InputError: a
+    type's name is not one (``build`` makes one from a name)."""
+    if not isinstance(value, RootSystemData):
+        raise InputError(f"a root system comes from build(), not {value!r}")
+    return value
 
 
 def check_weight(rs: RootSystemData, weight) -> tuple:
@@ -310,7 +324,8 @@ def casimir_num(rs: RootSystemData, weight) -> int:
     lam = check_weight(rs, weight)
     if not is_dominant(lam):
         raise DomainError("casimir expects a dominant weight")
-    return linalg.form_value(rs.form, lam, tuple(x + 2 for x in lam))
+    shifted = [x + 2 for x in lam]  # lam + 2 rho
+    return sum(x * sum(map(mul, row, shifted)) for x, row in zip(lam, rs.form))
 
 
 def casimir(rs: RootSystemData, weight) -> Fraction:
@@ -320,7 +335,7 @@ def casimir(rs: RootSystemData, weight) -> Fraction:
 
 def dominant_rep(rs: RootSystemData, weight):
     """The dominant representative of the Weyl orbit of ``weight``."""
-    return _dominant(rs.cartan, tuple(weight))
+    return _chamber(rs.cartan, tuple(weight))[0]
 
 
 def weyl_orbit(rs: RootSystemData, dominant_weight):

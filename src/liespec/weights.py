@@ -8,19 +8,24 @@ All three run on the integer tables of ``rootdata``:
   which the walk below shares, divides their product exactly by
   ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
 * ``weight_diagram`` -- the full character of V_lambda.  Its dominant
-  weights are the dominant mu below lambda, each of smaller Casimir
-  (ibid., 13.4), so ``dominant_weights_up_to`` supplies them.  Freudenthal's
-  recursion gives their multiplicities; every such mu is a weight and
-  weight strings are unbroken (ibid., 21.3), so each string mu + k beta
-  stops at its first non-weight.  Weyl orbits fill in the rest;
-* ``dominant_weights_up_to`` -- all dominant weights with Casimir at most
-  a given budget, enumerable because the Casimir is strictly increasing in
-  every fundamental coordinate.  The walk carries ``casimir_num`` C, F . lam
-  (F = ``form``) and the coroot pairings (lam + rho, beta^vee): raising
-  lam_j by one adds 2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the
-  symmetric F to F . lam and column j of ``coroots`` to the pairings, so
-  each weight's Weyl dimension is ``_weyl_quotient`` of its pairings, as
-  in ``weyl_dim``.  On the last coordinate's line every weight is a leaf
+  weights are the dominant mu with lambda - mu in the root cone, each of
+  smaller Casimir than every dominant weight above it (ibid., 13.4), so
+  Freudenthal's recursion (ibid., 22.3) takes them from
+  ``_dominant_casimirs`` in descending Casimir.  casimir_num is
+  |lam + rho|^2 - |rho|^2 times form_den, so the recursion's denominator
+  is casimir_num(lambda) - casimir_num(mu).  Strings are unbroken (ibid.,
+  21.3), so each mu + k beta stops at the first k whose dominant
+  representative, from ``rootdata._chamber``, has no multiplicity.  Weyl
+  orbits fill in the rest;
+* ``_dominant_casimirs`` -- (weight, casimir_num, weyl_dim) over all
+  dominant weights with Casimir at most a given budget, enumerable because
+  the Casimir is strictly increasing in every fundamental coordinate.  The
+  walk carries ``casimir_num`` C, F . lam (F = ``form``) and the coroot
+  pairings (lam + rho, beta^vee): raising lam_j by one adds
+  2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the symmetric F to
+  F . lam and column j of ``coroots`` to the pairings, so each weight's
+  Weyl dimension is ``_weyl_quotient`` of its pairings, as in
+  ``weyl_dim``.  On the last coordinate's line every weight is a leaf
   and only (F . lam)_n moves C, so that loop emits the weights itself and
   carries one number in place of F . lam.
 
@@ -39,19 +44,19 @@ All three run on the integer tables of ``rootdata``:
 """
 
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt, prod
 from operator import add, mul
 
 from .errors import DomainError
 from .frozen import Value
-from .linalg import dot, form_value, matvec
 from .rational import rat
 from .rootdata import (
     RootSystemData,
-    casimir,
+    _chamber,
+    casimir_num,
     check_weight,
-    dominant_rep,
     is_dominant,
     weyl_orbit,
 )
@@ -76,28 +81,15 @@ def _weyl_quotient(pairs, den) -> int:
     return dim
 
 
-def _root_height(rs: RootSystemData, lam, mu):
-    """Height of lam - mu in the nonnegative root cone, or None outside it."""
-    diff = tuple(a - b for a, b in zip(lam, mu))
-    height = 0
+def _below(rs: RootSystemData, lam, mu) -> bool:
+    """True iff lam - mu lies in the nonnegative root cone."""
+    diff = [a - b for a, b in zip(lam, mu)]
     det = rs.cartan_det
     for row in rs.cartan_adj:
-        coeff, rest = divmod(sum(a * x for a, x in zip(row, diff)), det)
+        coeff, rest = divmod(sum(map(mul, row, diff)), det)
         if rest or coeff < 0:
-            return None
-        height += coeff
-    return height
-
-
-def _dominant_candidates(rs: RootSystemData, lam):
-    """Dominant mu with lam - mu in the nonnegative root cone, by height."""
-    out = []
-    for mu in dominant_weights_up_to(rs, casimir(rs, lam)):
-        height = _root_height(rs, lam, mu)
-        if height is not None:
-            out.append((mu, height))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+            return False
+    return True
 
 
 def dominant_character(rs: RootSystemData, weight) -> tuple:
@@ -112,29 +104,36 @@ def dominant_character(rs: RootSystemData, weight) -> tuple:
 def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
     """``dominant_character`` of a checked dominant weight, cached per type.
 
-    Inner products are taken times form_den, which cancels in the ratio.
+    Inner products are taken times form_den, which cancels in the ratio:
+    (nu, beta) is nu . (F . beta), and the denominator is a difference of
+    Casimir numerators (module docstring).
     """
-    # (nu, beta) * form_den = nu . (form . beta)
-    root_vecs = [matvec(rs.form, beta) for beta in rs.pos_roots_fund]
-    lam_shift = tuple(x + 1 for x in lam)
-    lam_shift_sq = form_value(rs.form, lam_shift, lam_shift)
-
+    cartan = rs.cartan
+    strings = [
+        (beta, [sum(map(mul, row, beta)) for row in rs.form])
+        for beta in rs.pos_roots_fund
+    ]
+    top = casimir_num(rs, lam)
+    walk = _dominant_casimirs(rs, Fraction(top, rs.casimir_den))
     mults = {}
-    for mu, height in _dominant_candidates(rs, lam):
-        if height == 0:
+    # descending Casimir: lam comes first, and every dominant weight above
+    # mu comes before mu
+    for num, mu in sorted(
+        ((num, mu) for mu, num, _ in walk if _below(rs, lam, mu)),
+        reverse=True,
+    ):
+        if mu == lam:
             mults[mu] = 1
             continue
-        mu_shift = tuple(x + 1 for x in mu)
-        denom = lam_shift_sq - form_value(rs.form, mu_shift, mu_shift)
         total = 0
-        for beta_fund, vec in zip(rs.pos_roots_fund, root_vecs):
+        for beta, vec in strings:
             # nu's dominant representative is higher than mu, so its
             # multiplicity is already known; the string ends at a zero
-            nu = tuple(m + b for m, b in zip(mu, beta_fund))
-            while mult_nu := mults.get(dominant_rep(rs, nu)):
-                total += mult_nu * dot(vec, nu)
-                nu = tuple(n + b for n, b in zip(nu, beta_fund))
-        value, rest = divmod(2 * total, denom)
+            nu = tuple(map(add, mu, beta))
+            while mult_nu := mults.get(_chamber(cartan, nu)[0]):
+                total += mult_nu * sum(map(mul, vec, nu))
+                nu = tuple(map(add, nu, beta))
+        value, rest = divmod(2 * total, top - num)
         if rest or value <= 0:
             raise DomainError("Freudenthal recursion produced a non-integer")
         mults[mu] = value
@@ -169,17 +168,9 @@ def weight_diagram(rs: RootSystemData, weight) -> WeightDiagram:
     )
 
 
-def dominant_weights_up_to(rs: RootSystemData, cas_max) -> list:
-    """All dominant weights with casimir <= cas_max, in graded-lex order.
-
-    Correct because the Casimir is strictly increasing in every coordinate
-    on the dominant cone.
-    """
-    return [w for w, _, _ in _dominant_casimirs(rs, cas_max)]
-
-
 def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
-    """(weight, casimir_num, weyl_dim) over ``dominant_weights_up_to``.
+    """(weight, casimir_num, weyl_dim) over every dominant weight with
+    casimir <= cas_max, in graded-lex order.
 
     The walk carries the Casimir numerator, F . lam and the packed coroot
     pairings (module docstring); each is updated only on a step that the

@@ -39,7 +39,11 @@ K-type's multiplicity read from ``ref_branch``) and ``ref_center_admissible``
 (the Fraction sum of the Gamma pairings), used as the exact references for
 the normal quotient and the integer Gamma form, and ``ref_contragredient``,
 the dual's highest weight as the dominant weight in the Weyl orbit of -lam,
-used as the reference for the -w0 tables."""
+used as the reference for the -w0 tables, ``matvec``, ``form_value`` and
+``dominant_weights_up_to`` (the walk's weights alone), test utilities the
+library no longer has, and ``kostant_multiplicity``, Kostant's formula
+over a memoized partition function, used as an oracle for Freudenthal's
+characters that shares no code with them."""
 
 import itertools
 import json
@@ -76,7 +80,27 @@ from liespec.natred import BiInvariantOperator, NatRedMetric
 from liespec.rational import exact_int, fmt, rat
 from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
 from liespec.spectrum import SpectrumTable
-from liespec.weights import dominant_weights_up_to, weight_diagram, weyl_dim
+from liespec.weights import _dominant_casimirs, weight_diagram, weyl_dim
+
+
+# Vector utilities and the dominant-weight list, which only tests read:
+# the library takes its dot products in integers and reads the walk's
+# (weight, casimir_num, weyl_dim) triples whole.
+
+
+def matvec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def form_value(g, u, v):
+    """u^T g v for a bilinear form g."""
+    return sum(x * y for x, y in zip(u, matvec(g, v)))
+
+
+def dominant_weights_up_to(rs, cas_max) -> list:
+    """All dominant weights with casimir <= cas_max, in graded-lex order:
+    the weights of ``weights._dominant_casimirs``."""
+    return [w for w, _, _ in _dominant_casimirs(rs, cas_max)]
 
 
 # Exact Fraction elimination: Gaussian elimination for the determinant,
@@ -819,7 +843,7 @@ def _dominant_candidates(rs, lam):
     out = []
     for mu in itertools.product(*box):
         diff = tuple(Fraction(a - b) for a, b in zip(lam, mu))
-        coeffs = linalg.matvec(cinv_t, diff)
+        coeffs = matvec(cinv_t, diff)
         if all(c.denominator == 1 and c >= 0 for c in coeffs):
             out.append((mu, sum(int(c) for c in coeffs)))
     out.sort(key=lambda t: (t[1], t[0]))  # by height of lam - mu
@@ -838,7 +862,7 @@ def ref_dominant_character(rs, weight) -> tuple:
 
     def in_cone(nu):
         diff = tuple(Fraction(a - b) for a, b in zip(lam, nu))
-        coeffs = linalg.matvec(cinv_t, diff)
+        coeffs = matvec(cinv_t, diff)
         return all(c.denominator == 1 and c >= 0 for c in coeffs)
 
     mults = {}
@@ -867,6 +891,72 @@ def ref_dominant_character(rs, weight) -> tuple:
         if value:
             mults[mu] = int(value)
     return tuple(sorted(mults.items()))
+
+
+# Kostant's multiplicity formula (Humphreys, Introduction to Lie Algebras
+# and Representation Theory, 24.2):
+#     m_lambda(mu) = sum_{w in W} det w P(w(lambda + rho) - (mu + rho)),
+# P the partition function of the positive roots.  W is taken as the orbit
+# of the regular lambda + rho, each point signed by the parity of the
+# simple reflections that reach it; the roots are the root strings' and
+# the coordinates Fractions.  No Freudenthal, no chamber walk.
+
+
+@lru_cache(maxsize=None)
+def _partitions(roots: tuple, gamma: tuple) -> int:
+    """The number of ways to write gamma, in simple-root coordinates, as a
+    sum of the given positive roots with repetition."""
+    if not roots:
+        return int(not any(gamma))
+    first, rest = roots[0], roots[1:]
+    total = 0
+    while min(gamma) >= 0:
+        total += _partitions(rest, gamma)
+        gamma = tuple(g - b for g, b in zip(gamma, first))
+    return total
+
+
+def _signed_orbit(cartan, v) -> dict:
+    """{w v: det w} for a regular v, closing under the simple reflections
+    v - v_j alpha_j."""
+    signs = {v: 1}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for j, row in enumerate(cartan):
+            w = tuple(x - u[j] * a for x, a in zip(u, row))
+            if w not in signs:
+                signs[w] = -signs[u]
+                stack.append(w)
+    return signs
+
+
+def kostant_character(rs, lam) -> tuple:
+    """((mu, mult), ...) over the dominant weights of V_lam, sorted, each
+    multiplicity by Kostant's formula.  The candidates are every dominant
+    mu with mu_j^2 <omega_j, omega_j> <= <lam, lam>, a box that holds every
+    dominant weight of V_lam (<mu, mu> <= <lam, lam>, and the fundamental
+    weights pair nonnegatively)."""
+    roots = tuple(rc for _, rc in ref_positive_roots(rs.cartan))
+    cinv_t = tuple(zip(*ref_inverse(_fractions(rs.cartan))))
+    orbit = _signed_orbit(rs.cartan, tuple(x + 1 for x in lam))
+    fund_form = fraction_tables(rs)[1]
+    lam_sq = ref_ip_norm(rs, lam, lam)
+    box = [
+        range(_floor_sqrt(lam_sq / fund_form[j][j]) + 1)
+        for j in range(rs.rank)
+    ]
+    out = []
+    for mu in itertools.product(*box):
+        mult = 0
+        for x, sign in orbit.items():
+            diff = tuple(a - b - 1 for a, b in zip(x, mu))
+            gamma = matvec(cinv_t, diff)
+            if all(c.denominator == 1 for c in gamma):
+                mult += sign * _partitions(roots, tuple(map(int, gamma)))
+        if mult:
+            out.append((mu, mult))
+    return tuple(out)
 
 
 # Principal A1 closed form (Kostant, Amer. J. Math. 81, 1959): the
@@ -920,7 +1010,7 @@ def principal_a1_branching(rs, lam) -> dict:
 
 
 def ref_restrict_weight(emb: EmbeddingSpec, weight):
-    image = linalg.matvec(
+    image = matvec(
         emb.restriction, tuple(Fraction(x) for x in weight)
     )
     if any(x.denominator != 1 for x in image):

@@ -25,9 +25,10 @@ from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
 from liespec.errors import DomainError, InputError, MalformedEmbeddingError
 from liespec.natred import term_catalogue
 from liespec.rootdata import build, casimir_num, check_weight
-from liespec.weights import dominant_weights_up_to, weyl_dim
+from liespec.weights import weyl_dim
 
 from helpers import (
+    dominant_weights_up_to,
     principal_a1_branching,
     principal_a1_row,
     ref_branch,
@@ -612,7 +613,7 @@ from liespec import branching
 from liespec.branching import EmbeddingSpec
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.natred import term_catalogue
-from liespec.weights import dominant_weights_up_to
+from liespec.weights import _dominant_casimirs
 
 def fresh():
     emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
@@ -626,7 +627,7 @@ faulty = term_catalogue(fresh(), 12)
 print(json.dumps({
     "debug": __debug__,
     "peeled": sorted(peeled),
-    "weights": sorted(dominant_weights_up_to(healthy.emb.ambient, 12)),
+    "weights": sorted(w for w, _, _ in _dominant_casimirs(healthy.emb.ambient, 12)),
     "same": (faulty.den, faulty.terms, faulty.rows)
     == (healthy.den, healthy.terms, healthy.rows),
 }))

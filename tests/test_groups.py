@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dominant_weights_up_to,
     ref_biinvariant_spectrum,
     ref_center_admissible,
     ref_normal_quotient_spectrum,
 )
 
-from liespec.branching import EmbeddingSpec, branch
+from liespec.branching import EmbeddingSpec, branch, embedding_index
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
     BUILTIN_GROUPS,
     resolve,
 )
-from liespec.errors import DomainError
+from liespec.errors import DomainError, InputError
 from liespec.groups import (
     GroupSpec,
     biinvariant_spectrum,
@@ -30,7 +31,7 @@ from liespec.groups import (
 from liespec.isolation import isolation_scan
 from liespec.natred import NatRedMetric, term_catalogue
 from liespec.rootdata import build, casimir_num, check_weight
-from liespec.weights import dominant_weights_up_to, weyl_dim
+from liespec.weights import weyl_dim
 
 SU2 = BUILTIN_GROUPS["su2"]
 SU3 = BUILTIN_GROUPS["su3"]
@@ -279,6 +280,30 @@ def test_group_validation():
         GroupSpec(factors=(build("A1"),), scales=(1, 1))
     with pytest.raises(DomainError):
         GroupSpec(factors=(build("A1"),), gamma=(((1,), (1,)),))
+
+
+def test_specs_keep_a_tuple_of_root_systems():
+    # an entry or ambient that is not a RootSystemData, a name included, is
+    # an InputError; a list of factors is kept as a tuple, so a spec built
+    # from one branches like the builtin
+    a1, b2 = build("A1"), build("B2")
+    rows = [[1, 0], [1, 1]]
+    for bad in (("A1",), "A1", a1, None, [a1, "A1"], (a1, None), (rows,)):
+        with pytest.raises(InputError):
+            GroupSpec(factors=bad)
+        with pytest.raises(InputError):
+            EmbeddingSpec(ambient=b2, factors=bad, restriction=rows)
+    for bad in ("B2", None, (b2,)):
+        with pytest.raises(InputError):
+            EmbeddingSpec(ambient=bad, factors=(a1, a1), restriction=rows)
+    gs = GroupSpec(factors=[a1])
+    assert gs.factors == (a1,)
+    assert biinvariant_spectrum(gs, 3) == biinvariant_spectrum(SU2, 3)
+    emb = EmbeddingSpec(ambient=b2, factors=[a1, a1], restriction=rows)
+    builtin = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+    assert emb.factors == (a1, a1)
+    assert branch(emb, (1, 1)) == branch(builtin, (1, 1))
+    assert embedding_index(emb) == embedding_index(builtin)
 
 
 def test_float_scales_and_gamma_rejected():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     box_oracle_spectrum,
+    form_value,
     random_integer_basis,
     random_rational_basis,
     ref_congruent,
@@ -44,7 +45,7 @@ from liespec import linalg
 from liespec.lattices import congruence, enumeration, lattice, spectra
 from liespec.lattices.enumeration import _norm_counts, _squares
 from liespec.lattices.reduction import _lll_int
-from liespec.linalg import form_value, matmul, transpose
+from liespec.linalg import matmul, transpose
 
 Z2 = Lattice.from_basis(((F(1), F(0)), (F(0), F(1))))
 HEX = Lattice.from_gram(((F(2), F(1)), (F(1), F(2))))

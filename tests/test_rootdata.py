@@ -1,14 +1,17 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    form_value,
     ref_contragredient,
     ref_coroots,
     ref_ip_norm,
@@ -16,8 +19,9 @@ from helpers import (
     ref_positive_roots,
 )
 from liespec.errors import DomainError, InputError
-from liespec.linalg import form_value
+from liespec.branching import _dot
 from liespec.rootdata import (
+    _chamber,
     build,
     casimir,
     check_weight,
@@ -207,6 +211,58 @@ def test_reflection_and_dominant_rep():
     a2 = build("A2")
     for nu in weyl_orbit(a2, (2, 1)):
         assert dominant_rep(a2, nu) == (2, 1)
+
+
+def _orbit_by_search(cartan, v) -> set:
+    """The Weyl orbit of v, closed under s_j(u) = u - u_j alpha_j by a
+    search written here."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for j, row in enumerate(cartan):
+                w = tuple(x - u[j] * a for x, a in zip(u, row))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def test_chamber_walk_matches_an_independent_oracle():
+    # every weight v of the box [-2, 2]^rank: the walk ends at a dominant
+    # weight of v's orbit, with det w = (-1)^length(w) for a regular v, the
+    # length being the number of positive coroots that pair negatively
+    # with v; the dot action is None exactly when v + rho is on a wall
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4",
+                 "G2", "F4"):
+        rs = build(name)
+        orbits = {}
+
+        def orbit(dom):
+            if dom not in orbits:
+                orbits[dom] = _orbit_by_search(rs.cartan, dom)
+            return orbits[dom]
+
+        for v in itertools.product(range(-2, 3), repeat=rs.rank):
+            dom, sign = _chamber(rs.cartan, v)
+            assert min(dom) >= 0 and v in orbit(dom), (name, v)
+            pairs = [sum(map(mul, co, v)) for co in rs.coroots]
+            if 0 not in pairs:
+                assert sign == (-1) ** sum(p < 0 for p in pairs), (name, v)
+            if min(v) >= 0:
+                assert (dom, sign) == (v, 1)
+            # (v + rho, beta^vee) = (v, beta^vee) + (rho, beta^vee)
+            shifted = [p + sum(co) for p, co in zip(pairs, rs.coroots)]
+            got = _dot(rs, v)
+            if 0 in shifted:
+                assert got is None, (name, v)
+                continue
+            kappa, sign = got
+            top = tuple(k + 1 for k in kappa)
+            assert min(kappa) >= 0, (name, v)
+            assert tuple(x + 1 for x in v) in orbit(top), (name, v)
+            assert sign == (-1) ** sum(p < 0 for p in shifted), (name, v)
 
 
 def test_contragredient_weight():

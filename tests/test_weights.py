@@ -16,12 +16,16 @@ from liespec.weights import (
     _dominant_casimirs,
     _pairing_field,
     dominant_character,
-    dominant_weights_up_to,
     weight_diagram,
     weyl_dim,
 )
 
-from helpers import ref_contragredient
+from helpers import (
+    dominant_weights_up_to,
+    form_value,
+    kostant_character,
+    ref_contragredient,
+)
 
 
 def test_weyl_dim_classical():
@@ -143,11 +147,25 @@ def test_diagram_total_matches_weyl_dim(name, lam3):
 def test_weights_lie_below_highest(name, lam):
     # every weight of V_lam has casimir norm at most that of lam
     rs = build(name)
-    from liespec.linalg import form_value
-
     top = form_value(rs.form, lam, lam)
     for mu, _ in weight_diagram(rs, lam).mults:
         assert form_value(rs.form, mu, mu) <= top
+
+
+def test_characters_match_kostants_multiplicity_formula():
+    # every dominant weight below a small Casimir budget, and one larger
+    # weight on B2, against Kostant's formula (tests/helpers.py), which
+    # shares no code with Freudenthal's recursion or the chamber walk
+    cases = [("A2", 8), ("B2", 8), ("G2", 8), ("A3", F(5, 2)),
+             ("B3", F(5, 2)), ("C3", F(5, 2))]
+    for name, budget in cases:
+        rs = build(name)
+        for lam in dominant_weights_up_to(rs, budget):
+            assert dominant_character(rs, lam) == kostant_character(rs, lam), (
+                name, lam
+            )
+    b2 = build("B2")
+    assert dominant_character(b2, (40, 40)) == kostant_character(b2, (40, 40))
 
 
 ALL_TYPES = (
@@ -166,7 +184,6 @@ def test_integer_tables_match_fraction_reference():
         ref_ip_norm,
         ref_weyl_dim,
     )
-    from liespec.linalg import form_value
 
     rng = random.Random(2024)
     for name in ALL_TYPES:
