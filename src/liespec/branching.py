@@ -110,10 +110,6 @@ class EmbeddingSpec(Frozen):
         object.__setattr__(self, "_int_rows", tuple(blocks))
         object.__setattr__(self, "_den", den)
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.factors)
-
     def restrict_weight(self, weight):
         """Image of a G-weight as per-factor coordinate tuples.
 
@@ -278,8 +274,8 @@ def _dot(rs: RootSystemData, nu: tuple):
 
 @lru_cache(maxsize=None)
 def _diagram(rs: RootSystemData, b: tuple) -> tuple:
-    """``weight_diagram(rs, b).mults``, memoized for ``_tensor``'s few b."""
-    return weight_diagram(rs, b).mults
+    """``weight_diagram(rs, b)``, memoized for ``_tensor``'s few b."""
+    return weight_diagram(rs, b)
 
 
 def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
@@ -288,7 +284,7 @@ def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
     if not emb.factors:
         return BranchingResult(lam, (((), weyl_dim(emb.ambient, lam)),))
     restricted = {}
-    for nu, mult in weight_diagram(emb.ambient, lam).mults:
+    for nu, mult in weight_diagram(emb.ambient, lam):
         key = emb.restrict_weight(nu)
         restricted[key] = restricted.get(key, 0) + mult
     terms = Counter()
@@ -374,9 +370,7 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
     try:
-        for nu, _ in weight_diagram(
-            emb.ambient, emb.ambient.highest_root
-        ).mults:
+        for nu, _ in weight_diagram(emb.ambient, emb.ambient.highest_root):
             emb.restrict_weight(nu)
         record("integer-adjoint-weights", True)
     except MalformedEmbeddingError as exc:
@@ -384,18 +378,19 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
 
     total = sum(f.rank for f in emb.factors)
     if total:
-        # R has full row rank iff the row Gram matrix R R^T is nonsingular.
-        full = linalg.det(
-            linalg.matmul(emb.restriction, linalg.transpose(emb.restriction))
-        ) != 0
-        record("full-row-rank", full)
+        # R has full row rank iff the row Gram matrix R R^T is nonsingular,
+        # that is iff the last pivot of its elimination is not 0
+        r = emb.restriction
+        gram = linalg.matmul(r, linalg.transpose(r))
+        pivots, _, _, _ = linalg.eliminate(linalg.clear_denominators(gram)[0])
+        record("full-row-rank", pivots[-1] != 0)
     else:
         record("full-row-rank", True, "trivial subgroup")
 
     try:
         branch(emb, emb.ambient.highest_root)
         record("adjoint-peeling", True)
-    except (MalformedEmbeddingError, DomainError) as exc:
+    except DomainError as exc:
         record("adjoint-peeling", False, str(exc))
 
     try:
@@ -405,7 +400,7 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
             all(ind > 0 for ind in indices),
             ",".join(str(i) for i in indices),
         )
-    except (MalformedEmbeddingError, DomainError) as exc:
+    except DomainError as exc:
         record("positive-indices", False, str(exc))
 
     return {"ok": all(c["ok"] for c in checks), "checks": checks}

@@ -28,7 +28,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
@@ -52,19 +51,8 @@ def _split(text: str) -> list:
     return text.split(",") if text else []
 
 
-def _jsonable(obj):
-    """Recursively turn Fractions and tuples into canonical JSON values."""
-    if isinstance(obj, Fraction):
-        return fmt(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def _emit_report(obj, out_format: str) -> str:
-    data = _jsonable(obj)
+def _emit_report(data: dict, out_format: str) -> str:
+    """A report, whose rationals are strings already, in ``out_format``."""
     if out_format == "json":
         return canonical_json(data)
     if out_format == "csv":

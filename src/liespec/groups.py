@@ -84,10 +84,6 @@ class GroupSpec(Frozen):
                         "gamma element pairs non-integrally with a root"
                     )
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.factors)
-
     def to_json_dict(self) -> dict:
         return {
             "factors": [f.name for f in self.factors],
@@ -115,7 +111,7 @@ class GroupSpec(Frozen):
 def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     """True iff every listed central element acts trivially on the
     irreducible with the given per-factor highest weights."""
-    if len(lam_tuple) != gs.num_factors:
+    if len(lam_tuple) != len(gs.factors):
         raise DomainError("weight tuple length != number of factors")
     parts = tuple(
         check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)
@@ -179,17 +175,14 @@ def factor_lambda1(rs: RootSystemData, scale):
     return best
 
 
-def normal_quotient_spectrum(
-    ambient: RootSystemData, emb: EmbeddingSpec, t, cutoff
-) -> SpectrumTable:
-    """Spectrum of the normal metric t*(-B) on G/K, G simply connected.
+def normal_quotient_spectrum(emb: EmbeddingSpec, t, cutoff) -> SpectrumTable:
+    """Spectrum of the normal metric t*(-B) on G/K, G simply connected, for
+    the embedding ``emb`` of K in G.
 
     Eigenvalues are c(lambda)/t over spherical representations, each with
     multiplicity dim(lambda) times the dimension of its K-fixed subspace,
     the trivial K-type's multiplicity in the branching of ``_branched``.
     """
-    if emb.ambient is not ambient:
-        raise DomainError("embedding does not target the given ambient type")
     t = rat(t)
     if t <= 0:
         raise DomainError("metric scale must be positive")
@@ -200,4 +193,4 @@ def normal_quotient_spectrum(
         fixed = result.multiplicity(trivial)
         if fixed:
             rows.append(((num,), dim * fixed))
-    return linear_table(rows, ambient.casimir_den, (t,), cutoff)
+    return linear_table(rows, emb.ambient.casimir_den, (t,), cutoff)

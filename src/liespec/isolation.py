@@ -63,9 +63,6 @@ class GammaVector(Value):
         if any(x <= 0 for x in entries):
             raise DomainError("invariants must be positive")
 
-    def value_set(self) -> tuple:
-        return tuple(sorted(set(self.entries)))
-
 
 def gamma_invariants(subject) -> GammaVector:
     """Invariant vector of a GroupSpec or of a torus given by its Lattice.
@@ -280,7 +277,7 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
                 q[j][k] = q[k][j] = (c - diag[j] - diag[k]) / 2
             try:
                 # the entries are Fractions already: no second coercion
-                dual_torus = Lattice(dim=n, gram=tuple(map(tuple, q)))
+                dual_torus = Lattice(gram=tuple(map(tuple, q)))
             except DomainError:  # not positive definite
                 continue
             if dual_torus.det_gram * vol_min**2 > 1:

@@ -26,7 +26,6 @@ followed by its lambda_1 runs the kernel once.
 Exact invariants:
 
 * ``det_gram`` equals the squared covolume, always rational;
-* ``volume`` (|det basis|) is only available when a basis was given;
 * dual(dual(L)) has the same Gram matrix as L, and the covolumes of a
   lattice and its dual multiply to 1.
 """
@@ -60,25 +59,25 @@ HERMITE_POWER = {
 
 class Lattice(Value):
     """``gram`` is m x m, symmetric positive-definite, in exact rationals;
-    ``basis``, if given, is m x m with the generators as columns."""
+    ``basis``, if given, is m x m with the generators as columns.  ``dim``
+    is m, read off the matrix."""
 
     _fields = ("dim", "gram", "basis")
 
-    def __init__(self, dim, gram=None, basis=None):
-        if type(dim) is not int:
-            raise InputError(f"lattice dimension must be an int: {dim!r}")
+    def __init__(self, gram=None, basis=None):
         _check_exact(gram, basis)
         given = gram is not None
         if not given:
             if basis is None:
                 raise InputError("a lattice needs a gram matrix or a basis")
             gram = linalg.matmul(linalg.transpose(basis), basis)
+        dim = len(gram)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "basis", basis)
         if dim < 1:
             raise DomainError("lattice dimension must be >= 1")
-        if len(gram) != dim or any(len(r) != dim for r in gram):
+        if any(len(r) != dim for r in gram):
             raise DomainError("gram matrix shape mismatch")
         if not linalg.is_symmetric(gram):
             raise DomainError("gram matrix must be symmetric")
@@ -101,12 +100,12 @@ class Lattice(Value):
     @staticmethod
     def from_basis(rows) -> "Lattice":
         basis = rat_matrix(rows)
-        return Lattice(dim=len(basis), basis=basis)
+        return Lattice(basis=basis)
 
     @staticmethod
     def from_gram(rows) -> "Lattice":
         gram = rat_matrix(rows)
-        return Lattice(dim=len(gram), gram=gram, basis=None)
+        return Lattice(gram=gram)
 
     @cached_property
     def _form(self):
@@ -147,13 +146,6 @@ class Lattice(Value):
         _, q, (pivots, _, _, _) = self._elimination
         return Fraction(pivots[-1], q**self.dim)
 
-    @property
-    def volume(self) -> Fraction:
-        """|det basis|; requires an explicit basis."""
-        if self.basis is None:
-            raise DomainError("volume needs an explicit basis; use det_gram")
-        return abs(linalg.det(self.basis))
-
     def to_json_dict(self) -> dict:
         obj = {"dim": self.dim, "gram": fmt_matrix(self.gram)}
         if self.basis is not None:
@@ -166,7 +158,7 @@ class Lattice(Value):
         basis^T basis is the Gram matrix; given neither, it refuses."""
         gram = rat_matrix(obj["gram"]) if "gram" in obj else None
         basis = rat_matrix(obj["basis"]) if "basis" in obj else None
-        lat = Lattice(dim=len(gram or basis or ()), gram=gram, basis=basis)
+        lat = Lattice(gram=gram, basis=basis)
         if "dim" in obj and exact_int(obj["dim"]) != lat.dim:
             raise DomainError("declared dim does not match matrix size")
         return lat
@@ -190,8 +182,8 @@ def dual(lat: Lattice) -> Lattice:
     d, s = lat._dual_gram
     gram = tuple(tuple(Fraction(x, s) for x in row) for row in d)
     if lat.basis is None:
-        return Lattice(dim=lat.dim, gram=gram)
-    return Lattice(dim=lat.dim, basis=linalg.matmul(lat.basis, gram))
+        return Lattice(gram=gram)
+    return Lattice(basis=linalg.matmul(lat.basis, gram))
 
 
 def systole(lat: Lattice) -> Fraction:

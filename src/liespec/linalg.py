@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Matrices are sequences of rows of ints or Fractions: transpose, product,
-symmetry, determinant and adjugate.  There are no vector routines; the
-root-system and weight code takes its dot products in integers with
+symmetry and adjugate.  There are no vector routines; the root-system
+and weight code takes its dot products in integers with
 ``sum(map(mul, u, v))``.  Every elimination in the package is
 ``eliminate``, fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
 of an integer matrix: Gauss-Jordan when it carries an augmented block,
@@ -16,7 +16,6 @@ symmetric matrix they decide positive-definiteness: positive pivots and
 no row exchange, the pivots then being the leading principal minors.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError
@@ -97,12 +96,6 @@ def eliminate(a, aug=None):
         rows.append(top)
         prev = p
     return pivots, rows, swaps, [row[n:] for row in m]
-
-
-def det(a: Matrix) -> Fraction:
-    ints, q = clear_denominators(a)
-    pivots, _, swaps, _ = eliminate(ints)
-    return Fraction((-1) ** swaps * pivots[-1], q ** len(a))
 
 
 def adjugate(a) -> tuple:

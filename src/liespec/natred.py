@@ -51,11 +51,13 @@ from .branching import (
     contragredient_tuple,
     killing_ratio,
 )
-from .errors import CertificationError, DomainError, InadmissibleMetricError
+from .errors import (
+    CertificationError, DomainError, InadmissibleMetricError, InputError
+)
 from .frozen import Frozen, Value
 from .groups import factor_lambda1
 from .rational import array, exact_int, fmt, rat, rat_cutoff, required
-from .rootdata import build, casimir_num
+from .rootdata import RootSystemData, build, casimir_num
 from .spectrum import SpectrumTable, _common_scale, linear_table
 
 
@@ -64,20 +66,23 @@ _part_casimir = lru_cache(maxsize=None)(casimir_num)
 
 
 class NatRedMetric(Frozen):
-    """Naturally reductive metric data (G simply connected, K semisimple)."""
+    """Naturally reductive metric data (G simply connected, K semisimple):
+    the ``EmbeddingSpec`` of K in G (else InputError), the base scale and
+    one fiber scale per factor of K."""
 
-    _fields = ("group", "emb", "base_scale", "fiber_scales")
+    _fields = ("emb", "base_scale", "fiber_scales")
 
-    def __init__(self, group, emb, base_scale, fiber_scales):
-        object.__setattr__(self, "group", group)
+    def __init__(self, emb, base_scale, fiber_scales):
+        if not isinstance(emb, EmbeddingSpec):
+            raise InputError(
+                f"a metric's embedding is an EmbeddingSpec, not {emb!r}"
+            )
         object.__setattr__(self, "emb", emb)
-        if emb.ambient is not group:
-            raise DomainError("embedding ambient type != metric group type")
         object.__setattr__(self, "base_scale", rat(base_scale))
         object.__setattr__(
             self, "fiber_scales", tuple(rat(x) for x in fiber_scales)
         )
-        if len(self.fiber_scales) != self.emb.num_factors:
+        if len(self.fiber_scales) != len(emb.factors):
             raise DomainError("one fiber scale per subgroup factor required")
         if self.base_scale <= 0 or any(x <= 0 for x in self.fiber_scales):
             raise DomainError("metric scales must be positive")
@@ -86,6 +91,11 @@ class NatRedMetric(Frozen):
             raise InadmissibleMetricError(
                 "fiber scale equal to base scale is excluded"
             )
+
+    @property
+    def group(self) -> RootSystemData:
+        """G, the embedding's ambient."""
+        return self.emb.ambient
 
     @property
     def mode(self) -> str:
@@ -103,20 +113,22 @@ class NatRedMetric(Frozen):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "NatRedMetric":
-        """The embedding is a JSON object or a descriptor string."""
+        """The embedding is a JSON object or a descriptor string, and its
+        ambient must be the declared ``group``."""
         from .catalog import resolve
 
         emb = required(obj, "embedding")
-        return NatRedMetric(
-            group=build(required(obj, "group")),
-            emb=(
-                EmbeddingSpec.from_json_dict(emb)
-                if isinstance(emb, dict)
-                else resolve(EmbeddingSpec, emb)
-            ),
-            base_scale=required(obj, "t"),
-            fiber_scales=array(obj.get("t_i", ()), "t_i"),
+        group = build(required(obj, "group"))
+        emb = (
+            EmbeddingSpec.from_json_dict(emb)
+            if isinstance(emb, dict)
+            else resolve(EmbeddingSpec, emb)
         )
+        base_scale = required(obj, "t")
+        fiber_scales = array(obj.get("t_i", ()), "t_i")
+        if emb.ambient is not group:
+            raise DomainError("embedding ambient type != metric group type")
+        return NatRedMetric(emb, base_scale, fiber_scales)
 
 
 class BiInvariantOperator(Value):
@@ -293,9 +305,9 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     """
     factor_index = exact_int(factor_index)
     cutoff = rat_cutoff(cutoff)
-    if m.emb.num_factors == 0:
+    if not m.emb.factors:
         return {"status": "vacuous", "factor": factor_index}
-    if not 0 <= factor_index < m.emb.num_factors:
+    if not 0 <= factor_index < len(m.emb.factors):
         raise DomainError("factor index out of range")
     if m.mode != "riemannian-fibers":
         raise InadmissibleMetricError(

@@ -179,16 +179,15 @@ class RootSystemData(Frozen):
     """
 
     _fields = (
-        "family", "rank", "cartan", "pos_roots_fund", "pos_roots_rootc",
-        "highest_root", "rho", "coroots", "weyl_den", "form", "form_den",
-        "casimir_den", "cartan_adj", "cartan_det", "dual_coxeter", "dim_g",
-        "minus_w0",
+        "family", "rank", "cartan", "pos_roots_fund", "highest_root",
+        "coroots", "weyl_den", "form", "form_den", "casimir_den",
+        "cartan_adj", "cartan_det", "dual_coxeter", "dim_g", "minus_w0",
     )
 
     def __init__(
-        self, family, rank, cartan, pos_roots_fund, pos_roots_rootc,
-        highest_root, rho, coroots, weyl_den, form, form_den,
-        casimir_den, cartan_adj, cartan_det, dual_coxeter, dim_g, minus_w0,
+        self, family, rank, cartan, pos_roots_fund, highest_root, coroots,
+        weyl_den, form, form_den, casimir_den, cartan_adj, cartan_det,
+        dual_coxeter, dim_g, minus_w0,
     ):
         fields = locals()
         for name in self._fields:
@@ -229,7 +228,6 @@ def _build(name: str) -> RootSystemData:
     cartan_adj = linalg.transpose(adj)
     pos = _positive_roots(cartan, cartan_adj, det)
     fund_list = tuple(f for f, _ in pos)
-    rootc_list = tuple(r for _, r in pos)
     # the coroots are the roots of the transposed Cartan matrix, and their
     # simple-root coordinates there are simple-coroot coordinates here
     coroots = tuple(
@@ -258,7 +256,6 @@ def _build(name: str) -> RootSystemData:
     form_den = lcm(*(x.denominator for row in fund_form for x in row))
     form = tuple(tuple(int(x * form_den) for x in row) for row in fund_form)
 
-    rho = tuple(1 for _ in range(n))
     rho_theta = sum(theta_rootc[k] * d[k] for k in range(n))
     if rho_theta.denominator != 1:
         raise DomainError("dual Coxeter number is not integral")
@@ -276,9 +273,7 @@ def _build(name: str) -> RootSystemData:
         rank=n,
         cartan=cartan,
         pos_roots_fund=fund_list,
-        pos_roots_rootc=rootc_list,
         highest_root=theta_fund,
-        rho=rho,
         coroots=coroots,
         weyl_den=prod(sum(co) for co in coroots),
         form=form,

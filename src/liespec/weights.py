@@ -7,7 +7,8 @@ All three run on the integer tables of ``rootdata``:
   rho, beta^vee) are dot products with ``coroots``, and ``_weyl_quotient``,
   which the walk below shares, divides their product exactly by
   ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
-* ``weight_diagram`` -- the full character of V_lambda.  Its dominant
+* ``weight_diagram`` -- the full character of V_lambda, as sorted
+  (weight, multiplicity) pairs like ``dominant_character``.  Its dominant
   weights are the dominant mu with lambda - mu in the root cone, each of
   smaller Casimir than every dominant weight above it (ibid., 13.4), so
   Freudenthal's recursion (ibid., 22.3) takes them from
@@ -50,7 +51,6 @@ from math import floor, isqrt, prod
 from operator import add, mul
 
 from .errors import DomainError
-from .frozen import Value
 from .rational import rat
 from .rootdata import (
     RootSystemData,
@@ -140,32 +140,18 @@ def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
     return tuple(sorted(mults.items()))
 
 
-class WeightDiagram(Value):
-    """Full character of one irreducible: weight -> multiplicity."""
-
-    _fields = ("highest", "mults", "dim")
-
-    def __init__(self, highest, mults, dim):
-        object.__setattr__(self, "highest", highest)
-        # ((weight, mult), ...) over every weight, sorted
-        object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "dim", dim)
-
-
-def weight_diagram(rs: RootSystemData, weight) -> WeightDiagram:
-    """Expand the dominant character over Weyl orbits; checks the total."""
+def weight_diagram(rs: RootSystemData, weight) -> tuple:
+    """((mu, mult), ...) over every weight of V_weight, sorted: the dominant
+    character expanded over Weyl orbits, its total checked against
+    ``weyl_dim``."""
     lam = check_weight(rs, weight)
     full = {}
     for mu, mult in dominant_character(rs, lam):
         for nu in weyl_orbit(rs, mu):
             full[nu] = mult
-    total = sum(full.values())
-    dim = weyl_dim(rs, lam)
-    if total != dim:
+    if sum(full.values()) != weyl_dim(rs, lam):
         raise DomainError("character total does not match the Weyl dimension")
-    return WeightDiagram(
-        highest=lam, mults=tuple(sorted(full.items())), dim=dim
-    )
+    return tuple(sorted(full.items()))
 
 
 def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:

@@ -133,6 +133,16 @@ def ref_det(a):
     return result
 
 
+def volume(lat) -> Fraction:
+    """|det basis| of a lattice given by a basis, its covolume."""
+    return abs(ref_det(lat.basis))
+
+
+def value_set(gv) -> tuple:
+    """The distinct entries of a ``GammaVector``, sorted."""
+    return tuple(sorted(set(gv.entries)))
+
+
 def ref_inverse(a):
     n = len(a)
     m = [list(row) + [Fraction(1) if i == r else Fraction(0) for i in range(n)]
@@ -456,12 +466,12 @@ def _minima_transform(a, squares):
         # independent iff their integer Gram matrix, which is positive
         # semidefinite, is positive definite: iff its determinant is > 0
         gram = [[sum(x * y for x, y in zip(s, t)) for t in trial] for s in trial]
-        if linalg.det(gram) > 0:
+        if ref_det(_fractions(gram)) > 0:
             chosen = trial
             if len(chosen) == m:
                 break
     v = tuple(tuple(chosen[j][i] for j in range(m)) for i in range(m))
-    if abs(linalg.det(v)) != 1:
+    if abs(ref_det(_fractions(v))) != 1:
         # cannot happen for m <= 4: minima vectors generate the lattice
         raise LiespecError("successive-minima vectors failed to generate")
     return linalg.matmul(linalg.transpose(v), linalg.matmul(a, v)), v
@@ -525,7 +535,7 @@ def reduce_with_transform(lat: Lattice):
     u = _fractions(u)
     gram = tuple(tuple(Fraction(x, q) for x in row) for row in a)
     basis = linalg.matmul(lat.basis, u) if lat.basis is not None else None
-    return Lattice(dim=lat.dim, gram=gram, basis=basis), u
+    return Lattice(gram=gram, basis=basis), u
 
 
 # Reference congruence: the Fraction congruence test that the integer one
@@ -552,12 +562,12 @@ def _ref_minima_transform(g):
         # independent iff their integer Gram matrix, which is positive
         # semidefinite, is positive definite: iff its determinant is > 0
         gram = [[sum(x * y for x, y in zip(s, t)) for t in trial] for s in trial]
-        if linalg.det(gram) > 0:
+        if ref_det(_fractions(gram)) > 0:
             chosen = trial
             if len(chosen) == m:
                 break
     v = tuple(tuple(Fraction(chosen[j][i]) for j in range(m)) for i in range(m))
-    if abs(linalg.det(v)) != 1:
+    if abs(ref_det(_fractions(v))) != 1:
         # cannot happen for m <= 4: minima vectors generate the lattice
         raise LiespecError("successive-minima vectors failed to generate")
     return linalg.matmul(linalg.transpose(v), linalg.matmul(g, v)), v
@@ -720,6 +730,12 @@ def ref_positive_roots(cartan):
     return out
 
 
+def pos_roots_rootc(rs):
+    """The positive roots of ``rs`` in simple-root coordinates, in the
+    order of ``rs.pos_roots_fund``."""
+    return tuple(r for _, r in ref_positive_roots(rs.cartan))
+
+
 def ref_minus_w0_perm(family: str, n: int):
     perm = list(range(n))
     if family == "A":
@@ -765,7 +781,7 @@ def fraction_tables(rs):
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
                 stack.append(j)
-    theta = rs.pos_roots_rootc[rs.pos_roots_fund.index(rs.highest_root)]
+    theta = pos_roots_rootc(rs)[rs.pos_roots_fund.index(rs.highest_root)]
     theta_sq = sum(
         theta[i] * theta[j] * cartan[i][j] * d[j]
         for i in range(n)
@@ -802,7 +818,7 @@ def _root_ip_vectors(rs):
     d = fraction_tables(rs)[0]
     return tuple(
         tuple(rc[k] * d[k] for k in range(rs.rank))
-        for rc in rs.pos_roots_rootc
+        for rc in pos_roots_rootc(rs)
     )
 
 
@@ -819,7 +835,7 @@ def ref_weyl_dim(rs, weight) -> int:
     den = Fraction(1)
     for vec in _root_ip_vectors(rs):
         num *= _pairing(vec, shifted)
-        den *= _pairing(vec, rs.rho)
+        den *= _pairing(vec, (1,) * rs.rank)  # rho
     value = num / den
     if value.denominator != 1 or value <= 0:
         raise DomainError("Weyl dimension did not come out a positive integer")
@@ -959,6 +975,36 @@ def kostant_character(rs, lam) -> tuple:
     return tuple(out)
 
 
+def kostant_branch(emb: EmbeddingSpec, lam) -> tuple:
+    """((kappa, mult), ...) sorted by kappa: the branching of V_lam to K.
+    ``kostant_character`` is expanded over the W-orbits that the simple
+    reflections of ``_signed_orbit`` close, restricted weight by weight
+    with ``ref_restrict_weight``, and decomposed by Racah-Speiser: the
+    K-type kappa occurs sum det(w) m_res(w(kappa + rho) - rho) times, over
+    w in W_K, the product of the factors' signed orbits of kappa + rho."""
+    rs = emb.ambient
+    restricted = Counter()
+    for mu, mult in kostant_character(rs, lam):
+        for nu in _signed_orbit(rs.cartan, mu):  # its keys are mu's orbit
+            restricted[ref_restrict_weight(emb, nu)] += mult
+    out = []
+    for kappa in sorted(restricted):
+        if not all(map(is_dominant, kappa)):
+            continue
+        orbits = [
+            _signed_orbit(f.cartan, tuple(x + 1 for x in part)).items()
+            for f, part in zip(emb.factors, kappa)
+        ]
+        mult = 0
+        for combo in itertools.product(*orbits):
+            shifted = tuple(tuple(x - 1 for x in v) for v, _ in combo)
+            sign = math.prod(s for _, s in combo)
+            mult += sign * restricted.get(shifted, 0)
+        if mult:
+            out.append((kappa, mult))
+    return tuple(out)
+
+
 # Principal A1 closed form (Kostant, Amer. J. Math. 81, 1959): the
 # principal three-dimensional subalgebra has Cartan element 2 rho^vee, and
 # the q-character of V_lambda along it is Weyl's principal specialization
@@ -1041,13 +1087,13 @@ def ref_branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     lam = check_weight(emb.ambient, sigma)
     if not is_dominant(lam):
         raise DomainError("branch expects a dominant weight")
-    if emb.num_factors == 0:
+    if not emb.factors:
         return BranchingResult(
             source=lam, terms=(((), weyl_dim(emb.ambient, lam)),)
         )
 
     residue = {}
-    for nu, mult in weight_diagram(emb.ambient, lam).mults:
+    for nu, mult in weight_diagram(emb.ambient, lam):
         key = ref_restrict_weight(emb, nu)
         residue[key] = residue.get(key, 0) + mult
 
@@ -1065,7 +1111,7 @@ def ref_branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
         if mult < 0:
             raise MalformedEmbeddingError("negative residue while peeling")
         diagrams = [
-            weight_diagram(f, part).mults
+            weight_diagram(f, part)
             for f, part in zip(emb.factors, top)
         ]
         for combo in itertools.product(*diagrams):
@@ -1304,7 +1350,6 @@ def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
             skipped_equivalent += 1
             continue
         point = NatRedMetric(
-            group=m.group,
             emb=m.emb,
             base_scale=base,
             fiber_scales=fibers,
@@ -1343,7 +1388,7 @@ def ref_isolation_scan(m: NatRedMetric, radius, steps: int, cutoff) -> dict:
 def ref_center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     """True iff every listed central element acts trivially on the
     irreducible with the given per-factor highest weights."""
-    if len(lam_tuple) != gs.num_factors:
+    if len(lam_tuple) != len(gs.factors):
         raise DomainError("weight tuple length != number of factors")
     parts = tuple(
         check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)

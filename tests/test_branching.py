@@ -29,6 +29,7 @@ from liespec.weights import weyl_dim
 
 from helpers import (
     dominant_weights_up_to,
+    kostant_branch,
     principal_a1_branching,
     principal_a1_row,
     ref_branch,
@@ -304,6 +305,13 @@ def test_validate_embedding_reports():
     )
     report = validate_embedding(bad)
     assert report["ok"] is False
+    # a trivial subgroup has no restriction rows to rank
+    trivial = EmbeddingSpec(ambient=build("B2"), factors=(), restriction=())
+    report = validate_embedding(trivial)
+    assert report["ok"] is True
+    assert report["checks"][1] == {
+        "name": "full-row-rank", "ok": True, "detail": "trivial subgroup"
+    }
 
 
 def test_json_round_trip():
@@ -369,6 +377,35 @@ def test_term_catalogue_matches_fraction_reference():
         assert (catalogue.den, catalogue.terms, catalogue.rows) == (
             ref_term_catalogue(emb, 12)
         )
+
+
+def test_branch_matches_a_kostant_racah_speiser_oracle(monkeypatch):
+    # the oracle (tests/helpers.py) restricts Kostant's characters weight
+    # by weight and decomposes them by Racah-Speiser; it shares no code with
+    # the recursion, the peel, Freudenthal or the chamber walk
+    peeled = []
+    monkeypatch.setattr(
+        branching, "_peel", lambda e, lam: peeled.append(lam) or _peel(e, lam)
+    )
+    fresh = [_fresh(name) for name in BUILTIN_EMBEDDINGS]
+    for emb in fresh + [_principal_a1("G2")]:
+        # every weight of the term catalogue's walk: past 0, the fundamental
+        # weights and the adjoint, which the Killing ratios branch alone
+        # first, each branching comes from the recursion
+        peeled.clear()
+        term_catalogue(emb, 8)
+        theta = emb.ambient.highest_root
+        assert all(sum(lam) < 2 or lam == theta for lam in peeled)
+        assert len(emb._branchings) > 20
+        for lam, result in emb._branchings.items():
+            assert result.terms == kostant_branch(emb, lam), lam
+        # the walk's last weight alone, on a fresh embedding, is one peel
+        rs = emb.ambient
+        top = max(emb._branchings, key=lambda lam: casimir_num(rs, lam))
+        alone = EmbeddingSpec(rs, emb.factors, emb.restriction)
+        peeled.clear()
+        assert branch(alone, top).terms == kostant_branch(emb, top)
+        assert peeled == [top]
 
 
 def _gelfand_tsetlin(lam) -> dict:
@@ -475,6 +512,9 @@ def test_bool_coordinates_are_refused():
     ):
         with pytest.raises(InputError):
             call()
+    assert not emb._branchings
+    with pytest.raises(DomainError, match="dominant weight"):
+        branch(emb, (1, -1))
     assert not emb._branchings
     source = branch(emb, (1, 0)).source
     assert source == (1, 0) and all(type(x) is int for x in source)

@@ -20,6 +20,7 @@ import pytest
 
 from liespec.branching import BranchingResult, EmbeddingSpec, branch
 from liespec.catalog import resolve
+from liespec.errors import InputError
 from liespec.groups import GroupSpec
 from liespec.isolation import GammaVector, gamma_invariants
 from liespec.lattices import Lattice, torus_spectrum
@@ -31,7 +32,6 @@ from liespec.natred import (
 )
 from liespec.rootdata import RootSystemData, build
 from liespec.spectrum import SpectrumTable
-from liespec.weights import WeightDiagram, weight_diagram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,27 +47,20 @@ _STD_REPR = (
 )
 
 # class, instance maker, constructor parameters in order, compares by value,
-# repr (or for TermCatalogue the sha256 of its repr)
+# repr (or for TermCatalogue the sha256 of its repr).  A Lattice's dim and a
+# NatRedMetric's group are read off its matrix and its embedding, so
+# neither is a parameter.
 CASES = [
     (
         RootSystemData,
         lambda: build("A2"),
         (
-            "family", "rank", "cartan", "pos_roots_fund", "pos_roots_rootc",
-            "highest_root", "rho", "coroots", "weyl_den", "form", "form_den",
-            "casimir_den", "cartan_adj", "cartan_det", "dual_coxeter", "dim_g",
-            "minus_w0",
+            "family", "rank", "cartan", "pos_roots_fund", "highest_root",
+            "coroots", "weyl_den", "form", "form_den", "casimir_den",
+            "cartan_adj", "cartan_det", "dual_coxeter", "dim_g", "minus_w0",
         ),
         False,
         "RootSystemData(A2)",
-    ),
-    (
-        WeightDiagram,
-        lambda: weight_diagram(build("A1"), (2,)),
-        ("highest", "mults", "dim"),
-        True,
-        "WeightDiagram(highest=(2,), mults=(((-2,), 1), ((0,), 1), ((2,), 1)),"
-        " dim=3)",
     ),
     (
         EmbeddingSpec,
@@ -101,10 +94,10 @@ CASES = [
     ),
     (
         NatRedMetric,
-        lambda: NatRedMetric(build("A2"), _std(), 1, (F(1, 2),)),
-        ("group", "emb", "base_scale", "fiber_scales"),
+        lambda: NatRedMetric(_std(), 1, (F(1, 2),)),
+        ("emb", "base_scale", "fiber_scales"),
         False,
-        f"NatRedMetric(group=RootSystemData(A2), emb={_STD_REPR},"
+        f"NatRedMetric(emb={_STD_REPR},"
         " base_scale=Fraction(1, 1), fiber_scales=(Fraction(1, 2),))",
     ),
     (
@@ -131,7 +124,7 @@ CASES = [
     (
         Lattice,
         lambda: resolve(Lattice, "hexagonal"),
-        ("dim", "gram", "basis"),
+        ("gram", "basis"),
         True,
         "Lattice(dim=2, gram=((Fraction(2, 1), Fraction(1, 1)),"
         " (Fraction(1, 1), Fraction(2, 1))), basis=None)",
@@ -153,7 +146,9 @@ def test_record_class(cls, make, params, by_value, pin):
             delattr(obj, name)
 
     values = [getattr(obj, name) for name in params]
-    with pytest.raises(TypeError):
+    # no instance without its data: a Lattice takes a gram matrix or a
+    # basis, each optional alone, and refuses neither as outside input
+    with pytest.raises(InputError if cls is Lattice else TypeError):
         cls()
     with pytest.raises(TypeError):
         cls(*values, bogus=None)

@@ -34,6 +34,9 @@ INLINE = {
     "F4SPEC": '{"factors":["F4"]}',
     "A4SPEC": '{"factors":["A4"]}',
     "RANK1": '{"gram":[["3/2"]]}',
+    "A1G2SPEC": '{"factors":["A1","G2"],"scales":["1","1/2"]}',
+    # rank-deficient restriction rows: validate-embedding reports it
+    "BADEMB": '{"ambient":"B2","factors":["A1","A1"],"restriction":[["0","0"],["2","2"]]}',
     # the E8 Cartan matrix written as a Gram matrix
     "E8GRAM": (
         '{"gram":[["2","0","-1","0","0","0","0","0"],'
@@ -280,6 +283,92 @@ GOLDEN = {
     "branch --embedding a1xa1-in-b2 --weight 40,40": (
         0,
         "5878be5135378fb71dcb69e50f89bf2f754e975e22de4d7bbb5143148a379884",
+    ),
+    # every report command in csv and pretty, and in json where no line
+    # above pins it
+    "branch --embedding a1xa1-in-b2 --weight 2,1 --format json": (
+        0,
+        "505e9c290af753090f6eefd08e1c0c84d38e0bd0e12aa49e09f79b9b8f25dafa",
+    ),
+    "branch --embedding a1xa1-in-b2 --weight 2,1 --format csv": (
+        0,
+        "b57171a7fc4591f81ae4fbfd10971d63a155fb75d4f290adc4980bd1c3f59c3b",
+    ),
+    "branch --embedding a1xa1-in-b2 --weight 2,1 --format pretty": (
+        0,
+        "ac4ef983b8e0cc87dab60133c83873ade5f0339da461ca5630fde3e58f086302",
+    ),
+    "gamma --gram hexagonal --format csv": (
+        0,
+        "4e28e33bef331f7eec0e72f529bd5b02b4c7c3ce5faf675e3ad928a2390bd3a5",
+    ),
+    "gamma --gram hexagonal --format pretty": (
+        0,
+        "190e0667ac16f8dc139b012a3bf4f492dde7477f2096d98bf57d78d22368db49",
+    ),
+    "gamma --spec A1G2SPEC --format json": (
+        0,
+        "ad0016413b653e95214c9032d94520757ed095ffd3188c56478a6f511930b42b",
+    ),
+    "gamma --spec A1G2SPEC --format csv": (
+        0,
+        "93fccca96903d52c78686fe7d6ccd207db281020ba7f4ddf21ad02f084c8fa6c",
+    ),
+    "gamma --spec A1G2SPEC --format pretty": (
+        0,
+        "e24a15c01dc952e535881c60efb9f2ada879d29c791128ab9234933ff5936204",
+    ),
+    "scan --metric METRIC --radius 1/10 --steps 3 --cutoff 2 --format csv": (
+        0,
+        "d621055d23d972d18a0bc03baee617a33197b2f3fad0f5f35236b234af44f473",
+    ),
+    "scan --metric METRIC --radius 1/10 --steps 3 --cutoff 2 --format pretty": (
+        0,
+        "720de7f3bedfcf33605ce647364d768b79c274ffc7b4bce421e504d10d308783",
+    ),
+    "torus-search --values 1,2 --dim 2 --lambda-min 1/2 --vol-min 1/2 --format csv": (
+        0,
+        "8792f4e585766dfe3b5706fce8a6c6b05bee3df9c73488cf95675e1e1a5498aa",
+    ),
+    "torus-search --values 1,2 --dim 2 --lambda-min 1/2 --vol-min 1/2 --format pretty": (
+        0,
+        "62e5643a57f1fe9b3341358e6f6f19f63b80e7db616050b1a179ae1925f94ec4",
+    ),
+    "window --lambda1 2 --vol 1/3 --dim 3 --const 5 --format json": (
+        0,
+        "c8bdf05bee988349e4ecbe2d707aa4bad80d9819e8ef217a07b3862e00664f8c",
+    ),
+    "window --lambda1 2 --vol 1/3 --dim 3 --const 5 --format csv": (
+        0,
+        "1abb5c6d1b9953f60f5eece6d8919d62e4581993329daa4e02abe179920deb1e",
+    ),
+    "window --lambda1 2 --vol 1/3 --dim 3 --const 5 --format pretty": (
+        0,
+        "683cf98fd0b92e75130db32163e922583132bbf89000a04c34aa1a42ae0378a4",
+    ),
+    "validate-embedding --embedding a1xa1-in-b2 --format json": (
+        0,
+        "10c9d09ae4cfeec9792edc1c173013e50916da1eeaaef631962ee234c493ddb2",
+    ),
+    "validate-embedding --embedding a1xa1-in-b2 --format csv": (
+        0,
+        "b057ca88b7a0d262748e37b50c27e35e336d64dd98975a206a5eadbe7f370c02",
+    ),
+    "validate-embedding --embedding a1xa1-in-b2 --format pretty": (
+        0,
+        "a0048598a674f6066fab409eed7bcfe78e08ed2a2c0336e0489d2303b12c81b5",
+    ),
+    "validate-embedding --embedding BADEMB --format json": (
+        0,
+        "bbf1df132571c5d03413c5f32ce487f7f8b870e89ce74b3be004178b418ae28b",
+    ),
+    "validate-embedding --embedding BADEMB --format csv": (
+        0,
+        "372ac148967d298a1384e400017cbacdc141ac794948670d1c60aa33a97de803",
+    ),
+    "validate-embedding --embedding BADEMB --format pretty": (
+        0,
+        "957ac8dcc5570865998d7706e251a07b663cb424846426a5844dd80d938ec994",
     ),
     "torus-spectrum --gram SINGULAR --cutoff 1": (
         2,

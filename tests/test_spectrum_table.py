@@ -17,7 +17,6 @@ from liespec.groups import biinvariant_spectrum, normal_quotient_spectrum
 from liespec.lattices import torus_spectrum
 from liespec.natred import NatRedMetric, natred_spectrum
 from liespec.rational import rat, rat_cutoff
-from liespec.rootdata import build
 from liespec.spectrum import (
     UNITS,
     SpectrumTable,
@@ -64,6 +63,19 @@ def test_validation():
         SpectrumTable("raw", F(1), 1, (0, 1), (1,))
     with pytest.raises(DomainError):
         SpectrumTable("raw", F(1), 1, (F(1, 2),), (1,))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SpectrumTable("bogus", 1, 1, (0,), (1,)), "unknown unit"),
+        (lambda: _table(((F(1), 1),)).restrict(11), "beyond its cutoff"),
+    ],
+    ids=["unknown-unit", "restrict-past-the-cutoff"],
+)
+def test_refusals(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
 
 
 def test_constructor_refuses_what_names_no_integer():
@@ -191,18 +203,16 @@ def test_json_round_trip():
 
 
 def _computed_tables():
-    b2 = build("B2")
     return [
         torus_spectrum(BUILTIN_LATTICES["hexagonal"], 7),
         torus_spectrum(BUILTIN_LATTICES["identity3"], F(25, 2)),
         biinvariant_spectrum(BUILTIN_GROUPS["su3"], 4),
         biinvariant_spectrum(BUILTIN_GROUPS["so3"], F(7, 2)),
         normal_quotient_spectrum(
-            build("A2"), BUILTIN_EMBEDDINGS["a1-in-a2-standard"], 1, 3
+            BUILTIN_EMBEDDINGS["a1-in-a2-standard"], 1, 3
         ),
         natred_spectrum(
             NatRedMetric(
-                group=b2,
                 emb=BUILTIN_EMBEDDINGS["a1xa1-in-b2"],
                 base_scale=F(1),
                 fiber_scales=(F(1, 2), F(1, 3)),

@@ -7,6 +7,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import liespec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +59,16 @@ def _public_functions() -> set:
 def test_every_public_function_is_used_or_a_readme_instrument():
     unused = _public_functions() - _used_names()
     assert sorted(unused - _instrument_rows()) == []
+
+
+def test_no_module_under_src_asserts():
+    # certification cannot be turned off, and ``python -O`` strips every
+    # assert statement; so this test fails by raising, not by asserting
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    if found:
+        pytest.fail(f"assert statements under src/: {found}")
