@@ -140,22 +140,20 @@ def isolation_scan(
     )
     # every grid scale is at most (1 + radius) times a center scale, so
     # this budget covers the table of every point
-    catalogue = term_catalogue(
+    den, _, rows = term_catalogue(
         m.emb, cutoff * (1 + radius) * max(center_scales)
     )
     # per axis, the scale at each grid step and, last, the center's
     axes = [tuple(u * s for u in mult) + (s,) for s in center_scales]
     flat, _, limit = _common_scale(
-        [s for axis in axes for s in axis], catalogue.den, cutoff
+        [s for axis in axes for s in axis], den, cutoff
     )
     n = len(mult) + 1
     weights = [flat[k : k + n] for k in range(0, len(flat), n)]
     # every entry of a row is nonnegative (horizontal positivity), so a row
     # above the limit at each axis's least weight is above it everywhere
     floor = list(map(min, weights))
-    kept = [
-        (g, c) for g, c in catalogue.rows if sum(map(mul, g, floor)) <= limit
-    ]
+    kept = [(g, c) for g, c in rows if sum(map(mul, g, floor)) <= limit]
     counts = [c for _, c in kept]
     grid = [
         [[g[k] * w for g, _ in kept] for w in axis]

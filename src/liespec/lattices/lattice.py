@@ -59,17 +59,23 @@ HERMITE_POWER = {
 
 class Lattice(Value):
     """``gram`` is m x m, symmetric positive-definite, in exact rationals;
-    ``basis``, if given, is m x m with the generators as columns.  ``dim``
-    is m, read off the matrix."""
+    ``basis``, if given, is m x m with the generators as columns.  Each is
+    kept as a tuple of tuples.  ``dim`` is m, read off the matrix."""
 
     _fields = ("dim", "gram", "basis")
 
     def __init__(self, gram=None, basis=None):
         _check_exact(gram, basis)
+        # a caller's list could change after the checks below, and a Value
+        # hashes its fields
+        if basis is not None:
+            basis = tuple(map(tuple, basis))
         given = gram is not None
-        if not given:
-            if basis is None:
-                raise InputError("a lattice needs a gram matrix or a basis")
+        if given:
+            gram = tuple(map(tuple, gram))
+        elif basis is None:
+            raise InputError("a lattice needs a gram matrix or a basis")
+        else:
             gram = linalg.matmul(linalg.transpose(basis), basis)
         dim = len(gram)
         object.__setattr__(self, "dim", dim)

@@ -22,20 +22,20 @@ dim(sigma) * [sigma : tau-bar] * dim(tau).
 Neither the pairs nor c(sigma) and f_i = c_i(tau_i)/j_i depend on the
 metric, and the eigenvalue is linear in the reciprocal scales: with
 g = (c(sigma) - sum_i f_i, f_1, ...) it is g_0/t + sum_i g_i/t_i.  So the
-terms are built once, as a ``TermCatalogue`` for an embedding and a
-Casimir budget: integer rows g over one common denominator, with equal rows
-merged.  A metric is then one ``linear_table`` pass over the rows against
-its scales (t, t_1, ...), an integer dot product over one common scale,
-and one Fraction per distinct eigenvalue; ``terms_for`` dots over the
-same scale and makes a Fraction only for each term it keeps.
+terms are built once, by ``term_catalogue`` for an embedding and a Casimir
+budget, as plain data: integer rows g over one common denominator, with
+equal rows merged.  A metric is then one ``linear_table`` pass over the
+rows against its scales (t, t_1, ...), an integer dot product over one
+common scale, and one Fraction per distinct eigenvalue; ``natred_terms``
+dots over the same scale and makes a Fraction only for each term it keeps.
 
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
 that is g_0 >= 0, so every entry of g is nonnegative, every eigenvalue is
 at least c(sigma) * min(1, t/max t_i) / t, and a metric's table needs only
 the terms with c(sigma) <= cutoff * max(t, t_i).  The catalogue checks
-g_0 >= 0 on each of its terms and raises CertificationError if it fails; a
-metric whose budget exceeds the catalogue's is refused.  This makes every
+g_0 >= 0 on each of its terms and raises CertificationError if it fails,
+and every metric builds its catalogue at its own budget.  This makes every
 truncated table complete in both modes.
 """
 
@@ -144,12 +144,8 @@ class BiInvariantOperator(Value):
 
 def beta_factors(m: NatRedMetric):
     """Per-factor beta_i = t_i*t/(t - t_i); negative on oversized fibers."""
-    out = []
-    for x in m.fiber_scales:
-        if x == m.base_scale:
-            raise InadmissibleMetricError("beta undefined at equal scales")
-        out.append(x * m.base_scale / (m.base_scale - x))
-    return tuple(out)
+    t = m.base_scale
+    return tuple(x * t / (t - x) for x in m.fiber_scales)
 
 
 def f_map(op: BiInvariantOperator, shift) -> BiInvariantOperator:
@@ -173,60 +169,14 @@ def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
     return cutoff * max((m.base_scale,) + m.fiber_scales)
 
 
-class TermCatalogue(Frozen):
-    """Every (sigma, tau) term of one embedding with c(sigma) <= budget.
+def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
+    """(den, terms, rows) over every (sigma, tau) term of ``emb`` with
+    c(sigma) <= budget.
 
     Nothing here depends on a metric.  ``terms`` lists (sigma, tau, mult,
     row) in natred_terms order, where ``row`` is g = (c(sigma) - sum_i f_i,
     f_1, ...) times ``den``, all nonnegative integers, f_i = c_i(tau_i)/j_i;
     ``rows`` lists each distinct row once with its summed multiplicity.
-    Build it with ``term_catalogue``.
-    """
-
-    _fields = ("emb", "budget", "den", "terms", "rows")
-
-    def __init__(self, emb, budget, den, terms, rows):
-        object.__setattr__(self, "emb", emb)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "rows", rows)
-
-    def _scales(self, m: NatRedMetric, cutoff: Fraction) -> tuple:
-        """Scales (t, t_1, ...) of m: a row g has eigenvalue
-        sum_k g_k / s_k / den.  A metric of another embedding, or past the
-        catalogue's budget, is refused."""
-        if m.emb is not self.emb:
-            raise DomainError("term catalogue belongs to another embedding")
-        if _metric_budget(m, cutoff) > self.budget:
-            raise CertificationError(
-                "metric needs a larger term catalogue budget"
-            )
-        return (m.base_scale,) + m.fiber_scales
-
-    def terms_for(self, m: NatRedMetric, cutoff) -> list:
-        """(sigma, tau, multiplicity, eigenvalue) of m up to ``cutoff``."""
-        cutoff = rat_cutoff(cutoff)
-        scales = self._scales(m, cutoff)
-        weights, scale, limit = _common_scale(scales, self.den, cutoff)
-        out = []
-        for lam, tau, mult, row in self.terms:
-            value = sum(map(mul, weights, row))
-            if value <= limit:
-                out.append((lam, tau, mult, Fraction(value, scale)))
-        return out
-
-    def spectrum(self, m: NatRedMetric, cutoff) -> SpectrumTable:
-        """Truncated spectrum of m, aggregated on integer numerators."""
-        cutoff = rat_cutoff(cutoff)
-        return linear_table(
-            self.rows, self.den, self._scales(m, cutoff), cutoff
-        )
-
-
-def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
-    """All (sigma, tau) terms of ``emb`` with c(sigma) <= budget.
-
     tau is the per-factor contragredient of the branch label, matching the
     restriction-contains-dual indexing; Casimirs are blind to the flip.
     Each weight comes with its Casimir, dimension and branching from
@@ -234,7 +184,6 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
     (``_product_dim``) are made once.
     Horizontal positivity, g_0 >= 0, is checked on every term.
     """
-    budget = rat(budget)
     group, factors = emb.ambient, emb.factors
     ratios = killing_ratio(emb)
     # a Casimir has denominator dividing casimir_den, and dividing by j_i
@@ -268,29 +217,31 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> TermCatalogue:
             count = dim_lam * mult * dim_tau
             terms.append((lam, tau, count, row))
             rows[row] = rows.get(row, 0) + count
-    return TermCatalogue(
-        emb=emb,
-        budget=budget,
-        den=den,
-        terms=tuple(terms),
-        rows=tuple(rows.items()),
-    )
+    return den, tuple(terms), tuple(rows.items())
 
 
 def natred_terms(m: NatRedMetric, cutoff):
     """All (sigma, tau, multiplicity, eigenvalue) with eigenvalue <= cutoff,
     in the order of sigma (graded-lex) and then of the branch labels."""
     cutoff = rat_cutoff(cutoff)
-    return term_catalogue(m.emb, _metric_budget(m, cutoff)).terms_for(
-        m, cutoff
+    den, terms, _ = term_catalogue(m.emb, _metric_budget(m, cutoff))
+    weights, scale, limit = _common_scale(
+        (m.base_scale,) + m.fiber_scales, den, cutoff
     )
+    out = []
+    for lam, tau, mult, row in terms:
+        value = sum(map(mul, weights, row))
+        if value <= limit:
+            out.append((lam, tau, mult, Fraction(value, scale)))
+    return out
 
 
 def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     """Truncated spectrum of the naturally reductive metric; always complete."""
     cutoff = rat_cutoff(cutoff)
-    return term_catalogue(m.emb, _metric_budget(m, cutoff)).spectrum(
-        m, cutoff
+    den, _, rows = term_catalogue(m.emb, _metric_budget(m, cutoff))
+    return linear_table(
+        rows, den, (m.base_scale,) + m.fiber_scales, cutoff
     )
 
 
@@ -337,13 +288,13 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
         tau_p if i == factor_index else tuple(0 for _ in range(f.rank))
         for i, f in enumerate(m.emb.factors)
     )
-    catalogue = term_catalogue(m.emb, _metric_budget(m, cutoff))
+    den, terms, rows = term_catalogue(m.emb, _metric_budget(m, cutoff))
     budget = (cutoff - gamma) * m.base_scale
     witness = None
-    for lam, term_tau, _, row in catalogue.terms:
+    for lam, term_tau, _, row in terms:
         if term_tau != tau:
             continue
-        c_lam = Fraction(sum(row), catalogue.den)  # c(sigma) = sum of g
+        c_lam = Fraction(sum(row), den)  # c(sigma) = sum of g
         if c_lam <= budget:
             zeta = c_lam / m.base_scale
             if witness is None or zeta < witness[0]:
@@ -357,7 +308,8 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
         }
     zeta, lam = witness
     value = zeta + gamma
-    found = catalogue.spectrum(m, cutoff).multiplicity(value)
+    scales = (m.base_scale,) + m.fiber_scales
+    found = linear_table(rows, den, scales, cutoff).multiplicity(value)
     return {
         "status": "witnessed" if found > 0 else "failed",
         "factor": factor_index,

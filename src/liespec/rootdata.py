@@ -14,9 +14,7 @@ Every Lie primitive reads integer tables built once per root system
   reads;
 * ``form`` over ``form_den`` -- the normalized form
   <u, v> = u . form . v / form_den, with <theta, theta> = 2 for the
-  highest root theta;
-* ``cartan_adj`` over ``cartan_det`` -- the simple-root coordinates of a
-  weight w are cartan_adj . w / cartan_det.
+  highest root theta.
 
 The Killing-dual form <u, v> / (2 h^vee) = u . form . v / casimir_den is
 the form induced on weights by the negative Killing form and the one the
@@ -181,13 +179,12 @@ class RootSystemData(Frozen):
     _fields = (
         "family", "rank", "cartan", "pos_roots_fund", "highest_root",
         "coroots", "weyl_den", "form", "form_den", "casimir_den",
-        "cartan_adj", "cartan_det", "dual_coxeter", "dim_g", "minus_w0",
+        "dual_coxeter", "dim_g", "minus_w0",
     )
 
     def __init__(
         self, family, rank, cartan, pos_roots_fund, highest_root, coroots,
-        weyl_den, form, form_den, casimir_den, cartan_adj, cartan_det,
-        dual_coxeter, dim_g, minus_w0,
+        weyl_den, form, form_den, casimir_den, dual_coxeter, dim_g, minus_w0,
     ):
         fields = locals()
         for name in self._fields:
@@ -225,8 +222,7 @@ def _build(name: str) -> RootSystemData:
     d = _symmetrizer(cartan)
     adj, det = linalg.adjugate(cartan)
     # C^{-1} = adj / det; adj^T maps a root to det times its root coordinates
-    cartan_adj = linalg.transpose(adj)
-    pos = _positive_roots(cartan, cartan_adj, det)
+    pos = _positive_roots(cartan, linalg.transpose(adj), det)
     fund_list = tuple(f for f, _ in pos)
     # the coroots are the roots of the transposed Cartan matrix, and their
     # simple-root coordinates there are simple-coroot coordinates here
@@ -279,8 +275,6 @@ def _build(name: str) -> RootSystemData:
         form=form,
         form_den=form_den,
         casimir_den=2 * hvee * form_den,
-        cartan_adj=cartan_adj,
-        cartan_det=det,
         dual_coxeter=hvee,
         dim_g=2 * len(fund_list) + n,
         minus_w0=perm,

@@ -9,17 +9,22 @@ All three run on the integer tables of ``rootdata``:
   ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
 * ``weight_diagram`` -- the full character of V_lambda, as sorted
   (weight, multiplicity) pairs like ``dominant_character``.  Its dominant
-  weights are the dominant mu with lambda - mu in the root cone, each of
-  smaller Casimir than every dominant weight above it (ibid., 13.4), so
-  Freudenthal's recursion (ibid., 22.3) takes them from
-  ``_dominant_casimirs`` in descending Casimir.  casimir_num is
-  |lam + rho|^2 - |rho|^2 times form_den, so the recursion's denominator
-  is casimir_num(lambda) - casimir_num(mu).  Strings are unbroken (ibid.,
-  21.3), so each mu + k beta stops at the first k whose dominant
-  representative, from ``rootdata._chamber``, has no multiplicity.  Weyl
-  orbits fill in the rest;
+  weights are the dominant mu with lambda - mu in the root cone (ibid.,
+  21.3).  In the dominance order on dominant weights each covering pair
+  differs by a positive root (Stembridge, The partial order of dominant
+  weights, Adv. Math. 136 (1998)), so subtracting positive roots from
+  lambda, through dominant weights only, reaches every one of them.  Each
+  has smaller Casimir than every dominant weight above it (Humphreys
+  13.4), so Freudenthal's recursion (ibid., 22.3) takes them in descending
+  Casimir.  casimir_num is |lam + rho|^2 - |rho|^2 times form_den, so the
+  recursion's denominator is casimir_num(lambda) - casimir_num(mu).
+  Strings are unbroken (ibid., 21.3), so each mu + k beta stops at the
+  first k whose dominant representative, from ``rootdata._chamber``, has
+  no multiplicity.  Weyl orbits fill in the rest;
 * ``_dominant_casimirs`` -- (weight, casimir_num, weyl_dim) over all
-  dominant weights with Casimir at most a given budget, enumerable because
+  dominant weights with Casimir at most a given budget, for the two
+  callers that read its Weyl dimensions: ``branching._branched`` and the
+  bi-invariant fold of ``groups``.  The weights are enumerable because
   the Casimir is strictly increasing in every fundamental coordinate.  The
   walk carries ``casimir_num`` C, F . lam (F = ``form``) and the coroot
   pairings (lam + rho, beta^vee): raising lam_j by one adds
@@ -45,10 +50,9 @@ All three run on the integer tables of ``rootdata``:
 """
 
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import DomainError
 from .rational import rat
@@ -81,17 +85,6 @@ def _weyl_quotient(pairs, den) -> int:
     return dim
 
 
-def _below(rs: RootSystemData, lam, mu) -> bool:
-    """True iff lam - mu lies in the nonnegative root cone."""
-    diff = [a - b for a, b in zip(lam, mu)]
-    det = rs.cartan_det
-    for row in rs.cartan_adj:
-        coeff, rest = divmod(sum(map(mul, row, diff)), det)
-        if rest or coeff < 0:
-            return False
-    return True
-
-
 def dominant_character(rs: RootSystemData, weight) -> tuple:
     """((mu, mult), ...) over dominant weights of V_weight, Freudenthal."""
     lam = check_weight(rs, weight)
@@ -108,19 +101,27 @@ def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
     (nu, beta) is nu . (F . beta), and the denominator is a difference of
     Casimir numerators (module docstring).
     """
-    cartan = rs.cartan
+    cartan, roots = rs.cartan, rs.pos_roots_fund
     strings = [
         (beta, [sum(map(mul, row, beta)) for row in rs.form])
-        for beta in rs.pos_roots_fund
+        for beta in roots
     ]
+    # the dominant weights below lam, reached from lam by subtracting
+    # positive roots through dominant weights (module docstring)
+    below, stack = {lam}, [lam]
+    while stack:
+        mu = stack.pop()
+        for beta in roots:
+            nu = tuple(map(sub, mu, beta))
+            if min(nu) >= 0 and nu not in below:
+                below.add(nu)
+                stack.append(nu)
     top = casimir_num(rs, lam)
-    walk = _dominant_casimirs(rs, Fraction(top, rs.casimir_den))
     mults = {}
     # descending Casimir: lam comes first, and every dominant weight above
     # mu comes before mu
     for num, mu in sorted(
-        ((num, mu) for mu, num, _ in walk if _below(rs, lam, mu)),
-        reverse=True,
+        ((casimir_num(rs, mu), mu) for mu in below), reverse=True
     ):
         if mu == lam:
             mults[mu] = 1

@@ -856,12 +856,21 @@ def _dominant_candidates(rs, lam):
     for j in range(n):
         box.append(range(_floor_sqrt(lam_sq / fund_form[j][j]) + 1))
     cinv_t = linalg.transpose(ref_inverse(_fractions(rs.cartan)))
+    # the simple-root coordinates of lam - mu, times the least common
+    # denominator q of the inverse Cartan matrix, so the cone test is on ints
+    q = math.lcm(*(x.denominator for row in cinv_t for x in row))
+    rows = [[int(x * q) for x in row] for row in cinv_t]
     out = []
     for mu in itertools.product(*box):
-        diff = tuple(Fraction(a - b) for a, b in zip(lam, mu))
-        coeffs = matvec(cinv_t, diff)
-        if all(c.denominator == 1 and c >= 0 for c in coeffs):
-            out.append((mu, sum(int(c) for c in coeffs)))
+        diff = [a - b for a, b in zip(lam, mu)]
+        height = 0
+        for row in rows:
+            c = sum(x * d for x, d in zip(row, diff))
+            if c < 0 or c % q:
+                break
+            height += c
+        else:
+            out.append((mu, height // q))
     out.sort(key=lambda t: (t[1], t[0]))  # by height of lam - mu
     return out
 

@@ -373,10 +373,8 @@ def test_term_catalogue_matches_fraction_reference():
     fresh = [_fresh(name) for name in BUILTIN_EMBEDDINGS]
     for emb in fresh + [_principal_a1("G2")]:
         catalogue = term_catalogue(emb, 12)
-        assert len(catalogue.terms) > 20
-        assert (catalogue.den, catalogue.terms, catalogue.rows) == (
-            ref_term_catalogue(emb, 12)
-        )
+        assert len(catalogue[1]) > 20
+        assert catalogue == ref_term_catalogue(emb, 12)
 
 
 def test_branch_matches_a_kostant_racah_speiser_oracle(monkeypatch):
@@ -655,8 +653,9 @@ from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.natred import term_catalogue
 from liespec.weights import _dominant_casimirs
 
+emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+
 def fresh():
-    emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
     return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction)
 
 healthy = term_catalogue(fresh(), 12)
@@ -667,9 +666,8 @@ faulty = term_catalogue(fresh(), 12)
 print(json.dumps({
     "debug": __debug__,
     "peeled": sorted(peeled),
-    "weights": sorted(w for w, _, _ in _dominant_casimirs(healthy.emb.ambient, 12)),
-    "same": (faulty.den, faulty.terms, faulty.rows)
-    == (healthy.den, healthy.terms, healthy.rows),
+    "weights": sorted(w for w, _, _ in _dominant_casimirs(emb.ambient, 12)),
+    "same": faulty == healthy,
 }))
 """
 

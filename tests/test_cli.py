@@ -535,6 +535,16 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("LIESPEC_CACHE_DIR")
     code, fresh = run_cli(capsys, *args)
     assert fresh == first
+    # a write that fails is an I/O error, exit 1, and leaves neither an
+    # entry nor its temporary file
+    def refused(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refused)
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "full"))
+    code, out = run_cli(capsys, *args)
+    assert code == 1 and json.loads(out)["error"]["type"] == "OSError"
+    assert os.listdir(tmp_path / "full") == []
 
 
 def _with_table(entry_text, **fields):

@@ -37,6 +37,9 @@ INLINE = {
     "A1G2SPEC": '{"factors":["A1","G2"],"scales":["1","1/2"]}',
     # rank-deficient restriction rows: validate-embedding reports it
     "BADEMB": '{"ambient":"B2","factors":["A1","A1"],"restriction":[["0","0"],["2","2"]]}',
+    # half-integral restriction rows: the adjoint weights restrict to
+    # non-integer coordinates, and validate-embedding reports it
+    "HALFEMB": '{"ambient":"A2","factors":["A1"],"restriction":[["1/2","1/2"]]}',
     # the E8 Cartan matrix written as a Gram matrix
     "E8GRAM": (
         '{"gram":[["2","0","-1","0","0","0","0","0"],'
@@ -369,6 +372,18 @@ GOLDEN = {
     "validate-embedding --embedding BADEMB --format pretty": (
         0,
         "957ac8dcc5570865998d7706e251a07b663cb424846426a5844dd80d938ec994",
+    ),
+    "validate-embedding --embedding HALFEMB --format json": (
+        0,
+        "a208968ca80a36edad29e162763eb9ec3be47692caec9bce470511fae074c995",
+    ),
+    "validate-embedding --embedding HALFEMB --format csv": (
+        0,
+        "74461779001575ea2f26f9fbcd7f1ece2f8ae435b292437fcf8edbdeb69159a4",
+    ),
+    "validate-embedding --embedding HALFEMB --format pretty": (
+        0,
+        "778321ccd6724a56bac92e9d787fb666392e4acf25b103918ea6196e0976fb9c",
     ),
     "torus-spectrum --gram SINGULAR --cutoff 1": (
         2,

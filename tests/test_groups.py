@@ -14,6 +14,7 @@ from helpers import (
     ref_normal_quotient_spectrum,
 )
 
+from liespec import linalg
 from liespec.branching import EmbeddingSpec, branch, embedding_index
 from liespec.catalog import (
     BUILTIN_EMBEDDINGS,
@@ -284,6 +285,9 @@ def test_group_validation():
     # a coweight part has one coordinate per unit of its factor's rank
     with pytest.raises(DomainError, match="coweight length"):
         GroupSpec(factors=(build("A2"),), gamma=(((F(1, 3),),),))
+    # a descriptor is a JSON object
+    with pytest.raises(InputError, match="descriptor must be an object"):
+        GroupSpec.from_json_dict([1])
 
 
 def test_specs_keep_a_tuple_of_root_systems():
@@ -346,7 +350,8 @@ def _random_central_element(rng, factors):
         if k == f.rank:
             parts.append(tuple(F(0) for _ in range(f.rank)))
         else:
-            parts.append(tuple(F(x, f.cartan_det) for x in f.cartan_adj[k]))
+            adj, det = linalg.adjugate(f.cartan)
+            parts.append(tuple(F(row[k], det) for row in adj))
     return tuple(parts)
 
 

@@ -29,9 +29,9 @@ from liespec.lattices import (
     systole,
     torus_spectrum,
 )
-from liespec.natred import NatRedMetric, TermCatalogue, term_catalogue
+from liespec.natred import NatRedMetric, term_catalogue
 from liespec.rootdata import build
-from liespec.spectrum import table_distance
+from liespec.spectrum import linear_table, table_distance
 
 from helpers import (
     random_rational_basis,
@@ -193,6 +193,13 @@ def _grid_points(m, radius, steps):
     return points
 
 
+def _table(catalogue, m, cutoff):
+    """m's table at ``cutoff`` from a (den, terms, rows) catalogue."""
+    den, _, rows = catalogue
+    scales = (m.base_scale,) + m.fiber_scales
+    return linear_table(rows, den, scales, F(cutoff))
+
+
 def test_scan_matches_per_point_reference():
     centers = [
         (STD, 1, (F(1, 2),), F(1, 10), 3, 5),
@@ -208,6 +215,8 @@ def test_scan_matches_per_point_reference():
         # the grids cross fiber = base: once through a grid point
         (STD, 1, (F(9, 11),), F(1, 10), 3, 5),
         (STD, 1, (F(21, 20),), F(1, 10), 4, 5),
+        # below the first nonzero eigenvalue every point is a neighbor
+        (SO4, 1, (F(1, 2), F(1, 3)), F(1, 10), 3, F(1, 10)),
     ]
     for emb, t, fibers, radius, steps, cutoff in centers:
         m = NatRedMetric(
@@ -220,10 +229,10 @@ def test_scan_matches_per_point_reference():
         catalogue = term_catalogue(
             m.emb, cutoff * (1 + radius) * max(center)
         )
-        center_table = catalogue.spectrum(m, cutoff)
+        center_table = _table(catalogue, m, cutoff)
         distances = []
         for point, compared in _grid_points(m, radius, steps):
-            table = catalogue.spectrum(point, cutoff)
+            table = _table(catalogue, point, cutoff)
             assert table == ref_natred_spectrum(point, cutoff)
             if compared:
                 distances.append(table_distance(table, center_table))
@@ -232,6 +241,9 @@ def test_scan_matches_per_point_reference():
             filter(None, distances), default=None
         )
         assert len(report["isospectral_neighbors"]) == distances.count(0)
+    assert report["grid"]["compared"] == 26  # the last center's
+    assert len(report["isospectral_neighbors"]) == 26
+    assert report["min_table_distance"] is None
     # radius 0 with more than one step would repeat the center uncounted
     m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     with pytest.raises(DomainError):
@@ -246,20 +258,21 @@ def test_scan_prunes_at_the_grid_floor():
     center = (m.base_scale,) + m.fiber_scales
     corner = tuple((1 + radius) * s for s in center)
     catalogue = term_catalogue(STD, cutoff * (1 + radius) * max(center))
+    den, _, rows = catalogue
 
     def value(row, scales):
         t, t_1 = scales
-        return (row[0] / t + row[1] / t_1) / catalogue.den
+        return (row[0] / t + row[1] / t_1) / den
 
     assert any(
         value(row, corner) <= cutoff < value(row, center)
-        for row, _ in catalogue.rows
+        for row, _ in rows
     )
     report = isolation_scan(m, radius, steps, cutoff)
     assert report == ref_isolation_scan(m, radius, steps, cutoff)
     assert report["min_table_distance"] == min(
         table_distance(
-            catalogue.spectrum(point, cutoff), catalogue.spectrum(m, cutoff)
+            _table(catalogue, point, cutoff), _table(catalogue, m, cutoff)
         )
         for point, compared in _grid_points(m, radius, steps)
         if compared
@@ -268,7 +281,7 @@ def test_scan_prunes_at_the_grid_floor():
 
 def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
     # a 25-point scan evaluates its points on integers: a return to one
-    # metric, spectrum or linear_table per point fails here
+    # metric or linear_table per point fails here
     calls = Counter()
 
     def counted(name, fn):
@@ -280,9 +293,6 @@ def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
 
     monkeypatch.setattr(
         NatRedMetric, "__init__", counted("metric", NatRedMetric.__init__)
-    )
-    monkeypatch.setattr(
-        TermCatalogue, "spectrum", counted("spectrum", TermCatalogue.spectrum)
     )
     for module in (natred, spectrum):
         monkeypatch.setattr(

@@ -62,6 +62,8 @@ def test_lattice_validation():
         Lattice.from_basis(((F(1), F(1)), (F(1), F(1))))  # singular
     with pytest.raises(DomainError):
         Lattice(gram=((F(1), F(0)), (F(0), F(1), F(0))))
+    with pytest.raises(DomainError, match="ragged matrix"):
+        Lattice.from_gram([[1, 0], [0]])
     # an empty matrix is no lattice
     for empty in ({"gram": ()}, {"basis": ()}):
         with pytest.raises(DomainError, match="dimension must be >= 1"):
@@ -77,6 +79,22 @@ def test_lattice_validation():
             gram=tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3)),
             basis=tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(4)),
         )
+
+
+def test_lattice_keeps_tuples_of_given_lists():
+    # a gram matrix or basis given as lists is kept as a tuple of tuples:
+    # the caller's list can change later and the lattice does not, it
+    # hashes, and B^T B, which matmul makes as tuples, can equal it
+    g = [[F(1), F(0)], [F(0), F(1)]]
+    lat = Lattice(gram=g)
+    g[0][0] = F(-5)
+    assert lat.gram == ((1, 0), (0, 1)) and lat.det_gram == 1
+    assert hash(lat) == hash(Lattice(gram=((F(1), F(0)), (F(0), F(1)))))
+    b = [[F(1), F(0)], [F(0), F(1)]]
+    both = Lattice(gram=[row[:] for row in b], basis=b)
+    b[1][1] = F(3)
+    assert both.basis == ((1, 0), (0, 1))
+    assert both == Lattice.from_basis(((1, 0), (0, 1)))
 
 
 def test_volume_needs_basis():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import (
-    CertificationError,
     DomainError,
     InadmissibleMetricError,
     InputError,
@@ -26,6 +25,7 @@ from liespec.natred import (
     term_catalogue,
 )
 from liespec.rootdata import build
+from liespec.spectrum import linear_table
 
 from helpers import (
     f_map_inverse,
@@ -100,19 +100,15 @@ def test_terms_match_per_metric_reference():
 
 
 def test_catalogue_serves_metrics_within_its_budget():
+    # rows past a metric's own budget lie above its cutoff: one wide
+    # catalogue gives the table that the metric's own catalogue gives
     m = metric(1, F(1, 2))
-    wide = term_catalogue(STD, 12)
+    den, _, rows = term_catalogue(STD, 12)
     for cutoff in (0, F(1, 3), 2, 6, 12):
-        assert wide.spectrum(m, cutoff) == natred_spectrum(m, cutoff)
-        assert wide.terms_for(m, cutoff) == natred_terms(m, cutoff)
-    with pytest.raises(CertificationError):
-        wide.spectrum(m, 13)  # would need c(sigma) up to 13
-    with pytest.raises(CertificationError):
-        wide.spectrum(metric(1, 3), 5)  # oversized fiber: budget 15
+        wide = linear_table(rows, den, (F(1), F(1, 2)), F(cutoff))
+        assert wide == natred_spectrum(m, cutoff)
     with pytest.raises(DomainError):
-        wide.spectrum(metric(1, F(1, 2), emb=IDA2), 1)
-    with pytest.raises(DomainError):
-        wide.spectrum(m, -1)
+        natred_spectrum(m, -1)
 
 
 def test_full_group_fiber_collapses_to_biinvariant():

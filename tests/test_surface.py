@@ -1,7 +1,8 @@
 """The public surface: every name in ``liespec.__all__``, and every public
 top-level function of src/, is used by the package itself, or is one of
 the exported instruments that README.md lists with the paper statement it
-checks."""
+checks; every field of a record class is read by src/; and no module
+under src/ asserts."""
 
 import ast
 import re
@@ -72,3 +73,51 @@ def test_no_module_under_src_asserts():
     ]
     if found:
         pytest.fail(f"assert statements under src/: {found}")
+
+
+def _attribute_loads() -> dict:
+    """{attribute: the classes whose ``__init__`` loads it, with None for a
+    load outside every ``__init__``} over src/."""
+    loads = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if getattr(fn, "name", None) == "__init__":
+                    owner.update((id(n), cls.name) for n in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and type(node.ctx) is ast.Load:
+                loads.setdefault(node.attr, set()).add(owner.get(id(node)))
+    return loads
+
+
+def _record_fields() -> list:
+    """(class, field) for each name in the ``_fields`` of a class of src/."""
+    return [
+        (cls.name, name)
+        for path in (ROOT / "src").rglob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign)
+        and [getattr(t, "id", None) for t in stmt.targets] == ["_fields"]
+        for name in ast.literal_eval(stmt.value)
+    ]
+
+
+def test_every_record_field_is_read_by_src():
+    # the rule on public functions, for fields: each field is read as an
+    # attribute by src/ outside its class's __init__, which only stores and
+    # checks it; a field that only tests read is not kept
+    loads = _attribute_loads()
+    fields = _record_fields()
+    unread = [
+        f"{cls}.{name}"
+        for cls, name in fields
+        if not loads.get(name, set()) - {cls}
+    ]
+    if len(fields) < 20 or unread:
+        pytest.fail(f"of {len(fields)} record fields, src/ never reads {unread}")

@@ -179,6 +179,26 @@ ALL_TYPES = (
 )
 
 
+def test_freudenthal_reaches_every_dominant_weight_below_the_highest():
+    # every dominant mu with lam - mu in the root cone is a weight of V_lam
+    # (Humphreys 21.3), so the character's support is the box-and-cone
+    # filter of tests/helpers.py, which shares no code with the search
+    # from lam that subtracts positive roots
+    from helpers import _dominant_candidates
+
+    cases = [
+        (name, lam)
+        for name in ALL_TYPES
+        for lam in dominant_weights_up_to(build(name), 2)
+    ]
+    assert len(cases) == 393
+    for name, lam in cases + [("B2", (40, 40)), ("G2", (10, 10))]:
+        rs = build(name)
+        support = [mu for mu, _ in dominant_character(rs, lam)]
+        cone = sorted(mu for mu, _ in _dominant_candidates(rs, lam))
+        assert support == cone, (name, lam)
+
+
 def test_integer_tables_match_fraction_reference():
     from helpers import (
         ref_casimir,
