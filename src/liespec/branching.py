@@ -17,10 +17,10 @@ factors' root systems and shared by every embedding of the same K, so a
 step is dictionary additions and its checks).  A step checks that
 V_lam occurs once, no multiplicity is negative and the dimensions add up
 (dim V_lam by ``weyl_dim``; each K-type's by ``_product_dim``, memoized
-like the products from each part's memoized ``weyl_dim``, so no
-module-level memo holds an embedding or its branchings).  It re-checks
-no weight: the walk or the memo made every weight it reads from checked
-ones.  A step runs only if every branching it reads is memoized: each
+like the products from its parts' ``weyl_dim``, so no module-level memo
+holds an embedding or its branchings).  ``branch`` checks the weight it
+is given; a step reads only weights that the walk or the memo made from
+checked ones.  A step runs only if every branching it reads is memoized: each
 kappa has a smaller Casimir than lam, so ``_branched``, which walks and
 branches the weights below a Casimir budget for the term catalogue and
 the normal quotient, takes them in ascending Casimir and recurses past 0
@@ -51,7 +51,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from . import linalg
 from .errors import (
@@ -60,15 +60,8 @@ from .errors import (
 from .frozen import Frozen, Value
 from .rational import array, fmt, rat_matrix, required
 from .rootdata import (
-    RootSystemData,
-    _chamber,
-    _contragredient,
-    build,
-    casimir_num,
+    RootSystemData, _chamber, build, casimir_num, check_dominant,
     check_root_system,
-    check_weight,
-    dominant_rep,
-    is_dominant,
 )
 from .weights import _dominant_casimirs, weight_diagram, weyl_dim
 
@@ -110,24 +103,18 @@ class EmbeddingSpec(Frozen):
         object.__setattr__(self, "_int_rows", tuple(blocks))
         object.__setattr__(self, "_den", den)
 
-    def restrict_weight(self, weight):
-        """Image of a G-weight as per-factor coordinate tuples.
-
-        Raises MalformedEmbeddingError if any image coordinate is not an
-        integer.
-        """
+    def _restrict(self, weight: tuple) -> tuple:
+        """Image of a checked G-weight as per-factor coordinate tuples;
+        MalformedEmbeddingError if a coordinate is not an integer."""
         den = self._den
         parts = []
         for block in self._int_rows:
             part = []
             for row in block:
-                value, rest = divmod(
-                    sum(a * x for a, x in zip(row, weight)), den
-                )
+                value, rest = divmod(sum(map(mul, row, weight)), den)
                 if rest:
                     raise MalformedEmbeddingError(
-                        f"weight {tuple(weight)} restricts to non-integer "
-                        "coordinates"
+                        f"weight {weight} restricts to non-integer coordinates"
                     )
                 part.append(value)
             parts.append(tuple(part))
@@ -180,9 +167,9 @@ class BranchingResult(Value):
 
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     """Decompose the restriction of the G-irreducible V_sigma to K."""
-    lam = check_weight(emb.ambient, sigma)
-    if not is_dominant(lam):
-        raise DomainError("branch expects a dominant weight")
+    lam = check_dominant(
+        emb.ambient, sigma, "branch expects a dominant weight"
+    )
     return _branch(emb, lam)
 
 
@@ -285,11 +272,11 @@ def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
         return BranchingResult(lam, (((), weyl_dim(emb.ambient, lam)),))
     restricted = {}
     for nu, mult in weight_diagram(emb.ambient, lam):
-        key = emb.restrict_weight(nu)
+        key = emb._restrict(nu)
         restricted[key] = restricted.get(key, 0) + mult
     terms = Counter()
     for key, mult in restricted.items():
-        top = tuple(map(dominant_rep, emb.factors, key))
+        top = tuple(_chamber(f.cartan, k)[0] for f, k in zip(emb.factors, key))
         if restricted.get(top) != mult:
             raise MalformedEmbeddingError(
                 "restricted character is not invariant under the Weyl "
@@ -315,10 +302,7 @@ def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
 @lru_cache(maxsize=None)
 def _product_dim(factors: tuple, tup: tuple) -> int:
     """dim V_tup for a K-type ``tup`` of ``factors``, keyed as ``_product``."""
-    return prod(map(_part_dim, factors, tup))
-
-
-_part_dim = lru_cache(maxsize=None)(weyl_dim)  # dim V_part of one factor
+    return prod(map(weyl_dim, factors, tup))
 
 
 def embedding_index(emb: EmbeddingSpec) -> tuple:
@@ -351,18 +335,13 @@ def killing_ratio(emb: EmbeddingSpec) -> tuple:
     )
 
 
-def contragredient_tuple(emb: EmbeddingSpec, tup) -> tuple:
-    """Apply per-factor contragredient to a branching term label, whose
-    parts are checked weights."""
-    return tuple(map(_contragredient, emb.factors, tup))
-
-
 def validate_embedding(emb: EmbeddingSpec) -> dict:
     """Run structural checks; returns a report instead of raising.
 
     Checks: integer restriction of all adjoint weights, full row rank of
     the restriction matrix, successful peeling of the adjoint, positive
-    indices.
+    indices.  ``ok`` covers these checks of the adjoint alone: another
+    weight may still fail to branch.
     """
     checks = []
 
@@ -371,7 +350,7 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
 
     try:
         for nu, _ in weight_diagram(emb.ambient, emb.ambient.highest_root):
-            emb.restrict_weight(nu)
+            emb._restrict(nu)
         record("integer-adjoint-weights", True)
     except MalformedEmbeddingError as exc:
         record("integer-adjoint-weights", False, str(exc))

@@ -85,11 +85,16 @@ def resolve(kind, descriptor):
     builtin = _BUILTINS.get(kind, {})
     if descriptor in builtin:
         return builtin[descriptor]
-    if descriptor.strip().startswith("{"):
-        obj = json.loads(descriptor)
-    else:
-        with open(descriptor, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+    try:
+        if descriptor.strip().startswith("{"):
+            obj = json.loads(descriptor)
+        else:
+            with open(descriptor, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # a file not UTF-8, an int over the digit limit
+        raise InputError(f"descriptor JSON does not parse: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError("descriptor JSON must be an object")
     return kind.from_json_dict(obj)

@@ -28,8 +28,7 @@ from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required
 from .rootdata import (
-    RootSystemData, build, casimir, check_root_system, check_weight,
-    is_dominant,
+    RootSystemData, build, casimir, check_dominant, check_root_system
 )
 from .spectrum import (
     SpectrumTable, _common_scale, linear_table, table_from_counts
@@ -114,10 +113,9 @@ def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     if len(lam_tuple) != len(gs.factors):
         raise DomainError("weight tuple length != number of factors")
     parts = tuple(
-        check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)
+        check_dominant(f, w, "center_admissible expects dominant weights")
+        for f, w in zip(gs.factors, lam_tuple)
     )
-    if not all(map(is_dominant, parts)):
-        raise DomainError("center_admissible expects dominant weights")
     d, zs = gs._gamma
     return not any(
         sum(sum(map(mul, lam, part)) for lam, part in zip(parts, z)) % d

@@ -29,7 +29,7 @@ from .errors import DomainError, InputError, UnsupportedDimensionError
 from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
-from .natred import NatRedMetric, term_catalogue
+from .natred import NatRedMetric, _metric_budget, term_catalogue
 from .rational import _check_exact, exact_int, fmt, rat, rat_cutoff
 from .spectrum import SpectrumTable, _common_scale, _counts, _distance
 
@@ -138,11 +138,10 @@ def isolation_scan(
     fiber_fills_group = (
         sum(f.dim_g for f in m.emb.factors) == m.group.dim_g
     )
-    # every grid scale is at most (1 + radius) times a center scale, so
-    # this budget covers the table of every point
-    den, _, rows = term_catalogue(
-        m.emb, cutoff * (1 + radius) * max(center_scales)
-    )
+    # every grid scale is at most (1 + radius) times a center scale, so the
+    # center's budget at that much larger a cutoff covers every point
+    budget = _metric_budget(m, cutoff * (1 + radius))
+    den, _, rows = term_catalogue(m.emb, budget)
     # per axis, the scale at each grid step and, last, the center's
     axes = [tuple(u * s for u in mult) + (s,) for s in center_scales]
     flat, _, limit = _common_scale(

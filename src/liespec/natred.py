@@ -40,29 +40,18 @@ truncated table complete in both modes.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .branching import (
-    EmbeddingSpec,
-    _branched,
-    _product_dim,
-    contragredient_tuple,
-    killing_ratio,
-)
+from .branching import EmbeddingSpec, _branched, _product_dim, killing_ratio
 from .errors import (
     CertificationError, DomainError, InadmissibleMetricError, InputError
 )
 from .frozen import Frozen, Value
 from .groups import factor_lambda1
 from .rational import array, exact_int, fmt, rat, rat_cutoff, required
-from .rootdata import RootSystemData, build, casimir_num
+from .rootdata import RootSystemData, _contragredient, build, casimir_num
 from .spectrum import SpectrumTable, _common_scale, linear_table
-
-
-# casimir_num of one part of a branch label, made once per part
-_part_casimir = lru_cache(maxsize=None)(casimir_num)
 
 
 class NatRedMetric(Frozen):
@@ -204,8 +193,8 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
         c_lam = num * (den // group.casimir_den)
         for tup, mult in result.terms:
             if tup not in labels:
-                tau = contragredient_tuple(emb, tup)
-                tail = tuple(map(mul, map(_part_casimir, factors, tau), scales))
+                tau = tuple(map(_contragredient, factors, tup))
+                tail = tuple(map(mul, map(casimir_num, factors, tau), scales))
                 labels[tup] = tau, tail, sum(tail), _product_dim(factors, tup)
             tau, tail, fiber, dim_tau = labels[tup]
             # horizontal Laplacian positivity; certifies the budget

@@ -6,6 +6,7 @@ comes from outside is coerced here, once: a value that does not parse, or
 JSON of the wrong shape, raises InputError.
 """
 
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, InputError
@@ -57,8 +58,16 @@ def rat_cutoff(value) -> Fraction:
 
 
 def fmt(value: Fraction) -> str:
-    """Format a Fraction as 'p/q', or 'p' when the denominator is 1."""
-    return str(Fraction(value))
+    """Format a Fraction as 'p/q', or 'p' when the denominator is 1.  One
+    with more digits than the interpreter writes is a DomainError."""
+    try:
+        return str(Fraction(value))
+    except ValueError:
+        raise DomainError(
+            "exact answer too long to write: it has more digits than the "
+            f"interpreter's {sys.get_int_max_str_digits()}-digit limit on "
+            "int strings"
+        ) from None
 
 
 def required(obj: dict, key: str):

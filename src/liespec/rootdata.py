@@ -32,8 +32,10 @@ transposed Cartan matrix, and -w0 sends omega_k to the dominant weight in
 the orbit of -omega_k.  The dual Coxeter number is 1 + <rho, theta>.
 
 The one chamber walk, ``_chamber``, takes a weight to the dominant one in
-its orbit, with det w; ``dominant_rep``, the -w0 table, the dot action of
-``branching`` and Freudenthal's strings in ``weights`` all read it.
+its orbit, with det w; the -w0 table, the dot action and the peel of
+``branching`` and Freudenthal's strings in ``weights`` all read it.  Like
+``casimir_num`` and ``_contragredient``, it trusts its input: a weight is
+checked once, by ``check_dominant`` at the public door it comes in by.
 """
 
 from fractions import Fraction
@@ -304,32 +306,25 @@ def check_weight(rs: RootSystemData, weight) -> tuple:
     return tuple(x if type(x) is int else exact_int(x) for x in w)
 
 
-def is_dominant(weight) -> bool:
-    return all(x >= 0 for x in weight)
-
-
-def casimir_num(rs: RootSystemData, weight) -> int:
-    """The Casimir eigenvalue times ``casimir_den``, an integer."""
+def check_dominant(rs: RootSystemData, weight, message: str) -> tuple:
+    """``check_weight``, then DomainError(message) unless the weight is
+    dominant: the one gate of every door that takes a dominant weight."""
     lam = check_weight(rs, weight)
-    if not is_dominant(lam):
-        raise DomainError("casimir expects a dominant weight")
+    if min(lam) < 0:
+        raise DomainError(message)
+    return lam
+
+
+def casimir_num(rs: RootSystemData, lam: tuple) -> int:
+    """Casimir eigenvalue times ``casimir_den`` of a checked dominant lam."""
     shifted = [x + 2 for x in lam]  # lam + 2 rho
     return sum(x * sum(map(mul, row, shifted)) for x, row in zip(lam, rs.form))
 
 
 def casimir(rs: RootSystemData, weight) -> Fraction:
     """Casimir eigenvalue <lambda, lambda + 2 rho> in Killing-dual units."""
-    return Fraction(casimir_num(rs, weight), rs.casimir_den)
-
-
-def dominant_rep(rs: RootSystemData, weight):
-    """The dominant representative of the Weyl orbit of ``weight``."""
-    return _chamber(rs.cartan, tuple(weight))[0]
-
-
-def weyl_orbit(rs: RootSystemData, dominant_weight):
-    """The full Weyl orbit of a dominant weight, as a sorted tuple."""
-    return tuple(sorted(_orbit(rs.cartan, tuple(dominant_weight))))
+    lam = check_dominant(rs, weight, "casimir expects a dominant weight")
+    return Fraction(casimir_num(rs, lam), rs.casimir_den)
 
 
 def _contragredient(rs: RootSystemData, w: tuple) -> tuple:

@@ -57,20 +57,13 @@ from operator import add, mul, sub
 from .errors import DomainError
 from .rational import rat
 from .rootdata import (
-    RootSystemData,
-    _chamber,
-    casimir_num,
-    check_weight,
-    is_dominant,
-    weyl_orbit,
+    RootSystemData, _chamber, _orbit, casimir_num, check_dominant
 )
 
 
 def weyl_dim(rs: RootSystemData, weight) -> int:
     """dim V_lambda by the Weyl dimension formula."""
-    lam = check_weight(rs, weight)
-    if not is_dominant(lam):
-        raise DomainError("weyl_dim expects a dominant weight")
+    lam = check_dominant(rs, weight, "weyl_dim expects a dominant weight")
     shifted = tuple(x + 1 for x in lam)
     pairs = [sum(map(mul, co, shifted)) for co in rs.coroots]
     return _weyl_quotient(pairs, rs.weyl_den)
@@ -87,9 +80,9 @@ def _weyl_quotient(pairs, den) -> int:
 
 def dominant_character(rs: RootSystemData, weight) -> tuple:
     """((mu, mult), ...) over dominant weights of V_weight, Freudenthal."""
-    lam = check_weight(rs, weight)
-    if not is_dominant(lam):
-        raise DomainError("character expects a dominant highest weight")
+    lam = check_dominant(
+        rs, weight, "character expects a dominant highest weight"
+    )
     return _dominant_character(rs, lam)
 
 
@@ -144,13 +137,13 @@ def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
 def weight_diagram(rs: RootSystemData, weight) -> tuple:
     """((mu, mult), ...) over every weight of V_weight, sorted: the dominant
     character expanded over Weyl orbits, its total checked against
-    ``weyl_dim``."""
-    lam = check_weight(rs, weight)
+    ``weyl_dim``.  ``dominant_character`` checks the weight, and
+    ``weyl_dim`` reads it again."""
     full = {}
-    for mu, mult in dominant_character(rs, lam):
-        for nu in weyl_orbit(rs, mu):
+    for mu, mult in dominant_character(rs, weight):
+        for nu in _orbit(rs.cartan, mu):
             full[nu] = mult
-    if sum(full.values()) != weyl_dim(rs, lam):
+    if sum(full.values()) != weyl_dim(rs, weight):
         raise DomainError("character total does not match the Weyl dimension")
     return tuple(sorted(full.items()))
 

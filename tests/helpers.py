@@ -57,11 +57,9 @@ import numpy as np
 
 from liespec import linalg
 from liespec.branching import (
-    BranchingResult,
-    EmbeddingSpec,
-    contragredient_tuple,
-    killing_ratio,
+    BranchingResult, EmbeddingSpec, branch, killing_ratio
 )
+from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import (
     CertificationError,
     DomainError,
@@ -70,7 +68,7 @@ from liespec.errors import (
     MalformedEmbeddingError,
     UnsupportedDimensionError,
 )
-from liespec.groups import GroupSpec
+from liespec.groups import GroupSpec, center_admissible
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice, dual, systole
 from liespec.lattices.congruence import MAX_DIM
@@ -78,9 +76,13 @@ from liespec.lattices.enumeration import _norm_counts, _squares
 from liespec.lattices.reduction import _exact as _lll_exact
 from liespec.natred import BiInvariantOperator, NatRedMetric
 from liespec.rational import exact_int, fmt, rat
-from liespec.rootdata import casimir, check_weight, dominant_rep, is_dominant
+from liespec.rootdata import (
+    _chamber, _contragredient, build, casimir, check_weight
+)
 from liespec.spectrum import SpectrumTable
-from liespec.weights import _dominant_casimirs, weight_diagram, weyl_dim
+from liespec.weights import (
+    _dominant_casimirs, dominant_character, weight_diagram, weyl_dim
+)
 
 
 # Vector utilities and the dominant-weight list, which only tests read:
@@ -95,6 +97,41 @@ def matvec(a, v):
 def form_value(g, u, v):
     """u^T g v for a bilinear form g."""
     return sum(x * y for x, y in zip(u, matvec(g, v)))
+
+
+# Weight utilities that only tests read: the library checks a weight once,
+# at its public door, and its cores read ``_chamber`` and ``_contragredient``
+# on checked tuples.
+
+
+def is_dominant(weight) -> bool:
+    return all(x >= 0 for x in weight)
+
+
+def dominant_rep(rs, weight):
+    """The dominant weight in the Weyl orbit of ``weight``."""
+    return _chamber(rs.cartan, tuple(weight))[0]
+
+
+def contragredient_tuple(emb: EmbeddingSpec, tup) -> tuple:
+    """The library's -w0 tables applied to each part of a branch label."""
+    return tuple(map(_contragredient, emb.factors, tup))
+
+
+def weight_doors() -> dict:
+    """{name: call on one weight of B2} for each public function that takes
+    a dominant weight: the doors of the library's one weight gate."""
+    b2 = build("B2")
+    emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+    group = GroupSpec(factors=(b2,))
+    return {
+        "casimir": lambda w: casimir(b2, w),
+        "weyl_dim": lambda w: weyl_dim(b2, w),
+        "dominant_character": lambda w: dominant_character(b2, w),
+        "weight_diagram": lambda w: weight_diagram(b2, w),
+        "branch": lambda w: branch(emb, w),
+        "center_admissible": lambda w: center_admissible(group, (w,)),
+    }
 
 
 def dominant_weights_up_to(rs, cas_max) -> list:

@@ -13,7 +13,6 @@ from liespec.branching import (
     BranchingResult,
     EmbeddingSpec,
     branch,
-    contragredient_tuple,
     embedding_index,
     killing_ratio,
     validate_embedding,
@@ -28,6 +27,7 @@ from liespec.rootdata import build, casimir_num, check_weight
 from liespec.weights import weyl_dim
 
 from helpers import (
+    contragredient_tuple,
     dominant_weights_up_to,
     kostant_branch,
     principal_a1_branching,

@@ -129,6 +129,23 @@ def test_window_refuses_a_dimension_below_one(capsys):
         }, dim
 
 
+def test_window_too_long_to_write_exits_two(capsys):
+    # 1/10^k parses, but the exact window 10^(2k) has more digits than the
+    # interpreter writes: a named domain error, not an internal one
+    limit = sys.get_int_max_str_digits()
+    code, err = _error(
+        capsys,
+        ("window", "--lambda1", "1/1" + "0" * (limit // 2 + 1), "--vol",
+         "1", "--dim", "2", "--const", "1"),
+    )
+    assert code == 2
+    assert err == {
+        "type": "DomainError",
+        "message": "exact answer too long to write: it has more digits than "
+        f"the interpreter's {limit}-digit limit on int strings",
+    }
+
+
 def test_validate_embedding_report(capsys):
     code, out = run_cli(
         capsys, "validate-embedding", "--embedding", "a1xa1-in-b2"
@@ -153,6 +170,32 @@ def test_bad_inline_json_exits_one(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "JSONDecodeError"
+
+
+def test_over_long_json_integer_exits_one(capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer longer than the interpreter reads (5,001 digits at the default
+    # limit); as a JSON string the same digits are "not a rational", and
+    # both are input errors
+    digits = "1" * (sys.get_int_max_str_digits() + 701)
+    code, out = run_cli(
+        capsys, "torus-spectrum", "--gram", '{"gram": [[%s]]}' % digits,
+        "--cutoff", "1",
+    )
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "InputError"
+    assert err["message"].startswith("descriptor JSON does not parse: ")
+
+
+def test_descriptor_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"gram": [["\xe9"]]}')
+    code, out = run_cli(
+        capsys, "torus-spectrum", "--gram", str(path), "--cutoff", "1"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_descriptor_basis_and_gram_must_agree(capsys, monkeypatch):

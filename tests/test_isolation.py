@@ -279,6 +279,22 @@ def test_scan_prunes_at_the_grid_floor():
     )
 
 
+def test_scan_keeps_a_row_on_the_cutoff_at_the_grid_floor():
+    # the cutoff is the first eigenvalue at the corner of largest scales,
+    # so that eigenvalue's row lies exactly on the limit at the grid's
+    # floor: the prune keeps it, and the corner is no neighbor of the center
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    radius, steps = F(1, 5), 2
+    corner = NatRedMetric(
+        emb=STD, base_scale=1 + radius, fiber_scales=((1 + radius) / 2,)
+    )
+    cutoff = ref_natred_spectrum(corner, 2).lambda1()
+    report = isolation_scan(m, radius, steps, cutoff)
+    assert report == ref_isolation_scan(m, radius, steps, cutoff)
+    assert report["grid"]["compared"] == 4
+    assert {"t": "6/5", "t_i": ["3/5"]} not in report["isospectral_neighbors"]
+
+
 def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
     # a 25-point scan evaluates its points on integers: a return to one
     # metric or linear_table per point fails here
@@ -376,6 +392,17 @@ def test_torus_search_small():
         assert set(gamma_invariants(a).entries) <= {F(1), F(2)}
         for b in found[i + 1 :]:
             assert not congruent(a, b)
+
+
+def test_torus_search_keeps_tori_on_its_bounds():
+    # volume exactly vol_min: Z^2, whose dual has determinant 1, at vol_min 1
+    on_volume = torus_search(["1", "2"], 2, "1/2", "1")
+    assert len(on_volume) == 2
+    assert any(congruent(lat, Z2) for lat in on_volume)
+    assert max(dual(lat).det_gram for lat in on_volume) == 1
+    # dual systole exactly lam_min: three of the four tori
+    on_systole = torus_search(["1", "2"], 2, "1", "1/2")
+    assert sorted(systole(dual(lat)) for lat in on_systole) == [1, 1, 1, 2]
 
 
 def test_torus_search_recovers_hexagonal():

@@ -13,6 +13,7 @@ from liespec.errors import (
     InadmissibleMetricError,
     InputError,
 )
+from liespec import natred
 from liespec.groups import GroupSpec, biinvariant_spectrum
 from liespec.natred import (
     BiInvariantOperator,
@@ -247,6 +248,22 @@ def test_containment_witnessed():
     assert report["status"] == "witnessed"
     assert report["gamma"] == F(1, 2)
     assert report["value"] == F(17, 18)
+
+
+def test_containment_fails_on_a_table_without_its_witness(monkeypatch):
+    # a full table injected without the witnessed eigenvalue: the check
+    # reports failed with multiplicity 0, not witnessed
+    m = metric(1, F(1, 2))
+    value = containment_check(m, 0, 8)["value"]
+    real = natred.linear_table
+
+    def without_witness(rows, den, scales, cutoff):
+        return real(rows, den, scales, cutoff).restrict(value - F(1, 10**6))
+
+    monkeypatch.setattr(natred, "linear_table", without_witness)
+    report = containment_check(m, 0, 8)
+    assert (report["status"], report["multiplicity"]) == ("failed", 0)
+    assert report["value"] == value
 
 
 def test_containment_edge_cases():

@@ -17,17 +17,17 @@ from helpers import (
     ref_ip_norm,
     ref_minus_w0_perm,
     ref_positive_roots,
+    weight_doors,
 )
 from liespec.errors import DomainError, InputError
 from liespec.branching import _dot
 from liespec.rootdata import (
     _chamber,
+    _orbit,
     build,
     casimir,
+    check_dominant,
     check_weight,
-    dominant_rep,
-    is_dominant,
-    weyl_orbit,
     _contragredient,
 )
 
@@ -144,7 +144,10 @@ def test_check_weight_errors():
     with pytest.raises(DomainError):
         check_weight(a2, (1, F(1, 2)))
     assert check_weight(a2, [2, 0]) == (2, 0)
-    assert is_dominant((0, 3)) and not is_dominant((0, -1))
+    # the dominance gate: a checked tuple back, or its own message
+    assert check_dominant(a2, [0, 3], "no") == (0, 3)
+    with pytest.raises(DomainError, match="^no$"):
+        check_dominant(a2, (0, -1), "no")
 
 
 # A str or bytes weight is one value, not a sequence of coordinates: read
@@ -193,24 +196,93 @@ def test_string_weight_is_refused(flags):
         check_weight(build("A2"), "21")
 
 
+# Every public door that takes a dominant weight refuses a bad one through
+# the one gate, with the type and message each refusal has always had: a
+# wrong length, a bool coordinate and a string in check_weight, and a
+# weight that is not dominant with the door's own message.
+_BAD_WEIGHTS = {
+    "short": ((1,), "DomainError", "weight has 1 coordinates, expected 2"),
+    "long": ((1, 0, 5), "DomainError", "weight has 3 coordinates, expected 2"),
+    "bool": (
+        (True, 0), "InputError", "not a rational: True; use 'p/q' strings"
+    ),
+    "string": (
+        "10", "InputError", "a weight is a sequence of coordinates, not '10'"
+    ),
+    "negative": ((1, -1), "DomainError", None),
+}
+_NOT_DOMINANT = {
+    "casimir": "casimir expects a dominant weight",
+    "weyl_dim": "weyl_dim expects a dominant weight",
+    "dominant_character": "character expects a dominant highest weight",
+    "weight_diagram": "character expects a dominant highest weight",
+    "branch": "branch expects a dominant weight",
+    "center_admissible": "center_admissible expects dominant weights",
+}
+
+
+def _refusal(door, case):
+    weight, kind, message = _BAD_WEIGHTS[case]
+    return [door, case, kind, message or _NOT_DOMINANT[door]]
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WEIGHTS))
+@pytest.mark.parametrize("door", sorted(_NOT_DOMINANT))
+def test_every_weight_door_refuses_through_the_gate(door, case):
+    with pytest.raises(DomainError) as info:
+        weight_doors()[door](_BAD_WEIGHTS[case][0])
+    got = [door, case, type(info.value).__name__, str(info.value)]
+    assert got == _refusal(door, case)
+
+
+_GATE_UNDER_OPTIMIZE = """
+import json, sys
+from helpers import weight_doors
+cases = json.loads(sys.argv[1])
+out = []
+for door, call in sorted(weight_doors().items()):
+    for case, weight in sorted(cases.items()):
+        try:
+            call(tuple(weight) if isinstance(weight, list) else weight)
+            out.append([door, case, None, None])
+        except Exception as exc:
+            out.append([door, case, type(exc).__name__, str(exc)])
+print(json.dumps({"debug": __debug__, "refused": out}))
+"""
+
+
+def test_every_weight_door_refuses_under_optimize():
+    # python -O strips assert statements: the gate raises, so it stays
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    cases = {case: w for case, (w, _, _) in _BAD_WEIGHTS.items()}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _GATE_UNDER_OPTIMIZE, json.dumps(cases)],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["debug"] is False
+    assert result["refused"] == [
+        _refusal(door, case)
+        for door in sorted(_NOT_DOMINANT)
+        for case in sorted(_BAD_WEIGHTS)
+    ]
+
+
 def test_weyl_orbits():
     a1 = build("A1")
-    assert set(weyl_orbit(a1, (2,))) == {(2,), (-2,)}
+    assert _orbit(a1.cartan, (2,)) == {(2,), (-2,)}
     a2 = build("A2")
-    assert len(weyl_orbit(a2, (1, 0))) == 3
-    assert len(weyl_orbit(a2, (1, 1))) == 6  # regular: full Weyl group
-    assert weyl_orbit(a2, (0, 0)) == ((0, 0),)
-    # orbits come back deterministically sorted
-    orb = weyl_orbit(a2, (1, 1))
-    assert orb == tuple(sorted(orb))
+    assert len(_orbit(a2.cartan, (1, 0))) == 3
+    assert len(_orbit(a2.cartan, (1, 1))) == 6  # regular: full Weyl group
+    assert _orbit(a2.cartan, (0, 0)) == {(0, 0)}
     b2 = build("B2")
-    assert len(weyl_orbit(b2, (1, 1))) == 8
+    assert len(_orbit(b2.cartan, (1, 1))) == 8
 
 
 def test_reflection_and_dominant_rep():
     a2 = build("A2")
-    for nu in weyl_orbit(a2, (2, 1)):
-        assert dominant_rep(a2, nu) == (2, 1)
+    for nu in _orbit(a2.cartan, (2, 1)):
+        assert _chamber(a2.cartan, nu)[0] == (2, 1)
 
 
 def _orbit_by_search(cartan, v) -> set:
@@ -305,7 +377,7 @@ def test_casimir_invariant_on_orbits(name, lam):
     # <nu, nu + 2 rho_dual-ish> is not orbit invariant, but the norm is:
     # every orbit element has the same squared length as the dominant rep
     rs = build(name)
-    for nu in weyl_orbit(rs, lam):
+    for nu in _orbit(rs.cartan, lam):
         assert _normalized(rs, nu, nu) == _normalized(rs, lam, lam)
 
 
