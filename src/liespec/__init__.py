@@ -103,5 +103,4 @@ __all__ = [
     "validate_embedding",
     "weight_diagram",
     "weyl_dim",
-    "__version__",
 ]

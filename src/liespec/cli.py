@@ -1,25 +1,27 @@
 """Command-line front door.
 
-One logical job per invocation: argparse names the runner, and the runner
-hands the option strings to the library, whose own coercers (``rat``,
-``exact_int``, ``check_weight``) read them.  Inputs are builtin names,
-inline JSON, or file paths; outputs are canonical JSON (sorted keys,
-rationals as "p/q" strings), CSV, or aligned pretty text.  Exit codes: 0
-success; 1 input, I/O and usage errors (text that does not parse, a
-missing file, an unknown or missing flag); 2 domain and certification
-errors; 3 internal errors (an exception that is not the package's own,
-which means a bug).  Errors go to stdout as a structured error object,
-never a stack trace or usage text.  Output bytes depend only on the inputs.
+One logical job per invocation: argparse names the runner, which hands the
+option strings to the library's own coercers (``rat``, ``exact_int``,
+``check_weight``) and returns data, a report or a ``SpectrumTable``; ``run``
+alone renders it as canonical JSON (sorted keys, rationals as "p/q"
+strings), CSV, or aligned pretty text.  Exit codes: 0 success; 1 input,
+I/O and usage errors (text that does not parse, a missing file, an unknown
+or missing flag); 2 domain and certification errors, an answer too long to
+write among them; 3 internal errors (an exception that is not the
+package's own, which means a bug).  Errors go to stdout as a structured
+error object, never a stack trace or usage text.  Output bytes depend only
+on the inputs.
 
 Set LIESPEC_CACHE_DIR to memoize spectrum tables on disk; cached and fresh
 runs emit identical bytes.  The cache key is the canonical JSON of the job
-together with the package version and the entry schema; each entry stores
-that key beside the table's canonical integers (unit, cutoff, scale,
-values, mults).  A hit begins with the bytes a miss writes for its key and
-holds a table at the job's cutoff and unit, whose fields alone go to the
-validating ``SpectrumTable`` constructor.  Entries are written atomically;
-any other entry (one that does not parse, holds an invalid table, another
-field or another key, an older schema's among them) is a miss, rewritten.
+together with a sha256 of the package's own sources, the code that makes
+the table; each entry stores that key beside the table's canonical
+integers (unit, cutoff, scale, values, mults).  A hit begins with the
+bytes a miss writes for its key and holds a table at the job's cutoff and
+unit, whose fields alone go to the validating ``SpectrumTable``
+constructor.  Entries are written atomically; any other entry (one that
+does not parse, holds an invalid table, another field or another key) is a
+miss, rewritten.
 """
 
 import argparse
@@ -28,9 +30,8 @@ import io
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from . import __version__
 from .branching import EmbeddingSpec, branch, validate_embedding
 from .catalog import resolve
 from .errors import DomainError, InputError, LiespecError
@@ -43,7 +44,7 @@ from .isolation import (
 )
 from .lattices import Lattice, torus_spectrum
 from .natred import NatRedMetric, natred_spectrum
-from .rational import fmt, rat
+from .rational import fmt, rat, written
 from .spectrum import SpectrumTable, canonical_json
 
 
@@ -51,8 +52,11 @@ def _split(text: str) -> list:
     return text.split(",") if text else []
 
 
-def _emit_report(data: dict, out_format: str) -> str:
-    """A report, whose rationals are strings already, in ``out_format``."""
+def _render(data, out_format: str) -> str:
+    """A table, or a report whose rationals are strings already, in
+    ``out_format``."""
+    if isinstance(data, SpectrumTable):  # to_json, to_csv or to_pretty
+        return getattr(data, f"to_{out_format}")()
     if out_format == "json":
         return canonical_json(data)
     if out_format == "csv":
@@ -67,8 +71,23 @@ def _emit_report(data: dict, out_format: str) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-# names the layout of a cache entry; change it when that layout changes
-_CACHE_SCHEMA = "liespec-table-entry/4"
+@lru_cache(maxsize=None)  # once per process, on the first cached job
+def _source_digest() -> str:
+    """sha256 over the package's .py files, outside ``__pycache__``, in
+    order of their relative paths: each path, its length and its bytes."""
+    root = os.path.dirname(__file__)
+    digest = hashlib.sha256()
+    for rel in sorted(
+        os.path.relpath(os.path.join(folder, name), root).replace(os.sep, "/")
+        for folder, _, names in os.walk(root)
+        if os.path.basename(folder) != "__pycache__"
+        for name in names
+        if name.endswith(".py")
+    ):
+        with open(os.path.join(root, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(b"%s\0%d\0%s" % (rel.encode(), len(data), data))
+    return digest.hexdigest()
 
 
 def _entry(table: SpectrumTable) -> dict:
@@ -101,7 +120,7 @@ def _cached_table(job, cutoff, unit, builder) -> SpectrumTable:
     cache = os.environ.get("LIESPEC_CACHE_DIR")
     if not cache:
         return builder()
-    key = {"schema": _CACHE_SCHEMA, "version": __version__, "job": job}
+    key = {"code": _source_digest(), "job": job}
     key_text = canonical_json(key)
     digest = hashlib.sha256(key_text.encode()).hexdigest()
     path = os.path.join(cache, digest + ".json")
@@ -116,12 +135,12 @@ def _cached_table(job, cutoff, unit, builder) -> SpectrumTable:
     except (FileNotFoundError, ValueError, KeyError, TypeError, DomainError):
         pass  # a miss; a corrupt entry (JSONDecodeError is a ValueError) too
     table = builder()
+    text = written(canonical_json, {"key": key, "table": _entry(table)})
     os.makedirs(cache, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            entry = {"key": key, "table": _entry(table)}
-            fh.write(canonical_json(entry))
+            fh.write(text)
         os.replace(tmp, path)  # readers see the old state or the whole entry
     finally:
         if os.path.exists(tmp):
@@ -129,33 +148,21 @@ def _cached_table(job, cutoff, unit, builder) -> SpectrumTable:
     return table
 
 
-# spectrum subcommand: (descriptor option, cache-key op, cache-key name,
-# descriptor type, spectrum function, unit of its tables)
-_TABLES = {
-    "torus-spectrum": ("gram", "torus", "lattice", Lattice, torus_spectrum,
-                       "four-pi-squared"),
-    "group-spectrum": ("spec", "group", "spec", GroupSpec,
-                       biinvariant_spectrum, "raw"),
-    "natred-spectrum": ("metric", "natred", "metric", NatRedMetric,
-                        natred_spectrum, "raw"),
-}
-
-
-def _run_table(ns) -> str:
-    option, op, name, kind, spectrum, unit = _TABLES[ns.command]
+def _run_table(kind, spectrum, unit, ns) -> SpectrumTable:
+    """The ``spectrum`` table, in ``unit``, of the ``kind`` descriptor that
+    the command's first required option names, at ``--cutoff``."""
+    option = _COMMANDS[ns.command][2][0]
     subject = resolve(kind, getattr(ns, option))
     cutoff = rat(ns.cutoff)
-    table = _cached_table(
-        {"op": op, name: subject.to_json_dict(), "cutoff": fmt(cutoff)},
-        cutoff, unit, lambda: spectrum(subject, cutoff),
-    )
-    return getattr(table, f"to_{ns.fmt}")()  # to_json, to_csv, to_pretty
+    job = {"command": ns.command, option: subject.to_json_dict(),
+           "cutoff": fmt(cutoff)}
+    return _cached_table(job, cutoff, unit, lambda: spectrum(subject, cutoff))
 
 
-def _run_branch(ns) -> str:
+def _run_branch(ns) -> dict:
     emb = resolve(EmbeddingSpec, ns.embedding)
     result = branch(emb, _split(ns.weight))
-    report = {
+    return {
         "embedding": emb.to_json_dict(),
         "weight": list(result.source),
         "terms": [
@@ -163,51 +170,45 @@ def _run_branch(ns) -> str:
             for tup, mult in result.terms
         ],
     }
-    return _emit_report(report, ns.fmt)
 
 
-def _run_gamma(ns) -> str:
+def _run_gamma(ns) -> dict:
     if ns.gram is not None:
         subject = resolve(Lattice, ns.gram)
     else:
         subject = resolve(GroupSpec, ns.spec)
     gv = gamma_invariants(subject)
-    report = {
+    return {
         "kind": gv.kind,
         "dim": gv.dim,
         "entries": [fmt(x) for x in gv.entries],
     }
-    return _emit_report(report, ns.fmt)
 
 
-def _run_scan(ns) -> str:
-    report = isolation_scan(
+def _run_scan(ns) -> dict:
+    return isolation_scan(
         resolve(NatRedMetric, ns.metric), ns.radius, ns.steps, ns.cutoff
     )
-    return _emit_report(report, ns.fmt)
 
 
-def _run_torus_search(ns) -> str:
+def _run_torus_search(ns) -> dict:
     found = torus_search(
         _split(ns.values), ns.dim, ns.lambda_min, ns.vol_min
     )
-    report = {
+    return {
         "count": len(found),
         "tori": [lat.to_json_dict() for lat in found],
     }
-    return _emit_report(report, ns.fmt)
 
 
-def _run_window(ns) -> str:
+def _run_window(ns) -> dict:
     value = finiteness_window(ns.lambda1, ns.vol, ns.dim, ns.const)
-    return _emit_report({"window": fmt(value)}, ns.fmt)
+    return {"window": fmt(value)}
 
 
-def _run_validate_embedding(ns) -> str:
+def _run_validate_embedding(ns) -> dict:
     emb = resolve(EmbeddingSpec, ns.embedding)
-    report = validate_embedding(emb)
-    report["embedding"] = emb.to_json_dict()
-    return _emit_report(report, ns.fmt)
+    return dict(validate_embedding(emb), embedding=emb.to_json_dict())
 
 
 def _report_error(exc: Exception, code: int) -> int:
@@ -220,9 +221,11 @@ def _report_error(exc: Exception, code: int) -> int:
 
 
 def run(ns) -> int:
-    """Run the parsed job ``ns`` and map what it raises to an exit code."""
+    """Run the parsed job ``ns``, render what its runner returns in
+    ``--format``, and map what either raises to an exit code."""
     try:
-        text = ns.run(ns)
+        result = ns.run(ns)
+        text = written(_render, result, ns.fmt)
         if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -245,13 +248,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 # command: (runner, help text, required options, options of which exactly
-# one is given)
+# one is given); a spectrum command's runner is ``_run_table`` with the
+# descriptor type, the spectrum function and the unit of its tables
 _COMMANDS = {
-    "torus-spectrum": (_run_table, "flat torus spectrum",
-                       ("gram", "cutoff"), ()),
-    "group-spectrum": (_run_table, "bi-invariant group spectrum",
-                       ("spec", "cutoff"), ()),
-    "natred-spectrum": (_run_table, "naturally reductive metric spectrum",
+    "torus-spectrum": (partial(_run_table, Lattice, torus_spectrum,
+                               "four-pi-squared"),
+                       "flat torus spectrum", ("gram", "cutoff"), ()),
+    "group-spectrum": (partial(_run_table, GroupSpec, biinvariant_spectrum,
+                               "raw"),
+                       "bi-invariant group spectrum", ("spec", "cutoff"), ()),
+    "natred-spectrum": (partial(_run_table, NatRedMetric, natred_spectrum,
+                                "raw"),
+                        "naturally reductive metric spectrum",
                         ("metric", "cutoff"), ()),
     "branch": (_run_branch, "restrict an irreducible to a subgroup",
                ("embedding", "weight"), ()),

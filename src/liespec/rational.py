@@ -57,17 +57,24 @@ def rat_cutoff(value) -> Fraction:
     return cutoff
 
 
-def fmt(value: Fraction) -> str:
-    """Format a Fraction as 'p/q', or 'p' when the denominator is 1.  One
-    with more digits than the interpreter writes is a DomainError."""
+def written(write, *args) -> str:
+    """``write(*args)``, a text of exact numbers; an integer in it with more
+    digits than the interpreter writes (its ValueError) is a DomainError
+    that names the limit."""
     try:
-        return str(Fraction(value))
+        return write(*args)
     except ValueError:
         raise DomainError(
             "exact answer too long to write: it has more digits than the "
             f"interpreter's {sys.get_int_max_str_digits()}-digit limit on "
             "int strings"
         ) from None
+
+
+def fmt(value: Fraction) -> str:
+    """Format a Fraction as 'p/q', or 'p' when the denominator is 1, as
+    ``written`` allows."""
+    return written(str, Fraction(value))
 
 
 def required(obj: dict, key: str):

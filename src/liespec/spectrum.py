@@ -14,8 +14,8 @@ A table stores its eigenvalues as integers: strictly increasing numerators
 ``values`` over one positive ``scale``, reduced so that
 gcd(scale, *values) == 1, beside their ``mults``.  That form is canonical,
 so two tables computed at the same cutoff are isospectral-at-cutoff iff
-they are equal, and equality, lookup, truncation and ``table_distance``
-work on integers.  Fractions appear only at the edges: ``entries``, the
+they are equal, and equality, lookup and ``table_distance`` work on
+integers.  Fractions appear only at the edges: ``entries``, the
 (Fraction, multiplicity) pairs, is a view built on first use, and the
 JSON, CSV and pretty forms format each eigenvalue from its numerator and
 the scale.  The validating constructor is the one way in: ``_reduced``
@@ -30,7 +30,7 @@ scale, serves ``table_distance`` and the isolation scan.
 
 import io
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -110,21 +110,6 @@ class SpectrumTable(Value):
             if v > 0:
                 return Fraction(v, self.scale)
         return None
-
-    def restrict(self, cutoff) -> "SpectrumTable":
-        """The same table truncated at a smaller cutoff."""
-        cutoff = rat(cutoff)
-        if cutoff > self.cutoff:
-            raise DomainError("cannot extend a table beyond its cutoff")
-        limit = cutoff.numerator * self.scale // cutoff.denominator
-        n = bisect_right(self.values, limit)
-        return _reduced(
-            self.unit,
-            cutoff,
-            self.scale,
-            self.values[:n],
-            self.mults[:n],
-        )
 
     def _eigenvalue_strings(self) -> list:
         """Each eigenvalue as ``rational.fmt`` writes it, from its numerator

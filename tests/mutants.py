@@ -1,0 +1,213 @@
+"""Recorded source mutations and the tests that must catch each one.
+
+A mutant names a module under src/liespec, an exact old text that occurs
+once in it, the new text that replaces it, and the test node ids that must
+fail once it is replaced.  Run the whole list, or the mutants named as
+arguments, with
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is applied in its own temporary copy of src/ and tests/, and
+its node ids run there with ``pytest -x``; a mutant that deletes a
+certification raise runs them under ``python -O``, where no assert can
+catch the fault in the raise's place.  A mutant is killed when pytest
+reports a failed test; one whose tests pass, or that pytest cannot run
+(a node id that does not exist), is named, and the exit code is 1.
+tests/test_mutants.py checks that every old text occurs exactly once, so
+a change that moves the code must move its mutant too.  Standard library
+only.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/liespec
+    old: str
+    new: str
+    kills: tuple  # node ids relative to the repository root
+    optimize: bool = False  # run the node ids under python -O
+
+
+_BOUNDS = "tests/test_isolation.py::test_torus_search_keeps_tori_on_its_bounds"
+_TOO_LONG = "tests/test_cli.py::test_table_too_long_to_write_exits_two"
+_DIVISIONS = "tests/test_lattices.py::test_inexact_divisions_raise"
+
+MUTANTS = (
+    # boundaries that survived the whole suite until their tests were added
+    Mutant(
+        "containment-witnessed-at-zero", "natred.py",
+        '"witnessed" if found > 0', '"witnessed" if found >= 0',
+        ("tests/test_natred.py::"
+         "test_containment_fails_on_a_table_without_its_witness",),
+    ),
+    Mutant(
+        "torus-search-volume-bound", "isolation.py",
+        "dual_torus.det_gram * vol_min**2 > 1",
+        "dual_torus.det_gram * vol_min**2 >= 1",
+        (_BOUNDS,),
+    ),
+    Mutant(
+        "torus-search-systole-bound", "isolation.py",
+        "systole(dual_torus) < lam_min", "systole(dual_torus) <= lam_min",
+        (_BOUNDS,),
+    ),
+    Mutant(
+        "scan-floor-prune", "isolation.py",
+        "sum(map(mul, g, floor)) <= limit", "sum(map(mul, g, floor)) < limit",
+        ("tests/test_isolation.py::"
+         "test_scan_keeps_a_row_on_the_cutoff_at_the_grid_floor",),
+    ),
+    # boundaries and branches that the suite already killed
+    Mutant(
+        "counts-below-the-limit", "spectrum.py",
+        "        if v <= limit:\n            counts[v]",
+        "        if v < limit:\n            counts[v]",
+        ("tests/test_natred.py::test_terms_small_table",),
+    ),
+    Mutant(
+        "metric-budget-without-fibers", "natred.py",
+        "return cutoff * max((m.base_scale,) + m.fiber_scales)",
+        "return cutoff * m.base_scale",
+        ("tests/test_natred.py::test_terms_match_per_metric_reference",),
+    ),
+    Mutant(
+        "lambda1-reads-one-value", "spectrum.py",
+        "for v in self.values[:2]:", "for v in self.values[:1]:",
+        ("tests/test_groups.py::test_factor_lambda1",),
+    ),
+    Mutant(
+        "scan-skips-no-equivalent", "isolation.py",
+        "if fiber_fills_group and fibers == m.fiber_scales:",
+        "if False:",
+        ("tests/test_isolation.py::"
+         "test_scan_skips_equivalent_when_subgroup_fills_group",),
+    ),
+    Mutant(
+        "dot-action-sign", "branching.py",
+        "(tuple([x - 1 for x in v]), sign)",
+        "(tuple([x - 1 for x in v]), -sign)",
+        ("tests/test_branching.py::test_tensor_product_brauer_klimyk",),
+    ),
+    Mutant(
+        "freudenthal-one-root", "weights.py",
+        "        for beta in roots:\n"
+        "            nu = tuple(map(sub, mu, beta))",
+        "        for beta in roots[:1]:\n"
+        "            nu = tuple(map(sub, mu, beta))",
+        ("tests/test_weights.py::"
+         "test_freudenthal_reaches_every_dominant_weight_below_the_highest",),
+    ),
+    # the disk cache: its key names the code, and a hit is at the job's
+    # cutoff and unit
+    Mutant(
+        "source-digest-of-paths-only", "cli.py",
+        'digest.update(b"%s\\0%d\\0%s" % (rel.encode(), len(data), data))',
+        "digest.update(rel.encode())",
+        ("tests/test_cli.py::test_cache_entry_of_other_code_is_a_miss",
+         "tests/test_cli.py::test_foreign_cache_entry_is_a_miss"),
+    ),
+    Mutant(
+        "cache-hit-at-another-cutoff-or-unit", "cli.py",
+        'if (obj["unit"], obj["cutoff"]) == (unit, job["cutoff"]):',
+        "if True:",
+        ("tests/test_cli.py::"
+         "test_cache_entry_for_another_cutoff_or_unit_is_a_miss",),
+    ),
+    # an answer too long to write exits 2 from every writer
+    Mutant(
+        "table-writer-unguarded", "cli.py",
+        "text = written(_render, result, ns.fmt)",
+        "text = _render(result, ns.fmt)",
+        (_TOO_LONG,),
+    ),
+    Mutant(
+        "cache-writer-unguarded", "cli.py",
+        'text = written(canonical_json, {"key": key, "table": _entry(table)})',
+        'text = canonical_json({"key": key, "table": _entry(table)})',
+        (_TOO_LONG,),
+    ),
+    # certification raises deleted
+    Mutant(
+        "horizontal-positivity-unchecked", "natred.py",
+        "if c_lam < fiber:", "if False:",
+        ("tests/test_natred.py::"
+         "test_horizontal_positivity_raises_in_process",),
+        optimize=True,
+    ),
+    Mutant(
+        "lll-swap-division-unchecked", "lattices/reduction.py",
+        'raise CertificationError("inexact division in the LLL swap update")',
+        "pass",
+        (_DIVISIONS,),
+        optimize=True,
+    ),
+    Mutant(
+        "kernel-division-unchecked", "lattices/enumeration.py",
+        '        raise CertificationError("x^T A x is not an integer")\n'
+        "    return q",
+        "        pass\n    return q",
+        (_DIVISIONS,),
+        optimize=True,
+    ),
+)
+
+
+def verdict(mutant: Mutant) -> str:
+    """"killed", "survived", or what kept pytest from running the ids."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", tmp)  # pytest's settings
+        path = tmp / "src" / "liespec" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return "old text does not occur exactly once"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"))
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        env.pop("LIESPEC_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, *["-O"] * mutant.optimize, "-m", "pytest",
+             "-x", "-q", "-p", "no:cacheprovider", *mutant.kills],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "survived"
+    return f"pytest exit {proc.returncode}: {proc.stdout[-300:]}"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 1
+    alive = []
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        result = verdict(mutant)
+        print(f"{mutant.name}: {result}", flush=True)
+        if result != "killed":
+            alive.append(mutant.name)
+    if alive:
+        print(f"not killed: {', '.join(alive)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

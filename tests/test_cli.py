@@ -1,13 +1,17 @@
 import builtins
 import csv
+import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import liespec
 from liespec.catalog import BUILTIN_LATTICES
 from liespec.cli import main
 from liespec.lattices import Lattice, torus_spectrum
@@ -129,6 +133,16 @@ def test_window_refuses_a_dimension_below_one(capsys):
         }, dim
 
 
+def _too_long() -> dict:
+    """The error object of an exact answer too long to write."""
+    return {
+        "type": "DomainError",
+        "message": "exact answer too long to write: it has more digits than "
+        f"the interpreter's {sys.get_int_max_str_digits()}-digit limit on "
+        "int strings",
+    }
+
+
 def test_window_too_long_to_write_exits_two(capsys):
     # 1/10^k parses, but the exact window 10^(2k) has more digits than the
     # interpreter writes: a named domain error, not an internal one
@@ -139,11 +153,54 @@ def test_window_too_long_to_write_exits_two(capsys):
          "1", "--dim", "2", "--const", "1"),
     )
     assert code == 2
-    assert err == {
-        "type": "DomainError",
-        "message": "exact answer too long to write: it has more digits than "
-        f"the interpreter's {limit}-digit limit on int strings",
-    }
+    assert err == _too_long()
+
+
+# The dual of diag(10^2200, 10^2200 + 1) has its eigenvalues over a scale
+# of 4,401 digits, past the interpreter's limit on int strings.
+_BIG = "1" + "0" * 2200
+TOO_LONG_TABLE = (
+    "torus-spectrum", "--gram",
+    json.dumps({"gram": [[_BIG, "0"], ["0", _BIG[:-1] + "1"]]}),
+    "--cutoff", "3/" + _BIG,
+)
+
+
+def test_table_too_long_to_write_exits_two(tmp_path, capsys, monkeypatch):
+    # every table writer refuses it with fmt's error, exit 2, with and
+    # without the cache, whose writer refuses it too and keeps no entry
+    # and no temporary file
+    cache = tmp_path / "cache"
+    for fmt in ("json", "csv", "pretty"):
+        for cached in (False, True):
+            if cached:
+                monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))
+            code, out = run_cli(capsys, *TOO_LONG_TABLE, "--format", fmt)
+            assert code == 2, (fmt, cached)
+            assert json.loads(out) == {"error": _too_long()}
+            assert out == canonical_json(json.loads(out))
+            assert list(cache.glob("*")) == []
+            monkeypatch.delenv("LIESPEC_CACHE_DIR", raising=False)
+
+
+def test_table_at_the_int_string_limit_prints(tmp_path, capsys, monkeypatch):
+    # the dual of the rank-1 lattice [[10^(limit - 1)]] has its eigenvalues
+    # k^2 over a scale of exactly the limit's digits: it still prints, in
+    # every format, and a cache hit prints the same bytes
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * (limit - 1)
+    args = ("torus-spectrum", "--gram", json.dumps({"gram": [[big]]}),
+            "--cutoff", "1/" + big)
+    fresh = {}
+    for fmt in ("json", "csv", "pretty"):
+        code, fresh[fmt] = run_cli(capsys, *args, "--format", fmt)
+        assert code == 0, fresh[fmt]
+    entries = json.loads(fresh["json"])["entries"]
+    assert entries == [["0", "1"], ["1/" + big, "2"]]
+    monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path))
+    for fmt in ("json", "csv", "pretty", "json"):  # a miss, then hits
+        assert run_cli(capsys, *args, "--format", fmt) == (0, fresh[fmt])
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_validate_embedding_report(capsys):
@@ -652,7 +709,8 @@ def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
     run_cli(capsys, *args)
     (entry,) = (tmp_path / "mine").iterdir()
     good = entry.read_text()
-    # the entry holds the table's integers, and no complete, under /4
+    # the entry holds the table's integers, and no complete, under a key
+    # that names the code that made it
     t = torus_spectrum(BUILTIN_LATTICES["hexagonal"], 7)
     assert t.to_json() == fresh
     entry_table = json.loads(good)["table"]
@@ -661,7 +719,7 @@ def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
         "values": list(t.values), "mults": list(t.mults),
     }
     key = json.loads(good)["key"]
-    assert key["schema"] == "liespec-table-entry/4"
+    assert key["code"] == source_digest(Path(liespec.__file__).parent)
     monkeypatch.setenv("LIESPEC_CACHE_DIR", str(tmp_path / "other"))
     run_cli(capsys, *other)
     (foreign,) = (tmp_path / "other").iterdir()
@@ -679,8 +737,71 @@ def test_foreign_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch):
         canonical_json({"key": key, "table": old_table}),
         canonical_json({"key": key_3, "table": table_3}),
         canonical_json({"key": key, "table": table_3}),
+        # this entry as other code made it
+        canonical_json({"key": dict(key, code="0" * 64),
+                        "table": entry_table}),
     ]
     _plant_misses(capsys, args, entry, good, fresh, planted)
+
+
+def source_digest(package: Path) -> str:
+    """sha256 over the .py files under ``package``, outside __pycache__, in
+    order of their paths relative to it: each path, the length of its
+    bytes and the bytes."""
+    paths = {
+        path.relative_to(package).as_posix(): path
+        for path in package.rglob("*.py")
+        if "__pycache__" not in path.parts
+    }
+    digest = hashlib.sha256()
+    for rel in sorted(paths):
+        data = paths[rel].read_bytes()
+        digest.update(rel.encode() + b"\0" + str(len(data)).encode() + b"\0")
+        digest.update(data)
+    return digest.hexdigest()
+
+
+# A1xA1 < B2 at (1; 2, 1/3): the fiber scale 2 sets the catalogue's budget
+STALE_JOB = (
+    "natred-spectrum", "--metric",
+    '{"group":"B2","embedding":"a1xa1-in-b2","t":"1","t_i":["2","1/3"]}',
+    "--cutoff", "2",
+)
+
+
+def test_cache_entry_of_other_code_is_a_miss(tmp_path):
+    # a cache filled by a copy of the package, then a change to that copy
+    # that changes the table: the changed code prints its own uncached
+    # bytes through the same cache, not the entry of the code before it
+    package = tmp_path / "src" / "liespec"
+    shutil.copytree(
+        Path(liespec.__file__).parent, package,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cache = tmp_path / "cache"
+
+    def job(cached):
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+        env["PYTHONDONTWRITEBYTECODE"] = "1"  # no .pyc of the old sources
+        env.pop("LIESPEC_CACHE_DIR", None)
+        if cached:
+            env["LIESPEC_CACHE_DIR"] = str(cache)
+        return subprocess.run(
+            [sys.executable, "-m", "liespec.cli", *STALE_JOB],
+            cwd=tmp_path, env=env, capture_output=True, check=True,
+        ).stdout
+
+    before = job(cached=True)
+    assert job(cached=True) == before  # a hit
+    natred = package / "natred.py"
+    text = natred.read_text(encoding="utf-8")
+    budget = "return cutoff * max((m.base_scale,) + m.fiber_scales)"
+    assert text.count(budget) == 1
+    natred.write_text(text.replace(budget, "return cutoff * m.base_scale"))
+    after = job(cached=False)
+    assert after != before  # the change reaches this table
+    assert job(cached=True) == after
+    assert len(list(cache.iterdir())) == 2
 
 
 def test_cache_entry_for_another_cutoff_or_unit_is_a_miss(

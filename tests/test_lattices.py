@@ -26,6 +26,7 @@ from helpers import (
 from liespec import build, isolation
 from liespec.catalog import BUILTIN_LATTICES
 from liespec.errors import (
+    CertificationError,
     DomainError,
     InputError,
     LiespecError,
@@ -43,7 +44,13 @@ from liespec.lattices import (
     torus_spectrum,
 )
 from liespec import linalg
-from liespec.lattices import congruence, enumeration, lattice, spectra
+from liespec.lattices import (
+    congruence,
+    enumeration,
+    lattice,
+    reduction,
+    spectra,
+)
 from liespec.lattices.enumeration import _norm_counts, _squares
 from liespec.lattices.reduction import _lll_int
 from liespec.linalg import matmul, transpose
@@ -295,6 +302,15 @@ def _kernel_problems():
         gram = Lattice.from_basis(make(rng, m)).gram
         problems.append((gram, F(rng.randint(0, 30), rng.randint(1, 3))))
     return problems
+
+
+def test_inexact_divisions_raise():
+    # the kernel's and LLL's exact divisions check by a raise, so this test
+    # also fails under python -O, which strips every assert, if one is gone
+    for exact in (enumeration._exact, reduction._exact):
+        assert exact(6, -2) == -3
+        with pytest.raises(CertificationError):
+            exact(7, 2)
 
 
 def test_norm_counts_match_reference():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import (
+    CertificationError,
     DomainError,
     InadmissibleMetricError,
     InputError,
@@ -33,6 +34,7 @@ from helpers import (
     natred_eigenvalue,
     ref_natred_spectrum,
     ref_natred_terms,
+    ref_table,
 )
 
 A1 = build("A1")
@@ -196,14 +198,15 @@ def test_semi_riemannian_tables_complete_and_nonnegative():
     assert all(e >= 0 for e, _ in small.entries)
     # re-enumerating with a larger cutoff finds nothing new below 2
     big = natred_spectrum(m, 6)
-    assert big.restrict(2).entries == small.entries
+    assert tuple((e, k) for e, k in big.entries if e <= 2) == small.entries
 
 
 def test_riemannian_fibers_tables_complete():
     m = metric(1, F(1, 3))
     small = natred_spectrum(m, F(3, 2))
     big = natred_spectrum(m, 5)
-    assert big.restrict(F(3, 2)).entries == small.entries
+    below = tuple((e, k) for e, k in big.entries if e <= F(3, 2))
+    assert below == small.entries
 
 
 def test_equal_scales_rejected():
@@ -258,12 +261,26 @@ def test_containment_fails_on_a_table_without_its_witness(monkeypatch):
     real = natred.linear_table
 
     def without_witness(rows, den, scales, cutoff):
-        return real(rows, den, scales, cutoff).restrict(value - F(1, 10**6))
+        table = real(rows, den, scales, cutoff)
+        below = [(e, k) for e, k in table.entries if e < value]
+        return ref_table("raw", value - F(1, 10**6), below)
 
     monkeypatch.setattr(natred, "linear_table", without_witness)
     report = containment_check(m, 0, 8)
     assert (report["status"], report["multiplicity"]) == ("failed", 0)
     assert report["value"] == value
+
+
+def test_horizontal_positivity_raises_in_process(monkeypatch):
+    # a Killing ratio that breaks horizontal positivity: the check is a
+    # raise, so this test also fails under python -O, which strips every
+    # assert, if the check is gone
+    monkeypatch.setattr(
+        natred, "killing_ratio",
+        lambda emb: tuple(F(1, 100) for _ in emb.factors),
+    )
+    with pytest.raises(CertificationError, match="horizontal positivity"):
+        natred_terms(metric(1, F(1, 2)), 1)
 
 
 def test_containment_edge_cases():

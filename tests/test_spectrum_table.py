@@ -69,9 +69,8 @@ def test_validation():
     "make, message",
     [
         (lambda: SpectrumTable("bogus", 1, 1, (0,), (1,)), "unknown unit"),
-        (lambda: _table(((F(1), 1),)).restrict(11), "beyond its cutoff"),
     ],
-    ids=["unknown-unit", "restrict-past-the-cutoff"],
+    ids=["unknown-unit"],
 )
 def test_refusals(make, message):
     with pytest.raises(DomainError, match=message):
@@ -162,21 +161,14 @@ def test_rat_cutoff_matches_rat_and_a_sign_check():
             assert type(got) is F and got == want, value
 
 
-def test_lookup_and_restrict():
+def test_lookup():
     t = _table(((F(0), 1), (F(3, 8), 4), (F(1), 9)))
     assert t.multiplicity(F(3, 8)) == 4
     assert t.multiplicity(F(1, 3)) == 0
     assert t.multiplicity(F(1)) > 0
     assert t.multiplicity("3/8") == 4
-    r = t.restrict(F(1, 2))
-    assert r.cutoff == F(1, 2)
-    assert r.entries == ((F(0), 1), (F(3, 8), 4))
-    with pytest.raises(DomainError):
-        t.restrict(0.5)  # floats are not exact
     with pytest.raises(InputError):
-        t.multiplicity(0.375)  # nor are they in a lookup
-    with pytest.raises(DomainError):
-        t.restrict(F(-1))
+        t.multiplicity(0.375)  # floats are not exact
 
 
 def test_from_counts_merges_exactly():
@@ -317,10 +309,10 @@ def _pair(counts, scale, cutoff):
 @settings(max_examples=200, deadline=None)
 @given(
     _counts, _scales, _counts, _scales, st.integers(1, 6),
-    st.fractions(0, 8, max_denominator=12), st.integers(1, 4),
+    st.fractions(0, 8, max_denominator=12),
 )
 def test_integer_operations_match_fraction_references(
-    ca, sa, cb, sb, k, probe, shrink
+    ca, sa, cb, sb, k, probe
 ):
     cutoff = F(20)
     a, ref_a = _pair(ca, sa, cutoff)
@@ -339,8 +331,3 @@ def test_integer_operations_match_fraction_references(
     assert a.multiplicity(probe) == ref_a.get(probe, 0)
     positive = [e for e in ref_a if e > 0]
     assert a.lambda1() == (min(positive) if positive else None)
-    small = probe / shrink
-    r = a.restrict(small)
-    assert r.cutoff == small
-    assert dict(r.entries) == {e: m for e, m in ref_a.items() if e <= small}
-    assert r == _table(r.entries, small)
