@@ -159,6 +159,122 @@ MUTANTS = (
         (_DIVISIONS,),
         optimize=True,
     ),
+    # the checks on a branching and a character
+    Mutant(
+        "result-dimension-unchecked", "branching.py",
+        "if total != weyl_dim(emb.ambient, lam):", "if False:",
+        ("tests/test_branching.py::"
+         "test_a_faulty_step_fails_its_checks_and_is_peeled",),
+    ),
+    Mutant(
+        "result-negative-multiplicity-unchecked", "branching.py",
+        "if any(m < 0 for m in terms.values()):", "if False:",
+        ("tests/test_branching.py::"
+         "test_a_negative_multiplicity_fails_where_dimensions_add_up",),
+        optimize=True,
+    ),
+    Mutant(
+        "peel-invariance-unchecked", "branching.py",
+        "if restricted.get(top) != mult:", "if False:",
+        ("tests/test_branching.py::test_non_invariant_restriction_is_malformed",),
+    ),
+    Mutant(
+        "restriction-remainder-unchecked", "branching.py",
+        "                if rest:\n                    raise MalformedEmbeddingError(",
+        "                if False:\n                    raise MalformedEmbeddingError(",
+        ("tests/test_branching.py::test_malformed_non_integer_image",),
+    ),
+    Mutant(
+        "weight-diagram-total-unchecked", "weights.py",
+        "if sum(full.values()) != weyl_dim(rs, weight):", "if False:",
+        ("tests/test_weights.py::"
+         "test_weight_diagram_checks_its_total_against_weyl_dim",),
+        optimize=True,
+    ),
+    Mutant(
+        "dominance-gate-lets-minus-one-through", "rootdata.py",
+        "if min(lam) < 0:\n        raise DomainError(message)",
+        "if min(lam) < -1:\n        raise DomainError(message)",
+        ("tests/test_rootdata.py::test_casimir_requires_dominant",),
+    ),
+    Mutant(
+        "string-weight-read-per-character", "rootdata.py",
+        "if isinstance(weight, (str, bytes, bytearray)):", "if False:",
+        ("tests/test_rootdata.py::test_string_weight_is_refused",),
+    ),
+    # the natred formula (ROADMAP item 5's mutations) and the containment
+    # lemma's instruments
+    Mutant(
+        "killing-ratio-doubled", "branching.py",
+        "ind * emb.ambient.dual_coxeter / f.dual_coxeter",
+        "2 * ind * emb.ambient.dual_coxeter / f.dual_coxeter",
+        ("tests/test_branching.py::test_standard_a1_in_a2",),
+    ),
+    Mutant(
+        "horizontal-row-sign", "natred.py",
+        "row = (c_lam - fiber,) + tail", "row = (c_lam + fiber,) + tail",
+        ("tests/test_natred.py::test_terms_match_per_metric_reference",),
+    ),
+    Mutant(
+        "fiber-tail-of-the-other-factor", "natred.py",
+        "map(casimir_num, factors, tau), scales",
+        "map(casimir_num, factors, tau[::-1]), scales",
+        ("tests/test_natred.py::test_terms_match_per_metric_reference",),
+    ),
+    Mutant(
+        "recursion-drops-a-term", "branching.py",
+        "for kappa, c in coeffs.items():",
+        "for kappa, c in list(coeffs.items())[1:]:",
+        ("tests/test_branching.py::"
+         "test_term_catalogue_recurses_past_the_fundamentals",),
+    ),
+    Mutant(
+        "beta-factor-sign", "natred.py",
+        "x * t / (t - x) for x in m.fiber_scales",
+        "x * t / (x - t) for x in m.fiber_scales",
+        ("tests/test_natred.py::test_beta_factors",),
+    ),
+    Mutant(
+        "f-map-admits-an-equal-shift", "natred.py",
+        "if any(b <= a for a in op.coeffs):", "if any(b < a for a in op.coeffs):",
+        ("tests/test_natred.py::test_f_map_frozen_and_errors",),
+    ),
+    Mutant(
+        "containment-without-its-mode-check", "natred.py",
+        'if m.mode != "riemannian-fibers":', "if False:",
+        ("tests/test_natred.py::test_containment_edge_cases",),
+    ),
+    # work that changes no output (ROADMAP item 7's mutations)
+    Mutant(
+        "product-memo-off", "branching.py",
+        "@lru_cache(maxsize=None)\ndef _product(", "def _product(",
+        ("tests/test_branching.py::"
+         "test_k_type_products_are_made_once_per_pair",),
+    ),
+    Mutant(
+        "lattice-eliminated-twice", "lattices/lattice.py",
+        "return _reduced_form(*self._elimination)",
+        "a, q, _ = self._elimination\n"
+        "        return _reduced_form(a, q, linalg.eliminate(a))",
+        ("tests/test_lattices.py::test_one_elimination_per_lattice",),
+    ),
+    Mutant(
+        "spectrum-keeps-no-lambda1", "lattices/spectra.py",
+        'lat.__dict__.setdefault("_dual_minimum"',
+        'lat.__dict__.get("_dual_minimum"',
+        ("tests/test_lattices.py::test_lll_eliminates_once",),
+    ),
+    # the header rows of the two CSV forms
+    Mutant(
+        "table-csv-header", "spectrum.py",
+        '["eigenvalue", "multiplicity"]', '["eigenvalue", "mult"]',
+        ("tests/test_cli.py::test_csv_format",),
+    ),
+    Mutant(
+        "report-csv-header", "cli.py",
+        '["key", "value"]', '["value", "key"]',
+        ("tests/test_cli.py::test_report_csv_is_key_value_rows",),
+    ),
 )
 
 

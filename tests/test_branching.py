@@ -261,8 +261,15 @@ def test_malformed_non_integer_image():
         factors=(build("A1"),),
         restriction=((F(1, 2), F(1, 2)),),
     )
-    with pytest.raises(MalformedEmbeddingError):
+    with pytest.raises(MalformedEmbeddingError, match="non-integer"):
         branch(emb, (1, 0))
+
+
+def test_a_negative_multiplicity_fails_where_dimensions_add_up():
+    # 2 V_(1) - V_(0) of A1 has the dimension 3 of V_(1, 0) of A2, so only
+    # the sign check refuses it; a raise, so it also holds under python -O
+    with pytest.raises(MalformedEmbeddingError, match="negative multiplicity"):
+        branching._result(STD, (1, 0), {((1,),): 2, ((0,),): -1})
 
 
 def test_embedding_spec_validation():

@@ -289,7 +289,7 @@ def test_containment_edge_cases():
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
     m0 = NatRedMetric(emb=emb, base_scale=1, fiber_scales=())
     assert containment_check(m0, 0, 4)["status"] == "vacuous"
-    with pytest.raises(InadmissibleMetricError):
+    with pytest.raises(InadmissibleMetricError, match="base-scale shift"):
         containment_check(metric(1, 2), 0, 4)
     with pytest.raises(DomainError):
         containment_check(metric(1, F(1, 2)), 5, 4)

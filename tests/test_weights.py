@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liespec import weights
 from liespec.errors import DomainError
 from liespec.rootdata import build, casimir, casimir_num
 from liespec.weights import (
@@ -139,6 +140,14 @@ def test_diagram_total_matches_weyl_dim(name, lam3):
     d = weight_diagram(rs, lam)
     assert sum(m for _, m in d) == weyl_dim(rs, lam)
     assert dict(d)[lam] == 1  # highest weight occurs exactly once
+
+
+def test_weight_diagram_checks_its_total_against_weyl_dim(monkeypatch):
+    # orbits cut down to their dominant weight leave the character short of
+    # dim V; the check is a raise, so this also fails under python -O
+    monkeypatch.setattr(weights, "_orbit", lambda cartan, mu: (mu,))
+    with pytest.raises(DomainError, match="character total"):
+        weight_diagram(build("A1"), (1,))
 
 
 @settings(max_examples=30, deadline=None)
