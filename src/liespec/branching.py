@@ -14,26 +14,25 @@ where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G; the
 K-side products by the same rule on each factor, each product a (x) b of
 two K-types multiplied out over the factors once, in a memo keyed by the
 factors' root systems and shared by every embedding of the same K, so a
-step is dictionary additions and its checks).  A step checks that
-V_lam occurs once, no multiplicity is negative and the dimensions add up
-(dim V_lam by ``weyl_dim``; each K-type's by ``_product_dim``, memoized
-like the products from its parts' ``weyl_dim``, so no module-level memo
-holds an embedding or its branchings).  ``branch`` checks the weight it
-is given; a step reads only weights that the walk or the memo made from
-checked ones.  A step runs only if every branching it reads is memoized: each
-kappa has a smaller Casimir than lam, so ``_branched``, which walks and
-branches the weights below a Casimir budget for the term catalogue and
-the normal quotient, takes them in ascending Casimir and recurses past 0
-and the fundamentals.  Other weights, one asked for alone among them, and
-steps that fail on malformed data are peeled: the restricted weight
-diagram is checked W_K-invariant, and each weight nu adds its
-multiplicity, signed by det w, at w(nu + rho) - rho in every factor,
-unless nu + rho lies on a wall (Brauer-Klimyk with a trivial first
-factor; ``_dot`` walks the chamber for ``_tensor`` too).
-K-characters decompose uniquely, so the two agree where both succeed.
-Malformed data surfaces as a non-integer image, a non-invariant
-character, a negative multiplicity or a dimension mismatch, never as a
-wrong answer.
+step is dictionary additions and its checks).  A step checks that V_lam
+occurs once, no multiplicity is negative and the dimensions add up (dim
+V_lam by ``weights._weyl_dim``; each K-type's by ``_product_dim``, memoized
+like the products from its parts' ``_weyl_dim``, so no module-level memo
+holds an embedding or its branchings).  ``branch`` checks the weight it is
+given; a step reads, unchecked, only weights that the walk or the memo made
+from checked ones.  A step runs only if every branching it reads is
+memoized: each kappa has a smaller Casimir than lam, so ``_branched``,
+which walks and branches the weights below a Casimir budget for the term
+catalogue and the normal quotient, takes them in ascending Casimir and
+recurses past 0 and the fundamentals.  Other weights, one asked for alone
+among them, and steps that fail on malformed data are peeled: the
+restricted weight diagram is checked W_K-invariant, and each weight nu adds
+its multiplicity, signed by det w, at w(nu + rho) - rho in every factor,
+unless nu + rho lies on a wall (Brauer-Klimyk with a trivial first factor;
+``_dot`` walks the chamber for ``_tensor`` too).  K-characters decompose
+uniquely, so the two agree where both succeed.  Malformed data surfaces as
+a non-integer image, a non-invariant character, a negative multiplicity or
+a dimension mismatch, never as a wrong answer.
 
 The Dynkin index of the embedding is computed by branching the adjoint
 representation: with I(lambda) = dim * <lambda, lambda+2rho>_norm / (2 dim_g)
@@ -63,7 +62,7 @@ from .rootdata import (
     RootSystemData, _chamber, build, casimir_num, check_dominant,
     check_root_system,
 )
-from .weights import _dominant_casimirs, weight_diagram, weyl_dim
+from .weights import _dominant_casimirs, _weyl_dim, weight_diagram
 
 
 class EmbeddingSpec(Frozen):
@@ -83,13 +82,7 @@ class EmbeddingSpec(Frozen):
         ambient = check_root_system(ambient)
         factors = tuple(map(check_root_system, array(factors, "factors")))
         restriction = rat_matrix(restriction)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "restriction", restriction)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_branchings", {})
-        rows = sum(f.rank for f in factors)
-        if len(restriction) != rows:
+        if len(restriction) != sum(f.rank for f in factors):
             raise DomainError("restriction row count != total factor rank")
         if any(len(r) != ambient.rank for r in restriction):
             raise DomainError("restriction column count != ambient rank")
@@ -100,8 +93,10 @@ class EmbeddingSpec(Frozen):
             blocks.append(tuple(scaled[: f.rank]))
             scaled = scaled[f.rank :]
         # restriction = _int_rows / _den, split into one block per factor
-        object.__setattr__(self, "_int_rows", tuple(blocks))
-        object.__setattr__(self, "_den", den)
+        self.__dict__.update(
+            ambient=ambient, factors=factors, restriction=restriction,
+            name=name, _branchings={}, _int_rows=tuple(blocks), _den=den,
+        )
 
     def _restrict(self, weight: tuple) -> tuple:
         """Image of a checked G-weight as per-factor coordinate tuples;
@@ -148,9 +143,8 @@ class BranchingResult(Value):
     _fields = ("source", "terms")
 
     def __init__(self, source, terms):
-        object.__setattr__(self, "source", source)
-        # ((tuple_of_factor_weights, multiplicity), ...), sorted by label
-        object.__setattr__(self, "terms", terms)
+        # terms: ((tuple_of_factor_weights, multiplicity), ...), by label
+        self.__dict__.update(source=source, terms=terms)
 
     def multiplicity(self, factor_weights) -> int:
         """The multiplicity of the K-type whose per-factor highest weights
@@ -269,7 +263,7 @@ def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
     """Restrict the weight diagram of V_lam, check it W_K-invariant, and
     decompose it in one Brauer-Klimyk pass (module docstring)."""
     if not emb.factors:
-        return BranchingResult(lam, (((), weyl_dim(emb.ambient, lam)),))
+        return BranchingResult(lam, (((), _weyl_dim(emb.ambient, lam)),))
     restricted = {}
     for nu, mult in weight_diagram(emb.ambient, lam):
         key = emb._restrict(nu)
@@ -294,7 +288,7 @@ def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
         raise MalformedEmbeddingError("negative multiplicity in a branching")
     terms = {t: m for t, m in terms.items() if m}
     total = sum(m * _product_dim(emb.factors, t) for t, m in terms.items())
-    if total != weyl_dim(emb.ambient, lam):
+    if total != _weyl_dim(emb.ambient, lam):
         raise MalformedEmbeddingError("branching lost dimensions")
     return BranchingResult(source=lam, terms=tuple(sorted(terms.items())))
 
@@ -302,7 +296,7 @@ def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
 @lru_cache(maxsize=None)
 def _product_dim(factors: tuple, tup: tuple) -> int:
     """dim V_tup for a K-type ``tup`` of ``factors``, keyed as ``_product``."""
-    return prod(map(weyl_dim, factors, tup))
+    return prod(map(_weyl_dim, factors, tup))
 
 
 def embedding_index(emb: EmbeddingSpec) -> tuple:
@@ -373,12 +367,9 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
         record("adjoint-peeling", False, str(exc))
 
     try:
+        # embedding_index raises unless every index is positive
         indices = embedding_index(emb)
-        record(
-            "positive-indices",
-            all(ind > 0 for ind in indices),
-            ",".join(str(i) for i in indices),
-        )
+        record("positive-indices", True, ",".join(str(i) for i in indices))
     except DomainError as exc:
         record("positive-indices", False, str(exc))
 

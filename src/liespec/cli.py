@@ -26,9 +26,9 @@ miss, rewritten.
 
 import argparse
 import hashlib
-import io
 import json
 import os
+import re
 import sys
 from functools import lru_cache, partial
 
@@ -45,7 +45,7 @@ from .isolation import (
 from .lattices import Lattice, torus_spectrum
 from .natred import NatRedMetric, natred_spectrum
 from .rational import fmt, rat, written
-from .spectrum import SpectrumTable, canonical_json
+from .spectrum import SpectrumTable, _csv, canonical_json
 
 
 def _split(text: str) -> list:
@@ -60,14 +60,10 @@ def _render(data, out_format: str) -> str:
     if out_format == "json":
         return canonical_json(data)
     if out_format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for k in sorted(data):
-            writer.writerow([k, json.dumps(data[k], sort_keys=True)])
-        return buf.getvalue()
+        return _csv(
+            ["key", "value"],
+            [[k, json.dumps(data[k], sort_keys=True)] for k in sorted(data)],
+        )
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
@@ -313,6 +309,14 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # argparse reads a value such as -1/2 or -1,0 as a flag, but not when
+    # it is joined to its option, as in --cutoff=-1/2; --help takes none
+    for i in range(len(argv) - 1, 0, -1):
+        flag = argv[i - 1]
+        if re.match(r"-\d", argv[i]) and flag.startswith("--") and not (
+            "=" in flag or "--help".startswith(flag)
+        ):
+            argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     try:
         ns = _build_parser(command).parse_args(argv)
     except argparse.ArgumentError as exc:

@@ -1,12 +1,12 @@
 """Immutable record classes.
 
-A subclass names its fields in ``_fields`` and sets each one in its
-``__init__`` with ``object.__setattr__``, or all of them in one update of
-the instance ``__dict__``; after that, assigning or deleting an attribute
-raises AttributeError.  ``functools.cached_property`` still works, since
-it writes the instance ``__dict__`` directly.  ``Frozen``
-instances compare and hash by identity; ``Value`` instances by their
-fields, and only with instances of the same class.
+A subclass names its fields in ``_fields`` and sets all of them in its
+``__init__`` in one update of the instance ``__dict__``; after that,
+assigning or deleting an attribute raises AttributeError.
+``functools.cached_property`` still works, since it writes the instance
+``__dict__`` directly.  ``Frozen`` instances compare and hash by
+identity; ``Value`` instances by their fields, and only with instances of
+the same class.
 """
 
 

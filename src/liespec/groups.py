@@ -50,34 +50,33 @@ class GroupSpec(Frozen):
         factors = tuple(map(check_root_system, array(factors, "factors")))
         if not factors:
             raise DomainError("GroupSpec needs at least one simple factor")
-        object.__setattr__(self, "factors", factors)
         if scales is None:
             scales = (1,) * len(factors)
-        object.__setattr__(self, "scales", tuple(map(rat, scales)))
-        object.__setattr__(self, "gamma", tuple(
+        scales = tuple(map(rat, scales))
+        gamma = tuple(
             tuple(tuple(map(rat, part)) for part in z) for z in gamma
-        ))
-        if len(self.scales) != len(self.factors):
+        )
+        if len(scales) != len(factors):
             raise DomainError("one scale per factor required")
-        if any(t <= 0 for t in self.scales):
+        if any(t <= 0 for t in scales):
             raise DomainError("metric scales must be positive")
-        for z in self.gamma:
-            if len(z) != len(self.factors):
+        for z in gamma:
+            if len(z) != len(factors):
                 raise DomainError("central element needs one part per factor")
-            if any(len(part) != f.rank for f, part in zip(self.factors, z)):
+            if any(len(part) != f.rank for f, part in zip(factors, z)):
                 raise DomainError("coweight length != factor rank")
-        # (d, each z_i * d) (module docstring); not a field, so repr and
-        # JSON ignore it
-        d = lcm(*(
-            x.denominator for z in self.gamma for part in z for x in part
-        ))
+        d = lcm(*(x.denominator for z in gamma for part in z for x in part))
         zs = tuple(tuple(tuple(
             x.numerator * (d // x.denominator) for x in part
-        ) for part in z) for z in self.gamma)
-        object.__setattr__(self, "_gamma", (d, zs))
+        ) for part in z) for z in gamma)
+        # _gamma is (d, each z_i * d) (module docstring); not a field, so
+        # repr and JSON ignore it
+        self.__dict__.update(
+            factors=factors, scales=scales, gamma=gamma, _gamma=(d, zs)
+        )
         # Ad(z) = id forces integral pairing with every root.
         for z in zs:
-            for f, part in zip(self.factors, z):
+            for f, part in zip(factors, z):
                 if any(sum(map(mul, r, part)) % d for r in f.pos_roots_fund):
                     raise DomainError(
                         "gamma element pairs non-integrally with a root"

@@ -45,9 +45,7 @@ class GammaVector(Value):
     _fields = ("kind", "dim", "entries")
 
     def __init__(self, kind, dim, entries):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
+        self.__dict__.update(kind=kind, dim=dim, entries=entries)
         if kind not in ("group", "torus"):
             raise DomainError("kind must be 'group' or 'torus'")
         # exact types only, as in a Lattice: a bool or a float names no

@@ -58,7 +58,7 @@ def _squares(pivots, rows):
 
 def _norm_counts(squares, bound: int, vectors=None):
     """Counter {x^T A x: count} over canonical-sign nonzero x with
-    x^T A x <= bound, for the form A that ``squares`` completes.
+    x^T A x <= bound >= 0, for the form A that ``squares`` completes.
 
     A 1-D form [[p]] is padded to [[p, 0], [0, q]], q = p (bound + 1), so
     x_1 = 0 is forced; its completion is written in closed form: pivots
@@ -73,8 +73,6 @@ def _norm_counts(squares, bound: int, vectors=None):
     one of them is not, and the check is at least as strict as one on
     every value.
     """
-    if bound < 0:
-        return Counter()
     pivots, rows, weights, total = squares
     m = len(pivots)
     if m == 1:  # complete [[a00, 0], [0, bound + 1]]: x_1 = 0 is forced

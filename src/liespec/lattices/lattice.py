@@ -78,9 +78,6 @@ class Lattice(Value):
         else:
             gram = linalg.matmul(linalg.transpose(basis), basis)
         dim = len(gram)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "basis", basis)
         if dim < 1:
             raise DomainError("lattice dimension must be >= 1")
         if any(len(r) != dim for r in gram):
@@ -92,9 +89,11 @@ class Lattice(Value):
         pivots, _, swaps, _ = table
         if swaps or min(pivots) <= 0:
             raise DomainError("gram matrix must be positive definite")
-        # q*G, q and its Bareiss table, kept for det_gram and both forms;
-        # not a field, so ==, hash, repr and JSON ignore it
-        object.__setattr__(self, "_elimination", (a, q, table))
+        # _elimination is q*G, q and its Bareiss table, kept for det_gram
+        # and both forms; not a field, so ==, hash, repr and JSON ignore it
+        self.__dict__.update(
+            dim=dim, gram=gram, basis=basis, _elimination=(a, q, table)
+        )
         # a square B with B^T B positive definite is nonsingular
         if basis is not None and (
             len(basis) != dim

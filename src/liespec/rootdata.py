@@ -189,8 +189,7 @@ class RootSystemData(Frozen):
         weyl_den, form, form_den, casimir_den, dual_coxeter, dim_g, minus_w0,
     ):
         fields = locals()
-        for name in self._fields:
-            object.__setattr__(self, name, fields[name])
+        self.__dict__.update((name, fields[name]) for name in self._fields)
 
     @property
     def name(self) -> str:

@@ -135,13 +135,10 @@ class SpectrumTable(Value):
         )
 
     def to_csv(self) -> str:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eigenvalue", "multiplicity"])
-        writer.writerows(zip(self._eigenvalue_strings(), self.mults))
-        return buf.getvalue()
+        return _csv(
+            ["eigenvalue", "multiplicity"],
+            zip(self._eigenvalue_strings(), self.mults),
+        )
 
     def to_pretty(self) -> str:
         header = (
@@ -159,6 +156,18 @@ class SpectrumTable(Value):
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace drift, one newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """CSV text of the ``header`` row and then ``rows``, for tables and
+    reports alike; ``csv`` is imported on this path alone."""
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _reduced(unit, cutoff, scale, values, mults) -> SpectrumTable:

@@ -7,6 +7,7 @@ All three run on the integer tables of ``rootdata``:
   rho, beta^vee) are dot products with ``coroots``, and ``_weyl_quotient``,
   which the walk below shares, divides their product exactly by
   ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
+  ``_weyl_dim`` is it on a weight checked already;
 * ``weight_diagram`` -- the full character of V_lambda, as sorted
   (weight, multiplicity) pairs like ``dominant_character``.  Its dominant
   weights are the dominant mu with lambda - mu in the root cone (ibid.,
@@ -64,6 +65,11 @@ from .rootdata import (
 def weyl_dim(rs: RootSystemData, weight) -> int:
     """dim V_lambda by the Weyl dimension formula."""
     lam = check_dominant(rs, weight, "weyl_dim expects a dominant weight")
+    return _weyl_dim(rs, lam)
+
+
+def _weyl_dim(rs: RootSystemData, lam: tuple) -> int:
+    """``weyl_dim`` of a checked dominant weight."""
     shifted = tuple(x + 1 for x in lam)
     pairs = [sum(map(mul, co, shifted)) for co in rs.coroots]
     return _weyl_quotient(pairs, rs.weyl_den)

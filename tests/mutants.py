@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 _BOUNDS = "tests/test_isolation.py::test_torus_search_keeps_tori_on_its_bounds"
 _TOO_LONG = "tests/test_cli.py::test_table_too_long_to_write_exits_two"
 _DIVISIONS = "tests/test_lattices.py::test_inexact_divisions_raise"
+_COLD = ("tests/test_natred.py::"
+         "test_a_cold_run_checks_only_the_weights_that_come_in")
 
 MUTANTS = (
     # boundaries that survived the whole suite until their tests were added
@@ -162,7 +164,7 @@ MUTANTS = (
     # the checks on a branching and a character
     Mutant(
         "result-dimension-unchecked", "branching.py",
-        "if total != weyl_dim(emb.ambient, lam):", "if False:",
+        "if total != _weyl_dim(emb.ambient, lam):", "if False:",
         ("tests/test_branching.py::"
          "test_a_faulty_step_fails_its_checks_and_is_peeled",),
     ),
@@ -176,12 +178,13 @@ MUTANTS = (
     Mutant(
         "peel-invariance-unchecked", "branching.py",
         "if restricted.get(top) != mult:", "if False:",
-        ("tests/test_branching.py::test_non_invariant_restriction_is_malformed",),
+        ("tests/test_branching.py::"
+         "test_non_invariant_restriction_is_malformed",),
     ),
     Mutant(
         "restriction-remainder-unchecked", "branching.py",
-        "                if rest:\n                    raise MalformedEmbeddingError(",
-        "                if False:\n                    raise MalformedEmbeddingError(",
+        "if rest:\n                    raise MalformedEmbeddingError(",
+        "if False:\n                    raise MalformedEmbeddingError(",
         ("tests/test_branching.py::test_malformed_non_integer_image",),
     ),
     Mutant(
@@ -236,7 +239,8 @@ MUTANTS = (
     ),
     Mutant(
         "f-map-admits-an-equal-shift", "natred.py",
-        "if any(b <= a for a in op.coeffs):", "if any(b < a for a in op.coeffs):",
+        "if any(b <= a for a in op.coeffs):",
+        "if any(b < a for a in op.coeffs):",
         ("tests/test_natred.py::test_f_map_frozen_and_errors",),
     ),
     Mutant(
@@ -263,6 +267,26 @@ MUTANTS = (
         'lat.__dict__.setdefault("_dual_minimum"',
         'lat.__dict__.get("_dual_minimum"',
         ("tests/test_lattices.py::test_lll_eliminates_once",),
+    ),
+    # each weight checked once, at the door it comes in by
+    Mutant(
+        "weyl-core-checks-again", "weights.py",
+        '''    """``weyl_dim`` of a checked dominant weight."""\n''',
+        '''    """``weyl_dim`` of a checked dominant weight."""\n'''
+        '    lam = check_dominant(rs, lam, "weyl_dim expects a dominant "'
+        '"weight")\n',
+        (_COLD,),
+    ),
+    Mutant(
+        "diagram-memo-off", "branching.py",
+        "@lru_cache(maxsize=None)\ndef _diagram(", "def _diagram(",
+        (_COLD,),
+    ),
+    # an option value that starts with "-" and a digit
+    Mutant(
+        "negative-option-value-read-as-a-flag", "cli.py",
+        're.match(r"-\\d", argv[i])', 're.match(r"-\\d+$", argv[i])',
+        ("tests/test_cli.py::test_negative_option_value_is_read_as_a_value",),
     ),
     # the header rows of the two CSV forms
     Mutant(

@@ -311,6 +311,9 @@ def test_usage_errors_exit_one(capsys):
         ("torus-spectrum", "--gram", "identity2", "--cutoff", "3",
          "--threads", "2"),
         ("torus-spectrum", "--gram", "identity2"),
+        # a flag is not a value, also where a value may start with "-"
+        ("torus-spectrum", "--gram", "identity2", "--cutoff", "--format",
+         "json"),
     ):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -324,6 +327,34 @@ def test_usage_errors_exit_one(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "torus-spectrum" in capsys.readouterr().out
+
+
+# option values that start with "-" and a digit, which argparse alone
+# reads as flags, with the exit code of each
+NEGATIVE_VALUES = [
+    (("torus-spectrum", "--gram", "identity2", "--cutoff", "-1/2"), 2),
+    (("window", "--lambda1", "-1/2", "--vol", "1", "--dim", "2", "--const",
+      "1"), 2),
+    (("branch", "--embedding", "a1xa1-in-b2", "--weight", "-1,0"), 2),
+    (("torus-search", "--values", "-1,2", "--dim", "2", "--lambda-min", "1",
+      "--vol-min", "1"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", NEGATIVE_VALUES, ids=[a[0] for a, _ in NEGATIVE_VALUES]
+)
+def test_negative_option_value_is_read_as_a_value(capsys, argv, code):
+    # each prints what its --option=value spelling prints
+    i = next(i for i, a in enumerate(argv) if a[:2] in ("-1", "-2"))
+    joined = (*argv[: i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1 :])
+    got, out = run_cli(capsys, *argv)
+    assert (got, out) == run_cli(capsys, *joined)
+    assert got == code
+    if code:
+        assert json.loads(out)["error"]["type"] == "DomainError"
+    else:
+        assert out == '{"count":0,"tori":[]}\n'
 
 
 # Runs under python -O, with a killing_ratio that breaks horizontal

@@ -1,18 +1,22 @@
 """The command line's exit-code contract under drawn argument lists.
 
-Argument lists for ``torus-spectrum``, ``group-spectrum``,
-``natred-spectrum``, ``gamma`` and ``window`` are drawn from builtin names
-and near-valid descriptor JSON: wrong types, empty arrays, bools, floats,
+Argument lists for all nine commands are drawn from builtin names and
+near-valid descriptor JSON: wrong types, empty arrays, bools, floats,
 zero and negative rationals, digit strings next to the interpreter's
 4,300-digit limit on int strings, and missing or repeated flags.  No work
 budget bounds a job yet, so sizes stay small: dimensions and ranks up to
-3, cutoffs up to 6, scales up to 2, and a long digit string only where it
-makes the work smaller (a denominator) or is refused (past the limit).
+3, cutoffs up to 6 (3 for a scan, of at most 3 steps), scales up to 2,
+weight coordinates up to 3, torus searches in dimension 1 or 2 over at
+most 3 values, and a long digit string only where it makes the work
+smaller (a denominator) or is refused (past the limit).
 
 Every case must exit 0, 1 or 2; print exactly one canonical JSON document
 under ``--format json`` and for every error; print the same bytes when run
 again; and, as a table printed with exit 0, parse back through the
-validating ``SpectrumTable`` constructor to the same bytes.
+validating ``SpectrumTable`` constructor to the same bytes.  An argument
+list whose only fault is one negative value, a rational or a list that
+starts with "-" and a digit, never fails as a usage error: the value is
+read as a value, not as a flag.
 """
 
 import contextlib
@@ -143,24 +147,33 @@ _group = st.one_of(
     st.sampled_from(["{", '{"factors": ["E9"]}', '{"factors": ["A0"]}']),
 )
 
-# (group, embedding, its number of factors): a builtin's name, or an A1
-# or A1xA1 in a rank-2 group by an integer restriction
+_BUILTIN_EMBEDDINGS = [
+    ("A2", "a1-in-a2-standard", 1), ("A2", "a1-in-a2-principal", 1),
+    ("B2", "a1xa1-in-b2", 2), ("A2", "identity-a2", 1),
+]
+# an A1 or A1xA1 in a rank-2 group by an integer restriction
+_restricted = st.tuples(
+    st.sampled_from(["A2", "B2", "G2"]), st.sampled_from([1, 2])
+).flatmap(lambda spec: st.fixed_dictionaries({
+    "ambient": st.just(spec[0]),
+    "factors": st.just(["A1"] * spec[1]),
+    "restriction": st.lists(
+        st.lists(st.integers(-2, 4).map(str), min_size=2, max_size=2),
+        min_size=spec[1], max_size=spec[1],
+    ),
+}))
+# (group, embedding, its number of factors): a builtin's name, or a
+# restriction as above
 _embedding = _mostly(
-    st.sampled_from([
-        ("A2", "a1-in-a2-standard", 1), ("A2", "a1-in-a2-principal", 1),
-        ("B2", "a1xa1-in-b2", 2), ("A2", "identity-a2", 1),
-    ]),
-    st.tuples(
-        st.sampled_from(["A2", "B2", "G2"]), st.sampled_from([1, 2])
-    ).flatmap(lambda spec: st.tuples(st.just(spec[0]), st.fixed_dictionaries({
-        "ambient": st.just(spec[0]),
-        "factors": st.just(["A1"] * spec[1]),
-        "restriction": st.lists(
-            st.lists(st.integers(-2, 4).map(str), min_size=2, max_size=2),
-            min_size=spec[1], max_size=spec[1],
-        ),
-    }), st.just(spec[1]))),
+    st.sampled_from(_BUILTIN_EMBEDDINGS),
+    _restricted.map(lambda e: (e["ambient"], e, len(e["factors"]))),
     odds=3,
+)
+# the value of --embedding
+_embedding_arg = st.one_of(
+    st.sampled_from([name for _, name, _ in _BUILTIN_EMBEDDINGS]),
+    _near(_restricted),
+    st.sampled_from(["{", '{"ambient": "B2"}', "no-such-embedding"]),
 )
 _metric = st.one_of(
     _near(_embedding.flatmap(lambda spec: st.fixed_dictionaries({
@@ -175,6 +188,22 @@ _metric = st.one_of(
 _cutoff = _rational(6)
 _window = _mostly(_rational(6), st.sampled_from(_LONG), odds=3)
 _dim = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["2.0", "1/2"]))
+_wrong_list = st.sampled_from(["", "a", "1.5,0", "1,,0", _PAST])
+_weight = _mostly(
+    st.lists(st.integers(-1, 3).map(str), min_size=1, max_size=3).map(
+        ",".join
+    ),
+    _wrong_list,
+)
+_values = _mostly(
+    st.lists(_small(3), min_size=1, max_size=3).map(",".join), _wrong_list
+)
+_steps = st.sampled_from(["1", "2", "3", "0", "-1", "x", "5/2"])
+_radius = st.sampled_from(["0", "1/10", "1/4", "1/2", "1", "-1/2", "abc"])
+# dimension 1 or 2, or one that is refused before any search
+_search_dim = st.sampled_from(["1", "2", "2", "0", "-1", "5", "2.0", "3/2"])
+# what --values, --weight, --cutoff and the like are given, negative
+_NEGATIVE = ["-1", "-1/2", "-2/3", "-1,0", "-1,2", "-1/2,1"]
 
 # command: its options, each with the strategy of its value
 _OPTIONS = {
@@ -188,23 +217,42 @@ _OPTIONS = {
         ("dim", _dim),
         ("const", _window),
     ),
+    "branch": (("embedding", _embedding_arg), ("weight", _weight)),
+    "scan": (
+        ("metric", _metric),
+        ("radius", _radius),
+        ("steps", _steps),
+        ("cutoff", _rational(3)),
+    ),
+    "torus-search": (
+        ("values", _values),
+        ("dim", _search_dim),
+        ("lambda-min", _small(2)),
+        ("vol-min", _small(2)),
+    ),
+    "validate-embedding": (("embedding", _embedding_arg),),
 }
 
 
 @st.composite
-def _argv(draw) -> list:
+def _argv(draw, negative=False) -> list:
+    """An argument list: mostly whole, now and then with one fault; with
+    ``negative``, whole but for one option's negative value."""
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     options = list(_OPTIONS[command])
     if command == "gamma":  # --gram or --spec
         del options[draw(st.integers(0, 1))]
     # mostly none: a missing or repeated flag, an unknown one, a bad format
-    fault = draw(st.sampled_from(
+    fault = None if negative else draw(st.sampled_from(
         [None] * 6 + ["drop", "repeat", "--bogus", "--format=xml"]
     ))
     if fault == "drop":
         del options[draw(st.integers(0, len(options) - 1))]
     if fault == "repeat":
         options.append(draw(st.sampled_from(_OPTIONS[command])))
+    if negative:
+        k = draw(st.integers(0, len(options) - 1))
+        options[k] = (options[k][0], st.sampled_from(_NEGATIVE))
     argv = [command]
     for flag, values in options:
         argv += [f"--{flag}", draw(values)]
@@ -244,3 +292,18 @@ def test_exit_code_contract(argv):
         obj = json.loads(out)
         entries = [(Fraction(e), int(m)) for e, m in obj["entries"]]
         assert ref_table(obj["unit"], obj["cutoff"], entries).to_json() == out
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(argv=_argv(negative=True))
+def test_a_negative_option_value_is_not_a_usage_error(argv):
+    code, out = _run(argv)
+    assert code in (0, 1, 2), out
+    if code:
+        assert json.loads(out)["error"]["type"] != "ArgumentError", argv

@@ -1,5 +1,9 @@
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction as F
 
@@ -365,3 +369,48 @@ def test_an_inline_embedding_is_freed_with_its_metric():
     del m
     gc.collect()
     assert emb() is None
+
+
+# A cold natred-spectrum of A1xA1<B2 on an embedding of its own, with
+# every call of the public weight gate (check_weight) and of weyl_dim
+# counted by its caller's name.
+_COLD_RUN_SCRIPT = """
+import json, sys
+from collections import Counter
+from liespec import rootdata, weights
+from liespec.branching import EmbeddingSpec
+from liespec.catalog import BUILTIN_EMBEDDINGS
+from liespec.natred import NatRedMetric, natred_spectrum
+
+b = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+emb = EmbeddingSpec(b.ambient, b.factors, b.restriction)
+names = {rootdata.check_weight.__code__: "check_weight",
+         weights.weyl_dim.__code__: "weyl_dim"}
+calls = Counter()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in names:
+        calls[f"{names[frame.f_code]} from {frame.f_back.f_code.co_name}"] += 1
+
+sys.setprofile(profile)
+natred_spectrum(NatRedMetric(emb, 1, ("1/2", "1/3")), 20)
+sys.setprofile(None)
+print(json.dumps(calls))
+"""
+
+
+def test_a_cold_run_checks_only_the_weights_that_come_in():
+    # a fresh process, so no memo is warm: the K-type and branching
+    # dimensions come from the unchecked Weyl dimension core, and the gate
+    # sees only the adjoint that branch is handed and the weights that
+    # weight_diagram is handed, which it checks twice (dominant_character
+    # and weyl_dim)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN_SCRIPT],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "check_weight from check_dominant": 17,
+        "weyl_dim from weight_diagram": 8,
+    }

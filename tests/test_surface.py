@@ -2,7 +2,7 @@
 top-level function of src/, is used by the package itself, or is one of
 the exported instruments that README.md lists with the paper statement it
 checks; every field of a record class is read by src/; and no module
-under src/ asserts."""
+under src/ asserts or calls ``object.__setattr__``."""
 
 import ast
 import re
@@ -73,6 +73,22 @@ def test_no_module_under_src_asserts():
     ]
     if found:
         pytest.fail(f"assert statements under src/: {found}")
+
+
+def test_no_module_under_src_calls_object_setattr():
+    # a record sets its fields in one update of its __dict__ (frozen.py);
+    # like the assert scan, this test fails by raising
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and getattr(node.func.value, "id", None) == "object"
+    ]
+    if found:
+        pytest.fail(f"object.__setattr__ calls under src/: {found}")
 
 
 def _attribute_loads() -> dict:
