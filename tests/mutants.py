@@ -205,8 +205,9 @@ MUTANTS = (
         "if isinstance(weight, (str, bytes, bytearray)):", "if False:",
         ("tests/test_rootdata.py::test_string_weight_is_refused",),
     ),
-    # the natred formula (ROADMAP item 5's mutations) and the containment
-    # lemma's instruments
+    # the natred eigenvalue formula (the Killing ratio, the sign of the
+    # horizontal row, the fiber tail, a dropped branching term) and the
+    # containment lemma's instruments
     Mutant(
         "killing-ratio-doubled", "branching.py",
         "ind * emb.ambient.dual_coxeter / f.dual_coxeter",
@@ -248,7 +249,7 @@ MUTANTS = (
         'if m.mode != "riemannian-fibers":', "if False:",
         ("tests/test_natred.py::test_containment_edge_cases",),
     ),
-    # work that changes no output (ROADMAP item 7's mutations)
+    # work added without a change of output, which a count pins
     Mutant(
         "product-memo-off", "branching.py",
         "@lru_cache(maxsize=None)\ndef _product(", "def _product(",
