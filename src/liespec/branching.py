@@ -62,7 +62,9 @@ from .rootdata import (
     RootSystemData, _chamber, build, casimir_num, check_dominant,
     check_root_system,
 )
-from .weights import _dominant_casimirs, _weyl_dim, weight_diagram
+from .weights import (
+    _dominant_casimirs, _weight_diagram, _weyl_dim, weight_diagram
+)
 
 
 class EmbeddingSpec(Frozen):
@@ -256,7 +258,7 @@ def _dot(rs: RootSystemData, nu: tuple):
 @lru_cache(maxsize=None)
 def _diagram(rs: RootSystemData, b: tuple) -> tuple:
     """``weight_diagram(rs, b)``, memoized for ``_tensor``'s few b."""
-    return weight_diagram(rs, b)
+    return _weight_diagram(rs, b)
 
 
 def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
@@ -265,7 +267,7 @@ def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
     if not emb.factors:
         return BranchingResult(lam, (((), _weyl_dim(emb.ambient, lam)),))
     restricted = {}
-    for nu, mult in weight_diagram(emb.ambient, lam):
+    for nu, mult in _weight_diagram(emb.ambient, lam):
         key = emb._restrict(nu)
         restricted[key] = restricted.get(key, 0) + mult
     terms = Counter()

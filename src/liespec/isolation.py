@@ -12,18 +12,18 @@ Everything compares exact rational tables; "isospectral at cutoff" means
 equality of truncated tables with zero tolerance; a table's integer form
 is canonical, so that is equality of integers.  The grid scan builds one
 metric-independent term catalogue, at a Casimir budget that covers every
-grid point, and evaluates the whole grid with the one evaluator of
-``linear_table``: ``spectrum._common_scale`` puts every grid scale over
-one common scale, rows that lie above the cutoff at the grid's floor are
-dropped once, and ``spectrum._counts`` sums a point's per-axis integer
-products up to the cutoff, with no metric, Fraction or table made per
-point.  A point's distance to the center is the count behind
-``table_distance``.
+grid point, and evaluates the whole grid on integers:
+``spectrum._common_scale`` puts every grid scale over one common scale,
+rows that lie above the cutoff at the grid's floor are dropped once, each
+prefix of axes is summed once, and a point's row of numerators, cut at the
+cutoff, is compared with the center's counts by ``spectrum._distance``,
+the count behind ``table_distance``, with no metric, dict, Fraction or
+table made per point.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from operator import mul
+from itertools import combinations, compress, product
+from operator import add, getitem, mul
 
 from .errors import DomainError, InputError, UnsupportedDimensionError
 from .frozen import Value
@@ -114,12 +114,18 @@ def isolation_scan(
     (expected none) and the minimum table distance seen.  A grid of radius
     0 is the center alone, so it takes exactly one step.
 
-    No point builds a metric or a table.  One term catalogue covers the
-    grid, and over the one common scale of every grid scale each point is
-    its {numerator: multiplicity} counts up to the cutoff, summed by
-    ``spectrum._counts`` from integer products made once per axis and
-    grid step: equal counts are equal tables, and ``spectrum._distance``,
-    the count behind ``table_distance``, compares them.
+    No point builds a metric, a table, a dict or a Fraction.  One term
+    catalogue covers the grid, and over the one common scale of every grid
+    scale a point is a row of integer numerators: the per-axis products,
+    made once per axis and grid step, are summed once for each prefix of
+    axes in ``product`` order, so only the last axis is added per point.
+    The skip tests compare the integer weights of ``_common_scale``, one q
+    over each scale, so equal weights are equal scales.  The rows at or
+    below the cutoff go to ``spectrum._distance`` against the center's
+    counts, which ``spectrum._counts`` makes once: it is the count behind
+    ``table_distance``, and a distance of 0 is exactly an isospectral
+    neighbor.  Fractions are formatted only for the points the report
+    lists.
     """
     radius = rat(radius)
     if not 0 <= radius < 1:
@@ -131,7 +137,7 @@ def isolation_scan(
         # every grid point would be the center, counted nowhere
         raise DomainError("a grid of radius 0 has exactly 1 step")
     cutoff = rat_cutoff(cutoff)
-    mult = _grid_multipliers(radius, steps)
+    multipliers = _grid_multipliers(radius, steps)
     center_scales = (m.base_scale,) + m.fiber_scales
     fiber_fills_group = (
         sum(f.dim_g for f in m.emb.factors) == m.group.dim_g
@@ -141,60 +147,59 @@ def isolation_scan(
     budget = _metric_budget(m, cutoff * (1 + radius))
     den, _, rows = term_catalogue(m.emb, budget)
     # per axis, the scale at each grid step and, last, the center's
-    axes = [tuple(u * s for u in mult) + (s,) for s in center_scales]
+    axes = [tuple(u * s for u in multipliers) + (s,) for s in center_scales]
     flat, _, limit = _common_scale(
         [s for axis in axes for s in axis], den, cutoff
     )
-    n = len(mult) + 1
+    n = len(multipliers) + 1
     weights = [flat[k : k + n] for k in range(0, len(flat), n)]
     # every entry of a row is nonnegative (horizontal positivity), so a row
     # above the limit at each axis's least weight is above it everywhere
     floor = list(map(min, weights))
     kept = [(g, c) for g, c in rows if sum(map(mul, g, floor)) <= limit]
-    counts = [c for _, c in kept]
+    mults = [c for _, c in kept]
     grid = [
         [[g[k] * w for g, _ in kept] for w in axis]
         for k, axis in enumerate(weights)
     ]
-    center_table = _counts([axis[-1] for axis in grid], counts, limit)
+    # the center's column, last on each axis, is counted once and taken off
+    center_counts = _counts([axis.pop() for axis in grid], mults, limit)
+    # a weight is q / s for one q, so equal weights are equal scales
+    center_base, *center_fibers = (axis[-1] for axis in weights)
 
     neighbors = []
     skipped_inadmissible = []
     skipped_equivalent = 0
     compared = 0
     min_distance = None
-    for combo in product(range(len(mult)), repeat=len(center_scales)):
-        scales = tuple(axis[i] for axis, i in zip(axes, combo))
-        if scales == center_scales:
+    for combo, row in _sums(grid):
+        base, *fibers = map(getitem, weights, combo)
+        if base == center_base and fibers == center_fibers:
             continue
-        base, fibers = scales[0], scales[1:]
-        if any(x == base for x in fibers):
-            skipped_inadmissible.append(
-                {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
-            )
+        if base in fibers:
+            skipped_inadmissible.append(_point(axes, combo))
             continue
-        if fiber_fills_group and fibers == m.fiber_scales:
+        if fiber_fills_group and fibers == center_fibers:
             skipped_equivalent += 1
             continue
-        table = _counts(
-            [axis[i] for axis, i in zip(grid, combo)], counts, limit
+        inside = [v <= limit for v in row]
+        d = _distance(
+            list(compress(row, inside)),
+            list(compress(mults, inside)),
+            center_counts,
         )
         compared += 1
-        if table == center_table:
-            neighbors.append(
-                {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
-            )
-        else:
-            d = _distance(table, center_table)
-            if min_distance is None or d < min_distance:
-                min_distance = d
+        if d == 0:
+            neighbors.append(_point(axes, combo))
+        elif min_distance is None or d < min_distance:
+            min_distance = d
     return {
         "center": m.to_json_dict(),
         "grid": {
             "radius": fmt(radius),
             "steps": steps,
             "axes": len(center_scales),
-            "points": len(mult) ** len(center_scales),
+            "points": len(multipliers) ** len(center_scales),
             "compared": compared,
             "skipped_inadmissible": skipped_inadmissible,
             "skipped_equivalent": skipped_equivalent,
@@ -203,6 +208,25 @@ def isolation_scan(
         "isospectral_neighbors": neighbors,
         "min_table_distance": min_distance,
     }
+
+
+def _sums(axes, prefix=None, head=()):
+    """(steps, row) for each point of a grid whose ``axes`` are lists of
+    per-step integer columns, in ``product`` order: the row sums the
+    point's columns, and each prefix of axes is summed once, for all the
+    points under it, so only the last axis is added per point."""
+    for i, column in enumerate(axes[0]):
+        row = column if prefix is None else list(map(add, prefix, column))
+        if len(axes) == 1:
+            yield head + (i,), row
+        else:
+            yield from _sums(axes[1:], row, head + (i,))
+
+
+def _point(axes, combo) -> dict:
+    """The report's entry for the grid point at steps ``combo``."""
+    base, *fibers = map(getitem, axes, combo)
+    return {"t": fmt(base), "t_i": [fmt(x) for x in fibers]}
 
 
 def finiteness_window(lam, vol, n: int, const) -> Fraction:

@@ -24,8 +24,12 @@ divides integer numerators over one scale by their common factor, and
 Lie spectra are linear in the reciprocal metric scales, and one evaluator,
 ``_common_scale`` and ``_counts``, counts them over one scale for
 ``linear_table``, the bi-invariant fold, the isolation scan and the term
-catalogue.  One count, ``_distance`` on {numerator: multiplicity} over one
-scale, serves ``table_distance`` and the isolation scan.
+catalogue.  One count, ``_distance``, serves ``table_distance`` and the
+isolation scan: rows of numerators, a numerator possibly repeated, with
+their multiplicities, against a {numerator: multiplicity} count over the
+same scale.  It is sum(mults) + sum(counts) - 2 sum_v min(a_v, b_v), and
+only the rows whose numerator the count holds, found at C level, are
+merged in Python.
 """
 
 import io
@@ -33,6 +37,7 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from operator import add, lt
 
@@ -233,14 +238,25 @@ def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:
     if a.unit != b.unit or a.cutoff != b.cutoff:
         raise DomainError("only tables of one unit and cutoff compare")
     return _distance(
-        dict(zip([v * b.scale for v in a.values], a.mults)),
+        [v * b.scale for v in a.values],
+        a.mults,
         dict(zip([w * a.scale for w in b.values], b.mults)),
     )
 
 
-def _distance(a: dict, b: dict) -> int:
-    """``table_distance`` of two {numerator: multiplicity} counts over one
-    scale."""
-    return sum(abs(count - b.get(v, 0)) for v, count in a.items()) + sum(
-        count for v, count in b.items() if v not in a
+def _distance(values, mults, counts: dict) -> int:
+    """``table_distance`` of the rows of numerators ``values`` (a numerator
+    may repeat), counted ``mults``, against the {numerator: multiplicity}
+    ``counts`` over the same scale.
+
+    sum_v |a_v - b_v| is sum(a) + sum(b) - 2 sum_v min(a_v, b_v), and only
+    a numerator that ``counts`` holds has a nonzero min, so only the rows
+    of those numerators, picked out at C level, are merged in Python.
+    """
+    held = list(map(counts.__contains__, values))
+    shared = {}
+    for v, mult in zip(compress(values, held), compress(mults, held)):
+        shared[v] = shared.get(v, 0) + mult
+    return sum(mults) + sum(counts.values()) - 2 * sum(
+        [min(mult, counts[v]) for v, mult in shared.items()]
     )

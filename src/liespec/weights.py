@@ -9,9 +9,11 @@ All three run on the integer tables of ``rootdata``:
   ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
   ``_weyl_dim`` is it on a weight checked already;
 * ``weight_diagram`` -- the full character of V_lambda, as sorted
-  (weight, multiplicity) pairs like ``dominant_character``.  Its dominant
-  weights are the dominant mu with lambda - mu in the root cone (ibid.,
-  21.3).  In the dominance order on dominant weights each covering pair
+  (weight, multiplicity) pairs like ``dominant_character``, its weight
+  checked once; ``_weight_diagram`` is it on a weight checked already, for
+  the weights that ``branching`` makes.  Its dominant weights are the
+  dominant mu with lambda - mu in the root cone (ibid., 21.3).  In the
+  dominance order on dominant weights each covering pair
   differs by a positive root (Stembridge, The partial order of dominant
   weights, Adv. Math. 136 (1998)), so subtracting positive roots from
   lambda, through dominant weights only, reaches every one of them.  Each
@@ -142,14 +144,21 @@ def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
 
 def weight_diagram(rs: RootSystemData, weight) -> tuple:
     """((mu, mult), ...) over every weight of V_weight, sorted: the dominant
-    character expanded over Weyl orbits, its total checked against
-    ``weyl_dim``.  ``dominant_character`` checks the weight, and
-    ``weyl_dim`` reads it again."""
+    character expanded over Weyl orbits, its total checked against the
+    Weyl dimension."""
+    lam = check_dominant(
+        rs, weight, "character expects a dominant highest weight"
+    )
+    return _weight_diagram(rs, lam)
+
+
+def _weight_diagram(rs: RootSystemData, lam: tuple) -> tuple:
+    """``weight_diagram`` of a checked dominant weight."""
     full = {}
-    for mu, mult in dominant_character(rs, weight):
+    for mu, mult in _dominant_character(rs, lam):
         for nu in _orbit(rs.cartan, mu):
             full[nu] = mult
-    if sum(full.values()) != weyl_dim(rs, weight):
+    if sum(full.values()) != _weyl_dim(rs, lam):
         raise DomainError("character total does not match the Weyl dimension")
     return tuple(sorted(full.items()))
 

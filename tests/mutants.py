@@ -43,6 +43,8 @@ _TOO_LONG = "tests/test_cli.py::test_table_too_long_to_write_exits_two"
 _DIVISIONS = "tests/test_lattices.py::test_inexact_divisions_raise"
 _COLD = ("tests/test_natred.py::"
          "test_a_cold_run_checks_only_the_weights_that_come_in")
+_DISTANCE = ("tests/test_spectrum_table.py::"
+             "test_distance_of_rows_against_counts_is_the_sum_of_differences")
 
 MUTANTS = (
     # boundaries that survived the whole suite until their tests were added
@@ -89,7 +91,7 @@ MUTANTS = (
     ),
     Mutant(
         "scan-skips-no-equivalent", "isolation.py",
-        "if fiber_fills_group and fibers == m.fiber_scales:",
+        "if fiber_fills_group and fibers == center_fibers:",
         "if False:",
         ("tests/test_isolation.py::"
          "test_scan_skips_equivalent_when_subgroup_fills_group",),
@@ -189,7 +191,7 @@ MUTANTS = (
     ),
     Mutant(
         "weight-diagram-total-unchecked", "weights.py",
-        "if sum(full.values()) != weyl_dim(rs, weight):", "if False:",
+        "if sum(full.values()) != _weyl_dim(rs, lam):", "if False:",
         ("tests/test_weights.py::"
          "test_weight_diagram_checks_its_total_against_weyl_dim",),
         optimize=True,
@@ -283,11 +285,40 @@ MUTANTS = (
         "@lru_cache(maxsize=None)\ndef _diagram(", "def _diagram(",
         (_COLD,),
     ),
+    Mutant(
+        "peel-diagram-checks-again", "branching.py",
+        "for nu, mult in _weight_diagram(emb.ambient, lam):",
+        "for nu, mult in weight_diagram(emb.ambient, lam):",
+        (_COLD,),
+    ),
     # an option value that starts with "-" and a digit
     Mutant(
         "negative-option-value-read-as-a-flag", "cli.py",
         're.match(r"-\\d", argv[i])', 're.match(r"-\\d+$", argv[i])',
         ("tests/test_cli.py::test_negative_option_value_is_read_as_a_value",),
+    ),
+    # the grid scan on integer rows: the distance of rows against counts,
+    # each point's own limit test, and the fiber = base skip
+    Mutant(
+        "distance-counts-shared-once", "spectrum.py",
+        "- 2 * sum(", "- sum(",
+        (_DISTANCE,),
+    ),
+    Mutant(
+        "distance-max-of-shared", "spectrum.py",
+        "min(mult, counts[v])", "max(mult, counts[v])",
+        (_DISTANCE,),
+    ),
+    Mutant(
+        "scan-point-limit", "isolation.py",
+        "[v <= limit for v in row]", "[v < limit for v in row]",
+        ("tests/test_isolation.py::"
+         "test_scan_keeps_a_row_on_the_cutoff_at_a_grid_point",),
+    ),
+    Mutant(
+        "scan-skips-no-fiber-on-base", "isolation.py",
+        "if base in fibers:", "if False:",
+        ("tests/test_isolation.py::test_scan_matches_per_point_reference",),
     ),
     # the header rows of the two CSV forms
     Mutant(

@@ -17,6 +17,12 @@ validating ``SpectrumTable`` constructor to the same bytes.  An argument
 list whose only fault is one negative value, a rational or a list that
 starts with "-" and a digit, never fails as a usage error: the value is
 read as a value, not as a flag.
+
+The default profile draws 800 argument lists and 150 negative-value lists,
+derandomized; the ``fuzz-10k`` profile of tests/conftest.py draws 10^4 of
+each:
+
+    python -m pytest -q tests/test_fuzz.py --hypothesis-profile fuzz-10k
 """
 
 import contextlib
@@ -264,6 +270,12 @@ def _argv(draw, negative=False) -> list:
     return argv
 
 
+def _cases(default):
+    """``default`` cases, or the loaded profile's count where it is larger,
+    as under the ``fuzz-10k`` profile of tests/conftest.py."""
+    return max(default, settings.default.max_examples)
+
+
 def _run(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -272,7 +284,7 @@ def _run(argv):
 
 
 @settings(
-    max_examples=800,
+    max_examples=_cases(800),
     derandomize=True,
     database=None,
     deadline=None,
@@ -295,7 +307,7 @@ def test_exit_code_contract(argv):
 
 
 @settings(
-    max_examples=150,
+    max_examples=_cases(150),
     derandomize=True,
     database=None,
     deadline=None,

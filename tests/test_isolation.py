@@ -21,7 +21,7 @@ from liespec.isolation import (
     isolation_scan,
     torus_search,
 )
-from liespec import natred, spectrum
+from liespec import isolation, natred, spectrum
 from liespec.lattices import (
     Lattice,
     congruent,
@@ -295,9 +295,24 @@ def test_scan_keeps_a_row_on_the_cutoff_at_the_grid_floor():
     assert {"t": "6/5", "t_i": ["3/5"]} not in report["isospectral_neighbors"]
 
 
+def test_scan_keeps_a_row_on_the_cutoff_at_a_grid_point():
+    # the cutoff is an eigenvalue of a grid point that is neither the center
+    # nor the grid's floor, so that eigenvalue's row lies exactly on the
+    # limit at that point alone: the point's own limit test keeps it
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
+    radius, steps, cutoff = F(1, 10), 3, F(3, 4)
+    point = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(9, 20),))
+    assert ref_natred_spectrum(point, 1).multiplicity(cutoff) > 0
+    report = isolation_scan(m, radius, steps, cutoff)
+    assert report == ref_isolation_scan(m, radius, steps, cutoff)
+    assert report["min_table_distance"] == 24
+
+
 def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
     # a 25-point scan evaluates its points on integers: a return to one
-    # metric or linear_table per point fails here
+    # metric or linear_table per point fails here, and so does a second
+    # count of the center or a Fraction formatted for a point the report
+    # does not list
     calls = Counter()
 
     def counted(name, fn):
@@ -316,11 +331,30 @@ def test_scan_makes_no_metric_or_table_per_point(monkeypatch):
             "linear_table",
             counted("linear_table", module.linear_table),
         )
+    for module in (isolation, spectrum):
+        monkeypatch.setattr(
+            module, "_counts", counted("_counts", module._counts)
+        )
+    monkeypatch.setattr(isolation, "fmt", counted("fmt", isolation.fmt))
     m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(1, 2),))
     calls.clear()
     report = isolation_scan(m, F(1, 10), 5, 4)
     assert report["grid"]["compared"] == 24
-    assert all(n <= 1 for n in calls.values()), calls
+    assert calls["metric"] <= 1 and calls["linear_table"] <= 1, calls
+    assert calls["_counts"] == 1
+    # the radius and the cutoff, and nothing per point
+    assert calls["fmt"] == 2
+    # one point with its fiber scale on its base scale, listed: its t and
+    # its t_i formatted, once each
+    m = NatRedMetric(emb=STD, base_scale=1, fiber_scales=(F(9, 11),))
+    calls.clear()
+    report = isolation_scan(m, F(1, 10), 3, 4)
+    assert report["grid"]["skipped_inadmissible"] == [
+        {"t": "9/10", "t_i": ["9/10"]}
+    ]
+    assert report["isospectral_neighbors"] == []
+    assert calls["_counts"] == 1
+    assert calls["fmt"] == 2 + 2
 
 
 def test_scan_validation():

@@ -1,8 +1,13 @@
 """The recorded mutants of tests/mutants.py still name code that exists:
 each old text occurs exactly once in its module, and each killing test is
-a test function of its file."""
+a test that pytest collects, so deleting or renaming one fails here and
+names its mutant."""
 
 import re
+import subprocess
+import sys
+
+import pytest
 
 from mutants import MUTANTS, ROOT
 
@@ -18,3 +23,26 @@ def test_every_mutant_names_its_code_once():
             path, _, test = node.partition("::")
             source = (ROOT / path).read_text(encoding="utf-8")
             assert re.search(rf"^def {test}\(", source, re.M), node
+
+
+def test_every_killing_test_is_collected():
+    # pytest's own list of the killing tests' files, so a test that is
+    # deleted, renamed or no longer collected leaves its mutant unkillable;
+    # pytest.fail, not assert, so this holds under python -O too
+    nodes = {node for m in MUTANTS for node in m.kills}
+    files = sorted({node.partition("::")[0] for node in nodes})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *files],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"collecting {files} failed:\n{proc.stdout[-2000:]}")
+    # a parametrized test is collected once per parameter, as node[id]
+    collected = {line.partition("[")[0] for line in proc.stdout.splitlines()}
+    lost = [
+        f"{m.name}: {node}"
+        for m in MUTANTS for node in m.kills if node not in collected
+    ]
+    if lost:
+        pytest.fail("killing tests not collected: " + "; ".join(lost))

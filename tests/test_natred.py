@@ -385,7 +385,8 @@ from liespec.natred import NatRedMetric, natred_spectrum
 b = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
 emb = EmbeddingSpec(b.ambient, b.factors, b.restriction)
 names = {rootdata.check_weight.__code__: "check_weight",
-         weights.weyl_dim.__code__: "weyl_dim"}
+         weights.weyl_dim.__code__: "weyl_dim",
+         weights._weight_diagram.__code__: "_weight_diagram"}
 calls = Counter()
 
 def profile(frame, event, arg):
@@ -401,16 +402,17 @@ print(json.dumps(calls))
 
 def test_a_cold_run_checks_only_the_weights_that_come_in():
     # a fresh process, so no memo is warm: the K-type and branching
-    # dimensions come from the unchecked Weyl dimension core, and the gate
-    # sees only the adjoint that branch is handed and the weights that
-    # weight_diagram is handed, which it checks twice (dominant_character
-    # and weyl_dim)
+    # dimensions come from the unchecked Weyl dimension core, the weight
+    # diagrams of the tensor memo and the peel from the unchecked diagram
+    # core, one per weight, and the gate sees only the adjoint that branch
+    # is handed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_RUN_SCRIPT],
         env=env, capture_output=True, check=True, text=True,
     )
     assert json.loads(proc.stdout) == {
-        "check_weight from check_dominant": 17,
-        "weyl_dim from weight_diagram": 8,
+        "check_weight from check_dominant": 1,
+        "_weight_diagram from _diagram": 4,
+        "_weight_diagram from _peel": 4,
     }

@@ -1,9 +1,10 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ref_table, ref_table_distance, ref_table_json
@@ -20,6 +21,7 @@ from liespec.rational import rat, rat_cutoff
 from liespec.spectrum import (
     UNITS,
     SpectrumTable,
+    _distance,
     table_distance,
     table_from_counts,
 )
@@ -331,3 +333,29 @@ def test_integer_operations_match_fraction_references(
     assert a.multiplicity(probe) == ref_a.get(probe, 0)
     positive = [e for e in ref_a if e > 0]
     assert a.lambda1() == (min(positive) if positive else None)
+
+
+# numerators from a small range, so rows repeat them and meet the counts
+_numerators = st.integers(0, 6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.tuples(_numerators, st.integers(1, 4)), max_size=10),
+    st.dictionaries(_numerators, st.integers(1, 4), max_size=7),
+)
+@example(rows=[(2, 1), (2, 2), (5, 1)], counts={2: 2, 3: 1})
+def test_distance_of_rows_against_counts_is_the_sum_of_differences(
+    rows, counts
+):
+    # brute force: merge the rows into one count, then sum |a_v - b_v| over
+    # every numerator of either side
+    merged = Counter()
+    for v, mult in rows:
+        merged[v] += mult
+    want = sum(
+        abs(merged[v] - counts.get(v, 0)) for v in {*merged, *counts}
+    )
+    values = [v for v, _ in rows]
+    mults = [mult for _, mult in rows]
+    assert _distance(values, mults, counts) == want
