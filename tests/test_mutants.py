@@ -3,7 +3,6 @@ each old text occurs exactly once in its module, and each killing test is
 a test that pytest collects, so deleting or renaming one fails here and
 names its mutant."""
 
-import re
 import subprocess
 import sys
 
@@ -19,18 +18,15 @@ def test_every_mutant_names_its_code_once():
         text = (ROOT / "src" / "liespec" / m.file).read_text(encoding="utf-8")
         assert text.count(m.old) == 1, m.name
         assert m.new != m.old and m.kills, m.name
-        for node in m.kills:
-            path, _, test = node.partition("::")
-            source = (ROOT / path).read_text(encoding="utf-8")
-            assert re.search(rf"^def {test}\(", source, re.M), node
 
 
 def test_every_killing_test_is_collected():
     # pytest's own list of the killing tests' files, so a test that is
     # deleted, renamed or no longer collected leaves its mutant unkillable;
     # pytest.fail, not assert, so this holds under python -O too
-    nodes = {node for m in MUTANTS for node in m.kills}
-    files = sorted({node.partition("::")[0] for node in nodes})
+    files = sorted({
+        node.partition("::")[0] for m in MUTANTS for node in m.kills
+    })
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q",
          "-p", "no:cacheprovider", *files],
