@@ -351,14 +351,12 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
     except MalformedEmbeddingError as exc:
         record("integer-adjoint-weights", False, str(exc))
 
-    total = sum(f.rank for f in emb.factors)
-    if total:
-        # R has full row rank iff the row Gram matrix R R^T is nonsingular,
-        # that is iff the last pivot of its elimination is not 0
-        r = emb.restriction
-        gram = linalg.matmul(r, linalg.transpose(r))
-        pivots, _, _, _ = linalg.eliminate(linalg.clear_denominators(gram)[0])
-        record("full-row-rank", pivots[-1] != 0)
+    rows = [row for block in emb._int_rows for row in block]
+    if rows:
+        # R has full row rank iff the Gram matrix of its integer rows is
+        # positive definite: its pivots, the leading minors, all positive
+        gram = linalg.matmul(rows, linalg.transpose(rows))
+        record("full-row-rank", linalg.eliminate(gram)[0][-1] > 0)
     else:
         record("full-row-rank", True, "trivial subgroup")
 

@@ -26,7 +26,7 @@ from operator import mul
 from .branching import EmbeddingSpec, _branched
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
-from .rational import array, fmt, rat, rat_cutoff, required
+from .rational import array, fmt, rat, rat_cutoff, required, sequence
 from .rootdata import (
     RootSystemData, build, casimir, check_dominant, check_root_system
 )
@@ -52,10 +52,11 @@ class GroupSpec(Frozen):
             raise DomainError("GroupSpec needs at least one simple factor")
         if scales is None:
             scales = (1,) * len(factors)
-        scales = tuple(map(rat, scales))
-        gamma = tuple(
-            tuple(tuple(map(rat, part)) for part in z) for z in gamma
-        )
+        scales = tuple(map(rat, sequence(scales, "scales are a sequence")))
+        gamma = tuple(tuple(
+            tuple(map(rat, sequence(part, "a coweight is a sequence")))
+            for part in sequence(z, "a central element is a sequence")
+        ) for z in sequence(gamma, "gamma is a sequence"))
         if len(scales) != len(factors):
             raise DomainError("one scale per factor required")
         if any(t <= 0 for t in scales):
@@ -109,6 +110,7 @@ class GroupSpec(Frozen):
 def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     """True iff every listed central element acts trivially on the
     irreducible with the given per-factor highest weights."""
+    lam_tuple = sequence(lam_tuple, "a weight tuple is a sequence")
     if len(lam_tuple) != len(gs.factors):
         raise DomainError("weight tuple length != number of factors")
     parts = tuple(

@@ -30,7 +30,7 @@ from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .natred import NatRedMetric, _metric_budget, term_catalogue
-from .rational import _check_exact, exact_int, fmt, rat, rat_cutoff
+from .rational import _exact_rows, exact_int, fmt, rat, rat_cutoff, sequence
 from .spectrum import SpectrumTable, _common_scale, _counts, _distance
 
 
@@ -54,7 +54,7 @@ class GammaVector(Value):
             raise InputError(f"invariant dimension must be an int: {dim!r}")
         if type(entries) is not tuple:
             raise InputError("invariant entries must be a tuple")
-        _check_exact((entries,))
+        _exact_rows((entries,))
         expect = dim if kind == "group" else dim + dim * (dim - 1) // 2
         if len(entries) != expect:
             raise DomainError("invariant vector has wrong length")
@@ -279,10 +279,8 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
     lam_min, vol_min = rat(lam_min), rat(vol_min)
     if lam_min <= 0 or vol_min <= 0:
         raise DomainError("lower bounds must be positive")
-    if isinstance(values, (str, bytes, bytearray)):
-        # a set would split it into characters or byte values
-        raise InputError(f"values is a sequence of rationals, not {values!r}")
-    vals = sorted({rat(v) for v in values})
+    values = sequence(values, "values is a sequence of rationals", False)
+    vals = sorted(set(map(rat, values)))
     if not vals:
         return []
     pairs = list(combinations(range(n), 2))
@@ -296,7 +294,7 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
                 q[j][k] = q[k][j] = (c - diag[j] - diag[k]) / 2
             try:
                 # the entries are Fractions already: no second coercion
-                dual_torus = Lattice(gram=tuple(map(tuple, q)))
+                dual_torus = Lattice(gram=q)
             except DomainError:  # not positive definite
                 continue
             if dual_torus.det_gram * vol_min**2 > 1:

@@ -4,15 +4,15 @@ A lattice is presented either by a basis matrix (columns are generators)
 or directly by its Gram matrix.  It is validated once, at construction:
 the Gram matrix is symmetric and positive definite, decided by one
 fraction-free elimination of its integer form q*G (``linalg.eliminate``:
-positive pivots, no row exchange), and a basis B is square, G = B^T B
-made from B alone or checked if G is given.  The lattice keeps q*G and
-that elimination: ``det_gram`` is its last pivot over q^m, LLL starts from
-it, and G^{-1} is its adjugate over its determinant (``_dual_gram``).  All
-downstream computations -- dual, enumeration, spectra, reduction,
-congruence -- operate on the Gram matrix in integer coordinates, so a
-Gram-only lattice supports everything except recovering an explicit
-embedding in R^m.  This matters because classical Gram matrices such as
-[[2,1],[1,2]] admit no rational basis realization.
+its pivots, the leading minors, all positive), and a basis B is square,
+G = B^T B made from B alone or checked if G is given.  The lattice keeps
+q*G and that elimination: ``det_gram`` is its last pivot over q^m, LLL
+starts from it, and G^{-1} is its adjugate over its determinant
+(``_dual_gram``).  All downstream computations -- dual, enumeration,
+spectra, reduction, congruence -- operate on the Gram matrix in integer
+coordinates, so a Gram-only lattice supports everything except recovering
+an explicit embedding in R^m.  This matters because classical Gram
+matrices such as [[2,1],[1,2]] admit no rational basis realization.
 
 A lattice keeps one integer form for itself and one for its dual, each
 made once on first use by ``_reduced_form``: the LLL-reduced integer Gram
@@ -38,7 +38,7 @@ from math import gcd
 from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
-from ..rational import _check_exact, exact_int, fmt_matrix, rat, rat_matrix
+from ..rational import _exact_rows, exact_int, fmt_matrix, rat, rat_matrix
 from .enumeration import _minimum, _squares
 from .reduction import _lll_int
 
@@ -65,17 +65,13 @@ class Lattice(Value):
     _fields = ("dim", "gram", "basis")
 
     def __init__(self, gram=None, basis=None):
-        _check_exact(gram, basis)
-        # a caller's list could change after the checks below, and a Value
-        # hashes its fields
-        if basis is not None:
-            basis = tuple(map(tuple, basis))
+        # tuples: a caller's list could change after the checks below, and
+        # a Value hashes its fields
+        gram, basis = _exact_rows(gram), _exact_rows(basis)
         given = gram is not None
-        if given:
-            gram = tuple(map(tuple, gram))
-        elif basis is None:
-            raise InputError("a lattice needs a gram matrix or a basis")
-        else:
+        if not given:
+            if basis is None:
+                raise InputError("a lattice needs a gram matrix or a basis")
             gram = linalg.matmul(linalg.transpose(basis), basis)
         dim = len(gram)
         if dim < 1:
@@ -86,8 +82,8 @@ class Lattice(Value):
             raise DomainError("gram matrix must be symmetric")
         a, q = linalg.clear_denominators(gram)
         table = linalg.eliminate(a)
-        pivots, _, swaps, _ = table
-        if swaps or min(pivots) <= 0:
+        pivots = table[0]  # q*G's leading minors, up to the first zero one
+        if min(pivots) <= 0:
             raise DomainError("gram matrix must be positive definite")
         # _elimination is q*G, q and its Bareiss table, kept for det_gram
         # and both forms; not a field, so ==, hash, repr and JSON ignore it
@@ -146,9 +142,8 @@ class Lattice(Value):
 
     @property
     def det_gram(self) -> Fraction:
-        """det G = det(q*G) / q^dim, the last pivot of the constructor's
-        elimination, which has no row exchange."""
-        _, q, (pivots, _, _, _) = self._elimination
+        """det G = det(q*G) / q^dim, the last pivot of its elimination."""
+        _, q, (pivots, _, _) = self._elimination
         return Fraction(pivots[-1], q**self.dim)
 
     def to_json_dict(self) -> dict:

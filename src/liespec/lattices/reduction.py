@@ -5,10 +5,11 @@ the integer form A = q*G of a lattice (or of its dual), on the Gram matrix
 alone.  Its callers read only the reduced form and its Bareiss table, so
 no unimodular transform is kept.  It starts from the Bareiss table (pivots
 d, rows lam) that its caller hands it, the lattice's own elimination, and
-keeps a copy of that table exact: size reduction is a column operation on
-it, and a swap updates it in O(m) (Cohen's SWAPI, each division checked).
-The final table is returned with the reduced form, and ``Lattice._form``
-and ``Lattice._dual_form`` keep the kernel's completion of it.
+refuses it unless every pivot, a leading minor of A, is positive.  It keeps
+a copy of that table exact: size reduction is a column operation on it,
+and a swap updates it in O(m) (Cohen's SWAPI, each division checked).  The
+final table is returned with the reduced form, and ``Lattice._form`` and
+``Lattice._dual_form`` keep the kernel's completion of it.
 """
 
 from ..errors import CertificationError, LiespecError
@@ -35,8 +36,8 @@ def _lll_int(a, table):
     of lam (SWAPI).
     """
     m = len(a)
-    d, lam, swaps, _ = table
-    if swaps or min(d) <= 0:
+    d, lam, _ = table
+    if min(d) <= 0:
         raise LiespecError("Gram matrix not positive definite in LLL")
     a, d, lam = [list(row) for row in a], list(d), [list(row) for row in lam]
     k = 1

@@ -5,15 +5,14 @@ symmetry and adjugate.  There are no vector routines; the root-system
 and weight code takes its dot products in integers with
 ``sum(map(mul, u, v))``.  Every elimination in the package is
 ``eliminate``, fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-of an integer matrix: Gauss-Jordan when it carries an augmented block,
-Gaussian otherwise, with the same pivots and pivot rows either way;
-rational input is cleared of denominators first.  It works on a copy of
-its input, finds each pivot by a plain scan down the column, and updates
-the rows below the pivot in place; the pivot rows it returns are never
-changed afterwards.  Its pivots give the determinant, its block against
-the identity the adjugate (every inverse is adj / det), and for a
-symmetric matrix they decide positive-definiteness: positive pivots and
-no row exchange, the pivots then being the leading principal minors.
+of an integer matrix with no row exchange: Gauss-Jordan when it carries an
+augmented block, Gaussian otherwise; rational input is cleared of
+denominators first.  Its pivots are the leading principal minors, up to
+the first zero one, where it stops.  Every matrix the package eliminates
+has them all positive or is refused: a lattice's Gram matrix and an
+embedding's row Gram matrix, positive definite exactly then (Sylvester's
+criterion), and a Cartan matrix.  The last pivot is the determinant, and
+the block against the identity the adjugate (every inverse is adj / det).
 """
 
 from math import lcm
@@ -42,46 +41,37 @@ def clear_denominators(a):
 
 
 def eliminate(a, aug=None):
-    """Fraction-free elimination of a square integer matrix: Gauss-Jordan
-    with an augmented block, Gaussian without one.
+    """Fraction-free elimination of a square integer matrix, with no row
+    exchange: Gauss-Jordan with an augmented block, Gaussian without one.
 
-    Step k exchanges into place the first row at or below k that is
-    nonzero in column k, found by a plain scan down the column, then
-    replaces each row r below it, and with ``aug`` each row above it too,
-    by (p_k r - r_k row_k) // p_{k-1}, always an exact division
-    (p_{-1} = 1).  A row below the pivot belongs to no result yet, so it
-    is updated in place; a row above it is a pivot row already returned,
-    so it is replaced by a new list and the returned one never changes.
-    A row above the pivot feeds only the augmented block, so without one
-    it is left as it stands.  ``aug`` is an optional integer block with
-    one row per row of a; neither a nor ``aug`` is changed.
+    Step k takes row k as the pivot row and replaces each row r below it,
+    and with ``aug`` each row above it too, by
+    (p_k r - r_k row_k) // p_{k-1}, always an exact division (p_{-1} = 1).
+    A row below the pivot belongs to no result yet, so it is updated in
+    place; a row above it is a pivot row already returned, so it is
+    replaced by a new list and the returned one never changes.  A row above
+    the pivot feeds only the augmented block, so without one it is left as
+    it stands.  ``aug`` is an optional integer block with one row per row
+    of a; neither a nor ``aug`` is changed.
 
-    Returns (pivots, rows, swaps, right): the pivots p_k, the leading
-    minors of the row-exchanged matrix, ending at a 0 for a singular one;
-    each pivot row as it stood at its own step (zero before column k, p_k
-    at column k, and for a symmetric matrix p_k mu_jk at column j > k);
-    the number of row exchanges, so det a = (-1)^swaps p_{n-1}; and the
-    augmented block, now p_{n-1} a^{-1} aug.  Pivots, rows and swaps do
-    not depend on ``aug``.
+    Returns (pivots, rows, right): the pivots p_k, the leading principal
+    minors of a, ending at the first 0 if a has a zero one; each pivot row
+    as it stood at its own step (zero before column k, p_k at column k, and
+    for a symmetric matrix p_k mu_jk at column j > k); and the augmented
+    block, p_{n-1} a^{-1} aug = adj(a) aug when no pivot is 0.  Pivots and
+    rows do not depend on ``aug``.
     """
     n = len(a)
     if aug:
         m = [[*row, *extra] for row, extra in zip(a, aug)]
     else:
         m = [list(row) for row in a]
-    pivots, rows, swaps, prev = [], [], 0, 1
-    for k in range(n):
-        r = k
-        while not m[r][k]:
-            r += 1
-            if r == n:
-                pivots.append(0)
-                return pivots, rows, swaps, [row[n:] for row in m]
-        if r != k:
-            m[k], m[r] = m[r], m[k]
-            swaps += 1
-        top = m[k]
+    pivots, rows, prev = [], [], 1
+    for k, top in enumerate(m):
         p, tail = top[k], top[k:]
+        pivots.append(p)
+        if not p:
+            break
         for row in m[k + 1:]:
             f = row[k]
             row[k:] = [(p * x - f * y) // prev for x, y in zip(row[k:], tail)]
@@ -92,24 +82,22 @@ def eliminate(a, aug=None):
                 m[i] = row[:k] + [
                     (p * x - f * y) // prev for x, y in zip(row[k:], tail)
                 ]
-        pivots.append(p)
         rows.append(top)
         prev = p
-    return pivots, rows, swaps, [row[n:] for row in m]
+    return pivots, rows, [row[n:] for row in m]
 
 
 def adjugate(a) -> tuple:
-    """(adj a, det a) of a nonsingular square integer matrix: Gauss-Jordan
-    against the identity leaves p_{n-1} a^{-1} = (-1)^swaps adj a."""
+    """(adj a, det a) of a square integer matrix with no zero leading
+    minor: Gauss-Jordan against the identity leaves p_{n-1} a^{-1} = adj a.
+    DomainError at a zero leading minor, which a singular matrix has."""
     n = len(a)
     # each row of the identity joined from tuples, with no int(i == j) per
     # entry; eliminate copies it and leaves it as it was
     eye = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-    pivots, _, swaps, right = eliminate(a, eye)
+    pivots, _, right = eliminate(a, eye)
     if not pivots[-1]:
-        raise DomainError("matrix is singular")
-    if swaps % 2:
-        return [[-x for x in row] for row in right], -pivots[-1]
+        raise DomainError("matrix has a zero leading principal minor")
     return right, pivots[-1]
 
 

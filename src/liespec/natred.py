@@ -49,7 +49,9 @@ from .errors import (
 )
 from .frozen import Frozen, Value
 from .groups import factor_lambda1
-from .rational import array, exact_int, fmt, rat, rat_cutoff, required
+from .rational import (
+    array, exact_int, fmt, rat, rat_cutoff, required, sequence
+)
 from .rootdata import RootSystemData, _contragredient, build, casimir_num
 from .spectrum import SpectrumTable, _common_scale, linear_table
 
@@ -66,10 +68,11 @@ class NatRedMetric(Frozen):
             raise InputError(
                 f"a metric's embedding is an EmbeddingSpec, not {emb!r}"
             )
+        fiber_scales = sequence(fiber_scales, "fiber scales are a sequence")
         self.__dict__.update(
             emb=emb,
             base_scale=rat(base_scale),
-            fiber_scales=tuple(rat(x) for x in fiber_scales),
+            fiber_scales=tuple(map(rat, fiber_scales)),
         )
         if len(self.fiber_scales) != len(emb.factors):
             raise DomainError("one fiber scale per subgroup factor required")
@@ -126,7 +129,8 @@ class BiInvariantOperator(Value):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.__dict__.update(coeffs=tuple(rat(x) for x in coeffs))
+        coeffs = sequence(coeffs, "coefficients are a sequence")
+        self.__dict__.update(coeffs=tuple(map(rat, coeffs)))
         if any(x <= 0 for x in self.coeffs):
             raise DomainError("fiber operator coefficients must be positive")
 

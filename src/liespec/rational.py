@@ -36,14 +36,20 @@ def exact_int(value) -> int:
     return q.numerator
 
 
-def _check_exact(*matrices):
-    """Refuse any entry that is not an int or a Fraction, by exact type as
-    ``SpectrumTable`` does: a bool names no number, and none is coerced."""
-    for matrix in matrices:
-        for row in matrix or ():
-            for x in row:
-                if type(x) is not Fraction and type(x) is not int:
-                    raise InputError(f"not an int or a Fraction: {x!r}")
+def _exact_rows(matrix):
+    """``matrix`` as a tuple of tuples, None as None; InputError for an entry
+    that is not an int or a Fraction by exact type: none is coerced."""
+    if matrix is None:
+        return None
+    rows = tuple(
+        sequence(row, "a matrix row is a sequence")
+        for row in sequence(matrix, "a matrix is a sequence of rows")
+    )
+    for row in rows:
+        for x in row:
+            if type(x) is not Fraction and type(x) is not int:
+                raise InputError(f"not an int or a Fraction: {x!r}")
+    return rows
 
 
 def rat_cutoff(value) -> Fraction:
@@ -92,6 +98,18 @@ def array(value, what: str):
     if not isinstance(value, (list, tuple)):
         raise InputError(f"{what} must be an array, not {value!r}")
     return value
+
+
+def sequence(value, message: str, strings: bool = True) -> tuple:
+    """``tuple(value)`` of any iterable, a string too unless ``strings`` is
+    false (tuple() would split it into characters or byte values); an
+    InputError that starts with ``message`` for anything else."""
+    if strings or not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InputError(f"{message}, not {value!r}")
 
 
 def rat_matrix(rows) -> tuple:

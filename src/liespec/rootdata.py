@@ -46,7 +46,7 @@ from operator import mul
 from . import linalg
 from .errors import DomainError, InputError
 from .frozen import Frozen
-from .rational import exact_int
+from .rational import exact_int, sequence
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -291,12 +291,7 @@ def check_root_system(value) -> RootSystemData:
 
 
 def check_weight(rs: RootSystemData, weight) -> tuple:
-    if isinstance(weight, (str, bytes, bytearray)):
-        # tuple() would split it into characters or byte values
-        raise InputError(
-            f"a weight is a sequence of coordinates, not {weight!r}"
-        )
-    w = tuple(weight)
+    w = sequence(weight, "a weight is a sequence of coordinates", False)
     if len(w) != rs.rank:
         raise DomainError(
             f"weight has {len(w)} coordinates, expected {rs.rank}"

@@ -11,9 +11,10 @@ catalogue, the elementary-matrix LLL used as the exact reference for the
 library's integral LLL, ``ref_lll_int``, that integral LLL as it was when it
 also carried the unimodular transform U, which ``reduce_with_transform``
 uses and whose (a, d, lam) the library's transform-free LLL must match,
-``ref_eliminate``, the fraction-free Gauss-Jordan elimination that clears
-above every pivot, used as the reference for the library's elimination,
-which clears above a pivot only for an augmented block,
+``ref_eliminate``, the fraction-free Gauss-Jordan elimination with no row
+exchange that clears above every pivot and stops at the first zero one,
+used as the reference for the library's elimination, which clears above a
+pivot only for an augmented block,
 ``short_vectors`` (both signs, sorted) and
 ``reduce_with_transform`` (LLL plus the shortest generating set, which
 only tests use now), the former public conveniences, now on the
@@ -200,46 +201,41 @@ def ref_inverse(a):
 
 
 def ref_eliminate(a, aug=None):
-    """Fraction-free Gauss-Jordan elimination of a square integer matrix,
-    every row cleared above and below each pivot whether or not an
-    augmented block is given: the reference for ``linalg.eliminate``, which
-    clears above a pivot only for an augmented block.
+    """Fraction-free Gauss-Jordan elimination of a square integer matrix
+    with no row exchange, every row cleared above and below each pivot
+    whether or not an augmented block is given: the reference for
+    ``linalg.eliminate``, which clears above a pivot only for an augmented
+    block.
 
-    Step k exchanges into place the first row at or below k that is
-    nonzero in column k, then replaces every other row r by
-    (p_k r - r_k row_k) // p_{k-1}, always an exact division (p_{-1} = 1).
-    ``aug`` is an optional integer block with one row per row of a.
+    Step k takes row k as the pivot row and replaces every other row r by
+    (p_k r - r_k row_k) // p_{k-1}, always an exact division (p_{-1} = 1);
+    it stops at the first zero pivot.  ``aug`` is an optional integer block
+    with one row per row of a.
 
-    Returns (pivots, rows, swaps, right): the pivots p_k, the leading
-    minors of the row-exchanged matrix, ending at a 0 for a singular one;
-    each pivot row as it stood at its own step (zero before column k, p_k
-    at column k, and for a symmetric matrix p_k mu_jk at column j > k);
-    the number of row exchanges, so det a = (-1)^swaps p_{n-1}; and the
-    augmented block, now p_{n-1} a^{-1} aug.
+    Returns (pivots, rows, right): the pivots p_k, the leading principal
+    minors of a, ending at the first 0 if a has a zero one; each pivot row
+    as it stood at its own step (zero before column k, p_k at column k, and
+    for a symmetric matrix p_k mu_jk at column j > k); and the augmented
+    block, p_{n-1} a^{-1} aug when no pivot is 0.
     """
     n = len(a)
     m = [list(row) + list(aug[i] if aug else ()) for i, row in enumerate(a)]
-    pivots, rows, swaps, prev = [], [], 0, 1
+    pivots, rows, prev = [], [], 1
     for k in range(n):
-        r = next((r for r in range(k, n) if m[r][k]), None)
-        if r is None:
-            pivots.append(0)
-            break
-        if r != k:
-            m[k], m[r] = m[r], m[k]
-            swaps += 1
         top = m[k]
         p = top[k]
+        pivots.append(p)
+        if not p:
+            break
         for i, row in enumerate(m):
             if i != k:
                 f = row[k]
                 m[i] = row[:k] + [
                     (p * x - f * y) // prev for x, y in zip(row[k:], top[k:])
                 ]
-        pivots.append(p)
         rows.append(top)
         prev = p
-    return pivots, rows, swaps, [row[n:] for row in m]
+    return pivots, rows, [row[n:] for row in m]
 
 
 def ref_gso(g):
@@ -528,8 +524,8 @@ def ref_lll_int(a, table):
     """
     m = len(a)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    d, lam, swaps, _ = table
-    if swaps or min(d) <= 0:
+    d, lam, _ = table
+    if min(d) <= 0:
         raise LiespecError("Gram matrix not positive definite in LLL")
     d, lam = list(d), [list(row) for row in lam]
     k = 1

@@ -12,7 +12,8 @@ its node ids run there with ``pytest -x``; a mutant that deletes a
 certification raise runs them under ``python -O``, where no assert can
 catch the fault in the raise's place.  A mutant is killed when pytest
 reports a failed test; one whose tests pass, or that pytest cannot run
-(a node id that does not exist), is named, and the exit code is 1.
+(a node id that does not exist), is named, and the exit code is 1.  The
+last line is ``killed K of N`` for the N mutants run.
 tests/test_mutants.py checks that every old text occurs exactly once, so
 a change that moves the code must move its mutant too.  Standard library
 only.
@@ -43,6 +44,8 @@ _TOO_LONG = "tests/test_cli.py::test_table_too_long_to_write_exits_two"
 _DIVISIONS = "tests/test_lattices.py::test_inexact_divisions_raise"
 _COLD = ("tests/test_natred.py::"
          "test_a_cold_run_checks_only_the_weights_that_come_in")
+_ZERO_MINOR = ("tests/test_linalg.py::"
+               "test_a_zero_leading_minor_stops_the_elimination_and_is_refused")
 _DISTANCE = ("tests/test_spectrum_table.py::"
              "test_distance_of_rows_against_counts_is_the_sum_of_differences")
 
@@ -203,9 +206,17 @@ MUTANTS = (
         ("tests/test_rootdata.py::test_casimir_requires_dominant",),
     ),
     Mutant(
-        "string-weight-read-per-character", "rootdata.py",
-        "if isinstance(weight, (str, bytes, bytearray)):", "if False:",
+        "string-weight-read-per-character", "rational.py",
+        "if strings or not isinstance(value, (str, bytes, bytearray)):",
+        "if True:",
         ("tests/test_rootdata.py::test_string_weight_is_refused",),
+    ),
+    Mutant(
+        "non-sequence-raises-a-type-error", "rational.py",
+        "        except TypeError:\n            pass",
+        "        except ValueError:\n            pass",
+        ("tests/test_surface.py::"
+         "test_every_door_refuses_an_argument_that_is_no_sequence",),
     ),
     # the natred eigenvalue formula (the Killing ratio, the sign of the
     # horizontal row, the fiber tail, a dropped branching term) and the
@@ -320,6 +331,23 @@ MUTANTS = (
         "if base in fibers:", "if False:",
         ("tests/test_isolation.py::test_scan_matches_per_point_reference",),
     ),
+    # elimination with no row exchange: it stops at a zero leading minor,
+    # which the adjugate and the positive-definiteness decision refuse
+    Mutant(
+        "elimination-past-a-zero-pivot", "linalg.py",
+        "if not p:\n            break", "if False:\n            break",
+        (_ZERO_MINOR,),
+    ),
+    Mutant(
+        "adjugate-at-a-zero-minor", "linalg.py",
+        "if not pivots[-1]:", "if False:",
+        (_ZERO_MINOR,),
+    ),
+    Mutant(
+        "gram-with-a-zero-minor-accepted", "lattices/lattice.py",
+        "if min(pivots) <= 0:", "if min(pivots) < 0:",
+        (_ZERO_MINOR,),
+    ),
     # the header rows of the two CSV forms
     Mutant(
         "table-csv-header", "spectrum.py",
@@ -367,18 +395,17 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}")
         return 1
+    run = [m for m in MUTANTS if not names or m.name in names]
     alive = []
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
+    for mutant in run:
         result = verdict(mutant)
         print(f"{mutant.name}: {result}", flush=True)
         if result != "killed":
             alive.append(mutant.name)
     if alive:
         print(f"not killed: {', '.join(alive)}")
-        return 1
-    return 0
+    print(f"killed {len(run) - len(alive)} of {len(run)}")
+    return 1 if alive else 0
 
 
 if __name__ == "__main__":

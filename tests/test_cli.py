@@ -555,10 +555,10 @@ from liespec.lattices.reduction import _lll_int
 real = linalg.eliminate
 
 def broken(a, aug=None):
-    pivots, rows, swaps, right = real(a, aug)
+    pivots, rows, right = real(a, aug)
     if aug is None and len(rows) > 1:
         rows[0][1] += 1
-    return pivots, rows, swaps, right
+    return pivots, rows, right
 
 linalg.eliminate = broken
 try:

@@ -270,8 +270,8 @@ def _cleared(gram, bound):
 
 def _completion(a):
     """The kernel's square completion of a, from one elimination."""
-    pivots, rows, swaps, _ = linalg.eliminate(a)
-    assert swaps == 0
+    pivots, rows, _ = linalg.eliminate(a)
+    assert min(pivots) > 0
     return _squares(pivots, rows)
 
 
@@ -481,8 +481,8 @@ def test_lll_table_is_the_elimination_of_its_result():
         )
         u = reference[1]
         assert (a, d, lam) == reference[:1] + reference[2:]
-        pivots, rows, swaps, _ = linalg.eliminate(a)
-        assert swaps == 0 and (d, lam) == (pivots, rows)
+        pivots, rows, _ = linalg.eliminate(a)
+        assert (d, lam) == (pivots, rows)
         assert matmul(transpose(u), matmul(gram, u)) == tuple(map(tuple, a))
         swapped += a != gram
     assert swapped > 50

@@ -16,11 +16,16 @@ from liespec.linalg import (
 )
 
 
+def _ref_minors(a):
+    """The leading principal minors of a, by Fraction Gaussian elimination."""
+    return [
+        ref_det(tuple(tuple(map(F, row[: k + 1])) for row in a[: k + 1]))
+        for k in range(len(a))
+    ]
+
+
 def _ref_positive_definite(a):
-    n = len(a)
-    return is_symmetric(a) and all(
-        ref_det(tuple(row[: k + 1] for row in a[: k + 1])) > 0 for k in range(n)
-    )
+    return is_symmetric(a) and min(_ref_minors(a)) > 0
 
 
 def _accepted_as_gram(a):
@@ -34,8 +39,8 @@ def _accepted_as_gram(a):
 def _square_matrices():
     rng = random.Random(1968)
     out = [
-        ((F(0), F(1)), (F(1), F(0))),  # one row exchange, pivots 1, 1
-        tuple(  # two row exchanges, pivots all 1
+        ((F(0), F(1)), (F(1), F(0))),  # nonsingular, first minor 0
+        tuple(  # nonsingular, minors 0, -1, 0, 1
             tuple(F(int(j == i ^ 1)) for j in range(4)) for i in range(4)
         ),
         ((F(1), F(0)), (F(0), F(0))),
@@ -68,24 +73,28 @@ def _square_matrices():
 
 
 def test_elimination_matches_fraction_references():
-    # det, the adjugate of the integer form (or DomainError when singular)
-    # and the positive-definiteness decision of the one fraction-free
-    # elimination against Fraction Gaussian elimination on square matrices
-    # of dimension 1-8: random integer and rational ones (singular,
-    # non-symmetric and indefinite among them, row exchanges too), the
-    # criterion-01 Grams and duals, and E8
+    # the pivots of the one fraction-free elimination, with no row
+    # exchange, are the leading principal minors up to the first zero one;
+    # with none zero, the last is the determinant and the Gauss-Jordan
+    # block is the adjugate, and with one the adjugate is refused.  Against
+    # Fraction Gaussian elimination on square matrices of dimension 1-8:
+    # random integer and rational ones (singular, non-symmetric and
+    # indefinite among them), the criterion-01 Grams and duals, and E8.
+    # Lattice.from_gram accepts exactly the positive-definite ones.
     kinds = Counter()
     for a in _square_matrices():
         d = ref_det(a)
         ints, q = clear_denominators(a)
-        # det a = (-1)^swaps p_{n-1} / q^n, the elimination's last pivot
-        pivots, _, swaps, _ = eliminate(ints)
-        assert F((-1) ** swaps * pivots[-1], q ** len(a)) == d
-        if d == 0:
-            with pytest.raises(DomainError):
+        minors = _ref_minors(ints)
+        pivots, _, _ = eliminate(ints)
+        stop = minors.index(0) + 1 if 0 in minors else len(a)
+        assert pivots == minors[:stop]
+        if pivots[-1] == 0:
+            with pytest.raises(DomainError, match="zero leading"):
                 adjugate(ints)
         else:
-            # adj(q*a) = det(q*a) (q*a)^{-1}, and det(q*a) = q^n det a
+            # det a = p_{n-1} / q^n, adj(q*a) = det(q*a) (q*a)^{-1}
+            assert F(pivots[-1], q ** len(a)) == d
             adj, d_ints = adjugate(ints)
             assert d_ints == d * q ** len(a)
             assert all(type(x) is int for row in adj for x in row)
@@ -94,28 +103,54 @@ def test_elimination_matches_fraction_references():
             ]
         pd = _ref_positive_definite(a)
         assert _accepted_as_gram(a) == pd
-        kinds["singular" if d == 0 else "definite" if pd else "other"] += 1
-    assert len(kinds) == 3 and min(kinds.values()) >= 50
-    # a row exchange flips the sign of the elimination's block: adj of the
-    # exchange matrix is minus itself, and its determinant is -1
-    assert adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
+        kinds[
+            "singular" if d == 0 else "zero minor" if pivots[-1] == 0
+            else "definite" if pd else "other"
+        ] += 1
+    assert kinds["zero minor"] >= 20
+    assert min(kinds[k] for k in ("singular", "definite", "other")) >= 50
 
 
 def test_elimination_matches_gauss_jordan_reference():
     # without an augmented block the rows above a pivot are not cleared,
-    # and the pivots, pivot rows and swaps are those of full Gauss-Jordan;
-    # with one, all four results are; on the integer forms of the matrices
-    # above, singular ones and ones that need a row exchange among them
-    kinds = Counter()
+    # and the pivots and pivot rows are those of full Gauss-Jordan with no
+    # row exchange; with one, all three results are; on the integer forms
+    # of the matrices above, ones stopped at a zero leading minor among
+    # them
+    stopped = 0
     for a in _square_matrices():
         ints, _ = clear_denominators(a)
-        pivots, rows, swaps, right = ref_eliminate(ints)
-        assert eliminate(ints) == (pivots, rows, swaps, [[] for _ in ints])
+        pivots, rows, right = ref_eliminate(ints)
+        assert eliminate(ints) == (pivots, rows, [[] for _ in ints])
         unit = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
         assert eliminate(ints, unit) == ref_eliminate(ints, unit)
-        kinds["singular"] += not pivots[-1]
-        kinds["exchanged"] += swaps > 0
-    assert kinds["singular"] >= 50 and kinds["exchanged"] >= 40
+        stopped += not pivots[-1]
+    assert stopped >= 50
+
+
+def test_cartan_pivots_are_the_positive_leading_minors():
+    # every built-in Cartan matrix has positive leading minors, so the
+    # elimination without row exchange runs to the end and its adjugate
+    # is defined: the domain that lets the elimination exchange no row
+    names = [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    names += [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    names += ["E6", "E7", "E8", "F4", "G2"]
+    for name in names:
+        cartan = build(name).cartan
+        pivots, _, _ = eliminate(cartan)
+        assert min(pivots) > 0, name
+        assert pivots == _ref_minors(cartan), name
+        assert adjugate(cartan)[1] == pivots[-1], name
+
+
+def test_a_zero_leading_minor_stops_the_elimination_and_is_refused():
+    # [[0, 1], [1, 0]] is nonsingular and indefinite, with first minor 0
+    swap = [[0, 1], [1, 0]]
+    assert eliminate(swap) == ([0], [], [[], []])
+    with pytest.raises(DomainError, match="zero leading principal minor"):
+        adjugate(swap)
+    with pytest.raises(DomainError, match="gram matrix must be positive"):
+        Lattice.from_gram(swap)
 
 
 def _deep(x):

@@ -198,8 +198,8 @@ def test_string_weight_is_refused(flags):
 
 # Every public door that takes a dominant weight refuses a bad one through
 # the one gate, with the type and message each refusal has always had: a
-# wrong length, a bool coordinate and a string in check_weight, and a
-# weight that is not dominant with the door's own message.
+# wrong length, a bool coordinate, a string and a number in check_weight,
+# and a weight that is not dominant with the door's own message.
 _BAD_WEIGHTS = {
     "short": ((1,), "DomainError", "weight has 1 coordinates, expected 2"),
     "long": ((1, 0, 5), "DomainError", "weight has 3 coordinates, expected 2"),
@@ -210,6 +210,9 @@ _BAD_WEIGHTS = {
         "10", "InputError", "a weight is a sequence of coordinates, not '10'"
     ),
     "negative": ((1, -1), "DomainError", None),
+    "not a sequence": (
+        5, "InputError", "a weight is a sequence of coordinates, not 5"
+    ),
 }
 _NOT_DOMINANT = {
     "casimir": "casimir expects a dominant weight",

@@ -1,16 +1,24 @@
 """The public surface: every name in ``liespec.__all__``, and every public
 top-level function of src/, is used by the package itself, or is one of
 the exported instruments that README.md lists with the paper statement it
-checks; every field of a record class is read by src/; and no module
-under src/ asserts or calls ``object.__setattr__``."""
+checks; every field of a record class is read by src/; no module under
+src/ asserts or calls ``object.__setattr__``; and every public door refuses
+an argument that is not a sequence where it takes one with InputError."""
 
 import ast
 import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import liespec
+from liespec import (
+    BiInvariantOperator, GroupSpec, Lattice, NatRedMetric, branch, build,
+    center_admissible, torus_search, weyl_dim,
+)
+from liespec.catalog import BUILTIN_EMBEDDINGS
+from liespec.errors import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,3 +145,41 @@ def test_every_record_field_is_read_by_src():
     ]
     if len(fields) < 20 or unread:
         pytest.fail(f"of {len(fields)} record fields, src/ never reads {unread}")
+
+
+def test_every_door_refuses_an_argument_that_is_no_sequence():
+    # a number where a sequence belongs is an InputError, the type the
+    # command line reports with exit code 1, not a bare TypeError
+    a1 = build("A1")
+    emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+    gs = GroupSpec([a1])
+    calls = {
+        "a matrix is a sequence of rows": [
+            lambda: Lattice(gram=5), lambda: Lattice(basis=5),
+        ],
+        "a matrix row is a sequence": [lambda: Lattice(gram=[1])],
+        "a weight is a sequence of coordinates": [
+            lambda: weyl_dim(a1, 5), lambda: branch(emb, 5),
+            lambda: center_admissible(gs, [5]),
+        ],
+        "a weight tuple is a sequence": [lambda: center_admissible(gs, 5)],
+        "a coweight is a sequence": [lambda: GroupSpec([a1], gamma=[[1]])],
+        "gamma is a sequence": [lambda: GroupSpec([a1], gamma=5)],
+        "scales are a sequence": [lambda: GroupSpec([a1], scales=5)],
+        "fiber scales are a sequence": [lambda: NatRedMetric(emb, 1, 5)],
+        "coefficients are a sequence": [lambda: BiInvariantOperator(5)],
+        "values is a sequence of rationals": [
+            lambda: torus_search(5, 2, 1, 1),
+        ],
+    }
+    for message, doors in calls.items():
+        for door in doors:
+            with pytest.raises(InputError, match=f"^{message}, not "):
+                door()
+    # any iterable is still read where one was read before
+    assert Lattice(gram=(range(1, 2),)).gram == ((1,),)
+    assert GroupSpec([a1], scales=iter(["2"])).scales == (2,)
+    assert NatRedMetric(emb, 3, (x for x in (1, 2))).fiber_scales == (1, 2)
+    assert BiInvariantOperator({"1/2"}).coeffs == (F(1, 2),)
+    assert weyl_dim(a1, range(2, 3)) == 3
+    assert len(torus_search({1, 2}, 1, "1/2", "1/2")) == 2
