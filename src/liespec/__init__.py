@@ -28,7 +28,6 @@ from .errors import (
 from .groups import (
     GroupSpec,
     biinvariant_spectrum,
-    center_admissible,
     factor_lambda1,
     normal_quotient_spectrum,
 )
@@ -36,7 +35,6 @@ from .isolation import (
     GammaVector,
     finiteness_window,
     gamma_invariants,
-    homothety_invariant,
     isolation_scan,
     torus_search,
 )
@@ -48,20 +46,16 @@ from .lattices import (
     torus_spectrum,
 )
 from .natred import (
-    BiInvariantOperator,
     NatRedMetric,
     beta_factors,
     containment_check,
-    f_map,
     natred_spectrum,
-    natred_terms,
 )
 from .rootdata import RootSystemData, build, casimir
 from .spectrum import SpectrumTable, table_distance
-from .weights import weight_diagram, weyl_dim
+from .weights import weight_diagram
 
 __all__ = [
-    "BiInvariantOperator",
     "BranchingResult",
     "CertificationError",
     "DomainError",
@@ -81,19 +75,15 @@ __all__ = [
     "branch",
     "build",
     "casimir",
-    "center_admissible",
     "congruent",
     "containment_check",
     "embedding_index",
-    "f_map",
     "factor_lambda1",
     "finiteness_window",
     "gamma_invariants",
-    "homothety_invariant",
     "isolation_scan",
     "killing_ratio",
     "natred_spectrum",
-    "natred_terms",
     "normal_quotient_spectrum",
     "systole",
     "table_distance",
@@ -102,5 +92,4 @@ __all__ = [
     "torus_spectrum",
     "validate_embedding",
     "weight_diagram",
-    "weyl_dim",
 ]

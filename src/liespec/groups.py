@@ -7,7 +7,7 @@ Central elements are rational coweights in simple-coroot coordinates, so a
 weight in fundamental coordinates pairs with one by a plain dot product.
 ``GroupSpec`` holds Gamma once in integers, d the lcm of its denominators
 and each z_i * d: a pairing is integral exactly when its integer dot
-product is 0 mod d, for the roots, ``center_admissible`` and the fold.
+product is 0 mod d, for the roots and for the fold.
 
 Eigenvalues are sum_i c_i(lambda_i)/t_i with multiplicity prod_i dim_i^2,
 over the classes whose pairing with each z in Gamma, a sum over the
@@ -27,9 +27,7 @@ from .branching import EmbeddingSpec, _branched
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import array, fmt, rat, rat_cutoff, required, sequence
-from .rootdata import (
-    RootSystemData, build, casimir, check_dominant, check_root_system
-)
+from .rootdata import RootSystemData, build, casimir, check_root_system
 from .spectrum import (
     SpectrumTable, _common_scale, linear_table, table_from_counts
 )
@@ -52,11 +50,17 @@ class GroupSpec(Frozen):
             raise DomainError("GroupSpec needs at least one simple factor")
         if scales is None:
             scales = (1,) * len(factors)
-        scales = tuple(map(rat, sequence(scales, "scales are a sequence")))
+        scales = tuple(map(rat, sequence(
+            scales, "scales are a sequence", strings=False
+        )))
         gamma = tuple(tuple(
-            tuple(map(rat, sequence(part, "a coweight is a sequence")))
-            for part in sequence(z, "a central element is a sequence")
-        ) for z in sequence(gamma, "gamma is a sequence"))
+            tuple(map(rat, sequence(
+                part, "a coweight is a sequence", strings=False
+            )))
+            for part in sequence(
+                z, "a central element is a sequence", strings=False
+            )
+        ) for z in sequence(gamma, "gamma is a sequence", strings=False))
         if len(scales) != len(factors):
             raise DomainError("one scale per factor required")
         if any(t <= 0 for t in scales):
@@ -105,23 +109,6 @@ class GroupSpec(Frozen):
             ),
             scales=None if scales is None else array(scales, "scales"),
         )
-
-
-def center_admissible(gs: GroupSpec, lam_tuple) -> bool:
-    """True iff every listed central element acts trivially on the
-    irreducible with the given per-factor highest weights."""
-    lam_tuple = sequence(lam_tuple, "a weight tuple is a sequence")
-    if len(lam_tuple) != len(gs.factors):
-        raise DomainError("weight tuple length != number of factors")
-    parts = tuple(
-        check_dominant(f, w, "center_admissible expects dominant weights")
-        for f, w in zip(gs.factors, lam_tuple)
-    )
-    d, zs = gs._gamma
-    return not any(
-        sum(sum(map(mul, lam, part)) for lam, part in zip(parts, z)) % d
-        for z in zs
-    )
 
 
 def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:

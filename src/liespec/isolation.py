@@ -1,12 +1,12 @@
 """Finite-cutoff isolation and finiteness experiments.
 
-Five instruments: the low-eigenvalue invariant vector that classifies
+Four instruments: the low-eigenvalue invariant vector that classifies
 bi-invariant metrics (per-factor first eigenvalues for groups; the dual
 quadratic form sampled on standard basis vectors and their pairwise sums
 for tori), a grid scan that hunts for isospectral neighbors of a naturally
-reductive metric, the scale-window quantity C/(lambda^n vol^2), homothety
-invariants, and a constructive search that reconstructs all torus candidates
-whose invariants are drawn from a given finite value set.
+reductive metric, the scale-window quantity C/(lambda^n vol^2), and a
+constructive search that reconstructs all torus candidates whose invariants
+are drawn from a given finite value set.
 
 Everything compares exact rational tables; "isospectral at cutoff" means
 equality of truncated tables with zero tolerance; a table's integer form
@@ -31,7 +31,7 @@ from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .natred import NatRedMetric, _metric_budget, term_catalogue
 from .rational import _exact_rows, exact_int, fmt, rat, rat_cutoff, sequence
-from .spectrum import SpectrumTable, _common_scale, _counts, _distance
+from .spectrum import _common_scale, _counts, _distance
 
 
 class GammaVector(Value):
@@ -238,25 +238,6 @@ def finiteness_window(lam, vol, n: int, const) -> Fraction:
     if n < 1:
         raise DomainError("dimension must be positive")
     return const / (lam**n * vol**2)
-
-
-def homothety_invariant(table: SpectrumTable, n: int, vol):
-    """lambda_1^{n/2} * vol, exact for even n; for odd n the squared pair
-    (lambda_1^n * vol^2, n) keeps everything rational."""
-    vol = rat(vol)
-    n = exact_int(n)
-    if vol <= 0:
-        raise DomainError("volume must be positive")
-    if n < 1:
-        raise DomainError("dimension must be positive")
-    lam1 = table.lambda1()
-    if lam1 is None:
-        raise DomainError(
-            "cutoff below the first nonzero eigenvalue; inconclusive"
-        )
-    if n % 2 == 0:
-        return lam1 ** (n // 2) * vol
-    return (lam1**n * vol**2, n)
 
 
 def torus_search(values, n: int, lam_min, vol_min) -> list:

@@ -38,24 +38,9 @@ from math import gcd
 from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
-from ..rational import _exact_rows, exact_int, fmt_matrix, rat, rat_matrix
+from ..rational import _exact_rows, exact_int, fmt_matrix, rat_matrix
 from .enumeration import _minimum, _squares
 from .reduction import _lll_int
-
-# m-th powers of the Hermite constants gamma_m for m <= 8, which are the
-# rational quantities (gamma_m itself is irrational for most m).  Values as
-# tabulated in Conway & Sloane, "Sphere Packings, Lattices and Groups".
-HERMITE_POWER = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(2),
-    4: Fraction(4),
-    5: Fraction(8),
-    6: Fraction(64, 3),
-    7: Fraction(64),
-    8: Fraction(256),
-}
-
 
 class Lattice(Value):
     """``gram`` is m x m, symmetric positive-definite, in exact rationals;
@@ -190,18 +175,3 @@ def systole(lat: Lattice) -> Fraction:
     """Smallest squared length of a nonzero lattice vector."""
     return _minimum(*lat._form)
 
-
-def hermite_bound_ok(lat: Lattice, systole_sq: Fraction) -> bool:
-    """Check systole^m * det(gram) <= gamma_m^m (m <= 8).
-
-    This is the Hermite inequality with everything raised to the m-th power
-    so that only rational quantities appear.  ``systole_sq`` is read with
-    ``rat`` and must be positive.
-    """
-    systole_sq = rat(systole_sq)
-    if systole_sq <= 0:
-        raise DomainError("squared systole must be positive")
-    m = lat.dim
-    if m not in HERMITE_POWER:
-        raise DomainError("Hermite constants tabulated only for dim <= 8")
-    return systole_sq**m * lat.det_gram <= HERMITE_POWER[m]

@@ -26,8 +26,7 @@ terms are built once, by ``term_catalogue`` for an embedding and a Casimir
 budget, as plain data: integer rows g over one common denominator, with
 equal rows merged.  A metric is then one ``linear_table`` pass over the
 rows against its scales (t, t_1, ...), an integer dot product over one
-common scale, and one Fraction per distinct eigenvalue; ``natred_terms``
-dots over the same scale and makes a Fraction only for each term it keeps.
+common scale, and one Fraction per distinct eigenvalue.
 
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
@@ -47,13 +46,13 @@ from .branching import EmbeddingSpec, _branched, _product_dim, killing_ratio
 from .errors import (
     CertificationError, DomainError, InadmissibleMetricError, InputError
 )
-from .frozen import Frozen, Value
+from .frozen import Frozen
 from .groups import factor_lambda1
 from .rational import (
     array, exact_int, fmt, rat, rat_cutoff, required, sequence
 )
 from .rootdata import RootSystemData, _contragredient, build, casimir_num
-from .spectrum import SpectrumTable, _common_scale, linear_table
+from .spectrum import SpectrumTable, linear_table
 
 
 class NatRedMetric(Frozen):
@@ -68,7 +67,9 @@ class NatRedMetric(Frozen):
             raise InputError(
                 f"a metric's embedding is an EmbeddingSpec, not {emb!r}"
             )
-        fiber_scales = sequence(fiber_scales, "fiber scales are a sequence")
+        fiber_scales = sequence(
+            fiber_scales, "fiber scales are a sequence", strings=False
+        )
         self.__dict__.update(
             emb=emb,
             base_scale=rat(base_scale),
@@ -123,34 +124,10 @@ class NatRedMetric(Frozen):
         return NatRedMetric(emb, base_scale, fiber_scales)
 
 
-class BiInvariantOperator(Value):
-    """Positive scalars a_i: the operator acting as a_i on fiber factor i."""
-
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = sequence(coeffs, "coefficients are a sequence")
-        self.__dict__.update(coeffs=tuple(map(rat, coeffs)))
-        if any(x <= 0 for x in self.coeffs):
-            raise DomainError("fiber operator coefficients must be positive")
-
-
 def beta_factors(m: NatRedMetric):
     """Per-factor beta_i = t_i*t/(t - t_i); negative on oversized fibers."""
     t = m.base_scale
     return tuple(x * t / (t - x) for x in m.fiber_scales)
-
-
-def f_map(op: BiInvariantOperator, shift) -> BiInvariantOperator:
-    """a_i -> a_i*b/(b - a_i), defined only when b exceeds every a_i."""
-    b = rat(shift)
-    if any(b <= a for a in op.coeffs):
-        raise InadmissibleMetricError(
-            "shift must exceed every fiber coefficient"
-        )
-    return BiInvariantOperator(
-        coeffs=tuple(a * b / (b - a) for a in op.coeffs)
-    )
 
 
 def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
@@ -167,8 +144,9 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
     c(sigma) <= budget.
 
     Nothing here depends on a metric.  ``terms`` lists (sigma, tau, mult,
-    row) in natred_terms order, where ``row`` is g = (c(sigma) - sum_i f_i,
-    f_1, ...) times ``den``, all nonnegative integers, f_i = c_i(tau_i)/j_i;
+    row) in the order of sigma (graded-lex) and then of the branch labels,
+    where ``row`` is g = (c(sigma) - sum_i f_i, f_1, ...) times ``den``,
+    all nonnegative integers, f_i = c_i(tau_i)/j_i;
     ``rows`` lists each distinct row once with its summed multiplicity.
     tau is the per-factor contragredient of the branch label, matching the
     restriction-contains-dual indexing; Casimirs are blind to the flip.
@@ -213,22 +191,6 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
     return den, tuple(terms), tuple(rows.items())
 
 
-def natred_terms(m: NatRedMetric, cutoff):
-    """All (sigma, tau, multiplicity, eigenvalue) with eigenvalue <= cutoff,
-    in the order of sigma (graded-lex) and then of the branch labels."""
-    cutoff = rat_cutoff(cutoff)
-    den, terms, _ = term_catalogue(m.emb, _metric_budget(m, cutoff))
-    weights, scale, limit = _common_scale(
-        (m.base_scale,) + m.fiber_scales, den, cutoff
-    )
-    out = []
-    for lam, tau, mult, row in terms:
-        value = sum(map(mul, weights, row))
-        if value <= limit:
-            out.append((lam, tau, mult, Fraction(value, scale)))
-    return out
-
-
 def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     """Truncated spectrum of the naturally reductive metric; always complete."""
     cutoff = rat_cutoff(cutoff)
@@ -242,10 +204,10 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     """Witness one fiber-plus-base eigenvalue sum inside the full spectrum.
 
     Takes gamma = the smallest nonzero eigenvalue of the chosen factor at
-    its beta factor (the fiber scale shifted by the base scale, as by
-    ``f_map``, so every fiber is below the base), and looks for a class
-    sigma whose restriction contains the contragredient of the gamma
-    witness; then zeta + gamma must occur in the full table.
+    its beta factor (the fiber scale t_i shifted by the base scale t,
+    t t_i/(t - t_i), which needs every fiber below the base), and looks for
+    a class sigma whose restriction contains the contragredient of the
+    gamma witness; then zeta + gamma must occur in the full table.
     """
     factor_index = exact_int(factor_index)
     cutoff = rat_cutoff(cutoff)

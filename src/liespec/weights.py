@@ -2,14 +2,14 @@
 
 All three run on the integer tables of ``rootdata``:
 
-* ``weyl_dim`` -- the one Weyl dimension formula (Humphreys, Introduction
-  to Lie Algebras and Representation Theory, 24.3): the pairings (lambda +
-  rho, beta^vee) are dot products with ``coroots``, and ``_weyl_quotient``,
-  which the walk below shares, divides their product exactly by
-  ``weyl_den`` (a remainder or a non-positive quotient raises DomainError);
-  ``_weyl_dim`` is it on a weight checked already;
+* ``_weyl_dim`` -- the one Weyl dimension formula (Humphreys, Introduction
+  to Lie Algebras and Representation Theory, 24.3), on a weight checked
+  already: the pairings (lambda + rho, beta^vee) are dot products with
+  ``coroots``, and ``_weyl_quotient``, which the walk below shares, divides
+  their product exactly by ``weyl_den`` (a remainder or a non-positive
+  quotient raises DomainError);
 * ``weight_diagram`` -- the full character of V_lambda, as sorted
-  (weight, multiplicity) pairs like ``dominant_character``, its weight
+  (weight, multiplicity) pairs like ``_dominant_character``, its weight
   checked once; ``_weight_diagram`` is it on a weight checked already, for
   the weights that ``branching`` makes.  Its dominant weights are the
   dominant mu with lambda - mu in the root cone (ibid., 21.3).  In the
@@ -34,7 +34,7 @@ All three run on the integer tables of ``rootdata``:
   2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the symmetric F to
   F . lam and column j of ``coroots`` to the pairings, so each weight's
   Weyl dimension is ``_weyl_quotient`` of its pairings, as in
-  ``weyl_dim``.  On the last coordinate's line every weight is a leaf
+  ``_weyl_dim``.  On the last coordinate's line every weight is a leaf
   and only (F . lam)_n moves C, so that loop emits the weights itself and
   carries one number in place of F . lam.
 
@@ -64,14 +64,8 @@ from .rootdata import (
 )
 
 
-def weyl_dim(rs: RootSystemData, weight) -> int:
-    """dim V_lambda by the Weyl dimension formula."""
-    lam = check_dominant(rs, weight, "weyl_dim expects a dominant weight")
-    return _weyl_dim(rs, lam)
-
-
 def _weyl_dim(rs: RootSystemData, lam: tuple) -> int:
-    """``weyl_dim`` of a checked dominant weight."""
+    """dim V_lam by the Weyl dimension formula, lam dominant."""
     shifted = tuple(x + 1 for x in lam)
     pairs = [sum(map(mul, co, shifted)) for co in rs.coroots]
     return _weyl_quotient(pairs, rs.weyl_den)
@@ -86,17 +80,10 @@ def _weyl_quotient(pairs, den) -> int:
     return dim
 
 
-def dominant_character(rs: RootSystemData, weight) -> tuple:
-    """((mu, mult), ...) over dominant weights of V_weight, Freudenthal."""
-    lam = check_dominant(
-        rs, weight, "character expects a dominant highest weight"
-    )
-    return _dominant_character(rs, lam)
-
-
 @lru_cache(maxsize=None)
 def _dominant_character(rs: RootSystemData, lam: tuple) -> tuple:
-    """``dominant_character`` of a checked dominant weight, cached per type.
+    """((mu, mult), ...) over the dominant weights of V_lam, lam dominant,
+    by Freudenthal's formula; cached per type.
 
     Inner products are taken times form_den, which cancels in the ratio:
     (nu, beta) is nu . (F . beta), and the denominator is a difference of

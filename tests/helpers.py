@@ -42,9 +42,12 @@ the normal quotient and the integer Gamma form, and ``ref_contragredient``,
 the dual's highest weight as the dominant weight in the Weyl orbit of -lam,
 used as the reference for the -w0 tables, ``matvec``, ``form_value`` and
 ``dominant_weights_up_to`` (the walk's weights alone), test utilities the
-library no longer has, and ``kostant_multiplicity``, Kostant's formula
-over a memoized partition function, used as an oracle for Freudenthal's
-characters that shares no code with them."""
+library no longer has, ``weyl_dim`` and ``dominant_character``, the
+library's weight gate in front of its unchecked Weyl dimension and
+Freudenthal cores, for the tests that hand them outside weights, and
+``kostant_multiplicity``, Kostant's formula over a memoized partition
+function, used as an oracle for Freudenthal's characters that shares no
+code with them."""
 
 import itertools
 import json
@@ -69,20 +72,20 @@ from liespec.errors import (
     MalformedEmbeddingError,
     UnsupportedDimensionError,
 )
-from liespec.groups import GroupSpec, center_admissible
+from liespec.groups import GroupSpec
 from liespec.isolation import _grid_multipliers
 from liespec.lattices import Lattice, dual, systole
 from liespec.lattices.congruence import MAX_DIM
 from liespec.lattices.enumeration import _norm_counts, _squares
 from liespec.lattices.reduction import _exact as _lll_exact
-from liespec.natred import BiInvariantOperator, NatRedMetric
+from liespec.natred import NatRedMetric
 from liespec.rational import exact_int, fmt, rat
 from liespec.rootdata import (
-    _chamber, _contragredient, build, casimir, check_weight
+    _chamber, _contragredient, build, casimir, check_dominant, check_weight
 )
 from liespec.spectrum import SpectrumTable
 from liespec.weights import (
-    _dominant_casimirs, dominant_character, weight_diagram, weyl_dim
+    _dominant_casimirs, _dominant_character, _weyl_dim, weight_diagram
 )
 
 
@@ -119,9 +122,23 @@ def contragredient_tuple(emb: EmbeddingSpec, tup) -> tuple:
     return tuple(map(_contragredient, emb.factors, tup))
 
 
+def weyl_dim(rs, weight) -> int:
+    """dim V_weight: the library's weight gate, then its Weyl core."""
+    lam = check_dominant(rs, weight, "weyl_dim expects a dominant weight")
+    return _weyl_dim(rs, lam)
+
+
+def dominant_character(rs, weight) -> tuple:
+    """Freudenthal's dominant character of V_weight, behind the gate."""
+    message = "character expects a dominant highest weight"
+    return _dominant_character(rs, check_dominant(rs, weight, message))
+
+
 def weight_doors() -> dict:
     """{name: call on one weight of B2} for each public function that takes
-    a dominant weight: the doors of the library's one weight gate."""
+    a dominant weight, the doors of the library's one weight gate, and for
+    the two wrappers above and ``ref_center_admissible``, which pass an
+    outside weight through the same gate."""
     b2 = build("B2")
     emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
     group = GroupSpec(factors=(b2,))
@@ -131,7 +148,7 @@ def weight_doors() -> dict:
         "dominant_character": lambda w: dominant_character(b2, w),
         "weight_diagram": lambda w: weight_diagram(b2, w),
         "branch": lambda w: branch(emb, w),
-        "center_admissible": lambda w: center_admissible(group, (w,)),
+        "center_admissible": lambda w: ref_center_admissible(group, (w,)),
     }
 
 
@@ -1198,7 +1215,8 @@ def ref_contragredient(rs, lam) -> tuple:
 
 
 # Reference terms: every (sigma, tau) rebuilt in Fractions for each metric,
-# the closed-form eigenvalue of one pair, and the inverse of f_map.
+# the closed-form eigenvalue of one pair, and the inverse of the map from
+# fiber scales to beta factors.
 
 
 def ref_natred_terms(m: NatRedMetric, cutoff):
@@ -1298,14 +1316,13 @@ def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:
     return total / m.base_scale
 
 
-def f_map_inverse(op: BiInvariantOperator, shift) -> BiInvariantOperator:
-    """Exact inverse of ``f_map`` at the same shift: a_i = v_i*b/(b + v_i)."""
+def f_map_inverse(coeffs, shift) -> tuple:
+    """Exact inverse of a_i -> a_i*b/(b - a_i), the map that takes fiber
+    scales to ``beta_factors`` at the shift b = t: a_i = v_i*b/(b + v_i)."""
     b = rat(shift)
     if b <= 0:
         raise InadmissibleMetricError("shift must be positive")
-    return BiInvariantOperator(
-        coeffs=tuple(v * b / (b + v) for v in op.coeffs)
-    )
+    return tuple(v * b / (b + v) for v in coeffs)
 
 
 def ref_natred_spectrum(m: NatRedMetric, cutoff):
@@ -1433,7 +1450,8 @@ def ref_center_admissible(gs: GroupSpec, lam_tuple) -> bool:
     if len(lam_tuple) != len(gs.factors):
         raise DomainError("weight tuple length != number of factors")
     parts = tuple(
-        check_weight(f, w) for f, w in zip(gs.factors, lam_tuple)
+        check_dominant(f, w, "center_admissible expects dominant weights")
+        for f, w in zip(gs.factors, lam_tuple)
     )
     for z in gs.gamma:
         total = Fraction(0)

@@ -218,6 +218,13 @@ MUTANTS = (
         ("tests/test_surface.py::"
          "test_every_door_refuses_an_argument_that_is_no_sequence",),
     ),
+    Mutant(
+        "fiber-scales-read-per-character", "natred.py",
+        'fiber_scales, "fiber scales are a sequence", strings=False',
+        'fiber_scales, "fiber scales are a sequence"',
+        ("tests/test_surface.py::"
+         "test_a_string_is_no_sequence_of_scales_or_of_gamma",),
+    ),
     # the natred eigenvalue formula (the Killing ratio, the sign of the
     # horizontal row, the fiber tail, a dropped branching term) and the
     # containment lemma's instruments
@@ -252,12 +259,6 @@ MUTANTS = (
         ("tests/test_natred.py::test_beta_factors",),
     ),
     Mutant(
-        "f-map-admits-an-equal-shift", "natred.py",
-        "if any(b <= a for a in op.coeffs):",
-        "if any(b < a for a in op.coeffs):",
-        ("tests/test_natred.py::test_f_map_frozen_and_errors",),
-    ),
-    Mutant(
         "containment-without-its-mode-check", "natred.py",
         'if m.mode != "riemannian-fibers":', "if False:",
         ("tests/test_natred.py::test_containment_edge_cases",),
@@ -285,8 +286,8 @@ MUTANTS = (
     # each weight checked once, at the door it comes in by
     Mutant(
         "weyl-core-checks-again", "weights.py",
-        '''    """``weyl_dim`` of a checked dominant weight."""\n''',
-        '''    """``weyl_dim`` of a checked dominant weight."""\n'''
+        '''    """dim V_lam by the Weyl dimension formula, lam dominant."""\n''',
+        '''    """dim V_lam by the Weyl dimension formula, lam dominant."""\n'''
         '    lam = check_dominant(rs, lam, "weyl_dim expects a dominant "'
         '"weight")\n',
         (_COLD,),

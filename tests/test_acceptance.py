@@ -16,6 +16,7 @@ from helpers import (
     random_rational_basis,
     value_set,
     volume,
+    weyl_dim,
 )
 from liespec.branching import branch, embedding_index
 from liespec.catalog import (
@@ -25,12 +26,7 @@ from liespec.catalog import (
 )
 from liespec.errors import InadmissibleMetricError
 from liespec.groups import GroupSpec, biinvariant_spectrum
-from liespec.isolation import (
-    gamma_invariants,
-    homothety_invariant,
-    isolation_scan,
-    torus_search,
-)
+from liespec.isolation import gamma_invariants, isolation_scan, torus_search
 from liespec.lattices import (
     Lattice,
     congruent,
@@ -40,14 +36,12 @@ from liespec.lattices import (
     torus_spectrum,
 )
 from liespec.natred import (
-    BiInvariantOperator,
     NatRedMetric,
+    beta_factors,
     containment_check,
-    f_map,
     natred_spectrum,
 )
 from liespec.rootdata import build
-from liespec.weights import weyl_dim
 
 A1 = build("A1")
 A2 = build("A2")
@@ -157,19 +151,21 @@ def test_criterion_06_containment_lemma():
 
 
 def test_criterion_07_f_map_round_trip():
+    # the beta factors are the map a -> a b / (b - a) at the shift b = t,
+    # which the containment step admits only with every fiber below t
     rng = random.Random(777)
     admissible = 0
     rejected = 0
     while admissible < 1000:
         a = F(rng.randint(1, 60), rng.randint(1, 24))
         b = F(rng.randint(1, 60), rng.randint(1, 24))
-        op = BiInvariantOperator(coeffs=(a,))
-        if b <= a:
+        if b <= a:  # the metric refuses a == b, the check a > b
             with pytest.raises(InadmissibleMetricError):
-                f_map(op, b)
+                containment_check(NatRedMetric(STD, b, (a,)), 0, 0)
             rejected += 1
             continue
-        assert f_map_inverse(f_map(op, b), b).coeffs == (a,)
+        m = NatRedMetric(emb=STD, base_scale=b, fiber_scales=(a,))
+        assert f_map_inverse(beta_factors(m), b) == (a,)
         admissible += 1
     assert rejected > 0
     report(7, f"1000 admissible pairs round-trip exactly; "
@@ -218,9 +214,9 @@ def test_criterion_10_homothety_invariant():
         scaled = Lattice.from_basis(
             tuple(tuple(r * x for x in row) for row in basis)
         )
-        cut = torus_lambda1(scaled)
-        inv = homothety_invariant(torus_spectrum(scaled, cut), 3, vol * r**3)
-        invariants.add(inv)
+        lam1 = torus_spectrum(scaled, torus_lambda1(scaled)).lambda1()
+        # lambda1^(3/2) vol is irrational: its square is exact
+        invariants.add(lam1**3 * (vol * r**3) ** 2)
     assert len(invariants) == 1
 
     group_invariants = set()
@@ -229,7 +225,7 @@ def test_criterion_10_homothety_invariant():
         table = biinvariant_spectrum(
             GroupSpec(factors=(A1,), scales=(t,)), F(3, 8) / t
         )
-        group_invariants.add(homothety_invariant(table, 3, r**3))
-    assert group_invariants == {(F(27, 512), 3)}
+        group_invariants.add(table.lambda1() ** 3 * (r**3) ** 2)
+    assert group_invariants == {F(27, 512)}
     report(10, "lambda1^3 * vol^2 constant across 5 homothety scales for a "
                "random 3-torus and for SU(2)")

@@ -23,8 +23,7 @@ from liespec.branching import (
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
 from liespec.errors import DomainError, InputError, MalformedEmbeddingError
 from liespec.natred import term_catalogue
-from liespec.rootdata import build, casimir_num, check_weight
-from liespec.weights import weyl_dim
+from liespec.rootdata import build, casimir, casimir_num, check_weight
 
 from helpers import (
     contragredient_tuple,
@@ -36,6 +35,7 @@ from helpers import (
     ref_contragredient,
     ref_spherical_mult,
     ref_term_catalogue,
+    weyl_dim,
 )
 
 STD = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
@@ -512,7 +512,7 @@ def test_bool_coordinates_are_refused():
     emb = _fresh("a1-in-a2-standard")
     for call in (
         lambda: check_weight(a2, (True, 0)),
-        lambda: weyl_dim(a2, (True, 0)),
+        lambda: casimir(a2, (True, 0)),
         lambda: branch(emb, (True, False)),
     ):
         with pytest.raises(InputError):

@@ -358,7 +358,7 @@ def test_negative_option_value_is_read_as_a_value(capsys, argv, code):
 
 
 # Runs under python -O, with a killing_ratio that breaks horizontal
-# positivity; prints what natred_terms raised and what cli.main returned.
+# positivity; prints what natred_spectrum raised and what cli.main returned.
 _FAULT_SCRIPT = """
 import contextlib, io, json
 from fractions import Fraction
@@ -369,7 +369,7 @@ from liespec.errors import CertificationError
 natred.killing_ratio = lambda emb: tuple(Fraction(1, 100) for _ in emb.factors)
 m = natred.NatRedMetric.from_json_dict(json.loads(METRIC))
 try:
-    natred.natred_terms(m, 1)
+    natred.natred_spectrum(m, 1)
     raised = None
 except CertificationError as exc:
     raised = type(exc).__name__

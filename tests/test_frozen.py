@@ -23,7 +23,7 @@ from liespec.errors import InputError
 from liespec.groups import GroupSpec
 from liespec.isolation import GammaVector, gamma_invariants
 from liespec.lattices import Lattice, torus_spectrum
-from liespec.natred import BiInvariantOperator, NatRedMetric
+from liespec.natred import NatRedMetric
 from liespec.rootdata import RootSystemData, build
 from liespec.spectrum import SpectrumTable
 
@@ -92,13 +92,6 @@ CASES = [
         False,
         f"NatRedMetric(emb={_STD_REPR},"
         " base_scale=Fraction(1, 1), fiber_scales=(Fraction(1, 2),))",
-    ),
-    (
-        BiInvariantOperator,
-        lambda: BiInvariantOperator((F(1, 2), 3)),
-        ("coeffs",),
-        True,
-        "BiInvariantOperator(coeffs=(Fraction(1, 2), Fraction(3, 1)))",
     ),
     (
         GammaVector,

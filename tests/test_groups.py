@@ -12,6 +12,7 @@ from helpers import (
     ref_biinvariant_spectrum,
     ref_center_admissible,
     ref_normal_quotient_spectrum,
+    weyl_dim,
 )
 
 from liespec import linalg
@@ -25,14 +26,12 @@ from liespec.errors import DomainError, InputError
 from liespec.groups import (
     GroupSpec,
     biinvariant_spectrum,
-    center_admissible,
     factor_lambda1,
     normal_quotient_spectrum,
 )
 from liespec.isolation import isolation_scan
 from liespec.natred import NatRedMetric, term_catalogue
 from liespec.rootdata import build, casimir_num, check_weight
-from liespec.weights import weyl_dim
 
 SU2 = BUILTIN_GROUPS["su2"]
 SU3 = BUILTIN_GROUPS["su3"]
@@ -59,21 +58,29 @@ def test_su3_lambda1():
 
 
 def test_center_admissibility():
-    assert center_admissible(SO3, ((2,),))
-    assert not center_admissible(SO3, ((1,),))
-    assert center_admissible(SU2, ((1,),))
+    # the fold keeps the class (n) of SU(2), at n(n + 2)/8 with multiplicity
+    # (n + 1)^2, exactly when the reference finds Gamma trivial on it
+    assert [ref_center_admissible(SO3, ((n,),)) for n in range(4)] == [
+        True, False, True, False,
+    ]
+    for gs in (SO3, SU2):
+        table = biinvariant_spectrum(gs, 2)
+        for n in range(4):
+            kept = table.multiplicity(F(n * (n + 2), 8)) == (n + 1) ** 2
+            assert kept == ref_center_admissible(gs, ((n,),))
     with pytest.raises(DomainError):
-        center_admissible(SU2, ((1,), (1,)))
+        ref_center_admissible(SU2, ((1,), (1,)))
 
 
 def test_center_admissible_refuses_weights_that_are_not_dominant():
-    # an explicit raise, so it holds under python -O too
+    # the reference takes outside weights through the library's gate, an
+    # explicit raise, so it holds under python -O too
     for gs, lams in ((SO3, ((-2,),)), (SU2, ((-1,),))):
         with pytest.raises(DomainError):
-            center_admissible(gs, lams)
+            ref_center_admissible(gs, lams)
     gs = GroupSpec.from_json_dict(json.loads(THREE_FACTOR_GAMMA))
-    with pytest.raises(DomainError):
-        center_admissible(gs, ((0,), (1, -2), (0, 0)))
+    with pytest.raises(DomainError, match="expects dominant weights"):
+        ref_center_admissible(gs, ((0,), (1, -2), (0, 0)))
 
 
 def test_bad_gamma_rejected():
@@ -142,11 +149,14 @@ def test_gamma_on_three_factors_with_classes_of_different_orders():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(0, 6), min_size=5, max_size=5))
-def test_center_admissible_matches_fraction_reference(coords):
+@given(st.lists(st.fractions(F(1, 2), 2, max_denominator=3),
+                min_size=3, max_size=3))
+def test_center_admissible_matches_fraction_reference(scales):
+    # the fold's integer class test against the Fraction sum of the Gamma
+    # pairings, ref_center_admissible, on the classes of three factors
     gs = GroupSpec.from_json_dict(json.loads(THREE_FACTOR_GAMMA))
-    lams = ((coords[0],), tuple(coords[1:3]), tuple(coords[3:]))
-    assert center_admissible(gs, lams) == ref_center_admissible(gs, lams)
+    gs = GroupSpec(gs.factors, gamma=gs.gamma, scales=scales)
+    assert biinvariant_spectrum(gs, 2) == ref_biinvariant_spectrum(gs, 2)
 
 
 def _pairs_roots_integrally(factors, z):

@@ -17,7 +17,6 @@ from liespec.isolation import (
     _grid_multipliers,
     finiteness_window,
     gamma_invariants,
-    homothety_invariant,
     isolation_scan,
     torus_search,
 )
@@ -375,45 +374,34 @@ def test_finiteness_window():
         finiteness_window(0, 1, 2, 1)
     with pytest.raises(DomainError):
         finiteness_window(1, 1, 2, 0)
-    for n in (0, -3):  # homothety_invariant and torus_search refuse these too
+    for n in (0, -3):  # torus_search refuses these too
         with pytest.raises(DomainError, match="dimension must be positive"):
             finiteness_window(1, 1, n, 1)
 
 
 def test_homothety_invariant_even():
-    table = torus_spectrum(Z2, 4)
-    assert homothety_invariant(table, 2, 1) == 1
+    # lambda1^(n/2) * vol, from the table's lambda1, is exact for even n
+    assert torus_spectrum(Z2, 4).lambda1() == 1
     # rescale the lattice: eigenvalues divide by r^2, volume gains r^n
     for r in (2, 3, F(1, 2)):
         scaled = Lattice.from_basis(
             tuple(tuple(r * x for x in row) for row in ((1, 0), (0, 1)))
         )
         t = torus_spectrum(scaled, 4)
-        assert homothety_invariant(t, 2, r**2) == 1
+        assert t.lambda1() * r**2 == 1
 
 
 def test_homothety_invariant_odd():
+    # for odd n the square lambda1^n * vol^2 keeps it rational
     eye3 = Lattice.from_basis(
         ((F(1), 0, 0), (0, F(1), 0), (0, 0, F(1)))
     )
-    t = torus_spectrum(eye3, 2)
-    assert homothety_invariant(t, 3, 1) == (F(1), 3)
+    assert torus_spectrum(eye3, 2).lambda1() ** 3 == 1
     doubled = Lattice.from_basis(
         ((F(2), 0, 0), (0, F(2), 0), (0, 0, F(2)))
     )
     td = torus_spectrum(doubled, 2)
-    assert homothety_invariant(td, 3, 8) == (F(1), 3)
-
-
-def test_homothety_invariant_errors():
-    table = torus_spectrum(Z2, 4)
-    with pytest.raises(DomainError):
-        homothety_invariant(table, 2, 0)
-    with pytest.raises(DomainError):
-        homothety_invariant(table, 0, 1)
-    empty = torus_spectrum(Z2, F(1, 2))  # only the constant function
-    with pytest.raises(DomainError):
-        homothety_invariant(empty, 2, 1)
+    assert td.lambda1() ** 3 * 8**2 == 1
 
 
 def test_torus_search_small():

@@ -32,13 +32,11 @@ from liespec.errors import (
     LiespecError,
     UnsupportedDimensionError,
 )
-from liespec.isolation import finiteness_window, homothety_invariant, torus_search
+from liespec.isolation import finiteness_window, torus_search
 from liespec.lattices import (
-    HERMITE_POWER,
     Lattice,
     congruent,
     dual,
-    hermite_bound_ok,
     systole,
     torus_lambda1,
     torus_spectrum,
@@ -738,31 +736,11 @@ def test_congruent_lattices_isospectral():
 
 
 def test_hermite_bound():
-    # check is lambda1^m * det <= gamma_m^m with lambda1 the dual systole
-    assert HERMITE_POWER[2] == F(4, 3)
-    assert hermite_bound_ok(Z2, systole(dual(Z2)))
-    assert hermite_bound_ok(HEX, systole(dual(HEX)))
-    # hexagonal is the planar optimum: its bound is tight
-    assert systole(dual(HEX)) ** 2 * HEX.det_gram == HERMITE_POWER[2]
-    assert not hermite_bound_ok(HEX, F(1))
-    eye9 = tuple(
-        tuple(F(1 if i == j else 0) for j in range(9)) for i in range(9)
-    )
-    with pytest.raises(DomainError):
-        hermite_bound_ok(Lattice.from_gram(eye9), F(1))
-
-
-def test_hermite_bound_reads_the_squared_systole_exactly():
-    # read with rat like every rational input: a string parses, a float
-    # or a bool is refused, and a squared systole is positive
-    assert hermite_bound_ok(HEX, "2/3") and hermite_bound_ok(HEX, F(2, 3))
-    assert not hermite_bound_ok(HEX, "1")
-    for bad in (0.5, 2.0, True, False):
-        with pytest.raises(InputError):
-            hermite_bound_ok(HEX, bad)
-    for bad in (0, F(-2, 3), "-1"):
-        with pytest.raises(DomainError):
-            hermite_bound_ok(HEX, bad)
+    # Hermite's inequality lambda1^2 * det <= gamma_2^2 = 4/3 in the plane,
+    # lambda1 the dual systole; the hexagonal lattice is the planar optimum,
+    # so its bound is tight, and the square lattice's is not
+    assert systole(dual(HEX)) ** 2 * HEX.det_gram == F(4, 3)
+    assert systole(dual(Z2)) ** 2 * Z2.det_gram == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -793,10 +771,7 @@ def test_float_cutoffs_rejected():
             torus_search((1, 2), n, F(1, 2), F(1, 2))
         with pytest.raises(DomainError):
             finiteness_window(2, 3, n, 1)
-        with pytest.raises(DomainError):
-            homothety_invariant(table, n, 1)
     assert finiteness_window(2, 3, "2", 1) == F(1, 36)
-    assert homothety_invariant(table, F(2), 1) == 1
 
 
 def _block_diagonal(*blocks):

@@ -21,13 +21,11 @@ from liespec.errors import (
 from liespec import natred
 from liespec.groups import GroupSpec, biinvariant_spectrum
 from liespec.natred import (
-    BiInvariantOperator,
     NatRedMetric,
+    _metric_budget,
     beta_factors,
     containment_check,
-    f_map,
     natred_spectrum,
-    natred_terms,
     term_catalogue,
 )
 from liespec.rootdata import build
@@ -50,6 +48,19 @@ IDA2 = BUILTIN_EMBEDDINGS["identity-a2"]
 
 def metric(t, t1, emb=STD):
     return NatRedMetric(emb=emb, base_scale=t, fiber_scales=(t1,))
+
+
+def catalogue_terms(m, cutoff):
+    """(sigma, tau, multiplicity, eigenvalue) of each term of the metric's
+    catalogue with eigenvalue <= cutoff, each row g evaluated in Fractions
+    as sum_k g_k / s_k over den and the scales s = (t, t_1, ...)."""
+    den, terms, _ = term_catalogue(m.emb, _metric_budget(m, F(cutoff)))
+    scales = (m.base_scale,) + m.fiber_scales
+    evaluated = (
+        (lam, tau, mult, sum(g / s for g, s in zip(row, scales)) / den)
+        for lam, tau, mult, row in terms
+    )
+    return [term for term in evaluated if term[3] <= cutoff]
 
 
 def test_eigenvalue_closed_form():
@@ -77,7 +88,7 @@ def test_terms_agree_with_evaluator():
         t = F(rng.randint(2, 9), rng.randint(1, 4))
         t1 = t * F(rng.choice([1, 2, 3]), rng.choice([4, 5, 7]))
         m = metric(t, t1)
-        for sigma, tau, mult, eig in natred_terms(m, 3):
+        for sigma, tau, mult, eig in catalogue_terms(m, 3):
             assert mult > 0
             assert natred_eigenvalue(m, sigma, tau) == eig
 
@@ -97,7 +108,7 @@ def test_terms_match_per_metric_reference():
             m = NatRedMetric(
                 emb=emb, base_scale=t, fiber_scales=fibers
             )
-            terms = natred_terms(m, cutoff)
+            terms = catalogue_terms(m, cutoff)
             assert terms == ref_natred_terms(m, cutoff)
             assert natred_spectrum(m, cutoff) == ref_natred_spectrum(
                 m, cutoff
@@ -154,17 +165,20 @@ def test_beta_factors():
 
 
 def test_f_map_frozen_and_errors():
-    op = BiInvariantOperator(coeffs=(F(1, 2), F(1, 3)))
-    out = f_map(op, 1)
-    assert out.coeffs == (F(1), F(1, 2))
-    back = f_map_inverse(out, 1)
-    assert back.coeffs == op.coeffs
+    # the beta factors are a_i -> a_i b / (b - a_i) at the shift b = t
+    m = NatRedMetric(emb=SO4, base_scale=1, fiber_scales=(F(1, 2), F(1, 3)))
+    assert beta_factors(m) == (F(1), F(1, 2))
+    assert f_map_inverse(beta_factors(m), 1) == m.fiber_scales
+    # the containment step needs the shift above every fiber scale
+    for fibers in ((F(1, 2), 2), (F(1, 2), F(3, 2))):
+        with pytest.raises(InadmissibleMetricError, match="base-scale shift"):
+            containment_check(NatRedMetric(SO4, 1, fibers), 0, 4)
+    with pytest.raises(InadmissibleMetricError, match="equal to base scale"):
+        NatRedMetric(SO4, 1, (F(1, 2), 1))
     with pytest.raises(InadmissibleMetricError):
-        f_map(op, F(1, 2))  # shift not above every coefficient
-    with pytest.raises(InadmissibleMetricError):
-        f_map_inverse(op, 0)
+        f_map_inverse(m.fiber_scales, 0)
     with pytest.raises(DomainError):
-        BiInvariantOperator(coeffs=(F(0),))
+        NatRedMetric(SO4, 1, (F(1, 2), 0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -177,13 +191,13 @@ def test_f_map_frozen_and_errors():
 def test_f_map_round_trip(an, ad, bn, bd):
     a = F(an, ad)
     b = F(bn, bd)
-    op = BiInvariantOperator(coeffs=(a,))
-    if b <= a:
+    if b <= a:  # the metric refuses a == b, the containment step a > b
         with pytest.raises(InadmissibleMetricError):
-            f_map(op, b)
+            containment_check(metric(b, a), 0, 0)
         return
-    assert f_map_inverse(f_map(op, b), b).coeffs == (a,)
-    assert f_map(f_map_inverse(op, b), b).coeffs == (a,)
+    assert f_map_inverse(beta_factors(metric(b, a)), b) == (a,)
+    # every fiber scale below b is the image of a positive beta factor
+    assert beta_factors(metric(b, f_map_inverse((a,), b)[0])) == (a,)
 
 
 def test_mode_classification():
@@ -284,7 +298,7 @@ def test_horizontal_positivity_raises_in_process(monkeypatch):
         lambda emb: tuple(F(1, 100) for _ in emb.factors),
     )
     with pytest.raises(CertificationError, match="horizontal positivity"):
-        natred_terms(metric(1, F(1, 2)), 1)
+        natred_spectrum(metric(1, F(1, 2)), 1)
 
 
 def test_containment_edge_cases():
@@ -372,8 +386,8 @@ def test_an_inline_embedding_is_freed_with_its_metric():
 
 
 # A cold natred-spectrum of A1xA1<B2 on an embedding of its own, with
-# every call of the public weight gate (check_weight) and of weyl_dim
-# counted by its caller's name.
+# every call of the public weight gate (check_weight) and of the unchecked
+# diagram core counted by its caller's name.
 _COLD_RUN_SCRIPT = """
 import json, sys
 from collections import Counter
@@ -385,7 +399,6 @@ from liespec.natred import NatRedMetric, natred_spectrum
 b = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
 emb = EmbeddingSpec(b.ambient, b.factors, b.restriction)
 names = {rootdata.check_weight.__code__: "check_weight",
-         weights.weyl_dim.__code__: "weyl_dim",
          weights._weight_diagram.__code__: "_weight_diagram"}
 calls = Counter()
 

@@ -157,8 +157,7 @@ _STRING_WEIGHTS = """
 import json
 from liespec.branching import branch
 from liespec.catalog import BUILTIN_EMBEDDINGS
-from liespec.rootdata import build, check_weight
-from liespec.weights import weyl_dim
+from liespec.rootdata import build, casimir, check_weight
 
 a2 = build("A2")
 emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
@@ -166,7 +165,7 @@ calls = [
     lambda: check_weight(a2, "11"),
     lambda: check_weight(a2, b"11"),
     lambda: check_weight(a2, bytearray(b"11")),
-    lambda: weyl_dim(a2, "21"),
+    lambda: casimir(a2, "21"),
     lambda: branch(emb, "10"),
 ]
 raised = []

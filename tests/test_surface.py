@@ -1,9 +1,11 @@
 """The public surface: every name in ``liespec.__all__``, and every public
 top-level function of src/, is used by the package itself, or is one of
-the exported instruments that README.md lists with the paper statement it
-checks; every field of a record class is read by src/; no module under
-src/ asserts or calls ``object.__setattr__``; and every public door refuses
-an argument that is not a sequence where it takes one with InputError."""
+the four exported instruments that README.md lists with the paper
+statement it checks and the reason it stays; every field of a record class
+is read by src/; no module under src/ asserts or calls
+``object.__setattr__``; and every public door refuses with InputError an
+argument that is not a sequence where it takes one, and a string where it
+takes a sequence of scales or of Gamma's parts."""
 
 import ast
 import re
@@ -14,13 +16,22 @@ import pytest
 
 import liespec
 from liespec import (
-    BiInvariantOperator, GroupSpec, Lattice, NatRedMetric, branch, build,
-    center_admissible, torus_search, weyl_dim,
+    GroupSpec, Lattice, NatRedMetric, branch, build, casimir, torus_search,
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the public functions that nothing in src/ calls, each a README row that
+# says why it stays; a name leaves this set when it gets a caller in src/
+# or leaves the package, and none joins it unseen
+INSTRUMENTS = {
+    "containment_check",
+    "normal_quotient_spectrum",
+    "table_distance",
+    "torus_lambda1",
+}
 
 
 def _used_names() -> set:
@@ -51,8 +62,13 @@ def _instrument_rows() -> set:
 
 
 def test_every_export_is_used_or_a_readme_instrument():
+    # pytest.fail, not assert, so these hold under python -O too
+    rows = _instrument_rows()
+    if rows != INSTRUMENTS:
+        pytest.fail(f"README's instrument rows are {sorted(rows)}")
     unused = set(liespec.__all__) - _used_names()
-    assert sorted(unused - _instrument_rows()) == []
+    if unused != INSTRUMENTS:
+        pytest.fail(f"the exports that src/ never uses are {sorted(unused)}")
 
 
 def _public_functions() -> set:
@@ -67,7 +83,9 @@ def _public_functions() -> set:
 
 def test_every_public_function_is_used_or_a_readme_instrument():
     unused = _public_functions() - _used_names()
-    assert sorted(unused - _instrument_rows()) == []
+    if unused != INSTRUMENTS:
+        pytest.fail(f"the public functions that src/ never calls are "
+                    f"{sorted(unused)}")
 
 
 def test_no_module_under_src_asserts():
@@ -152,22 +170,23 @@ def test_every_door_refuses_an_argument_that_is_no_sequence():
     # command line reports with exit code 1, not a bare TypeError
     a1 = build("A1")
     emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
-    gs = GroupSpec([a1])
     calls = {
         "a matrix is a sequence of rows": [
             lambda: Lattice(gram=5), lambda: Lattice(basis=5),
         ],
         "a matrix row is a sequence": [lambda: Lattice(gram=[1])],
         "a weight is a sequence of coordinates": [
-            lambda: weyl_dim(a1, 5), lambda: branch(emb, 5),
-            lambda: center_admissible(gs, [5]),
+            lambda: casimir(a1, 5), lambda: branch(emb, 5),
         ],
-        "a weight tuple is a sequence": [lambda: center_admissible(gs, 5)],
         "a coweight is a sequence": [lambda: GroupSpec([a1], gamma=[[1]])],
+        "a central element is a sequence": [
+            lambda: GroupSpec([a1], gamma=[5]),
+        ],
         "gamma is a sequence": [lambda: GroupSpec([a1], gamma=5)],
         "scales are a sequence": [lambda: GroupSpec([a1], scales=5)],
-        "fiber scales are a sequence": [lambda: NatRedMetric(emb, 1, 5)],
-        "coefficients are a sequence": [lambda: BiInvariantOperator(5)],
+        "fiber scales are a sequence": [
+            lambda: NatRedMetric(emb, 1, 5), lambda: NatRedMetric(emb, 1, None),
+        ],
         "values is a sequence of rationals": [
             lambda: torus_search(5, 2, 1, 1),
         ],
@@ -180,6 +199,32 @@ def test_every_door_refuses_an_argument_that_is_no_sequence():
     assert Lattice(gram=(range(1, 2),)).gram == ((1,),)
     assert GroupSpec([a1], scales=iter(["2"])).scales == (2,)
     assert NatRedMetric(emb, 3, (x for x in (1, 2))).fiber_scales == (1, 2)
-    assert BiInvariantOperator({"1/2"}).coeffs == (F(1, 2),)
-    assert weyl_dim(a1, range(2, 3)) == 3
+    assert GroupSpec([a1], gamma=({("1/2",)},)).gamma == (((F(1, 2),),),)
+    assert casimir(a1, range(2, 3)) == 1
     assert len(torus_search({1, 2}, 1, "1/2", "1/2")) == 2
+
+
+def test_a_string_is_no_sequence_of_scales_or_of_gamma():
+    # tuple("12") would read a string as the scales (1, 2), one per
+    # character; the command line's descriptors are JSON arrays already
+    a1 = build("A1")
+    emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+    calls = {
+        "fiber scales are a sequence": [
+            lambda: NatRedMetric(emb, 3, "12"),
+            lambda: NatRedMetric(emb, 3, b"12"),
+        ],
+        "scales are a sequence": [lambda: GroupSpec([a1], scales="2")],
+        "gamma is a sequence": [lambda: GroupSpec([a1], gamma="1")],
+        "a central element is a sequence": [
+            lambda: GroupSpec([a1], gamma=["1"]),
+        ],
+        "a coweight is a sequence": [lambda: GroupSpec([a1], gamma=[["1"]])],
+    }
+    for message, doors in calls.items():
+        for door in doors:
+            with pytest.raises(InputError, match=f"^{message}, not "):
+                door()
+    # a sequence of strings is still read, as the command line gives it
+    assert NatRedMetric(emb, 3, ["1", "2"]).fiber_scales == (1, 2)
+    assert GroupSpec([a1], scales=["2"]).scales == (2,)

@@ -13,19 +13,15 @@ from hypothesis import strategies as st
 from liespec import weights
 from liespec.errors import DomainError
 from liespec.rootdata import build, casimir, casimir_num
-from liespec.weights import (
-    _dominant_casimirs,
-    _pairing_field,
-    dominant_character,
-    weight_diagram,
-    weyl_dim,
-)
+from liespec.weights import _dominant_casimirs, _pairing_field, weight_diagram
 
 from helpers import (
+    dominant_character,
     dominant_weights_up_to,
     form_value,
     kostant_character,
     ref_contragredient,
+    weyl_dim,
 )
 
 
@@ -394,7 +390,7 @@ import json
 from liespec.errors import DomainError
 from liespec.groups import GroupSpec, biinvariant_spectrum
 from liespec.rootdata import build
-from liespec.weights import weyl_dim
+from helpers import weyl_dim
 
 e8 = build("E8")
 # a Weyl denominator the pairing products are not all multiples of
@@ -434,7 +430,7 @@ _WEYL_DIM_ERRORS_SCRIPT = """
 import json
 from liespec.errors import DomainError
 from liespec.rootdata import build
-from liespec.weights import weyl_dim
+from helpers import weyl_dim
 
 raised = []
 for name, lam in [("A2", (-1, 0)), ("E8", (0,) * 7 + (-1,)), ("A2", (1,)),
