@@ -223,7 +223,7 @@ MUTANTS = (
         'fiber_scales, "fiber scales are a sequence", strings=False',
         'fiber_scales, "fiber scales are a sequence"',
         ("tests/test_surface.py::"
-         "test_a_string_is_no_sequence_of_scales_or_of_gamma",),
+         "test_every_door_refuses_an_argument_that_is_no_sequence",),
     ),
     # the natred eigenvalue formula (the Killing ratio, the sign of the
     # horizontal row, the fiber tail, a dropped branching term) and the
