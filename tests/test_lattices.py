@@ -765,7 +765,6 @@ def test_float_cutoffs_rejected():
         short_vectors(Z2, 0.5)
     assert torus_spectrum(Z2, "1/10").cutoff == F(1, 10)
     # a dimension is an exact integer: no float, no truncation of 5/2
-    table = torus_spectrum(Z2, 2)
     for n in (2.7, F(5, 2), "5/2"):
         with pytest.raises(DomainError):
             torus_search((1, 2), n, F(1, 2), F(1, 2))
