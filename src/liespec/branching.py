@@ -57,7 +57,7 @@ from .errors import (
     CertificationError, DomainError, InputError, MalformedEmbeddingError
 )
 from .frozen import Frozen, Value
-from .rational import array, fmt, rat_matrix, required
+from .rational import array, fmt_matrix, rat_matrix, required
 from .rootdata import (
     RootSystemData, _chamber, build, casimir_num, check_dominant,
     check_root_system,
@@ -121,7 +121,7 @@ class EmbeddingSpec(Frozen):
         obj = {
             "ambient": self.ambient.name,
             "factors": [f.name for f in self.factors],
-            "restriction": [[fmt(x) for x in row] for row in self.restriction],
+            "restriction": fmt_matrix(self.restriction),
         }
         if self.name is not None:
             obj["name"] = self.name

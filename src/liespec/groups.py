@@ -50,17 +50,11 @@ class GroupSpec(Frozen):
             raise DomainError("GroupSpec needs at least one simple factor")
         if scales is None:
             scales = (1,) * len(factors)
-        scales = tuple(map(rat, sequence(
-            scales, "scales are a sequence", strings=False
-        )))
+        scales = tuple(map(rat, sequence(scales, "scales are a sequence")))
         gamma = tuple(tuple(
-            tuple(map(rat, sequence(
-                part, "a coweight is a sequence", strings=False
-            )))
-            for part in sequence(
-                z, "a central element is a sequence", strings=False
-            )
-        ) for z in sequence(gamma, "gamma is a sequence", strings=False))
+            tuple(map(rat, sequence(part, "a coweight is a sequence")))
+            for part in sequence(z, "a central element is a sequence")
+        ) for z in sequence(gamma, "gamma is a sequence"))
         if len(scales) != len(factors):
             raise DomainError("one scale per factor required")
         if any(t <= 0 for t in scales):

@@ -145,7 +145,7 @@ def isolation_scan(
     # every grid scale is at most (1 + radius) times a center scale, so the
     # center's budget at that much larger a cutoff covers every point
     budget = _metric_budget(m, cutoff * (1 + radius))
-    den, _, rows = term_catalogue(m.emb, budget)
+    den, rows = term_catalogue(m.emb, budget)
     # per axis, the scale at each grid step and, last, the center's
     axes = [tuple(u * s for u in multipliers) + (s,) for s in center_scales]
     flat, _, limit = _common_scale(
@@ -260,7 +260,7 @@ def torus_search(values, n: int, lam_min, vol_min) -> list:
     lam_min, vol_min = rat(lam_min), rat(vol_min)
     if lam_min <= 0 or vol_min <= 0:
         raise DomainError("lower bounds must be positive")
-    values = sequence(values, "values is a sequence of rationals", False)
+    values = sequence(values, "values is a sequence of rationals")
     vals = sorted(set(map(rat, values)))
     if not vals:
         return []

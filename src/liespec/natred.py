@@ -23,8 +23,12 @@ Neither the pairs nor c(sigma) and f_i = c_i(tau_i)/j_i depend on the
 metric, and the eigenvalue is linear in the reciprocal scales: with
 g = (c(sigma) - sum_i f_i, f_1, ...) it is g_0/t + sum_i g_i/t_i.  So the
 terms are built once, by ``term_catalogue`` for an embedding and a Casimir
-budget, as plain data: integer rows g over one common denominator, with
-equal rows merged.  A metric is then one ``linear_table`` pass over the
+budget, as plain data ``(den, rows)``: integer rows g over one common
+denominator, each distinct row once with its summed multiplicity.
+Casimirs are blind to -w0, so a row is read off the branch label itself;
+only ``containment_check``, which names its tau, takes a contragredient,
+and it finds its witness in the branchings of ``_branched``, as the
+catalogue does.  A metric is then one ``linear_table`` pass over the
 rows against its scales (t, t_1, ...), an integer dot product over one
 common scale, and one Fraction per distinct eigenvalue.
 
@@ -67,9 +71,7 @@ class NatRedMetric(Frozen):
             raise InputError(
                 f"a metric's embedding is an EmbeddingSpec, not {emb!r}"
             )
-        fiber_scales = sequence(
-            fiber_scales, "fiber scales are a sequence", strings=False
-        )
+        fiber_scales = sequence(fiber_scales, "fiber scales are a sequence")
         self.__dict__.update(
             emb=emb,
             base_scale=rat(base_scale),
@@ -140,19 +142,17 @@ def _metric_budget(m: NatRedMetric, cutoff: Fraction) -> Fraction:
 
 
 def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
-    """(den, terms, rows) over every (sigma, tau) term of ``emb`` with
+    """(den, rows) over every (sigma, tau) term of ``emb`` with
     c(sigma) <= budget.
 
-    Nothing here depends on a metric.  ``terms`` lists (sigma, tau, mult,
-    row) in the order of sigma (graded-lex) and then of the branch labels,
-    where ``row`` is g = (c(sigma) - sum_i f_i, f_1, ...) times ``den``,
-    all nonnegative integers, f_i = c_i(tau_i)/j_i;
-    ``rows`` lists each distinct row once with its summed multiplicity.
-    tau is the per-factor contragredient of the branch label, matching the
-    restriction-contains-dual indexing; Casimirs are blind to the flip.
-    Each weight comes with its Casimir, dimension and branching from
-    ``_branched``; each label's tau, Casimir tail and dimension
-    (``_product_dim``) are made once.
+    Nothing here depends on a metric.  ``rows`` lists each distinct row
+    g = (c(sigma) - sum_i f_i, f_1, ...) times ``den``, all nonnegative
+    integers, f_i = c_i(tau_i)/j_i, once with its summed multiplicity, in
+    the order of its first term: sigma in graded-lex order, then the
+    branch labels.  Casimirs are blind to -w0, so each f_i is read off the
+    branch label, with no contragredient taken.  Each weight comes with
+    its Casimir, dimension and branching from ``_branched``; each label's
+    Casimir tail and dimension (``_product_dim``) are made once.
     Horizontal positivity, g_0 >= 0, is checked on every term.
     """
     group, factors = emb.ambient, emb.factors
@@ -168,33 +168,30 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
         j.denominator * (den // (f.casimir_den * j.numerator))
         for f, j in zip(factors, ratios)
     ]
-    labels = {}  # branch label -> (tau, row tail, its sum, dim tau)
-    terms = []
+    labels = {}  # branch label -> (row tail, its sum, dim tau)
     rows = {}
     for lam, num, dim_lam, result in _branched(emb, budget):
         c_lam = num * (den // group.casimir_den)
         for tup, mult in result.terms:
             if tup not in labels:
-                tau = tuple(map(_contragredient, factors, tup))
-                tail = tuple(map(mul, map(casimir_num, factors, tau), scales))
-                labels[tup] = tau, tail, sum(tail), _product_dim(factors, tup)
-            tau, tail, fiber, dim_tau = labels[tup]
+                tail = tuple(map(mul, map(casimir_num, factors, tup), scales))
+                labels[tup] = tail, sum(tail), _product_dim(factors, tup)
+            tail, fiber, dim_tau = labels[tup]
             # horizontal Laplacian positivity; certifies the budget
             if c_lam < fiber:
                 raise CertificationError(
-                    f"horizontal positivity fails at sigma={lam}, tau={tau}"
+                    f"horizontal positivity fails at sigma={lam}, "
+                    f"branch label {tup}"
                 )
             row = (c_lam - fiber,) + tail
-            count = dim_lam * mult * dim_tau
-            terms.append((lam, tau, count, row))
-            rows[row] = rows.get(row, 0) + count
-    return den, tuple(terms), tuple(rows.items())
+            rows[row] = rows.get(row, 0) + dim_lam * mult * dim_tau
+    return den, tuple(rows.items())
 
 
 def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     """Truncated spectrum of the naturally reductive metric; always complete."""
     cutoff = rat_cutoff(cutoff)
-    den, _, rows = term_catalogue(m.emb, _metric_budget(m, cutoff))
+    den, rows = term_catalogue(m.emb, _metric_budget(m, cutoff))
     return linear_table(
         rows, den, (m.base_scale,) + m.fiber_scales, cutoff
     )
@@ -211,15 +208,16 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     """
     factor_index = exact_int(factor_index)
     cutoff = rat_cutoff(cutoff)
-    if not m.emb.factors:
+    factors = m.emb.factors
+    if not factors:
         return {"status": "vacuous", "factor": factor_index}
-    if not 0 <= factor_index < len(m.emb.factors):
+    if not 0 <= factor_index < len(factors):
         raise DomainError("factor index out of range")
     if m.mode != "riemannian-fibers":
         raise InadmissibleMetricError(
             "base-scale shift needs every fiber scale below the base scale"
         )
-    factor = m.emb.factors[factor_index]
+    factor = factors[factor_index]
     j = killing_ratio(m.emb)[factor_index]
     beta = beta_factors(m)[factor_index]
     gamma, tau_p = factor_lambda1(factor, beta * j)
@@ -231,20 +229,18 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
             "detail": "fiber eigenvalue already exceeds the cutoff",
         }
 
-    # catalogue labels are already contragredient: this tau matches the
-    # branch label tau-bar of the witness
     tau = tuple(
-        tau_p if i == factor_index else tuple(0 for _ in range(f.rank))
-        for i, f in enumerate(m.emb.factors)
+        tau_p if i == factor_index else (0,) * f.rank
+        for i, f in enumerate(factors)
     )
-    den, terms, rows = term_catalogue(m.emb, _metric_budget(m, cutoff))
+    # sigma's restriction holds the contragredient of the witness, whose
+    # branch label is the per-factor contragredient of tau
+    label = tuple(map(_contragredient, factors, tau))
     budget = (cutoff - gamma) * m.base_scale
     witness = None
-    for lam, term_tau, _, row in terms:
-        if term_tau != tau:
-            continue
-        c_lam = Fraction(sum(row), den)  # c(sigma) = sum of g
-        if c_lam <= budget:
+    for lam, num, _, result in _branched(m.emb, _metric_budget(m, cutoff)):
+        c_lam = Fraction(num, m.group.casimir_den)
+        if c_lam <= budget and result.multiplicity(label):
             zeta = c_lam / m.base_scale
             if witness is None or zeta < witness[0]:
                 witness = (zeta, lam)
@@ -257,8 +253,7 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
         }
     zeta, lam = witness
     value = zeta + gamma
-    scales = (m.base_scale,) + m.fiber_scales
-    found = linear_table(rows, den, scales, cutoff).multiplicity(value)
+    found = natred_spectrum(m, cutoff).multiplicity(value)
     return {
         "status": "witnessed" if found > 0 else "failed",
         "factor": factor_index,

@@ -100,11 +100,11 @@ def array(value, what: str):
     return value
 
 
-def sequence(value, message: str, strings: bool = True) -> tuple:
-    """``tuple(value)`` of any iterable, a string too unless ``strings`` is
-    false (tuple() would split it into characters or byte values); an
+def sequence(value, message: str) -> tuple:
+    """``tuple(value)`` of any iterable but a string, bytes or a bytearray,
+    which tuple() would split into characters or byte values; an
     InputError that starts with ``message`` for anything else."""
-    if strings or not isinstance(value, (str, bytes, bytearray)):
+    if not isinstance(value, (str, bytes, bytearray)):
         try:
             return tuple(value)
         except TypeError:

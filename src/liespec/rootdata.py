@@ -291,7 +291,7 @@ def check_root_system(value) -> RootSystemData:
 
 
 def check_weight(rs: RootSystemData, weight) -> tuple:
-    w = sequence(weight, "a weight is a sequence of coordinates", False)
+    w = sequence(weight, "a weight is a sequence of coordinates")
     if len(w) != rs.rank:
         raise DomainError(
             f"weight has {len(w)} coordinates, expected {rs.rank}"

@@ -5,7 +5,7 @@ library's integer kernel, the Fraction-based Weyl dimension, Casimir
 and Freudenthal code used as the exact reference for the library's
 integer root-system tables, the product-diagram branching peel with
 the per-metric term builder, ``ref_term_catalogue`` (the catalogue's
-denominator, terms and rows in Fractions) and grid scan on top of it,
+denominator and rows in Fractions) and grid scan on top of it,
 used as the exact reference for dominant-only branching and the term
 catalogue, the elementary-matrix LLL used as the exact reference for the
 library's integral LLL, ``ref_lll_int``, that integral LLL as it was when it
@@ -1258,12 +1258,13 @@ def ref_natred_terms(m: NatRedMetric, cutoff):
 
 
 def ref_term_catalogue(emb: EmbeddingSpec, budget):
-    """(den, terms, rows) of ``term_catalogue(emb, budget)``, rebuilt in
+    """(den, rows) of ``term_catalogue(emb, budget)``, rebuilt in
     Fractions from ``ref_branch``, ``ref_casimir`` and ``ref_weyl_dim``.
 
     Each Killing ratio j_i is the trace of the K_i Casimir on the adjoint
     of G over dim k_i, read off the adjoint's reference branching; each
-    contragredient comes from the hand-typed -w0 involutions.
+    fiber Casimir is read at tau, the contragredient of the branch label
+    by the hand-typed -w0 involutions, where the catalogue reads the label.
     """
     group, factors = emb.ambient, emb.factors
 
@@ -1279,7 +1280,7 @@ def ref_term_catalogue(emb: EmbeddingSpec, budget):
         group.casimir_den,
         *(f.casimir_den * j.numerator for f, j in zip(factors, ratios)),
     )
-    terms, rows = [], Counter()
+    rows = Counter()
     for lam in dominant_weights_up_to(group, budget):
         c_lam = ref_casimir(group, lam)
         for tup, mult in ref_branch(emb, lam).terms:
@@ -1298,10 +1299,8 @@ def ref_term_catalogue(emb: EmbeddingSpec, budget):
             if any((x * den).denominator != 1 for x in g):
                 raise AssertionError("den does not clear a row")
             row = tuple(int(x * den) for x in g)
-            count = ref_weyl_dim(group, lam) * mult * dim(tau)
-            terms.append((lam, tau, count, row))
-            rows[row] += count
-    return den, tuple(terms), tuple(rows.items())
+            rows[row] += ref_weyl_dim(group, lam) * mult * dim(tau)
+    return den, tuple(rows.items())
 
 
 def natred_eigenvalue(m: NatRedMetric, sigma, tau_tuple) -> Fraction:

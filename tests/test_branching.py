@@ -374,9 +374,9 @@ def test_branch_matches_reference_up_to_casimir_12():
 
 
 def test_term_catalogue_matches_fraction_reference():
-    # den, every term in order and the merged rows, against the catalogue
-    # rebuilt in Fractions from the reference peel, each on a fresh
-    # embedding so that its branchings come from the recursion
+    # den and the merged rows in order, against the catalogue rebuilt in
+    # Fractions from the reference peel, each on a fresh embedding so that
+    # its branchings come from the recursion
     fresh = [_fresh(name) for name in BUILTIN_EMBEDDINGS]
     for emb in fresh + [_principal_a1("G2")]:
         catalogue = term_catalogue(emb, 12)

@@ -193,8 +193,8 @@ def _grid_points(m, radius, steps):
 
 
 def _table(catalogue, m, cutoff):
-    """m's table at ``cutoff`` from a (den, terms, rows) catalogue."""
-    den, _, rows = catalogue
+    """m's table at ``cutoff`` from a (den, rows) catalogue."""
+    den, rows = catalogue
     scales = (m.base_scale,) + m.fiber_scales
     return linear_table(rows, den, scales, F(cutoff))
 
@@ -257,7 +257,7 @@ def test_scan_prunes_at_the_grid_floor():
     center = (m.base_scale,) + m.fiber_scales
     corner = tuple((1 + radius) * s for s in center)
     catalogue = term_catalogue(STD, cutoff * (1 + radius) * max(center))
-    den, _, rows = catalogue
+    den, rows = catalogue
 
     def value(row, scales):
         t, t_1 = scales

@@ -28,7 +28,7 @@ from liespec.natred import (
     natred_spectrum,
     term_catalogue,
 )
-from liespec.rootdata import build
+from liespec.rootdata import build, casimir
 from liespec.spectrum import linear_table
 
 from helpers import (
@@ -51,16 +51,33 @@ def metric(t, t1, emb=STD):
 
 
 def catalogue_terms(m, cutoff):
-    """(sigma, tau, multiplicity, eigenvalue) of each term of the metric's
-    catalogue with eigenvalue <= cutoff, each row g evaluated in Fractions
-    as sum_k g_k / s_k over den and the scales s = (t, t_1, ...)."""
-    den, terms, _ = term_catalogue(m.emb, _metric_budget(m, F(cutoff)))
+    """(eigenvalue, multiplicity) of each row of the metric's catalogue
+    with eigenvalue <= cutoff, in the catalogue's order, each row g
+    evaluated in Fractions as sum_k g_k / s_k over den and the scales
+    s = (t, t_1, ...)."""
+    den, rows = term_catalogue(m.emb, _metric_budget(m, F(cutoff)))
     scales = (m.base_scale,) + m.fiber_scales
     evaluated = (
-        (lam, tau, mult, sum(g / s for g, s in zip(row, scales)) / den)
-        for lam, tau, mult, row in terms
+        (sum(g / s for g, s in zip(row, scales)) / den, mult)
+        for row, mult in rows
     )
-    return [term for term in evaluated if term[3] <= cutoff]
+    return [term for term in evaluated if term[0] <= cutoff]
+
+
+def reference_terms(m, cutoff, value=None):
+    """``ref_natred_terms`` merged as the catalogue merges its rows: terms
+    with equal c(sigma) and equal fiber Casimirs share a row, placed at
+    its first term, with their summed multiplicity.  A row's eigenvalue is
+    the reference's own, or ``value(m, sigma, tau)`` of its first term."""
+    merged = {}
+    for sigma, tau, mult, eig in ref_natred_terms(m, cutoff):
+        key = (casimir(m.group, sigma),) + tuple(
+            map(casimir, m.emb.factors, tau)
+        )
+        if key not in merged:
+            merged[key] = [eig if value is None else value(m, sigma, tau), 0]
+        merged[key][1] += mult
+    return [tuple(term) for term in merged.values()]
 
 
 def test_eigenvalue_closed_form():
@@ -88,9 +105,9 @@ def test_terms_agree_with_evaluator():
         t = F(rng.randint(2, 9), rng.randint(1, 4))
         t1 = t * F(rng.choice([1, 2, 3]), rng.choice([4, 5, 7]))
         m = metric(t, t1)
-        for sigma, tau, mult, eig in catalogue_terms(m, 3):
-            assert mult > 0
-            assert natred_eigenvalue(m, sigma, tau) == eig
+        terms = catalogue_terms(m, 3)
+        assert all(mult > 0 for _, mult in terms)
+        assert terms == reference_terms(m, 3, natred_eigenvalue)
 
 
 def test_terms_match_per_metric_reference():
@@ -109,7 +126,7 @@ def test_terms_match_per_metric_reference():
                 emb=emb, base_scale=t, fiber_scales=fibers
             )
             terms = catalogue_terms(m, cutoff)
-            assert terms == ref_natred_terms(m, cutoff)
+            assert terms == reference_terms(m, cutoff)
             assert natred_spectrum(m, cutoff) == ref_natred_spectrum(
                 m, cutoff
             )
@@ -121,7 +138,7 @@ def test_catalogue_serves_metrics_within_its_budget():
     # rows past a metric's own budget lie above its cutoff: one wide
     # catalogue gives the table that the metric's own catalogue gives
     m = metric(1, F(1, 2))
-    den, _, rows = term_catalogue(STD, 12)
+    den, rows = term_catalogue(STD, 12)
     for cutoff in (0, F(1, 3), 2, 6, 12):
         wide = linear_table(rows, den, (F(1), F(1, 2)), F(cutoff))
         assert wide == natred_spectrum(m, cutoff)
@@ -269,6 +286,22 @@ def test_containment_witnessed():
     assert report["status"] == "witnessed"
     assert report["gamma"] == F(1, 2)
     assert report["value"] == F(17, 18)
+
+
+def test_containment_witness_is_the_dual_of_its_branch_label():
+    # -w0 is the identity on A1 but swaps the coordinates of A2: the
+    # witness tau = ((1, 0),) is found where the branch label is ((0, 1),)
+    report = containment_check(metric(1, F(1, 2), IDA2), 0, 8)
+    assert report == {
+        "status": "witnessed",
+        "factor": 0,
+        "sigma": (0, 1),
+        "tau": ((1, 0),),
+        "zeta": F(4, 9),
+        "gamma": F(4, 9),
+        "value": F(8, 9),
+        "multiplicity": 18,
+    }
 
 
 def test_containment_fails_on_a_table_without_its_witness(monkeypatch):

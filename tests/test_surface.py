@@ -168,15 +168,20 @@ def test_every_record_field_is_read_by_src():
 def test_every_door_refuses_an_argument_that_is_no_sequence():
     # a number where a sequence belongs is an InputError, the type the
     # command line reports with exit code 1, not a bare TypeError; so is a
-    # string where scales or Gamma belong, which tuple() would split into
-    # one scale per character (the command line's descriptors are arrays)
+    # string, bytes or a bytearray anywhere a sequence belongs, which
+    # tuple() would split into one entry per character or byte value (the
+    # command line's descriptors are arrays)
     a1 = build("A1")
     emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
     calls = {
         "a matrix is a sequence of rows": [
             lambda: Lattice(gram=5), lambda: Lattice(basis=5),
+            lambda: Lattice(gram="12"),
         ],
-        "a matrix row is a sequence": [lambda: Lattice(gram=[1])],
+        "a matrix row is a sequence": [
+            lambda: Lattice(gram=[1]), lambda: Lattice(gram=[b"1"]),
+            lambda: Lattice(basis=[b"\x02"]),
+        ],
         "a weight is a sequence of coordinates": [
             lambda: casimir(a1, 5), lambda: branch(emb, 5),
         ],
