@@ -4,35 +4,50 @@ An embedding of K = K_1 x ... x K_r into a simple G is given by a rational
 restriction matrix carrying G-weight coordinates to concatenated K-weight
 coordinates (the transpose of the Cartan-subalgebra inclusion); it is held
 as an integer matrix over one common denominator, built once per embedding.
+
+A K-weight, a K-type or a restricted weight, is one int: its concatenated
+coordinates in fields of ``_WIDTH`` bits, the first coordinate most
+significant, so int order is the order of the labels.  Branchings are
+held as {key: multiplicity} in key order, and ``branch`` unpacks them to
+per-factor labels.  One Brauer-Klimyk kernel, ``_kernel``, multiplies K-types
+by a W_K-invariant character given by its restricted weights mu, each stored
+as packed(mu) + H, H the top bit of every field: a K-type a plus it is one
+int addition t, and t & H == H says that every coordinate of a + mu is
+>= 0, so its term is V_(a + mu) itself, at key t - H.  Any other sum lies
+near a wall: its image w(a + mu + rho) - rho with det w, or nothing when
+a + mu + rho lies on a wall, is walked once by ``_chamber`` on K's
+block-diagonal Cartan matrix and memoized by t.  No field carries into its
+neighbour: every restricted weight, and every K-type that a branching
+accepts, has coordinates below 2^(W-2) in absolute value, or raises
+UnsupportedDimensionError, so every sum stays inside its fields.  The wall
+images and the K-type dimensions are memoized per K, keyed on its root
+systems and shared by every embedding of the same K, so no module-level
+memo holds an embedding or its branchings.
+
 Restriction is a ring homomorphism R(G) -> R(K), so branching recurses
 over the dominant cone: with lam = lam' + omega, omega the fundamental
 weight of lam's first nonzero coordinate,
 
     Res V_lam = Res V_lam' * Res V_omega - sum_{kappa != lam} c_kappa Res V_kappa
 
-where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G; the
-K-side products by the same rule on each factor, each product a (x) b of
-two K-types multiplied out over the factors once, in a memo keyed by the
-factors' root systems and shared by every embedding of the same K, so a
-step is dictionary additions and its checks).  A step checks that V_lam
-occurs once, no multiplicity is negative and the dimensions add up (dim
-V_lam by ``weights._weyl_dim``; each K-type's by ``_product_dim``, memoized
-like the products from its parts' ``_weyl_dim``, so no module-level memo
-holds an embedding or its branchings).  ``branch`` checks the weight it is
-given; a step reads, unchecked, only weights that the walk or the memo made
-from checked ones.  A step runs only if every branching it reads is
-memoized: each kappa has a smaller Casimir than lam, so ``_branched``,
-which walks and branches the weights below a Casimir budget for the term
-catalogue and the normal quotient, takes them in ascending Casimir and
-recurses past 0 and the fundamentals.  Other weights, one asked for alone
-among them, and steps that fail on malformed data are peeled: the
-restricted weight diagram is checked W_K-invariant, and each weight nu adds
-its multiplicity, signed by det w, at w(nu + rho) - rho in every factor,
-unless nu + rho lies on a wall (Brauer-Klimyk with a trivial first factor;
-``_dot`` walks the chamber for ``_tensor`` too).  K-characters decompose
-uniquely, so the two agree where both succeed.  Malformed data surfaces as
-a non-integer image, a non-invariant character, a negative multiplicity or
-a dimension mismatch, never as a wrong answer.
+where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G,
+``_tensor``).  The product is one kernel pass, each K-type of Res V_lam'
+against the restricted weights of V_omega, which the peel of omega made.
+A step checks that V_lam occurs once, no multiplicity is negative and the
+dimensions add up (dim V_lam by ``weights._weyl_dim``, each K-type's from
+its parts').  ``branch`` checks the weight it is given; a step reads,
+unchecked, only weights that the walk or the memo made from checked ones.
+A step runs only if every branching it reads is memoized: each kappa has
+a smaller Casimir than lam, so ``_branched``, which walks and branches the
+weights below a Casimir budget for the term catalogue and the normal
+quotient, takes them in ascending Casimir and recurses past 0 and the
+fundamentals.  Other weights, one asked for alone among them, and steps
+that fail on malformed data are peeled: the restricted weight diagram is
+checked W_K-invariant and run through the same kernel against the trivial
+K-type alone.  K-characters decompose uniquely, so the two agree where
+both succeed.  Malformed data surfaces as a non-integer image, a
+non-invariant character, a negative multiplicity or a dimension mismatch,
+never as a wrong answer.
 
 The Dynkin index of the embedding is computed by branching the adjoint
 representation: with I(lambda) = dim * <lambda, lambda+2rho>_norm / (2 dim_g)
@@ -46,7 +61,6 @@ Casimirs to ambient-Killing units.
 """
 
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -54,10 +68,11 @@ from operator import add, itemgetter, mul
 
 from . import linalg
 from .errors import (
-    CertificationError, DomainError, InputError, MalformedEmbeddingError
+    CertificationError, DomainError, InputError, MalformedEmbeddingError,
+    UnsupportedDimensionError,
 )
 from .frozen import Frozen, Value
-from .rational import array, fmt_matrix, rat_matrix, required
+from .rational import array, fmt_matrix, instance, rat_matrix, required
 from .rootdata import (
     RootSystemData, _chamber, build, casimir_num, check_dominant,
     check_root_system,
@@ -65,6 +80,11 @@ from .rootdata import (
 from .weights import (
     _dominant_casimirs, _weight_diagram, _weyl_dim, weight_diagram
 )
+
+_WIDTH = 32  # bits per packed coordinate
+_FIELD = (1 << _WIDTH) - 1
+_HALF = 1 << (_WIDTH - 1)
+_LIMIT = 1 << (_WIDTH - 2)  # bound on a packed coordinate's absolute value
 
 
 class EmbeddingSpec(Frozen):
@@ -89,33 +109,29 @@ class EmbeddingSpec(Frozen):
         if any(len(r) != ambient.rank for r in restriction):
             raise DomainError("restriction column count != ambient rank")
         den = lcm(*(x.denominator for row in restriction for x in row))
-        scaled = [tuple(int(x * den) for x in row) for row in restriction]
-        blocks = []
-        for f in factors:
-            blocks.append(tuple(scaled[: f.rank]))
-            scaled = scaled[f.rank :]
-        # restriction = _int_rows / _den, split into one block per factor
+        # restriction = _int_rows / _den; _k packs K's weights, and
+        # _weights holds the packed restricted weights the peel made
         self.__dict__.update(
             ambient=ambient, factors=factors, restriction=restriction,
-            name=name, _branchings={}, _int_rows=tuple(blocks), _den=den,
+            name=name, _branchings={}, _weights={}, _k=_packing(factors),
+            _int_rows=tuple(tuple(int(x * den) for x in row)
+                            for row in restriction),
+            _den=den,
         )
 
     def _restrict(self, weight: tuple) -> tuple:
-        """Image of a checked G-weight as per-factor coordinate tuples;
+        """Image of a checked G-weight as concatenated K-weight coordinates;
         MalformedEmbeddingError if a coordinate is not an integer."""
         den = self._den
-        parts = []
-        for block in self._int_rows:
-            part = []
-            for row in block:
-                value, rest = divmod(sum(map(mul, row, weight)), den)
-                if rest:
-                    raise MalformedEmbeddingError(
-                        f"weight {weight} restricts to non-integer coordinates"
-                    )
-                part.append(value)
-            parts.append(tuple(part))
-        return tuple(parts)
+        out = []
+        for row in self._int_rows:
+            value, rest = divmod(sum(map(mul, row, weight)), den)
+            if rest:
+                raise MalformedEmbeddingError(
+                    f"weight {weight} restricts to non-integer coordinates"
+                )
+            out.append(value)
+        return tuple(out)
 
     def to_json_dict(self) -> dict:
         obj = {
@@ -161,17 +177,69 @@ class BranchingResult(Value):
         return terms[i][1] if i < len(terms) and terms[i][0] == label else 0
 
 
+class _Packing:
+    """The packed weights of K = ``factors`` (module docstring): the shift
+    of each coordinate's field, H, the mask of the fields' top two bits,
+    the block-diagonal Cartan matrix, and the memos of wall images (by
+    sum) and K-type dimensions (by key)."""
+
+    def __init__(self, factors):
+        rank = sum(f.rank for f in factors)
+        self.factors = factors
+        self.shifts = tuple(range(_WIDTH * (rank - 1), -1, -_WIDTH))
+        self.high = sum(_HALF << s for s in self.shifts)
+        self.guard = self.high | self.high >> 1
+        self.parts, self.cartan, start = [], [], 0
+        for f in factors:
+            self.parts.append((start, start + f.rank))
+            self.cartan += [
+                (0,) * start + tuple(row) + (0,) * (rank - start - f.rank)
+                for row in f.cartan
+            ]
+            start += f.rank
+        self.walls = {}
+        self.dims = {}
+
+
+@lru_cache(maxsize=None)
+def _packing(factors: tuple) -> _Packing:
+    """The one ``_Packing`` of K's root systems, shared by its embeddings."""
+    return _Packing(factors)
+
+
+def _pack(k: _Packing, coords, offset: int = 0) -> int:
+    """``coords`` packed into k's fields, plus ``offset`` (H for a
+    restricted weight); UnsupportedDimensionError for a coordinate of
+    absolute value 2^(W-2) or more, which could carry into its neighbour."""
+    if any(not -_LIMIT < x < _LIMIT for x in coords):
+        raise UnsupportedDimensionError(
+            f"K-weight {tuple(coords)} has a coordinate of absolute value "
+            f"2**{_WIDTH - 2} or more"
+        )
+    return offset + sum(x << s for x, s in zip(coords, k.shifts))
+
+
+def _label(k: _Packing, key: int) -> tuple:
+    """The per-factor highest weights of the packed K-type ``key``."""
+    coords = [key >> s & _FIELD for s in k.shifts]
+    return tuple(tuple(coords[i:j]) for i, j in k.parts)
+
+
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     """Decompose the restriction of the G-irreducible V_sigma to K."""
+    instance(emb, EmbeddingSpec, "an embedding")
     lam = check_dominant(
         emb.ambient, sigma, "branch expects a dominant weight"
     )
-    return _branch(emb, lam)
+    k = emb._k
+    return BranchingResult(lam, tuple(
+        (_label(k, key), m) for key, m in _branch(emb, lam).items()
+    ))
 
 
 def _branched(emb: EmbeddingSpec, budget) -> list:
-    """(lam, casimir_num, dim, branching) for every dominant weight of the
-    ambient with Casimir at most ``budget``, in the walk's graded-lex
+    """(lam, casimir_num, dim, packed branching) for every dominant weight
+    of the ambient with Casimir at most ``budget``, in the walk's graded-lex
     order; branched in ascending Casimir (module docstring)."""
     weights = _dominant_casimirs(emb.ambient, budget)
     ascending = sorted(weights, key=itemgetter(1))
@@ -179,8 +247,9 @@ def _branched(emb: EmbeddingSpec, budget) -> list:
     return [(lam, num, dim, made[lam]) for lam, num, dim in weights]
 
 
-def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
-    """``branch`` of a checked dominant weight, memoized per embedding."""
+def _branch(emb: EmbeddingSpec, lam: tuple) -> dict:
+    """The packed branching of a checked dominant weight, memoized per
+    embedding."""
     made = emb._branchings
     if lam not in made:
         try:
@@ -192,8 +261,8 @@ def _branch(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
 
 
 def _recurse(emb: EmbeddingSpec, lam: tuple):
-    """Res V_lam from the products of lower branchings (module docstring),
-    or None unless all of them are already made."""
+    """Res V_lam from lower branchings (module docstring), or None unless
+    all of them are already made."""
     made = emb._branchings
     if sum(lam) < 2:
         return None  # 0 and the fundamental weights are peeled
@@ -205,30 +274,45 @@ def _recurse(emb: EmbeddingSpec, lam: tuple):
         raise CertificationError(f"V_{lam} is not once in V_{lam1} (x) V_{omega}")
     if not all(w in made for w in (lam1, omega, *coeffs)):
         return None
-    terms = {}
+    terms = _kernel(emb._k, made[lam1].items(), _weights(emb, omega))
     get = terms.get
-    factors = emb.factors
-    for a, m in made[lam1].terms:
-        for b, n in made[omega].terms:
-            mn = m * n
-            for key, c in _product(factors, a, b):
-                terms[key] = get(key, 0) + mn * c
     for kappa, c in coeffs.items():
-        for key, m in made[kappa].terms:
+        for key, m in made[kappa].items():
             terms[key] = get(key, 0) - c * m
     return _result(emb, lam, terms)
 
 
-@lru_cache(maxsize=None)
-def _product(factors: tuple, a: tuple, b: tuple) -> tuple:
-    """((kappa, c), ...) with V_a (x) V_b = sum c V_kappa for K-types a and
-    b of ``factors``: ``_tensor`` on each factor, multiplied out.  It
-    depends only on K's root systems, so every embedding of the same K
-    shares it."""
-    out = [((), 1)]
-    for terms in map(_tensor, factors, a, b):
-        out = [(key + (k,), m * c) for key, m in out for k, c in terms]
-    return tuple(out)
+def _kernel(k: _Packing, source, weights) -> dict:
+    """{key: mult} of sum_a m_a V_a (x) chi by Brauer-Klimyk, over the
+    K-types (a, m_a) of ``source`` and the restricted weights
+    (packed(mu) + H, mult) of a W_K-invariant character chi (module
+    docstring); multiplicities may be 0 or negative until ``_result``."""
+    terms = {}
+    get = terms.get
+    high, walls = k.high, k.walls
+    for a, m in source:
+        for t, n in weights:
+            t += a
+            if t & high == high:
+                key = t - high
+                terms[key] = get(key, 0) + m * n
+            else:
+                key, sign = walls.get(t) or _wall(k, t)
+                terms[key] = get(key, 0) + sign * m * n
+    return terms
+
+
+def _wall(k: _Packing, t: int) -> tuple:
+    """(key, det w) for the sum t of a K-type and a restricted weight, nu:
+    the packed w(nu + rho) - rho that is dominant, or (0, 0) when nu + rho
+    lies on a wall, that is when its dominant representative has a zero
+    coordinate; memoized in ``k.walls``."""
+    v, sign = _chamber(
+        k.cartan, [(t >> s & _FIELD) - _HALF + 1 for s in k.shifts]
+    )
+    image = (0, 0) if 0 in v else (_pack(k, [x - 1 for x in v]), sign)
+    k.walls[t] = image
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -261,44 +345,55 @@ def _diagram(rs: RootSystemData, b: tuple) -> tuple:
     return _weight_diagram(rs, b)
 
 
-def _peel(emb: EmbeddingSpec, lam: tuple) -> BranchingResult:
-    """Restrict the weight diagram of V_lam, check it W_K-invariant, and
-    decompose it in one Brauer-Klimyk pass (module docstring)."""
-    if not emb.factors:
-        return BranchingResult(lam, (((), _weyl_dim(emb.ambient, lam)),))
-    restricted = {}
-    for nu, mult in _weight_diagram(emb.ambient, lam):
-        key = emb._restrict(nu)
-        restricted[key] = restricted.get(key, 0) + mult
-    terms = Counter()
-    for key, mult in restricted.items():
-        top = tuple(_chamber(f.cartan, k)[0] for f, k in zip(emb.factors, key))
-        if restricted.get(top) != mult:
-            raise MalformedEmbeddingError(
-                "restricted character is not invariant under the Weyl "
-                "group of the subgroup"
-            )
-        dots = tuple(map(_dot, emb.factors, key))
-        if None not in dots:
-            terms[tuple(k for k, _ in dots)] += mult * prod(s for _, s in dots)
-    return _result(emb, lam, terms)
+def _weights(emb: EmbeddingSpec, lam: tuple) -> list:
+    """The restricted weights of V_lam as [(packed(mu) + H, mult)], checked
+    W_K-invariant, memoized per embedding: the peel of each fundamental
+    weight makes those that every step reads."""
+    made = emb._weights
+    if lam not in made:
+        restricted = {}
+        for nu, mult in _weight_diagram(emb.ambient, lam):
+            key = emb._restrict(nu)
+            restricted[key] = restricted.get(key, 0) + mult
+        k = emb._k
+        for key, mult in restricted.items():
+            top = _chamber(k.cartan, key)[0] if key else key  # K of rank 0
+            if restricted.get(top) != mult:
+                raise MalformedEmbeddingError(
+                    "restricted character is not invariant under the Weyl "
+                    "group of the subgroup"
+                )
+        made[lam] = [
+            (_pack(k, mu, k.high), mult) for mu, mult in restricted.items()
+        ]
+    return made[lam]
 
 
-def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> BranchingResult:
-    """The nonzero ``terms``, checked against dim V_lam, as its branching."""
+def _peel(emb: EmbeddingSpec, lam: tuple) -> dict:
+    """Res V_lam from its restricted weights alone: the kernel against the
+    trivial K-type (module docstring)."""
+    return _result(emb, lam, _kernel(emb._k, ((0, 1),), _weights(emb, lam)))
+
+
+def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> dict:
+    """The nonzero ``terms`` in key order, checked against dim V_lam, as
+    its packed branching."""
     if any(m < 0 for m in terms.values()):
         raise MalformedEmbeddingError("negative multiplicity in a branching")
-    terms = {t: m for t, m in terms.items() if m}
-    total = sum(m * _product_dim(emb.factors, t) for t, m in terms.items())
+    terms = {key: m for key, m in sorted(terms.items()) if m}
+    k = emb._k
+    if any(key & k.guard for key in terms):
+        raise UnsupportedDimensionError(
+            f"a K-type in the branching of V_{lam} has a coordinate of "
+            f"2**{_WIDTH - 2} or more"
+        )
+    dims = k.dims  # every K-type a branching holds has its dimension here
+    for key in terms.keys() - dims.keys():
+        dims[key] = prod(map(_weyl_dim, k.factors, _label(k, key)))
+    total = sum(m * dims[key] for key, m in terms.items())
     if total != _weyl_dim(emb.ambient, lam):
         raise MalformedEmbeddingError("branching lost dimensions")
-    return BranchingResult(source=lam, terms=tuple(sorted(terms.items())))
-
-
-@lru_cache(maxsize=None)
-def _product_dim(factors: tuple, tup: tuple) -> int:
-    """dim V_tup for a K-type ``tup`` of ``factors``, keyed as ``_product``."""
-    return prod(map(_weyl_dim, factors, tup))
+    return terms
 
 
 def embedding_index(emb: EmbeddingSpec) -> tuple:
@@ -308,11 +403,15 @@ def embedding_index(emb: EmbeddingSpec) -> tuple:
     K_i-index of the restricted adjoint divided by h_vee of G, where
     <lambda, lambda + 2 rho>_norm = casimir_num / form_den.
     """
-    terms = branch(emb, emb.ambient.highest_root).terms
+    instance(emb, EmbeddingSpec, "an embedding")
+    k = emb._k
+    terms = [
+        (_label(k, key), m * k.dims[key])
+        for key, m in _branch(emb, emb.ambient.highest_root).items()
+    ]
     indices = tuple(
         Fraction(
-            sum(m * _product_dim(emb.factors, t) * casimir_num(f, t[i])
-                for t, m in terms),
+            sum(m * casimir_num(f, t[i]) for t, m in terms),
             2 * f.dim_g * f.form_den * emb.ambient.dual_coxeter,
         )
         for i, f in enumerate(emb.factors)
@@ -335,10 +434,12 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
     """Run structural checks; returns a report instead of raising.
 
     Checks: integer restriction of all adjoint weights, full row rank of
-    the restriction matrix, successful peeling of the adjoint, positive
-    indices.  ``ok`` covers these checks of the adjoint alone: another
-    weight may still fail to branch.
+    the restriction matrix, successful peeling of the adjoint and of each
+    fundamental weight, positive indices.  Every branching of the term
+    catalogue is made from these peels, so ``ok`` means that it can be
+    built.
     """
+    instance(emb, EmbeddingSpec, "an embedding")
     checks = []
 
     def record(name, ok, detail=""):
@@ -351,7 +452,7 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
     except MalformedEmbeddingError as exc:
         record("integer-adjoint-weights", False, str(exc))
 
-    rows = [row for block in emb._int_rows for row in block]
+    rows = emb._int_rows
     if rows:
         # R has full row rank iff the Gram matrix of its integer rows is
         # positive definite: its pivots, the leading minors, all positive
@@ -360,11 +461,18 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
     else:
         record("full-row-rank", True, "trivial subgroup")
 
-    try:
-        branch(emb, emb.ambient.highest_root)
-        record("adjoint-peeling", True)
-    except DomainError as exc:
-        record("adjoint-peeling", False, str(exc))
+    rank = emb.ambient.rank
+    peels = [("adjoint-peeling", emb.ambient.highest_root)] + [
+        (f"fundamental-{i + 1}-peeling",
+         tuple(int(j == i) for j in range(rank)))
+        for i in range(rank)
+    ]
+    for name, lam in peels:
+        try:
+            _branch(emb, lam)
+            record(name, True)
+        except DomainError as exc:
+            record(name, False, str(exc))
 
     try:
         # embedding_index raises unless every index is positive

@@ -26,7 +26,9 @@ from operator import mul
 from .branching import EmbeddingSpec, _branched
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
-from .rational import array, fmt, rat, rat_cutoff, required, sequence
+from .rational import (
+    array, fmt, instance, rat, rat_cutoff, required, sequence
+)
 from .rootdata import RootSystemData, build, casimir, check_root_system
 from .spectrum import (
     SpectrumTable, _common_scale, linear_table, table_from_counts
@@ -163,14 +165,14 @@ def normal_quotient_spectrum(emb: EmbeddingSpec, t, cutoff) -> SpectrumTable:
     multiplicity dim(lambda) times the dimension of its K-fixed subspace,
     the trivial K-type's multiplicity in the branching of ``_branched``.
     """
+    instance(emb, EmbeddingSpec, "an embedding")
     t = rat(t)
     if t <= 0:
         raise DomainError("metric scale must be positive")
     cutoff = rat_cutoff(cutoff)
-    trivial = tuple((0,) * f.rank for f in emb.factors)
     rows = []
     for _, num, dim, result in _branched(emb, cutoff * t):
-        fixed = result.multiplicity(trivial)
+        fixed = result.get(0)  # the trivial K-type packs to 0
         if fixed:
             rows.append(((num,), dim * fixed))
     return linear_table(rows, emb.ambient.casimir_den, (t,), cutoff)

@@ -30,7 +30,9 @@ from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .natred import NatRedMetric, _metric_budget, term_catalogue
-from .rational import _exact_rows, exact_int, fmt, rat, rat_cutoff, sequence
+from .rational import (
+    _exact_rows, exact_int, fmt, instance, rat, rat_cutoff, sequence
+)
 from .spectrum import _common_scale, _counts, _distance
 
 
@@ -127,6 +129,7 @@ def isolation_scan(
     neighbor.  Fractions are formatted only for the points the report
     lists.
     """
+    instance(m, NatRedMetric, "a metric")
     radius = rat(radius)
     if not 0 <= radius < 1:
         raise DomainError("radius must lie in [0, 1)")

@@ -46,14 +46,16 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .branching import EmbeddingSpec, _branched, _product_dim, killing_ratio
+from .branching import (
+    EmbeddingSpec, _branched, _label, _pack, killing_ratio
+)
 from .errors import (
     CertificationError, DomainError, InadmissibleMetricError, InputError
 )
 from .frozen import Frozen
 from .groups import factor_lambda1
 from .rational import (
-    array, exact_int, fmt, rat, rat_cutoff, required, sequence
+    array, exact_int, fmt, instance, rat, rat_cutoff, required, sequence
 )
 from .rootdata import RootSystemData, _contragredient, build, casimir_num
 from .spectrum import SpectrumTable, linear_table
@@ -128,7 +130,7 @@ class NatRedMetric(Frozen):
 
 def beta_factors(m: NatRedMetric):
     """Per-factor beta_i = t_i*t/(t - t_i); negative on oversized fibers."""
-    t = m.base_scale
+    t = instance(m, NatRedMetric, "a metric").base_scale
     return tuple(x * t / (t - x) for x in m.fiber_scales)
 
 
@@ -151,11 +153,12 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
     the order of its first term: sigma in graded-lex order, then the
     branch labels.  Casimirs are blind to -w0, so each f_i is read off the
     branch label, with no contragredient taken.  Each weight comes with
-    its Casimir, dimension and branching from ``_branched``; each label's
-    Casimir tail and dimension (``_product_dim``) are made once.
+    its Casimir, dimension and packed branching from ``_branched``, whose
+    key order is the label order; each label's Casimir tail and dimension
+    are made once.
     Horizontal positivity, g_0 >= 0, is checked on every term.
     """
-    group, factors = emb.ambient, emb.factors
+    group, factors, k = emb.ambient, emb.factors, emb._k
     ratios = killing_ratio(emb)
     # a Casimir has denominator dividing casimir_den, and dividing by j_i
     # multiplies it by j_i's numerator: den makes every row integral
@@ -168,20 +171,21 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
         j.denominator * (den // (f.casimir_den * j.numerator))
         for f, j in zip(factors, ratios)
     ]
-    labels = {}  # branch label -> (row tail, its sum, dim tau)
+    labels = {}  # packed branch label -> (row tail, its sum, dim tau)
     rows = {}
     for lam, num, dim_lam, result in _branched(emb, budget):
         c_lam = num * (den // group.casimir_den)
-        for tup, mult in result.terms:
-            if tup not in labels:
+        for key, mult in result.items():
+            if key not in labels:
+                tup = _label(k, key)
                 tail = tuple(map(mul, map(casimir_num, factors, tup), scales))
-                labels[tup] = tail, sum(tail), _product_dim(factors, tup)
-            tail, fiber, dim_tau = labels[tup]
+                labels[key] = tail, sum(tail), k.dims[key]
+            tail, fiber, dim_tau = labels[key]
             # horizontal Laplacian positivity; certifies the budget
             if c_lam < fiber:
                 raise CertificationError(
                     f"horizontal positivity fails at sigma={lam}, "
-                    f"branch label {tup}"
+                    f"branch label {_label(k, key)}"
                 )
             row = (c_lam - fiber,) + tail
             rows[row] = rows.get(row, 0) + dim_lam * mult * dim_tau
@@ -190,6 +194,7 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
 
 def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     """Truncated spectrum of the naturally reductive metric; always complete."""
+    instance(m, NatRedMetric, "a metric")
     cutoff = rat_cutoff(cutoff)
     den, rows = term_catalogue(m.emb, _metric_budget(m, cutoff))
     return linear_table(
@@ -206,6 +211,7 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     a class sigma whose restriction contains the contragredient of the
     gamma witness; then zeta + gamma must occur in the full table.
     """
+    instance(m, NatRedMetric, "a metric")
     factor_index = exact_int(factor_index)
     cutoff = rat_cutoff(cutoff)
     factors = m.emb.factors
@@ -236,11 +242,12 @@ def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:
     # sigma's restriction holds the contragredient of the witness, whose
     # branch label is the per-factor contragredient of tau
     label = tuple(map(_contragredient, factors, tau))
+    key = _pack(m.emb._k, sum(label, ()))
     budget = (cutoff - gamma) * m.base_scale
     witness = None
     for lam, num, _, result in _branched(m.emb, _metric_budget(m, cutoff)):
         c_lam = Fraction(num, m.group.casimir_den)
-        if c_lam <= budget and result.multiplicity(label):
+        if c_lam <= budget and result.get(key):
             zeta = c_lam / m.base_scale
             if witness is None or zeta < witness[0]:
                 witness = (zeta, lam)

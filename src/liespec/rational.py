@@ -112,6 +112,16 @@ def sequence(value, message: str) -> tuple:
     raise InputError(f"{message}, not {value!r}")
 
 
+def instance(value, cls: type, what: str):
+    """``value`` itself if it is a ``cls``; else an InputError that says
+    "<what> must be a <cls>, not <value>"."""
+    if not isinstance(value, cls):
+        name = cls.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise InputError(f"{what} must be {article} {name}, not {value!r}")
+    return value
+
+
 def rat_matrix(rows) -> tuple:
     """Coerce a nested list of rational-likes to a tuple-of-tuples matrix."""
     out = tuple(

@@ -46,6 +46,8 @@ _COLD = ("tests/test_natred.py::"
          "test_a_cold_run_checks_only_the_weights_that_come_in")
 _ZERO_MINOR = ("tests/test_linalg.py::"
                "test_a_zero_leading_minor_stops_the_elimination_and_is_refused")
+_FIELD_GUARD = ("tests/test_kernel.py::"
+                "test_the_field_guard_refuses_a_coordinate_at_its_limit")
 _DISTANCE = ("tests/test_spectrum_table.py::"
              "test_distance_of_rows_against_counts_is_the_sum_of_differences")
 
@@ -188,8 +190,8 @@ MUTANTS = (
     ),
     Mutant(
         "restriction-remainder-unchecked", "branching.py",
-        "if rest:\n                    raise MalformedEmbeddingError(",
-        "if False:\n                    raise MalformedEmbeddingError(",
+        "if rest:\n                raise MalformedEmbeddingError(",
+        "if False:\n                raise MalformedEmbeddingError(",
         ("tests/test_branching.py::test_malformed_non_integer_image",),
     ),
     Mutant(
@@ -271,10 +273,10 @@ MUTANTS = (
     ),
     # work added without a change of output, which a count pins
     Mutant(
-        "product-memo-off", "branching.py",
-        "@lru_cache(maxsize=None)\ndef _product(", "def _product(",
+        "wall-memo-off", "branching.py",
+        "    k.walls[t] = image\n", "",
         ("tests/test_branching.py::"
-         "test_k_type_products_are_made_once_per_pair",),
+         "test_each_wall_sum_is_reflected_once_per_k",),
     ),
     Mutant(
         "lattice-eliminated-twice", "lattices/lattice.py",
@@ -308,6 +310,40 @@ MUTANTS = (
         "for nu, mult in _weight_diagram(emb.ambient, lam):",
         "for nu, mult in weight_diagram(emb.ambient, lam):",
         (_COLD,),
+    ),
+    # the packed kernel: its fast path only for sums with no negative
+    # coordinate, and the guard that keeps each coordinate in its field
+    Mutant(
+        "kernel-fast-path-for-every-sum", "branching.py",
+        "if t & high == high:", "if True:",
+        ("tests/test_kernel.py::"
+         "test_kernel_branchings_match_the_oracles_under_a_budget",),
+    ),
+    Mutant(
+        "field-guard-off-for-restricted-weights", "branching.py",
+        "if any(not -_LIMIT < x < _LIMIT for x in coords):", "if False:",
+        (_FIELD_GUARD,),
+        optimize=True,
+    ),
+    Mutant(
+        "field-guard-off-for-k-types", "branching.py",
+        "if any(key & k.guard for key in terms):", "if False:",
+        (_FIELD_GUARD,),
+        optimize=True,
+    ),
+    # a wrong-kind record at a door, and ok from validate_embedding for an
+    # embedding whose catalogue cannot be built
+    Mutant(
+        "record-kind-unchecked", "rational.py",
+        "if not isinstance(value, cls):", "if False:",
+        ("tests/test_surface.py::"
+         "test_every_door_refuses_a_record_of_the_wrong_kind",),
+    ),
+    Mutant(
+        "validate-skips-the-fundamentals", "branching.py",
+        "        for i in range(rank)\n    ]", "        for i in range(0)\n    ]",
+        ("tests/test_branching.py::"
+         "test_an_embedding_reported_ok_has_a_spectrum",),
     ),
     # an option value that starts with "-" and a digit
     Mutant(

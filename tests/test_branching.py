@@ -22,7 +22,7 @@ from liespec.branching import (
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
 from liespec.errors import DomainError, InputError, MalformedEmbeddingError
-from liespec.natred import term_catalogue
+from liespec.natred import NatRedMetric, natred_spectrum, term_catalogue
 from liespec.rootdata import build, casimir, casimir_num, check_weight
 
 from helpers import (
@@ -110,10 +110,12 @@ def test_branch_result_shape_and_cache():
     assert res.source == (2, 1)
     assert res.multiplicity(((1,),)) == dict(res.terms).get(((1,),), 0)
     assert res.multiplicity(((9,),)) == 0
-    assert branch(STD, (2, 1)) is res  # cached per embedding object
-    # the weight is checked before the cache: lists and strings hit it too
-    assert branch(STD, [2, 1]) is res
-    assert branch(STD, ("2", "1")) is res
+    # cached per embedding object, packed, and unpacked at each call; the
+    # weight is checked before the cache: lists and strings hit it too
+    made = STD._branchings[(2, 1)]
+    for sigma in ((2, 1), [2, 1], ("2", "1")):
+        assert branch(STD, sigma) == res
+        assert branching._branch(STD, (2, 1)) is made
 
 
 def test_multiplicity_looks_up_every_label():
@@ -140,7 +142,7 @@ def test_multiplicity_looks_up_every_label():
             assert res.multiplicity(
                 [[0] * f.rank for f in emb.factors]
             ) == res.multiplicity(trivial)
-    alone = _peel(STD, (3, 1))
+    alone = branch(_fresh("a1-in-a2-standard"), (3, 1))  # one peel
     assert alone.multiplicity(((2,),)) == dict(alone.terms)[((2,),)]
 
 
@@ -306,6 +308,9 @@ def test_validate_embedding_reports():
         names = [c["name"] for c in report["checks"]]
         assert "integer-adjoint-weights" in names
         assert "positive-indices" in names
+        assert names[2:-1] == ["adjoint-peeling"] + [
+            f"fundamental-{i + 1}-peeling" for i in range(emb.ambient.rank)
+        ]
     # rank-deficient restriction fails validation but does not raise
     bad = EmbeddingSpec(
         ambient=build("A2"), factors=(build("A1"),), restriction=((0, 0),)
@@ -319,6 +324,24 @@ def test_validate_embedding_reports():
     assert report["checks"][1] == {
         "name": "full-row-rank", "ok": True, "detail": "trivial subgroup"
     }
+
+
+def test_an_embedding_reported_ok_has_a_spectrum():
+    # the 147 A1 restrictions [[a, b]], a and b in [-2, 4], into A2, B2 and
+    # G2: each fundamental weight is peeled as its own check, so a
+    # restriction reported ok builds its term catalogue, and natred_spectrum
+    # runs on it at a fiber below and above the base; the adjoint's checks
+    # alone said ok to 16 more, all of which the spectrum refused
+    a1 = build("A1")
+    reported_ok = 0
+    for name in ("A2", "B2", "G2"):
+        for row in itertools.product(range(-2, 5), repeat=2):
+            emb = EmbeddingSpec(build(name), (a1,), (row,))
+            if validate_embedding(emb)["ok"]:
+                reported_ok += 1
+                for fiber in ("1/2", "2"):
+                    natred_spectrum(NatRedMetric(emb, 1, (fiber,)), 3)
+    assert reported_ok == 49
 
 
 def test_json_round_trip():
@@ -341,18 +364,19 @@ def _principal_a1(name):
 def _walk(emb, budget, peel=False):
     """(sigma, branching) over the cone up to ``budget`` in ascending
     Casimir, as the term catalogue asks for them; past 0 and the fundamental
-    weights each branching comes from the recursion itself, and on
+    weights each packed branching comes from the recursion itself, and on
     well-formed data none may fall back to the peel.  With ``peel``, the
-    peel of each weight must give the same branching."""
+    peel of each weight must give the same packed branching."""
     rs = emb.ambient
     for sigma in sorted(
         dominant_weights_up_to(rs, budget), key=lambda s: casimir_num(rs, s)
     ):
         res = branch(emb, sigma)
+        made = emb._branchings[sigma]
         if sum(sigma) > 1:
-            assert _recurse(emb, sigma) == res
+            assert _recurse(emb, sigma) == made
         if peel:
-            assert _peel(emb, sigma) == res
+            assert _peel(emb, sigma) == made
         yield sigma, res
 
 
@@ -402,8 +426,8 @@ def test_branch_matches_a_kostant_racah_speiser_oracle(monkeypatch):
         theta = emb.ambient.highest_root
         assert all(sum(lam) < 2 or lam == theta for lam in peeled)
         assert len(emb._branchings) > 20
-        for lam, result in emb._branchings.items():
-            assert result.terms == kostant_branch(emb, lam), lam
+        for lam in emb._branchings:
+            assert branch(emb, lam).terms == kostant_branch(emb, lam), lam
         # the walk's last weight alone, on a fresh embedding, is one peel
         rs = emb.ambient
         top = max(emb._branchings, key=lambda lam: casimir_num(rs, lam))
@@ -571,39 +595,43 @@ def test_term_catalogue_recurses_past_the_fundamentals(make, monkeypatch):
     assert set(emb._branchings) == set(weights)
 
 
-def test_k_type_products_are_made_once_per_pair(monkeypatch):
-    # each K-side product a (x) b is made once, at the first recursion step
-    # that reads it, and is shared by every embedding of the same K
-    peeled = []
+def test_each_wall_sum_is_reflected_once_per_k(monkeypatch):
+    # a sum of a K-type and a restricted weight with a negative coordinate
+    # is walked to its wall image once, at the first kernel pass that meets
+    # it, and the image is shared by every embedding of the same K; a fresh
+    # memo of K's packed weights makes this a cold catalogue
+    walked = []
+    wall = branching._wall
     monkeypatch.setattr(
-        branching, "_peel", lambda e, lam: peeled.append(lam) or _peel(e, lam)
+        branching, "_wall", lambda k, t: walked.append(t) or wall(k, t)
     )
-    branching._product.cache_clear()
-    emb = _fresh("a1xa1-in-b2")
-    term_catalogue(emb, 20)
-    made = emb._branchings
-    pairs = set()
-    for lam in set(made) - set(peeled):
-        # lam = lam1 + omega, omega the fundamental weight of its first
-        # nonzero coordinate; the step reads Res V_lam1 and Res V_omega
-        i = next(i for i, x in enumerate(lam) if x)
-        omega = tuple(int(k == i) for k in range(len(lam)))
-        lam1 = tuple(x - y for x, y in zip(lam, omega))
-        pairs |= {
-            (a, b) for a, _ in made[lam1].terms for b, _ in made[omega].terms
-        }
-    info = branching._product.cache_info()
-    assert len(pairs) > 100
-    assert info.misses == info.currsize == len(pairs)
-    assert info.hits > info.misses
-    term_catalogue(_fresh("a1xa1-in-b2"), 20)
-    again = branching._product.cache_info()
-    assert again.misses == info.misses and again.hits > info.hits
+    branching._packing.cache_clear()
+    signs = set()
+    for make in (lambda: _fresh("a1xa1-in-b2"), lambda: _principal_a1("G2")):
+        walked.clear()
+        emb = make()
+        term_catalogue(emb, 20)
+        assert len(walked) == len(set(walked)) == len(emb._k.walls) >= 5
+        signs |= {sign for _, sign in emb._k.walls.values()}
+        again = make()
+        assert again._k is emb._k
+        term_catalogue(again, 20)
+        assert len(walked) == len(emb._k.walls)
+    # sums on a wall (sign 0) and sums reflected to a K-type both occur
+    assert {0, -1} <= signs
 
 
 def _without_one_product_term(real):
-    """``_product`` that leaves out the last K-type of every product."""
-    return lambda factors, a, b: real(factors, a, b)[:-1]
+    """``_kernel`` that leaves out, in a step's product but not in a peel,
+    the greatest K-type."""
+
+    def kernel(k, source, weights):
+        terms = real(k, source, weights)
+        if source != ((0, 1),):
+            del terms[max(terms)]
+        return terms
+
+    return kernel
 
 
 def _without_one_kappa(real, ambient):
@@ -623,8 +651,8 @@ def _without_one_kappa(real, ambient):
 
 @pytest.mark.parametrize("fault", ["product", "tensor"])
 def test_a_faulty_step_fails_its_checks_and_is_peeled(fault, monkeypatch):
-    # a step that reads K-side products short of one coefficient goes
-    # negative or loses dimensions, and one that reads a G tensor product
+    # a step whose K-side product is short of one K-type loses
+    # dimensions, and one that reads a G tensor product
     # short of one kappa gains them; either step raises and its weight is
     # peeled, so no wrong branching is memoized
     def peels(emb):
@@ -639,8 +667,8 @@ def test_a_faulty_step_fails_its_checks_and_is_peeled(fault, monkeypatch):
     healthy = peels(_fresh("a1xa1-in-b2"))
     emb = _fresh("a1xa1-in-b2")
     if fault == "product":
-        faulty = _without_one_product_term(branching._product)
-        monkeypatch.setattr(branching, "_product", faulty)
+        faulty = _without_one_product_term(branching._kernel)
+        monkeypatch.setattr(branching, "_kernel", faulty)
     else:
         faulty = _without_one_kappa(branching._tensor, emb.ambient)
         monkeypatch.setattr(branching, "_tensor", faulty)
@@ -649,7 +677,7 @@ def test_a_faulty_step_fails_its_checks_and_is_peeled(fault, monkeypatch):
     assert sorted(peeled) == sorted(weights)
     assert len(weights) > 2 * len(healthy)
     for lam in weights:
-        assert emb._branchings[lam] == ref_branch(emb, lam)
+        assert branch(emb, lam) == ref_branch(emb, lam)
 
 
 _FAULTY_STEP_SCRIPT = """
@@ -666,8 +694,16 @@ def fresh():
     return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction)
 
 healthy = term_catalogue(fresh(), 12)
-product, peel, peeled = branching._product, branching._peel, []
-branching._product = lambda factors, a, b: product(factors, a, b)[:-1]
+kernel, peel, peeled = branching._kernel, branching._peel, []
+
+def faulty_kernel(k, source, weights):
+    # a step's product short of its greatest K-type; a peel is left whole
+    terms = kernel(k, source, weights)
+    if source != ((0, 1),):
+        del terms[max(terms)]
+    return terms
+
+branching._kernel = faulty_kernel
 branching._peel = lambda e, lam: peeled.append(lam) or peel(e, lam)
 faulty = term_catalogue(fresh(), 12)
 print(json.dumps({

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liespec.branching import EmbeddingSpec
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import (
     CertificationError,
@@ -34,6 +36,7 @@ from liespec.spectrum import linear_table
 from helpers import (
     f_map_inverse,
     natred_eigenvalue,
+    principal_a1_row,
     ref_natred_spectrum,
     ref_natred_terms,
     ref_table,
@@ -144,6 +147,60 @@ def test_catalogue_serves_metrics_within_its_budget():
         assert wide == natred_spectrum(m, cutoff)
     with pytest.raises(DomainError):
         natred_spectrum(m, -1)
+
+
+# sha256 of repr((den, rows)) of term_catalogue(emb, budget), recorded
+# when the K side of the branching still ran on nested per-factor labels:
+# the rows' order is their first term's, so it comes from the sorted
+# packed keys now and must be the label order
+CATALOGUE_DIGESTS = {
+    ("a1-in-a2-standard", 12): (
+        "273523c4c8f6450666e97885ccc74e1219d2c08276f833663af12e1c0d285d95"
+    ),
+    ("a1-in-a2-standard", 20): (
+        "9ff087be934e19a5c8b97f766b552828fd72c4dec32c100411f0168db0d75389"
+    ),
+    ("a1-in-a2-principal", 12): (
+        "cffbf7a1493b9546193654b48590bbc59a9dde091a58f41d888c58bc70236fc1"
+    ),
+    ("a1-in-a2-principal", 20): (
+        "cc2d5cbdec8e1251e2ab535529bd083ccf9922018d507d44b32da35001265bcd"
+    ),
+    ("a1xa1-in-b2", 12): (
+        "3d98b2528a103b34b41940332a2302f6a0360f0eb57486860743046f7f333dac"
+    ),
+    ("a1xa1-in-b2", 20): (
+        "9777214174eff25238b18c5e5dda278032e27bbe32b6c3c6a927d5a915435318"
+    ),
+    ("identity-a2", 12): (
+        "e746e09fc9bbaa48c5c8d4ab04914a39b1278ea0c7497dee80f376ef8da505fe"
+    ),
+    ("identity-a2", 20): (
+        "b27654b7590dfddc02f60874c759c4bc81de696d2ed5fa2661ee9c9e5bf92b57"
+    ),
+    ("principal-a1-in-g2", 12): (
+        "37a53f56fdd8c59bcbaa51bc152f5bb0f1823379656c78523cc6ec98526e9d62"
+    ),
+    ("principal-a1-in-g2", 20): (
+        "d695c04f0d4887906b059f30c9eac10f01ee379533b1daa96a2c57149e39d075"
+    ),
+}
+
+
+def test_catalogue_rows_and_their_order_are_pinned():
+    g2 = build("G2")
+    embeddings = dict(BUILTIN_EMBEDDINGS, **{
+        "principal-a1-in-g2": EmbeddingSpec(
+            g2, (A1,), (principal_a1_row(g2),)
+        ),
+    })
+    seen = {}
+    for (name, budget) in CATALOGUE_DIGESTS:
+        emb = embeddings[name]
+        fresh = EmbeddingSpec(emb.ambient, emb.factors, emb.restriction)
+        text = repr(term_catalogue(fresh, budget))
+        seen[name, budget] = hashlib.sha256(text.encode()).hexdigest()
+    assert seen == CATALOGUE_DIGESTS
 
 
 def test_full_group_fiber_collapses_to_biinvariant():
@@ -449,16 +506,17 @@ print(json.dumps(calls))
 def test_a_cold_run_checks_only_the_weights_that_come_in():
     # a fresh process, so no memo is warm: the K-type and branching
     # dimensions come from the unchecked Weyl dimension core, the weight
-    # diagrams of the tensor memo and the peel from the unchecked diagram
-    # core, one per weight, and the gate sees only the adjoint that branch
-    # is handed
+    # diagrams of G's tensor memo (one per fundamental weight of B2) and of
+    # the peel's restricted weights (0, the adjoint and the fundamentals)
+    # from the unchecked diagram core, one per weight, and the gate sees
+    # no weight: each one comes from the walk or is the adjoint's highest
+    # root
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_RUN_SCRIPT],
         env=env, capture_output=True, check=True, text=True,
     )
     assert json.loads(proc.stdout) == {
-        "check_weight from check_dominant": 1,
-        "_weight_diagram from _diagram": 4,
-        "_weight_diagram from _peel": 4,
+        "_weight_diagram from _diagram": 2,
+        "_weight_diagram from _weights": 4,
     }

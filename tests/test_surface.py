@@ -4,8 +4,9 @@ the four exported instruments that README.md lists with the paper
 statement it checks and the reason it stays; every field of a record class
 is read by src/; no module under src/ asserts or calls
 ``object.__setattr__``; and every public door refuses with InputError an
-argument that is not a sequence where it takes one, and a string where it
-takes a sequence of scales or of Gamma's parts."""
+argument that is not a sequence where it takes one, a string where it
+takes a sequence of scales or of Gamma's parts, and a value of the wrong
+kind where it takes an embedding or a metric."""
 
 import ast
 import re
@@ -16,7 +17,10 @@ import pytest
 
 import liespec
 from liespec import (
-    GroupSpec, Lattice, NatRedMetric, branch, build, casimir, torus_search,
+    GroupSpec, Lattice, NatRedMetric, beta_factors, branch, build, casimir,
+    containment_check, embedding_index, isolation_scan, killing_ratio,
+    natred_spectrum, normal_quotient_spectrum, torus_search,
+    validate_embedding,
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import InputError
@@ -222,3 +226,38 @@ def test_every_door_refuses_an_argument_that_is_no_sequence():
     assert casimir(a1, range(2, 3)) == 1
     assert len(torus_search({1, 2}, 1, "1/2", "1/2")) == 2
 
+
+# the wrong-kind values of the door probe: numbers, strings, bytes,
+# sequences, a mapping, None and a plain object
+WRONG_KINDS = (
+    None, 1.5, "x", [1], {}, object(), True, F(1, 2), (1, 2), [[1, 2]],
+    "1,2", b"1",
+)
+
+
+def test_every_door_refuses_a_record_of_the_wrong_kind():
+    # a door that takes an embedding or a metric refuses anything else with
+    # an InputError that names the record it wants, through the one helper
+    # next to rational.sequence, where each leaked a bare AttributeError
+    doors = {
+        "an embedding must be an EmbeddingSpec": [
+            lambda x: branch(x, (1, 0)),
+            validate_embedding,
+            killing_ratio,
+            embedding_index,
+            lambda x: normal_quotient_spectrum(x, 1, 2),
+        ],
+        "a metric must be a NatRedMetric": [
+            lambda x: natred_spectrum(x, 1),
+            lambda x: containment_check(x, 0, 1),
+            beta_factors,
+            lambda x: isolation_scan(x, "1/10", 1, 1),
+        ],
+    }
+    for message, calls in doors.items():
+        for door in calls:
+            for value in WRONG_KINDS:
+                with pytest.raises(InputError) as info:
+                    door(value)
+                if str(info.value) != f"{message}, not {value!r}":
+                    pytest.fail(f"{value!r}: {info.value}")
