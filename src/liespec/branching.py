@@ -181,7 +181,7 @@ class _Packing:
     """The packed weights of K = ``factors`` (module docstring): the shift
     of each coordinate's field, H, the mask of the fields' top two bits,
     the block-diagonal Cartan matrix, and the memos of wall images (by
-    sum) and K-type dimensions (by key)."""
+    sum) and of each K-type's per-factor label and dimension (by key)."""
 
     def __init__(self, factors):
         rank = sum(f.rank for f in factors)
@@ -198,7 +198,7 @@ class _Packing:
             ]
             start += f.rank
         self.walls = {}
-        self.dims = {}
+        self.types = {}
 
 
 @lru_cache(maxsize=None)
@@ -219,21 +219,15 @@ def _pack(k: _Packing, coords, offset: int = 0) -> int:
     return offset + sum(x << s for x, s in zip(coords, k.shifts))
 
 
-def _label(k: _Packing, key: int) -> tuple:
-    """The per-factor highest weights of the packed K-type ``key``."""
-    coords = [key >> s & _FIELD for s in k.shifts]
-    return tuple(tuple(coords[i:j]) for i, j in k.parts)
-
-
 def branch(emb: EmbeddingSpec, sigma) -> BranchingResult:
     """Decompose the restriction of the G-irreducible V_sigma to K."""
     instance(emb, EmbeddingSpec, "an embedding")
     lam = check_dominant(
         emb.ambient, sigma, "branch expects a dominant weight"
     )
-    k = emb._k
+    types = emb._k.types
     return BranchingResult(lam, tuple(
-        (_label(k, key), m) for key, m in _branch(emb, lam).items()
+        (types[key][0], m) for key, m in _branch(emb, lam).items()
     ))
 
 
@@ -378,22 +372,30 @@ def _peel(emb: EmbeddingSpec, lam: tuple) -> dict:
 def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> dict:
     """The nonzero ``terms`` in key order, checked against dim V_lam, as
     its packed branching."""
-    if any(m < 0 for m in terms.values()):
+    if min(terms.values()) < 0:
         raise MalformedEmbeddingError("negative multiplicity in a branching")
-    terms = {key: m for key, m in sorted(terms.items()) if m}
+    terms = {key: terms[key] for key in sorted(terms) if terms[key]}
     k = emb._k
-    if any(key & k.guard for key in terms):
-        raise UnsupportedDimensionError(
-            f"a K-type in the branching of V_{lam} has a coordinate of "
-            f"2**{_WIDTH - 2} or more"
-        )
-    dims = k.dims  # every K-type a branching holds has its dimension here
-    for key in terms.keys() - dims.keys():
-        dims[key] = prod(map(_weyl_dim, k.factors, _label(k, key)))
-    total = sum(m * dims[key] for key, m in terms.items())
+    types = k.types  # each K-type a check met, unpacked once, with its dim
+    for key in terms.keys() - types.keys():
+        if key & k.guard:
+            raise UnsupportedDimensionError(
+                f"a K-type in the branching of V_{lam} has a coordinate of "
+                f"2**{_WIDTH - 2} or more"
+            )
+        coords = [key >> s & _FIELD for s in k.shifts]
+        label = tuple([tuple(coords[i:j]) for i, j in k.parts])
+        types[key] = label, prod(map(_part_dim, k.factors, label))
+    total = sum(m * types[key][1] for key, m in terms.items())
     if total != _weyl_dim(emb.ambient, lam):
         raise MalformedEmbeddingError("branching lost dimensions")
     return terms
+
+
+@lru_cache(maxsize=None)
+def _part_dim(f: RootSystemData, part: tuple) -> int:
+    """dim of one factor's part of a K-type; K-types share their parts."""
+    return _weyl_dim(f, part)
 
 
 def embedding_index(emb: EmbeddingSpec) -> tuple:
@@ -404,9 +406,9 @@ def embedding_index(emb: EmbeddingSpec) -> tuple:
     <lambda, lambda + 2 rho>_norm = casimir_num / form_den.
     """
     instance(emb, EmbeddingSpec, "an embedding")
-    k = emb._k
+    types = emb._k.types
     terms = [
-        (_label(k, key), m * k.dims[key])
+        (types[key][0], m * types[key][1])
         for key, m in _branch(emb, emb.ambient.highest_root).items()
     ]
     indices = tuple(

@@ -47,7 +47,7 @@ from math import lcm
 from operator import mul
 
 from .branching import (
-    EmbeddingSpec, _branched, _label, _pack, killing_ratio
+    EmbeddingSpec, _branched, _pack, killing_ratio
 )
 from .errors import (
     CertificationError, DomainError, InadmissibleMetricError, InputError
@@ -158,7 +158,7 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
     are made once.
     Horizontal positivity, g_0 >= 0, is checked on every term.
     """
-    group, factors, k = emb.ambient, emb.factors, emb._k
+    group, factors, types = emb.ambient, emb.factors, emb._k.types
     ratios = killing_ratio(emb)
     # a Casimir has denominator dividing casimir_den, and dividing by j_i
     # multiplies it by j_i's numerator: den makes every row integral
@@ -177,15 +177,15 @@ def term_catalogue(emb: EmbeddingSpec, budget) -> tuple:
         c_lam = num * (den // group.casimir_den)
         for key, mult in result.items():
             if key not in labels:
-                tup = _label(k, key)
+                tup, dim_tau = types[key]
                 tail = tuple(map(mul, map(casimir_num, factors, tup), scales))
-                labels[key] = tail, sum(tail), k.dims[key]
+                labels[key] = tail, sum(tail), dim_tau
             tail, fiber, dim_tau = labels[key]
             # horizontal Laplacian positivity; certifies the budget
             if c_lam < fiber:
                 raise CertificationError(
                     f"horizontal positivity fails at sigma={lam}, "
-                    f"branch label {_label(k, key)}"
+                    f"branch label {types[key][0]}"
                 )
             row = (c_lam - fiber,) + tail
             rows[row] = rows.get(row, 0) + dim_lam * mult * dim_tau
