@@ -20,9 +20,9 @@ block-diagonal Cartan matrix and memoized by t.  No field carries into its
 neighbour: every restricted weight, and every K-type that a branching
 accepts, has coordinates below 2^(W-2) in absolute value, or raises
 UnsupportedDimensionError, so every sum stays inside its fields.  The wall
-images and the K-type dimensions are memoized per K, keyed on its root
-systems and shared by every embedding of the same K, so no module-level
-memo holds an embedding or its branchings.
+images, and each K-type's label and dimension, are memoized per K, keyed
+on its root systems and shared by every embedding of the same K, so no
+module-level memo holds an embedding or its branchings.
 
 Restriction is a ring homomorphism R(G) -> R(K), so branching recurses
 over the dominant cone: with lam = lam' + omega, omega the fundamental
@@ -35,7 +35,7 @@ where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G,
 against the restricted weights of V_omega, which the peel of omega made.
 A step checks that V_lam occurs once, no multiplicity is negative and the
 dimensions add up (dim V_lam by ``weights._weyl_dim``, each K-type's from
-its parts').  ``branch`` checks the weight it is given; a step reads,
+its parts', which K-types share).  ``branch`` checks the weight it is given; a step reads,
 unchecked, only weights that the walk or the memo made from checked ones.
 A step runs only if every branching it reads is memoized: each kappa has
 a smaller Casimir than lam, so ``_branched``, which walks and branches the
@@ -85,6 +85,10 @@ _WIDTH = 32  # bits per packed coordinate
 _FIELD = (1 << _WIDTH) - 1
 _HALF = 1 << (_WIDTH - 1)
 _LIMIT = 1 << (_WIDTH - 2)  # bound on a packed coordinate's absolute value
+# validate_embedding peels a weight only up to this dimension: E8's
+# fundamentals of dimension 147,250 and 2,450,240 peel in about 2 and 9 s,
+# and its three larger ones would take far longer
+_PEEL_CHECK_LIMIT = 10**6
 
 
 class EmbeddingSpec(Frozen):
@@ -439,7 +443,8 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
     the restriction matrix, successful peeling of the adjoint and of each
     fundamental weight, positive indices.  Every branching of the term
     catalogue is made from these peels, so ``ok`` means that it can be
-    built.
+    built.  A weight of dimension over ``_PEEL_CHECK_LIMIT`` is not peeled:
+    its check fails as skipped, since nothing then shows that it branches.
     """
     instance(emb, EmbeddingSpec, "an embedding")
     checks = []
@@ -470,6 +475,11 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
         for i in range(rank)
     ]
     for name, lam in peels:
+        dim = _weyl_dim(emb.ambient, lam)
+        if dim > _PEEL_CHECK_LIMIT:
+            record(name, False, f"skipped: dimension {dim} is over "
+                                f"{_PEEL_CHECK_LIMIT}")
+            continue
         try:
             _branch(emb, lam)
             record(name, True)

@@ -345,6 +345,13 @@ MUTANTS = (
         ("tests/test_branching.py::"
          "test_an_embedding_reported_ok_has_a_spectrum",),
     ),
+    Mutant(
+        "skipped-peel-reported-passed", "branching.py",
+        'record(name, False, f"skipped: dimension',
+        'record(name, True, f"skipped: dimension',
+        ("tests/test_branching.py::"
+         "test_a_fundamental_weight_too_large_to_peel_is_skipped",),
+    ),
     # an option value that starts with "-" and a digit
     Mutant(
         "negative-option-value-read-as-a-flag", "cli.py",

@@ -326,6 +326,21 @@ def test_validate_embedding_reports():
     }
 
 
+def test_a_fundamental_weight_too_large_to_peel_is_skipped(monkeypatch):
+    # over the dimension limit a fundamental weight is not peeled, and its
+    # check fails as skipped: ok is not claimed for what was not checked
+    monkeypatch.setattr(branching, "_PEEL_CHECK_LIMIT", 4)
+    emb = _fresh("a1xa1-in-b2")  # B2's fundamentals have dimensions 5, 4
+    report = validate_embedding(emb)
+    assert report["ok"] is False
+    assert report["checks"][3] == {
+        "name": "fundamental-1-peeling", "ok": False,
+        "detail": "skipped: dimension 5 is over 4",
+    }
+    assert report["checks"][4]["ok"] is True
+    assert (1, 0) not in emb._branchings
+
+
 def test_an_embedding_reported_ok_has_a_spectrum():
     # the 147 A1 restrictions [[a, b]], a and b in [-2, 4], into A2, B2 and
     # G2: each fundamental weight is peeled as its own check, so a
