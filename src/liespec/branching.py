@@ -35,8 +35,9 @@ where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G,
 against the restricted weights of V_omega, which the peel of omega made.
 A step checks that V_lam occurs once, no multiplicity is negative and the
 dimensions add up (dim V_lam by ``weights._weyl_dim``, each K-type's from
-its parts', which K-types share).  ``branch`` checks the weight it is given; a step reads,
-unchecked, only weights that the walk or the memo made from checked ones.
+its parts', which K-types share).  ``branch`` checks the weight it is
+given; a step reads, unchecked, only weights that the walk or the memo
+made from checked ones.
 A step runs only if every branching it reads is memoized: each kappa has
 a smaller Casimir than lam, so ``_branched``, which walks and branches the
 weights below a Casimir budget for the term catalogue and the normal

@@ -46,9 +46,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .branching import (
-    EmbeddingSpec, _branched, _pack, killing_ratio
-)
+from .branching import EmbeddingSpec, _branched, _pack, killing_ratio
 from .errors import (
     CertificationError, DomainError, InadmissibleMetricError, InputError
 )

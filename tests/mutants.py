@@ -341,7 +341,8 @@ MUTANTS = (
     ),
     Mutant(
         "validate-skips-the-fundamentals", "branching.py",
-        "        for i in range(rank)\n    ]", "        for i in range(0)\n    ]",
+        "        for i in range(rank)\n    ]",
+        "        for i in range(0)\n    ]",
         ("tests/test_branching.py::"
          "test_an_embedding_reported_ok_has_a_spectrum",),
     ),
