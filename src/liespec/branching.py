@@ -9,9 +9,10 @@ A K-weight, a K-type or a restricted weight, is one int: its concatenated
 coordinates in fields of ``_WIDTH`` bits, the first coordinate most
 significant, so int order is the order of the labels.  Branchings are
 held as {key: multiplicity} in key order, and ``branch`` unpacks them to
-per-factor labels.  One Brauer-Klimyk kernel, ``_kernel``, multiplies K-types
-by a W_K-invariant character given by its restricted weights mu, each stored
-as packed(mu) + H, H the top bit of every field: a K-type a plus it is one
+per-factor labels.  One Brauer-Klimyk kernel, ``_kernel``, serves G's
+tensor step, the K-side product and the peel: it multiplies K-types by a
+W_K-invariant character, its restricted weights mu each stored as
+packed(mu) + H, H the top bit of every field: a K-type a plus it is one
 int addition t, and t & H == H says that every coordinate of a + mu is
 >= 0, so its term is V_(a + mu) itself, at key t - H.  Any other sum lies
 near a wall: its image w(a + mu + rho) - rho with det w, or nothing when
@@ -30,8 +31,9 @@ weight of lam's first nonzero coordinate,
 
     Res V_lam = Res V_lam' * Res V_omega - sum_{kappa != lam} c_kappa Res V_kappa
 
-where V_lam' (x) V_omega = sum c_kappa V_kappa (Brauer-Klimyk on G,
-``_tensor``).  The product is one kernel pass, each K-type of Res V_lam'
+where V_lam' (x) V_omega = sum c_kappa V_kappa (``_tensor``: the kernel
+on G's own packing, V_lam' its one source K-type, so the field guard
+covers G too).  The product is one kernel pass, each K-type of Res V_lam'
 against the restricted weights of V_omega, which the peel of omega made.
 A step checks that V_lam occurs once, no multiplicity is negative and the
 dimensions add up (dim V_lam by ``weights._weyl_dim``, each K-type's from
@@ -65,7 +67,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .errors import (
@@ -73,7 +75,9 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .frozen import Frozen, Value
-from .rational import array, fmt_matrix, instance, rat_matrix, required
+from .rational import (
+    array, descriptor, fmt_matrix, instance, rat_matrix, required,
+)
 from .rootdata import (
     RootSystemData, _chamber, build, casimir_num, check_dominant,
     check_root_system,
@@ -150,7 +154,8 @@ class EmbeddingSpec(Frozen):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "EmbeddingSpec":
-        factors = tuple(map(build, array(obj.get("factors", []), "factors")))
+        factors = array(descriptor(obj).get("factors", []), "factors")
+        factors = tuple(map(build, factors))
         name = obj.get("name")
         if name is not None and not isinstance(name, str):
             raise InputError(f"an embedding name is a string, not {name!r}")
@@ -218,7 +223,7 @@ def _pack(k: _Packing, coords, offset: int = 0) -> int:
     absolute value 2^(W-2) or more, which could carry into its neighbour."""
     if any(not -_LIMIT < x < _LIMIT for x in coords):
         raise UnsupportedDimensionError(
-            f"K-weight {tuple(coords)} has a coordinate of absolute value "
+            f"weight {tuple(coords)} has a coordinate of absolute value "
             f"2**{_WIDTH - 2} or more"
         )
     return offset + sum(x << s for x, s in zip(coords, k.shifts))
@@ -268,7 +273,7 @@ def _recurse(emb: EmbeddingSpec, lam: tuple):
     i = next(i for i, x in enumerate(lam) if x)
     omega = tuple(int(k == i) for k in range(len(lam)))
     lam1 = tuple(x - y for x, y in zip(lam, omega))
-    coeffs = dict(_tensor(emb.ambient, lam1, omega))
+    coeffs = _tensor(emb.ambient, lam1, omega)
     if coeffs.pop(lam, None) != 1:
         raise CertificationError(f"V_{lam} is not once in V_{lam1} (x) V_{omega}")
     if not all(w in made for w in (lam1, omega, *coeffs)):
@@ -314,34 +319,21 @@ def _wall(k: _Packing, t: int) -> tuple:
     return image
 
 
-@lru_cache(maxsize=None)
-def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> tuple:
-    """((kappa, c), ...) with V_a (x) V_b = sum c V_kappa, by Brauer-Klimyk:
-    each weight mu of V_b adds its multiplicity, signed by w, at kappa =
-    w(a + mu + rho) - rho, unless a zero coordinate puts it on a wall."""
-    out = {}
-    for mu, mult in _diagram(rs, b):
-        dot = _dot(rs, tuple(map(add, a, mu)))
-        if dot is not None:
-            kappa, sign = dot
-            out[kappa] = out.get(kappa, 0) + sign * mult
-    return tuple(sorted(kc for kc in out.items() if kc[1]))
-
-
-def _dot(rs: RootSystemData, nu: tuple):
-    """(kappa, det w) with kappa = w(nu + rho) - rho dominant, or None when
-    nu + rho lies on a wall, that is when its dominant representative has
-    a zero coordinate."""
-    if min(nu) >= 0:
-        return nu, 1  # nu + rho is already strictly dominant
-    v, sign = _chamber(rs.cartan, [x + 1 for x in nu])
-    return None if 0 in v else (tuple([x - 1 for x in v]), sign)
+def _tensor(rs: RootSystemData, a: tuple, b: tuple) -> dict:
+    """{kappa: c} for c != 0 with V_a (x) V_b = sum c V_kappa: the kernel
+    on G's own packing, V_a the one source K-type against G's weights of
+    V_b."""
+    g = _packing((rs,))
+    terms = _kernel(g, ((_pack(g, a), 1),), _diagram(g, b))
+    return {tuple(_coords(g, key)): c for key, c in terms.items() if c}
 
 
 @lru_cache(maxsize=None)
-def _diagram(rs: RootSystemData, b: tuple) -> tuple:
-    """``weight_diagram(rs, b)``, memoized for ``_tensor``'s few b."""
-    return _weight_diagram(rs, b)
+def _diagram(g: _Packing, b: tuple) -> list:
+    """G's weights of V_b as [(packed(mu) + H, mult)], memoized for
+    ``_tensor``'s few b."""
+    rs = g.factors[0]
+    return [(_pack(g, mu, g.high), m) for mu, m in _weight_diagram(rs, b)]
 
 
 def _weights(emb: EmbeddingSpec, lam: tuple) -> list:
@@ -383,18 +375,23 @@ def _result(emb: EmbeddingSpec, lam: tuple, terms: dict) -> dict:
     k = emb._k
     types = k.types  # each K-type a check met, unpacked once, with its dim
     for key in terms.keys() - types.keys():
-        if key & k.guard:
-            raise UnsupportedDimensionError(
-                f"a K-type in the branching of V_{lam} has a coordinate of "
-                f"2**{_WIDTH - 2} or more"
-            )
-        coords = [key >> s & _FIELD for s in k.shifts]
+        coords = _coords(k, key)
         label = tuple([tuple(coords[i:j]) for i, j in k.parts])
         types[key] = label, prod(map(_part_dim, k.factors, label))
     total = sum(m * types[key][1] for key, m in terms.items())
     if total != _weyl_dim(emb.ambient, lam):
         raise MalformedEmbeddingError("branching lost dimensions")
     return terms
+
+
+def _coords(k: _Packing, key: int) -> list:
+    """The coordinates of a packed K-type; UnsupportedDimensionError for
+    one of 2^(W-2) or more, whose sums could carry into a neighbour."""
+    if key & k.guard:
+        raise UnsupportedDimensionError(
+            f"a packed weight has a coordinate of 2**{_WIDTH - 2} or more"
+        )
+    return [key >> s & _FIELD for s in k.shifts]
 
 
 @lru_cache(maxsize=None)

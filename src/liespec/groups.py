@@ -110,6 +110,7 @@ class GroupSpec(Frozen):
 def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     """Truncated Laplace spectrum of the bi-invariant metric on K, folded
     over the factors in integers (module docstring)."""
+    instance(gs, GroupSpec, "a group")
     cutoff = rat_cutoff(cutoff)
     den = lcm(*(f.casimir_den for f in gs.factors))
     weights, scale, limit = _common_scale(gs.scales, den, cutoff)
@@ -140,6 +141,7 @@ def factor_lambda1(rs: RootSystemData, scale):
     """Smallest nonzero bi-invariant eigenvalue of one simple factor and a
     witnessing highest weight.  Casimir grows in each dominant coordinate,
     so the minimum over nonzero dominants sits at a fundamental weight."""
+    check_root_system(rs)
     scale = rat(scale)
     if scale <= 0:
         raise DomainError("metric scale must be positive")

@@ -16,6 +16,7 @@ images decides the question exactly, in integers, in every dimension.
 """
 
 from ..errors import DomainError, UnsupportedDimensionError
+from ..rational import instance
 from .enumeration import _norm_counts
 from .lattice import Lattice
 
@@ -24,7 +25,8 @@ MAX_DIM = 8
 
 def congruent(a: Lattice, b: Lattice) -> bool:
     """Decide whether two lattices are isometric, exactly."""
-    if a.dim != b.dim:
+    instance(a, Lattice, "a lattice")
+    if a.dim != instance(b, Lattice, "a lattice").dim:
         raise DomainError("congruence needs equal dimensions")
     m = a.dim
     if m > MAX_DIM:

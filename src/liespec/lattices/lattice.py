@@ -38,7 +38,9 @@ from math import gcd
 from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
-from ..rational import _exact_rows, exact_int, fmt_matrix, rat_matrix
+from ..rational import (
+    _exact_rows, descriptor, exact_int, fmt_matrix, instance, rat_matrix,
+)
 from .enumeration import _minimum, _squares
 from .reduction import _lll_int
 
@@ -141,6 +143,7 @@ class Lattice(Value):
     def from_json_dict(obj: dict) -> "Lattice":
         """Given both ``gram`` and ``basis``, the constructor checks that
         basis^T basis is the Gram matrix; given neither, it refuses."""
+        descriptor(obj)
         gram = rat_matrix(obj["gram"]) if "gram" in obj else None
         basis = rat_matrix(obj["basis"]) if "basis" in obj else None
         lat = Lattice(gram=gram, basis=basis)
@@ -164,7 +167,7 @@ def dual(lat: Lattice) -> Lattice:
     When a basis B is available the dual basis is B G^{-1}, which equals
     (B^T)^{-1} because G = B^T B, and the constructor makes its Gram matrix.
     """
-    d, s = lat._dual_gram
+    d, s = instance(lat, Lattice, "a lattice")._dual_gram
     gram = tuple(tuple(Fraction(x, s) for x in row) for row in d)
     if lat.basis is None:
         return Lattice(gram=gram)
@@ -173,5 +176,5 @@ def dual(lat: Lattice) -> Lattice:
 
 def systole(lat: Lattice) -> Fraction:
     """Smallest squared length of a nonzero lattice vector."""
-    return _minimum(*lat._form)
+    return _minimum(*instance(lat, Lattice, "a lattice")._form)
 

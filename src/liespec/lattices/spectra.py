@@ -15,7 +15,7 @@ cached ``_dual_minimum``, and ``torus_lambda1`` after it runs no kernel.
 
 from fractions import Fraction
 
-from ..rational import rat_cutoff
+from ..rational import instance, rat_cutoff
 from ..spectrum import SpectrumTable, _reduced
 from .enumeration import _norm_counts
 from .lattice import Lattice
@@ -23,6 +23,7 @@ from .lattice import Lattice
 
 def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
     """Truncated spectrum of the flat torus with period lattice ``lat``."""
+    instance(lat, Lattice, "a lattice")
     cutoff = rat_cutoff(cutoff)
     _, scale, squares = lat._dual_form
     bound = cutoff.numerator * scale // cutoff.denominator
@@ -43,4 +44,4 @@ def torus_spectrum(lat: Lattice, cutoff) -> SpectrumTable:
 def torus_lambda1(lat: Lattice) -> Fraction:
     """First nonzero eigenvalue in the four-pi-squared unit: the squared
     systole of the dual lattice."""
-    return lat._dual_minimum
+    return instance(lat, Lattice, "a lattice")._dual_minimum

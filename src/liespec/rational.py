@@ -83,12 +83,17 @@ def fmt(value: Fraction) -> str:
     return written(str, Fraction(value))
 
 
+def descriptor(obj) -> dict:
+    """``obj`` itself if it is a JSON object (a dict); else InputError."""
+    if not isinstance(obj, dict):
+        raise InputError(f"descriptor must be an object, not {obj!r}")
+    return obj
+
+
 def required(obj: dict, key: str):
     """``obj[key]`` of a descriptor; a non-object or a missing key is an
     InputError."""
-    if not isinstance(obj, dict):
-        raise InputError(f"descriptor must be an object, not {obj!r}")
-    if key not in obj:
+    if key not in descriptor(obj):
         raise InputError(f"descriptor lacks the key {key!r}")
     return obj[key]
 

@@ -32,10 +32,11 @@ transposed Cartan matrix, and -w0 sends omega_k to the dominant weight in
 the orbit of -omega_k.  The dual Coxeter number is 1 + <rho, theta>.
 
 The one chamber walk, ``_chamber``, takes a weight to the dominant one in
-its orbit, with det w; the -w0 table, the dot action and the peel of
-``branching`` and Freudenthal's strings in ``weights`` all read it.  Like
-``casimir_num`` and ``_contragredient``, it trusts its input: a weight is
-checked once, by ``check_dominant`` at the public door it comes in by.
+its orbit, with det w; the -w0 table, the wall rule and the invariance
+check of ``branching`` and Freudenthal's strings in ``weights`` read it.
+Like ``casimir_num`` and ``_contragredient``, it trusts its input: a
+weight is checked once, by ``check_dominant`` at the public door it comes
+in by.
 """
 
 from fractions import Fraction
@@ -291,6 +292,10 @@ def check_root_system(value) -> RootSystemData:
 
 
 def check_weight(rs: RootSystemData, weight) -> tuple:
+    """``weight`` as a tuple of the int coordinates of a weight of ``rs``,
+    which ``check_root_system`` checks first: the gate of every door that
+    takes a weight."""
+    check_root_system(rs)
     w = sequence(weight, "a weight is a sequence of coordinates")
     if len(w) != rs.rank:
         raise DomainError(

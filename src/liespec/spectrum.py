@@ -43,7 +43,7 @@ from operator import add, lt
 
 from .errors import DomainError
 from .frozen import Value
-from .rational import fmt, rat
+from .rational import fmt, instance, rat
 
 UNITS = ("raw", "four-pi-squared")
 _INT = frozenset((int,))
@@ -235,6 +235,8 @@ def table_distance(a: SpectrumTable, b: SpectrumTable) -> int:
     all eigenvalues appearing in either table (absent = 0).  The tables
     must share their unit and cutoff; each is counted by numerator over
     the one scale a.scale * b.scale."""
+    instance(a, SpectrumTable, "a table")
+    instance(b, SpectrumTable, "a table")
     if a.unit != b.unit or a.cutoff != b.cutoff:
         raise DomainError("only tables of one unit and cutoff compare")
     return _distance(

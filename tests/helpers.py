@@ -47,7 +47,9 @@ library's weight gate in front of its unchecked Weyl dimension and
 Freudenthal cores, for the tests that hand them outside weights, and
 ``kostant_multiplicity``, Kostant's formula over a memoized partition
 function, used as an oracle for Freudenthal's characters that shares no
-code with them."""
+code with them, and ``ref_tensor``, Brauer-Klimyk on weight tuples with
+its own dot action, the library's tuple tensor product as it was before
+G's tensor step moved onto the packed kernel, used as its reference."""
 
 import itertools
 import json
@@ -56,6 +58,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import add
 
 import numpy as np
 
@@ -1112,6 +1115,31 @@ def principal_a1_branching(rs, lam) -> dict:
 # Reference branching: the restriction as a Fraction matrix-vector product,
 # and a peel that takes the maximal surviving dominant tuple on every step
 # and subtracts the full product weight diagram of that K-type.
+
+
+@lru_cache(maxsize=None)
+def ref_tensor(rs, a: tuple, b: tuple) -> tuple:
+    """((kappa, c), ...) with V_a (x) V_b = sum c V_kappa, by Brauer-Klimyk
+    on weight tuples: each weight mu of V_b adds its multiplicity, signed
+    by w, at kappa = w(a + mu + rho) - rho, unless a zero coordinate puts
+    it on a wall."""
+    out = {}
+    for mu, mult in weight_diagram(rs, b):
+        dot = _ref_dot(rs, tuple(map(add, a, mu)))
+        if dot is not None:
+            kappa, sign = dot
+            out[kappa] = out.get(kappa, 0) + sign * mult
+    return tuple(sorted(kc for kc in out.items() if kc[1]))
+
+
+def _ref_dot(rs, nu: tuple):
+    """(kappa, det w) with kappa = w(nu + rho) - rho dominant, or None when
+    nu + rho lies on a wall, that is when its dominant representative has
+    a zero coordinate."""
+    if min(nu) >= 0:
+        return nu, 1  # nu + rho is already strictly dominant
+    v, sign = _chamber(rs.cartan, [x + 1 for x in nu])
+    return None if 0 in v else (tuple([x - 1 for x in v]), sign)
 
 
 def ref_restrict_weight(emb: EmbeddingSpec, weight):

@@ -102,10 +102,12 @@ MUTANTS = (
          "test_scan_skips_equivalent_when_subgroup_fills_group",),
     ),
     Mutant(
-        "dot-action-sign", "branching.py",
-        "(tuple([x - 1 for x in v]), sign)",
-        "(tuple([x - 1 for x in v]), -sign)",
-        ("tests/test_branching.py::test_tensor_product_brauer_klimyk",),
+        "wall-sign", "branching.py",
+        "(_pack(k, [x - 1 for x in v]), sign)",
+        "(_pack(k, [x - 1 for x in v]), -sign)",
+        ("tests/test_branching.py::test_tensor_product_brauer_klimyk",
+         "tests/test_kernel.py::"
+         "test_kernel_branchings_match_the_oracles_under_a_budget"),
     ),
     Mutant(
         "freudenthal-one-root", "weights.py",
@@ -336,6 +338,13 @@ MUTANTS = (
     Mutant(
         "record-kind-unchecked", "rational.py",
         "if not isinstance(value, cls):", "if False:",
+        ("tests/test_surface.py::"
+         "test_every_door_refuses_a_record_of_the_wrong_kind",),
+    ),
+    Mutant(
+        "weight-gate-skips-the-root-system", "rootdata.py",
+        "    check_root_system(rs)\n    w = sequence(",
+        "    w = sequence(",
         ("tests/test_surface.py::"
          "test_every_door_refuses_a_record_of_the_wrong_kind",),
     ),

@@ -21,7 +21,12 @@ from liespec.branching import (
     _tensor,
 )
 from liespec.catalog import BUILTIN_EMBEDDINGS, resolve
-from liespec.errors import DomainError, InputError, MalformedEmbeddingError
+from liespec.errors import (
+    DomainError,
+    InputError,
+    MalformedEmbeddingError,
+    UnsupportedDimensionError,
+)
 from liespec.natred import NatRedMetric, natred_spectrum, term_catalogue
 from liespec.rootdata import build, casimir, casimir_num, check_weight
 
@@ -34,6 +39,7 @@ from helpers import (
     ref_branch,
     ref_contragredient,
     ref_spherical_mult,
+    ref_tensor,
     ref_term_catalogue,
     weyl_dim,
 )
@@ -613,12 +619,15 @@ def test_term_catalogue_recurses_past_the_fundamentals(make, monkeypatch):
 def test_each_wall_sum_is_reflected_once_per_k(monkeypatch):
     # a sum of a K-type and a restricted weight with a negative coordinate
     # is walked to its wall image once, at the first kernel pass that meets
-    # it, and the image is shared by every embedding of the same K; a fresh
-    # memo of K's packed weights makes this a cold catalogue
+    # it, and the image is shared by every embedding of the same K; G's
+    # tensor step runs the same kernel on G's own packing, whose sums are
+    # walked once each too; a fresh memo of the packings makes this a cold
+    # catalogue
     walked = []
     wall = branching._wall
     monkeypatch.setattr(
-        branching, "_wall", lambda k, t: walked.append(t) or wall(k, t)
+        branching, "_wall",
+        lambda k, t: walked.append((k, t)) or wall(k, t),
     )
     branching._packing.cache_clear()
     signs = set()
@@ -626,23 +635,44 @@ def test_each_wall_sum_is_reflected_once_per_k(monkeypatch):
         walked.clear()
         emb = make()
         term_catalogue(emb, 20)
-        assert len(walked) == len(set(walked)) == len(emb._k.walls) >= 5
-        signs |= {sign for _, sign in emb._k.walls.values()}
+        g = branching._packing((emb.ambient,))
+        assert g is not emb._k
+        assert len(walked) == len(set(walked))
+        for k in (g, emb._k):
+            sums = [t for p, t in walked if p is k]
+            assert len(sums) == len(k.walls) >= 5
+            signs |= {sign for _, sign in k.walls.values()}
+        assert {p for p, _ in walked} == {g, emb._k}
         again = make()
         assert again._k is emb._k
         term_catalogue(again, 20)
-        assert len(walked) == len(emb._k.walls)
+        assert len(walked) == len(g.walls) + len(emb._k.walls)
     # sums on a wall (sign 0) and sums reflected to a K-type both occur
     assert {0, -1} <= signs
 
 
-def _without_one_product_term(real):
-    """``_kernel`` that leaves out, in a step's product but not in a peel,
-    the greatest K-type."""
+def test_g_and_k_share_the_wall_memo_when_they_are_one_group(monkeypatch):
+    # identity-a2 packs G and K alike, so G's tensor step and K's product
+    # read one memo of wall images, and each sum is walked once for both
+    walked = []
+    wall = branching._wall
+    monkeypatch.setattr(
+        branching, "_wall", lambda k, t: walked.append(t) or wall(k, t)
+    )
+    branching._packing.cache_clear()
+    emb = _fresh("identity-a2")
+    term_catalogue(emb, 20)
+    assert branching._packing((emb.ambient,)) is emb._k
+    assert len(walked) == len(set(walked)) == len(emb._k.walls) >= 5
+
+
+def _without_one_product_term(real, emb):
+    """``_kernel`` that leaves out, in a step's product on K's packing but
+    not in a peel or in G's tensor step, the greatest K-type."""
 
     def kernel(k, source, weights):
         terms = real(k, source, weights)
-        if source != ((0, 1),):
+        if k is emb._k and source != ((0, 1),):
             del terms[max(terms)]
         return terms
 
@@ -656,10 +686,10 @@ def _without_one_kappa(real, ambient):
     def tensor(rs, a, b):
         terms = real(rs, a, b)
         top = tuple(x + y for x, y in zip(a, b))
-        lower = [k for k, _ in terms if k != top]
-        if rs is not ambient or not lower:
-            return terms
-        return tuple(t for t in terms if t[0] != lower[0])
+        lower = sorted(k for k in terms if k != top)
+        if rs is ambient and lower:
+            del terms[lower[0]]
+        return terms
 
     return tensor
 
@@ -682,7 +712,7 @@ def test_a_faulty_step_fails_its_checks_and_is_peeled(fault, monkeypatch):
     healthy = peels(_fresh("a1xa1-in-b2"))
     emb = _fresh("a1xa1-in-b2")
     if fault == "product":
-        faulty = _without_one_product_term(branching._kernel)
+        faulty = _without_one_product_term(branching._kernel, emb)
         monkeypatch.setattr(branching, "_kernel", faulty)
     else:
         faulty = _without_one_kappa(branching._tensor, emb.ambient)
@@ -712,9 +742,10 @@ healthy = term_catalogue(fresh(), 12)
 kernel, peel, peeled = branching._kernel, branching._peel, []
 
 def faulty_kernel(k, source, weights):
-    # a step's product short of its greatest K-type; a peel is left whole
+    # a step's product on K's packing short of its greatest K-type; a peel
+    # and G's tensor step are left whole
     terms = kernel(k, source, weights)
-    if source != ((0, 1),):
+    if k is emb._k and source != ((0, 1),):
         del terms[max(terms)]
     return terms
 
@@ -746,12 +777,12 @@ def test_a_faulty_step_is_peeled_under_optimize():
 def test_tensor_product_brauer_klimyk():
     a1, a2, g2 = build("A1"), build("A2"), build("G2")
     # Clebsch-Gordan, 3 x 3 = 6 + 3bar, 3 x 3bar = 8 + 1, 7 x 7 of G2
-    assert _tensor(a1, (2,), (2,)) == (((0,), 1), ((2,), 1), ((4,), 1))
-    assert _tensor(a2, (1, 0), (1, 0)) == (((0, 1), 1), ((2, 0), 1))
-    assert _tensor(a2, (1, 0), (0, 1)) == (((0, 0), 1), ((1, 1), 1))
-    assert _tensor(g2, (1, 0), (1, 0)) == (
-        ((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((2, 0), 1),
-    )
+    assert _tensor(a1, (2,), (2,)) == {(0,): 1, (2,): 1, (4,): 1}
+    assert _tensor(a2, (1, 0), (1, 0)) == {(0, 1): 1, (2, 0): 1}
+    assert _tensor(a2, (1, 0), (0, 1)) == {(0, 0): 1, (1, 1): 1}
+    assert _tensor(g2, (1, 0), (1, 0)) == {
+        (0, 0): 1, (0, 1): 1, (1, 0): 1, (2, 0): 1,
+    }
     # dimensions multiply, the product commutes, and V_(a+b) occurs once
     rng = random.Random(11)
     for name in ("A2", "B2", "G2", "A3", "C3"):
@@ -760,10 +791,38 @@ def test_tensor_product_brauer_klimyk():
         for _ in range(6):
             a, b = rng.choice(weights), rng.choice(weights)
             terms = _tensor(rs, a, b)
+            assert type(terms) is dict
             assert terms == _tensor(rs, b, a)
-            assert all(c > 0 for _, c in terms)
-            assert sum(c * weyl_dim(rs, k) for k, c in terms) == (
+            assert all(c > 0 for c in terms.values())
+            assert sum(c * weyl_dim(rs, k) for k, c in terms.items()) == (
                 weyl_dim(rs, a) * weyl_dim(rs, b)
             )
             top = tuple(x + y for x, y in zip(a, b))
-            assert dict(terms)[top] == 1
+            assert terms[top] == 1
+
+
+def test_tensor_matches_the_tuple_reference():
+    # the kernel on G's packing against Brauer-Klimyk on weight tuples, for
+    # every pair of dominant weights under a small budget; a weight with a
+    # zero coordinate puts some of its sums on or next to a wall
+    for name in ("A2", "B2", "G2", "A3", "C3"):
+        rs = build(name)
+        weights = dominant_weights_up_to(rs, 2)
+        assert sum(0 in w for w in weights) >= 2
+        for a in weights:
+            for b in weights:
+                assert _tensor(rs, a, b) == dict(ref_tensor(rs, a, b)), (a, b)
+        assert branching._packing((rs,)).walls
+
+
+def test_a_g_coordinate_past_the_field_is_refused_at_the_step():
+    # a weight with a coordinate of 2^(W-2) has its own coordinate, or the
+    # tensor step's V_lam, past the field guard, so the step raises before
+    # any peel of a weight that large is tried
+    limit = 1 << (branching._WIDTH - 2)
+    for emb in (_fresh("a1xa1-in-b2"), _fresh("identity-a2")):
+        for lam in ((limit, 0), (0, limit), (limit + 1, 1)):
+            with pytest.raises(UnsupportedDimensionError):
+                branch(emb, lam)
+    with pytest.raises(UnsupportedDimensionError):
+        _tensor(build("A1"), (limit,), (1,))

@@ -20,7 +20,7 @@ from helpers import (
     weight_doors,
 )
 from liespec.errors import DomainError, InputError
-from liespec.branching import _dot
+from liespec.branching import _coords, _pack, _packing, _wall
 from liespec.rootdata import (
     _chamber,
     _orbit,
@@ -307,10 +307,12 @@ def test_chamber_walk_matches_an_independent_oracle():
     # every weight v of the box [-2, 2]^rank: the walk ends at a dominant
     # weight of v's orbit, with det w = (-1)^length(w) for a regular v, the
     # length being the number of positive coroots that pair negatively
-    # with v; the dot action is None exactly when v + rho is on a wall
+    # with v; the kernel's wall rule on G's own packing, read on the sum
+    # packed(v) + H, is (0, 0) exactly when v + rho is on a wall
     for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4",
                  "G2", "F4"):
         rs = build(name)
+        g = _packing((rs,))
         orbits = {}
 
         def orbit(dom):
@@ -328,11 +330,11 @@ def test_chamber_walk_matches_an_independent_oracle():
                 assert (dom, sign) == (v, 1)
             # (v + rho, beta^vee) = (v, beta^vee) + (rho, beta^vee)
             shifted = [p + sum(co) for p, co in zip(pairs, rs.coroots)]
-            got = _dot(rs, v)
+            key, sign = _wall(g, _pack(g, v, g.high))
             if 0 in shifted:
-                assert got is None, (name, v)
+                assert (key, sign) == (0, 0), (name, v)
                 continue
-            kappa, sign = got
+            kappa = tuple(_coords(g, key))
             top = tuple(k + 1 for k in kappa)
             assert min(kappa) >= 0, (name, v)
             assert tuple(x + 1 for x in v) in orbit(top), (name, v)

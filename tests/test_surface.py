@@ -6,7 +6,8 @@ is read by src/; no module under src/ asserts or calls
 ``object.__setattr__``; and every public door refuses with InputError an
 argument that is not a sequence where it takes one, a string where it
 takes a sequence of scales or of Gamma's parts, and a value of the wrong
-kind where it takes an embedding or a metric."""
+kind where it takes a record: an embedding, a metric, a lattice, a group,
+a table, a root system or a descriptor."""
 
 import ast
 import re
@@ -17,12 +18,15 @@ import pytest
 
 import liespec
 from liespec import (
-    GroupSpec, Lattice, NatRedMetric, beta_factors, branch, build, casimir,
-    containment_check, embedding_index, isolation_scan, killing_ratio,
-    natred_spectrum, normal_quotient_spectrum, torus_search,
-    validate_embedding,
+    GroupSpec, Lattice, NatRedMetric, beta_factors, biinvariant_spectrum,
+    branch, build, casimir, congruent, containment_check, embedding_index,
+    factor_lambda1, isolation_scan, killing_ratio, natred_spectrum,
+    normal_quotient_spectrum, systole, table_distance, torus_lambda1,
+    torus_search, torus_spectrum, validate_embedding, weight_diagram,
 )
+from liespec.branching import EmbeddingSpec
 from liespec.catalog import BUILTIN_EMBEDDINGS
+from liespec.lattices import dual
 from liespec.errors import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -236,9 +240,14 @@ WRONG_KINDS = (
 
 
 def test_every_door_refuses_a_record_of_the_wrong_kind():
-    # a door that takes an embedding or a metric refuses anything else with
-    # an InputError that names the record it wants, through the one helper
-    # next to rational.sequence, where each leaked a bare AttributeError
+    # a door that takes a record refuses anything else with an InputError
+    # that names the record it wants, through the one helper next to
+    # rational.sequence, where each leaked a bare AttributeError or
+    # TypeError; a root system is checked by check_root_system, which every
+    # weight door reaches through check_weight, and a descriptor is refused
+    # the way ``required`` refuses it
+    lat = Lattice(gram=[[1, 0], [0, 2]])
+    table = torus_spectrum(lat, 3)
     doors = {
         "an embedding must be an EmbeddingSpec": [
             lambda x: branch(x, (1, 0)),
@@ -253,10 +262,39 @@ def test_every_door_refuses_a_record_of_the_wrong_kind():
             beta_factors,
             lambda x: isolation_scan(x, "1/10", 1, 1),
         ],
+        "a lattice must be a Lattice": [
+            lambda x: torus_spectrum(x, 3),
+            torus_lambda1,
+            systole,
+            dual,
+            lambda x: congruent(lat, x),
+            lambda x: congruent(x, lat),
+        ],
+        "a group must be a GroupSpec": [
+            lambda x: biinvariant_spectrum(x, 1),
+        ],
+        "a table must be a SpectrumTable": [
+            lambda x: table_distance(x, table),
+            lambda x: table_distance(table, x),
+        ],
+        "a root system comes from build()": [
+            lambda x: casimir(x, (1, 0)),
+            lambda x: weight_diagram(x, (1,)),
+            lambda x: factor_lambda1(x, 1),
+        ],
+        "descriptor must be an object": [
+            EmbeddingSpec.from_json_dict,
+            Lattice.from_json_dict,
+        ],
     }
     for message, calls in doors.items():
         for door in calls:
             for value in WRONG_KINDS:
+                if value == {} and message.startswith("descriptor"):
+                    # an object, so a descriptor: it lacks its keys
+                    with pytest.raises(InputError):
+                        door(value)
+                    continue
                 with pytest.raises(InputError) as info:
                     door(value)
                 if str(info.value) != f"{message}, not {value!r}":
