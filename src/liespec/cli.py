@@ -25,7 +25,6 @@ miss, rewritten.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -71,6 +70,8 @@ def _render(data, out_format: str) -> str:
 def _source_digest() -> str:
     """sha256 over the package's .py files, outside ``__pycache__``, in
     order of their relative paths: each path, its length and its bytes."""
+    import hashlib  # only a cached job loads it
+
     root = os.path.dirname(__file__)
     digest = hashlib.sha256()
     for rel in sorted(
@@ -116,6 +117,8 @@ def _cached_table(job, cutoff, unit, builder) -> SpectrumTable:
     cache = os.environ.get("LIESPEC_CACHE_DIR")
     if not cache:
         return builder()
+    import hashlib
+
     key = {"code": _source_digest(), "job": job}
     key_text = canonical_json(key)
     digest = hashlib.sha256(key_text.encode()).hexdigest()

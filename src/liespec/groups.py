@@ -12,14 +12,18 @@ product is 0 mod d, for the roots and for the fold.
 Eigenvalues are sum_i c_i(lambda_i)/t_i with multiplicity prod_i dim_i^2,
 over the classes whose pairing with each z in Gamma, a sum over the
 factors, is an integer.  So the spectrum is one fold over the factors in
-integers: each factor's weights within its budget c_i <= cutoff * t_i are
-counted by (pairings with Gamma mod d, eigenvalue numerator over the one
-scale of ``spectrum._common_scale``), and each is combined with the running
-counts by adding both and multiplying multiplicities.  Every summand is
->= 0, so a partial sum above the cutoff is dropped at once, exactly.
+integers, over {Gamma-class: {eigenvalue numerator: multiplicity}}, the
+numerators over the one scale of ``spectrum._common_scale``.  Each
+factor's weights within its budget c_i <= cutoff * t_i make its part,
+{class (pairings with Gamma mod d): [(numerator, summed dim^2)] sorted
+ascending}; with no Gamma every weight is in the zero class.  Each pair of
+a running class and a part's class is added once, and each running
+numerator v meets the part's numerators u in ascending order, adding
+v + u and multiplying multiplicities.  Every summand is >= 0, so the
+first u past the cutoff's numerator minus v ends that row, exactly: a
+partial sum above the cutoff is never formed.
 """
 
-from collections import Counter
 from math import lcm
 from operator import mul
 
@@ -116,25 +120,35 @@ def biinvariant_spectrum(gs: GroupSpec, cutoff) -> SpectrumTable:
     weights, scale, limit = _common_scale(gs.scales, den, cutoff)
     d, zs = gs._gamma
     zero = (0,) * len(zs)
-    counts = {(zero, 0): 1}
+    counts = {zero: {0: 1}}
     for i, (f, t, w) in enumerate(zip(gs.factors, gs.scales, weights)):
         w *= den // f.casimir_den
         coweights = [z[i] for z in zs]
-        part = Counter()
+        merged = {}
         for lam, num, dim in _dominant_casimirs(f, cutoff * t):
-            cls = tuple(sum(map(mul, lam, z)) % d for z in coweights)
-            part[cls, num * w] += dim * dim
-        step = Counter()
-        for (cls, v), m in counts.items():
-            for (c, u), n in part.items():
-                if v + u <= limit:
-                    key = tuple((a + b) % d for a, b in zip(cls, c)), v + u
-                    step[key] += m * n
+            # with no Gamma every weight is in the zero class
+            cls = (
+                tuple([sum(map(mul, lam, z)) % d for z in coweights])
+                if zs else zero
+            )
+            row = merged.setdefault(cls, {})
+            u = num * w
+            row[u] = row.get(u, 0) + dim * dim
+        part = {cls: sorted(row.items()) for cls, row in merged.items()}
+        step = {}
+        for cls, sums in counts.items():
+            for c, rows in part.items():
+                key = tuple((a + b) % d for a, b in zip(cls, c))
+                into = step.setdefault(key, {})
+                for v, m in sums.items():
+                    # rows ascend, so the first u past the room ends the row
+                    room = limit - v
+                    for u, n in rows:
+                        if u > room:
+                            break
+                        into[v + u] = into.get(v + u, 0) + m * n
         counts = step
-    return table_from_counts(
-        {v: m for (cls, v), m in counts.items() if cls == zero},
-        scale, "raw", cutoff,
-    )
+    return table_from_counts(counts[zero], scale, "raw", cutoff)
 
 
 def factor_lambda1(rs: RootSystemData, scale):

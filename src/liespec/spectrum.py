@@ -33,7 +33,6 @@ merged in Python.
 """
 
 import io
-import json
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
@@ -159,7 +158,11 @@ class SpectrumTable(Value):
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no whitespace drift, one newline."""
+    """Deterministic JSON: sorted keys, no whitespace drift, one newline;
+    ``json`` is imported on this path alone, so ``import liespec`` stays
+    without it."""
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 

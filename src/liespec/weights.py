@@ -33,23 +33,29 @@ All three run on the integer tables of ``rootdata``:
   pairings (lam + rho, beta^vee): raising lam_j by one adds
   2 (F . lam)_j + F_jj + 2 sum_k F_jk to C, row j of the symmetric F to
   F . lam and column j of ``coroots`` to the pairings, so each weight's
-  Weyl dimension is ``_weyl_quotient`` of its pairings, as in
+  Weyl dimension is ``_weyl_quotient`` of their product, as in
   ``_weyl_dim``.  On the last coordinate's line every weight is a leaf
   and only (F . lam)_n moves C, so that loop emits the weights itself and
-  carries one number in place of F . lam.
+  carries one number in place of F . lam.  Along that line the pairings
+  with the coroots whose last coefficient is 0 stay fixed, so each line
+  multiplies them once and each leaf multiplies only the rest (57 of E8's
+  120).  The walk emits in lex order, and a stable sort by degree makes
+  that graded-lex.
 
   The pairings are packed into one int, each in a fixed-width unsigned
   field, so a step adds one packed column and a leaf reads the fields back
-  through a ``memoryview`` cast.  The width is fixed per walk from a bound:
-  C grows in every coordinate, so C(lam) >= C(lam_j omega_j) and each
-  walked lam has lam_j <= m_j, the largest m with C(m omega_j) =
-  F_jj m^2 + 2 m sum_k F_jk within the budget; coroot coefficients are
-  nonnegative and the highest coroot theta^vee has the largest of each, so
-  no pairing exceeds sum_j theta^vee_j (m_j + 1).  No field overflows into
-  the next, and ``prod`` does not care in which order the platform's byte
-  order reads them.  A budget whose bound needs more than 64 bits raises
-  DomainError before the walk starts; no walk that could finish comes
-  near it.
+  through a ``memoryview`` cast.  Field k holds the k-th coroot of the
+  walk's order: first, in the order of ``coroots``, those whose last
+  coefficient is 0, then the others, so a line's fixed pairings are the
+  first ``split`` fields in either byte order.  The width is fixed per
+  walk from a bound: C grows in every coordinate, so C(lam) >=
+  C(lam_j omega_j) and each walked lam has lam_j <= m_j, the largest m
+  with C(m omega_j) = F_jj m^2 + 2 m sum_k F_jk within the budget; coroot
+  coefficients are nonnegative and the highest coroot theta^vee has the
+  largest of each, so no pairing exceeds sum_j theta^vee_j (m_j + 1), and
+  no field overflows into the next.  A budget whose bound needs more than
+  64 bits raises DomainError before the walk starts; no walk that could
+  finish comes near it.
 """
 
 import sys
@@ -68,13 +74,14 @@ def _weyl_dim(rs: RootSystemData, lam: tuple) -> int:
     """dim V_lam by the Weyl dimension formula, lam dominant."""
     shifted = tuple(x + 1 for x in lam)
     pairs = [sum(map(mul, co, shifted)) for co in rs.coroots]
-    return _weyl_quotient(pairs, rs.weyl_den)
+    return _weyl_quotient(prod(pairs), rs.weyl_den)
 
 
-def _weyl_quotient(pairs, den) -> int:
-    """prod(pairs) / den for the pairings (lambda + rho, beta^vee), exactly:
-    a remainder, or a quotient that is not positive, raises DomainError."""
-    dim, rest = divmod(prod(pairs), den)
+def _weyl_quotient(product, den) -> int:
+    """product / den for the product of the pairings (lambda + rho,
+    beta^vee), exactly: a remainder, or a quotient that is not positive,
+    raises DomainError."""
+    dim, rest = divmod(product, den)
     if rest or dim <= 0:
         raise DomainError("Weyl dimension did not come out a positive integer")
     return dim
@@ -167,16 +174,20 @@ def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
     step = [form[j][j] + 2 * sum(form[j]) for j in range(n)]
     code, width = _pairing_field(rs, limit)
     order, size = sys.byteorder, width * len(rs.coroots)
+    current, last = [0] * n, n - 1
+    # the coroots with no last coefficient first: their pairings stay fixed
+    # along the last coordinate's line, so each line multiplies them once
+    coroots = sorted(rs.coroots, key=lambda co: co[last] != 0)
+    split = sum(co[last] == 0 for co in coroots)
     # column j of the coroot matrix, packed: what raising lam_j adds to the
     # pairings.  A coefficient (at most 6) is the low byte of its field, so
     # the packed columns are written as bytes in the order the leaves read
     low = 0 if order == "little" else width - 1
     cols = []
-    for column in zip(*rs.coroots):
+    for column in zip(*coroots):
         packed = bytearray(size)
         packed[low::width] = bytes(column)
         cols.append(int.from_bytes(packed, order))
-    current, last = [0] * n, n - 1
 
     def extend(j, cas, f_lam, pairs):
         # cas = casimir_num(current), f_lam = F . current, field k of pairs =
@@ -187,15 +198,18 @@ def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
             # every weight on the last coordinate's line is a leaf, and of
             # F . current only coordinate j is read: rise is its next step
             rise, twice = 2 * f_lam[j] + inc, 2 * row[j]
+            fields = memoryview(pairs.to_bytes(size, order)).cast(code)
+            fixed = prod(fields[:split])
             while True:
-                fields = memoryview(pairs.to_bytes(size, order)).cast(code)
-                out.append((tuple(current), cas, _weyl_quotient(fields, den)))
+                dim = _weyl_quotient(fixed * prod(fields[split:]), den)
+                out.append((tuple(current), cas, dim))
                 cas += rise
                 if cas > limit:
                     break
                 rise += twice
                 pairs += col
                 current[j] += 1
+                fields = memoryview(pairs.to_bytes(size, order)).cast(code)
             current[j] = 0
             return
         while True:
@@ -209,7 +223,9 @@ def _dominant_casimirs(rs: RootSystemData, cas_max) -> list:
         current[j] = 0
 
     extend(0, 0, [0] * n, sum(cols))  # (rho, beta^vee) = sum_j beta^vee_j
-    out.sort(key=lambda triple: (sum(triple[0]), triple[0]))
+    # the walk emits in lex order, which a stable sort by degree keeps
+    # within each degree
+    out.sort(key=lambda triple: sum(triple[0]))
     return out
 
 

@@ -84,6 +84,17 @@ MUTANTS = (
         ("tests/test_natred.py::test_terms_small_table",),
     ),
     Mutant(
+        "fold-cut-keeps-the-cutoff-out", "groups.py",
+        "if u > room:", "if u >= room:",
+        ("tests/test_groups.py::"
+         "test_fold_drops_partial_sums_past_the_cutoff",),
+    ),
+    Mutant(
+        "line-product-drops-a-fixed-coroot", "weights.py",
+        "prod(fields[:split])", "prod(fields[:split - 1])",
+        ("tests/test_weights.py::test_enumerated_casimirs_match_reference",),
+    ),
+    Mutant(
         "metric-budget-without-fibers", "natred.py",
         "return cutoff * max((m.base_scale,) + m.fiber_scales)",
         "return cutoff * m.base_scale",

@@ -5,8 +5,10 @@ attribute raises AttributeError, the constructor takes exactly its
 fields, value classes compare and hash by their fields and identity
 classes by identity, and ``repr`` is pinned byte for byte.  A fresh
 interpreter checks that ``import liespec, liespec.cli`` loads neither
-``dataclasses``, ``inspect`` nor ``csv`` and builds no root system, and
-that resolving a builtin builds that builtin alone, once.
+``dataclasses``, ``inspect`` nor ``csv`` and builds no root system, that
+``import liespec`` loads neither ``json`` nor ``hashlib`` and
+``liespec.cli`` no ``hashlib`` until a job reads the disk cache, and that
+resolving a builtin builds that builtin alone, once.
 """
 
 import os
@@ -160,6 +162,7 @@ def test_record_unequal_to_other_record_class():
 
 def _fresh(script: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LIESPEC_CACHE_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         env=env,
@@ -182,6 +185,34 @@ def test_cold_import_loads_no_dataclasses_and_builds_nothing():
         " rootdata._build.cache_info().currsize)\n"
     )
     assert out == "[] 0"
+
+
+def test_cold_import_loads_json_and_hashlib_only_where_they_are_used(
+    tmp_path,
+):
+    # the same natred-spectrum job without the disk cache and then with it:
+    # only the cached one hashes its key
+    metric = (
+        '{"group":"A2","embedding":"a1-in-a2-standard","t":"1","t_i":["1/2"]}'
+    )
+    out = _fresh(
+        "import contextlib, io, os, sys\n"
+        "before = set(sys.modules)\n"
+        "import liespec\n"
+        "lib = sorted({'json', 'hashlib'} & (set(sys.modules) - before))\n"
+        "import liespec.cli\n"
+        "cli = sorted({'hashlib'} & (set(sys.modules) - before))\n"
+        "jobs = []\n"
+        "for cache in (None, %r):\n"
+        "    if cache:\n"
+        "        os.environ['LIESPEC_CACHE_DIR'] = cache\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = liespec.cli.main(['natred-spectrum', '--metric',"
+        " %r, '--cutoff', '1'])\n"
+        "    jobs.append((code, 'hashlib' in sys.modules))\n"
+        "print(lib, cli, jobs)\n" % (str(tmp_path / "cache"), metric)
+    )
+    assert out == "[] [] [(0, False), (0, True)]"
 
 
 def test_builtins_built_on_first_lookup_once():

@@ -33,6 +33,8 @@ INLINE = {
     "B2METRIC": '{"group":"B2","embedding":"a1xa1-in-b2","t":"1","t_i":["1/2","1/3"]}',
     "F4SPEC": '{"factors":["F4"]}',
     "A4SPEC": '{"factors":["A4"]}',
+    # SU(3) x SU(3) over its diagonal center Z3
+    "A2Z3SPEC": '{"factors":["A2","A2"],"gamma":[[["1/3","2/3"],["2/3","1/3"]]]}',
     "RANK1": '{"gram":[["3/2"]]}',
     "A1G2SPEC": '{"factors":["A1","G2"],"scales":["1","1/2"]}',
     # rank-deficient restriction rows: validate-embedding reports it
@@ -269,6 +271,11 @@ GOLDEN = {
         0,
         "bafa68697c9b50d5be8525e3a4658dfe65d223d5322f164cc3d6aa2eb46f5292",
     ),
+    # a large Gamma-quotient: 212 entries, folded over three classes
+    "group-spectrum --spec A2Z3SPEC --cutoff 40": (
+        0,
+        "c51f0bd9578e70bcdf8c6dd25eb91dbf432ac5ebaa778955c1a6f086c10d86d6",
+    ),
     "natred-spectrum --metric METRIC --cutoff 3": (
         0,
         "e9481be7cf210c09cc8c2bfff1aea41a25461b3b54456cc5283f4dfa77723b7f",
@@ -413,7 +420,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 48
+    assert len(lines) == 49
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))

@@ -384,6 +384,18 @@ def test_biinvariant_spectrum_matches_fraction_reference():
         )
         cutoff = F(rng.randint(1, 8), 4)
         specs.append((GroupSpec(factors, gamma, scales), cutoff))
+    # a Gamma-quotient of A2 x A2, one of A1^3 by two central elements and
+    # a product at unequal scales: each factor's budget is the whole
+    # cutoff, so sums of two factors' values pass it and the fold's sorted
+    # cut ends rows early
+    for spec in (
+        '{"factors":["A2","A2"],"gamma":[[["1/3","2/3"],["2/3","1/3"]]]}',
+        '{"factors":["A1","A1","A1"],'
+        '"gamma":[[["1/2"],["1/2"],["0"]],[["0"],["1/2"],["1/2"]]]}',
+        '{"factors":["B2","G2"],"scales":["1/2","3/2"]}',
+    ):
+        gs = GroupSpec.from_json_dict(json.loads(spec))
+        specs += [(gs, cutoff) for cutoff in (6, 9, 12)]
     for gs, cutoff in specs:
         assert biinvariant_spectrum(gs, cutoff) == ref_biinvariant_spectrum(
             gs, cutoff
