@@ -439,10 +439,14 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
 
     Checks: integer restriction of all adjoint weights, full row rank of
     the restriction matrix, successful peeling of the adjoint and of each
-    fundamental weight, positive indices.  Every branching of the term
-    catalogue is made from these peels, so ``ok`` means that it can be
-    built.  A weight of dimension over ``_PEEL_CHECK_LIMIT`` is not peeled:
-    its check fails as skipped, since nothing then shows that it branches.
+    fundamental weight, each simple factor's adjoint (trivial on the other
+    factors) as a K-type of the adjoint's branching, positive indices.
+    Every branching of the term catalogue is made from these peels, so
+    ``ok`` means that it can be built.  All checks are necessary
+    conditions for a subalgebra, none is sufficient: ``ok`` does not prove
+    that the restriction comes from one.  A weight of dimension over
+    ``_PEEL_CHECK_LIMIT`` is not peeled: its check fails as skipped, since
+    nothing then shows that it branches.
     """
     instance(emb, EmbeddingSpec, "an embedding")
     checks = []
@@ -483,6 +487,22 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
             record(name, True)
         except DomainError as exc:
             record(name, False, str(exc))
+
+    # a subalgebra k of g is a K-submodule of g, so the adjoint of each
+    # simple factor k_i, trivial on the others, is a K-type of g's adjoint
+    k = emb._k
+    try:
+        adjoint = _branch(emb, emb.ambient.highest_root)
+        missing = []
+        for i, (f, (lo, hi)) in enumerate(zip(emb.factors, k.parts)):
+            coords = [0] * len(k.shifts)
+            coords[lo:hi] = f.highest_root
+            if _pack(k, coords) not in adjoint:
+                missing.append(str(i + 1))
+        record("subalgebra-adjoint", not missing, "" if not missing else
+               "no adjoint K-type of factor " + ",".join(missing))
+    except DomainError as exc:
+        record("subalgebra-adjoint", False, str(exc))
 
     try:
         # embedding_index raises unless every index is positive

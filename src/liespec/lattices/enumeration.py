@@ -19,23 +19,34 @@ so every quantity is an integer.  The kernel takes the completion that
 form is eliminated twice.  Coordinates are fixed from the last one down; at
 level i, with R the part of L*B not yet used and C the tail sum, the
 admissible x_i are exactly those with |p_i x_i + C| <= isqrt(R // w_i).
-The two lowest levels are one loop nest whose leaves are the norms
-x^T A x themselves, read off the completion; only the search bounds are
-scaled by L.  With c_1 and e the tail sums of rows 1 and 0 over x_2, ...,
-x_{n-1}, U the terms of levels 2 and up in L * x^T A x, and
-c_0 = e + r_01 x_1,
+The three lowest levels read the norms x^T A x off the completion's
+coefficients; only the search bounds are scaled by L.  With b_1 and b_0
+the tail sums of rows 1 and 0 over x_3, ..., x_{n-1}, c_2 that of row 2,
+U the terms of levels 3 and up in L * x^T A x, c_1 = b_1 + r_12 x_2,
+e = b_0 + r_02 x_2 and c_0 = e + r_01 x_1,
 
     x^T A x = p_0 x_0^2 + 2 x_0 c_0 + alpha x_1^2 + beta x_1 + gamma,
-    alpha = (w_1 p_1^2 + w_0 r_01^2) / L = A_11,
-    beta = 2 (w_1 p_1 c_1 + w_0 r_01 e) / L,
-    gamma = (U + w_1 c_1^2 + w_0 e^2) / L,
+    alpha = A_11 = (w_1 p_1^2 + w_0 r_01^2) / L,
+    beta = B_0 + 2 A_12 x_2,            gamma = G_0 + G_1 x_2 + A_22 x_2^2,
+    2 A_12 = 2 (w_1 p_1 r_12 + w_0 r_01 r_02) / L,
+    A_22 = (w_2 p_2^2 + w_1 r_12^2 + w_0 r_02^2) / L,
+    B_0 = 2 (w_1 p_1 b_1 + w_0 r_01 b_0) / L,
+    G_1 = 2 (w_2 p_2 c_2 + w_1 r_12 b_1 + w_0 r_02 b_0) / L,
+    G_0 = (U + w_2 c_2^2 + w_1 b_1^2 + w_0 b_0^2) / L,
 
-so alpha is fixed per call and beta and gamma per choice of x_2, ...,
-x_{n-1}; no float and no Fraction is involved.  Each of the three
-divisions by L must be exact, which is checked with an explicit
-CertificationError that ``python -O`` keeps: alpha's once per call, beta's
-and gamma's inline, one divmod each, once per choice of x_2, ..., x_{n-1}.
-The tails of rows 0 and 1 are sliced once per call; under a zero tail
+so A_11, 2 A_12 and A_22 are fixed per call and B_0, G_1 and G_0 per
+choice of x_3, ..., x_{n-1}; no float and no Fraction is involved.  Each
+of the six divisions by L must be exact, which is checked with an explicit
+CertificationError that ``python -O`` keeps: the three entries once per
+call, the three tail coefficients once per level-2 step, before its loop
+over x_2, and none per choice of x_2.  The level-2 step hands level 1 its
+c_1, e, beta and gamma, so the loop nest of levels 1 and 0 takes no tail
+sum and divides nothing, and slices only to list vectors.  A form of
+dimension 2 (a padded 1-D form too) has no level 2:
+c_1 = e = beta = gamma = 0, and only A_11 is certified.  Each row of x_0
+is recorded as a span (base, 2 c_0, range), with
+base = alpha x_1^2 + beta x_1 + gamma, and one comprehension after the
+walk makes every leaf base + x_0 (p_0 x_0 + 2 c_0).  Under a zero tail
 (x_2 = ... = x_{n-1} = 0) the row x_1 = 0, whose x_0 start at 1, is
 written before the loop over x_1, so the loop tests no sign condition.
 """
@@ -68,10 +79,13 @@ def _norm_counts(squares, bound: int, vectors=None):
     list given as ``vectors`` also receives (x, x^T A x) for each such x,
     in ascending order of (x_{m-1}, ..., x_0).
 
-    alpha, beta and gamma of the module docstring are certified integers:
-    if the three are, every leaf is one, so if some leaf is not an integer,
-    one of them is not, and the check is at least as strict as one on
-    every value.
+    The coefficients of the module docstring are certified integers:
+    A_11, 2 A_12 and A_22 once per call, and B_0, G_1 and G_0 once per
+    choice of x_3, ..., x_{n-1}, before the loop over x_2.  If all six are
+    integers, every beta, every gamma and every leaf is one, so if some
+    leaf is not an integer, one of them is not, and the check is at least
+    as strict as one on every value.  On a well-formed completion each is
+    an entry of A or a partial sum of x^T A x, so no valid form is refused.
     """
     pivots, rows, weights, total = squares
     m = len(pivots)
@@ -84,25 +98,16 @@ def _norm_counts(squares, bound: int, vectors=None):
     budget = total * bound
     (p0, p1), (w0, w1), r01 = pivots[:2], weights[:2], rows[0][1]
     alpha = _exact(w1 * p1 * p1 + w0 * r01 * r01, total)
-    x, leaves = [0] * n, []
-    tail1, tail0 = rows[1][2:], rows[0][2:]
+    x, spans = [0] * n, []
 
-    def bottom(_, used, zerotail):
+    def bottom(used, c1, e, beta, gamma, zerotail):
         """Levels 1 and 0 below the fixed x_2, ..., x_{n-1}."""
-        high = x[2:]
-        c1, e = sum(map(mul, tail1, high)), sum(map(mul, tail0, high))
-        beta, rest = divmod(2 * (w1 * p1 * c1 + w0 * r01 * e), total)
-        if rest:
-            raise CertificationError("x^T A x is not an integer")
-        gamma, rest = divmod(used + w1 * c1 * c1 + w0 * e * e, total)
-        if rest:
-            raise CertificationError("x^T A x is not an integer")
         s = isqrt((budget - used) // w1)
         if zerotail:  # c1 = e = 0: x_1 from 0, and x_0 from 1 when x_1 = 0
             row = range(1, isqrt(budget // w0) // p0 + 1)
-            leaves.extend([p0 * v * v for v in row])
+            spans.append((0, 0, row))
             if vectors is not None:
-                tail = (0, *high)[:m - 1]
+                tail = (0, *x[2:])[:m - 1]
                 vectors.extend([(v, *tail) for v in row])
             lo = 1
         else:
@@ -111,17 +116,40 @@ def _norm_counts(squares, bound: int, vectors=None):
             t1, c0 = p1 * x1 + c1, e + r01 * x1
             s0 = isqrt((budget - used - w1 * t1 * t1) // w0)
             row = range(-((s0 + c0) // p0), (s0 - c0) // p0 + 1)
-            base, k = gamma + x1 * (alpha * x1 + beta), 2 * c0
-            leaves.extend([base + v * (p0 * v + k) for v in row])
+            spans.append((gamma + x1 * (alpha * x1 + beta), 2 * c0, row))
             if vectors is not None:
-                tail = (x1, *high)[:m - 1]
+                tail = (x1, *x[2:])[:m - 1]
                 vectors.extend([(v, *tail) for v in row])
+
+    if n > 2:
+        p2, w2, r02, r12 = pivots[2], weights[2], rows[0][2], rows[1][2]
+        a12 = _exact(2 * (w1 * p1 * r12 + w0 * r01 * r02), total)
+        a22 = _exact(w2 * p2 * p2 + w1 * r12 * r12 + w0 * r02 * r02, total)
+        tail2, tail1, tail0 = rows[2][3:], rows[1][3:], rows[0][3:]
+
+    def middle(_, used, zerotail):
+        """Level 2 below the fixed x_3, ..., x_{n-1}."""
+        high = x[3:]
+        c2 = sum(map(mul, tail2, high))
+        b1, b0 = sum(map(mul, tail1, high)), sum(map(mul, tail0, high))
+        beta0 = _exact(2 * (w1 * p1 * b1 + w0 * r01 * b0), total)
+        g1 = _exact(2 * (w2 * p2 * c2 + w1 * r12 * b1 + w0 * r02 * b0), total)
+        g0 = _exact(used + w2 * c2 * c2 + w1 * b1 * b1 + w0 * b0 * b0, total)
+        s = isqrt((budget - used) // w2)
+        lo = 0 if zerotail else -((s + c2) // p2)
+        for x2 in range(lo, (s - c2) // p2 + 1):
+            t2 = p2 * x2 + c2
+            x[2] = x2
+            bottom(used + w2 * t2 * t2, b1 + r12 * x2, b0 + r02 * x2,
+                   beta0 + a12 * x2, g0 + x2 * (g1 + a22 * x2),
+                   zerotail and x2 == 0)
+        x[2] = 0
 
     def rec(i, used, zerotail):
         p, w, row = pivots[i], weights[i], rows[i]
         c = sum(map(mul, row[i + 1:], x[i + 1:]))
         s = isqrt((budget - used) // w)
-        below = rec if i > 2 else bottom
+        below = rec if i > 3 else middle
         lo = 0 if zerotail else -((s + c) // p)
         for xi in range(lo, (s - c) // p + 1):
             t = p * xi + c
@@ -129,7 +157,11 @@ def _norm_counts(squares, bound: int, vectors=None):
             below(i - 1, used + w * t * t, zerotail and xi == 0)
         x[i] = 0
 
-    (rec if n > 2 else bottom)(n - 1, 0, True)
+    if n == 2:
+        bottom(0, 0, 0, 0, 0, True)
+    else:
+        (rec if n > 3 else middle)(n - 1, 0, True)
+    leaves = [base + v * (p0 * v + k) for base, k, row in spans for v in row]
     if vectors is not None:
         vectors[:] = list(zip(vectors, leaves))
     return Counter(leaves)

@@ -174,6 +174,31 @@ MUTANTS = (
         optimize=True,
     ),
     Mutant(
+        "kernel-entries-unchecked", "lattices/enumeration.py",
+        "        a12 = _exact(2 * (w1 * p1 * r12 + w0 * r01 * r02), total)\n"
+        "        a22 = _exact(w2 * p2 * p2 + w1 * r12 * r12 + w0 * r02 * r02, "
+        "total)",
+        "        a12 = 2 * (w1 * p1 * r12 + w0 * r01 * r02) // total\n"
+        "        a22 = (w2 * p2 * p2 + w1 * r12 * r12 + w0 * r02 * r02)"
+        " // total",
+        ("tests/test_cli.py::test_level_two_certification_survives_optimize",),
+    ),
+    Mutant(
+        "kernel-tail-coefficients-unchecked", "lattices/enumeration.py",
+        "        beta0 = _exact(2 * (w1 * p1 * b1 + w0 * r01 * b0), total)\n"
+        "        g1 = _exact(2 * (w2 * p2 * c2 + w1 * r12 * b1 + w0 * r02 * b0)"
+        ", total)\n"
+        "        g0 = _exact(used + w2 * c2 * c2 + w1 * b1 * b1 + w0 * b0 * b0"
+        ", total)",
+        "        beta0 = 2 * (w1 * p1 * b1 + w0 * r01 * b0) // total\n"
+        "        g1 = 2 * (w2 * p2 * c2 + w1 * r12 * b1 + w0 * r02 * b0)"
+        " // total\n"
+        "        g0 = (used + w2 * c2 * c2 + w1 * b1 * b1 + w0 * b0 * b0)"
+        " // total",
+        ("tests/test_cli.py::"
+         "test_level_two_tail_certification_survives_optimize",),
+    ),
+    Mutant(
         "kernel-division-unchecked", "lattices/enumeration.py",
         '        raise CertificationError("x^T A x is not an integer")\n'
         "    return q",
@@ -358,6 +383,12 @@ MUTANTS = (
         "    w = sequence(",
         ("tests/test_surface.py::"
          "test_every_door_refuses_a_record_of_the_wrong_kind",),
+    ),
+    Mutant(
+        "validate-skips-the-subalgebra-adjoint", "branching.py",
+        "if _pack(k, coords) not in adjoint:", "if False:",
+        ("tests/test_branching.py::"
+         "test_an_embedding_reported_ok_has_a_spectrum",),
     ),
     Mutant(
         "validate-skips-the-fundamentals", "branching.py",

@@ -316,7 +316,7 @@ def test_validate_embedding_reports():
         assert "positive-indices" in names
         assert names[2:-1] == ["adjoint-peeling"] + [
             f"fundamental-{i + 1}-peeling" for i in range(emb.ambient.rank)
-        ]
+        ] + ["subalgebra-adjoint"]
     # rank-deficient restriction fails validation but does not raise
     bad = EmbeddingSpec(
         ambient=build("A2"), factors=(build("A1"),), restriction=((0, 0),)
@@ -352,17 +352,27 @@ def test_an_embedding_reported_ok_has_a_spectrum():
     # G2: each fundamental weight is peeled as its own check, so a
     # restriction reported ok builds its term catalogue, and natred_spectrum
     # runs on it at a fiber below and above the base; the adjoint's checks
-    # alone said ok to 16 more, all of which the spectrum refused
+    # alone said ok to 16 more, all of which the spectrum refused, and the
+    # peels to six more into G2 whose adjoint branching has no V_2, the
+    # adjoint of the A1
     a1 = build("A1")
-    reported_ok = 0
+    reported_ok, only_subalgebra = 0, []
     for name in ("A2", "B2", "G2"):
         for row in itertools.product(range(-2, 5), repeat=2):
             emb = EmbeddingSpec(build(name), (a1,), (row,))
-            if validate_embedding(emb)["ok"]:
+            report = validate_embedding(emb)
+            failed = [c["name"] for c in report["checks"] if not c["ok"]]
+            if report["ok"]:
                 reported_ok += 1
                 for fiber in ("1/2", "2"):
                     natred_spectrum(NatRedMetric(emb, 1, (fiber,)), 3)
-    assert reported_ok == 49
+            elif failed == ["subalgebra-adjoint"]:
+                only_subalgebra.append((name, row))
+    assert reported_ok == 43
+    assert only_subalgebra == [
+        ("G2", row)
+        for row in ((-2, -1), (-1, 1), (1, -1), (1, 4), (2, 1), (3, 4))
+    ]
 
 
 def test_json_round_trip():

@@ -447,11 +447,12 @@ def test_kernel_certification_survives_optimize():
     assert json.loads(result["out"])["error"]["type"] == "CertificationError"
 
 
-# Runs under python -O, with the square completion's level-2 entry r_12 off
-# by one on every form, so alpha = A_11 stays an exact quotient by L while
-# beta or gamma does not, on A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-# and on its dual.  Prints what systole raised, what cli.main
-# returned for torus-spectrum, and alpha's remainder on each completion.
+# Runs under python -O, with the square completion's entry ENTRY = (i, j)
+# of the pivot rows off by one on every form of the Gram matrix GRAM and of
+# its dual, so alpha = A_11 stays an exact quotient by L while a
+# coefficient of beta or gamma does not.  Prints what systole raised, what
+# cli.main returned for torus-spectrum, and alpha's remainder on each
+# completion.
 _LEVEL_TWO_FAULT_SCRIPT = """
 import contextlib, io, json
 from fractions import Fraction
@@ -465,29 +466,32 @@ alpha = []
 def broken(pivots, rows):
     pivots, rows, weights, total = real(pivots, rows)
     rows = [list(row) for row in rows]
-    rows[1][2] += 1
+    i, j = ENTRY
+    rows[i][j] += 1
     (p0, p1), (w0, w1) = pivots[:2], weights[:2]
     alpha.append((w1 * p1 * p1 + w0 * rows[0][1] ** 2) % total)
     return pivots, rows, weights, total
 
 lattice._squares = broken
-a3 = [[Fraction(x) for x in row] for row in ((2, -1, 0), (-1, 2, -1), (0, -1, 2))]
 try:
-    lattice.systole(lattice.Lattice.from_gram(a3))
+    lattice.systole(lattice.Lattice.from_gram(
+        [[Fraction(x) for x in row] for row in GRAM]))
     raised = None
 except CertificationError as exc:
     raised = type(exc).__name__
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
-    gram = '{"gram": [["2", "-1", "0"], ["-1", "2", "-1"], ["0", "-1", "2"]]}'
+    gram = json.dumps({"gram": [[str(x) for x in row] for row in GRAM]})
     code = main(["torus-spectrum", "--gram", gram, "--cutoff", "4"])
 print(json.dumps({"debug": __debug__, "raised": raised, "code": code,
                   "out": buf.getvalue(), "alpha": alpha}))
 """
 
 
-def test_level_two_certification_survives_optimize():
-    result = _run_optimized(_LEVEL_TWO_FAULT_SCRIPT)
+def _level_two_fault(gram, entry):
+    result = _run_optimized(
+        f"GRAM = {gram!r}\nENTRY = {entry!r}\n" + _LEVEL_TWO_FAULT_SCRIPT
+    )
     assert result["debug"] is False
     assert result["alpha"] == [0, 0]  # one completion per path, alpha exact
     assert result["raised"] == "CertificationError"
@@ -496,6 +500,18 @@ def test_level_two_certification_survives_optimize():
         "type": "CertificationError",
         "message": "x^T A x is not an integer",
     }
+
+
+def test_level_two_certification_survives_optimize():
+    # r_12 on A3: the per-call 2 A_12 or A_22 is no longer an integer
+    _level_two_fault(((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 2))
+
+
+def test_level_two_tail_certification_survives_optimize():
+    # r_03 on A4: x_3 is a tail of the level-2 step, so B_0, G_1 or G_0,
+    # taken once per choice of x_3, is no longer an integer
+    a4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    _level_two_fault(a4, (0, 3))
 
 
 # Runs under python -O: the first lattice's form is made with the real

@@ -53,6 +53,24 @@ INLINE = {
         '["0","0","0","0","0","-1","2","-1"],'
         '["0","0","0","0","0","0","-1","2"]]}'
     ),
+    # the E6 and E7 Cartan matrices written as Gram matrices
+    "E6GRAM": (
+        '{"gram":[["2","0","-1","0","0","0"],'
+        '["0","2","0","-1","0","0"],'
+        '["-1","0","2","-1","0","0"],'
+        '["0","-1","-1","2","-1","0"],'
+        '["0","0","0","-1","2","-1"],'
+        '["0","0","0","0","-1","2"]]}'
+    ),
+    "E7GRAM": (
+        '{"gram":[["2","0","-1","0","0","0","0"],'
+        '["0","2","0","-1","0","0","0"],'
+        '["-1","0","2","-1","0","0","0"],'
+        '["0","-1","-1","2","-1","0","0"],'
+        '["0","0","0","-1","2","-1","0"],'
+        '["0","0","0","0","-1","2","-1"],'
+        '["0","0","0","0","0","-1","2"]]}'
+    ),
 }
 
 # argv -> (exit code, sha256 of stdout)
@@ -217,6 +235,17 @@ GOLDEN = {
         0,
         "2ec2e261f6d8d916511f8a78f699c1fa5b1cc59e0ebea5bf231899ffb6a6aecf",
     ),
+    # dimensions 6 and 7, where the kernel's level-2 step carries tails of
+    # length 3 and 4: the dual theta series of E6 (54 at 4/3) and E7 (56 at
+    # 3/2) up to 8
+    "torus-spectrum --gram E6GRAM --cutoff 8": (
+        0,
+        "a2221b8c4d53fa7238d33d71219f47c15cda7629442d774dbc87354f344dd646",
+    ),
+    "torus-spectrum --gram E7GRAM --cutoff 8": (
+        0,
+        "b07fae97fcf2395586cef66049759ce86f87c9cc20b09f018fbe7b271fe02aa1",
+    ),
     "gamma --gram hexagonal": (
         0,
         "beda30913c809861f7e702418253c4c91b22abbe14bfdc8808a19f001da6115b",
@@ -357,42 +386,43 @@ GOLDEN = {
         "683cf98fd0b92e75130db32163e922583132bbf89000a04c34aa1a42ae0378a4",
     ),
     # each report lists the peel of the adjoint and of every fundamental
-    # weight as its own check
+    # weight as its own check, then whether each factor's adjoint is a
+    # K-type of the adjoint's branching
     "validate-embedding --embedding a1xa1-in-b2 --format json": (
         0,
-        "c7c2006cf33468d9edf590624e1a06e67e176f8749c086c404d93f480357644c",
+        "81a00e45e7ff9c0a3b94ab2369077622c0e7accb9d5daf3cf23fba07963046cd",
     ),
     "validate-embedding --embedding a1xa1-in-b2 --format csv": (
         0,
-        "41f4ba27e4c7df9377fada3cc224423ec9657e1aeb85f0fac5894da62987d2e7",
+        "5c696bd7bb187d736a736b5d3619ffc540447bdcf54d84082f4e828c281befae",
     ),
     "validate-embedding --embedding a1xa1-in-b2 --format pretty": (
         0,
-        "03c11efc9d9e6390561e8999595607cf5efcdfae4f4fd5a3b9c1b11cac8f590e",
+        "893104be17d8debf9a2eabe7b35e75d778609426fdefd413183f63eba21028a8",
     ),
     "validate-embedding --embedding BADEMB --format json": (
         0,
-        "d88a15a1f821c6b582d1096e39efff2041390dd22984185b9cc9d5eb4b5e01fd",
+        "e7b561e9049f15c93059be6e92b6c1f52496a93b0ac00dcd1248792010ed4792",
     ),
     "validate-embedding --embedding BADEMB --format csv": (
         0,
-        "efb4971494529d470379661cde88b361955a0c82fcae78737cf7bcb26fc09500",
+        "511d7a495b3da33c1c2375ed7acb0f7221207f3fb0f8321c25ef3c42046b1e5c",
     ),
     "validate-embedding --embedding BADEMB --format pretty": (
         0,
-        "b9dfeba2ce9aa393cd11adda1b6d1410973ef779702e3306e36137b6ca5400f7",
+        "42100991581509bd5a3ba042135037570910884f5221e64f7828a3191796717d",
     ),
     "validate-embedding --embedding HALFEMB --format json": (
         0,
-        "67298a2b855c167eb0a82ee24c161808bd912f869c35a8488982fd557222f102",
+        "221ec05985444eb275905b9d7039c2cf4433fdf7307f4165c7f280fd1f9adfe2",
     ),
     "validate-embedding --embedding HALFEMB --format csv": (
         0,
-        "292b8d85eb5a8b80813164dc8721273ce84c1d0882f4e0d62c4d77829abde0dd",
+        "69d014446dc9c0951e5efe2c31d29e708255a9eee2c29e32797e8ee07ec157ae",
     ),
     "validate-embedding --embedding HALFEMB --format pretty": (
         0,
-        "da823d6067dc47e2cdb690482e21c23465891607a5b66a022d90e3b0a9e5b1d1",
+        "948145dab6009a09e3deb74621fa7934cb48ab30aca848184c563883ce3ae672",
     ),
     "torus-spectrum --gram SINGULAR --cutoff 1": (
         2,
@@ -420,7 +450,7 @@ SPECTRUM_COMMANDS = ("torus-spectrum", "group-spectrum", "natred-spectrum")
 
 def test_cached_cli_bytes_match_golden_digests(capsys, monkeypatch, tmp_path):
     lines = [a for a in GOLDEN if a.split(" ")[0] in SPECTRUM_COMMANDS]
-    assert len(lines) == 49
+    assert len(lines) == 51
     for i, line in enumerate(lines):
         cache = tmp_path / str(i)  # one cache per command: a miss, then a hit
         monkeypatch.setenv("LIESPEC_CACHE_DIR", str(cache))

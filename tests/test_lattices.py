@@ -24,7 +24,6 @@ from helpers import (
     volume,
 )
 from liespec import build, isolation
-from liespec.catalog import BUILTIN_LATTICES
 from liespec.errors import (
     CertificationError,
     DomainError,
@@ -274,19 +273,28 @@ def _completion(a):
 
 
 def test_kernel_differential():
-    # the integer kernel returns the Fraction reference's exact list, in order
+    # the integer kernel returns the Fraction reference's exact list, in
+    # order, and its counts
     rng = random.Random(99)
     problems = []
     for _ in range(30):
         m = rng.randint(1, 4)
         lat = Lattice.from_basis(random_rational_basis(rng, m))
         problems.append((lat.gram, F(rng.randint(1, 40), rng.randint(1, 3))))
+    # dimensions 6 and 7, where the level-2 step carries tails of length
+    # 3 and 4: E6 and E7, and random integer bases at their largest norm
+    for name in ("E6", "E7"):
+        problems += [(build(name).cartan, F(4)), (build(name).cartan, F(6))]
+    for m in (6, 7):
+        gram = Lattice.from_basis(random_integer_basis(rng, m)).gram
+        problems.append((gram, max(gram[i][i] for i in range(m))))
     problems.append((build("E8").cartan, F(6)))
     for gram, bound in problems:
         a, b = _cleared(gram, bound)
-        found = []
-        _norm_counts(_completion(a), b, found)
-        assert found == short_vectors_int(a, b)
+        reference, found = short_vectors_int(a, b), []
+        counts = _norm_counts(_completion(a), b, found)
+        assert found == reference
+        assert counts == Counter(v for _, v in reference)
 
 
 def _kernel_problems():
@@ -783,22 +791,54 @@ def _block_diagonal(*blocks):
     return rows
 
 
+# closed-form theta series: each expected side is the test's own divisor
+# sum over a Gram matrix written here, so no liespec code makes it
+E8_CARTAN = (
+    (2, 0, -1, 0, 0, 0, 0, 0),
+    (0, 2, 0, -1, 0, 0, 0, 0),
+    (-1, 0, 2, -1, 0, 0, 0, 0),
+    (0, -1, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, -1),
+    (0, 0, 0, 0, 0, 0, -1, 2),
+)
+
+
+def _identity_gram(m):
+    return tuple(tuple(F(int(i == j)) for j in range(m)) for i in range(m))
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_z4_matches_jacobi_four_squares():
     # r_4(n) = 8 * sum of the divisors d of n with 4 not dividing d
-    z4 = BUILTIN_LATTICES["identity4"]
     expect = {F(0): 1}
     for n in range(1, 41):
-        expect[F(n)] = 8 * sum(d for d in range(1, n + 1) if n % d == 0 and d % 4)
-    assert dict(torus_spectrum(z4, 40).entries) == expect
+        expect[F(n)] = 8 * sum(d for d in _divisors(n) if d % 4)
+    table = torus_spectrum(Lattice.from_gram(_identity_gram(4)), 40)
+    assert dict(table.entries) == expect
+
+
+def test_z8_matches_eight_squares():
+    # r_8(n) = 16 * sum over the divisors d of n of (-1)^(n + d) d^3
+    expect = {F(0): 1}
+    for n in range(1, 11):
+        expect[F(n)] = 16 * sum((-1) ** (n + d) * d**3 for d in _divisors(n))
+    table = torus_spectrum(Lattice.from_gram(_identity_gram(8)), 10)
+    assert dict(table.entries) == expect
 
 
 def test_e8_matches_theta_series():
-    # E8 is even unimodular: r(2n) = 240 * sigma_3(n) and no odd norms
-    e8 = Lattice.from_gram(build("E8").cartan)
+    # E8 is even unimodular, so its dual is itself: r(2n) = 240 * sigma_3(n)
+    # and no odd norms
+    e8 = Lattice.from_gram([[F(x) for x in row] for row in E8_CARTAN])
     expect = {F(0): 1}
-    for n in range(1, 6):
-        expect[F(2 * n)] = 240 * sum(d**3 for d in range(1, n + 1) if n % d == 0)
-    assert dict(torus_spectrum(e8, 10).entries) == expect
+    for n in range(1, 9):
+        expect[F(2 * n)] = 240 * sum(d**3 for d in _divisors(n))
+    assert dict(torus_spectrum(e8, 16).entries) == expect
 
 
 def test_milnor_pair_is_isospectral():
