@@ -25,12 +25,7 @@ from .errors import (
     MalformedEmbeddingError,
     UnsupportedDimensionError,
 )
-from .groups import (
-    GroupSpec,
-    biinvariant_spectrum,
-    factor_lambda1,
-    normal_quotient_spectrum,
-)
+from .groups import GroupSpec, biinvariant_spectrum, factor_lambda1
 from .isolation import (
     GammaVector,
     finiteness_window,
@@ -50,6 +45,7 @@ from .natred import (
     beta_factors,
     containment_check,
     natred_spectrum,
+    normal_quotient_spectrum,
 )
 from .rootdata import RootSystemData, build, casimir
 from .spectrum import SpectrumTable, table_distance

@@ -42,10 +42,10 @@ given; a step reads, unchecked, only weights that the walk or the memo
 made from checked ones.
 A step runs only if every branching it reads is memoized: each kappa has
 a smaller Casimir than lam, so ``_branched``, which walks and branches the
-weights below a Casimir budget for the term catalogue and the normal
-quotient, takes them in ascending Casimir and recurses past 0 and the
-fundamentals.  Other weights, one asked for alone among them, and steps
-that fail on malformed data are peeled: the restricted weight diagram is
+weights below a Casimir budget for the term catalogue and
+``containment_check``, takes them in ascending Casimir and recurses past 0
+and the fundamentals.  Other weights, one asked for alone among them, and
+steps that fail on malformed data are peeled: the restricted weight diagram is
 checked W_K-invariant and run through the same kernel against the trivial
 K-type alone.  K-characters decompose uniquely, so the two agree where
 both succeed.  Malformed data surfaces as a non-integer image, a
@@ -408,10 +408,15 @@ def embedding_index(emb: EmbeddingSpec) -> tuple:
     <lambda, lambda + 2 rho>_norm = casimir_num / form_den.
     """
     instance(emb, EmbeddingSpec, "an embedding")
+    return _indices(emb, _branch(emb, emb.ambient.highest_root))
+
+
+def _indices(emb: EmbeddingSpec, adjoint: dict) -> tuple:
+    """``embedding_index`` from the adjoint's packed branching;
+    MalformedEmbeddingError unless every index is positive."""
     types = emb._k.types
     terms = [
-        (types[key][0], m * types[key][1])
-        for key, m in _branch(emb, emb.ambient.highest_root).items()
+        (types[key][0], m * types[key][1]) for key, m in adjoint.items()
     ]
     indices = tuple(
         Fraction(
@@ -476,37 +481,40 @@ def validate_embedding(emb: EmbeddingSpec) -> dict:
          tuple(int(j == i) for j in range(rank)))
         for i in range(rank)
     ]
+    outcomes = {}  # each peel's packed branching, or why it has none
     for name, lam in peels:
         dim = _weyl_dim(emb.ambient, lam)
         if dim > _PEEL_CHECK_LIMIT:
-            record(name, False, f"skipped: dimension {dim} is over "
-                                f"{_PEEL_CHECK_LIMIT}")
-            continue
-        try:
-            _branch(emb, lam)
-            record(name, True)
-        except DomainError as exc:
-            record(name, False, str(exc))
+            outcome = f"skipped: dimension {dim} is over {_PEEL_CHECK_LIMIT}"
+        else:
+            try:
+                outcome = _branch(emb, lam)
+            except DomainError as exc:
+                outcome = str(exc)
+        failed = isinstance(outcome, str)
+        record(name, not failed, outcome if failed else "")
+        outcomes[name] = outcome
 
+    # the last two checks read the adjoint's outcome, so a failing adjoint
+    # is branched once
+    adjoint = outcomes["adjoint-peeling"]
+    if isinstance(adjoint, str):
+        record("subalgebra-adjoint", False, adjoint)
+        record("positive-indices", False, adjoint)
+        return {"ok": False, "checks": checks}
     # a subalgebra k of g is a K-submodule of g, so the adjoint of each
     # simple factor k_i, trivial on the others, is a K-type of g's adjoint
     k = emb._k
+    missing = []
+    for i, (f, (lo, hi)) in enumerate(zip(emb.factors, k.parts)):
+        coords = [0] * len(k.shifts)
+        coords[lo:hi] = f.highest_root
+        if _pack(k, coords) not in adjoint:
+            missing.append(str(i + 1))
+    record("subalgebra-adjoint", not missing, "" if not missing else
+           "no adjoint K-type of factor " + ",".join(missing))
     try:
-        adjoint = _branch(emb, emb.ambient.highest_root)
-        missing = []
-        for i, (f, (lo, hi)) in enumerate(zip(emb.factors, k.parts)):
-            coords = [0] * len(k.shifts)
-            coords[lo:hi] = f.highest_root
-            if _pack(k, coords) not in adjoint:
-                missing.append(str(i + 1))
-        record("subalgebra-adjoint", not missing, "" if not missing else
-               "no adjoint K-type of factor " + ",".join(missing))
-    except DomainError as exc:
-        record("subalgebra-adjoint", False, str(exc))
-
-    try:
-        # embedding_index raises unless every index is positive
-        indices = embedding_index(emb)
+        indices = _indices(emb, adjoint)
         record("positive-indices", True, ",".join(str(i) for i in indices))
     except DomainError as exc:
         record("positive-indices", False, str(exc))

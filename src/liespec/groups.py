@@ -1,4 +1,4 @@
-"""Bi-invariant spectra of compact semisimple groups and normal quotients.
+"""Bi-invariant spectra of compact semisimple groups.
 
 A group is described by its simply-connected simple factors, a finite list
 of central elements cutting out K = K-tilde / Gamma, and per-factor metric
@@ -27,16 +27,13 @@ partial sum above the cutoff is never formed.
 from math import lcm
 from operator import mul
 
-from .branching import EmbeddingSpec, _branched
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
 from .rational import (
     array, fmt, instance, rat, rat_cutoff, required, sequence
 )
 from .rootdata import RootSystemData, build, casimir, check_root_system
-from .spectrum import (
-    SpectrumTable, _common_scale, linear_table, table_from_counts
-)
+from .spectrum import SpectrumTable, _common_scale, table_from_counts
 from .weights import _dominant_casimirs
 
 
@@ -172,23 +169,3 @@ def factor_lambda1(rs: RootSystemData, scale):
         raise CertificationError("lambda1 is not at a fundamental weight")
     return best
 
-
-def normal_quotient_spectrum(emb: EmbeddingSpec, t, cutoff) -> SpectrumTable:
-    """Spectrum of the normal metric t*(-B) on G/K, G simply connected, for
-    the embedding ``emb`` of K in G.
-
-    Eigenvalues are c(lambda)/t over spherical representations, each with
-    multiplicity dim(lambda) times the dimension of its K-fixed subspace,
-    the trivial K-type's multiplicity in the branching of ``_branched``.
-    """
-    instance(emb, EmbeddingSpec, "an embedding")
-    t = rat(t)
-    if t <= 0:
-        raise DomainError("metric scale must be positive")
-    cutoff = rat_cutoff(cutoff)
-    rows = []
-    for _, num, dim, result in _branched(emb, cutoff * t):
-        fixed = result.get(0)  # the trivial K-type packs to 0
-        if fixed:
-            rows.append(((num,), dim * fixed))
-    return linear_table(rows, emb.ambient.casimir_den, (t,), cutoff)

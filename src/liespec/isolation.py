@@ -72,6 +72,7 @@ def gamma_invariants(subject) -> GammaVector:
     cover).  Torus entries are b_j = Q*(delta_j) and c_jk = Q*(delta_j +
     delta_k) for the dual quadratic form Q* in the standard coordinates.
     """
+    instance(subject, (GroupSpec, Lattice), "a subject")
     if isinstance(subject, GroupSpec):
         vals = tuple(
             factor_lambda1(f, t)[0]
@@ -80,18 +81,14 @@ def gamma_invariants(subject) -> GammaVector:
         return GammaVector(
             kind="group", dim=len(subject.factors), entries=vals
         )
-    if isinstance(subject, Lattice):
-        d, s = subject._dual_gram
-        m = subject.dim
-        b = [Fraction(d[j][j], s) for j in range(m)]
-        c = [
-            Fraction(d[j][j] + 2 * d[j][k] + d[k][k], s)
-            for j, k in combinations(range(m), 2)
-        ]
-        return GammaVector(
-            kind="torus", dim=m, entries=tuple(b) + tuple(c)
-        )
-    raise DomainError("subject must be a GroupSpec or a Lattice")
+    d, s = subject._dual_gram
+    m = subject.dim
+    b = [Fraction(d[j][j], s) for j in range(m)]
+    c = [
+        Fraction(d[j][j] + 2 * d[j][k] + d[k][k], s)
+        for j, k in combinations(range(m), 2)
+    ]
+    return GammaVector(kind="torus", dim=m, entries=tuple(b) + tuple(c))
 
 
 def _grid_multipliers(radius: Fraction, steps: int):

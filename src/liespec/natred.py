@@ -30,7 +30,9 @@ only ``containment_check``, which names its tau, takes a contragredient,
 and it finds its witness in the branchings of ``_branched``, as the
 catalogue does.  A metric is then one ``linear_table`` pass over the
 rows against its scales (t, t_1, ...), an integer dot product over one
-common scale, and one Fraction per distinct eigenvalue.
+common scale, and one Fraction per distinct eigenvalue.  The normal
+metric t*(-B) on G/K is the same catalogue: its rows with every f_i = 0,
+tau trivial, read at the one scale t.
 
 Truncation is certified by horizontal positivity: the ambient Casimir
 dominates the summed ambient-unit fiber Casimirs on every branch component,
@@ -47,9 +49,7 @@ from math import lcm
 from operator import mul
 
 from .branching import EmbeddingSpec, _branched, _pack, killing_ratio
-from .errors import (
-    CertificationError, DomainError, InadmissibleMetricError, InputError
-)
+from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .frozen import Frozen
 from .groups import factor_lambda1
 from .rational import (
@@ -67,10 +67,7 @@ class NatRedMetric(Frozen):
     _fields = ("emb", "base_scale", "fiber_scales")
 
     def __init__(self, emb, base_scale, fiber_scales):
-        if not isinstance(emb, EmbeddingSpec):
-            raise InputError(
-                f"a metric's embedding is an EmbeddingSpec, not {emb!r}"
-            )
+        instance(emb, EmbeddingSpec, "an embedding")
         fiber_scales = sequence(fiber_scales, "fiber scales are a sequence")
         self.__dict__.update(
             emb=emb,
@@ -198,6 +195,23 @@ def natred_spectrum(m: NatRedMetric, cutoff) -> SpectrumTable:
     return linear_table(
         rows, den, (m.base_scale,) + m.fiber_scales, cutoff
     )
+
+
+def normal_quotient_spectrum(emb: EmbeddingSpec, t, cutoff) -> SpectrumTable:
+    """Spectrum of the normal metric t*(-B) on G/K, G the ambient of
+    ``emb``: eigenvalues c(sigma)/t with multiplicity dim(sigma) times the
+    dimension of the K-fixed vectors, the catalogue's rows whose fiber tail
+    is zero (tau trivial, as a Casimir is 0 only at weight 0), read at the
+    one scale t."""
+    instance(emb, EmbeddingSpec, "an embedding")
+    t = rat(t)
+    if t <= 0:
+        raise DomainError("metric scale must be positive")
+    cutoff = rat_cutoff(cutoff)
+    den, rows = term_catalogue(emb, cutoff * t)
+    # one scale, so linear_table reads g_0 alone
+    fixed = [(g, mult) for g, mult in rows if not any(g[1:])]
+    return linear_table(fixed, den, (t,), cutoff)
 
 
 def containment_check(m: NatRedMetric, factor_index: int, cutoff) -> dict:

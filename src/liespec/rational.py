@@ -117,13 +117,16 @@ def sequence(value, message: str) -> tuple:
     raise InputError(f"{message}, not {value!r}")
 
 
-def instance(value, cls: type, what: str):
-    """``value`` itself if it is a ``cls``; else an InputError that says
-    "<what> must be a <cls>, not <value>"."""
+def instance(value, cls, what: str):
+    """``value`` itself if it is a ``cls``, or one of a tuple of classes;
+    else an InputError that says "<what> must be a <cls>, not <value>",
+    naming each class: "a <A> or a <B>"."""
     if not isinstance(value, cls):
-        name = cls.__name__
-        article = "an" if name[0] in "AEIOU" else "a"
-        raise InputError(f"{what} must be {article} {name}, not {value!r}")
+        kinds = " or ".join(
+            ("an " if c.__name__[0] in "AEIOU" else "a ") + c.__name__
+            for c in (cls if isinstance(cls, tuple) else (cls,))
+        )
+        raise InputError(f"{what} must be {kinds}, not {value!r}")
     return value
 
 

@@ -265,8 +265,8 @@ MUTANTS = (
          "test_every_door_refuses_an_argument_that_is_no_sequence",),
     ),
     # the natred eigenvalue formula (the Killing ratio, the sign of the
-    # horizontal row, the fiber tail, a dropped branching term) and the
-    # containment lemma's instruments
+    # horizontal row, the fiber tail, the quotient's zero-tail rows, a
+    # dropped branching term) and the containment lemma's instruments
     Mutant(
         "killing-ratio-doubled", "branching.py",
         "ind * emb.ambient.dual_coxeter / f.dual_coxeter",
@@ -283,6 +283,12 @@ MUTANTS = (
         "map(casimir_num, factors, tup), scales",
         "map(casimir_num, factors, tup[::-1]), scales",
         ("tests/test_natred.py::test_terms_match_per_metric_reference",),
+    ),
+    Mutant(
+        "quotient-tail-of-the-first-fiber", "natred.py",
+        "if not any(g[1:])]", "if not any(g[1:2])]",
+        ("tests/test_groups.py::"
+         "test_normal_quotient_matches_fraction_reference",),
     ),
     Mutant(
         "recursion-drops-a-term", "branching.py",
@@ -399,8 +405,8 @@ MUTANTS = (
     ),
     Mutant(
         "skipped-peel-reported-passed", "branching.py",
-        'record(name, False, f"skipped: dimension',
-        'record(name, True, f"skipped: dimension',
+        'outcome = f"skipped: dimension {dim} is over {_PEEL_CHECK_LIMIT}"',
+        "outcome = {}",
         ("tests/test_branching.py::"
          "test_a_fundamental_weight_too_large_to_peel_is_skipped",),
     ),

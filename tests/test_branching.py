@@ -347,6 +347,26 @@ def test_a_fundamental_weight_too_large_to_peel_is_skipped(monkeypatch):
     assert (1, 0) not in emb._branchings
 
 
+def test_validate_embedding_branches_a_failing_adjoint_once(monkeypatch):
+    # a failing branching is not memoized, so the last two checks read the
+    # adjoint check's outcome: the adjoint's one step and peel, and a peel
+    # of each fundamental, with the same detail in all three reports
+    calls = []
+    for name in ("_peel", "_tensor"):
+        real = getattr(branching, name)
+        monkeypatch.setattr(branching, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    half = EmbeddingSpec(build("A2"), (build("A1"),), [["1/2", "1/2"]])
+    report = validate_embedding(half)
+    assert calls.count("_peel") == 3 and calls.count("_tensor") == 1
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["adjoint-peeling"] == (
+        "weight (-2, 1) restricts to non-integer coordinates"
+    )
+    for name in ("subalgebra-adjoint", "positive-indices"):
+        assert details[name] == details["adjoint-peeling"]
+
+
 def test_an_embedding_reported_ok_has_a_spectrum():
     # the 147 A1 restrictions [[a, b]], a and b in [-2, 4], into A2, B2 and
     # G2: each fundamental weight is peeled as its own check, so a

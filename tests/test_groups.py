@@ -22,15 +22,12 @@ from liespec.catalog import (
     BUILTIN_GROUPS,
     resolve,
 )
-from liespec.errors import DomainError, InputError
-from liespec.groups import (
-    GroupSpec,
-    biinvariant_spectrum,
-    factor_lambda1,
-    normal_quotient_spectrum,
-)
+from liespec.errors import DomainError, InputError, MalformedEmbeddingError
+from liespec.groups import GroupSpec, biinvariant_spectrum, factor_lambda1
 from liespec.isolation import isolation_scan
-from liespec.natred import NatRedMetric, term_catalogue
+from liespec.natred import (
+    NatRedMetric, normal_quotient_spectrum, term_catalogue
+)
 from liespec.rootdata import build, casimir_num, check_weight
 
 SU2 = BUILTIN_GROUPS["su2"]
@@ -403,10 +400,28 @@ def test_biinvariant_spectrum_matches_fraction_reference():
 
 
 def test_normal_quotient_matches_fraction_reference():
-    for emb in BUILTIN_EMBEDDINGS.values():
+    # the builtins, the principal A1 in G2 and a trivial K, where every
+    # K-type of the catalogue is the trivial one
+    embeddings = (
+        *BUILTIN_EMBEDDINGS.values(),
+        EmbeddingSpec(build("G2"), (build("A1"),), [[6, 10]], "a1-in-g2"),
+        EmbeddingSpec(build("B2"), (), (), "trivial-in-b2"),
+    )
+    for emb in embeddings:
         for t in (1, F(3, 2)):
             table = normal_quotient_spectrum(emb, t, 3)
             assert table == ref_normal_quotient_spectrum(emb, t, 3), emb.name
+
+
+def test_normal_quotient_refuses_what_the_catalogue_refuses():
+    # the quotient is read from the term catalogue, so an embedding of
+    # index 0, which is no subgroup, and a restriction that is not integral
+    # on the adjoint are refused, as natred_spectrum refuses them
+    null = EmbeddingSpec(build("B2"), (build("A1"),), [[0, 0]])
+    half = EmbeddingSpec(build("A2"), (build("A1"),), [["1/2", "1/2"]])
+    for emb, cutoff in ((null, 1), (half, 0)):
+        with pytest.raises(MalformedEmbeddingError):
+            normal_quotient_spectrum(emb, 1, cutoff)
 
 
 # sha256 of biinvariant_spectrum(...).to_json() for the exceptional types,

@@ -14,9 +14,11 @@ from liespec.catalog import (
     BUILTIN_LATTICES,
 )
 from liespec.errors import DomainError, InputError
-from liespec.groups import biinvariant_spectrum, normal_quotient_spectrum
+from liespec.groups import biinvariant_spectrum
 from liespec.lattices import torus_spectrum
-from liespec.natred import NatRedMetric, natred_spectrum
+from liespec.natred import (
+    NatRedMetric, natred_spectrum, normal_quotient_spectrum
+)
 from liespec.rational import rat, rat_cutoff
 from liespec.spectrum import (
     UNITS,

@@ -20,9 +20,10 @@ import liespec
 from liespec import (
     GroupSpec, Lattice, NatRedMetric, beta_factors, biinvariant_spectrum,
     branch, build, casimir, congruent, containment_check, embedding_index,
-    factor_lambda1, isolation_scan, killing_ratio, natred_spectrum,
-    normal_quotient_spectrum, systole, table_distance, torus_lambda1,
-    torus_search, torus_spectrum, validate_embedding, weight_diagram,
+    factor_lambda1, gamma_invariants, isolation_scan, killing_ratio,
+    natred_spectrum, normal_quotient_spectrum, systole, table_distance,
+    torus_lambda1, torus_search, torus_spectrum, validate_embedding,
+    weight_diagram,
 )
 from liespec.branching import EmbeddingSpec
 from liespec.catalog import BUILTIN_EMBEDDINGS
@@ -107,6 +108,25 @@ def test_no_module_under_src_asserts():
     ]
     if found:
         pytest.fail(f"assert statements under src/: {found}")
+
+
+def test_groups_imports_no_branching_layer():
+    # the normal quotient is the term catalogue's K-fixed rows, in natred,
+    # so only branching and natred know the packed K-weight format; like
+    # the assert scan, this test fails by raising
+    path = ROOT / "src" / "liespec" / "groups.py"
+    found = sorted(
+        name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        # "from .branching import x", "from . import natred" and
+        # "import liespec.branching" alike
+        for name in [getattr(node, "module", None) or ""]
+        + [alias.name for alias in node.names]
+        if name.rpartition(".")[2] in ("branching", "natred")
+    )
+    if found:
+        pytest.fail(f"liespec/groups.py imports {found}")
 
 
 def test_no_module_under_src_calls_object_setattr():
@@ -255,6 +275,7 @@ def test_every_door_refuses_a_record_of_the_wrong_kind():
             killing_ratio,
             embedding_index,
             lambda x: normal_quotient_spectrum(x, 1, 2),
+            lambda x: NatRedMetric(x, 1, ()),
         ],
         "a metric must be a NatRedMetric": [
             lambda x: natred_spectrum(x, 1),
@@ -273,6 +294,7 @@ def test_every_door_refuses_a_record_of_the_wrong_kind():
         "a group must be a GroupSpec": [
             lambda x: biinvariant_spectrum(x, 1),
         ],
+        "a subject must be a GroupSpec or a Lattice": [gamma_invariants],
         "a table must be a SpectrumTable": [
             lambda x: table_distance(x, table),
             lambda x: table_distance(table, x),
