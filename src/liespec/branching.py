@@ -76,7 +76,7 @@ from .errors import (
 )
 from .frozen import Frozen, Value
 from .rational import (
-    array, descriptor, fmt_matrix, instance, rat_matrix, required,
+    descriptor, fmt_matrix, instance, rat_matrix, required, sequence,
 )
 from .rootdata import (
     RootSystemData, _chamber, build, casimir_num, check_dominant,
@@ -102,16 +102,20 @@ class EmbeddingSpec(Frozen):
     ``restriction`` has one row per concatenated K-weight coordinate and one
     column per G-weight coordinate; each entry is read with ``rat``, so a
     float or a bool is refused, and kept as a Fraction.  ``ambient`` is a
-    ``RootSystemData`` and ``factors`` a list or tuple of them, kept as a
-    tuple (else InputError).  Instances are identity-hashed, and each keeps
-    its own branchings, by dominant weight, as they are made.
+    ``RootSystemData``, ``factors`` a sequence of them, kept as a tuple,
+    and ``name`` a string or None (else InputError).  Instances are
+    identity-hashed, and each keeps its own branchings, by dominant weight,
+    as they are made.
     """
 
     _fields = ("ambient", "factors", "restriction", "name")
 
     def __init__(self, ambient, factors, restriction, name=None):
+        if name is not None and not isinstance(name, str):
+            raise InputError(f"an embedding name is a string, not {name!r}")
         ambient = check_root_system(ambient)
-        factors = tuple(map(check_root_system, array(factors, "factors")))
+        factors = sequence(factors, "factors are a sequence")
+        factors = tuple(map(check_root_system, factors))
         restriction = rat_matrix(restriction)
         if len(restriction) != sum(f.rank for f in factors):
             raise DomainError("restriction row count != total factor rank")
@@ -154,16 +158,14 @@ class EmbeddingSpec(Frozen):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "EmbeddingSpec":
-        factors = array(descriptor(obj).get("factors", []), "factors")
+        factors = descriptor(obj).get("factors", ())
+        factors = sequence(factors, "factors are a sequence")
         factors = tuple(map(build, factors))
-        name = obj.get("name")
-        if name is not None and not isinstance(name, str):
-            raise InputError(f"an embedding name is a string, not {name!r}")
         return EmbeddingSpec(
             ambient=build(required(obj, "ambient")),
             factors=factors,
             restriction=obj.get("restriction", []),
-            name=name,
+            name=obj.get("name"),
         )
 
 

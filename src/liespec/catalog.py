@@ -95,6 +95,4 @@ def resolve(kind, descriptor):
         raise
     except ValueError as exc:  # a file not UTF-8, an int over the digit limit
         raise InputError(f"descriptor JSON does not parse: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError("descriptor JSON must be an object")
     return kind.from_json_dict(obj)

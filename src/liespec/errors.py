@@ -19,8 +19,9 @@ class DomainError(LiespecError):
 
 class InputError(DomainError):
     """Outside text that does not parse: a value that is not a rational, a
-    non-string where a string belongs, or descriptor JSON of the wrong
-    shape (not an object, a missing key, a non-array for an array)."""
+    non-string where a string belongs, a non-sequence where a sequence
+    belongs, or descriptor JSON of the wrong shape (not an object, a
+    missing key)."""
 
 
 class InadmissibleMetricError(DomainError):

@@ -29,9 +29,7 @@ from operator import mul
 
 from .errors import CertificationError, DomainError
 from .frozen import Frozen
-from .rational import (
-    array, fmt, instance, rat, rat_cutoff, required, sequence
-)
+from .rational import fmt, instance, rat, rat_cutoff, required, sequence
 from .rootdata import RootSystemData, build, casimir, check_root_system
 from .spectrum import SpectrumTable, _common_scale, table_from_counts
 from .weights import _dominant_casimirs
@@ -41,14 +39,15 @@ class GroupSpec(Frozen):
     """Compact group K-tilde/Gamma with a bi-invariant metric.
 
     gamma holds central elements, one rational coweight vector per factor;
-    scales holds the per-factor Killing multiples t_i > 0; factors, a list
-    or tuple of ``RootSystemData``, is kept as a tuple (else InputError).
+    scales holds the per-factor Killing multiples t_i > 0; factors, a
+    sequence of ``RootSystemData``, is kept as a tuple (else InputError).
     """
 
     _fields = ("factors", "gamma", "scales")
 
     def __init__(self, factors, gamma=(), scales=None):
-        factors = tuple(map(check_root_system, array(factors, "factors")))
+        factors = sequence(factors, "factors are a sequence")
+        factors = tuple(map(check_root_system, factors))
         if not factors:
             raise DomainError("GroupSpec needs at least one simple factor")
         if scales is None:
@@ -95,16 +94,11 @@ class GroupSpec(Frozen):
 
     @staticmethod
     def from_json_dict(obj: dict) -> "GroupSpec":
-        factors = array(required(obj, "factors"), "factors")
-        gamma = array(obj.get("gamma", ()), "gamma")
-        scales = obj.get("scales")
+        factors = sequence(required(obj, "factors"), "factors are a sequence")
         return GroupSpec(
             factors=tuple(map(build, factors)),
-            gamma=tuple(
-                tuple(array(part, "a coweight") for part in array(z, "gamma"))
-                for z in gamma
-            ),
-            scales=None if scales is None else array(scales, "scales"),
+            gamma=obj.get("gamma", ()),
+            scales=obj.get("scales"),
         )
 
 

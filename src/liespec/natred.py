@@ -53,7 +53,7 @@ from .errors import CertificationError, DomainError, InadmissibleMetricError
 from .frozen import Frozen
 from .groups import factor_lambda1
 from .rational import (
-    array, exact_int, fmt, instance, rat, rat_cutoff, required, sequence
+    exact_int, fmt, instance, rat, rat_cutoff, required, sequence
 )
 from .rootdata import RootSystemData, _contragredient, build, casimir_num
 from .spectrum import SpectrumTable, linear_table
@@ -117,10 +117,9 @@ class NatRedMetric(Frozen):
             else resolve(EmbeddingSpec, emb)
         )
         base_scale = required(obj, "t")
-        fiber_scales = array(obj.get("t_i", ()), "t_i")
         if emb.ambient is not group:
             raise DomainError("embedding ambient type != metric group type")
-        return NatRedMetric(emb, base_scale, fiber_scales)
+        return NatRedMetric(emb, base_scale, obj.get("t_i", ()))
 
 
 def beta_factors(m: NatRedMetric):

@@ -3,10 +3,12 @@
 Rationals travel as strings "p/q" (or "p" for integers) in every JSON and
 CSV interface; Fraction is the in-memory representation everywhere.  What
 comes from outside is coerced here, once: a value that does not parse, or
-JSON of the wrong shape, raises InputError.
+JSON of the wrong shape, raises InputError.  ``sequence`` is the one gate
+of every argument and JSON field that holds a sequence.
 """
 
 import sys
+from collections.abc import Mapping, Set
 from fractions import Fraction
 
 from .errors import DomainError, InputError
@@ -98,18 +100,12 @@ def required(obj: dict, key: str):
     return obj[key]
 
 
-def array(value, what: str):
-    """``value`` itself if it is an array; a string is not one."""
-    if not isinstance(value, (list, tuple)):
-        raise InputError(f"{what} must be an array, not {value!r}")
-    return value
-
-
 def sequence(value, message: str) -> tuple:
     """``tuple(value)`` of any iterable but a string, bytes or a bytearray,
-    which tuple() would split into characters or byte values; an
-    InputError that starts with ``message`` for anything else."""
-    if not isinstance(value, (str, bytes, bytearray)):
+    which tuple() would split into characters or byte values, a mapping,
+    which it would read as its keys, or a set, which it would read in hash
+    order; an InputError that starts with ``message`` for anything else."""
+    if not isinstance(value, (str, bytes, bytearray, Mapping, Set)):
         try:
             return tuple(value)
         except TypeError:
@@ -131,10 +127,11 @@ def instance(value, cls, what: str):
 
 
 def rat_matrix(rows) -> tuple:
-    """Coerce a nested list of rational-likes to a tuple-of-tuples matrix."""
+    """Coerce a sequence of rows of rational-likes to a tuple-of-tuples
+    matrix."""
     out = tuple(
-        tuple(rat(x) for x in array(row, "a matrix row"))
-        for row in array(rows, "a matrix")
+        tuple(map(rat, sequence(row, "a matrix row is a sequence")))
+        for row in sequence(rows, "a matrix is a sequence of rows")
     )
     if out and any(len(r) != len(out[0]) for r in out):
         raise DomainError("ragged matrix")

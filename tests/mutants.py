@@ -247,15 +247,34 @@ MUTANTS = (
     ),
     Mutant(
         "string-weight-read-per-character", "rational.py",
-        "if not isinstance(value, (str, bytes, bytearray)):",
+        "if not isinstance(value, (str, bytes, bytearray, Mapping, Set)):",
         "if True:",
         ("tests/test_rootdata.py::test_string_weight_is_refused",),
     ),
     Mutant(
         "bytes-row-read-as-byte-values", "rational.py",
-        "(str, bytes, bytearray)", "(str,)",
+        "(str, bytes, bytearray, Mapping", "(str, Mapping",
         ("tests/test_surface.py::"
          "test_every_door_refuses_an_argument_that_is_no_sequence",),
+    ),
+    Mutant(
+        "sequence-reads-a-mapping", "rational.py",
+        "bytearray, Mapping, Set)", "bytearray, Set)",
+        ("tests/test_surface.py::"
+         "test_every_door_refuses_an_argument_that_is_no_sequence",),
+    ),
+    Mutant(
+        "sequence-reads-a-set", "rational.py",
+        "Mapping, Set)", "Mapping)",
+        ("tests/test_surface.py::"
+         "test_every_door_refuses_an_argument_that_is_no_sequence",),
+    ),
+    Mutant(
+        "embedding-name-unchecked", "branching.py",
+        "if name is not None and not isinstance(name, str):",
+        "if False:",
+        ("tests/test_branching.py::"
+         "test_an_embedding_name_that_is_no_string_is_refused",),
     ),
     Mutant(
         "non-sequence-raises-a-type-error", "rational.py",
@@ -287,7 +306,7 @@ MUTANTS = (
     Mutant(
         "quotient-tail-of-the-first-fiber", "natred.py",
         "if not any(g[1:])]", "if not any(g[1:2])]",
-        ("tests/test_groups.py::"
+        ("tests/test_natred.py::"
          "test_normal_quotient_matches_fraction_reference",),
     ),
     Mutant(

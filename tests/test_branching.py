@@ -405,6 +405,52 @@ def test_json_round_trip():
     assert resolve(EmbeddingSpec, "a1-in-a2-standard") is STD
 
 
+def test_an_embedding_name_that_is_no_string_is_refused():
+    # the constructor checks the name, so every record it makes writes JSON
+    # that from_json_dict reads back
+    a2, a1 = build("A2"), build("A1")
+    for name in (5, ["x"], b"x", True):
+        with pytest.raises(
+            InputError, match="^an embedding name is a string, not "
+        ):
+            EmbeddingSpec(a2, [a1], [[1, 1]], name=name)
+    emb = EmbeddingSpec(a2, [a1], [[1, 1]], name="x")
+    assert EmbeddingSpec.from_json_dict(emb.to_json_dict()).name == "x"
+
+
+# a set iterates in hash order: read as a sequence, {"1/2", "1/3"} would
+# be the fiber scales (1/2, 1/3) under one hash seed and (1/3, 1/2) under
+# another, two metrics of the A1 x A1 in G2
+_SET_SCALES_SCRIPT = """
+from liespec.branching import EmbeddingSpec
+from liespec.errors import InputError
+from liespec.natred import NatRedMetric
+from liespec.rootdata import build
+
+a1 = build("A1")
+emb = EmbeddingSpec(build("G2"), (a1, a1), [[0, 1], [2, 3]])
+try:
+    print(NatRedMetric(emb, 1, {"1/2", "1/3"}).fiber_scales)
+except InputError as exc:
+    print(exc)
+"""
+
+
+def test_a_set_of_fiber_scales_is_refused_under_every_hash_seed():
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+            PYTHONHASHSEED=seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _SET_SCALES_SCRIPT],
+            env=env, capture_output=True, check=True, text=True,
+        )
+        assert proc.stdout.startswith("fiber scales are a sequence, not "), (
+            seed, proc.stdout
+        )
+
+
 def _principal_a1(name):
     rs = build(name)
     return EmbeddingSpec(

@@ -998,6 +998,60 @@ def test_malformed_descriptors_exit_one(tmp_path, capsys):
     assert (code, err["type"]) == (1, "InputError")
 
 
+# one descriptor of each kind, the command and option that read it, and
+# the paths of its arrays: each array-valued field, each matrix row, the
+# Gamma element and its coweight; the metric's embedding is inline
+_ARRAY_PATHS = (
+    ("torus-spectrum", "--gram", {"gram": [["2", "1"], ["1", "2"]]},
+     (("gram",), ("gram", 0), ("gram", 1))),
+    ("torus-spectrum", "--gram", {"basis": [["1", "0"], ["1", "2"]]},
+     (("basis",), ("basis", 0), ("basis", 1))),
+    ("group-spectrum", "--spec",
+     {"factors": ["A1", "A1"], "gamma": [[["1/2"], ["1/2"]]],
+      "scales": ["1", "2"]},
+     (("factors",), ("gamma",), ("gamma", 0), ("gamma", 0, 0),
+      ("gamma", 0, 1), ("scales",))),
+    ("natred-spectrum", "--metric",
+     {"group": "B2", "t": "1", "t_i": ["1/2", "1/3"],
+      "embedding": {"ambient": "B2", "factors": ["A1", "A1"],
+                    "restriction": [["1", "0"], ["1", "1"]]}},
+     (("t_i",), ("embedding", "factors"), ("embedding", "restriction"),
+      ("embedding", "restriction", 0), ("embedding", "restriction", 1))),
+    ("validate-embedding", "--embedding",
+     {"ambient": "A2", "factors": ["A1"], "restriction": [["1", "1"]]},
+     (("factors",), ("restriction",), ("restriction", 0))),
+)
+
+
+def _replaced(obj, path, value):
+    """A deep copy of the JSON ``obj`` with ``value`` at ``path``."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    inner = obj
+    for key in head:
+        inner = inner[key]
+    inner[last] = value
+    return json.dumps(obj)
+
+
+def test_every_array_of_a_descriptor_refuses_what_is_no_array(capsys):
+    # an object, null, a number, a string, true or a float where an array
+    # belongs is an InputError, exit code 1, at every array of every kind
+    # of descriptor; null for scales is the one exception, the default
+    for command, option, obj, paths in _ARRAY_PATHS:
+        cutoff = () if command == "validate-embedding" else ("--cutoff", "1")
+        code, _ = run_cli(capsys, command, option, json.dumps(obj), *cutoff)
+        assert code == 0, (command, obj)
+        for path in paths:
+            for value in ({"a": 1}, None, 5, "12", True, 1.5):
+                argv = (command, option, _replaced(obj, path, value), *cutoff)
+                if path == ("scales",) and value is None:
+                    assert run_cli(capsys, *argv)[0] == 0
+                    continue
+                code, err = _error(capsys, argv)
+                assert (code, err["type"]) == (1, "InputError"), (path, value)
+
+
 def test_lattice_dim_is_exact(capsys):
     lattice = '{"dim": %s, "gram": [["1", "0"], ["0", "1"]]}'
     for dim, expected in (

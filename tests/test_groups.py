@@ -11,8 +11,6 @@ from helpers import (
     dominant_weights_up_to,
     ref_biinvariant_spectrum,
     ref_center_admissible,
-    ref_normal_quotient_spectrum,
-    weyl_dim,
 )
 
 from liespec import linalg
@@ -22,13 +20,11 @@ from liespec.catalog import (
     BUILTIN_GROUPS,
     resolve,
 )
-from liespec.errors import DomainError, InputError, MalformedEmbeddingError
+from liespec.errors import DomainError, InputError
 from liespec.groups import GroupSpec, biinvariant_spectrum, factor_lambda1
 from liespec.isolation import isolation_scan
-from liespec.natred import (
-    NatRedMetric, normal_quotient_spectrum, term_catalogue
-)
-from liespec.rootdata import build, casimir_num, check_weight
+from liespec.natred import NatRedMetric
+from liespec.rootdata import build, check_weight
 
 SU2 = BUILTIN_GROUPS["su2"]
 SU3 = BUILTIN_GROUPS["su3"]
@@ -219,56 +215,6 @@ def test_factor_lambda1():
         factor_lambda1(build("A1"), 0)
 
 
-def test_normal_quotient_identity_is_point():
-    emb = BUILTIN_EMBEDDINGS["identity-a2"]
-    t = normal_quotient_spectrum(emb, 1, 10)
-    assert t.entries == ((F(0), 1),)
-
-
-def test_normal_quotient_sphere():
-    # SU(3)/SU(2) with the normal metric: spherical reps (a, b) both
-    # contribute; smallest nonzero eigenvalue comes from the two
-    # 3-dimensional representations
-    emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
-    t = normal_quotient_spectrum(emb, 1, F(4, 9))
-    assert t.entries == ((F(0), 1), (F(4, 9), 6))
-    # total multiplicity of eigenvalue c should be dim * fixed-dim
-    full = normal_quotient_spectrum(emb, 1, 2)
-    assert full.multiplicity(F(1)) == weyl_dim(build("A2"), (1, 1)) * 1
-
-
-def _fresh(emb):
-    """The same embedding with none of its branchings made yet."""
-    return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction, emb.name)
-
-
-def test_normal_quotient_is_independent_of_the_branching_memo():
-    trivial = EmbeddingSpec(ambient=build("B2"), factors=(), restriction=())
-    t, cutoff = F(3, 2), 4
-    for emb in (*BUILTIN_EMBEDDINGS.values(), trivial):
-        group = emb.ambient
-        fresh = normal_quotient_spectrum(_fresh(emb), t, cutoff)
-        # every weight of the walk already branched by the catalogue
-        catalogued = _fresh(emb)
-        term_catalogue(catalogued, cutoff * t)
-        # the walk's last weight peeled alone before the walk reaches it
-        peeled = _fresh(emb)
-        weights = dominant_weights_up_to(group, cutoff * t)
-        branch(peeled, max(weights, key=lambda lam: casimir_num(group, lam)))
-        assert fresh == ref_normal_quotient_spectrum(emb, t, cutoff), emb.name
-        for made in (catalogued, peeled):
-            assert normal_quotient_spectrum(made, t, cutoff) == fresh
-
-
-def test_normal_quotient_takes_its_ambient_from_the_embedding():
-    emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
-    # G is the embedding's ambient: no argument can name another
-    with pytest.raises(TypeError):
-        normal_quotient_spectrum(build("A2"), emb, 1, 1)
-    with pytest.raises(DomainError):
-        normal_quotient_spectrum(emb, 0, 1)
-
-
 def test_group_json_round_trip():
     for name, gs in BUILTIN_GROUPS.items():
         back = GroupSpec.from_json_dict(gs.to_json_dict())
@@ -397,31 +343,6 @@ def test_biinvariant_spectrum_matches_fraction_reference():
         assert biinvariant_spectrum(gs, cutoff) == ref_biinvariant_spectrum(
             gs, cutoff
         ), gs.to_json_dict()
-
-
-def test_normal_quotient_matches_fraction_reference():
-    # the builtins, the principal A1 in G2 and a trivial K, where every
-    # K-type of the catalogue is the trivial one
-    embeddings = (
-        *BUILTIN_EMBEDDINGS.values(),
-        EmbeddingSpec(build("G2"), (build("A1"),), [[6, 10]], "a1-in-g2"),
-        EmbeddingSpec(build("B2"), (), (), "trivial-in-b2"),
-    )
-    for emb in embeddings:
-        for t in (1, F(3, 2)):
-            table = normal_quotient_spectrum(emb, t, 3)
-            assert table == ref_normal_quotient_spectrum(emb, t, 3), emb.name
-
-
-def test_normal_quotient_refuses_what_the_catalogue_refuses():
-    # the quotient is read from the term catalogue, so an embedding of
-    # index 0, which is no subgroup, and a restriction that is not integral
-    # on the adjoint are refused, as natred_spectrum refuses them
-    null = EmbeddingSpec(build("B2"), (build("A1"),), [[0, 0]])
-    half = EmbeddingSpec(build("A2"), (build("A1"),), [["1/2", "1/2"]])
-    for emb, cutoff in ((null, 1), (half, 0)):
-        with pytest.raises(MalformedEmbeddingError):
-            normal_quotient_spectrum(emb, 1, cutoff)
 
 
 # sha256 of biinvariant_spectrum(...).to_json() for the exceptional types,

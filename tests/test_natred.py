@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liespec.branching import EmbeddingSpec
+from liespec.branching import EmbeddingSpec, branch
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.errors import (
     CertificationError,
     DomainError,
     InadmissibleMetricError,
     InputError,
+    MalformedEmbeddingError,
 )
 from liespec import natred
 from liespec.groups import GroupSpec, biinvariant_spectrum
@@ -28,18 +29,22 @@ from liespec.natred import (
     beta_factors,
     containment_check,
     natred_spectrum,
+    normal_quotient_spectrum,
     term_catalogue,
 )
-from liespec.rootdata import build, casimir
+from liespec.rootdata import build, casimir, casimir_num
 from liespec.spectrum import linear_table
 
 from helpers import (
+    dominant_weights_up_to,
     f_map_inverse,
     natred_eigenvalue,
     principal_a1_row,
     ref_natred_spectrum,
     ref_natred_terms,
+    ref_normal_quotient_spectrum,
     ref_table,
+    weyl_dim,
 )
 
 A1 = build("A1")
@@ -218,7 +223,7 @@ def test_full_group_fiber_collapses_to_biinvariant():
 
 
 def test_trivial_subgroup_collapses_to_biinvariant():
-    from liespec.branching import EmbeddingSpec
+    from liespec.branching import EmbeddingSpec, branch
 
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
     m = NatRedMetric(emb=emb, base_scale=F(1, 2), fiber_scales=())
@@ -392,7 +397,7 @@ def test_horizontal_positivity_raises_in_process(monkeypatch):
 
 
 def test_containment_edge_cases():
-    from liespec.branching import EmbeddingSpec
+    from liespec.branching import EmbeddingSpec, branch
 
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
     m0 = NatRedMetric(emb=emb, base_scale=1, fiber_scales=())
@@ -420,7 +425,7 @@ def test_containment_reads_the_factor_index_exactly():
     report = containment_check(m, 0, 8)
     assert containment_check(m, "0", 8) == report
     assert type(containment_check(m, "0", 8)["factor"]) is int
-    from liespec.branching import EmbeddingSpec
+    from liespec.branching import EmbeddingSpec, branch
 
     emb = EmbeddingSpec(ambient=A2, factors=(), restriction=())
     m0 = NatRedMetric(emb=emb, base_scale=1, fiber_scales=())
@@ -482,7 +487,7 @@ _COLD_RUN_SCRIPT = """
 import json, sys
 from collections import Counter
 from liespec import rootdata, weights
-from liespec.branching import EmbeddingSpec
+from liespec.branching import EmbeddingSpec, branch
 from liespec.catalog import BUILTIN_EMBEDDINGS
 from liespec.natred import NatRedMetric, natred_spectrum
 
@@ -520,3 +525,78 @@ def test_a_cold_run_checks_only_the_weights_that_come_in():
         "_weight_diagram from _diagram": 2,
         "_weight_diagram from _weights": 4,
     }
+
+
+def test_normal_quotient_identity_is_point():
+    emb = BUILTIN_EMBEDDINGS["identity-a2"]
+    t = normal_quotient_spectrum(emb, 1, 10)
+    assert t.entries == ((F(0), 1),)
+
+
+def test_normal_quotient_sphere():
+    # SU(3)/SU(2) with the normal metric: spherical reps (a, b) both
+    # contribute; smallest nonzero eigenvalue comes from the two
+    # 3-dimensional representations
+    emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
+    t = normal_quotient_spectrum(emb, 1, F(4, 9))
+    assert t.entries == ((F(0), 1), (F(4, 9), 6))
+    # total multiplicity of eigenvalue c should be dim * fixed-dim
+    full = normal_quotient_spectrum(emb, 1, 2)
+    assert full.multiplicity(F(1)) == weyl_dim(build("A2"), (1, 1)) * 1
+
+
+def _fresh(emb):
+    """The same embedding with none of its branchings made yet."""
+    return EmbeddingSpec(emb.ambient, emb.factors, emb.restriction, emb.name)
+
+
+def test_normal_quotient_is_independent_of_the_branching_memo():
+    trivial = EmbeddingSpec(ambient=build("B2"), factors=(), restriction=())
+    t, cutoff = F(3, 2), 4
+    for emb in (*BUILTIN_EMBEDDINGS.values(), trivial):
+        group = emb.ambient
+        fresh = normal_quotient_spectrum(_fresh(emb), t, cutoff)
+        # every weight of the walk already branched by the catalogue
+        catalogued = _fresh(emb)
+        term_catalogue(catalogued, cutoff * t)
+        # the walk's last weight peeled alone before the walk reaches it
+        peeled = _fresh(emb)
+        weights = dominant_weights_up_to(group, cutoff * t)
+        branch(peeled, max(weights, key=lambda lam: casimir_num(group, lam)))
+        assert fresh == ref_normal_quotient_spectrum(emb, t, cutoff), emb.name
+        for made in (catalogued, peeled):
+            assert normal_quotient_spectrum(made, t, cutoff) == fresh
+
+
+def test_normal_quotient_takes_its_ambient_from_the_embedding():
+    emb = BUILTIN_EMBEDDINGS["a1-in-a2-standard"]
+    # G is the embedding's ambient: no argument can name another
+    with pytest.raises(TypeError):
+        normal_quotient_spectrum(build("A2"), emb, 1, 1)
+    with pytest.raises(DomainError):
+        normal_quotient_spectrum(emb, 0, 1)
+
+
+def test_normal_quotient_matches_fraction_reference():
+    # the builtins, the principal A1 in G2 and a trivial K, where every
+    # K-type of the catalogue is the trivial one
+    embeddings = (
+        *BUILTIN_EMBEDDINGS.values(),
+        EmbeddingSpec(build("G2"), (build("A1"),), [[6, 10]], "a1-in-g2"),
+        EmbeddingSpec(build("B2"), (), (), "trivial-in-b2"),
+    )
+    for emb in embeddings:
+        for t in (1, F(3, 2)):
+            table = normal_quotient_spectrum(emb, t, 3)
+            assert table == ref_normal_quotient_spectrum(emb, t, 3), emb.name
+
+
+def test_normal_quotient_refuses_what_the_catalogue_refuses():
+    # the quotient is read from the term catalogue, so an embedding of
+    # index 0, which is no subgroup, and a restriction that is not integral
+    # on the adjoint are refused, as natred_spectrum refuses them
+    null = EmbeddingSpec(build("B2"), (build("A1"),), [[0, 0]])
+    half = EmbeddingSpec(build("A2"), (build("A1"),), [["1/2", "1/2"]])
+    for emb, cutoff in ((null, 1), (half, 0)):
+        with pytest.raises(MalformedEmbeddingError):
+            normal_quotient_spectrum(emb, 1, cutoff)

@@ -197,58 +197,91 @@ def test_every_door_refuses_an_argument_that_is_no_sequence():
     # a number where a sequence belongs is an InputError, the type the
     # command line reports with exit code 1, not a bare TypeError; so is a
     # string, bytes or a bytearray anywhere a sequence belongs, which
-    # tuple() would split into one entry per character or byte value (the
-    # command line's descriptors are arrays)
+    # tuple() would split into one entry per character or byte value, a
+    # mapping, which it would read as its keys, and a set, which it would
+    # read in hash order (the command line's descriptors are arrays)
     a1 = build("A1")
     emb = BUILTIN_EMBEDDINGS["a1xa1-in-b2"]
+    mapping, strings = {"1": "2"}, {"1", "2"}
     calls = {
         "a matrix is a sequence of rows": [
             lambda: Lattice(gram=5), lambda: Lattice(basis=5),
             lambda: Lattice(gram="12"),
+            lambda: Lattice(gram={(3, 1): "a", (1, 3): "b"}),
+            lambda: Lattice(basis=mapping), lambda: Lattice(gram=strings),
+            lambda: EmbeddingSpec(a1, [a1], mapping),
+            lambda: EmbeddingSpec(a1, [a1], {(2,)}),
         ],
         "a matrix row is a sequence": [
             lambda: Lattice(gram=[1]), lambda: Lattice(gram=[b"1"]),
             lambda: Lattice(basis=[b"\x02"]),
+            lambda: Lattice(gram=[mapping]), lambda: Lattice(basis=[strings]),
+            lambda: EmbeddingSpec(a1, [a1], [mapping]),
+            lambda: EmbeddingSpec(a1, [a1], [{"2"}]),
         ],
         "a weight is a sequence of coordinates": [
             lambda: casimir(a1, 5), lambda: branch(emb, 5),
+            lambda: casimir(a1, {1: 2}), lambda: casimir(a1, {"1"}),
+            lambda: branch(emb, mapping), lambda: branch(emb, {(1, 0)}),
+        ],
+        "factors are a sequence": [
+            lambda: GroupSpec(a1), lambda: GroupSpec("A1"),
+            lambda: GroupSpec({a1: a1}), lambda: GroupSpec({a1}),
+            lambda: EmbeddingSpec(a1, a1, ()),
+            lambda: EmbeddingSpec(a1, "A1", ()),
+            lambda: EmbeddingSpec(a1, {a1: 1}, [[1]]),
+            lambda: EmbeddingSpec(a1, {a1}, [[1]]),
         ],
         "a coweight is a sequence": [
             lambda: GroupSpec([a1], gamma=[[1]]),
             lambda: GroupSpec([a1], gamma=[["1"]]),
+            lambda: GroupSpec([a1], gamma=[[{"1/2": 1}]]),
+            lambda: GroupSpec([a1], gamma=[[{"1/2"}]]),
         ],
         "a central element is a sequence": [
             lambda: GroupSpec([a1], gamma=[5]),
             lambda: GroupSpec([a1], gamma=["1"]),
+            lambda: GroupSpec([a1], gamma=[{("1/2",): 1}]),
+            lambda: GroupSpec([a1], gamma=({("1/2",)},)),
         ],
         "gamma is a sequence": [
             lambda: GroupSpec([a1], gamma=5), lambda: GroupSpec([a1], gamma="1"),
+            lambda: GroupSpec([a1], gamma={(("1/2",),): 1}),
+            lambda: GroupSpec([a1], gamma={(("1/2",),)}),
         ],
         "scales are a sequence": [
             lambda: GroupSpec([a1], scales=5),
             lambda: GroupSpec([a1], scales="2"),
+            lambda: GroupSpec([a1], scales={"2": 1}),
+            lambda: GroupSpec([a1], scales={"2"}),
+            lambda: GroupSpec([a1, build("A2")], scales={"1", "2"}),
         ],
         "fiber scales are a sequence": [
             lambda: NatRedMetric(emb, 1, 5),
             lambda: NatRedMetric(emb, 3, "12"),
             lambda: NatRedMetric(emb, 3, b"12"),
+            lambda: NatRedMetric(emb, 3, {"1": "2", "2": "1"}),
+            lambda: NatRedMetric(emb, 3, {"1", "2"}),
         ],
         "values is a sequence of rationals": [
             lambda: torus_search(5, 2, 1, 1),
+            lambda: torus_search({1: 2, 2: 1}, 1, "1/2", "1/2"),
+            lambda: torus_search({1, 2}, 1, "1/2", "1/2"),
         ],
     }
     for message, doors in calls.items():
         for door in doors:
             with pytest.raises(InputError, match=f"^{message}, not "):
                 door()
-    # any iterable is still read where one was read before
+    # any other iterable is still read where one was read before
     assert Lattice(gram=(range(1, 2),)).gram == ((1,),)
-    assert GroupSpec([a1], scales=iter(["2"])).scales == (2,)
+    assert GroupSpec(iter([a1]), scales=iter(["2"])).scales == (2,)
     assert NatRedMetric(emb, 3, (x for x in (1, 2))).fiber_scales == (1, 2)
     assert NatRedMetric(emb, 3, ["1", "2"]).fiber_scales == (1, 2)
-    assert GroupSpec([a1], gamma=({("1/2",)},)).gamma == (((F(1, 2),),),)
+    assert GroupSpec([a1], gamma=(iter([("1/2",)]),)).gamma == (((F(1, 2),),),)
+    assert EmbeddingSpec(a1, (a1,), (range(1, 2),)).restriction == ((1,),)
     assert casimir(a1, range(2, 3)) == 1
-    assert len(torus_search({1, 2}, 1, "1/2", "1/2")) == 2
+    assert len(torus_search(range(1, 3), 1, "1/2", "1/2")) == 2
 
 
 # the wrong-kind values of the door probe: numbers, strings, bytes,
