@@ -63,7 +63,6 @@ j_i = ind_i * h_vee_G / h_vee_{K_i}, the number that converts factor
 Casimirs to ambient-Killing units.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -175,18 +174,6 @@ class BranchingResult(Value):
     def __init__(self, source, terms):
         # terms: ((tuple_of_factor_weights, multiplicity), ...), by label
         self.__dict__.update(source=source, terms=terms)
-
-    def multiplicity(self, factor_weights) -> int:
-        """The multiplicity of the K-type whose per-factor highest weights
-        are ``factor_weights``, each part any sequence (as ``branch`` takes
-        weights); 0 for a label that is not a sequence of weights."""
-        terms = self.terms
-        try:
-            label = tuple(map(tuple, factor_weights))
-            i = bisect_left(terms, label, key=itemgetter(0))
-        except TypeError:  # parts that are not sequences of ints
-            return 0
-        return terms[i][1] if i < len(terms) and terms[i][0] == label else 0
 
 
 class _Packing:

@@ -78,17 +78,21 @@ _BUILTINS = {
 
 def resolve(kind, descriptor):
     """The ``kind`` object a descriptor string names: a builtin of that
-    kind, else ``kind.from_json_dict`` of an inline JSON object or of the
-    JSON object in the file at that path."""
+    kind, else ``kind.from_json_dict`` of the descriptor read as JSON, else,
+    when it does not parse and does not start with "{", of the JSON in the
+    file at that path.  So no inline JSON value is opened as a file: one
+    that is no object is the reader's InputError."""
     if not isinstance(descriptor, str):
         raise InputError(f"a descriptor is a string, not {descriptor!r}")
     builtin = _BUILTINS.get(kind, {})
     if descriptor in builtin:
         return builtin[descriptor]
     try:
-        if descriptor.strip().startswith("{"):
+        try:
             obj = json.loads(descriptor)
-        else:
+        except json.JSONDecodeError:
+            if descriptor.strip().startswith("{"):
+                raise
             with open(descriptor, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
     except json.JSONDecodeError:

@@ -25,14 +25,12 @@ from fractions import Fraction
 from itertools import combinations, compress, product
 from operator import add, getitem, mul
 
-from .errors import DomainError, InputError, UnsupportedDimensionError
+from .errors import DomainError, UnsupportedDimensionError
 from .frozen import Value
 from .groups import GroupSpec, factor_lambda1
 from .lattices import Lattice, congruent, dual, systole
 from .natred import NatRedMetric, _metric_budget, term_catalogue
-from .rational import (
-    _exact_rows, exact_int, fmt, instance, rat, rat_cutoff, sequence
-)
+from .rational import exact_int, fmt, instance, rat, rat_cutoff, sequence
 from .spectrum import _common_scale, _counts, _distance
 
 
@@ -47,16 +45,15 @@ class GammaVector(Value):
     _fields = ("kind", "dim", "entries")
 
     def __init__(self, kind, dim, entries):
-        self.__dict__.update(kind=kind, dim=dim, entries=entries)
         if kind not in ("group", "torus"):
             raise DomainError("kind must be 'group' or 'torus'")
-        # exact types only, as in a Lattice: a bool or a float names no
-        # invariant, and a list can change after these checks
-        if type(dim) is not int:
-            raise InputError(f"invariant dimension must be an int: {dim!r}")
-        if type(entries) is not tuple:
-            raise InputError("invariant entries must be a tuple")
-        _exact_rows((entries,))
+        # read as a Lattice reads its entries: a bool or a float names no
+        # invariant, and a tuple cannot change after these checks
+        dim = exact_int(dim)
+        entries = tuple(
+            map(rat, sequence(entries, "invariant entries are a sequence"))
+        )
+        self.__dict__.update(kind=kind, dim=dim, entries=entries)
         expect = dim if kind == "group" else dim + dim * (dim - 1) // 2
         if len(entries) != expect:
             raise DomainError("invariant vector has wrong length")

@@ -38,9 +38,7 @@ from math import gcd
 from .. import linalg
 from ..errors import DomainError, InputError
 from ..frozen import Value
-from ..rational import (
-    _exact_rows, descriptor, exact_int, fmt_matrix, instance, rat_matrix,
-)
+from ..rational import descriptor, exact_int, fmt_matrix, instance, rat_matrix
 from .enumeration import _minimum, _squares
 from .reduction import _lll_int
 
@@ -52,9 +50,10 @@ class Lattice(Value):
     _fields = ("dim", "gram", "basis")
 
     def __init__(self, gram=None, basis=None):
-        # tuples: a caller's list could change after the checks below, and
-        # a Value hashes its fields
-        gram, basis = _exact_rows(gram), _exact_rows(basis)
+        # each entry read by rat, into tuples: a caller's list could change
+        # after the checks below, and a Value hashes its fields
+        gram = None if gram is None else rat_matrix(gram)
+        basis = None if basis is None else rat_matrix(basis)
         given = gram is not None
         if not given:
             if basis is None:
@@ -87,13 +86,11 @@ class Lattice(Value):
 
     @staticmethod
     def from_basis(rows) -> "Lattice":
-        basis = rat_matrix(rows)
-        return Lattice(basis=basis)
+        return Lattice(basis=rows)
 
     @staticmethod
     def from_gram(rows) -> "Lattice":
-        gram = rat_matrix(rows)
-        return Lattice(gram=gram)
+        return Lattice(gram=rows)
 
     @cached_property
     def _form(self):

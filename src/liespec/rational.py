@@ -4,7 +4,10 @@ Rationals travel as strings "p/q" (or "p" for integers) in every JSON and
 CSV interface; Fraction is the in-memory representation everywhere.  What
 comes from outside is coerced here, once: a value that does not parse, or
 JSON of the wrong shape, raises InputError.  ``sequence`` is the one gate
-of every argument and JSON field that holds a sequence.
+of every argument and JSON field that holds a sequence, and ``rat_matrix``
+of every one that holds a matrix.  A value that is already exact, a
+``Fraction`` for ``rat`` or an ``int`` for ``exact_int`` (each by exact
+type), is returned as it is.
 """
 
 import sys
@@ -15,11 +18,14 @@ from .errors import DomainError, InputError
 
 
 def rat(value) -> Fraction:
-    """Coerce a string, int, or Fraction to Fraction.
+    """Coerce a string, int, or Fraction to Fraction; a ``Fraction`` (by
+    exact type) is returned as it is.
 
     Floats and bools are rejected: every interface of this package is exact,
     and JSON ``true`` is not the number 1.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise InputError(
             f"not a rational: {value!r}; use 'p/q' strings"
@@ -31,35 +37,20 @@ def rat(value) -> Fraction:
 
 
 def exact_int(value) -> int:
-    """Coerce like ``rat`` and require an integer: no float, no truncation."""
+    """Coerce like ``rat`` and require an integer: no float, no truncation.
+    An ``int`` (by exact type, so never a bool) is returned as it is."""
+    if type(value) is int:
+        return value
     q = rat(value)
     if q.denominator != 1:
         raise DomainError(f"not an integer: {value!r}")
     return q.numerator
 
 
-def _exact_rows(matrix):
-    """``matrix`` as a tuple of tuples, None as None; InputError for an entry
-    that is not an int or a Fraction by exact type: none is coerced."""
-    if matrix is None:
-        return None
-    rows = tuple(
-        sequence(row, "a matrix row is a sequence")
-        for row in sequence(matrix, "a matrix is a sequence of rows")
-    )
-    for row in rows:
-        for x in row:
-            if type(x) is not Fraction and type(x) is not int:
-                raise InputError(f"not an int or a Fraction: {x!r}")
-    return rows
-
-
 def rat_cutoff(value) -> Fraction:
-    """Coerce a spectrum cutoff like ``rat`` and require it nonnegative.
-
-    A ``Fraction`` (by exact type) is already one and passes through; the
-    sign is read from the numerator, as the denominator is positive."""
-    cutoff = value if type(value) is Fraction else rat(value)
+    """Coerce a spectrum cutoff like ``rat`` and require it nonnegative;
+    the sign is read from the numerator, as the denominator is positive."""
+    cutoff = rat(value)
     if cutoff.numerator < 0:
         raise DomainError("cutoff must be nonnegative")
     return cutoff
@@ -127,8 +118,8 @@ def instance(value, cls, what: str):
 
 
 def rat_matrix(rows) -> tuple:
-    """Coerce a sequence of rows of rational-likes to a tuple-of-tuples
-    matrix."""
+    """Coerce a sequence of rows of rational-likes, each read by ``rat``, to
+    a tuple-of-tuples matrix: the one gate of every matrix."""
     out = tuple(
         tuple(map(rat, sequence(row, "a matrix row is a sequence")))
         for row in sequence(rows, "a matrix is a sequence of rows")

@@ -302,7 +302,7 @@ def check_weight(rs: RootSystemData, weight) -> tuple:
             f"weight has {len(w)} coordinates, expected {rs.rank}"
         )
     # a bool is an int but not a coordinate: exact_int refuses it
-    return tuple(x if type(x) is int else exact_int(x) for x in w)
+    return tuple(map(exact_int, w))
 
 
 def check_dominant(rs: RootSystemData, weight, message: str) -> tuple:

@@ -1233,7 +1233,7 @@ def _product_dim(emb: EmbeddingSpec, tup) -> int:
 def ref_spherical_mult(emb: EmbeddingSpec, sigma) -> int:
     """Multiplicity of the trivial K-type in V_sigma restricted to K."""
     trivial = tuple(tuple(0 for _ in range(f.rank)) for f in emb.factors)
-    return ref_branch(emb, sigma).multiplicity(trivial)
+    return dict(ref_branch(emb, sigma).terms).get(trivial, 0)
 
 
 def ref_contragredient(rs, lam) -> tuple:

@@ -48,6 +48,7 @@ _ZERO_MINOR = ("tests/test_linalg.py::"
                "test_a_zero_leading_minor_stops_the_elimination_and_is_refused")
 _FIELD_GUARD = ("tests/test_kernel.py::"
                 "test_the_field_guard_refuses_a_coordinate_at_its_limit")
+_GATE = "tests/test_rootdata.py::test_exact_values_pass_through_the_gate"
 _DISTANCE = ("tests/test_spectrum_table.py::"
              "test_distance_of_rows_against_counts_is_the_sum_of_differences")
 
@@ -282,6 +283,24 @@ MUTANTS = (
         "        except ValueError:\n            pass",
         ("tests/test_surface.py::"
          "test_every_door_refuses_an_argument_that_is_no_sequence",),
+    ),
+    # the one matrix gate, and the exact values that pass it unchanged
+    Mutant(
+        "rat-fast-path-takes-any-number", "rational.py",
+        "if type(value) is Fraction:",
+        "if isinstance(value, (Fraction, int)):",
+        (_GATE, "tests/test_lattices.py::test_lattice_needs_exact_entries"),
+    ),
+    Mutant(
+        "exact-int-fast-path-admits-bool", "rational.py",
+        "if type(value) is int:", "if isinstance(value, int):",
+        (_GATE,
+         "tests/test_isolation.py::test_gamma_vector_needs_exact_types"),
+    ),
+    Mutant(
+        "lattice-gram-not-gated", "lattices/lattice.py",
+        "rat_matrix(gram)", "tuple(map(tuple, gram))",
+        ("tests/test_lattices.py::test_lattice_needs_exact_entries",),
     ),
     # the natred eigenvalue formula (the Killing ratio, the sign of the
     # horizontal row, the fiber tail, the quotient's zero-tail rows, a

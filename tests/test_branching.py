@@ -90,7 +90,7 @@ def test_identity_embedding():
 def test_rank_zero_factor_list():
     emb = EmbeddingSpec(ambient=build("A2"), factors=(), restriction=())
     assert dict(branch(emb, (1, 1)).terms) == {(): 8}
-    assert branch(emb, (1, 0)).multiplicity(()) == 3
+    assert dict(branch(emb, (1, 0)).terms).get((), 0) == 3
     assert ref_spherical_mult(emb, (1, 0)) == 3
     assert embedding_index(emb) == ()
 
@@ -114,8 +114,7 @@ def test_branch_result_shape_and_cache():
     res = branch(STD, (2, 1))
     assert isinstance(res, BranchingResult)
     assert res.source == (2, 1)
-    assert res.multiplicity(((1,),)) == dict(res.terms).get(((1,),), 0)
-    assert res.multiplicity(((9,),)) == 0
+    assert dict(res.terms).get(((9,),), 0) == 0
     # cached per embedding object, packed, and unpacked at each call; the
     # weight is checked before the cache: lists and strings hit it too
     made = STD._branchings[(2, 1)]
@@ -124,32 +123,25 @@ def test_branch_result_shape_and_cache():
         assert branching._branch(STD, (2, 1)) is made
 
 
-def test_multiplicity_looks_up_every_label():
-    # the lookup in the sorted terms answers as the dict of the terms does:
-    # for every label, as a tuple and as a list, and for absent labels
-    # below, between and above them
+def test_branch_terms_are_sorted_by_distinct_labels():
+    # terms come in label order, each label once, as a tuple of per-factor
+    # tuples of ints of each factor's rank, with a positive multiplicity
     for emb in (STD, PRINC, SO4, IDA2):
         for sigma in dominant_weights_up_to(emb.ambient, 12):
-            res = branch(emb, sigma)
-            table = dict(res.terms)
-            for label in table:
-                assert res.multiplicity(label) == table[label]
-                assert res.multiplicity(list(label)) == table[label]
-                bumped = ((label[0][0] + 1, *label[0][1:]), *label[1:])
-                assert res.multiplicity(bumped) == table.get(bumped, 0)
-            low = tuple((-1,) * f.rank for f in emb.factors)
-            high = tuple((99,) * f.rank for f in emb.factors)
-            assert res.multiplicity(low) == res.multiplicity(high) == 0
-            # labels that are not tuples of weights are absent
-            flat = (0,) * len(emb.factors)
-            assert res.multiplicity(flat) == res.multiplicity("0" * 2) == 0
-            # a label given as lists reads as the tuple label does
-            trivial = tuple((0,) * f.rank for f in emb.factors)
-            assert res.multiplicity(
-                [[0] * f.rank for f in emb.factors]
-            ) == res.multiplicity(trivial)
-    alone = branch(_fresh("a1-in-a2-standard"), (3, 1))  # one peel
-    assert alone.multiplicity(((2,),)) == dict(alone.terms)[((2,),)]
+            terms = branch(emb, sigma).terms
+            labels = [label for label, _ in terms]
+            assert labels == sorted(set(labels))
+            for label, mult in terms:
+                assert type(label) is tuple and type(mult) is int and mult > 0
+                assert [len(part) for part in label] == [
+                    f.rank for f in emb.factors
+                ]
+                assert all(
+                    type(part) is tuple and all(type(x) is int for x in part)
+                    for part in label
+                )
+    alone = _fresh("a1-in-a2-standard")  # one peel
+    assert branch(alone, (3, 1)) == ref_branch(alone, (3, 1))
 
 
 def test_contragredient_symmetry():
@@ -175,7 +167,7 @@ def test_spherical_mults():
     ):
         trivial = tuple((0,) * f.rank for f in emb.factors)
         assert ref_spherical_mult(emb, sigma) == fixed
-        assert branch(emb, sigma).multiplicity(trivial) == fixed
+        assert dict(branch(emb, sigma).terms).get(trivial, 0) == fixed
 
 
 def test_malformed_negative_residue():

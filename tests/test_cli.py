@@ -229,6 +229,22 @@ def test_bad_inline_json_exits_one(capsys):
     assert json.loads(out)["error"]["type"] == "JSONDecodeError"
 
 
+@pytest.mark.parametrize(
+    "value", ["[[1,0],[0,1]]", "null", "5", '"12"', "true", "[]"]
+)
+def test_inline_json_that_is_no_object_is_not_opened(value, capsys):
+    # a descriptor that parses as JSON is read as JSON, never as a path:
+    # a value that is no object is the reader's InputError
+    code, out = run_cli(
+        capsys, "torus-spectrum", "--gram", value, "--cutoff", "1"
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "message": f"descriptor must be an object, not {json.loads(value)!r}",
+        "type": "InputError",
+    }
+
+
 def test_over_long_json_integer_exits_one(capsys):
     # json.loads raises a plain ValueError, not a JSONDecodeError, for an
     # integer longer than the interpreter reads (5,001 digits at the default

@@ -73,20 +73,25 @@ def test_refusals(call, message):
 
 
 def test_gamma_vector_needs_exact_types():
-    # entries are a tuple of ints and Fractions, by exact type, and dim is
-    # an int: a float, a bool, a string or a list is refused, not kept
+    # dim is read by exact_int and each entry by rat, as a Lattice reads
+    # its entries: a float, a bool or None is refused, not kept
     for kind, dim, entries in (
         ("torus", 1, (0.5,)),
         ("group", 1, [True]),
         ("group", 1, (True,)),
-        ("group", 1, [F(1)]),
-        ("group", 2, (F(1), "2")),
+        ("group", 1, (None,)),
+        ("group", 1, "1"),
         ("group", 1.0, (F(1),)),
         ("group", True, (F(1),)),
         ("torus", 1.0, (F(1),)),
     ):
         with pytest.raises(InputError):
             GammaVector(kind=kind, dim=dim, entries=entries)
+    # a list is kept as a tuple, and a string rational is read
+    g = GammaVector(kind="group", dim=2, entries=[F(1), "2"])
+    assert g.entries == (F(1), F(2)) and type(g.entries) is tuple
+    assert g == GammaVector(kind="group", dim="2", entries=(1, 2))
+    assert type(g.dim) is int
 
 
 def test_group_invariants():

@@ -24,6 +24,7 @@ from helpers import (
     volume,
 )
 from liespec import build, isolation
+from liespec.catalog import BUILTIN_LATTICES
 from liespec.errors import (
     CertificationError,
     DomainError,
@@ -133,15 +134,21 @@ def test_dual_involution_and_gram():
 
 
 def test_lattice_needs_exact_entries():
-    # every gram or basis entry is an int or a Fraction, by exact type: a
-    # float, a bool or a string is refused, not coerced
-    for bad in (1.5, True, "1", None):
+    # every gram or basis entry is read by rat, through rat_matrix, the one
+    # gate of every matrix: a float, a bool or None is refused, not coerced
+    for bad in (1.5, True, None):
         with pytest.raises(InputError):
             Lattice(gram=((bad,),))
         with pytest.raises(InputError):
             Lattice(basis=((bad,),))
         with pytest.raises(InputError):
             Lattice(gram=((F(1),),), basis=((bad,),))
+    # a string rational is read, as at every other door, and so is a list
+    assert Lattice(gram=(("1",),)) == Lattice(gram=((F(1),),))
+    assert Lattice(basis=[["1/2"]]).gram == ((F(1, 4),),)
+    assert Lattice(gram=[["2", "1"], ["1", "2"]]) == (
+        BUILTIN_LATTICES["hexagonal"]
+    )
     with pytest.raises(InputError):
         Lattice()
     # the dimension is the matrix's size, an int that JSON writes back, and
@@ -149,8 +156,9 @@ def test_lattice_needs_exact_entries():
     assert Lattice(gram=((F(1),),)).to_json_dict()["dim"] == 1
     with pytest.raises(TypeError):
         Lattice(dim=1, gram=((F(1),),))
-    # from_gram and from_basis coerce strings once, before the constructor
+    # from_gram and from_basis are the constructor's two keywords
     assert Lattice(gram=((1,),)) == Lattice.from_gram([["1"]])
+    assert Lattice(basis=((2,),)) == Lattice.from_basis([["2"]])
     assert Lattice(basis=((F(2),),)).gram == ((4,),)
     # given both, B^T B must be G
     with pytest.raises(DomainError):

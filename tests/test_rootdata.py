@@ -21,6 +21,7 @@ from helpers import (
 )
 from liespec.errors import DomainError, InputError
 from liespec.branching import _coords, _pack, _packing, _wall
+from liespec.rational import exact_int, rat
 from liespec.rootdata import (
     _chamber,
     _orbit,
@@ -193,6 +194,22 @@ def test_string_weight_is_refused(flags):
     assert check_weight(build("A2"), ["2", "1"]) == (2, 1)
     with pytest.raises(InputError):
         check_weight(build("A2"), "21")
+
+
+def test_exact_values_pass_through_the_gate():
+    # rat returns a Fraction and exact_int an int as it is given, each by
+    # exact type: a bool is an int but no coordinate, and an int is made a
+    # Fraction by rat
+    x, n = F(3, 7), 10**30
+    assert rat(x) is x and exact_int(n) is n
+    assert type(rat(5)) is F and rat(5) == 5
+    for bad in (True, False):
+        with pytest.raises(InputError):
+            exact_int(bad)
+        with pytest.raises(InputError):
+            rat(bad)
+    w = (n, 0)
+    assert all(a is b for a, b in zip(check_weight(build("A2"), w), w))
 
 
 # Every public door that takes a dominant weight refuses a bad one through
