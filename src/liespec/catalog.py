@@ -10,6 +10,7 @@ inline JSON object string, or a file path, in that order.
 """
 
 import json
+import os
 from collections.abc import Mapping
 
 from .branching import EmbeddingSpec
@@ -79,9 +80,10 @@ _BUILTINS = {
 def resolve(kind, descriptor):
     """The ``kind`` object a descriptor string names: a builtin of that
     kind, else ``kind.from_json_dict`` of the descriptor read as JSON, else,
-    when it does not parse and does not start with "{", of the JSON in the
-    file at that path.  So no inline JSON value is opened as a file: one
-    that is no object is the reader's InputError."""
+    when it does not parse, of the JSON in the file at that path.  So no
+    inline JSON value is opened as a file: one that is no object is the
+    reader's InputError, and text that starts with "{" or "[" and names no
+    file is reported as the JSON it fails to be."""
     if not isinstance(descriptor, str):
         raise InputError(f"a descriptor is a string, not {descriptor!r}")
     builtin = _BUILTINS.get(kind, {})
@@ -91,7 +93,8 @@ def resolve(kind, descriptor):
         try:
             obj = json.loads(descriptor)
         except json.JSONDecodeError:
-            if descriptor.strip().startswith("{"):
+            looks_like_json = descriptor.strip().startswith(("{", "["))
+            if looks_like_json and not os.path.isfile(descriptor):
                 raise
             with open(descriptor, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)

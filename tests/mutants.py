@@ -505,6 +505,22 @@ MUTANTS = (
         '["key", "value"]', '["value", "key"]',
         ("tests/test_cli.py::test_report_csv_is_key_value_rows",),
     ),
+    # the package's lazy door: an unknown name is an AttributeError, and a
+    # public name is read from the module that defines it, not from one
+    # that merely imports it
+    Mutant(
+        "lazy-door-answers-unknown-name", "__init__.py",
+        'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+        "return None",
+        ("tests/test_frozen.py::"
+         "test_star_import_binds_all_and_an_unknown_name_raises",),
+    ),
+    Mutant(
+        "lazy-door-wrong-home", "__init__.py",
+        '"casimir": "rootdata",', '"casimir": "groups",',
+        ("tests/test_frozen.py::"
+         "test_every_public_name_is_the_object_of_its_home_module",),
+    ),
 )
 
 

@@ -229,6 +229,32 @@ def test_bad_inline_json_exits_one(capsys):
     assert json.loads(out)["error"]["type"] == "JSONDecodeError"
 
 
+def test_bad_inline_array_is_json_not_a_missing_file(capsys):
+    # one bracket short: text that starts with "[" and names no file is
+    # reported as the JSON it fails to be, as one that starts with "{" is
+    code, out = run_cli(
+        capsys, "torus-spectrum", "--gram", "[[1,0],[0,1]", "--cutoff", "1"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "JSONDecodeError"
+
+
+def test_a_file_whose_name_starts_with_a_bracket_resolves(
+    tmp_path, monkeypatch, capsys
+):
+    # the bad inline array above, as the name of a real file
+    monkeypatch.delenv("LIESPEC_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "[[1,0],[0,1]").write_text('{"gram": [[1, 0], [0, 1]]}')
+    got = run_cli(
+        capsys, "torus-spectrum", "--gram", "[[1,0],[0,1]", "--cutoff", "3"
+    )
+    want = run_cli(
+        capsys, "torus-spectrum", "--gram", "identity2", "--cutoff", "3"
+    )
+    assert got == want and got[0] == 0
+
+
 @pytest.mark.parametrize(
     "value", ["[[1,0],[0,1]]", "null", "5", '"12"', "true", "[]"]
 )

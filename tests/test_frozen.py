@@ -8,7 +8,10 @@ interpreter checks that ``import liespec, liespec.cli`` loads neither
 ``dataclasses``, ``inspect`` nor ``csv`` and builds no root system, that
 ``import liespec`` loads neither ``json`` nor ``hashlib`` and
 ``liespec.cli`` no ``hashlib`` until a job reads the disk cache, and that
-resolving a builtin builds that builtin alone, once.
+resolving a builtin builds that builtin alone, once.  The package's lazy
+door is checked the same way: ``import liespec`` loads no submodule, a
+public name loads its home module and what that imports, and no other
+layer, and ``liespec.cli`` still loads every module.
 """
 
 import os
@@ -257,3 +260,97 @@ def test_builtin_first_lookups_from_threads_share_one_object():
     )
     # every thread got the objects that every later lookup returns
     assert out == "8 11 True False"
+
+
+def _loaded_after(script: str) -> set:
+    """The liespec modules and the two number modules that a fresh
+    interpreter has loaded after running ``script``."""
+    out = _fresh(
+        "import sys\n" + script + "\n"
+        "print(' '.join(m for m in sys.modules"
+        " if m.startswith('liespec.') or m in ('fractions', 'decimal')))\n"
+    )
+    return set(out.split())
+
+
+def test_import_liespec_loads_no_layer():
+    assert _loaded_after("import liespec") == set()
+
+
+@pytest.mark.parametrize("name, home, never", [
+    ("torus_spectrum", "lattices",
+     ("branching", "natred", "groups", "isolation", "weights", "catalog")),
+    ("biinvariant_spectrum", "groups",
+     ("lattices", "branching", "natred", "isolation", "catalog")),
+])
+def test_a_public_name_loads_only_its_layers(name, home, never):
+    loaded = _loaded_after(f"import liespec\nliespec.{name}")
+    assert f"liespec.{home}" in loaded
+    assert loaded & {f"liespec.{m}" for m in never} == set()
+
+
+def test_the_command_line_loads_every_module():
+    # a package is named by its directory, any other module by its file
+    every = {
+        ".".join((path.parent if path.stem == "__init__"
+                  else path.with_suffix("")).relative_to(SRC).parts)
+        for path in (SRC / "liespec").rglob("*.py")
+    } - {"liespec"}
+    assert _loaded_after("import liespec.cli") >= every
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    out = _fresh(
+        "import importlib, liespec\n"
+        "wrong = []\n"
+        "for name in liespec.__all__:\n"
+        "    obj = getattr(liespec, name)\n"
+        "    home = 'liespec.' + liespec._HOMES[name]\n"
+        "    defined = obj.__module__\n"
+        "    if (obj is not getattr(importlib.import_module(home), name)\n"
+        "            or not (defined + '.').startswith(home + '.')):\n"
+        "        wrong.append((name, home, defined))\n"
+        "print(wrong, set(liespec.__all__) <= set(dir(liespec)),"
+        " liespec.__all__ == sorted(liespec.__all__))\n"
+    )
+    assert out == "[] True True"
+
+
+def test_star_import_binds_all_and_an_unknown_name_raises():
+    out = _fresh(
+        "import sys, liespec\n"
+        "names = {}\n"
+        "exec('from liespec import *', names)\n"
+        "star = sorted(names.keys() - {'__builtins__'}) == liespec.__all__\n"
+        "try:\n"
+        "    liespec.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "# a submodule that no public name has loaded still resolves\n"
+        "module = liespec.catalog is sys.modules['liespec.catalog']\n"
+        "print(star, module, unknown)\n"
+    )
+    assert out == (
+        "True True module 'liespec' has no attribute 'no_such_name'"
+    )
+
+
+def test_threads_that_first_touch_one_name_share_its_object():
+    out = _fresh(
+        "import sys, threading, liespec\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "got, start = [], threading.Barrier(8)\n"
+        "def touch():\n"
+        "    start.wait(30)\n"
+        "    got.append(liespec.natred_spectrum)\n"
+        "threads = [threading.Thread(target=touch) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "from liespec.natred import natred_spectrum\n"
+        "print(len(got), all(obj is natred_spectrum for obj in got),"
+        " any(t.is_alive() for t in threads))\n"
+    )
+    assert out == "8 True False"
